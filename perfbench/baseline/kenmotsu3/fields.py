@@ -1,0 +1,299 @@
+"""Chart domains, tensor-field evaluators and numerical differentiation.
+
+Everything is a single 3-dimensional chart.  Fields are pure evaluators from
+a batch of points (shape ``(n, 3)``) to per-point values; scalar fields map
+to ``(n,)``, vector fields and 1-forms to ``(n, 3)``, (1,1)-tensors and
+metrics to ``(n, 3, 3)``.  A (1,1) tensor acts on column component vectors,
+``(T X)^i = T^i_j X^j``.
+
+Derivatives use a 5-point 4th-order stencil whose window shifts inward near
+a domain boundary (one-sided weights via the classic divided-difference
+weight recursion); it errors only when no 5-point window fits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = [
+    "ChartDomain",
+    "DiffScheme",
+    "ArrayField",
+    "ScalarField",
+    "VectorField",
+    "CovectorField",
+    "Tensor11Field",
+    "MetricField",
+    "BoundaryError",
+    "partial_derivative",
+    "coordinate_derivatives",
+    "lie_bracket",
+    "constant_vector_field",
+    "as_points",
+]
+
+
+class BoundaryError(ValueError):
+    """No admissible finite-difference window fits inside the domain."""
+
+
+def as_points(p) -> tuple[np.ndarray, bool]:
+    """Promote a single point ``(3,)`` to a batch ``(1, 3)``.
+
+    Returns the batch and a flag telling whether the input was a single
+    point (callers squeeze their output accordingly).
+    """
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim == 1:
+        if arr.shape != (3,):
+            raise ValueError(f"point must have 3 coordinates, got {arr.shape}")
+        return arr[None, :], True
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"points must have shape (n, 3), got {arr.shape}")
+    return arr, False
+
+
+@dataclass(frozen=True)
+class ChartDomain:
+    """Open (or closed) box plus an optional predicate.
+
+    ``bounds`` holds per-axis ``(lo, hi)`` pairs, infinite ends allowed.
+    ``inclusive`` admits the finite endpoints themselves (used by the
+    trajectory-backed models, whose fields exist on a closed t-interval).
+    """
+
+    bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] = (
+        (-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, np.inf))
+    predicate: object = None
+    inclusive: bool = False
+
+    def contains(self, pts) -> np.ndarray:
+        pts, single = as_points(pts)
+        ok = np.isfinite(pts).all(axis=1)
+        for axis, (lo, hi) in enumerate(self.bounds):
+            x = pts[:, axis]
+            if self.inclusive:
+                ok &= (x >= lo) & (x <= hi)
+            else:
+                ok &= (x > lo) & (x < hi)
+        if self.predicate is not None:
+            ok &= np.asarray(self.predicate(pts), bool)
+        return ok[0] if single else ok
+
+    def require(self, pts) -> None:
+        inside = np.atleast_1d(self.contains(pts))
+        if not inside.all():
+            bad = np.asarray(pts, float).reshape(-1, 3)[~inside][0]
+            raise BoundaryError(f"point {bad.tolist()} outside chart domain")
+
+
+@dataclass(frozen=True)
+class DiffScheme:
+    """Finite-difference configuration.
+
+    ``h_rel`` is the relative step, scaled per point by ``max(1, |coord|)``.
+    ``nested_rel`` is the step used when differentiating a field that is
+    itself finite-difference-backed (``derived=True``); ``None`` means use
+    ``h_rel``, which keeps nested (curvature-level) truncation at O(h^4)
+    while the smooth inner truncation differentiates benignly.
+    """
+
+    h_rel: float = 1e-3
+    order: int = 4
+    nested_rel: float | None = None
+
+    def __post_init__(self):
+        if self.order != 4:
+            raise ValueError("only the 4th-order 5-point scheme is supported")
+        if not 0 < self.h_rel < 0.1:
+            raise ValueError("h_rel out of range")
+
+    def refined(self, factor: float = 2.0) -> "DiffScheme":
+        """Scheme with every step divided by ``factor`` (convergence runs)."""
+        nested = None if self.nested_rel is None else self.nested_rel / factor
+        return DiffScheme(self.h_rel / factor, self.order, nested)
+
+    def steps(self, pts: np.ndarray, axis: int, derived: bool,
+              quantum: float | None = None) -> np.ndarray:
+        rel = self.nested_rel if (derived and self.nested_rel) else self.h_rel
+        h = rel * np.maximum(1.0, np.abs(pts[:, axis]))
+        if quantum is not None:
+            # snap to the stored-node grid of trajectory-backed fields
+            h = quantum * np.maximum(1.0, np.round(h / quantum))
+        return h
+
+
+class ArrayField:
+    """A pure evaluator ``(n, 3) -> (n,) + out_shape`` over a chart domain.
+
+    ``derived`` marks finite-difference-backed evaluators (so nested
+    differentiation can pick its own step); ``axis_quanta`` optionally pins
+    the FD step along an axis to multiples of a grid quantum.
+    """
+
+    out_shape: tuple[int, ...] = ()
+
+    def __init__(self, fn, domain: ChartDomain, out_shape=None, *,
+                 derived: bool = False, axis_quanta=(None, None, None),
+                 name: str = ""):
+        self.fn = fn
+        self.domain = domain
+        if out_shape is not None:
+            self.out_shape = tuple(out_shape)
+        self.derived = derived
+        self.axis_quanta = tuple(axis_quanta)
+        self.name = name
+
+    def __call__(self, pts) -> np.ndarray:
+        pts, single = as_points(pts)
+        out = np.asarray(self.fn(pts), dtype=float)
+        want = (pts.shape[0],) + self.out_shape
+        if out.shape != want:
+            raise ValueError(
+                f"field {self.name or self.fn!r} returned {out.shape}, expected {want}")
+        return out[0] if single else out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name or self.fn!r})"
+
+
+class ScalarField(ArrayField):
+    out_shape = ()
+
+
+class VectorField(ArrayField):
+    out_shape = (3,)
+
+
+class CovectorField(ArrayField):
+    out_shape = (3,)
+
+
+class Tensor11Field(ArrayField):
+    out_shape = (3, 3)
+
+
+class MetricField(ArrayField):
+    out_shape = (3, 3)
+
+    def check(self, pts, sym_tol: float = 1e-14) -> None:
+        """Assert symmetry and positive definiteness at ``pts``."""
+        batch, _ = as_points(pts)
+        g = self(batch)
+        asym = np.max(np.abs(g - np.transpose(g, (0, 2, 1))))
+        if asym > sym_tol * max(1.0, float(np.max(np.abs(g)))):
+            raise ValueError(f"metric asymmetry {asym:.3e} exceeds {sym_tol}")
+        if np.any(np.linalg.eigvalsh(g)[:, 0] <= 0):
+            raise ValueError("metric not positive definite on sample")
+
+
+# --------------------------------------------------------------------------
+# Finite differences
+# --------------------------------------------------------------------------
+
+def _fd_weights(offsets: np.ndarray) -> np.ndarray:
+    """First-derivative weights at 0 for nodes ``offsets`` (unit spacing).
+
+    Classic recursive divided-difference weight construction for arbitrary
+    node sets; with 5 nodes this is 4th-order accurate.
+    """
+    n = len(offsets)
+    w = np.zeros((n, 2))  # columns: derivative orders 0, 1
+    w[0, 0] = 1.0
+    c1, c4 = 1.0, offsets[0]
+    for i in range(1, n):
+        c2, c5, c4 = 1.0, c4, offsets[i]
+        for j in range(i):
+            c3 = offsets[i] - offsets[j]
+            c2 *= c3
+            if j == i - 1:
+                w[i, 1] = c1 * (w[i - 1, 0] - c5 * w[i - 1, 1]) / c2
+                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+            w[j, 1] = (c4 * w[j, 1] - w[j, 0]) / c3
+            w[j, 0] = c4 * w[j, 0] / c3
+        c1 = c2
+    return w[:, 1]
+
+
+_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
+_WEIGHTS = {s: _fd_weights(np.arange(-2, 3) + s) for s in _SHIFTS}
+
+
+def _window_shifts(field: ArrayField, pts: np.ndarray, axis: int,
+                   h: np.ndarray) -> np.ndarray:
+    """Per-point window shift keeping all 5 stencil nodes inside the domain."""
+    n = pts.shape[0]
+    shift = np.zeros(n, dtype=int)
+    unresolved = np.ones(n, bool)
+    for s in _SHIFTS:
+        if not unresolved.any():
+            break
+        trial = np.repeat(pts[unresolved][:, None, :], 5, axis=1)
+        trial[:, :, axis] += (np.arange(-2, 3) + s)[None, :] * h[unresolved, None]
+        ok = np.asarray(
+            field.domain.contains(trial.reshape(-1, 3)), bool).reshape(-1, 5).all(axis=1)
+        idx = np.flatnonzero(unresolved)[ok]
+        shift[idx] = s
+        unresolved[idx] = False
+    if unresolved.any():
+        bad = pts[unresolved][0]
+        raise BoundaryError(
+            f"no 5-point stencil window fits at {bad.tolist()} along axis {axis}")
+    return shift
+
+
+def partial_derivative(field: ArrayField, pts, axis: int,
+                       scheme: DiffScheme | None = None) -> np.ndarray:
+    """d(field)/dx^axis with the scheme's 5-point stencil.
+
+    Works for any field kind; the output has the field's own shape.  Near a
+    boundary the window shifts inward (one-sided 4th-order); if no window
+    fits, :class:`BoundaryError` is raised.
+    """
+    scheme = scheme or DiffScheme()
+    pts, single = as_points(pts)
+    field.domain.require(pts)
+    h = scheme.steps(pts, axis, field.derived, field.axis_quanta[axis])
+    shifts = _window_shifts(field, pts, axis, h)
+
+    stencil = np.repeat(pts[:, None, :], 5, axis=1)
+    stencil[:, :, axis] += (np.arange(-2, 3)[None, :] + shifts[:, None]) * h[:, None]
+    values = field(stencil.reshape(-1, 3)).reshape((pts.shape[0], 5) + field.out_shape)
+
+    weights = np.stack([_WEIGHTS[s] for s in shifts]) / h[:, None]
+    extra = (1,) * len(field.out_shape)
+    out = np.sum(values * weights.reshape(weights.shape + extra), axis=1)
+    return out[0] if single else out
+
+
+def coordinate_derivatives(field: ArrayField, pts,
+                           scheme: DiffScheme | None = None) -> np.ndarray:
+    """All three partials stacked: output ``(n, 3) + out_shape`` (axis first)."""
+    pts, single = as_points(pts)
+    out = np.stack([partial_derivative(field, pts, a, scheme) for a in range(3)],
+                   axis=1)
+    return out[0] if single else out
+
+
+def lie_bracket(x_field: VectorField, y_field: VectorField, pts,
+                scheme: DiffScheme | None = None) -> np.ndarray:
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i with numeric partials."""
+    pts, single = as_points(pts)
+    xv, yv = x_field(pts), y_field(pts)
+    # jac[n, j, i] = d_j (field^i)
+    jac_y = coordinate_derivatives(y_field, pts, scheme)
+    jac_x = coordinate_derivatives(x_field, pts, scheme)
+    out = np.einsum("nj,nji->ni", xv, jac_y) - np.einsum("nj,nji->ni", yv, jac_x)
+    return out[0] if single else out
+
+
+def constant_vector_field(components, domain: ChartDomain) -> VectorField:
+    """Coordinate-constant vector field (e.g. a coordinate direction)."""
+    comp = np.asarray(components, float)
+
+    def fn(pts):
+        return np.broadcast_to(comp, (pts.shape[0], 3)).copy()
+
+    return VectorField(fn, domain, name=f"const{comp.tolist()}")

@@ -1,0 +1,202 @@
+"""Levi-Civita connection, curvature and covariant calculus of a metric.
+
+Conventions.  Christoffel symbols Gamma^i_{jk} are indexed ``[i, j, k]``.
+The curvature convention is R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
+- nabla_{[X,Y]} Z, stored as R^i_{jkl} with R(e_k, e_l)e_j = R^i_{jkl} e_i.
+Ric(Y,Z) is the trace of X -> R(X,Y)Z, Q is the Ricci operator and Sc its
+trace.  With these signs the warped metric dt^2 + e^{2t}(dx^2 + dy^2) has
+every sectional curvature equal to -1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .fields import (
+    ArrayField,
+    DiffScheme,
+    MetricField,
+    Tensor11Field,
+    VectorField,
+    as_points,
+    coordinate_derivatives,
+)
+
+__all__ = [
+    "DegenerateMetricError",
+    "DegeneratePlaneError",
+    "Curvature",
+    "christoffel",
+    "christoffel_field",
+    "riemann",
+    "sectional_curvature",
+    "covariant_derivative_tensor11",
+    "covariant_differential",
+    "exterior_derivative",
+    "g_norm",
+    "g_operator_norm",
+]
+
+COND_LIMIT = 1e12
+
+
+class DegenerateMetricError(ValueError):
+    """Metric inversion rejected (condition number above ``COND_LIMIT``)."""
+
+
+class DegeneratePlaneError(ValueError):
+    """Sectional curvature of a (numerically) degenerate plane."""
+
+
+def _inverse_metric(g: np.ndarray) -> np.ndarray:
+    cond = np.linalg.cond(g)
+    if np.any(~np.isfinite(cond)) or np.any(cond > COND_LIMIT):
+        raise DegenerateMetricError(
+            f"metric condition number {float(np.max(cond)):.3e} exceeds {COND_LIMIT:.0e}")
+    return np.linalg.inv(g)
+
+
+def christoffel(g: MetricField, pts, scheme: DiffScheme | None = None,
+                return_ginv: bool = False):
+    """Gamma^i_{jk} = 1/2 g^{is}(d_j g_{sk} + d_k g_{sj} - d_s g_{jk})."""
+    pts, single = as_points(pts)
+    gv = g(pts)
+    ginv = _inverse_metric(gv)
+    dg = coordinate_derivatives(g, pts, scheme)  # (n, axis, i, j)
+    braces = (np.einsum("njsk->nsjk", dg) + np.einsum("nksj->nsjk", dg)
+              - np.einsum("nsjk->nsjk", dg))
+    gamma = 0.5 * np.einsum("nis,nsjk->nijk", ginv, braces)
+    if single:
+        gamma, ginv = gamma[0], ginv[0]
+    return (gamma, ginv) if return_ginv else gamma
+
+
+def christoffel_field(g: MetricField, scheme: DiffScheme | None = None) -> ArrayField:
+    """The connection as a differentiable (FD-backed) field."""
+    return ArrayField(lambda pts: christoffel(g, pts, scheme), g.domain,
+                      out_shape=(3, 3, 3), derived=True,
+                      axis_quanta=g.axis_quanta, name="christoffel")
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """Curvature data at a batch of points."""
+
+    riemann: np.ndarray   # (n, 3, 3, 3, 3) = R^i_{jkl}
+    ricci: np.ndarray     # (n, 3, 3)
+    q: np.ndarray         # (n, 3, 3) Ricci operator
+    scalar: np.ndarray    # (n,)
+    gamma: np.ndarray     # (n, 3, 3, 3)
+    ginv: np.ndarray      # (n, 3, 3)
+
+    def apply(self, x, y, z) -> np.ndarray:
+        """(R(X,Y)Z)^i for per-point component vectors."""
+        return np.einsum("nijkl,nk,nl,nj->ni", self.riemann, x, y, z)
+
+
+def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
+    """Full curvature from Gamma and its numeric derivatives."""
+    pts, _ = as_points(pts)
+    gamma, ginv = christoffel(g, pts, scheme, return_ginv=True)
+    dgamma = coordinate_derivatives(christoffel_field(g, scheme), pts, scheme)
+    # dgamma[n, a, i, j, k] = d_a Gamma^i_{jk}
+    riem = (np.einsum("nkilj->nijkl", dgamma) - np.einsum("nlikj->nijkl", dgamma)
+            + np.einsum("niks,nslj->nijkl", gamma, gamma)
+            - np.einsum("nils,nskj->nijkl", gamma, gamma))
+    ric = np.einsum("nijil->nlj", riem)
+    q = np.einsum("nis,nsj->nij", ginv, ric)
+    sc = np.einsum("nii->n", q)
+    return Curvature(riem, ric, q, sc, gamma, ginv)
+
+
+def sectional_curvature(g: MetricField, pts, x, y,
+                        scheme: DiffScheme | None = None,
+                        curv: Curvature | None = None) -> np.ndarray:
+    """K(X,Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2)."""
+    pts, single = as_points(pts)
+    x = np.broadcast_to(np.asarray(x, float), (pts.shape[0], 3))
+    y = np.broadcast_to(np.asarray(y, float), (pts.shape[0], 3))
+    gv = g(pts)
+    if curv is None:
+        curv = riemann(g, pts, scheme)
+    num = np.einsum("ni,nij,nj->n", curv.apply(x, y, y), gv, x)
+    xx = np.einsum("ni,nij,nj->n", x, gv, x)
+    yy = np.einsum("ni,nij,nj->n", y, gv, y)
+    xy = np.einsum("ni,nij,nj->n", x, gv, y)
+    den = xx * yy - xy ** 2
+    if np.any(den < 1e-12):
+        raise DegeneratePlaneError(
+            f"plane area^2 {float(np.min(den)):.3e} below 1e-12")
+    out = num / den
+    return out[0] if single else out
+
+
+def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
+                           gamma: np.ndarray) -> np.ndarray:
+    """(nabla_k T)^i_j for a (1,1) tensor from values and coordinate partials.
+
+    ``t_vals``: (n,3,3), ``dt_vals``: (n, axis, 3, 3), ``gamma``: (n,3,3,3).
+    Output indexed ``[n, k, i, j]``.
+    """
+    return (np.einsum("nkij->nkij", dt_vals)
+            + np.einsum("niks,nsj->nkij", gamma, t_vals)
+            - np.einsum("nskj,nis->nkij", gamma, t_vals))
+
+
+def covariant_derivative_tensor11(g: MetricField, t_field: Tensor11Field,
+                                  x, pts, scheme: DiffScheme | None = None,
+                                  gamma: np.ndarray | None = None) -> np.ndarray:
+    """(nabla_X T)^i_j = X(T^i_j) + Gamma^i_{ks} X^k T^s_j - Gamma^s_{kj} X^k T^i_s."""
+    pts, single = as_points(pts)
+    if gamma is None:
+        gamma = christoffel(g, pts, scheme)
+    if isinstance(x, VectorField):
+        xv = x(pts)
+    else:
+        xv = np.broadcast_to(np.asarray(x, float), (pts.shape[0], 3))
+    tv = t_field(pts)
+    dt = coordinate_derivatives(t_field, pts, scheme)
+    nabla = covariant_differential(tv, dt, gamma)
+    out = np.einsum("nk,nkij->nij", xv, nabla)
+    return out[0] if single else out
+
+
+def exterior_derivative(form: ArrayField, pts,
+                        scheme: DiffScheme | None = None) -> np.ndarray:
+    """Coordinate exterior derivative of a 1-form or 2-form field.
+
+    1-form (components (n,3)) -> 2-form components (d omega)_{ij} (n,3,3);
+    2-form (components (n,3,3), antisymmetric) -> the single 3-form density
+    (d omega)(e_0, e_1, e_2) as a scalar (n,).
+    """
+    pts, single = as_points(pts)
+    d = coordinate_derivatives(form, pts, scheme)  # (n, axis, ...)
+    if form.out_shape == (3,):
+        out = np.einsum("nij->nij", d) - np.einsum("nji->nij", d)
+    elif form.out_shape == (3, 3):
+        out = d[:, 0, 1, 2] - d[:, 1, 0, 2] + d[:, 2, 0, 1]
+    else:
+        raise ValueError(f"not a 1-form or 2-form field: shape {form.out_shape}")
+    return out[0] if single else out
+
+
+# --------------------------------------------------------------------------
+# g-norms
+# --------------------------------------------------------------------------
+
+def g_norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Riemannian length of per-point component vectors."""
+    return np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", v, g, v), 0.0))
+
+
+def g_operator_norm(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Operator norm of a (1,1) tensor w.r.t. the metric.
+
+    Equals the largest singular value of L^T A L^{-T} where g = L L^T.
+    """
+    chol = np.linalg.cholesky(g)
+    lt = np.swapaxes(chol, -1, -2)
+    m = lt @ a @ np.linalg.inv(lt)
+    return np.linalg.svd(m, compute_uv=False)[..., 0]

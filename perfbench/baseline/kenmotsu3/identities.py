@@ -1,0 +1,950 @@
+"""Residual evaluation of every verified identity over a sample plan.
+
+Each identity is evaluated pointwise on a deterministic grid-plus-random-
+vectors plan; the report carries the sup-norm residual (g-operator norm for
+tensor identities, g-length for vector ones, absolute value for scalars),
+the point of the maximum, the tolerance profile and the verdict.  Identities
+that do not apply to a model family get a distinct "not-applicable" verdict,
+never a silent pass.
+
+Tolerance profiles: STRICT 1e-10 (algebraic, no differentiation),
+FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .fields import (
+    DiffScheme,
+    ScalarField,
+    Tensor11Field,
+    VectorField,
+    as_points,
+    coordinate_derivatives,
+)
+from .geometry import (
+    christoffel,
+    covariant_differential,
+    exterior_derivative,
+    g_norm,
+    g_operator_norm,
+    riemann,
+)
+from .structure import (
+    AlmostContactModel,
+    compute_h,
+    eigenframe,
+    h_field,
+    two_form_components,
+)
+
+__all__ = [
+    "PROFILES",
+    "SamplePlan",
+    "ResidualReport",
+    "IDENTITIES",
+    "applicable_identities",
+    "check_identity",
+    "check_suite",
+    "nullity_residual",
+    "infer_k_mu",
+]
+
+PROFILES = {"strict": 1e-10, "fd1": 1e-6, "fd2": 5e-5}
+
+MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """Deterministic sample plan: a grid in a box plus random unit vectors.
+
+    ``grid`` points per axis inside ``box`` (the model's default box when
+    None); ``rand_pairs`` random tangent-vector pairs per point, g-unit
+    normalized; the same seed always reproduces the same plan.
+    """
+
+    grid: int = 5
+    rand_pairs: int = 4
+    seed: int = 0
+    box: tuple | None = None
+
+    def resolved_box(self, model: AlmostContactModel):
+        box = self.box if self.box is not None else model.default_box
+        if len(box) != 3 or any(len(iv) != 2 or not iv[0] < iv[1] for iv in box):
+            raise ValueError(f"malformed sample box {box!r}")
+        return box
+
+    def points(self, model: AlmostContactModel) -> np.ndarray:
+        box = self.resolved_box(model)
+        axes = [np.linspace(lo, hi, self.grid) for lo, hi in box]
+        if model.trajectory is not None:
+            # snap the t-axis to stored nodes so FD stencils never
+            # interpolate between them
+            traj = model.trajectory
+            axes[2] = traj.times[np.clip(
+                np.round((axes[2] - traj.t_min) / traj.step).astype(int),
+                0, len(traj.times) - 1)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        inside = np.atleast_1d(model.domain.contains(pts))
+        if not inside.all():
+            raise ValueError(
+                f"sample box {box!r} leaves the chart domain "
+                f"(first bad point {pts[~inside][0].tolist()})")
+        return pts
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    """Outcome of one identity over one plan."""
+
+    id: str
+    formula: str
+    residual: float
+    tolerance: float
+    profile: str
+    verdict: str                 # "pass" | "fail" | "not-applicable"
+    max_point: tuple | None
+    samples: int
+    refinement: dict | None = None
+
+    def as_dict(self) -> dict:
+        out = {
+            "id": self.id,
+            "formula": self.formula,
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "profile": self.profile,
+            "maxPoint": list(self.max_point) if self.max_point else None,
+            "samples": self.samples,
+            "verdict": self.verdict,
+        }
+        if self.refinement is not None:
+            out["refinement"] = self.refinement
+        return out
+
+
+# --------------------------------------------------------------------------
+# Evaluation cache
+# --------------------------------------------------------------------------
+
+class Probe:
+    """Lazy per-plan cache of everything the identities consume."""
+
+    def __init__(self, model: AlmostContactModel, pts: np.ndarray,
+                 scheme: DiffScheme, rand_pairs: int = 4, seed: int = 0):
+        self.model = model
+        self.pts, _ = as_points(pts)
+        self.scheme = scheme
+        self.rand_pairs = rand_pairs
+        self.seed = seed
+        self.n = self.pts.shape[0]
+
+    # --- closed-form values -------------------------------------------------
+
+    @cached_property
+    def g(self):
+        return self.model.g(self.pts)
+
+    @cached_property
+    def phi(self):
+        return self.model.phi(self.pts)
+
+    @cached_property
+    def xi(self):
+        return self.model.xi(self.pts)
+
+    @cached_property
+    def eta(self):
+        return self.model.eta(self.pts)
+
+    @cached_property
+    def k(self):
+        return self.model.k_nom(self.pts)
+
+    @cached_property
+    def mu(self):
+        return self.model.mu_nom(self.pts)
+
+    @cached_property
+    def lam_nom(self):
+        return self.model.lam_nom(self.pts)
+
+    @cached_property
+    def eye(self):
+        return np.broadcast_to(np.eye(3), (self.n, 3, 3))
+
+    # --- connection and curvature -------------------------------------------
+
+    @cached_property
+    def gamma(self):
+        return christoffel(self.model.g, self.pts, self.scheme)
+
+    @cached_property
+    def curv(self):
+        return riemann(self.model.g, self.pts, self.scheme)
+
+    # --- h and friends --------------------------------------------------------
+
+    @cached_property
+    def hf(self):
+        return h_field(self.model, self.scheme)
+
+    @cached_property
+    def hpf(self):
+        return h_field(self.model, self.scheme, prime=True)
+
+    @cached_property
+    def h(self):
+        return self.hf(self.pts)
+
+    @cached_property
+    def hp(self):
+        return self.h @ self.phi
+
+    @cached_property
+    def bmat(self):
+        return self.phi @ self.h
+
+    @cached_property
+    def t_op(self):
+        return self.hp if self.model.variant == "hp" else self.h
+
+    @cached_property
+    def dxi(self):
+        return coordinate_derivatives(self.model.xi, self.pts, self.scheme)
+
+    @cached_property
+    def nabla_xi(self):
+        """(nabla_k xi)^i as operator [n, i, k]."""
+        op = (np.einsum("nki->nik", self.dxi)
+              + np.einsum("niks,ns->nik", self.gamma, self.xi))
+        return op
+
+    @cached_property
+    def dh(self):
+        return coordinate_derivatives(self.hf, self.pts, self.scheme)
+
+    @cached_property
+    def nabla_h(self):
+        return covariant_differential(self.h, self.dh, self.gamma)
+
+    @cached_property
+    def dhp(self):
+        return coordinate_derivatives(self.hpf, self.pts, self.scheme)
+
+    @cached_property
+    def nabla_hp(self):
+        return covariant_differential(self.hp, self.dhp, self.gamma)
+
+    @cached_property
+    def nabla_b(self):
+        bf = Tensor11Field(
+            lambda q: self.model.phi(q) @ compute_h(self.model, q, self.scheme),
+            self.model.domain, derived=True,
+            axis_quanta=self.model.g.axis_quanta, name="phi.h")
+        db = coordinate_derivatives(bf, self.pts, self.scheme)
+        return covariant_differential(self.bmat, db, self.gamma)
+
+    @cached_property
+    def dphi(self):
+        return coordinate_derivatives(self.model.phi, self.pts, self.scheme)
+
+    @cached_property
+    def nabla_phi(self):
+        return covariant_differential(self.phi, self.dphi, self.gamma)
+
+    def _lie_along_xi(self, t_vals, dt_vals):
+        """(L_xi T)^i_j = xi^a d_a T^i_j - T^a_j d_a xi^i + T^i_s d_j xi^s."""
+        return (np.einsum("na,naij->nij", self.xi, dt_vals)
+                - np.einsum("naj,nai->nij", t_vals, self.dxi)
+                + np.einsum("nis,njs->nij", t_vals, self.dxi))
+
+    @cached_property
+    def lie_h(self):
+        return self._lie_along_xi(self.h, self.dh)
+
+    @cached_property
+    def lie_hp(self):
+        return self._lie_along_xi(self.hp, self.dhp)
+
+    # --- scalars' differentials ----------------------------------------------
+
+    @cached_property
+    def dk(self):
+        return coordinate_derivatives(self.model.k_nom, self.pts, self.scheme)
+
+    @cached_property
+    def dmu(self):
+        return coordinate_derivatives(self.model.mu_nom, self.pts, self.scheme)
+
+    @cached_property
+    def dlam(self):
+        return coordinate_derivatives(self.model.lam_nom, self.pts, self.scheme)
+
+    # --- the fundamental 2-form ----------------------------------------------
+
+    @cached_property
+    def phi2(self):
+        return two_form_components(self.model, self.pts)
+
+    @cached_property
+    def phi2_field(self):
+        return Tensor11Field(lambda q: two_form_components(self.model, q),
+                             self.model.domain,
+                             axis_quanta=self.model.g.axis_quanta, name="Phi")
+
+    @cached_property
+    def nabla_phi2(self):
+        """(nabla_k Phi)_{ij} = d_k Phi_ij - G^s_{ki} Phi_sj - G^s_{kj} Phi_is."""
+        d = coordinate_derivatives(self.phi2_field, self.pts, self.scheme)
+        return (d - np.einsum("nski,nsj->nkij", self.gamma, self.phi2)
+                - np.einsum("nskj,nis->nkij", self.gamma, self.phi2))
+
+    @cached_property
+    def deta(self):
+        return exterior_derivative(self.model.eta, self.pts, self.scheme)
+
+    # --- frames and vector pools ----------------------------------------------
+
+    @cached_property
+    def eigen(self):
+        return eigenframe(self.model, self.pts, self.scheme, h=self.h)
+
+    @cached_property
+    def frame(self):
+        """(n, 3, 3): the adapted orthonormal frame (xi, X, phi X)."""
+        return np.stack([self.xi, self.eigen.x, self.eigen.phi_x], axis=1)
+
+    @cached_property
+    def _rng_draws(self):
+        rng = np.random.default_rng(self.seed)
+        randoms = rng.standard_normal((self.n, 2 * self.rand_pairs, 3))
+        frame_raw = rng.standard_normal((self.n, 3, 3))
+        return randoms, frame_raw
+
+    @cached_property
+    def pool(self):
+        """(n, 3 + 2*rand_pairs, 3): frame then g-unit random vectors."""
+        randoms, _ = self._rng_draws
+        randoms = randoms / g_norm(randoms, self.g[:, None, :, :])[..., None]
+        return np.concatenate([self.frame, randoms], axis=1)
+
+    @cached_property
+    def random_frame(self):
+        """A second g-orthonormal frame (witness of frame independence)."""
+        _, raw = self._rng_draws
+        out = np.empty_like(raw)
+        for a in range(3):
+            v = raw[:, a, :]
+            for b in range(a):
+                v = v - np.einsum("ni,nij,nj->n", v, self.g, out[:, b, :])[:, None] \
+                    * out[:, b, :]
+            out[:, a, :] = v / g_norm(v, self.g)[:, None]
+        return out
+
+    @cached_property
+    def pool_d(self):
+        """Pool projected into ker(eta) and renormalized (X, phi X, randoms)."""
+        randoms = self.pool[:, 3:, :]
+        proj = randoms - np.einsum("ni,nai->na", self.eta, randoms)[..., None] \
+            * self.xi[:, None, :]
+        norms = g_norm(proj, self.g[:, None, :, :])
+        keep = norms > 1e-8
+        proj = np.where(keep[..., None], proj / np.maximum(norms, 1e-300)[..., None],
+                        self.eigen.x[:, None, :])
+        return np.concatenate(
+            [self.frame[:, 1:, :], proj], axis=1)
+
+    # --- helper contractions ---------------------------------------------------
+
+    def apply(self, op, vecs):
+        """Apply per-point operator (n,3,3) to pooled vectors (n,P,3)."""
+        return np.einsum("nij,naj->nai", op, vecs)
+
+    def ip(self, u, v):
+        """g inner products for pooled vectors: (n,P,3),(n,Q,3) -> (n,P,Q)."""
+        return np.einsum("nai,nij,nbj->nab", u, self.g, v)
+
+    def vec_norm(self, v):
+        return g_norm(v, self.g)
+
+    def op_norm(self, m):
+        return g_operator_norm(m, self.g)
+
+
+# --------------------------------------------------------------------------
+# Identity residual functions (each returns per-point residuals (n,))
+# --------------------------------------------------------------------------
+
+def _res_nabla_xi(p: Probe):
+    rhs = (p.eye - np.einsum("ni,nk->nik", p.xi, p.eta) - p.bmat)
+    return p.op_norm(p.nabla_xi - rhs)
+
+
+def _res_ak_deta(p: Probe):
+    vals = np.einsum("nij,nai,nbj->nab", p.deta, p.pool, p.pool)
+    return np.max(np.abs(vals), axis=(1, 2))
+
+
+def _res_ak_dphi(p: Probe):
+    dphi3 = exterior_derivative(p.phi2_field, p.pts, p.scheme)
+    eta_wedge = (p.eta[:, 0] * p.phi2[:, 1, 2]
+                 - p.eta[:, 1] * p.phi2[:, 0, 2]
+                 + p.eta[:, 2] * p.phi2[:, 0, 1])
+    dens = np.abs(dphi3 - 2.0 * eta_wedge)
+    return dens / np.sqrt(np.linalg.det(p.g))
+
+
+def _res_kleaves(p: Probe):
+    ph = p.phi + p.h
+    rhs = (np.einsum("nsk,nsj,ni->nkij", ph, p.g, p.xi)
+           - np.einsum("nj,nik->nkij", p.eta, ph))
+    t = p.nabla_phi - rhs
+    vals = np.einsum("nkij,nak,nbj->nabi", t, p.pool, p.pool)
+    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+
+
+def _res_curv1(p: Probe):
+    r_xi = np.einsum("nijkl,nj->nikl", p.curv.riemann, p.xi)
+    imb = p.eye - p.bmat
+    rhs = (np.einsum("nk,nil->nikl", p.eta, imb)
+           - np.einsum("nl,nik->nikl", p.eta, imb)
+           + np.einsum("nlik->nikl", p.nabla_b)
+           - np.einsum("nkil->nikl", p.nabla_b))
+    t = r_xi - rhs
+    vals = np.einsum("nikl,nak,nbl->nabi", t, p.pool, p.pool)
+    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+
+
+def _res_l_id(p: Probe):
+    l_op = np.einsum("nijkl,nl,nj->nik", p.curv.riemann, p.xi, p.xi)
+    m = (p.phi @ l_op @ p.phi - l_op
+         + 2.0 * (p.phi @ p.phi) - 2.0 * (p.h @ p.h))
+    return p.op_norm(m)
+
+
+def _res_curv2(p: Probe):
+    # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
+    a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
+    pool, phi_pool = p.pool, p.apply(p.phi, p.pool)
+    ga = np.einsum("nsi,nijl->nsjl", p.g, a)
+
+    def quad(xv, yv, zv):
+        return np.einsum("nsjl,nal,nbj,ncs->nabc", ga, xv, yv, zv)
+
+    lhs = (quad(pool, pool, pool) - quad(pool, phi_pool, phi_pool)
+           + quad(phi_pool, pool, phi_pool) + quad(phi_pool, phi_pool, pool))
+    h_pool = p.apply(p.h, p.pool)
+    m_pool = pool - p.apply(p.bmat, p.pool)
+    eta_pool = np.einsum("ni,nai->na", p.eta, pool)
+    gzm = p.ip(pool, m_pool)  # (n, c, a) -> g(Z_c, M_a)
+    rhs = (2.0 * np.einsum("nkij,nak,nbi,ncj->nabc", p.nabla_phi2,
+                           h_pool, pool, pool)
+           + 2.0 * np.einsum("nb,nca->nabc", eta_pool, gzm)
+           - 2.0 * np.einsum("nc,nba->nabc", eta_pool, gzm))
+    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
+
+
+def _res_codazzi_hp(p: Probe):
+    vals = np.einsum("nkij,nak,nbj->nabi", p.nabla_hp, p.pool_d, p.pool_d)
+    anti = vals - np.swapaxes(vals, 1, 2)
+    return np.max(g_norm(anti, p.g[:, None, None, :, :]), axis=(1, 2))
+
+
+def _res_h2(p: Probe):
+    kp1_phi2 = (p.k + 1.0)[:, None, None] * (p.phi @ p.phi)
+    r1 = p.op_norm(p.h @ p.h - kp1_phi2)
+    r2 = p.op_norm(p.hp @ p.hp - kp1_phi2)
+    r3 = p.op_norm(p.h @ p.h - p.hp @ p.hp)
+    return np.maximum(np.maximum(r1, r2), r3)
+
+
+def _res_qxi(p: Probe):
+    v = np.einsum("nij,nj->ni", p.curv.q, p.xi) - 2.0 * p.k[:, None] * p.xi
+    return p.vec_norm(v)
+
+
+def _scalar_laws_h(p: Probe):
+    dlam_xi = np.einsum("ni,ni->n", p.xi, p.dlam)
+    dk_xi = np.einsum("ni,ni->n", p.xi, p.dk)
+    return np.maximum(np.abs(dlam_xi + 2.0 * p.lam_nom),
+                      np.abs(dk_xi + 4.0 * (p.k + 1.0)))
+
+
+def _scalar_laws_hp(p: Probe):
+    dlam_xi = np.einsum("ni,ni->n", p.xi, p.dlam)
+    dk_xi = np.einsum("ni,ni->n", p.xi, p.dk)
+    mp2 = p.mu + 2.0
+    return np.maximum(np.abs(dlam_xi + p.lam_nom * mp2),
+                      np.abs(dk_xi + 2.0 * (p.k + 1.0) * mp2))
+
+
+def _res_nh(p: Probe):
+    nabla_xi_h = np.einsum("nk,nkij->nij", p.xi, p.nabla_h)
+    m = nabla_xi_h + 2.0 * p.h + p.mu[:, None, None] * p.bmat
+    return np.maximum(p.op_norm(m), _scalar_laws_h(p))
+
+
+def _res_nhp(p: Probe):
+    nabla_xi_hp = np.einsum("nk,nkij->nij", p.xi, p.nabla_hp)
+    m = nabla_xi_hp + (p.mu + 2.0)[:, None, None] * p.hp
+    return np.maximum(p.op_norm(m), _scalar_laws_hp(p))
+
+
+def _res_lie1(p: Probe):
+    lam2 = (p.lam_nom ** 2)[:, None, None]
+    mu = p.mu[:, None, None]
+    m1 = p.lie_h - (2.0 * lam2 * p.phi - 2.0 * p.h + mu * p.hp)
+    m2 = p.lie_hp - (-mu * p.h - 2.0 * p.hp)
+    return np.maximum(p.op_norm(m1), p.op_norm(m2))
+
+
+def _res_lie2(p: Probe):
+    lam2 = (p.lam_nom ** 2)[:, None, None]
+    mp2 = (p.mu + 2.0)[:, None, None]
+    m1 = p.lie_hp + mp2 * p.hp
+    m2 = p.lie_h - (2.0 * lam2 * p.phi - mp2 * p.h)
+    return np.maximum(p.op_norm(m1), p.op_norm(m2))
+
+
+def _trace_residual(p: Probe, nabla_t, target):
+    res = None
+    for frame in (p.frame, p.random_frame):
+        v = np.einsum("nkij,nak,naj->ni", nabla_t, frame, frame) - target
+        r = p.vec_norm(v)
+        res = r if res is None else np.maximum(res, r)
+    return res
+
+
+def _res_tr_hp(p: Probe):
+    q_xi = np.einsum("nij,nj->ni", p.curv.q, p.xi)
+    return _trace_residual(p, p.nabla_hp, q_xi + 2.0 * p.xi)
+
+
+def _res_tr_phi(p: Probe):
+    return _trace_residual(p, p.nabla_phi, 0.0 * p.xi)
+
+
+def _res_tr_h(p: Probe):
+    q_xi = np.einsum("nij,nj->ni", p.curv.q, p.xi)
+    return _trace_residual(p, p.nabla_h, np.einsum("nij,nj->ni", p.phi, q_xi))
+
+
+def _res_grad(p: Probe):
+    ginv = np.linalg.inv(p.g)
+    grad_mu = np.einsum("nij,nj->ni", ginv, p.dmu)
+    grad_k = np.einsum("nij,nj->ni", ginv, p.dk)
+    xi_k = np.einsum("ni,ni->n", p.xi, p.dk)
+    v = np.einsum("nij,nj->ni", p.t_op, grad_mu) - grad_k + xi_k[:, None] * p.xi
+    return p.vec_norm(v)
+
+
+def _res_ricci_form(p: Probe):
+    a = 0.5 * p.curv.scalar - p.k
+    b = 3.0 * p.k - 0.5 * p.curv.scalar
+    m = (p.curv.q - a[:, None, None] * p.eye
+         - b[:, None, None] * np.einsum("ni,nj->nij", p.xi, p.eta)
+         - p.mu[:, None, None] * p.t_op)
+    return p.op_norm(m)
+
+
+def _nullity(p: Probe, t_op):
+    r_xi = np.einsum("nijkl,nak,nbl,nj->nabi", p.curv.riemann,
+                     p.pool, p.pool, p.xi)
+    eta_pool = np.einsum("ni,nai->na", p.eta, p.pool)
+    t_pool = p.apply(t_op, p.pool)
+    kterm = (np.einsum("nb,nai->nabi", eta_pool, p.pool)
+             - np.einsum("na,nbi->nabi", eta_pool, p.pool))
+    muterm = (np.einsum("nb,nai->nabi", eta_pool, t_pool)
+              - np.einsum("na,nbi->nabi", eta_pool, t_pool))
+    v = (r_xi - p.k[:, None, None, None] * kterm
+         - p.mu[:, None, None, None] * muterm)
+    return np.max(g_norm(v, p.g[:, None, None, :, :]), axis=(1, 2))
+
+
+def _res_null_kmu(p: Probe):
+    return _nullity(p, p.h)
+
+
+def _res_null_kmup(p: Probe):
+    return _nullity(p, p.hp)
+
+
+def _eigvec_fields(p: Probe):
+    model, scheme = p.model, p.scheme
+
+    def make(attr):
+        def fn(q):
+            ef = eigenframe(model, q, scheme)
+            return getattr(ef, attr)
+        return fn
+
+    quanta = model.g.axis_quanta
+    xfield = VectorField(make("x"), model.domain, derived=True,
+                         axis_quanta=quanta, name="eig_x")
+    pxfield = VectorField(make("phi_x"), model.domain, derived=True,
+                          axis_quanta=quanta, name="eig_phix")
+    lfield = ScalarField(make("lam"), model.domain, derived=True,
+                         axis_quanta=quanta, name="eig_lam")
+    return xfield, pxfield, lfield
+
+
+def _conn_residual(p: Probe, relations):
+    """Shared machinery for the connection-formula identities.
+
+    ``relations(lam, x, phi_x, dirder)`` returns the list of residual
+    vectors; ``dirder`` maps a vector field's covariant data to directional
+    derivatives.
+    """
+    xfield, pxfield, lfield = _eigvec_fields(p)
+    x, phi_x = p.eigen.x, p.eigen.phi_x
+    lam = p.eigen.lam
+
+    dx = coordinate_derivatives(xfield, p.pts, p.scheme)
+    dpx = coordinate_derivatives(pxfield, p.pts, p.scheme)
+    dl = coordinate_derivatives(lfield, p.pts, p.scheme)
+
+    def nabla(direction, which):
+        # (nabla_W V)^i = W^a (d_a V^i + Gamma^i_{as} V^s)
+        dvals, vals = (dx, x) if which == "x" else (dpx, phi_x)
+        full = dvals + np.einsum("nias,ns->nai", p.gamma, vals)
+        return np.einsum("na,nai->ni", direction, full)
+
+    x_lam = np.einsum("na,na->n", x, dl)
+    px_lam = np.einsum("na,na->n", phi_x, dl)
+    nabla_x_xi = np.einsum("nik,nk->ni", p.nabla_xi, x)
+    nabla_px_xi = np.einsum("nik,nk->ni", p.nabla_xi, phi_x)
+    ctx = {
+        "lam": lam, "x": x, "phi_x": phi_x, "xi": p.xi, "mu": p.mu,
+        "x_lam": x_lam, "px_lam": px_lam,
+        "nabla_x_xi": nabla_x_xi, "nabla_px_xi": nabla_px_xi,
+        "nabla_x_x": nabla(x, "x"), "nabla_px_px": nabla(phi_x, "px"),
+        "nabla_x_px": nabla(x, "px"), "nabla_px_x": nabla(phi_x, "x"),
+        "nabla_xi_x": nabla(p.xi, "x"), "nabla_xi_px": nabla(p.xi, "px"),
+    }
+    residuals = relations(ctx)
+    out = None
+    for v in residuals:
+        r = p.vec_norm(v)
+        out = r if out is None else np.maximum(out, r)
+    return out
+
+
+def _res_conn_kmu(p: Probe):
+    def rel(c):
+        lam = c["lam"][:, None]
+        il2 = (0.5 / np.maximum(c["lam"], 1e-300))[:, None]
+        mu2 = (0.5 * c["mu"])[:, None]
+        return [
+            c["nabla_x_xi"] - (c["x"] - lam * c["phi_x"]),
+            c["nabla_px_xi"] - (c["phi_x"] - lam * c["x"]),
+            c["nabla_px_px"] - (c["x_lam"][:, None] * il2 * c["x"] - c["xi"]),
+            c["nabla_x_x"] - (c["px_lam"][:, None] * il2 * c["phi_x"] - c["xi"]),
+            c["nabla_x_px"] - (lam * c["xi"] - c["px_lam"][:, None] * il2 * c["x"]),
+            c["nabla_px_x"] - (lam * c["xi"] - c["x_lam"][:, None] * il2 * c["phi_x"]),
+            c["nabla_xi_x"] + mu2 * c["phi_x"],
+            c["nabla_xi_px"] - mu2 * c["x"],
+        ]
+    return _conn_residual(p, rel)
+
+
+def _res_conn_kmup(p: Probe):
+    def rel(c):
+        lam = c["lam"][:, None]
+        il2 = (0.5 / np.maximum(c["lam"], 1e-300))[:, None]
+        return [
+            c["nabla_x_xi"] - (1.0 + lam) * c["x"],
+            c["nabla_px_xi"] - (1.0 - lam) * c["phi_x"],
+            c["nabla_px_px"] - (c["x_lam"][:, None] * il2 * c["x"]
+                                - (1.0 - lam) * c["xi"]),
+            c["nabla_x_x"] - (c["px_lam"][:, None] * il2 * c["phi_x"]
+                              - (1.0 + lam) * c["xi"]),
+            c["nabla_x_px"] + c["px_lam"][:, None] * il2 * c["x"],
+            c["nabla_px_x"] + c["x_lam"][:, None] * il2 * c["phi_x"],
+            c["nabla_xi_x"],
+            c["nabla_xi_px"],
+        ]
+    return _conn_residual(p, rel)
+
+
+def _res_flat_leaf(p: Probe):
+    x, px = p.eigen.x, p.eigen.phi_x
+    num = np.einsum("ni,nij,nj->n", p.curv.apply(x, px, px), p.g, x)
+    xx = np.einsum("ni,nij,nj->n", x, p.g, x)
+    pp = np.einsum("ni,nij,nj->n", px, p.g, px)
+    xp = np.einsum("ni,nij,nj->n", x, p.g, px)
+    kappa = num / (xx * pp - xp ** 2)
+    return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
+
+
+def _res_weyl3(p: Probe):
+    q_pool = p.apply(p.curv.q, p.pool)
+    ip = p.ip(p.pool, p.pool)        # g(X_a, X_b)
+    ipq = p.ip(p.pool, q_pool)       # g(X_a, Q X_b)
+    r_xyz = np.einsum("nijkl,nak,nbl,ncj->nabci", p.curv.riemann,
+                      p.pool, p.pool, p.pool)
+    sc2 = 0.5 * p.curv.scalar
+    rhs = (np.einsum("nbc,nai->nabci", ip, q_pool)
+           - np.einsum("nac,nbi->nabci", ip, q_pool)
+           + np.einsum("nbc,nai->nabci", ipq, p.pool)
+           - np.einsum("nac,nbi->nabci", ipq, p.pool)
+           - sc2[:, None, None, None, None]
+           * (np.einsum("nbc,nai->nabci", ip, p.pool)
+              - np.einsum("nac,nbi->nabci", ip, p.pool)))
+    v = r_xyz - rhs
+    return np.max(g_norm(v, p.g[:, None, None, None, :, :]), axis=(1, 2, 3))
+
+
+def _res_dk_eta(p: Probe):
+    # (dk ^ eta)(u, v) = dk(u) eta(v) - dk(v) eta(u) over pool pairs
+    dk_pool = np.einsum("ni,nai->na", p.dk, p.pool)
+    eta_pool = np.einsum("ni,nai->na", p.eta, p.pool)
+    vals = (np.einsum("na,nb->nab", dk_pool, eta_pool)
+            - np.einsum("nb,na->nab", dk_pool, eta_pool))
+    return np.max(np.abs(vals), axis=(1, 2))
+
+
+def _res_bsq(p: Probe):
+    b = p.bmat if p.model.variant == "h" else p.hp
+    m = b @ b - (p.lam_nom ** 2)[:, None, None] * p.eye
+    return np.max(np.abs(m[:, :2, :2]), axis=(1, 2))
+
+
+def _res_phi12(p: Probe):
+    return np.abs(p.phi2[:, 0, 1] - np.exp(2.0 * p.pts[:, 2]))
+
+
+# --------------------------------------------------------------------------
+# Registry
+# --------------------------------------------------------------------------
+
+def _all(model):
+    return True
+
+
+def _variant_h(model):
+    return model.variant == "h"
+
+
+def _variant_hp(model):
+    return model.variant == "hp"
+
+
+def _nondeg_h(model):
+    return model.variant == "h" and model.family != "kenmotsu-baseline"
+
+
+def _darboux(model):
+    return model.trajectory is not None
+
+
+@dataclass(frozen=True)
+class IdentitySpec:
+    id: str
+    formula: str
+    profile: str
+    fn: object
+    applies: object
+    tolerance: float | None = None  # overrides the profile value when set
+
+    def tol(self) -> float:
+        return self.tolerance if self.tolerance is not None else PROFILES[self.profile]
+
+
+IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
+    IdentitySpec("NABLA_XI", "nabla_X xi = X - eta(X) xi - phi h X",
+                 "fd1", _res_nabla_xi, _all),
+    IdentitySpec("AK_DETA", "d eta = 0", "fd1", _res_ak_deta, _all),
+    IdentitySpec("AK_DPHI", "d Phi = 2 eta ^ Phi", "fd1", _res_ak_dphi, _all),
+    IdentitySpec("KLEAVES",
+                 "(nabla_X phi)Y = g(phi X + h X, Y) xi - eta(Y)(phi X + h X)",
+                 "fd1", _res_kleaves, _all),
+    IdentitySpec("CURV1",
+                 "R(Y,Z)xi = eta(Y)(Z - phi h Z) - eta(Z)(Y - phi h Y)"
+                 " + (nabla_Z phi h)Y - (nabla_Y phi h)Z",
+                 "fd2", _res_curv1, _all),
+    IdentitySpec("L_ID", "phi l phi - l = 2(-phi^2 + h^2), l = R(., xi) xi",
+                 "fd2", _res_l_id, _all),
+    IdentitySpec("CURV2",
+                 "g(R(xi,X)Y,Z) - g(R(xi,X)phiY,phiZ) + g(R(xi,phiX)Y,phiZ)"
+                 " + g(R(xi,phiX)phiY,Z) = 2(nabla_{hX}Phi)(Y,Z)"
+                 " + 2 eta(Y) g(Z, X - phi h X) - 2 eta(Z) g(Y, X - phi h X)",
+                 "fd2", _res_curv2, _all),
+    IdentitySpec("CODAZZI_HP", "(nabla_X h')Y - (nabla_Y h')X = 0 on ker(eta)",
+                 "fd1", _res_codazzi_hp, _all),
+    IdentitySpec("H2", "h^2 = h'^2 = (k+1) phi^2", "fd1", _res_h2, _all),
+    IdentitySpec("QXI", "Q xi = 2k xi", "fd2", _res_qxi, _all),
+    IdentitySpec("NH",
+                 "nabla_xi h = -2h - mu phi h;  dlam(xi) = -2 lam;"
+                 "  dk(xi) = -4(k+1)",
+                 "fd1", _res_nh, _variant_h),
+    IdentitySpec("NHP",
+                 "nabla_xi h' = -(mu+2) h';  dlam(xi) = -lam(mu+2);"
+                 "  dk(xi) = -2(k+1)(mu+2)",
+                 "fd1", _res_nhp, _variant_hp),
+    IdentitySpec("LIE1",
+                 "L_xi h = 2 lam^2 phi - 2h + mu h';  L_xi h' = -mu h - 2h'",
+                 "fd1", _res_lie1, _variant_h),
+    IdentitySpec("LIE2",
+                 "L_xi h' = -(mu+2) h';  L_xi h = 2 lam^2 phi - (mu+2) h",
+                 "fd1", _res_lie2, _variant_hp),
+    IdentitySpec("TR_HP", "sum_i (nabla_{X_i} h') X_i = Q xi + 2 xi",
+                 "fd2", _res_tr_hp, _all),
+    IdentitySpec("TR_PHI", "sum_i (nabla_{X_i} phi) X_i = 0",
+                 "fd1", _res_tr_phi, _all),
+    IdentitySpec("TR_H", "sum_i (nabla_{X_i} h) X_i = phi Q xi",
+                 "fd2", _res_tr_h, _all),
+    IdentitySpec("GRAD", "T(grad mu) = grad k - (xi k) xi",
+                 "fd1", _res_grad, _all),
+    IdentitySpec("RICCI_FORM",
+                 "Q = a I + b eta (x) xi + mu T, a = Sc/2 - k, b = 3k - Sc/2",
+                 "fd2", _res_ricci_form, _all),
+    IdentitySpec("NULL_KMU",
+                 "R(X,Y)xi = k(eta(Y)X - eta(X)Y) + mu(eta(Y)hX - eta(X)hY)",
+                 "fd2", _res_null_kmu, _variant_h),
+    IdentitySpec("NULL_KMUP",
+                 "R(X,Y)xi = k(eta(Y)X - eta(X)Y) + mu(eta(Y)h'X - eta(X)h'Y)",
+                 "fd2", _res_null_kmup, _variant_hp),
+    IdentitySpec("CONN_KMU",
+                 "nabla_X xi = X - lam phi X (and the 7 companion formulas"
+                 " of the h-eigenframe connection)",
+                 "fd1", _res_conn_kmu, _nondeg_h),
+    IdentitySpec("CONN_KMUP",
+                 "nabla_X xi = (1+lam) X (and the 7 companion formulas"
+                 " of the h'-eigenframe connection)",
+                 "fd1", _res_conn_kmup, _variant_hp),
+    IdentitySpec("FLAT_LEAF", "K(X, phi X) = -(1 - lam^2)",
+                 "fd2", _res_flat_leaf, _all),
+    IdentitySpec("WEYL3",
+                 "R(X,Y)Z = g(Y,Z)QX - g(X,Z)QY + g(QY,Z)X - g(QX,Z)Y"
+                 " - (Sc/2)(g(Y,Z)X - g(X,Z)Y)",
+                 "fd2", _res_weyl3, _all),
+    IdentitySpec("DK_ETA", "dk ^ eta = 0", "strict", _res_dk_eta, _all),
+    IdentitySpec("BSQ", "B^i_s B^s_j = lam^2 delta^i_j on the leaf block",
+                 "custom", _res_bsq, _darboux, tolerance=1e-8),
+    IdentitySpec("PHI12", "Phi(d_x, d_y) = e^{2t}",
+                 "custom", _res_phi12, _darboux, tolerance=1e-9),
+]}
+
+
+def applicable_identities(model: AlmostContactModel) -> list[str]:
+    return [s.id for s in IDENTITIES.values() if s.applies(model)]
+
+
+# --------------------------------------------------------------------------
+# Checking API
+# --------------------------------------------------------------------------
+
+def _run(spec: IdentitySpec, probe: Probe, tolerance: float) -> ResidualReport:
+    per_point = spec.fn(probe)
+    idx = int(np.argmax(per_point))
+    residual = float(per_point[idx])
+    return ResidualReport(
+        id=spec.id, formula=spec.formula, residual=residual,
+        tolerance=tolerance, profile=spec.profile,
+        verdict="pass" if residual <= tolerance else "fail",
+        max_point=tuple(probe.pts[idx].tolist()), samples=probe.n)
+
+
+def check_identity(model: AlmostContactModel, identity: str,
+                   plan: SamplePlan | None = None,
+                   scheme: DiffScheme | None = None,
+                   tolerance: float | None = None,
+                   probe: Probe | None = None) -> ResidualReport:
+    """Evaluate one identity; returns a not-applicable report when the
+    identity does not quantify over this model family."""
+    if identity not in IDENTITIES:
+        raise KeyError(f"unknown identity {identity!r}")
+    spec = IDENTITIES[identity]
+    plan = plan or SamplePlan()
+    scheme = scheme or DiffScheme()
+    if not spec.applies(model):
+        return ResidualReport(
+            id=spec.id, formula=spec.formula, residual=float("nan"),
+            tolerance=tolerance if tolerance is not None else spec.tol(),
+            profile=spec.profile, verdict="not-applicable",
+            max_point=None, samples=0)
+    if probe is None:
+        probe = Probe(model, plan.points(model), scheme,
+                      plan.rand_pairs, plan.seed)
+    tol = tolerance if tolerance is not None else spec.tol()
+    report = _run(spec, probe, tol)
+    if report.verdict == "fail" and identity == "CURV2":
+        # distinguish truncation from structural failure by a half-step rerun
+        fine = Probe(model, probe.pts, scheme.refined(2.0),
+                     plan.rand_pairs, plan.seed)
+        fine_res = float(np.max(spec.fn(fine)))
+        ratio = report.residual / fine_res if fine_res > 0 else float("inf")
+        refinement = {
+            "residualHalfStep": fine_res,
+            "reductionRatio": ratio,
+            "classification": "numerical" if ratio >= 8.0 else "structural",
+        }
+        if model.trajectory is not None:
+            refinement["note"] = ("t-axis steps snap to the stored trajectory "
+                                  "grid; refinement below the node spacing "
+                                  "requires a finer trajectory")
+        report = ResidualReport(**{**report.__dict__, "refinement": refinement})
+    return report
+
+
+def check_suite(model: AlmostContactModel, identities=None,
+                plan: SamplePlan | None = None,
+                scheme: DiffScheme | None = None,
+                tolerances: dict[str, float] | None = None,
+                profile: str | None = None) -> list[ResidualReport]:
+    """Run a list of identities (default: every one known) on one shared
+    evaluation cache; per-identity tolerances override the profile."""
+    plan = plan or SamplePlan()
+    scheme = scheme or DiffScheme()
+    ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
+    tolerances = tolerances or {}
+    probe = Probe(model, plan.points(model), scheme, plan.rand_pairs, plan.seed)
+    reports = []
+    for name in ids:
+        tol = tolerances.get(name)
+        if tol is None and profile is not None:
+            tol = PROFILES[profile]
+        reports.append(check_identity(model, name, plan, scheme, tol, probe))
+    return reports
+
+
+def nullity_residual(model: AlmostContactModel, variant: str | None = None,
+                     plan: SamplePlan | None = None,
+                     scheme: DiffScheme | None = None) -> ResidualReport:
+    """Residual of the family's nullity condition (variant h or hp)."""
+    variant = variant or model.variant
+    name = "NULL_KMU" if variant == "h" else "NULL_KMUP"
+    return check_identity(model, name, plan, scheme)
+
+
+def infer_k_mu(model: AlmostContactModel, pts,
+               scheme: DiffScheme | None = None):
+    """Recover (k, mu) from the curvature at each point.
+
+    With a unit eigenvector X (T X = lam X):
+      k  = (g(R(X,xi)xi, X) + g(R(phiX,xi)xi, phiX)) / 2
+      mu = (g(R(X,xi)xi, X) - g(R(phiX,xi)xi, phiX)) / (2 lam)
+    mu is flagged indeterminate where lam < 1e-6.
+    """
+    pts, single = as_points(pts)
+    scheme = scheme or DiffScheme()
+    g = model.g(pts)
+    curv = riemann(model.g, pts, scheme)
+    xi = model.xi(pts)
+    ef = eigenframe(model, pts, scheme)
+    lx = curv.apply(ef.x, xi, xi)
+    lpx = curv.apply(ef.phi_x, xi, xi)
+    s1 = np.einsum("ni,nij,nj->n", lx, g, ef.x)
+    s2 = np.einsum("ni,nij,nj->n", lpx, g, ef.phi_x)
+    k = 0.5 * (s1 + s2)
+    mu_ok = ef.lam >= MU_EIGEN_FLOOR
+    mu = np.where(mu_ok, (s1 - s2) / (2.0 * np.maximum(ef.lam, 1e-300)), np.nan)
+    if single:
+        return float(k[0]), float(mu[0]), bool(mu_ok[0])
+    return k, mu, mu_ok

@@ -1,0 +1,417 @@
+"""Builders for the explicit model families.
+
+Chart families (coordinates x, y, z on {z < -1}, lam = sqrt(-1-z), k = z):
+
+  kmu-chart   xi = alpha d_x + beta d_y - 4(z+1) d_z,
+              eta = -dz / (4(1+z)),
+              alpha = x - (mu/2 + lam) y + f(z),
+              beta  = (mu/2 - lam) x + y + r(z),
+              phi, g the standard matrices of such a frame; h e1 = lam e1.
+
+  kmup-chart  xi = a d_x + b d_y - 2(z+1)(mu+2) d_z,
+              eta = -dz / (2(1+z)(mu+2)),
+              a = x (1 + lam) + f(z),  b = y (1 - lam) + r(z);
+              h' e1 = lam e1.
+
+Darboux families (coordinates x, y, t): phi's spatial block is the F(t) of
+the matrix ODE, g = dt^2 + e^{2t} G(t) with G = -M2 F, xi = d_t, eta = dt.
+
+Baseline (coordinates x, y, t): the warped product g = dt^2 +
+c^2 e^{2t}(dx^2 + dy^2) with h = 0, k = -1.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from .exprs import Expr, parse_expr
+from .fields import (
+    ChartDomain,
+    CovectorField,
+    MetricField,
+    ScalarField,
+    Tensor11Field,
+    VectorField,
+)
+from .ode import M2, Trajectory, integrate, metric_from_state
+from .structure import AlmostContactModel
+
+__all__ = [
+    "KmuChartParams",
+    "KmupChartParams",
+    "DarbouxParams",
+    "build_kmu_chart_model",
+    "build_kmu_prime_chart_model",
+    "build_darboux_model",
+    "build_kenmotsu_baseline",
+    "model_to_json",
+    "model_from_json",
+    "parse_box",
+]
+
+Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+
+CHART_DEFAULT_BOX: Box = ((0.0, 1.0), (0.0, 1.0), (-3.0, -1.5))
+Z_MARGIN = 1e-3
+
+
+def parse_box(text: str) -> Box:
+    """Parse "x0,x1:y0,y1:z0,z1" into interval pairs."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"box must have 3 ':'-separated intervals: {text!r}")
+    box = []
+    for part in parts:
+        nums = part.split(",")
+        if len(nums) != 2:
+            raise ValueError(f"interval must be 'lo,hi': {part!r}")
+        lo, hi = float(nums[0]), float(nums[1])
+        if not lo < hi:
+            raise ValueError(f"empty interval in box: {part!r}")
+        box.append((lo, hi))
+    return tuple(box)
+
+
+def _require_box_in_half_space(box: Box) -> None:
+    if box[2][1] > -1.0 - Z_MARGIN:
+        raise ValueError(
+            f"sample box must satisfy z <= -1 - {Z_MARGIN}; got z-hi {box[2][1]}")
+
+
+def _expr_or_default(e: Expr | str | None, var: str, default: str) -> Expr:
+    if e is None:
+        return parse_expr(default, var)
+    if isinstance(e, str):
+        return parse_expr(e, var)
+    return e
+
+
+@dataclass(frozen=True)
+class KmuChartParams:
+    """Inputs for the kmu chart family; mu, f, r are functions of z."""
+
+    mu: Expr | str | None = None
+    f: Expr | str | None = None
+    r: Expr | str | None = None
+    box: Box = CHART_DEFAULT_BOX
+
+    def resolved(self):
+        _require_box_in_half_space(self.box)
+        return (_expr_or_default(self.mu, "z", "0"),
+                _expr_or_default(self.f, "z", "0"),
+                _expr_or_default(self.r, "z", "0"))
+
+
+@dataclass(frozen=True)
+class KmupChartParams:
+    """Inputs for the kmup chart family; requires mu(z) != -2 on the box."""
+
+    mu: Expr | str | None = None
+    f: Expr | str | None = None
+    r: Expr | str | None = None
+    box: Box = CHART_DEFAULT_BOX
+
+    def resolved(self):
+        _require_box_in_half_space(self.box)
+        mu, f, r = (_expr_or_default(self.mu, "z", "0"),
+                    _expr_or_default(self.f, "z", "0"),
+                    _expr_or_default(self.r, "z", "0"))
+        zs = np.linspace(self.box[2][0], self.box[2][1], 513)
+        if np.min(np.abs(mu(zs) + 2.0)) < 1e-6:
+            raise ValueError("mu(z) + 2 vanishes (or nearly) on the z-box")
+        return mu, f, r
+
+
+@dataclass(frozen=True)
+class DarbouxParams:
+    """Inputs for the Darboux-like families; mu_bar is a function of t.
+
+    The t-interval must be finite and contain 0.  mu_bar = -2 is accepted
+    for the kmup variant (it makes B constant and k constant; only the kmup
+    *chart* construction needs mu != -2).
+    """
+
+    variant: str = "kmu"
+    mu_bar: Expr | str | None = None
+    t_range: tuple[float, float] = (-1.0, 1.0)
+    step: float = 1e-3
+    xy_box: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0))
+
+    def resolved(self) -> Expr:
+        if self.variant not in ("kmu", "kmup"):
+            raise ValueError(f"variant must be kmu or kmup, got {self.variant!r}")
+        return _expr_or_default(self.mu_bar, "t", "0")
+
+
+# --------------------------------------------------------------------------
+# Chart families
+# --------------------------------------------------------------------------
+
+def _chart_fields(domain, coeff_fn):
+    """Assemble (phi, xi, eta, g) from per-point (a, b, c) coefficients.
+
+    Both chart families share the frame structure e1 = d_x, e2 = d_y,
+    e3 = xi = a d_x + b d_y - c d_z with eta = -dz/c:
+
+        g   = [[1, 0, a/c], [0, 1, b/c], [a/c, b/c, (1+a^2+b^2)/c^2]]
+        phi = [[0, -1, -b/c], [1, 0, a/c], [0, 0, 0]]
+    """
+
+    def phi_fn(pts):
+        a, b, c = coeff_fn(pts)
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, 0, 1] = -1.0
+        out[:, 1, 0] = 1.0
+        out[:, 0, 2] = -b / c
+        out[:, 1, 2] = a / c
+        return out
+
+    def xi_fn(pts):
+        a, b, c = coeff_fn(pts)
+        return np.stack([a, b, -c], axis=1)
+
+    def eta_fn(pts):
+        _, _, c = coeff_fn(pts)
+        out = np.zeros((pts.shape[0], 3))
+        out[:, 2] = -1.0 / c
+        return out
+
+    def g_fn(pts):
+        a, b, c = coeff_fn(pts)
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = 1.0
+        out[:, 0, 2] = out[:, 2, 0] = a / c
+        out[:, 1, 2] = out[:, 2, 1] = b / c
+        out[:, 2, 2] = (1.0 + a * a + b * b) / (c * c)
+        return out
+
+    return (Tensor11Field(phi_fn, domain, name="phi"),
+            VectorField(xi_fn, domain, name="xi"),
+            CovectorField(eta_fn, domain, name="eta"),
+            MetricField(g_fn, domain, name="g"))
+
+
+def build_kmu_chart_model(params: KmuChartParams) -> AlmostContactModel:
+    """The kmu chart family on {z < -1} with nominal k = z."""
+    mu, f, r = params.resolved()
+    domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
+
+    def coeff(pts):
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        lam = np.sqrt(-1.0 - z)
+        muv = mu(z)
+        alpha = x - (0.5 * muv + lam) * y + f(z)
+        beta = (0.5 * muv - lam) * x + y + r(z)
+        return alpha, beta, 4.0 * (1.0 + z)
+
+    phi, xi, eta, g = _chart_fields(domain, coeff)
+    return AlmostContactModel(
+        family="kmu-chart", variant="h", coords=("x", "y", "z"),
+        domain=domain, default_box=params.box,
+        phi=phi, xi=xi, eta=eta, g=g,
+        k_nom=ScalarField(lambda p: p[:, 2].copy(), domain, name="k"),
+        mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain, name="mu"),
+        lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain, name="lam"),
+        params={"mu": str(mu), "f": str(f), "r": str(r),
+                "box": [list(iv) for iv in params.box]},
+    )
+
+
+def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
+    """The kmup chart family on {z < -1}, mu != -2, nominal k = z."""
+    mu, f, r = params.resolved()
+    domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
+
+    def coeff(pts):
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        lam = np.sqrt(-1.0 - z)
+        a = x * (1.0 + lam) + f(z)
+        b = y * (1.0 - lam) + r(z)
+        c = 2.0 * (1.0 + z) * (mu(z) + 2.0)
+        return a, b, c
+
+    phi, xi, eta, g = _chart_fields(domain, coeff)
+    return AlmostContactModel(
+        family="kmup-chart", variant="hp", coords=("x", "y", "z"),
+        domain=domain, default_box=params.box,
+        phi=phi, xi=xi, eta=eta, g=g,
+        k_nom=ScalarField(lambda p: p[:, 2].copy(), domain, name="k"),
+        mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain, name="mu"),
+        lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain, name="lam"),
+        params={"mu": str(mu), "f": str(f), "r": str(r),
+                "box": [list(iv) for iv in params.box]},
+    )
+
+
+# --------------------------------------------------------------------------
+# Darboux families
+# --------------------------------------------------------------------------
+
+def build_darboux_model(params: DarbouxParams,
+                        trajectory: Trajectory | None = None) -> AlmostContactModel:
+    """A Darboux-like model backed by the matrix-ODE trajectory.
+
+    g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
+    block is F(t); xi = d_t, eta = dt.  Positive definiteness of G is
+    asserted at every node (det G = 1 is an invariant of the exact flow).
+    """
+    mu_bar = params.resolved()
+    t0, t1 = map(float, params.t_range)
+    if trajectory is not None:
+        traj = trajectory
+    else:
+        # integrate a few stencil widths past the requested range so nested
+        # finite differences at the interval ends stay on centered windows
+        # (one-sided nesting loses an order of accuracy)
+        pad = 8.0 * params.step * max(1.0, abs(t0), abs(t1))
+        traj = integrate(params.variant, mu_bar, (t0 - pad, t1 + pad),
+                         params.step)
+    for st in traj.node_states():
+        metric_from_state(st)  # raises ConsistencyError on PD failure
+
+    domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
+                          (traj.t_min, traj.t_max)), inclusive=True)
+    quanta = (None, None, traj.step)
+
+    def f_g_at(ts):
+        states = traj.dense(ts)
+        f = states[:, 0:3]
+        fmat = (f[:, 0, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
+                + f[:, 1, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+                + f[:, 2, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        gmat = -M2 @ fmat
+        return fmat, gmat
+
+    def phi_fn(pts):
+        fmat, _ = f_g_at(pts[:, 2])
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, :2, :2] = fmat
+        return out
+
+    def g_fn(pts):
+        _, gmat = f_g_at(pts[:, 2])
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, :2, :2] = np.exp(2.0 * pts[:, 2])[:, None, None] * gmat
+        out[:, 2, 2] = 1.0
+        return out
+
+    def const_cov(pts):
+        out = np.zeros((pts.shape[0], 3))
+        out[:, 2] = 1.0
+        return out
+
+    model = AlmostContactModel(
+        family=f"{params.variant}-darboux",
+        variant="h" if params.variant == "kmu" else "hp",
+        coords=("x", "y", "t"),
+        domain=domain,
+        default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
+        phi=Tensor11Field(phi_fn, domain, axis_quanta=quanta, name="phi"),
+        xi=VectorField(lambda p: const_cov(p), domain, axis_quanta=quanta, name="xi"),
+        eta=CovectorField(const_cov, domain, axis_quanta=quanta, name="eta"),
+        g=MetricField(g_fn, domain, axis_quanta=quanta, name="g"),
+        k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
+                          axis_quanta=quanta, name="k"),
+        mu_nom=ScalarField(lambda p: np.asarray(mu_bar(p[:, 2]), float), domain,
+                           axis_quanta=quanta, name="mu"),
+        lam_nom=ScalarField(lambda p: traj.lam(p[:, 2]), domain,
+                            axis_quanta=quanta, name="lam"),
+        params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
+                "xy_box": [list(iv) for iv in params.xy_box]},
+        trajectory=traj,
+    )
+    return model
+
+
+def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
+    """Warped-product baseline g = dt^2 + c^2 e^{2t}(dx^2+dy^2); h = 0."""
+    if not c > 0:
+        raise ValueError("warping constant c must be positive")
+    domain = ChartDomain()
+
+    def g_fn(pts):
+        out = np.zeros((pts.shape[0], 3, 3))
+        w = (c * np.exp(pts[:, 2])) ** 2
+        out[:, 0, 0] = w
+        out[:, 1, 1] = w
+        out[:, 2, 2] = 1.0
+        return out
+
+    def phi_fn(pts):
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, 1, 0] = 1.0   # phi d_x = d_y
+        out[:, 0, 1] = -1.0  # phi d_y = -d_x
+        return out
+
+    def const_cov(pts):
+        out = np.zeros((pts.shape[0], 3))
+        out[:, 2] = 1.0
+        return out
+
+    def const_scalar(v):
+        return lambda p: np.full(p.shape[0], v)
+
+    return AlmostContactModel(
+        family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
+        domain=domain, default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+        phi=Tensor11Field(phi_fn, domain, name="phi"),
+        xi=VectorField(const_cov, domain, name="xi"),
+        eta=CovectorField(const_cov, domain, name="eta"),
+        g=MetricField(g_fn, domain, name="g"),
+        k_nom=ScalarField(const_scalar(-1.0), domain, name="k"),
+        mu_nom=ScalarField(const_scalar(0.0), domain, name="mu"),
+        lam_nom=ScalarField(const_scalar(0.0), domain, name="lam"),
+        params={"c": c},
+    )
+
+
+# --------------------------------------------------------------------------
+# Serialization
+# --------------------------------------------------------------------------
+
+def model_to_json(model: AlmostContactModel) -> dict:
+    """JSON document: family, parameter expressions, box, step, trajectory."""
+    doc = {
+        "family": model.family,
+        "variant": model.variant,
+        "coords": list(model.coords),
+        "params": model.params,
+        "box": [list(iv) for iv in model.default_box],
+    }
+    if model.trajectory is not None:
+        traj = model.trajectory
+        doc["trajectory"] = {
+            "variant": traj.variant,
+            "step": traj.step,
+            "times": traj.times.tolist(),
+            "states": traj.states.tolist(),
+        }
+    return doc
+
+
+def model_from_json(doc: dict | str) -> AlmostContactModel:
+    """Rebuild a model from its JSON document (re-running the builder)."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    family = doc["family"]
+    params = doc["params"]
+    box = tuple(tuple(iv) for iv in doc["box"])
+    if family == "kenmotsu-baseline":
+        return build_kenmotsu_baseline(params["c"])
+    if family == "kmu-chart":
+        return build_kmu_chart_model(KmuChartParams(
+            params["mu"], params["f"], params["r"], box))
+    if family == "kmup-chart":
+        return build_kmu_prime_chart_model(KmupChartParams(
+            params["mu"], params["f"], params["r"], box))
+    if family in ("kmu-darboux", "kmup-darboux"):
+        variant = family.split("-")[0]
+        return build_darboux_model(DarbouxParams(
+            variant=variant, mu_bar=params["mu"],
+            t_range=tuple(params["t_range"]), step=params["step"],
+            xy_box=tuple(tuple(iv) for iv in params["xy_box"])))
+    raise ValueError(f"unknown family {family!r}")

@@ -1,0 +1,276 @@
+"""Almost contact metric structures and the operators derived from them.
+
+An :class:`AlmostContactModel` bundles the structure tensors (phi, xi, eta, g)
+as field evaluators over one chart, together with nominal scalar fields
+k, mu, lambda and family metadata.  The tensor h is computed from its
+Lie-derivative definition h = (1/2) L_xi phi (never from the connection, so
+the connection identities stay an independent cross-check); h' = h o phi and
+B = phi o h follow by composition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field as dc_field
+
+import numpy as np
+
+from .fields import (
+    ChartDomain,
+    CovectorField,
+    DiffScheme,
+    MetricField,
+    ScalarField,
+    Tensor11Field,
+    VectorField,
+    as_points,
+    constant_vector_field,
+    coordinate_derivatives,
+    lie_bracket,
+)
+from .geometry import exterior_derivative, g_norm
+
+__all__ = [
+    "AlmostContactModel",
+    "Eigenframe",
+    "compute_h",
+    "compute_h_prime",
+    "compute_b",
+    "h_field",
+    "eigenframe",
+    "fundamental_two_form",
+    "two_form_components",
+    "nijenhuis",
+    "structure_residuals",
+]
+
+FAMILIES = ("kenmotsu-baseline", "kmu-chart", "kmup-chart",
+            "kmu-darboux", "kmup-darboux")
+
+
+@dataclass
+class AlmostContactModel:
+    """Structure tensors plus nominal scalars over a single chart.
+
+    ``variant`` names the operator entering this family's nullity condition:
+    ``"h"`` or ``"hp"`` (for h').  ``coords`` labels the axes; the third axis
+    is the distinguished coordinate (z or t).  All evaluators are pure and
+    immutable, safe to share across workers.
+    """
+
+    family: str
+    variant: str
+    coords: tuple[str, str, str]
+    domain: ChartDomain
+    default_box: tuple[tuple[float, float], ...]
+    phi: Tensor11Field
+    xi: VectorField
+    eta: CovectorField
+    g: MetricField
+    k_nom: ScalarField
+    mu_nom: ScalarField
+    lam_nom: ScalarField
+    params: dict = dc_field(default_factory=dict)
+    trajectory: object = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.variant not in ("h", "hp"):
+            raise ValueError(f"variant must be 'h' or 'hp', got {self.variant!r}")
+
+    def nullity_operator(self, h: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """The T of this family's nullity condition from computed h, phi."""
+        return h @ phi if self.variant == "hp" else h
+
+
+@dataclass(frozen=True)
+class Eigenframe:
+    """Per-point frame (xi, X, phi X) with T X = lam X for the model's T.
+
+    ``degenerate`` flags points where the top eigenvalue fell below 1e-10
+    (h vanishes there; lam is reported as 0).
+    """
+
+    lam: np.ndarray         # (n,)
+    x: np.ndarray           # (n, 3)
+    phi_x: np.ndarray       # (n, 3)
+    degenerate: np.ndarray  # (n,) bool
+
+
+def compute_h(model: AlmostContactModel, pts,
+              scheme: DiffScheme | None = None) -> np.ndarray:
+    """h = (1/2) L_xi phi from the Lie-derivative definition.
+
+    For the coordinate field e_j:  (L_xi phi)(e_j) = [xi, phi e_j]
+    - phi [xi, e_j], which expands to xi^a d_a phi^i_j - phi^a_j d_a xi^i
+    + phi^i_s d_j xi^s with numeric partials.
+    """
+    pts, single = as_points(pts)
+    xi = model.xi(pts)
+    phi = model.phi(pts)
+    dphi = coordinate_derivatives(model.phi, pts, scheme)  # (n, a, i, j)
+    dxi = coordinate_derivatives(model.xi, pts, scheme)    # (n, a, i)
+    lie = (np.einsum("na,naij->nij", xi, dphi)
+           - np.einsum("naj,nai->nij", phi, dxi)
+           + np.einsum("nis,njs->nij", phi, dxi))
+    h = 0.5 * lie
+    return h[0] if single else h
+
+
+def compute_h_prime(model: AlmostContactModel, pts,
+                    scheme: DiffScheme | None = None) -> np.ndarray:
+    """h' = h o phi (component matrices compose as H @ Phi)."""
+    pts, single = as_points(pts)
+    out = compute_h(model, pts, scheme) @ model.phi(pts)
+    return out[0] if single else out
+
+
+def compute_b(model: AlmostContactModel, pts,
+              scheme: DiffScheme | None = None) -> np.ndarray:
+    """B = phi o h."""
+    pts, single = as_points(pts)
+    out = model.phi(pts) @ compute_h(model, pts, scheme)
+    return out[0] if single else out
+
+
+def h_field(model: AlmostContactModel,
+            scheme: DiffScheme | None = None,
+            prime: bool = False) -> Tensor11Field:
+    """h (or h') as a differentiable FD-backed field."""
+    fn = compute_h_prime if prime else compute_h
+    return Tensor11Field(lambda pts: fn(model, pts, scheme), model.domain,
+                         derived=True, axis_quanta=model.g.axis_quanta,
+                         name="h'" if prime else "h")
+
+
+def eigenframe(model: AlmostContactModel, pts,
+               scheme: DiffScheme | None = None,
+               h: np.ndarray | None = None) -> Eigenframe:
+    """Largest-eigenvalue unit frame of the model's nullity operator.
+
+    The eigenproblem is solved on the 2-dimensional distribution orthogonal
+    to xi (h xi = 0 exactly in every family, so projecting out xi first
+    avoids spurious mixing).  The sign of X is fixed by making its first
+    component above 1e-8 in magnitude positive.
+    """
+    pts, single = as_points(pts)
+    g = model.g(pts)
+    xi = model.xi(pts)
+    phi = model.phi(pts)
+    eta = model.eta(pts)
+    if h is None:
+        h = compute_h(model, pts, scheme)
+    t_op = model.nullity_operator(h, phi)
+
+    # g-orthonormal basis of ker(eta): project the first two coordinate
+    # directions and Gram-Schmidt them
+    basis = []
+    for j in (0, 1):
+        v = np.zeros_like(xi)
+        v[:, j] = 1.0
+        v = v - eta[:, j, None] * xi
+        for u in basis:
+            v = v - np.einsum("ni,nij,nj->n", v, g, u)[:, None] * u
+        v = v / g_norm(v, g)[:, None]
+        basis.append(v)
+    u1, u2 = basis
+
+    t_u1 = np.einsum("nij,nj->ni", t_op, u1)
+    t_u2 = np.einsum("nij,nj->ni", t_op, u2)
+    m = np.empty((pts.shape[0], 2, 2))
+    m[:, 0, 0] = np.einsum("ni,nij,nj->n", t_u1, g, u1)
+    m[:, 1, 1] = np.einsum("ni,nij,nj->n", t_u2, g, u2)
+    m[:, 0, 1] = m[:, 1, 0] = 0.5 * (
+        np.einsum("ni,nij,nj->n", t_u1, g, u2)
+        + np.einsum("ni,nij,nj->n", t_u2, g, u1))
+    evals, evecs = np.linalg.eigh(m)
+    lam = evals[:, 1]
+    x = evecs[:, 0, 1, None] * u1 + evecs[:, 1, 1, None] * u2
+
+    degenerate = lam < 1e-10
+    lam = np.where(degenerate, 0.0, lam)
+    x = np.where(degenerate[:, None], u1, x)
+
+    # deterministic sign: first coordinate component of magnitude > 1e-8
+    significant = np.abs(x) > 1e-8
+    first = np.argmax(significant, axis=1)
+    lead = x[np.arange(len(x)), first]
+    x = np.where((lead < 0)[:, None], -x, x)
+
+    phi_x = np.einsum("nij,nj->ni", phi, x)
+    ef = Eigenframe(lam, x, phi_x, degenerate)
+    if single:
+        ef = Eigenframe(lam[0], x[0], phi_x[0], degenerate[0])
+    return ef
+
+
+def two_form_components(model: AlmostContactModel, pts) -> np.ndarray:
+    """Fundamental 2-form components Phi_ij = g_is phi^s_j (antisymmetric)."""
+    pts, single = as_points(pts)
+    out = np.einsum("nis,nsj->nij", model.g(pts), model.phi(pts))
+    return out[0] if single else out
+
+
+def fundamental_two_form(model: AlmostContactModel, pts, x, y) -> np.ndarray:
+    """Phi(X, Y) = g(X, phi Y) at each point."""
+    pts, single = as_points(pts)
+    comps = two_form_components(model, pts)
+    xv = np.broadcast_to(np.asarray(x, float), (pts.shape[0], 3))
+    yv = np.broadcast_to(np.asarray(y, float), (pts.shape[0], 3))
+    out = np.einsum("ni,nij,nj->n", xv, comps, yv)
+    return out[0] if single else out
+
+
+def nijenhuis(model: AlmostContactModel, pts, x, y,
+              scheme: DiffScheme | None = None) -> np.ndarray:
+    """N(X,Y) = [phi,phi](X,Y) + 2 d(eta)(X,Y) xi for constant X, Y.
+
+    [phi,phi](X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y]
+    - phi [X, phi Y]; the first bracket vanishes for constant-coefficient
+    fields.
+    """
+    pts, single = as_points(pts)
+    xv = np.asarray(x, float)
+    yv = np.asarray(y, float)
+    xf = constant_vector_field(xv, model.domain)
+    yf = constant_vector_field(yv, model.domain)
+    phi_xf = VectorField(lambda q: np.einsum("nij,j->ni", model.phi(q), xv),
+                         model.domain, name="phiX")
+    phi_yf = VectorField(lambda q: np.einsum("nij,j->ni", model.phi(q), yv),
+                         model.domain, name="phiY")
+    phi = model.phi(pts)
+    torsion = (lie_bracket(phi_xf, phi_yf, pts, scheme)
+               - np.einsum("nij,nj->ni", phi, lie_bracket(phi_xf, yf, pts, scheme))
+               - np.einsum("nij,nj->ni", phi, lie_bracket(xf, phi_yf, pts, scheme)))
+    deta = exterior_derivative(model.eta, pts, scheme)
+    deta_xy = np.einsum("i,nij,j->n", xv, deta, yv)
+    out = torsion + 2.0 * deta_xy[:, None] * model.xi(pts)
+    return out[0] if single else out
+
+
+def structure_residuals(model: AlmostContactModel, pts) -> dict[str, float]:
+    """Closed-form structure-axiom residuals (no differentiation).
+
+    phi^2 = -I + eta (x) xi,  eta(xi) = 1,  g(., xi) = eta,
+    g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y),  lam^2 = -1 - k.
+    """
+    pts, _ = as_points(pts)
+    phi = model.phi(pts)
+    xi = model.xi(pts)
+    eta = model.eta(pts)
+    g = model.g(pts)
+    eye = np.broadcast_to(np.eye(3), g.shape)
+    out = {
+        "phi_squared": float(np.max(np.abs(
+            phi @ phi + eye - np.einsum("ni,nj->nij", xi, eta)))),
+        "eta_of_xi": float(np.max(np.abs(
+            np.einsum("ni,ni->n", eta, xi) - 1.0))),
+        "metric_dual": float(np.max(np.abs(
+            np.einsum("nij,nj->ni", g, xi) - eta))),
+        "compatibility": float(np.max(np.abs(
+            np.einsum("nsi,nst,ntj->nij", phi, g, phi)
+            - g + np.einsum("ni,nj->nij", eta, eta)))),
+        "lam_sq_vs_k": float(np.max(np.abs(
+            model.lam_nom(pts) ** 2 + 1.0 + model.k_nom(pts)))),
+    }
+    return out
