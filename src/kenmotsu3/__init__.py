@@ -6,7 +6,7 @@ their structure equations, connection and curvature identities, and matrix
 ODE invariants numerically, with per-identity residual reports.
 """
 
-from .exprs import Expr, eval_expr, parse_expr
+from .exprs import Expr, parse_expr
 from .fields import ChartDomain, DiffScheme
 from .identities import (
     IDENTITIES,
@@ -32,7 +32,7 @@ from .structure import AlmostContactModel, compute_h, eigenframe
 __version__ = "0.1.0"
 
 __all__ = [
-    "Expr", "parse_expr", "eval_expr",
+    "Expr", "parse_expr",
     "ChartDomain", "DiffScheme",
     "SamplePlan", "IDENTITIES", "check_identity", "check_suite",
     "nullity_residual", "infer_k_mu",

@@ -42,8 +42,10 @@ from .models import (
     parse_box,
 )
 from .ode import ConsistencyError, integrate, trajectory_to_csv
+from .structure import FAMILIES
 
-FAMILIES = ("kenmotsu", "kmu-chart", "kmup-chart", "kmu-darboux", "kmup-darboux")
+# the CLI spells the baseline family without its "-baseline" suffix
+FAMILY_ALIASES = {"kenmotsu-baseline": "kenmotsu"}
 
 
 class UsageError(ValueError):
@@ -108,11 +110,26 @@ def _parse_identities(text: str) -> list[str] | str:
     return ids
 
 
-def _verification_document(model, args, reports):
-    identities = [r.as_dict() for r in reports]
-    applicable = [r for r in reports if r.verdict != "not-applicable"]
-    overall = "pass" if all(r.verdict == "pass" for r in applicable) else "fail"
-    doc = {
+def _run_suite(args):
+    """Build the model of ``args`` and run its identity suite.
+
+    Returns the model, the reports and the overall verdict; not-applicable
+    identities do not fail a run.
+    """
+    model = build_model(args)
+    plan = SamplePlan(grid=args.grid, rand_pairs=args.rand_pairs,
+                      seed=args.seed,
+                      box=parse_box(args.box) if args.box else None)
+    scheme = DiffScheme(h_rel=args.h_rel)
+    reports = check_suite(model, _parse_identities(args.identities), plan,
+                          scheme, tolerances=_parse_tols(args.tol),
+                          profile=args.tol_profile)
+    passed = all(r.verdict in ("pass", "not-applicable") for r in reports)
+    return model, reports, "pass" if passed else "fail"
+
+
+def _verification_document(model, args, reports, overall):
+    return {
         "model": {
             "family": model.family,
             "params": model.params,
@@ -124,11 +141,10 @@ def _verification_document(model, args, reports):
             "seed": args.seed,
         },
         "scheme": {"hRel": args.h_rel, "order": 4},
-        "identities": identities,
+        "identities": [r.as_dict() for r in reports],
         "overall": overall,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    return doc, overall
 
 
 def _print_reports(reports) -> None:
@@ -149,16 +165,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = build_model(args)
-    plan = SamplePlan(grid=args.grid, rand_pairs=args.rand_pairs,
-                      seed=args.seed,
-                      box=parse_box(args.box) if args.box else None)
-    scheme = DiffScheme(h_rel=args.h_rel)
-    reports = check_suite(model, _parse_identities(args.identities), plan,
-                          scheme, tolerances=_parse_tols(args.tol),
-                          profile=args.tol_profile)
+    model, reports, overall = _run_suite(args)
     _print_reports(reports)
-    doc, overall = _verification_document(model, args, reports)
+    doc = _verification_document(model, args, reports, overall)
     if args.report:
         _atomic_write(args.report, json.dumps(doc, indent=2) + "\n")
         print(f"report: {args.report}")
@@ -192,17 +201,7 @@ def cmd_sweep(args) -> int:
     overall = "pass"
     for mu in mu_values:
         args.mu = repr(mu)
-        model = build_model(args)
-        plan = SamplePlan(grid=args.grid, rand_pairs=args.rand_pairs,
-                          seed=args.seed,
-                          box=parse_box(args.box) if args.box else None)
-        reports = check_suite(model, _parse_identities(args.identities), plan,
-                              DiffScheme(h_rel=args.h_rel),
-                              tolerances=_parse_tols(args.tol),
-                              profile=args.tol_profile)
-        sub_overall = "pass" if all(
-            r.verdict == "pass" for r in reports
-            if r.verdict != "not-applicable") else "fail"
+        _, reports, sub_overall = _run_suite(args)
         overall = overall if sub_overall == "pass" else "fail"
         runs.append({"mu": mu, "overall": sub_overall,
                      "identities": [r.as_dict() for r in reports]})
@@ -232,7 +231,8 @@ def cmd_sweep(args) -> int:
 
 
 def _add_model_flags(sub, darboux_defaults=False):
-    sub.add_argument("--family", required=True, choices=FAMILIES)
+    sub.add_argument("--family", required=True,
+                     choices=[FAMILY_ALIASES.get(f, f) for f in FAMILIES])
     sub.add_argument("--mu", default=None,
                      help="expression in z (chart) or t (darboux)")
     sub.add_argument("--f", default=None, help="expression in z")

@@ -30,7 +30,6 @@ __all__ = [
     "ExprSyntaxError",
     "ExprDomainError",
     "parse_expr",
-    "eval_expr",
 ]
 
 _FUNCTIONS = {
@@ -309,8 +308,3 @@ def parse_expr(src: str, var: str = "z") -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(_tokenize(src), var).parse()
     return Expr(root, var, src)
-
-
-def eval_expr(expr: Expr, x) -> float:
-    """Evaluate ``expr`` at ``x`` (alias for calling the expression)."""
-    return expr(x)

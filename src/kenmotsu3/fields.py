@@ -13,7 +13,7 @@ weight recursion); it errors only when no 5-point window fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,15 +94,13 @@ class DiffScheme:
     """Finite-difference configuration.
 
     ``h_rel`` is the relative step, scaled per point by ``max(1, |coord|)``.
-    ``nested_rel`` is the step used when differentiating a field that is
-    itself finite-difference-backed (``derived=True``); ``None`` means use
-    ``h_rel``, which keeps nested (curvature-level) truncation at O(h^4)
-    while the smooth inner truncation differentiates benignly.
+    Every field is differentiated with this one step, whether its values are
+    closed-form or themselves built from finite differences (h, the
+    connection), which keeps curvature-level truncation at O(h^4).
     """
 
     h_rel: float = 1e-3
     order: int = 4
-    nested_rel: float | None = None
 
     def __post_init__(self):
         if self.order != 4:
@@ -111,14 +109,12 @@ class DiffScheme:
             raise ValueError("h_rel out of range")
 
     def refined(self, factor: float = 2.0) -> "DiffScheme":
-        """Scheme with every step divided by ``factor`` (convergence runs)."""
-        nested = None if self.nested_rel is None else self.nested_rel / factor
-        return DiffScheme(self.h_rel / factor, self.order, nested)
+        """Scheme with the step divided by ``factor`` (convergence runs)."""
+        return DiffScheme(self.h_rel / factor)
 
-    def steps(self, pts: np.ndarray, axis: int, derived: bool,
+    def steps(self, pts: np.ndarray, axis: int,
               quantum: float | None = None) -> np.ndarray:
-        rel = self.nested_rel if (derived and self.nested_rel) else self.h_rel
-        h = rel * np.maximum(1.0, np.abs(pts[:, axis]))
+        h = self.h_rel * np.maximum(1.0, np.abs(pts[:, axis]))
         if quantum is not None:
             # snap to the stored-node grid of trajectory-backed fields
             h = quantum * np.maximum(1.0, np.round(h / quantum))
@@ -128,21 +124,18 @@ class DiffScheme:
 class ArrayField:
     """A pure evaluator ``(n, 3) -> (n,) + out_shape`` over a chart domain.
 
-    ``derived`` marks finite-difference-backed evaluators (so nested
-    differentiation can pick its own step); ``axis_quanta`` optionally pins
-    the FD step along an axis to multiples of a grid quantum.
+    ``axis_quanta`` optionally pins the FD step along an axis to multiples
+    of a grid quantum.
     """
 
     out_shape: tuple[int, ...] = ()
 
     def __init__(self, fn, domain: ChartDomain, out_shape=None, *,
-                 derived: bool = False, axis_quanta=(None, None, None),
-                 name: str = ""):
+                 axis_quanta=(None, None, None), name: str = ""):
         self.fn = fn
         self.domain = domain
         if out_shape is not None:
             self.out_shape = tuple(out_shape)
-        self.derived = derived
         self.axis_quanta = tuple(axis_quanta)
         self.name = name
 
@@ -177,16 +170,6 @@ class Tensor11Field(ArrayField):
 
 class MetricField(ArrayField):
     out_shape = (3, 3)
-
-    def check(self, pts, sym_tol: float = 1e-14) -> None:
-        """Assert symmetry and positive definiteness at ``pts``."""
-        batch, _ = as_points(pts)
-        g = self(batch)
-        asym = np.max(np.abs(g - np.transpose(g, (0, 2, 1))))
-        if asym > sym_tol * max(1.0, float(np.max(np.abs(g)))):
-            raise ValueError(f"metric asymmetry {asym:.3e} exceeds {sym_tol}")
-        if np.any(np.linalg.eigvalsh(g)[:, 0] <= 0):
-            raise ValueError("metric not positive definite on sample")
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +238,7 @@ def partial_derivative(field: ArrayField, pts, axis: int,
     scheme = scheme or DiffScheme()
     pts, single = as_points(pts)
     field.domain.require(pts)
-    h = scheme.steps(pts, axis, field.derived, field.axis_quanta[axis])
+    h = scheme.steps(pts, axis, field.axis_quanta[axis])
     shifts = _window_shifts(field, pts, axis, h)
 
     stencil = np.repeat(pts[:, None, :], 5, axis=1)

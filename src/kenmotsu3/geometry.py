@@ -76,8 +76,8 @@ def christoffel(g: MetricField, pts, scheme: DiffScheme | None = None,
 def christoffel_field(g: MetricField, scheme: DiffScheme | None = None) -> ArrayField:
     """The connection as a differentiable (FD-backed) field."""
     return ArrayField(lambda pts: christoffel(g, pts, scheme), g.domain,
-                      out_shape=(3, 3, 3), derived=True,
-                      axis_quanta=g.axis_quanta, name="christoffel")
+                      out_shape=(3, 3, 3), axis_quanta=g.axis_quanta,
+                      name="christoffel")
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
+    ArrayField,
     DiffScheme,
-    ScalarField,
     Tensor11Field,
-    VectorField,
     as_points,
     coordinate_derivatives,
 )
@@ -38,7 +37,6 @@ from .structure import (
     AlmostContactModel,
     compute_h,
     eigenframe,
-    h_field,
     two_form_components,
 )
 
@@ -191,16 +189,8 @@ class Probe:
     # --- h and friends --------------------------------------------------------
 
     @cached_property
-    def hf(self):
-        return h_field(self.model, self.scheme)
-
-    @cached_property
-    def hpf(self):
-        return h_field(self.model, self.scheme, prime=True)
-
-    @cached_property
     def h(self):
-        return self.hf(self.pts)
+        return compute_h(self.model, self.pts, self.scheme)
 
     @cached_property
     def hp(self):
@@ -225,9 +215,29 @@ class Probe:
               + np.einsum("niks,ns->nik", self.gamma, self.xi))
         return op
 
+    def _partials(self, fn, out_shape):
+        """Coordinate partials at the sample points of the field ``fn``.
+
+        ``fn`` stacks several quantities computed together at each node, so
+        one stencil evaluation serves all of them; the values and weights
+        are those of one field per quantity.
+        """
+        field = ArrayField(fn, self.model.domain, out_shape=out_shape,
+                           axis_quanta=self.model.g.axis_quanta)
+        return coordinate_derivatives(field, self.pts, self.scheme)
+
+    @cached_property
+    def _d_h_hp_b(self):
+        """Partials of h, h' = h phi and B = phi h, stacked on axis 2."""
+        def fn(q):
+            h, phi = compute_h(self.model, q, self.scheme), self.model.phi(q)
+            return np.stack([h, h @ phi, phi @ h], axis=1)
+
+        return self._partials(fn, (3, 3, 3))
+
     @cached_property
     def dh(self):
-        return coordinate_derivatives(self.hf, self.pts, self.scheme)
+        return self._d_h_hp_b[:, :, 0]
 
     @cached_property
     def nabla_h(self):
@@ -235,20 +245,19 @@ class Probe:
 
     @cached_property
     def dhp(self):
-        return coordinate_derivatives(self.hpf, self.pts, self.scheme)
+        return self._d_h_hp_b[:, :, 1]
 
     @cached_property
     def nabla_hp(self):
         return covariant_differential(self.hp, self.dhp, self.gamma)
 
     @cached_property
+    def db(self):
+        return self._d_h_hp_b[:, :, 2]
+
+    @cached_property
     def nabla_b(self):
-        bf = Tensor11Field(
-            lambda q: self.model.phi(q) @ compute_h(self.model, q, self.scheme),
-            self.model.domain, derived=True,
-            axis_quanta=self.model.g.axis_quanta, name="phi.h")
-        db = coordinate_derivatives(bf, self.pts, self.scheme)
-        return covariant_differential(self.bmat, db, self.gamma)
+        return covariant_differential(self.bmat, self.db, self.gamma)
 
     @cached_property
     def dphi(self):
@@ -314,6 +323,16 @@ class Probe:
     @cached_property
     def eigen(self):
         return eigenframe(self.model, self.pts, self.scheme, h=self.h)
+
+    @cached_property
+    def d_eigen(self):
+        """Partials (dX, d(phi X), d lam), each indexed ``[n, axis, ...]``."""
+        def fn(q):
+            ef = eigenframe(self.model, q, self.scheme)
+            return np.concatenate([ef.x, ef.phi_x, ef.lam[:, None]], axis=1)
+
+        d = self._partials(fn, (7,))
+        return d[:, :, :3], d[:, :, 3:6], d[:, :, 6]
 
     @cached_property
     def frame(self):
@@ -575,25 +594,6 @@ def _res_null_kmup(p: Probe):
     return _nullity(p, p.hp)
 
 
-def _eigvec_fields(p: Probe):
-    model, scheme = p.model, p.scheme
-
-    def make(attr):
-        def fn(q):
-            ef = eigenframe(model, q, scheme)
-            return getattr(ef, attr)
-        return fn
-
-    quanta = model.g.axis_quanta
-    xfield = VectorField(make("x"), model.domain, derived=True,
-                         axis_quanta=quanta, name="eig_x")
-    pxfield = VectorField(make("phi_x"), model.domain, derived=True,
-                          axis_quanta=quanta, name="eig_phix")
-    lfield = ScalarField(make("lam"), model.domain, derived=True,
-                         axis_quanta=quanta, name="eig_lam")
-    return xfield, pxfield, lfield
-
-
 def _conn_residual(p: Probe, relations):
     """Shared machinery for the connection-formula identities.
 
@@ -601,13 +601,9 @@ def _conn_residual(p: Probe, relations):
     vectors; ``dirder`` maps a vector field's covariant data to directional
     derivatives.
     """
-    xfield, pxfield, lfield = _eigvec_fields(p)
     x, phi_x = p.eigen.x, p.eigen.phi_x
     lam = p.eigen.lam
-
-    dx = coordinate_derivatives(xfield, p.pts, p.scheme)
-    dpx = coordinate_derivatives(pxfield, p.pts, p.scheme)
-    dl = coordinate_derivatives(lfield, p.pts, p.scheme)
+    dx, dpx, dl = p.d_eigen
 
     def nabla(direction, which):
         # (nabla_W V)^i = W^a (d_a V^i + Gamma^i_{as} V^s)

@@ -36,7 +36,7 @@ from .fields import (
     Tensor11Field,
     VectorField,
 )
-from .ode import M2, Trajectory, integrate, metric_from_state
+from .ode import M2, Trajectory, _as_matrix, integrate, metric_from_state
 from .structure import AlmostContactModel
 
 __all__ = [
@@ -279,10 +279,7 @@ def build_darboux_model(params: DarbouxParams,
 
     def f_g_at(ts):
         states = traj.dense(ts)
-        f = states[:, 0:3]
-        fmat = (f[:, 0, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
-                + f[:, 1, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
-                + f[:, 2, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        fmat = _as_matrix(states[:, 0:3])
         gmat = -M2 @ fmat
         return fmat, gmat
 

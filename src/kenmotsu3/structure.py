@@ -139,7 +139,7 @@ def h_field(model: AlmostContactModel,
     """h (or h') as a differentiable FD-backed field."""
     fn = compute_h_prime if prime else compute_h
     return Tensor11Field(lambda pts: fn(model, pts, scheme), model.domain,
-                         derived=True, axis_quanta=model.g.axis_quanta,
+                         axis_quanta=model.g.axis_quanta,
                          name="h'" if prime else "h")
 
 

@@ -8,7 +8,6 @@ from kenmotsu3.exprs import (
     Expr,
     ExprDomainError,
     ExprSyntaxError,
-    eval_expr,
     parse_expr,
 )
 
@@ -27,7 +26,7 @@ class TestParseEval:
         assert parse_expr("sqrt(-1-z)", "z")(-5.0) == pytest.approx(2.0)
 
     def test_square(self):
-        assert eval_expr(parse_expr("t^2", "t"), 3.0) == 9.0
+        assert parse_expr("t^2", "t")(3.0) == 9.0
 
     def test_exp_at_zero(self):
         assert parse_expr("exp(-2*t)", "t")(0.0) == 1.0

@@ -72,14 +72,14 @@ class TestPartialDerivative:
     def test_step_scales_with_coordinate(self):
         scheme = DiffScheme(1e-3)
         pts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -40.0]])
-        h = scheme.steps(pts, 2, derived=False)
+        h = scheme.steps(pts, 2)
         assert h[0] == pytest.approx(1e-3)
         assert h[1] == pytest.approx(4e-2)
 
     def test_quantum_snaps_step(self):
         scheme = DiffScheme(1e-3)
         pts = np.array([[0.0, 0.0, 0.4]])
-        h = scheme.steps(pts, 2, derived=False, quantum=3e-4)
+        h = scheme.steps(pts, 2, quantum=3e-4)
         assert h[0] == pytest.approx(3e-4 * 3)
 
 

@@ -196,8 +196,7 @@ class TestExteriorDerivative:
     def test_d_squared_zero(self):
         eta = CovectorField(lambda p: np.stack(
             [np.sin(p[:, 2]), p[:, 0] ** 2, p[:, 1]], axis=1), FULL)
-        d1 = Tensor11Field(lambda q: exterior_derivative(eta, q), FULL,
-                           derived=True)
+        d1 = Tensor11Field(lambda q: exterior_derivative(eta, q), FULL)
         dd = exterior_derivative(d1, PTS)
         assert np.max(np.abs(dd)) < 5e-7
 

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from kenmotsu3.fields import DiffScheme
+from kenmotsu3.fields import (
+    DiffScheme,
+    ScalarField,
+    Tensor11Field,
+    VectorField,
+    coordinate_derivatives,
+)
 from kenmotsu3.identities import (
     IDENTITIES,
     PROFILES,
+    Probe,
     SamplePlan,
     applicable_identities,
     check_identity,
@@ -23,6 +30,7 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
 )
+from kenmotsu3.structure import compute_h, eigenframe, h_field
 
 PLAN = SamplePlan(grid=3, rand_pairs=3, seed=21)
 
@@ -207,6 +215,51 @@ class TestFrameIndependence:
         for name in ("TR_H", "TR_HP", "TR_PHI"):
             rep = check_identity(kmu_chart, name, PLAN)
             assert rep.verdict == "pass", (name, rep.residual)
+
+
+class TestStackedPartials:
+    """One stacked field per FD-backed operator gives, bit for bit, the
+    partials of the separate per-quantity fields."""
+
+    @pytest.fixture(params=["kmu_chart", "kmup_darboux"])
+    def probe(self, request):
+        if request.param == "kmu_chart":
+            model = request.getfixturevalue("kmu_chart")
+        else:
+            model = build_darboux_model(
+                DarbouxParams("kmup", "1", (-0.25, 0.25)))
+        return Probe(model, PLAN.points(model), DiffScheme(),
+                     PLAN.rand_pairs, PLAN.seed)
+
+    @staticmethod
+    def _partials(probe, field):
+        return coordinate_derivatives(field, probe.pts, probe.scheme)
+
+    @staticmethod
+    def _field(probe, cls, fn):
+        model = probe.model
+        return cls(fn, model.domain, axis_quanta=model.g.axis_quanta)
+
+    def test_h_hp_b(self, probe):
+        m, scheme = probe.model, probe.scheme
+        b_field = self._field(probe, Tensor11Field,
+                              lambda q: m.phi(q) @ compute_h(m, q, scheme))
+        assert np.array_equal(probe.dh, self._partials(probe, h_field(m, scheme)))
+        assert np.array_equal(probe.dhp, self._partials(
+            probe, h_field(m, scheme, prime=True)))
+        assert np.array_equal(probe.db, self._partials(probe, b_field))
+
+    def test_eigenframe(self, probe):
+        m, scheme = probe.model, probe.scheme
+
+        def part(cls, attr):
+            return self._partials(probe, self._field(
+                probe, cls, lambda q: getattr(eigenframe(m, q, scheme), attr)))
+
+        dx, dpx, dlam = probe.d_eigen
+        assert np.array_equal(dx, part(VectorField, "x"))
+        assert np.array_equal(dpx, part(VectorField, "phi_x"))
+        assert np.array_equal(dlam, part(ScalarField, "lam"))
 
 
 class TestConvergence:
