@@ -182,8 +182,7 @@ def cmd_trajectory(args) -> int:
     params = DarbouxParams(variant=variant, mu_bar=args.mu,
                            t_range=tuple(args.t_range), step=args.step)
     traj = integrate(variant, params.resolved(), params.t_range, params.step)
-    trajectory_to_csv(traj, args.csv)
-    worst = max(traj.max_algebraic_residual(t) for t in traj.times)
+    worst = trajectory_to_csv(traj, args.csv)
     print(f"wrote {args.csv}: {len(traj.times)} nodes, "
           f"max algebraic residual {worst:.6e}")
     return 0

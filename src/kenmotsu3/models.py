@@ -270,8 +270,7 @@ def build_darboux_model(params: DarbouxParams,
         pad = 8.0 * params.step * max(1.0, abs(t0), abs(t1))
         traj = integrate(params.variant, mu_bar, (t0 - pad, t1 + pad),
                          params.step)
-    for st in traj.node_states():
-        metric_from_state(st)  # raises ConsistencyError on PD failure
+    metric_from_state(traj.times, traj.states)  # raises on PD failure
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)

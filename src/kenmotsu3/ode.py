@@ -16,13 +16,15 @@ Initial conditions at t = 0:
          column-vector composition; asserted by check_initial_relations)
   kmup:  F = M2, H = -M3, B = M1    (B = H@F at t=0)
 
-Integration is classical fixed-step 4th-order Runge-Kutta, forward and
-backward from t=0, dense output by cubic Hermite with ODE-exact slopes.
+A node's state is the vector (f1..f3, h1..h3, b1..b3, fint); a trajectory
+is the (m, 10) array of its nodes.  Integration is classical fixed-step
+4th-order Runge-Kutta, forward and backward from t=0, with mu evaluated
+once per direction on all stage times; the first RK4 stages give the node
+slopes of the cubic-Hermite dense output.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,6 @@ from .exprs import Expr
 __all__ = [
     "M1", "M2", "M3",
     "ConsistencyError",
-    "StateFHB",
     "Trajectory",
     "rhs",
     "integrate",
@@ -60,47 +61,12 @@ def _as_matrix(c: np.ndarray) -> np.ndarray:
             + c[..., 2, None, None] * M3)
 
 
-@dataclass(frozen=True)
-class StateFHB:
-    """ODE state at time ``t``: nine basis components plus the kmup integral."""
-
-    t: float
-    f: tuple[float, float, float]
-    h: tuple[float, float, float]
-    b: tuple[float, float, float]
-    fint: float = 0.0  # integral of (mu+2) from 0 to t (kmup only)
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.f + self.h + self.b + (self.fint,), dtype=float)
-
-    @staticmethod
-    def from_vector(t: float, y: np.ndarray) -> "StateFHB":
-        y = np.asarray(y, float)
-        return StateFHB(float(t), tuple(y[0:3]), tuple(y[3:6]), tuple(y[6:9]),
-                        float(y[9]) if y.size > 9 else 0.0)
-
-    @property
-    def F(self) -> np.ndarray:
-        return _as_matrix(np.asarray(self.f))
-
-    @property
-    def H(self) -> np.ndarray:
-        return _as_matrix(np.asarray(self.h))
-
-    @property
-    def B(self) -> np.ndarray:
-        return _as_matrix(np.asarray(self.b))
-
-    def lam(self, variant: str) -> float:
-        return float(np.exp(-2.0 * self.t) if variant == "kmu"
-                     else np.exp(-self.fint))
-
-
-def initial_state(variant: str) -> StateFHB:
+def initial_state(variant: str) -> np.ndarray:
+    """State vector (f1..f3, h1..h3, b1..b3, fint) at t = 0."""
     if variant == "kmu":
-        return StateFHB(0.0, (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0))
+        return np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0, -1.0, 0.0, 0.0, 0.0])
     if variant == "kmup":
-        return StateFHB(0.0, (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
+        return np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0])
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -113,8 +79,7 @@ def rhs(variant: str, y: np.ndarray, t: float, mu_value: float) -> np.ndarray:
         lam2 = np.exp(-4.0 * t)
         out[3:6] = 2.0 * lam2 * f - 2.0 * h - mu_value * b
         out[6:9] = mu_value * h - 2.0 * b
-        if y.size > 9:
-            out[9] = 0.0
+        out[9] = 0.0
     else:
         lam2 = np.exp(-2.0 * y[9])
         mp2 = mu_value + 2.0
@@ -134,24 +99,36 @@ def check_initial_relations(variant: str) -> dict[str, float]:
     if not np.array_equal(M1 @ M1, np.eye(2)) or not np.array_equal(M3 @ M3, np.eye(2)) \
             or not np.array_equal(M2 @ M2, -np.eye(2)):
         raise ConsistencyError("basis matrices corrupted")
-    res = algebraic_residuals(initial_state(variant), variant)
+    res = {k: float(v) for k, v in
+           algebraic_residuals(0.0, initial_state(variant), variant).items()}
     if any(v != 0.0 for v in res.values()):
         raise ConsistencyError(
             f"initial algebraic relations not exact for {variant}: {res}")
     return res
 
 
-def algebraic_residuals(state: StateFHB, variant: str) -> dict[str, float]:
+def _lam(t, y, variant: str) -> np.ndarray:
+    return np.exp(-2.0 * t) if variant == "kmu" else np.exp(-y[..., 9])
+
+
+def _det_g(y: np.ndarray) -> np.ndarray:
+    f1, f2, f3 = y[..., 0], y[..., 1], y[..., 2]
+    return (f2 - f3) * (f2 + f3) - f1 * f1
+
+
+def algebraic_residuals(t, y, variant: str) -> dict[str, np.ndarray]:
     """Max-norm of each of the ten matrix/scalar relation residuals.
 
-    The three product relations depend on the variant (B holds phi o h for
-    kmu but h o phi = h' for kmup, which flips their signs):
+    ``t`` has shape (...) and ``y`` shape (..., 10); every value has the
+    shape of ``t``.  The three product relations depend on the variant (B
+    holds phi o h for kmu but h o phi = h' for kmup, which flips their
+    signs):
 
       kmu :  B@H = lam^2 F,   B@F = H,    F@H = B
       kmup:  B@H = -lam^2 F,  B@F = -H,   H@F = B
     """
-    F, H, B = state.F, state.H, state.B
-    lam2 = state.lam(variant) ** 2
+    F, H, B = (_as_matrix(y[..., i:i + 3]) for i in (0, 3, 6))
+    lam2 = (_lam(t, y, variant) ** 2)[..., None, None]
     eye = np.eye(2)
     res = {
         "F2": F @ F + eye,
@@ -169,19 +146,24 @@ def algebraic_residuals(state: StateFHB, variant: str) -> dict[str, float]:
         res["prod_BH"] = B @ H + lam2 * F
         res["prod_BF"] = B @ F + H
         res["prod_FH"] = H @ F - B
-    out = {k: float(np.max(np.abs(v))) for k, v in res.items()}
-    f1, f2, f3 = state.f
-    out["detG"] = abs((f2 - f3) * (f2 + f3) - f1 * f1 - 1.0)
+    out = {k: np.max(np.abs(v), axis=(-2, -1)) for k, v in res.items()}
+    out["detG"] = np.abs(_det_g(y) - 1.0)
     return out
 
 
-def metric_from_state(state: StateFHB) -> np.ndarray:
-    """G = -M2 F = [[f2-f3, f1], [f1, f2+f3]]; symmetric positive definite."""
-    f1, f2, f3 = state.f
-    g = np.array([[f2 - f3, f1], [f1, f2 + f3]])
-    if not (g[0, 0] > 0 and np.linalg.det(g) > 0):
+def metric_from_state(t, y) -> np.ndarray:
+    """G = -M2 F = [[f2-f3, f1], [f1, f2+f3]]; symmetric positive definite.
+
+    ``t`` has shape (...) and ``y`` shape (..., 10); raises
+    :class:`ConsistencyError` at the first node whose G is not.
+    """
+    g = -M2 @ _as_matrix(y[..., 0:3])
+    bad = np.ravel(~((g[..., 0, 0] > 0) & (_det_g(y) > 0)))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConsistencyError(
-            f"leaf metric lost positive definiteness at t={state.t}: {g.tolist()}")
+            "leaf metric lost positive definiteness at "
+            f"t={float(np.ravel(t)[i])}: {g.reshape(-1, 2, 2)[i].tolist()}")
     return g
 
 
@@ -189,24 +171,31 @@ def metric_from_state(state: StateFHB) -> np.ndarray:
 # Integration
 # --------------------------------------------------------------------------
 
-def _rk4_span(variant, mu_of_t, y0, t0, n_steps, step):
-    """Fixed-step RK4 over n_steps of signed size ``step`` starting at t0."""
+def _rk4_span(variant, mu_bar: Expr, y0, t0, n_steps, step):
+    """Fixed-step RK4 over n_steps of signed size ``step`` starting at t0.
+
+    mu is evaluated once, on the stage times, none of which lies past the
+    last node.  Returns the node states and the ODE slopes at the nodes (the
+    first RK4 stage of each step, plus the slope at the last node), both of
+    shape (n_steps + 1, 10).
+    """
+    ts = t0 + np.arange(n_steps + 1) * step
+    mus = mu_bar(np.concatenate([ts, ts[:-1] + 0.5 * step, ts[:-1] + step]))
+    mu_t, mu_half, mu_full = np.split(mus, [n_steps + 1, 2 * n_steps + 1])
     ys = np.empty((n_steps + 1, y0.size))
+    ks = np.empty_like(ys)
     ys[0] = y0
-    y = y0.copy()
     for i in range(n_steps):
-        t = t0 + i * step
-        k1 = rhs(variant, y, t, mu_of_t(t))
-        k2 = rhs(variant, y + 0.5 * step * k1, t + 0.5 * step,
-                 mu_of_t(t + 0.5 * step))
-        k3 = rhs(variant, y + 0.5 * step * k2, t + 0.5 * step,
-                 mu_of_t(t + 0.5 * step))
-        k4 = rhs(variant, y + step * k3, t + step, mu_of_t(t + step))
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        t, y = ts[i], ys[i]
+        k1 = ks[i] = rhs(variant, y, t, mu_t[i])
+        k2 = rhs(variant, y + 0.5 * step * k1, t + 0.5 * step, mu_half[i])
+        k3 = rhs(variant, y + 0.5 * step * k2, t + 0.5 * step, mu_half[i])
+        k4 = rhs(variant, y + step * k3, t + step, mu_full[i])
+        ys[i + 1] = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(ys[i + 1])):
             raise ConsistencyError(f"ODE state non-finite at t={t + step}")
-        ys[i + 1] = y
-    return ys
+    ks[n_steps] = rhs(variant, ys[n_steps], ts[n_steps], mu_t[n_steps])
+    return ys, ks
 
 
 @dataclass
@@ -233,13 +222,6 @@ class Trajectory:
     @property
     def t_max(self) -> float:
         return float(self.times[-1])
-
-    def state(self, t: float) -> StateFHB:
-        return StateFHB.from_vector(t, self.dense(np.atleast_1d(t))[0])
-
-    def node_states(self):
-        return [StateFHB.from_vector(t, y)
-                for t, y in zip(self.times, self.states)]
 
     def dense(self, ts) -> np.ndarray:
         """State vectors at arbitrary times; exact at stored nodes."""
@@ -273,12 +255,9 @@ class Trajectory:
     def k_nominal(self, ts) -> np.ndarray:
         return -1.0 - self.lam(ts) ** 2
 
-    def max_algebraic_residual(self, t: float) -> float:
-        return max(algebraic_residuals(self.state(t), self.variant).values())
-
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
-              step: float = 1e-3, ic: StateFHB | None = None) -> Trajectory:
+              step: float = 1e-3) -> Trajectory:
     """Integrate from t=0 forward to t1 and backward to t0.
 
     ``step`` must be positive and at most 1e-2; endpoints are realized as
@@ -293,38 +272,31 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= 0.0 <= t1 and t0 < t1):
         raise ValueError("t-range must be a finite interval containing 0")
     check_initial_relations(variant)
-    if ic is None:
-        ic = initial_state(variant)
-    elif ic.t != 0.0:
-        raise ValueError("initial condition must sit at t=0")
-    y0 = ic.vector()
-
-    def mu_of_t(t):
-        return float(mu_bar(t))
-
+    y0 = initial_state(variant)
     n_back = int(round(-t0 / step))
     n_fwd = int(round(t1 / step))
-    fwd = _rk4_span(variant, mu_of_t, y0, 0.0, n_fwd, step)
-    back = _rk4_span(variant, mu_of_t, y0, 0.0, n_back, -step)
-    states = np.vstack([back[::-1], fwd[1:]]) if n_back else fwd
+    fwd, dfwd = _rk4_span(variant, mu_bar, y0, 0.0, n_fwd, step)
+    back, dback = _rk4_span(variant, mu_bar, y0, 0.0, n_back, -step)
+    states = np.vstack([back[:0:-1], fwd])
+    derivs = np.vstack([dback[:0:-1], dfwd])
     times = (np.arange(-n_back, n_fwd + 1)) * step
-    derivs = np.stack([
-        rhs(variant, states[i], times[i], mu_of_t(times[i]))
-        for i in range(len(times))])
     return Trajectory(variant, mu_bar, step, times, states, derivs)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """One row per node: t, nine components, lambda, k, maxAlgResidual, detG."""
+def trajectory_to_csv(traj: Trajectory, path) -> float:
+    """One row per node: t, nine components, lambda, k, maxAlgResidual, detG.
+
+    Returns the largest maxAlgResidual.
+    """
+    t, y = traj.times, traj.states
+    res = algebraic_residuals(t, y, traj.variant)
+    max_res = np.max(np.stack(list(res.values())), axis=0)
+    lam = _lam(t, y, traj.variant)
+    rows = np.column_stack(
+        [t, y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
+    header = "t,f1,f2,f3,h1,h2,h3,b1,b2,b3,lambda,k,maxAlgResidual,detG"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f1", "f2", "f3", "h1", "h2", "h3",
-                         "b1", "b2", "b3", "lambda", "k",
-                         "maxAlgResidual", "detG"])
-        for st in traj.node_states():
-            res = algebraic_residuals(st, traj.variant)
-            lam = st.lam(traj.variant)
-            row = (st.t, *st.f, *st.h, *st.b, lam, -1.0 - lam * lam,
-                   max(res.values()),
-                   (st.f[1] - st.f[2]) * (st.f[1] + st.f[2]) - st.f[0] ** 2)
-            writer.writerow([f"{v:.17g}" for v in row])
+        # CRLF row ends, as the csv module's default dialect writes them
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
+    return float(max_res.max())

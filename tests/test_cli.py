@@ -48,6 +48,19 @@ class TestVerify:
                     "--identities", "QXI", "--tol", "QXI=1e-30"])
         assert code == 1
 
+    def test_curv2_refinement_only_off_trajectory(self, tmp_path):
+        # Darboux fields snap t-steps to the node grid, so a half-step rerun
+        # would repeat the full step: no refinement is reported there
+        for family, refined in (("kmu-chart", True), ("kmup-darboux", False)):
+            report = tmp_path / f"{family}.json"
+            code = run(["verify", "--family", family, "--identities", "CURV2",
+                        "--tol", "CURV2=1e-30", "--grid", "2",
+                        "--report", str(report)])
+            assert code == 1
+            rep = json.loads(report.read_text())["identities"][0]
+            assert rep["verdict"] == "fail"
+            assert ("refinement" in rep) == refined, family
+
     def test_usage_errors_exit_2(self):
         assert run(["verify", "--family", "kmu-chart", "--mu", "1 +"]) == 2
         assert run(["verify", "--family", "kmu-chart",

@@ -1,5 +1,8 @@
 """Identity checking: reports, applicability, nullity, k/mu recovery."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -260,6 +263,20 @@ class TestStackedPartials:
         assert np.array_equal(dx, part(VectorField, "x"))
         assert np.array_equal(dpx, part(VectorField, "phi_x"))
         assert np.array_equal(dlam, part(ScalarField, "lam"))
+
+
+def test_probe_freed_without_cyclic_gc(kmu_chart):
+    # a cached field whose function holds the Probe would keep it (and its
+    # curvature and partials) alive until the cyclic collector runs
+    gc.disable()
+    try:
+        probe = Probe(kmu_chart, PLAN.points(kmu_chart), DiffScheme())
+        probe.phi2_field
+        ref = weakref.ref(probe)
+        del probe
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestConvergence:
