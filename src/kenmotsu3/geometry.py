@@ -65,8 +65,7 @@ def christoffel(g: MetricField, pts, scheme: DiffScheme | None = None,
     gv = g(pts)
     ginv = _inverse_metric(gv)
     dg = coordinate_derivatives(g, pts, scheme)  # (n, axis, i, j)
-    braces = (np.einsum("njsk->nsjk", dg) + np.einsum("nksj->nsjk", dg)
-              - np.einsum("nsjk->nsjk", dg))
+    braces = np.einsum("njsk->nsjk", dg) + np.einsum("nksj->nsjk", dg) - dg
     gamma = 0.5 * np.einsum("nis,nsjk->nijk", ginv, braces)
     if single:
         gamma, ginv = gamma[0], ginv[0]
@@ -93,7 +92,8 @@ class Curvature:
 
     def apply(self, x, y, z) -> np.ndarray:
         """(R(X,Y)Z)^i for per-point component vectors."""
-        return np.einsum("nijkl,nk,nl,nj->ni", self.riemann, x, y, z)
+        r_x = np.einsum("nijkl,nk->nijl", self.riemann, x)
+        return np.einsum("nij,nj->ni", np.einsum("nijl,nl->nij", r_x, y), z)
 
 
 def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
@@ -140,8 +140,7 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
     ``t_vals``: (n,3,3), ``dt_vals``: (n, axis, 3, 3), ``gamma``: (n,3,3,3).
     Output indexed ``[n, k, i, j]``.
     """
-    return (np.einsum("nkij->nkij", dt_vals)
-            + np.einsum("niks,nsj->nkij", gamma, t_vals)
+    return (dt_vals + np.einsum("niks,nsj->nkij", gamma, t_vals)
             - np.einsum("nskj,nis->nkij", gamma, t_vals))
 
 
@@ -174,7 +173,7 @@ def exterior_derivative(form: ArrayField, pts,
     pts, single = as_points(pts)
     d = coordinate_derivatives(form, pts, scheme)  # (n, axis, ...)
     if form.out_shape == (3,):
-        out = np.einsum("nij->nij", d) - np.einsum("nji->nij", d)
+        out = d - np.einsum("nji->nij", d)
     elif form.out_shape == (3, 3):
         out = d[:, 0, 1, 2] - d[:, 1, 0, 2] + d[:, 2, 0, 1]
     else:

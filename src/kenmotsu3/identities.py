@@ -186,6 +186,11 @@ class Probe:
     def curv(self):
         return riemann(self.model.g, self.pts, self.scheme)
 
+    @cached_property
+    def r_xi(self):
+        """(R(e_k, e_l) xi)^i indexed ``[n, k, i, l]``."""
+        return np.einsum("nijkl,nj->nkil", self.curv.riemann, self.xi)
+
     # --- h and friends --------------------------------------------------------
 
     @cached_property
@@ -388,7 +393,7 @@ class Probe:
 
     def ip(self, u, v):
         """g inner products for pooled vectors: (n,P,3),(n,Q,3) -> (n,P,Q)."""
-        return np.einsum("nai,nij,nbj->nab", u, self.g, v)
+        return np.einsum("naj,nbj->nab", np.einsum("nai,nij->naj", u, self.g), v)
 
     def vec_norm(self, v):
         return g_norm(v, self.g)
@@ -399,7 +404,21 @@ class Probe:
 
 # --------------------------------------------------------------------------
 # Identity residual functions (each returns per-point residuals (n,))
+#
+# Contractions over pooled vectors run as two-operand einsums, one
+# contracted index per stage: numpy evaluates an einsum of three or more
+# operands as one nested loop over every index at once.
 # --------------------------------------------------------------------------
+
+def _pool_pairs(t, xs, ys):
+    """t[n, k, i, j] X_a^k Y_b^j over pooled vectors: (n, a, b, i)."""
+    return np.einsum("naij,nbj->nabi", np.einsum("nkij,nak->naij", t, xs), ys)
+
+
+def _pool_triples(t_x, ys, zs):
+    """t_x[n, a, s, j] Y_b^j Z_c^s over pooled vectors: (n, a, b, c)."""
+    return np.einsum("nabs,ncs->nabc", np.einsum("nasj,nbj->nabs", t_x, ys), zs)
+
 
 def _res_nabla_xi(p: Probe):
     rhs = (p.eye - np.einsum("ni,nk->nik", p.xi, p.eta) - p.bmat)
@@ -407,7 +426,8 @@ def _res_nabla_xi(p: Probe):
 
 
 def _res_ak_deta(p: Probe):
-    vals = np.einsum("nij,nai,nbj->nab", p.deta, p.pool, p.pool)
+    d_x = np.einsum("nij,nai->naj", p.deta, p.pool)
+    vals = np.einsum("naj,nbj->nab", d_x, p.pool)
     return np.max(np.abs(vals), axis=(1, 2))
 
 
@@ -424,20 +444,17 @@ def _res_kleaves(p: Probe):
     ph = p.phi + p.h
     rhs = (np.einsum("nsk,nsj,ni->nkij", ph, p.g, p.xi)
            - np.einsum("nj,nik->nkij", p.eta, ph))
-    t = p.nabla_phi - rhs
-    vals = np.einsum("nkij,nak,nbj->nabi", t, p.pool, p.pool)
+    vals = _pool_pairs(p.nabla_phi - rhs, p.pool, p.pool)
     return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
 
 
 def _res_curv1(p: Probe):
-    r_xi = np.einsum("nijkl,nj->nikl", p.curv.riemann, p.xi)
     imb = p.eye - p.bmat
-    rhs = (np.einsum("nk,nil->nikl", p.eta, imb)
-           - np.einsum("nl,nik->nikl", p.eta, imb)
-           + np.einsum("nlik->nikl", p.nabla_b)
-           - np.einsum("nkil->nikl", p.nabla_b))
-    t = r_xi - rhs
-    vals = np.einsum("nikl,nak,nbl->nabi", t, p.pool, p.pool)
+    rhs = (np.einsum("nk,nil->nkil", p.eta, imb)
+           - np.einsum("nl,nik->nkil", p.eta, imb)
+           + np.einsum("nlik->nkil", p.nabla_b)
+           - p.nabla_b)
+    vals = _pool_pairs(p.r_xi - rhs, p.pool, p.pool)
     return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
 
 
@@ -448,30 +465,37 @@ def _res_l_id(p: Probe):
     return p.op_norm(m)
 
 
-def _res_curv2(p: Probe):
+def _curv2_terms(p: Probe):
+    """CURV2's left-hand side and (nabla_{hX_a} Phi)(X_b, X_c): (n, a, b, c)."""
     # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
     a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
     pool, phi_pool = p.pool, p.apply(p.phi, p.pool)
     ga = np.einsum("nsi,nijl->nsjl", p.g, a)
+    # g(R(xi, X_a) e_j, e_s), the first stage shared by the four terms
+    ga_x, ga_phix = (np.einsum("nsjl,nal->nasj", ga, v) for v in (pool, phi_pool))
+    lhs = (_pool_triples(ga_x, pool, pool)
+           - _pool_triples(ga_x, phi_pool, phi_pool)
+           + _pool_triples(ga_phix, pool, phi_pool)
+           + _pool_triples(ga_phix, phi_pool, pool))
+    # (nabla_{hX_a} Phi)_{ij} with i the Y slot and j the Z slot
+    nabla_hx = np.einsum("nkij,nak->naji", p.nabla_phi2, p.apply(p.h, pool))
+    return lhs, _pool_triples(nabla_hx, pool, pool)
 
-    def quad(xv, yv, zv):
-        return np.einsum("nsjl,nal,nbj,ncs->nabc", ga, xv, yv, zv)
 
-    lhs = (quad(pool, pool, pool) - quad(pool, phi_pool, phi_pool)
-           + quad(phi_pool, pool, phi_pool) + quad(phi_pool, phi_pool, pool))
-    h_pool = p.apply(p.h, p.pool)
-    m_pool = pool - p.apply(p.bmat, p.pool)
+def _res_curv2(p: Probe):
+    lhs, nabla_hx_phi = _curv2_terms(p)
+    pool = p.pool
+    m_pool = pool - p.apply(p.bmat, pool)
     eta_pool = np.einsum("ni,nai->na", p.eta, pool)
     gzm = p.ip(pool, m_pool)  # (n, c, a) -> g(Z_c, M_a)
-    rhs = (2.0 * np.einsum("nkij,nak,nbi,ncj->nabc", p.nabla_phi2,
-                           h_pool, pool, pool)
+    rhs = (2.0 * nabla_hx_phi
            + 2.0 * np.einsum("nb,nca->nabc", eta_pool, gzm)
            - 2.0 * np.einsum("nc,nba->nabc", eta_pool, gzm))
     return np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
 
 
 def _res_codazzi_hp(p: Probe):
-    vals = np.einsum("nkij,nak,nbj->nabi", p.nabla_hp, p.pool_d, p.pool_d)
+    vals = _pool_pairs(p.nabla_hp, p.pool_d, p.pool_d)
     anti = vals - np.swapaxes(vals, 1, 2)
     return np.max(g_norm(anti, p.g[:, None, None, :, :]), axis=(1, 2))
 
@@ -574,15 +598,14 @@ def _res_ricci_form(p: Probe):
 
 
 def _nullity(p: Probe, t_op):
-    r_xi = np.einsum("nijkl,nak,nbl,nj->nabi", p.curv.riemann,
-                     p.pool, p.pool, p.xi)
+    r_xy_xi = _pool_pairs(p.r_xi, p.pool, p.pool)
     eta_pool = np.einsum("ni,nai->na", p.eta, p.pool)
     t_pool = p.apply(t_op, p.pool)
     kterm = (np.einsum("nb,nai->nabi", eta_pool, p.pool)
              - np.einsum("na,nbi->nabi", eta_pool, p.pool))
     muterm = (np.einsum("nb,nai->nabi", eta_pool, t_pool)
               - np.einsum("na,nbi->nabi", eta_pool, t_pool))
-    v = (r_xi - p.k[:, None, None, None] * kterm
+    v = (r_xy_xi - p.k[:, None, None, None] * kterm
          - p.mu[:, None, None, None] * muterm)
     return np.max(g_norm(v, p.g[:, None, None, :, :]), axis=(1, 2))
 
@@ -679,21 +702,25 @@ def _res_flat_leaf(p: Probe):
     return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
 
 
+def _pool_riemann(p: Probe):
+    """R(X_a, X_b) X_c over the pool: (n, a, b, c, i)."""
+    r_x = np.einsum("nijkl,nak->naijl", p.curv.riemann, p.pool)
+    r_xy = np.einsum("naijl,nbl->nabij", r_x, p.pool)
+    return np.einsum("nabij,ncj->nabci", r_xy, p.pool)
+
+
 def _res_weyl3(p: Probe):
-    q_pool = p.apply(p.curv.q, p.pool)
-    ip = p.ip(p.pool, p.pool)        # g(X_a, X_b)
-    ipq = p.ip(p.pool, q_pool)       # g(X_a, Q X_b)
-    r_xyz = np.einsum("nijkl,nak,nbl,ncj->nabci", p.curv.riemann,
-                      p.pool, p.pool, p.pool)
-    sc2 = 0.5 * p.curv.scalar
-    rhs = (np.einsum("nbc,nai->nabci", ip, q_pool)
-           - np.einsum("nac,nbi->nabci", ip, q_pool)
-           + np.einsum("nbc,nai->nabci", ipq, p.pool)
-           - np.einsum("nac,nbi->nabci", ipq, p.pool)
-           - sc2[:, None, None, None, None]
-           * (np.einsum("nbc,nai->nabci", ip, p.pool)
-              - np.einsum("nac,nbi->nabci", ip, p.pool)))
-    v = r_xyz - rhs
+    pool = p.pool
+    q_pool = p.apply(p.curv.q, pool)
+    ip = p.ip(pool, pool)            # g(X_a, X_b)
+    ipq = p.ip(pool, q_pool)         # g(X_a, Q X_b)
+    u = q_pool - 0.5 * p.curv.scalar[:, None, None] * pool   # QX - (Sc/2)X
+    # R(X,Y)Z minus the right-hand side, term by term in one buffer
+    v = _pool_riemann(p)
+    v -= np.einsum("nbc,nai->nabci", ip, u)
+    v += np.einsum("nac,nbi->nabci", ip, u)
+    v -= np.einsum("nbc,nai->nabci", ipq, pool)
+    v += np.einsum("nac,nbi->nabci", ipq, pool)
     return np.max(g_norm(v, p.g[:, None, None, None, :, :]), axis=(1, 2, 3))
 
 

@@ -231,6 +231,8 @@ class Trajectory:
         pos = (ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
         on_node = np.abs(pos - nearest) < 1e-9
+        if on_node.all():
+            return self.states[nearest]
         idx = np.minimum(np.floor(pos).astype(int), len(self.times) - 2)
         idx = np.where(on_node, np.minimum(nearest, len(self.times) - 2), idx)
         s = np.where(on_node, 0.0, pos - idx)[:, None]

@@ -13,11 +13,15 @@ from kenmotsu3.fields import (
     VectorField,
     coordinate_derivatives,
 )
+from kenmotsu3.geometry import g_norm
 from kenmotsu3.identities import (
     IDENTITIES,
     PROFILES,
     Probe,
     SamplePlan,
+    _curv2_terms,
+    _pool_pairs,
+    _pool_riemann,
     applicable_identities,
     check_identity,
     check_suite,
@@ -263,6 +267,219 @@ class TestStackedPartials:
         assert np.array_equal(dx, part(VectorField, "x"))
         assert np.array_equal(dpx, part(VectorField, "phi_x"))
         assert np.array_equal(dlam, part(ScalarField, "lam"))
+
+
+# Reference implementations: each pooled contraction as one multi-operand
+# einsum, and the residual functions of the staged identities written with
+# them.
+
+def _ref_ip(u, g, v):
+    return np.einsum("nai,nij,nbj->nab", u, g, v)
+
+
+def _ref_apply(r, x, y, z):
+    return np.einsum("nijkl,nk,nl,nj->ni", r, x, y, z)
+
+
+def _ref_pool_riemann(r, pool):
+    return np.einsum("nijkl,nak,nbl,ncj->nabci", r, pool, pool, pool)
+
+
+def _ref_pool_r_xi(r, pool, xi):
+    return np.einsum("nijkl,nak,nbl,nj->nabi", r, pool, pool, xi)
+
+
+def _ref_pool_pairs(t, xs, ys):
+    return np.einsum("nkij,nak,nbj->nabi", t, xs, ys)
+
+
+def _ref_quad(ga, xv, yv, zv):
+    return np.einsum("nsjl,nal,nbj,ncs->nabc", ga, xv, yv, zv)
+
+
+def _ref_nabla_phi2_term(nabla_phi2, h_pool, pool):
+    return np.einsum("nkij,nak,nbi,ncj->nabc", nabla_phi2, h_pool, pool, pool)
+
+
+def _curv2_operands(p):
+    """(ga, pool, phi pool, h pool) as CURV2 builds them."""
+    a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
+    ga = np.einsum("nsi,nijl->nsjl", p.g, a)
+    return ga, p.pool, p.apply(p.phi, p.pool), p.apply(p.h, p.pool)
+
+
+def _ref_curv2_lhs(ga, pool, phi_pool):
+    return (_ref_quad(ga, pool, pool, pool)
+            - _ref_quad(ga, pool, phi_pool, phi_pool)
+            + _ref_quad(ga, phi_pool, pool, phi_pool)
+            + _ref_quad(ga, phi_pool, phi_pool, pool))
+
+
+def _pooled_norm(p, vals):
+    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+
+
+def _ref_ak_deta(p):
+    vals = np.einsum("nij,nai,nbj->nab", p.deta, p.pool, p.pool)
+    return np.max(np.abs(vals), axis=(1, 2))
+
+
+def _ref_kleaves(p):
+    ph = p.phi + p.h
+    rhs = (np.einsum("nsk,nsj,ni->nkij", ph, p.g, p.xi)
+           - np.einsum("nj,nik->nkij", p.eta, ph))
+    return _pooled_norm(p, _ref_pool_pairs(p.nabla_phi - rhs, p.pool, p.pool))
+
+
+def _ref_curv1(p):
+    r_xi = np.einsum("nijkl,nj->nikl", p.curv.riemann, p.xi)
+    imb = p.eye - p.bmat
+    rhs = (np.einsum("nk,nil->nikl", p.eta, imb)
+           - np.einsum("nl,nik->nikl", p.eta, imb)
+           + np.einsum("nlik->nikl", p.nabla_b)
+           - np.einsum("nkil->nikl", p.nabla_b))
+    vals = np.einsum("nikl,nak,nbl->nabi", r_xi - rhs, p.pool, p.pool)
+    return _pooled_norm(p, vals)
+
+
+def _ref_curv2(p):
+    ga, pool, phi_pool, h_pool = _curv2_operands(p)
+    m_pool = pool - p.apply(p.bmat, pool)
+    eta_pool = np.einsum("ni,nai->na", p.eta, pool)
+    gzm = _ref_ip(pool, p.g, m_pool)
+    rhs = (2.0 * _ref_nabla_phi2_term(p.nabla_phi2, h_pool, pool)
+           + 2.0 * np.einsum("nb,nca->nabc", eta_pool, gzm)
+           - 2.0 * np.einsum("nc,nba->nabc", eta_pool, gzm))
+    lhs = _ref_curv2_lhs(ga, pool, phi_pool)
+    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
+
+
+def _ref_codazzi_hp(p):
+    vals = _ref_pool_pairs(p.nabla_hp, p.pool_d, p.pool_d)
+    return _pooled_norm(p, vals - np.swapaxes(vals, 1, 2))
+
+
+def _ref_nullity(p, t_op):
+    eta_pool = np.einsum("ni,nai->na", p.eta, p.pool)
+    t_pool = p.apply(t_op, p.pool)
+    kterm = (np.einsum("nb,nai->nabi", eta_pool, p.pool)
+             - np.einsum("na,nbi->nabi", eta_pool, p.pool))
+    muterm = (np.einsum("nb,nai->nabi", eta_pool, t_pool)
+              - np.einsum("na,nbi->nabi", eta_pool, t_pool))
+    return _pooled_norm(p, _ref_pool_r_xi(p.curv.riemann, p.pool, p.xi)
+                        - p.k[:, None, None, None] * kterm
+                        - p.mu[:, None, None, None] * muterm)
+
+
+def _ref_flat_leaf(p):
+    x, px = p.eigen.x, p.eigen.phi_x
+    num = np.einsum("ni,nij,nj->n", _ref_apply(p.curv.riemann, x, px, px),
+                    p.g, x)
+    xx = np.einsum("ni,nij,nj->n", x, p.g, x)
+    pp = np.einsum("ni,nij,nj->n", px, p.g, px)
+    xp = np.einsum("ni,nij,nj->n", x, p.g, px)
+    return np.abs(num / (xx * pp - xp ** 2) + 1.0 - p.eigen.lam ** 2)
+
+
+def _ref_weyl3(p):
+    q_pool = p.apply(p.curv.q, p.pool)
+    ip = _ref_ip(p.pool, p.g, p.pool)
+    ipq = _ref_ip(p.pool, p.g, q_pool)
+    sc2 = 0.5 * p.curv.scalar
+    rhs = (np.einsum("nbc,nai->nabci", ip, q_pool)
+           - np.einsum("nac,nbi->nabci", ip, q_pool)
+           + np.einsum("nbc,nai->nabci", ipq, p.pool)
+           - np.einsum("nac,nbi->nabci", ipq, p.pool)
+           - sc2[:, None, None, None, None]
+           * (np.einsum("nbc,nai->nabci", ip, p.pool)
+              - np.einsum("nac,nbi->nabci", ip, p.pool)))
+    v = _ref_pool_riemann(p.curv.riemann, p.pool) - rhs
+    return np.max(g_norm(v, p.g[:, None, None, None, :, :]), axis=(1, 2, 3))
+
+
+REFERENCE_RESIDUALS = {
+    "AK_DETA": _ref_ak_deta,
+    "KLEAVES": _ref_kleaves,
+    "CURV1": _ref_curv1,
+    "CURV2": _ref_curv2,
+    "CODAZZI_HP": _ref_codazzi_hp,
+    "NULL_KMU": lambda p: _ref_nullity(p, p.h),
+    "NULL_KMUP": lambda p: _ref_nullity(p, p.hp),
+    "FLAT_LEAF": _ref_flat_leaf,
+    "WEYL3": _ref_weyl3,
+}
+
+
+class TestStagedContractions:
+    """Two-operand stages give the single-call einsums' tensors to rounding,
+    and the identities' residuals and verdicts that those gave."""
+
+    @pytest.fixture(scope="class",
+                    params=["kmu_chart", "kmup_chart", "kmup_darboux"])
+    def probe(self, request):
+        if request.param == "kmup_darboux":
+            model = build_darboux_model(
+                DarbouxParams("kmup", "1", (-0.25, 0.25)))
+        else:
+            model = request.getfixturevalue(request.param)
+        return Probe(model, PLAN.points(model), DiffScheme(),
+                     PLAN.rand_pairs, PLAN.seed)
+
+    @staticmethod
+    def _within(staged, ref, scale):
+        assert staged.shape == ref.shape
+        assert np.all(np.abs(staged - ref) <= 1e-12 * scale)
+
+    def _same(self, staged, ref_fn, *operands):
+        # rtol 1e-12 against the sum of the absolute products behind each
+        # entry: the scale of its rounding, also where the products cancel
+        self._within(staged, ref_fn(*operands), ref_fn(*map(np.abs, operands)))
+
+    def test_pool_riemann(self, probe):
+        p = probe
+        self._same(_pool_riemann(p), _ref_pool_riemann, p.curv.riemann, p.pool)
+
+    def test_curv2_terms(self, probe):
+        ga, pool, phi_pool, h_pool = _curv2_operands(probe)
+        lhs, nabla = _curv2_terms(probe)
+        scale = sum(_ref_quad(*map(np.abs, (ga, x, y, z))) for x, y, z in (
+            (pool, pool, pool), (pool, phi_pool, phi_pool),
+            (phi_pool, pool, phi_pool), (phi_pool, phi_pool, pool)))
+        self._within(lhs, _ref_curv2_lhs(ga, pool, phi_pool), scale)
+        self._same(nabla, _ref_nabla_phi2_term, probe.nabla_phi2, h_pool, pool)
+
+    def test_nullity_r_xi(self, probe):
+        p = probe
+        self._same(_pool_pairs(p.r_xi, p.pool, p.pool), _ref_pool_r_xi,
+                   p.curv.riemann, p.pool, p.xi)
+
+    def test_pool_pairs(self, probe):
+        # the operators KLEAVES, CURV1 and CODAZZI_HP contract
+        p = probe
+        for t, xs in ((p.nabla_phi, p.pool), (p.r_xi, p.pool),
+                      (p.nabla_hp, p.pool_d)):
+            self._same(_pool_pairs(t, xs, xs), _ref_pool_pairs, t, xs, xs)
+
+    def test_ip_and_curvature_apply(self, probe):
+        p = probe
+        self._same(p.ip(p.pool, p.pool), _ref_ip, p.pool, p.g, p.pool)
+        x, px = p.eigen.x, p.eigen.phi_x
+        self._same(p.curv.apply(x, px, p.xi), _ref_apply,
+                   p.curv.riemann, x, px, p.xi)
+
+    def test_residuals_and_verdicts(self, probe):
+        checked = 0
+        for ident, ref_fn in REFERENCE_RESIDUALS.items():
+            spec = IDENTITIES[ident]
+            if not spec.applies(probe.model):
+                continue
+            staged, ref = spec.fn(probe), ref_fn(probe)
+            # a billionth of the tolerance absorbs residuals at rounding level
+            np.testing.assert_allclose(staged, ref, rtol=1e-5,
+                                       atol=1e-9 * spec.tol(), err_msg=ident)
+            assert (staged.max() <= spec.tol()) == (ref.max() <= spec.tol())
+            checked += 1
+        assert checked == len(REFERENCE_RESIDUALS) - 1
 
 
 def test_probe_freed_without_cyclic_gc(kmu_chart):

@@ -164,6 +164,25 @@ class TestIntegrate:
         lin = tr.dense(np.array([0.100]))
         assert np.max(np.abs(mid - lin)) < 1e-2  # continuity sanity
 
+    def test_dense_node_rows_and_hermite_between(self):
+        tr = integrate("kmup", parse_expr("0.5+0.3*sin(2*t)", "t"),
+                       (-0.2, 0.2), 1e-3)
+        assert np.array_equal(tr.dense(tr.times), tr.states)
+        # off-node rows: cubic Hermite on the bracketing nodes and slopes
+        idx = np.array([3, 150, 399])
+        s = np.array([0.25, 0.5, 0.9])[:, None]
+        ts = tr.times[idx] + s[:, 0] * tr.step
+        y0, y1 = tr.states[idx], tr.states[idx + 1]
+        d0, d1 = tr.derivs[idx] * tr.step, tr.derivs[idx + 1] * tr.step
+        hermite = ((2 * s**3 - 3 * s**2 + 1) * y0 + (s**3 - 2 * s**2 + s) * d0
+                   + (-2 * s**3 + 3 * s**2) * y1 + (s**3 - s**2) * d1)
+        np.testing.assert_allclose(tr.dense(ts), hermite, rtol=1e-13, atol=0)
+        # a mixed batch gives each row what it gives alone
+        mixed = tr.dense(np.concatenate([tr.times[:2], ts, tr.times[-1:]]))
+        assert np.array_equal(mixed[:2], tr.states[:2])
+        assert np.array_equal(mixed[-1], tr.states[-1])
+        np.testing.assert_allclose(mixed[2:-1], hermite, rtol=1e-13, atol=0)
+
 
 def _scalar_mu_rk4(variant, mu, t_range, step):
     """Reference RK4: one scalar mu call per stage, forward then backward."""
