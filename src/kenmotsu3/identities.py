@@ -405,9 +405,11 @@ class Probe:
 # --------------------------------------------------------------------------
 # Identity residual functions (each returns per-point residuals (n,))
 #
-# Contractions over pooled vectors run as two-operand einsums, one
-# contracted index per stage: numpy evaluates an einsum of three or more
-# operands as one nested loop over every index at once.
+# The four-operand contractions over pooled vectors run as two-operand
+# einsums, one contracted index per stage: numpy evaluates a multi-operand
+# einsum as one nested loop over every index at once.  Three-operand ones
+# remain: geometry.g_norm over each pooled residual and the frame trace in
+# _trace_residual.
 # --------------------------------------------------------------------------
 
 def _pool_pairs(t, xs, ys):

@@ -230,22 +230,18 @@ class Trajectory:
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
         pos = (ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
-        on_node = np.abs(pos - nearest) < 1e-9
-        if on_node.all():
-            return self.states[nearest]
-        idx = np.minimum(np.floor(pos).astype(int), len(self.times) - 2)
-        idx = np.where(on_node, np.minimum(nearest, len(self.times) - 2), idx)
-        s = np.where(on_node, 0.0, pos - idx)[:, None]
-        y0, y1 = self.states[idx], self.states[idx + 1]
-        d0, d1 = self.derivs[idx] * self.step, self.derivs[idx + 1] * self.step
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        out = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        # nodes exactly: overwrite (s=0 already gives y0, but be explicit for
-        # the t_max node where idx was pulled back)
-        out[on_node.nonzero()] = self.states[nearest[on_node]]
+        out = self.states[nearest]
+        off = np.abs(pos - nearest) >= 1e-9
+        if off.any():  # Darboux models look up node times only
+            idx = np.minimum(np.floor(pos[off]).astype(int), len(self.times) - 2)
+            s = (pos[off] - idx)[:, None]
+            y0, y1 = self.states[idx], self.states[idx + 1]
+            d0, d1 = self.derivs[idx] * self.step, self.derivs[idx + 1] * self.step
+            h00 = 2 * s**3 - 3 * s**2 + 1
+            h10 = s**3 - 2 * s**2 + s
+            h01 = -2 * s**3 + 3 * s**2
+            h11 = s**3 - s**2
+            out[off] = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
         return out
 
     def lam(self, ts) -> np.ndarray:
