@@ -100,11 +100,8 @@ class DiffScheme:
     """
 
     h_rel: float = 1e-3
-    order: int = 4
 
     def __post_init__(self):
-        if self.order != 4:
-            raise ValueError("only the 4th-order 5-point scheme is supported")
         if not 0 < self.h_rel < 0.1:
             raise ValueError("h_rel out of range")
 

@@ -407,8 +407,10 @@ class Probe:
 #
 # The four-operand contractions over pooled vectors run as two-operand
 # einsums, one contracted index per stage: numpy evaluates a multi-operand
-# einsum as one nested loop over every index at once.  Three-operand ones
-# remain: geometry.g_norm over each pooled residual and the frame trace in
+# einsum as one nested loop over every index at once.  The last stage of
+# _pool_triples and _pool_riemann is a batched matmul, about 4x faster than
+# its einsum, into the same contiguous tensor.  Three-operand ones remain:
+# geometry.g_norm over each pooled residual and the frame trace in
 # _trace_residual.
 # --------------------------------------------------------------------------
 
@@ -419,7 +421,7 @@ def _pool_pairs(t, xs, ys):
 
 def _pool_triples(t_x, ys, zs):
     """t_x[n, a, s, j] Y_b^j Z_c^s over pooled vectors: (n, a, b, c)."""
-    return np.einsum("nabs,ncs->nabc", np.einsum("nasj,nbj->nabs", t_x, ys), zs)
+    return np.einsum("nasj,nbj->nabs", t_x, ys) @ zs.transpose(0, 2, 1)[:, None]
 
 
 def _res_nabla_xi(p: Probe):
@@ -708,7 +710,7 @@ def _pool_riemann(p: Probe):
     """R(X_a, X_b) X_c over the pool: (n, a, b, c, i)."""
     r_x = np.einsum("nijkl,nak->naijl", p.curv.riemann, p.pool)
     r_xy = np.einsum("naijl,nbl->nabij", r_x, p.pool)
-    return np.einsum("nabij,ncj->nabci", r_xy, p.pool)
+    return np.matmul(p.pool[:, None, None], r_xy.transpose(0, 1, 2, 4, 3))
 
 
 def _res_weyl3(p: Probe):

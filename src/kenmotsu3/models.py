@@ -370,7 +370,9 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
 # --------------------------------------------------------------------------
 
 def model_to_json(model: AlmostContactModel) -> dict:
-    """JSON document: family, parameter expressions, box, step, trajectory."""
+    """JSON document: family, parameter expressions, box and, for Darboux
+    models, the integrated node grid (not its states: ``model_from_json``
+    integrates again from the parameters)."""
     doc = {
         "family": model.family,
         "variant": model.variant,
@@ -383,8 +385,8 @@ def model_to_json(model: AlmostContactModel) -> dict:
         doc["trajectory"] = {
             "variant": traj.variant,
             "step": traj.step,
-            "times": traj.times.tolist(),
-            "states": traj.states.tolist(),
+            "t_range": [traj.t_min, traj.t_max],
+            "nodes": len(traj.times),
         }
     return doc
 

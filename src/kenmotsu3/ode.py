@@ -17,10 +17,16 @@ Initial conditions at t = 0:
   kmup:  F = M2, H = -M3, B = M1    (B = H@F at t=0)
 
 A node's state is the vector (f1..f3, h1..h3, b1..b3, fint); a trajectory
-is the (m, 10) array of its nodes.  Integration is classical fixed-step
-4th-order Runge-Kutta, forward and backward from t=0, with mu evaluated
-once per direction on all stage times; the first RK4 stages give the node
-slopes of the cubic-Hermite dense output.
+is the (m, 10) array of its nodes.  The rows f, h, b form a 3x3 matrix Y
+with Y' = a(t) Y:
+
+  kmu :  a = [[0, 2, 0], [2*lam^2, -2, -mu], [0, mu, -2]]
+  kmup:  a = [[0, 2, 0], [2*lam^2, -(mu+2), 0], [0, 0, -(mu+2)]]
+
+Integration is fixed-step sixth-order Magnus with three Gauss nodes,
+forward and backward from t=0, with mu evaluated once per direction.  The
+states are long double (np.longdouble); the node slopes a(t) Y of the
+cubic-Hermite dense output and the dense output itself are float64.
 """
 
 from __future__ import annotations
@@ -70,22 +76,36 @@ def initial_state(variant: str) -> np.ndarray:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def rhs(variant: str, y: np.ndarray, t: float, mu_value: float) -> np.ndarray:
-    """Componentwise derivative in the (M1, M2, M3) basis (plus fint')."""
-    f, h, b = y[0:3], y[3:6], y[6:9]
-    out = np.empty_like(y)
-    out[0:3] = 2.0 * h
+def _generator(variant: str, lam2, mu) -> np.ndarray:
+    """a(t) of Y' = a Y with Y = [f; h; b], at each (lam^2, mu): (..., 3, 3)."""
+    a = np.zeros(np.shape(lam2) + (3, 3), np.result_type(lam2, mu))
+    a[..., 0, 1] = 2
+    a[..., 1, 0] = 2 * lam2
     if variant == "kmu":
-        lam2 = np.exp(-4.0 * t)
-        out[3:6] = 2.0 * lam2 * f - 2.0 * h - mu_value * b
-        out[6:9] = mu_value * h - 2.0 * b
-        out[9] = 0.0
+        a[..., 1, 1] = a[..., 2, 2] = -2
+        a[..., 1, 2] = -mu
+        a[..., 2, 1] = mu
     else:
-        lam2 = np.exp(-2.0 * y[9])
-        mp2 = mu_value + 2.0
-        out[3:6] = 2.0 * lam2 * f - mp2 * h
-        out[6:9] = -mp2 * b
-        out[9] = mp2
+        a[..., 1, 1] = a[..., 2, 2] = -(mu + 2)
+    return a
+
+
+def rhs(variant: str, y: np.ndarray, t, mu_value) -> np.ndarray:
+    """Componentwise derivative a(t) Y in the (M1, M2, M3) basis, plus fint'.
+
+    ``y`` has shape (..., 10), ``t`` and ``mu_value`` the shape (...); the
+    derivative has the dtype of ``y``.
+    """
+    mu = np.asarray(mu_value, y.dtype)
+    if variant == "kmu":
+        lam2 = np.exp(-4.0 * np.asarray(t, y.dtype))
+    else:
+        lam2 = np.exp(-2.0 * y[..., 9])
+    rows = y.shape[:-1]
+    out = np.empty_like(y)
+    out[..., :9] = (_generator(variant, lam2, mu)
+                    @ y[..., :9].reshape(rows + (3, 3))).reshape(rows + (9,))
+    out[..., 9] = 0.0 if variant == "kmu" else mu + 2.0
     return out
 
 
@@ -108,7 +128,10 @@ def check_initial_relations(variant: str) -> dict[str, float]:
 
 
 def _lam(t, y, variant: str) -> np.ndarray:
-    return np.exp(-2.0 * t) if variant == "kmu" else np.exp(-y[..., 9])
+    """lambda in the dtype of the states ``y``."""
+    if variant == "kmu":
+        return np.exp(-2.0 * np.asarray(t, y.dtype))
+    return np.exp(-y[..., 9])
 
 
 def _det_g(y: np.ndarray) -> np.ndarray:
@@ -171,31 +194,114 @@ def metric_from_state(t, y) -> np.ndarray:
 # Integration
 # --------------------------------------------------------------------------
 
-def _rk4_span(variant, mu_bar: Expr, y0, t0, n_steps, step):
-    """Fixed-step RK4 over n_steps of signed size ``step`` starting at t0.
+# three Gauss-Legendre nodes and weights on [0, 1], built from scalars: an
+# array operation at import raised the resident memory of runs that never
+# integrate
+_SQRT15 = np.sqrt(np.longdouble(15))
+_GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10])
+_GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
+                     np.longdouble(5) / 18])
+# steps per batch of exponentials, and nodes per batch of slopes and CSV
+# rows: bounds the long-double temporaries
+_BLOCK = 128
+# exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail is below 2e-20
+_TAYLOR_TERMS = 11
+_TAYLOR_RADIUS = 0.125
+_FLOAT64_MAX = np.finfo(float).max
 
-    mu is evaluated once, on the stage times, none of which lies past the
-    last node.  Returns the node states and the ODE slopes at the nodes (the
-    first RK4 stage of each step, plus the slope at the last node), both of
-    shape (n_steps + 1, 10).
+
+def _comm(x, y):
+    return x @ y - y @ x
+
+
+def _magnus_exponent(a: np.ndarray) -> np.ndarray:
+    """Omega of each step from h * a at its three Gauss nodes: (b, 3, 3, 3)
+    -> (b, 3, 3), by the sixth-order commutator formula."""
+    a1 = a[:, 1]
+    a2 = _SQRT15 / 3 * (a[:, 2] - a[:, 0])
+    a3 = np.longdouble(10) / 3 * (a[:, 2] - 2 * a[:, 1] + a[:, 0])
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, 2 * a3 + c1) / -60
+    return a1 + a3 / 12 + _comm(-20 * a1 - a3 + c1, a2 + c2) / 240
+
+
+def _expm(om: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (b, 3, 3) stack: Taylor series, scaled by
+    2^-s into the series' radius and squared s times, s per matrix."""
+    norm = np.abs(om).sum(axis=-1).max(axis=-1)
+    squarings = np.zeros(len(om), int)
+    big = (norm > _TAYLOR_RADIUS) & (norm < np.inf)
+    squarings[big] = np.ceil(np.log2(norm[big] / _TAYLOR_RADIUS))
+    x = np.ldexp(om, -squarings[:, None, None])
+    eye = np.eye(3, dtype=om.dtype)
+    e = eye + x / _TAYLOR_TERMS
+    for k in range(_TAYLOR_TERMS - 1, 0, -1):  # Horner
+        e = eye + (x @ e) / k
+    for k in range(squarings.max(initial=0)):
+        more = squarings > k
+        e[more] = e[more] @ e[more]
+    return e
+
+
+def _span_mu(variant, mu_bar: Expr, ts, t, off):
+    """mu at the nodes and at the Gauss nodes ``t_n + off`` of a span, from
+    one call; for kmup also the Gauss-Legendre mean of mu + 2 over each
+    [t_n, t_n + off] (None for kmu)."""
+    n = len(off)
+    at = [ts, (t[:-1, None] + off).ravel()]
+    if variant == "kmup":  # Gauss nodes of each [t_n, t_n + off]: (n, 3, 3)
+        quad = off[:, :, None] * _GAUSS_C
+        quad += t[:-1, None, None]
+        at.append(quad.ravel())
+    mus = mu_bar(np.concatenate(at, dtype=float))
+    mu_stage = np.asarray(mus[n + 1:4 * n + 1], np.longdouble).reshape(n, 3)
+    rate = (mus[4 * n + 1:].reshape(n, 3, 3) @ _GAUSS_W + 2
+            if variant == "kmup" else None)
+    return mus[:n + 1], mu_stage, rate
+
+
+def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
+    """Carry the state ``out[0]`` over the node times ``ts`` into ``out[1:]``.
+
+    Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
+    & Ros, Phys. Rep. 470, 2009), in long double: each step's exponential
+    exp(Omega_n) is built in batches of ``_BLOCK`` steps, and only the 3x3
+    products Y_{n+1} = exp(Omega_n) Y_n run in sequence.  For kmup, fint
+    at the nodes and at the Gauss nodes is Gauss-Legendre quadrature of
+    mu + 2.  mu is evaluated once, at the nodes, the Gauss nodes and the
+    quadrature times, none of which lies past the last node.  ``out`` is
+    an (n + 1, 10) long-double array or view, ``slopes`` a float64 one that
+    receives a(t) Y at every node.  Raises at the first node whose state or
+    slope has no finite float64 value, which every reader of the states
+    needs.
     """
-    ts = t0 + np.arange(n_steps + 1) * step
-    mus = mu_bar(np.concatenate([ts, ts[:-1] + 0.5 * step, ts[:-1] + step]))
-    mu_t, mu_half, mu_full = np.split(mus, [n_steps + 1, 2 * n_steps + 1])
-    ys = np.empty((n_steps + 1, y0.size))
-    ks = np.empty_like(ys)
-    ys[0] = y0
-    for i in range(n_steps):
-        t, y = ts[i], ys[i]
-        k1 = ks[i] = rhs(variant, y, t, mu_t[i])
-        k2 = rhs(variant, y + 0.5 * step * k1, t + 0.5 * step, mu_half[i])
-        k3 = rhs(variant, y + 0.5 * step * k2, t + 0.5 * step, mu_half[i])
-        k4 = rhs(variant, y + step * k3, t + step, mu_full[i])
-        ys[i + 1] = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(ys[i + 1])):
-            raise ConsistencyError(f"ODE state non-finite at t={t + step}")
-    ks[n_steps] = rhs(variant, ys[n_steps], ts[n_steps], mu_t[n_steps])
-    return ys, ks
+    n = len(ts) - 1
+    t = np.asarray(ts, np.longdouble)
+    h = np.diff(t)
+    off = h[:, None] * _GAUSS_C                    # Gauss nodes - t_n: (n, 3)
+    mu_nodes, mu_stage, rate = _span_mu(variant, mu_bar, ts, t, off)
+    if variant == "kmu":
+        out[1:, 9] = out[0, 9]
+        lam2 = np.exp(-4 * (t[:-1, None] + off))
+    else:
+        out[1:, 9] = out[0, 9] + np.cumsum(h * ((mu_stage + 2) @ _GAUSS_W))
+        lam2 = np.exp(-2 * (out[:-1, 9, None] + off * rate))
+    ys = out[:, :9].reshape(-1, 3, 3)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        a = _generator(variant, lam2[s:e], mu_stage[s:e])
+        flow = _expm(_magnus_exponent(a * h[s:e, None, None, None]))
+        for i in range(s, e):
+            np.matmul(flow[i - s], ys[i], out=ys[i + 1])
+        nodes = slice(s + 1, e + 1)
+        d = rhs(variant, out[nodes], t[nodes], mu_nodes[nodes])
+        finite = ((np.abs(out[nodes]) <= _FLOAT64_MAX)
+                  & (np.abs(d) <= _FLOAT64_MAX)).all(axis=1)
+        if not finite.all():
+            raise ConsistencyError("ODE state non-finite in float64 at "
+                                   f"t={ts[s + 1 + int(np.argmin(finite))]}")
+        slopes[nodes] = d
+    slopes[0] = rhs(variant, out[0], t[0], mu_nodes[0])
 
 
 @dataclass
@@ -212,8 +318,8 @@ class Trajectory:
     mu_bar: Expr
     step: float
     times: np.ndarray    # (m,)
-    states: np.ndarray   # (m, 10)
-    derivs: np.ndarray   # (m, 10)
+    states: np.ndarray   # (m, 10), long double
+    derivs: np.ndarray   # (m, 10), float64
 
     @property
     def t_min(self) -> float:
@@ -224,13 +330,14 @@ class Trajectory:
         return float(self.times[-1])
 
     def dense(self, ts) -> np.ndarray:
-        """State vectors at arbitrary times; exact at stored nodes."""
+        """float64 state vectors at arbitrary times; the rounded node states
+        at stored nodes."""
         ts = np.asarray(ts, float)
         if np.any(ts < self.t_min - 1e-12) or np.any(ts > self.t_max + 1e-12):
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
         pos = (ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
-        out = self.states[nearest]
+        out = self.states[nearest].astype(float)
         off = np.abs(pos - nearest) >= 1e-9
         if off.any():  # Darboux models look up node times only
             idx = np.minimum(np.floor(pos[off]).astype(int), len(self.times) - 2)
@@ -270,31 +377,37 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= 0.0 <= t1 and t0 < t1):
         raise ValueError("t-range must be a finite interval containing 0")
     check_initial_relations(variant)
-    y0 = initial_state(variant)
     n_back = int(round(-t0 / step))
     n_fwd = int(round(t1 / step))
-    fwd, dfwd = _rk4_span(variant, mu_bar, y0, 0.0, n_fwd, step)
-    back, dback = _rk4_span(variant, mu_bar, y0, 0.0, n_back, -step)
-    states = np.vstack([back[:0:-1], fwd])
-    derivs = np.vstack([dback[:0:-1], dfwd])
     times = (np.arange(-n_back, n_fwd + 1)) * step
+    states = np.empty((times.size, 10), np.longdouble)
+    states[n_back] = initial_state(variant)
+    derivs = np.empty(states.shape)
+    for span in (slice(n_back, None), slice(n_back, None, -1)):
+        _magnus_span(variant, mu_bar, times[span], states[span], derivs[span])
     return Trajectory(variant, mu_bar, step, times, states, derivs)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> float:
     """One row per node: t, nine components, lambda, k, maxAlgResidual, detG.
 
-    Returns the largest maxAlgResidual.
+    The invariants come from the long-double states; every column is
+    written as float64, ``_BLOCK`` rows at a time.  Returns the largest
+    maxAlgResidual.
     """
-    t, y = traj.times, traj.states
-    res = algebraic_residuals(t, y, traj.variant)
-    max_res = np.max(np.stack(list(res.values())), axis=0)
-    lam = _lam(t, y, traj.variant)
-    rows = np.column_stack(
-        [t, y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
     header = "t,f1,f2,f3,h1,h2,h3,b1,b2,b3,lambda,k,maxAlgResidual,detG"
+    worst = 0.0
     with open(path, "w", newline="") as fh:
         # CRLF row ends, as the csv module's default dialect writes them
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=header, comments="")
-    return float(max_res.max())
+        fh.write(header + "\r\n")
+        for s in range(0, len(traj.times), _BLOCK):
+            t, y = traj.times[s:s + _BLOCK], traj.states[s:s + _BLOCK]
+            res = algebraic_residuals(t, y, traj.variant)
+            max_res = np.max(np.stack(list(res.values())), axis=0)
+            lam = _lam(t, y, traj.variant)
+            rows = np.column_stack(
+                [t, y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
+            np.savetxt(fh, rows.astype(float), fmt="%.17g", delimiter=",",
+                       newline="\r\n")
+            worst = max(worst, float(max_res.max()))
+    return worst

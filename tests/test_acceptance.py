@@ -208,14 +208,15 @@ def test_criterion_6_convergence_witnesses():
     ratio = coarse.residual / fine.residual
     if ratio < 8.0:
         failures.append(f"FD halving ratio {ratio:.2f} < 8")
-    # RK4 halving on the suite-4 algebraic residuals, down to the 1e-12 floor
+    # Magnus step halving on the suite-4 algebraic residuals, down to the
+    # 1e-12 floor
     worst = []
     for step in (2e-3, 1e-3):
         traj = integrate("kmu", parse_expr("1", "t"), (-1.0, 1.0), step)
         res = algebraic_residuals(traj.times, traj.states, "kmu")
         worst.append(max(float(np.max(v)) for v in res.values()))
     if not (worst[1] <= worst[0] / 8.0 or worst[1] <= 1e-12):
-        failures.append(f"RK4 halving ratio {worst[0] / worst[1]:.2f} < 8")
+        failures.append(f"Magnus halving ratio {worst[0] / worst[1]:.2f} < 8")
     _verdict(6, failures)
 
 

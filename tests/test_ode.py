@@ -1,18 +1,25 @@
 """Matrix ODE: right-hand side, invariants, integrator, CSV export."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from kenmotsu3.exprs import parse_expr
+from kenmotsu3.models import DarbouxParams, build_darboux_model
 from kenmotsu3.ode import (
     M1,
     M2,
     M3,
     ConsistencyError,
+    _GAUSS_C,
+    _GAUSS_W,
     _as_matrix,
-    _rk4_span,
+    _expm,
+    _generator,
+    _magnus_exponent,
+    _magnus_span,
     algebraic_residuals,
     check_initial_relations,
     initial_state,
@@ -119,18 +126,23 @@ class TestIntegrate:
             assert abs(np.trace(B)) <= 1e-14
 
     def test_forward_backward_consistency(self):
-        tr = integrate("kmu", parse_expr("1", "t"), (0.0, 1.0), 1e-3)
-        back, _ = _rk4_span("kmu", parse_expr("1", "t"), tr.states[-1], 1.0,
-                            1000, -1e-3)
-        assert np.max(np.abs(back[-1] - tr.states[0])) <= 1e-9
+        # the Gauss-node Magnus step is time-symmetric: stepping back over
+        # the same nodes undoes the forward span up to rounding
+        mu = parse_expr("1", "t")
+        tr = integrate("kmu", mu, (0.0, 1.0), 1e-3)
+        back = np.empty_like(tr.states)
+        back[0] = tr.states[-1]
+        _magnus_span("kmu", mu, tr.times[::-1], back, np.empty(back.shape))
+        assert np.max(np.abs(back[-1] - tr.states[0])) <= 1e-12
 
-    def test_rk4_halving_reduces_drift_8x(self):
+    def test_step_halving_reduces_drift_32x(self):
+        # sixth order: halving the step divides the drift by about 64
         mu = parse_expr("1", "t")
         worst = []
         for step in (2e-3, 1e-3):
             tr = integrate("kmu", mu, (-1.0, 1.0), step)
             worst.append(_max_residual(tr.times[::10], tr.states[::10]))
-        assert worst[0] / worst[1] >= 8.0
+        assert worst[0] / worst[1] >= 32.0
 
     def test_forward_interval_meets_1e_9(self):
         # on [0, 1] (no backward double-exponential growth) the stated
@@ -148,6 +160,21 @@ class TestIntegrate:
                        (-0.1, 0.1), 1e-3)
         assert len(tr.times) == 201
 
+    def test_overflow_names_first_non_finite_node(self):
+        # the h variant's components grow like exp(lam) backward in time;
+        # their slopes leave the float64 range near t = -3.27, before the
+        # states and long before the long-double range, and every reader
+        # of the states works in float64
+        mu = parse_expr("0", "t")
+        with pytest.raises(ConsistencyError, match="non-finite in float64 at t=") as info:
+            integrate("kmu", mu, (-4.0, 0.1), 1e-3)
+        t_bad = float(re.search(r"t=(\S+)", str(info.value)).group(1))
+        with pytest.raises(ConsistencyError, match=f"t={t_bad}$"):
+            integrate("kmu", mu, (t_bad, 0.1), 1e-3)
+        tr = integrate("kmu", mu, (t_bad + 1e-3, 0.1), 1e-3)
+        assert np.isfinite(tr.derivs).all()
+        assert np.isfinite(tr.dense(tr.times)).all()
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             integrate("kmu", parse_expr("0", "t"), (-1.0, 1.0), 0.5)
@@ -158,8 +185,8 @@ class TestIntegrate:
 
     def test_dense_exact_at_nodes_and_smooth_between(self):
         tr = integrate("kmu", parse_expr("1", "t"), (-0.2, 0.2), 1e-3)
-        assert np.array_equal(tr.dense(np.array([0.1])),
-                              tr.states[[np.argmin(np.abs(tr.times - 0.1))]])
+        node = tr.states[[np.argmin(np.abs(tr.times - 0.1))]]
+        assert np.array_equal(tr.dense(np.array([0.1])), node.astype(float))
         mid = tr.dense(np.array([0.10037]))
         lin = tr.dense(np.array([0.100]))
         assert np.max(np.abs(mid - lin)) < 1e-2  # continuity sanity
@@ -167,7 +194,7 @@ class TestIntegrate:
     def test_dense_node_rows_and_hermite_between(self):
         tr = integrate("kmup", parse_expr("0.5+0.3*sin(2*t)", "t"),
                        (-0.2, 0.2), 1e-3)
-        assert np.array_equal(tr.dense(tr.times), tr.states)
+        assert np.array_equal(tr.dense(tr.times), tr.states.astype(float))
         # off-node rows: cubic Hermite on the bracketing nodes and slopes
         idx = np.array([3, 150, 399])
         s = np.array([0.25, 0.5, 0.9])[:, None]
@@ -179,22 +206,32 @@ class TestIntegrate:
         np.testing.assert_allclose(tr.dense(ts), hermite, rtol=1e-13, atol=0)
         # a mixed batch gives each row what it gives alone
         mixed = tr.dense(np.concatenate([tr.times[:2], ts, tr.times[-1:]]))
-        assert np.array_equal(mixed[:2], tr.states[:2])
-        assert np.array_equal(mixed[-1], tr.states[-1])
+        assert np.array_equal(mixed[:2], tr.states[:2].astype(float))
+        assert np.array_equal(mixed[-1], tr.states[-1].astype(float))
         np.testing.assert_allclose(mixed[2:-1], hermite, rtol=1e-13, atol=0)
 
 
-def _scalar_mu_rk4(variant, mu, t_range, step):
-    """Reference RK4: one scalar mu call per stage, forward then backward."""
+def _per_step_magnus(variant, mu, t_range, step):
+    """Reference Magnus: scalar mu calls, one step at a time, forward then
+    backward over the nodes of ``integrate``."""
     def span(n, h):
-        ys = [initial_state(variant)]
+        ys = [initial_state(variant).astype(np.longdouble)]
         for i in range(n):
-            y, t = ys[-1], 0.0 + i * h
-            k1 = rhs(variant, y, t, mu(t))
-            k2 = rhs(variant, y + 0.5 * h * k1, t + 0.5 * h, mu(t + 0.5 * h))
-            k3 = rhs(variant, y + 0.5 * h * k2, t + 0.5 * h, mu(t + 0.5 * h))
-            k4 = rhs(variant, y + h * k3, t + h, mu(t + h))
-            ys.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            y, t = ys[-1].copy(), np.longdouble(i * h)
+            dt = np.longdouble((i + 1) * h) - t
+            off = dt * _GAUSS_C
+            mus = np.array([mu(float(t + o)) for o in off], np.longdouble)
+            if variant == "kmu":
+                lam2 = np.exp(-4 * (t + off))
+            else:
+                quad = np.array([[mu(float(o * c + t)) for c in _GAUSS_C]
+                                 for o in off])
+                lam2 = np.exp(-2 * (y[9] + off * (quad @ _GAUSS_W + 2)))
+                y[9] += dt * ((mus + 2) @ _GAUSS_W)
+            a = _generator(variant, lam2, mus)[None] * dt
+            e = _expm(_magnus_exponent(a))[0]
+            y[:9] = (e @ ys[-1][:9].reshape(3, 3)).ravel()
+            ys.append(y)
         return ys
 
     n_back = int(round(-t_range[0] / step))
@@ -203,8 +240,9 @@ def _scalar_mu_rk4(variant, mu, t_range, step):
 
 
 class TestArrayPath:
-    """mu on the whole stage grid and slopes from the first RK4 stage give
-    the states and slopes of a per-step, per-node computation bit for bit."""
+    """mu on the whole span at once and batched exponentials give the states
+    of a per-step computation, and the node slopes of a per-node one, bit
+    for bit."""
 
     CASES = [(v, m) for v in ("kmu", "kmup")
              for m in ("0.3+0.2*sin(2*t)", "exp(t)-0.5")]
@@ -213,7 +251,7 @@ class TestArrayPath:
     def test_states_match_scalar_mu_reference(self, variant, mu):
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-0.2, 0.2), 1e-3)
-        ref = _scalar_mu_rk4(variant, expr, (-0.2, 0.2), 1e-3)
+        ref = _per_step_magnus(variant, expr, (-0.2, 0.2), 1e-3)
         assert np.array_equal(tr.states, ref)
 
     @pytest.mark.parametrize("variant,mu", CASES)
@@ -223,7 +261,7 @@ class TestArrayPath:
         mus = expr(tr.times)
         expected = np.array([rhs(variant, tr.states[i], tr.times[i], mus[i])
                              for i in range(len(tr.times))])
-        assert np.array_equal(tr.derivs, expected)
+        assert np.array_equal(tr.derivs, expected.astype(float))
 
     def test_residuals_of_one_node_match_the_stack(self):
         tr = integrate("kmup", parse_expr("exp(t)-0.5", "t"), (-0.2, 0.2), 1e-3)
@@ -232,6 +270,66 @@ class TestArrayPath:
         one = algebraic_residuals(tr.times[7], tr.states[7], "kmup")
         for name, v in one.items():
             assert v == pytest.approx(stack[name][7], abs=1e-14), name
+
+
+class TestLongDoubleStates:
+    """The states are long double; everything read from them is float64."""
+
+    WIDE = pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64")
+
+    @WIDE
+    @pytest.mark.parametrize("variant,mu", [
+        ("kmu", 0.0), ("kmup", 0.0), ("kmup", 0.5), ("kmup", 1.0)])
+    def test_constant_mu_closed_form(self, variant, mu):
+        # in s = lam the flow gives F_ss = w^2 F with w = 2/(mu+2) (for kmu
+        # at mu = 0, where B decouples); F(0) = M2 and F_s(0) = w M3 then
+        # give F = M2 cosh(w(lam-1)) + M3 sinh(w(lam-1))
+        tr = integrate(variant, parse_expr(repr(mu), "t"), (-1.0, 1.0), 1e-3)
+        t = tr.times.astype(np.longdouble)
+        mp2 = np.longdouble(mu) + 2
+        lam = np.exp(-2 * t) if variant == "kmu" else np.exp(-mp2 * t)
+        arg = 2 / mp2 * (lam - 1)
+        f = np.stack([np.zeros_like(t), np.cosh(arg), np.sinh(arg)], axis=1)
+        err = np.max(np.abs(tr.states[:, :3] - f), axis=1)
+        assert np.max(err / np.max(np.abs(f), axis=1)) <= 1e-12
+
+    @WIDE
+    @pytest.mark.parametrize("mu", ["0.3+0.2*sin(2*t)", "exp(t)-0.5"])
+    def test_kmup_b_is_lam_times_b0(self, mu):
+        # B' = -(mu+2) B and lam' = -(mu+2) lam, so b = lam b(0) for any mu
+        tr = integrate("kmup", parse_expr(mu, "t"), (-1.0, 1.0), 1e-3)
+        lam = np.exp(-tr.states[:, 9])
+        err = np.abs(tr.states[:, 6:9] - lam[:, None] * initial_state("kmup")[6:9])
+        assert np.max(np.max(err, axis=1) / lam) <= 1e-15
+
+    @WIDE
+    def test_expm_to_long_double_rounding(self):
+        # rotation and growth by theta: within the Taylor radius, and 3 and
+        # 5 squarings past it
+        th = np.array([0.12, 1.0, 3.0], np.longdouble)
+        om = np.zeros((3, 3, 3), np.longdouble)
+        om[:, 0, 1], om[:, 1, 0], om[:, 2, 2] = -th, th, th
+        ref = np.zeros_like(om)
+        ref[:, 0, 0] = ref[:, 1, 1] = np.cos(th)
+        ref[:, 1, 0], ref[:, 0, 1] = np.sin(th), -np.sin(th)
+        ref[:, 2, 2] = np.exp(th)
+        err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
+        scale = np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(err <= 16 * np.finfo(np.longdouble).eps * scale)
+
+    def test_dtypes(self):
+        model = build_darboux_model(DarbouxParams("kmu", "sin(t)", (-0.1, 0.1)))
+        tr = model.trajectory
+        assert tr.states.dtype == np.longdouble
+        assert tr.derivs.dtype == np.float64
+        assert tr.dense(tr.times).dtype == np.float64
+        assert tr.dense(tr.times[:3] + 0.3 * tr.step).dtype == np.float64
+        pts = np.array([[0.1, 0.2, 0.05], [0.0, 0.0, -0.0504]])
+        for field in (model.phi, model.xi, model.eta, model.g, model.k_nom,
+                      model.lam_nom):
+            assert field(pts).dtype == np.float64, field.name
 
 
 class TestMetricFromState:
@@ -248,7 +346,7 @@ class TestMetricFromState:
         tr = integrate("kmu", parse_expr("1", "t"), (0.0, 1.0), 1e-3)
         for t, y in zip(tr.times[::100], tr.states[::100]):
             g = metric_from_state(t, y)
-            assert abs(np.linalg.det(g) - 1.0) <= 1e-9
+            assert abs(np.linalg.det(g.astype(float)) - 1.0) <= 1e-9
 
     def test_pd_failure_names_first_bad_node(self):
         times = np.array([-0.3, -0.2, -0.1, 0.0, 0.1])
