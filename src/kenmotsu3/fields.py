@@ -8,7 +8,9 @@ metrics to ``(n, 3, 3)``.  A (1,1) tensor acts on column component vectors,
 
 Derivatives use a 5-point 4th-order stencil whose window shifts inward near
 a domain boundary (one-sided weights via the classic divided-difference
-weight recursion); it errors only when no 5-point window fits.
+weight recursion); it errors only when no 5-point window fits.  A field may
+instead carry its exact partials, and states the axes it varies along: its
+partials along the others are exact zeros, with no stencil.
 """
 
 from __future__ import annotations
@@ -122,18 +124,24 @@ class ArrayField:
     """A pure evaluator ``(n, 3) -> (n,) + out_shape`` over a chart domain.
 
     ``axis_quanta`` optionally pins the FD step along an axis to multiples
-    of a grid quantum.
+    of a grid quantum.  ``varies`` flags the axes the field depends on; its
+    partials along the others are zero.  ``partials``, when set, maps
+    ``(n, 3)`` points to the exact partials ``(n, 3) + out_shape`` (axis
+    first), which :func:`coordinate_derivatives` then uses in place of FD.
     """
 
     out_shape: tuple[int, ...] = ()
 
     def __init__(self, fn, domain: ChartDomain, out_shape=None, *,
-                 axis_quanta=(None, None, None), name: str = ""):
+                 axis_quanta=(None, None, None), varies=(True, True, True),
+                 partials=None, name: str = ""):
         self.fn = fn
         self.domain = domain
         if out_shape is not None:
             self.out_shape = tuple(out_shape)
         self.axis_quanta = tuple(axis_quanta)
+        self.varies = tuple(varies)
+        self.partials = partials
         self.name = name
 
     def __call__(self, pts) -> np.ndarray:
@@ -198,7 +206,8 @@ def _fd_weights(offsets: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
-_WEIGHTS = {s: _fd_weights(np.arange(-2, 3) + s) for s in _SHIFTS}
+# weights of the window shifted by s in row s + 4: (9, 5)
+_WEIGHTS = np.stack([_fd_weights(np.arange(-2, 3) + s) for s in range(-4, 5)])
 
 
 def _window_shifts(field: ArrayField, pts: np.ndarray, axis: int,
@@ -242,7 +251,7 @@ def partial_derivative(field: ArrayField, pts, axis: int,
     stencil[:, :, axis] += (np.arange(-2, 3)[None, :] + shifts[:, None]) * h[:, None]
     values = field(stencil.reshape(-1, 3)).reshape((pts.shape[0], 5) + field.out_shape)
 
-    weights = np.stack([_WEIGHTS[s] for s in shifts]) / h[:, None]
+    weights = _WEIGHTS[shifts + 4] / h[:, None]
     extra = (1,) * len(field.out_shape)
     out = np.sum(values * weights.reshape(weights.shape + extra), axis=1)
     return out[0] if single else out
@@ -250,10 +259,20 @@ def partial_derivative(field: ArrayField, pts, axis: int,
 
 def coordinate_derivatives(field: ArrayField, pts,
                            scheme: DiffScheme | None = None) -> np.ndarray:
-    """All three partials stacked: output ``(n, 3) + out_shape`` (axis first)."""
+    """All three partials stacked: output ``(n, 3) + out_shape`` (axis first).
+
+    The field's exact partials when it has them; otherwise FD along the axes
+    it varies along and exact zeros along the others.
+    """
     pts, single = as_points(pts)
-    out = np.stack([partial_derivative(field, pts, a, scheme) for a in range(3)],
-                   axis=1)
+    field.domain.require(pts)
+    if field.partials is not None:
+        out = np.asarray(field.partials(pts), dtype=float)
+    else:
+        out = np.zeros((pts.shape[0], 3) + field.out_shape)
+        for a in range(3):
+            if field.varies[a]:
+                out[:, a] = partial_derivative(field, pts, a, scheme)
     return out[0] if single else out
 
 

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+# largest (v g) temporary of g_norm over pooled vectors
+_NORM_BLOCK_BYTES = 1 << 18
 
 
 class DegenerateMetricError(ValueError):
@@ -76,7 +78,7 @@ def christoffel_field(g: MetricField, scheme: DiffScheme | None = None) -> Array
     """The connection as a differentiable (FD-backed) field."""
     return ArrayField(lambda pts: christoffel(g, pts, scheme), g.domain,
                       out_shape=(3, 3, 3), axis_quanta=g.axis_quanta,
-                      name="christoffel")
+                      varies=g.varies, name="christoffel")
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,10 @@ class Curvature:
     ginv: np.ndarray      # (n, 3, 3)
 
     def apply(self, x, y, z) -> np.ndarray:
-        """(R(X,Y)Z)^i for per-point component vectors."""
-        r_x = np.einsum("nijkl,nk->nijl", self.riemann, x)
-        return np.einsum("nij,nj->ni", np.einsum("nijl,nl->nij", r_x, y), z)
+        """(R(X,Y)Z)^i for per-point component vectors; Z is contracted
+        first, then X, then Y."""
+        r_z = np.einsum("nijkl,nj->nikl", self.riemann, z)
+        return np.einsum("nil,nl->ni", np.einsum("nikl,nk->nil", r_z, x), y)
 
 
 def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
@@ -186,8 +189,23 @@ def exterior_derivative(form: ArrayField, pts,
 # --------------------------------------------------------------------------
 
 def g_norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Riemannian length of per-point component vectors."""
-    return np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", v, g, v), 0.0))
+    """Riemannian length of per-point component vectors, as (v g) . v.
+
+    Where g is broadcast along the axis before the components, as over a
+    pool of vectors at each point, that axis gives the rows of one matmul
+    with the point's g, a block of points at a time: the (v g) temporary
+    then stays under ``_NORM_BLOCK_BYTES``.
+    """
+    if v.ndim < 2 or g.ndim != v.ndim + 1 or g.shape[-3] != 1 or len(g) != len(v):
+        vg = (v[..., None, :] @ g)[..., 0, :]
+        return np.sqrt(np.maximum(np.einsum("...i,...i->...", vg, v), 0.0))
+    g = g[..., 0, :, :]
+    out = np.empty(v.shape[:-1], np.result_type(v, g))
+    step = max(1, _NORM_BLOCK_BYTES // max(1, v[0].nbytes))
+    for s in range(0, len(v), step):
+        vs = v[s:s + step]
+        np.einsum("...i,...i->...", vs @ g[s:s + step], vs, out=out[s:s + step])
+    return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
 def g_operator_norm(a: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -228,7 +228,8 @@ class Probe:
         are those of one field per quantity.
         """
         field = ArrayField(fn, self.model.domain, out_shape=out_shape,
-                           axis_quanta=self.model.g.axis_quanta)
+                           axis_quanta=self.model.g.axis_quanta,
+                           varies=self.model.g.varies)
         return coordinate_derivatives(field, self.pts, self.scheme)
 
     @cached_property
@@ -311,7 +312,8 @@ class Probe:
         model = self.model  # a lambda capturing self would make a cycle
         return Tensor11Field(lambda q: two_form_components(model, q),
                              model.domain,
-                             axis_quanta=model.g.axis_quanta, name="Phi")
+                             axis_quanta=model.g.axis_quanta,
+                             varies=model.g.varies, name="Phi")
 
     @cached_property
     def nabla_phi2(self):
@@ -409,9 +411,9 @@ class Probe:
 # einsums, one contracted index per stage: numpy evaluates a multi-operand
 # einsum as one nested loop over every index at once.  The last stage of
 # _pool_triples and _pool_riemann is a batched matmul, about 4x faster than
-# its einsum, into the same contiguous tensor.  Three-operand ones remain:
-# geometry.g_norm over each pooled residual and the frame trace in
-# _trace_residual.
+# its einsum, into the same contiguous tensor; geometry.g_norm over each
+# pooled residual is one too.  A three-operand one remains: the frame trace
+# in _trace_residual.
 # --------------------------------------------------------------------------
 
 def _pool_pairs(t, xs, ys):
@@ -499,9 +501,10 @@ def _res_curv2(p: Probe):
 
 
 def _res_codazzi_hp(p: Probe):
-    vals = _pool_pairs(p.nabla_hp, p.pool_d, p.pool_d)
-    anti = vals - np.swapaxes(vals, 1, 2)
-    return np.max(g_norm(anti, p.g[:, None, None, :, :]), axis=(1, 2))
+    # antisymmetrize in the two vector slots before contracting the pool
+    anti = p.nabla_hp - np.einsum("njik->nkij", p.nabla_hp)
+    vals = _pool_pairs(anti, p.pool_d, p.pool_d)
+    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
 
 
 def _res_h2(p: Probe):

@@ -258,15 +258,19 @@ def build_darboux_model(params: DarbouxParams,
     g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
     block is F(t); xi = d_t, eta = dt.  Positive definiteness of G is
     asserted at every node (det G = 1 is an invariant of the exact flow).
+    Every field depends on t alone, and all but mu carry their exact
+    t-partials from the ODE slopes: d_t phi is the block of F' = 2H,
+    d_t g = e^{2t}(2G + G') with G' = -M2 F', and lam' = -2 lam (kmu) or
+    -fint' lam (kmup).
     """
     mu_bar = params.resolved()
     t0, t1 = map(float, params.t_range)
     if trajectory is not None:
         traj = trajectory
     else:
-        # integrate a few stencil widths past the requested range so nested
-        # finite differences at the interval ends stay on centered windows
-        # (one-sided nesting loses an order of accuracy)
+        # integrate a few stencil widths past the requested range so the
+        # finite differences of derived fields (h, the connection) at the
+        # interval ends stay on centered windows
         pad = 8.0 * params.step * max(1.0, abs(t0), abs(t1))
         traj = integrate(params.variant, mu_bar, (t0 - pad, t1 + pad),
                          params.step)
@@ -274,7 +278,8 @@ def build_darboux_model(params: DarbouxParams,
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
-    quanta = (None, None, traj.step)
+    # every field depends on t alone; its t-partial comes from the ODE slopes
+    t_only = dict(axis_quanta=(None, None, traj.step), varies=(False, False, True))
 
     def f_g_at(ts):
         states = traj.dense(ts)
@@ -300,22 +305,61 @@ def build_darboux_model(params: DarbouxParams,
         out[:, 2] = 1.0
         return out
 
+    def on_t(block):
+        """Partials (n, 3) + block shape, ``block`` along t and 0 along x, y."""
+        out = np.zeros((len(block), 3) + block.shape[1:])
+        out[:, 2] = block
+        return out
+
+    def dphi_fn(pts):
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, :2, :2] = _as_matrix(traj.slopes(pts[:, 2])[:, 0:3])  # F' = 2H
+        return on_t(out)
+
+    def dg_fn(pts):
+        ts = pts[:, 2]
+        _, gmat = f_g_at(ts)
+        dgmat = -M2 @ _as_matrix(traj.slopes(ts)[:, 0:3])
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, :2, :2] = np.exp(2.0 * ts)[:, None, None] * (2.0 * gmat + dgmat)
+        return on_t(out)
+
+    def zero_partials(pts):
+        return np.zeros((pts.shape[0], 3, 3))
+
+    def lam_rate(ts):
+        """lambda' / lambda: -2 (kmu) or -fint' = -(mu + 2) (kmup)."""
+        if params.variant == "kmu":
+            return np.full(len(ts), -2.0)
+        return -traj.slopes(ts)[:, 9]
+
+    def dlam_fn(pts):
+        ts = pts[:, 2]
+        return on_t(lam_rate(ts) * traj.lam(ts))
+
+    def dk_fn(pts):  # k = -1 - lam^2
+        ts = pts[:, 2]
+        return on_t(-2.0 * lam_rate(ts) * traj.lam(ts) ** 2)
+
     model = AlmostContactModel(
         family=f"{params.variant}-darboux",
         variant="h" if params.variant == "kmu" else "hp",
         coords=("x", "y", "t"),
         domain=domain,
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
-        phi=Tensor11Field(phi_fn, domain, axis_quanta=quanta, name="phi"),
-        xi=VectorField(lambda p: const_cov(p), domain, axis_quanta=quanta, name="xi"),
-        eta=CovectorField(const_cov, domain, axis_quanta=quanta, name="eta"),
-        g=MetricField(g_fn, domain, axis_quanta=quanta, name="g"),
+        phi=Tensor11Field(phi_fn, domain, partials=dphi_fn, **t_only, name="phi"),
+        xi=VectorField(lambda p: const_cov(p), domain, partials=zero_partials,
+                       **t_only, name="xi"),
+        eta=CovectorField(const_cov, domain, partials=zero_partials, **t_only,
+                          name="eta"),
+        g=MetricField(g_fn, domain, partials=dg_fn, **t_only, name="g"),
         k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
-                          axis_quanta=quanta, name="k"),
+                          partials=dk_fn, **t_only, name="k"),
+        # Expr has no derivative: mu keeps FD, along t only
         mu_nom=ScalarField(lambda p: np.asarray(mu_bar(p[:, 2]), float), domain,
-                           axis_quanta=quanta, name="mu"),
+                           **t_only, name="mu"),
         lam_nom=ScalarField(lambda p: traj.lam(p[:, 2]), domain,
-                            axis_quanta=quanta, name="lam"),
+                            partials=dlam_fn, **t_only, name="lam"),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
                 "xy_box": [list(iv) for iv in params.xy_box]},
         trajectory=traj,

@@ -310,8 +310,8 @@ class Trajectory:
 
     Nodes are uniformly spaced by ``step`` and include t=0 with the variant's
     initial conditions.  ``derivs`` holds the ODE right-hand side at every
-    node, so dense output (and differentiation snapped to nodes) never sees
-    finite-difference noise in the time direction.
+    node: the slopes of the dense output, and through :meth:`slopes` the
+    exact t-partials of the Darboux model fields.
     """
 
     variant: str
@@ -329,16 +329,21 @@ class Trajectory:
     def t_max(self) -> float:
         return float(self.times[-1])
 
-    def dense(self, ts) -> np.ndarray:
-        """float64 state vectors at arbitrary times; the rounded node states
-        at stored nodes."""
+    def _locate(self, ts):
+        """Positions in steps from the first node, the nearest node index and
+        the mask of times that are not a stored node."""
         ts = np.asarray(ts, float)
         if np.any(ts < self.t_min - 1e-12) or np.any(ts > self.t_max + 1e-12):
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
         pos = (ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
+        return pos, nearest, np.abs(pos - nearest) >= 1e-9
+
+    def dense(self, ts) -> np.ndarray:
+        """float64 state vectors at arbitrary times; the rounded node states
+        at stored nodes."""
+        pos, nearest, off = self._locate(ts)
         out = self.states[nearest].astype(float)
-        off = np.abs(pos - nearest) >= 1e-9
         if off.any():  # Darboux models look up node times only
             idx = np.minimum(np.floor(pos[off]).astype(int), len(self.times) - 2)
             s = (pos[off] - idx)[:, None]
@@ -349,6 +354,18 @@ class Trajectory:
             h01 = -2 * s**3 + 3 * s**2
             h11 = s**3 - s**2
             out[off] = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+        return out
+
+    def slopes(self, ts) -> np.ndarray:
+        """float64 ODE slopes a(t) Y, plus fint', at arbitrary times: the
+        stored node slopes at stored nodes, elsewhere ``rhs`` at
+        :meth:`dense`."""
+        ts = np.asarray(ts, float)
+        _, nearest, off = self._locate(ts)
+        out = self.derivs[nearest]
+        if off.any():
+            t = ts[off]
+            out[off] = rhs(self.variant, self.dense(t), t, self.mu_bar(t))
         return out
 
     def lam(self, ts) -> np.ndarray:

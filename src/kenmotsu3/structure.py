@@ -103,7 +103,8 @@ def compute_h(model: AlmostContactModel, pts,
 
     For the coordinate field e_j:  (L_xi phi)(e_j) = [xi, phi e_j]
     - phi [xi, e_j], which expands to xi^a d_a phi^i_j - phi^a_j d_a xi^i
-    + phi^i_s d_j xi^s with numeric partials.
+    + phi^i_s d_j xi^s, with the fields' own partials where they carry them
+    (the Darboux families) and FD partials otherwise.
     """
     pts, single = as_points(pts)
     xi = model.xi(pts)
@@ -140,7 +141,7 @@ def h_field(model: AlmostContactModel,
     fn = compute_h_prime if prime else compute_h
     return Tensor11Field(lambda pts: fn(model, pts, scheme), model.domain,
                          axis_quanta=model.g.axis_quanta,
-                         name="h'" if prime else "h")
+                         varies=model.g.varies, name="h'" if prime else "h")
 
 
 def eigenframe(model: AlmostContactModel, pts,

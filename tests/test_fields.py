@@ -116,6 +116,52 @@ class TestLieBracket:
         assert np.allclose(br, [2.0, 0.0, 0.0], atol=1e-6)
 
 
+class TestExactAndStatedPartials:
+    def test_exact_partials_replace_fd(self):
+        calls = []
+
+        def fn(p):
+            calls.append(len(p))
+            return p[:, 2] ** 2
+
+        def exact(p):
+            return np.stack([0 * p[:, 0], 0 * p[:, 0], 2 * p[:, 2]], axis=1)
+
+        f = ScalarField(fn, FULL, varies=(False, False, True), partials=exact)
+        pts = np.array([[0.0, 1.0, 3.0], [2.0, 0.5, -1.0]])
+        assert np.array_equal(coordinate_derivatives(f, pts), exact(pts))
+        assert not calls  # no stencil evaluated
+
+    def test_axes_not_varied_are_exact_zeros(self):
+        calls = []
+
+        def fn(p):
+            calls.append(p.copy())
+            return np.sin(p[:, 2])
+
+        f = ScalarField(fn, FULL, varies=(False, False, True))
+        pts = np.array([[0.3, -0.2, 0.7]])
+        d = coordinate_derivatives(f, pts)
+        assert np.array_equal(d[:, :2], np.zeros((1, 2)))
+        assert d[0, 2] == partial_derivative(f, pts, 2)[0]
+        # only t-stencils ran: every evaluated point keeps x and y
+        assert all(np.all(c[:, :2] == pts[0, :2]) for c in calls)
+
+    def test_varying_along_every_axis_is_the_stencil_result(self):
+        f = VectorField(lambda p: np.stack(
+            [p[:, 0] * p[:, 1], np.exp(p[:, 2]), p[:, 1] ** 3], axis=1), FULL)
+        pts = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 0.5]])
+        d = coordinate_derivatives(f, pts)
+        for a in range(3):
+            assert np.array_equal(d[:, a], partial_derivative(f, pts, a))
+
+    def test_exact_partials_check_the_domain(self):
+        f = ScalarField(lambda p: p[:, 2], HALF,
+                        partials=lambda p: np.zeros((len(p), 3)))
+        with pytest.raises(BoundaryError):
+            coordinate_derivatives(f, np.array([0.0, 0.0, 0.0]))
+
+
 def test_coordinate_derivatives_shape():
     f = VectorField(lambda p: np.stack(
         [p[:, 0] ** 2, p[:, 1], np.sin(p[:, 2])], axis=1), FULL)

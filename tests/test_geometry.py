@@ -218,3 +218,29 @@ def test_g_norms():
     assert g_norm(v, g)[0] == pytest.approx(2.0)
     a = np.array([[[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
     assert g_operator_norm(a, g)[0] == pytest.approx(3.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64")
+def test_g_norm_rounding_on_pooled_vectors():
+    # WEYL3's shape: an (a, b, c) pool of residual vectors per point, g
+    # broadcast over the pool; metrics of kmu-darboux over [-1, 1] (cond g up
+    # to 3e5) and vectors spanning nine decades.  Against the long-double
+    # (v g) . v, the error stays within 2 eps of the absolute products behind
+    # the square, over twice the norm (measured: 1.1)
+    model = build_darboux_model(DarbouxParams("kmu", "1", (-1.0, 1.0)))
+    plan = SamplePlan(grid=3, rand_pairs=4, seed=3)
+    g = model.g(plan.points(model))[:, None, None, None]
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((len(g), 11, 11, 11, 3)) \
+        * 10.0 ** rng.uniform(-6, 3, (len(g), 11, 11, 11, 1))
+    vl, gl = v.astype(np.longdouble), g.astype(np.longdouble)
+    exact = np.sqrt(np.einsum("...i,...ij,...j->...", vl, gl, vl))
+    scale = np.einsum("...i,...ij,...j->...", np.abs(v), np.abs(g), np.abs(v))
+    err = np.abs(g_norm(v, g) - exact)
+    assert np.all(err <= 2.0 * np.finfo(float).eps * scale / exact)
+    # the per-point path (no pool axis) computes the same products
+    flat = v.reshape(-1, 3)
+    g_flat = np.broadcast_to(g, v.shape[:-1] + (3, 3)).reshape(-1, 3, 3)
+    assert np.allclose(g_norm(flat, g_flat), g_norm(v, g).ravel(),
+                       rtol=4 * np.finfo(float).eps, atol=0)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from kenmotsu3 import fields
 from kenmotsu3.fields import (
     DiffScheme,
     ScalarField,
@@ -244,8 +245,11 @@ class TestStackedPartials:
 
     @staticmethod
     def _field(probe, cls, fn):
+        # the stacks inherit the model's axes: FD along an axis a t-only
+        # field does not vary on reads rounding noise, not the stacks' zeros
         model = probe.model
-        return cls(fn, model.domain, axis_quanta=model.g.axis_quanta)
+        return cls(fn, model.domain, axis_quanta=model.g.axis_quanta,
+                   varies=model.g.varies)
 
     def test_h_hp_b(self, probe):
         m, scheme = probe.model, probe.scheme
@@ -519,6 +523,28 @@ class TestStagedContractions:
             assert (staged.max() <= spec.tol()) == (ref.max() <= spec.tol())
             checked += 1
         assert checked == len(REFERENCE_RESIDUALS) - 1
+
+
+@pytest.mark.parametrize("variant,mu", [("kmu", "1"), ("kmup", "sin(t)")])
+def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
+        monkeypatch, variant, mu):
+    # phi, g, xi, eta, k and lam carry exact t-partials and vary along t
+    # alone, so a suite sends them into no stencil, and nothing along x, y
+    model = build_darboux_model(DarbouxParams(variant, mu, (-0.25, 0.25)))
+    seen = []
+    stencil = fields.partial_derivative
+
+    def spy(field, pts, axis, scheme=None):
+        seen.append((field, axis))
+        return stencil(field, pts, axis, scheme)
+
+    monkeypatch.setattr(fields, "partial_derivative", spy)
+    check_suite(model, "all", PLAN)
+    exact = [model.phi, model.g, model.xi, model.eta, model.k_nom,
+             model.lam_nom]
+    assert seen and {axis for _, axis in seen} == {2}
+    assert not [f for f, _ in seen if any(f is e for e in exact)]
+    assert any(f is model.mu_nom for f, _ in seen)  # Expr has no derivative
 
 
 def test_probe_freed_without_cyclic_gc(kmu_chart):
