@@ -16,12 +16,16 @@ Grammar (EBNF):
 means -(x^2).  Domain violations (sqrt of a negative, log of a non-positive,
 division by zero, fractional power of a negative base, overflow) raise
 instead of returning non-finite values.
+
+``Expr.diff`` differentiates symbolically in the expression's variable.  A
+violation inside a node that a derivative rule introduced names the node of
+the original expression it is the derivative of.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +54,15 @@ class ExprSyntaxError(ValueError):
 
 
 class ExprDomainError(ValueError):
-    """Evaluation left the expression's natural domain."""
+    """Evaluation left the expression's natural domain.
 
-    def __init__(self, message: str, subexpr: str):
-        super().__init__(f"{message} in '{subexpr}'")
+    ``subexpr`` is the offending node's text; with ``derivative`` set, the
+    violation happened in the derivative of that node.
+    """
+
+    def __init__(self, message: str, subexpr: str, derivative: bool = False):
+        where = "the derivative of " if derivative else ""
+        super().__init__(f"{message} in {where}'{subexpr}'")
         self.subexpr = subexpr
 
 
@@ -76,17 +85,23 @@ class _Neg:
     arg: object
 
 
+# ``origin`` marks a node that a derivative rule introduced: the node of the
+# differentiated expression whose derivative it belongs to.  It takes no
+# part in equality or printing.
+
 @dataclass(frozen=True)
 class _BinOp:
     op: str
     lhs: object
     rhs: object
+    origin: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class _Call:
     func: str
     arg: object
+    origin: object = field(default=None, compare=False, repr=False)
 
 
 def _node_str(node, parent_prec: int = 0) -> str:
@@ -116,6 +131,12 @@ def _node_str(node, parent_prec: int = 0) -> str:
     return f"({s})" if prec < parent_prec else s
 
 
+def _domain_error(message: str, node) -> ExprDomainError:
+    origin = getattr(node, "origin", None)
+    return ExprDomainError(message, _node_str(origin or node),
+                           derivative=origin is not None)
+
+
 def _eval_node(node, x):
     if isinstance(node, _Num):
         return node.value
@@ -126,9 +147,9 @@ def _eval_node(node, x):
     if isinstance(node, _Call):
         arg = _eval_node(node.arg, x)
         if node.func == "sqrt" and np.any(np.asarray(arg) < 0):
-            raise ExprDomainError("sqrt of negative value", _node_str(node))
+            raise _domain_error("sqrt of negative value", node)
         if node.func == "log" and np.any(np.asarray(arg) <= 0):
-            raise ExprDomainError("log of non-positive value", _node_str(node))
+            raise _domain_error("log of non-positive value", node)
         return _FUNCTIONS[node.func](arg)
     if isinstance(node, _BinOp):
         lhs = _eval_node(node.lhs, x)
@@ -141,17 +162,127 @@ def _eval_node(node, x):
             return np.multiply(lhs, rhs)
         if node.op == "/":
             if np.any(np.asarray(rhs) == 0):
-                raise ExprDomainError("division by zero", _node_str(node))
+                raise _domain_error("division by zero", node)
             return np.divide(lhs, rhs)
         if node.op == "^":
             l, r = np.asarray(lhs, float), np.asarray(rhs, float)
             if np.any((l < 0) & (r != np.floor(r))):
-                raise ExprDomainError(
-                    "fractional power of negative base", _node_str(node))
+                raise _domain_error("fractional power of negative base", node)
             if np.any((l == 0) & (r < 0)):
-                raise ExprDomainError("zero raised to negative power",
-                                      _node_str(node))
+                raise _domain_error("zero raised to negative power", node)
             return np.power(lhs, rhs)
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+# --------------------------------------------------------------------------
+# Symbolic differentiation
+# --------------------------------------------------------------------------
+
+def _const(node):
+    """The value of a number or a negated number, else None."""
+    if isinstance(node, _Num):
+        return node.value
+    if isinstance(node, _Neg) and isinstance(node.arg, _Num):
+        return -node.arg.value
+    return None
+
+
+def _num(value: float):
+    # a negative value as a negated number, so the printed tree parses back
+    # to itself; "+ 0.0" turns -0.0 into 0.0
+    return _Neg(_Num(-value)) if value < 0 else _Num(value + 0.0)
+
+
+def _neg(u):
+    c = _const(u)
+    if c is not None:
+        return _num(-c)
+    return u.arg if isinstance(u, _Neg) else _Neg(u)
+
+
+def _add(u, v):
+    cu, cv = _const(u), _const(v)
+    if cu is not None and cv is not None:
+        return _num(cu + cv)
+    if cu == 0:
+        return v
+    return u if cv == 0 else _BinOp("+", u, v)
+
+
+def _sub(u, v):
+    cu, cv = _const(u), _const(v)
+    if cu is not None and cv is not None:
+        return _num(cu - cv)
+    if cu == 0:
+        return _neg(v)
+    return u if cv == 0 else _BinOp("-", u, v)
+
+
+def _mul(u, v):
+    cu, cv = _const(u), _const(v)
+    if cu is not None and cv is not None:
+        return _num(cu * cv)
+    if cu == 0 or cv == 0:
+        return _Num(0.0)
+    if cu in (1, -1):
+        return v if cu == 1 else _neg(v)
+    if cv in (1, -1):
+        return u if cv == 1 else _neg(u)
+    return _BinOp("*", u, v)
+
+
+def _div(u, v, origin):
+    return _Num(0.0) if _const(u) == 0 else _BinOp("/", u, v, origin)
+
+
+def _pow(u, v, origin):
+    cv = _const(v)
+    if cv in (0, 1):
+        return _Num(1.0) if cv == 0 else u
+    return _BinOp("^", u, v, origin)
+
+
+def _diff_node(node):
+    """d(node)/d(var), with 0 and 1 terms folded away."""
+    if isinstance(node, _Num):
+        return _Num(0.0)
+    if isinstance(node, _Var):
+        return _Num(1.0)
+    if isinstance(node, _Neg):
+        return _neg(_diff_node(node.arg))
+    if isinstance(node, _Call):
+        u = node.arg
+        du = _diff_node(u)
+        if node.func == "exp":
+            return _mul(node, du)
+        if node.func == "log":
+            return _div(du, u, node)
+        if node.func == "sqrt":
+            return _div(_mul(_Num(0.5), du), node, node)
+        if node.func == "sin":
+            return _mul(_Call("cos", u), du)
+        if node.func == "cos":
+            return _neg(_mul(_Call("sin", u), du))
+    if isinstance(node, _BinOp):
+        u, v = node.lhs, node.rhs
+        du, dv = _diff_node(u), _diff_node(v)
+        if node.op == "+":
+            return _add(du, dv)
+        if node.op == "-":
+            return _sub(du, dv)
+        if node.op == "*":
+            return _add(_mul(du, v), _mul(u, dv))
+        if node.op == "/":
+            if _const(dv) == 0:
+                return _div(du, v, node)
+            return _div(_sub(_mul(du, v), _mul(u, dv)),
+                        _pow(v, _Num(2.0), node), node)
+        if node.op == "^":
+            if _const(dv) == 0:  # c u^(c-1) u'
+                return _mul(_mul(v, _pow(u, _sub(v, _Num(1.0)), node)), du)
+            # u^v (v' log u + v u'/u)
+            return _mul(node, _add(_mul(dv, _Call("log", u, node)),
+                                   _mul(v, _div(du, u, node))))
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
@@ -284,6 +415,16 @@ class Expr:
         if np.ndim(x) == 0:
             return float(value)
         return np.broadcast_to(np.asarray(value, float), np.shape(x)).copy()
+
+    def diff(self) -> "Expr":
+        """The derivative in ``var``, as an expression of the same kind.
+
+        A domain violation while evaluating it names the node of this
+        expression whose derivative rule (``/``, ``^``, ``log``, ``sqrt``)
+        failed.
+        """
+        root = _diff_node(self._root)
+        return Expr(root, self.var, _node_str(root))
 
     def __str__(self) -> str:
         return _node_str(self._root)

@@ -13,6 +13,10 @@ Chart families (coordinates x, y, z on {z < -1}, lam = sqrt(-1-z), k = z):
               a = x (1 + lam) + f(z),  b = y (1 - lam) + r(z);
               h' e1 = lam e1.
 
+Chart fields carry exact partials: the builders give (a, b, c) of xi
+together with their partials, from mu', f', r' (``Expr.diff``) and
+lam' = -1/(2 lam).
+
 Darboux families (coordinates x, y, t): phi's spatial block is the F(t) of
 the matrix ODE, g = dt^2 + e^{2t} G(t) with G = -M2 F, xi = d_t, eta = dt.
 
@@ -150,6 +154,11 @@ class DarbouxParams:
 # Chart families
 # --------------------------------------------------------------------------
 
+def _quotient_partials(u, c, du, dc):
+    """Partials (n, 3) of u/c from those of u and c (quotient rule)."""
+    return (du - (u / c)[:, None] * dc) / c[:, None]
+
+
 def _chart_fields(domain, coeff_fn):
     """Assemble (phi, xi, eta, g) from per-point (a, b, c) coefficients.
 
@@ -158,10 +167,14 @@ def _chart_fields(domain, coeff_fn):
 
         g   = [[1, 0, a/c], [0, 1, b/c], [a/c, b/c, (1+a^2+b^2)/c^2]]
         phi = [[0, -1, -b/c], [1, 0, a/c], [0, 0, 0]]
+
+    ``coeff_fn`` maps points to ``((a, b, c), (da, db, dc))`` with each
+    partial ``(n, 3)``, axis last; every field carries its exact partials,
+    from these by the quotient rule.
     """
 
     def phi_fn(pts):
-        a, b, c = coeff_fn(pts)
+        (a, b, c), _ = coeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, 0, 1] = -1.0
         out[:, 1, 0] = 1.0
@@ -169,18 +182,35 @@ def _chart_fields(domain, coeff_fn):
         out[:, 1, 2] = a / c
         return out
 
+    def dphi_fn(pts):
+        (a, b, c), (da, db, dc) = coeff_fn(pts)
+        out = np.zeros((pts.shape[0], 3, 3, 3))
+        out[:, :, 0, 2] = -_quotient_partials(b, c, db, dc)
+        out[:, :, 1, 2] = _quotient_partials(a, c, da, dc)
+        return out
+
     def xi_fn(pts):
-        a, b, c = coeff_fn(pts)
+        (a, b, c), _ = coeff_fn(pts)
         return np.stack([a, b, -c], axis=1)
 
+    def dxi_fn(pts):
+        _, (da, db, dc) = coeff_fn(pts)
+        return np.stack([da, db, -dc], axis=2)
+
     def eta_fn(pts):
-        _, _, c = coeff_fn(pts)
+        (_, _, c), _ = coeff_fn(pts)
         out = np.zeros((pts.shape[0], 3))
         out[:, 2] = -1.0 / c
         return out
 
+    def deta_fn(pts):  # d(-1/c) = dc / c^2
+        (_, _, c), (_, _, dc) = coeff_fn(pts)
+        out = np.zeros((pts.shape[0], 3, 3))
+        out[:, :, 2] = dc / (c * c)[:, None]
+        return out
+
     def g_fn(pts):
-        a, b, c = coeff_fn(pts)
+        (a, b, c), _ = coeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, 0, 0] = 1.0
         out[:, 1, 1] = 1.0
@@ -189,62 +219,99 @@ def _chart_fields(domain, coeff_fn):
         out[:, 2, 2] = (1.0 + a * a + b * b) / (c * c)
         return out
 
-    return (Tensor11Field(phi_fn, domain, name="phi"),
-            VectorField(xi_fn, domain, name="xi"),
-            CovectorField(eta_fn, domain, name="eta"),
-            MetricField(g_fn, domain, name="g"))
+    def dg_fn(pts):
+        (a, b, c), (da, db, dc) = coeff_fn(pts)
+        out = np.zeros((pts.shape[0], 3, 3, 3))
+        out[:, :, 0, 2] = out[:, :, 2, 0] = _quotient_partials(a, c, da, dc)
+        out[:, :, 1, 2] = out[:, :, 2, 1] = _quotient_partials(b, c, db, dc)
+        out[:, :, 2, 2] = _quotient_partials(
+            1.0 + a * a + b * b, c * c,
+            2.0 * (a[:, None] * da + b[:, None] * db), 2.0 * c[:, None] * dc)
+        return out
+
+    return (Tensor11Field(phi_fn, domain, partials=dphi_fn, name="phi"),
+            VectorField(xi_fn, domain, partials=dxi_fn, name="xi"),
+            CovectorField(eta_fn, domain, partials=deta_fn, name="eta"),
+            MetricField(g_fn, domain, partials=dg_fn, name="g"))
+
+
+def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
+                 r: Expr, coeff_fn) -> AlmostContactModel:
+    """A chart model with nominal k = z, lam = sqrt(-1-z) and the given mu;
+    k, mu and lam carry their exact z-partials."""
+    dmu = mu.diff()
+    domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
+    phi, xi, eta, g = _chart_fields(domain, coeff_fn)
+
+    def on_z(dz):
+        """Partials (n, 3): ``dz`` along z, 0 along x, y."""
+        out = np.zeros((len(dz), 3))
+        out[:, 2] = dz
+        return out
+
+    def dlam(p):  # lam' = -1/(2 lam)
+        return on_z(-0.5 / np.sqrt(-1.0 - p[:, 2]))
+
+    return AlmostContactModel(
+        family=family, variant=variant, coords=("x", "y", "z"),
+        domain=domain, default_box=box,
+        phi=phi, xi=xi, eta=eta, g=g,
+        k_nom=ScalarField(lambda p: p[:, 2].copy(), domain,
+                          partials=lambda p: on_z(np.ones(len(p))), name="k"),
+        mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain,
+                           partials=lambda p: on_z(dmu(p[:, 2])), name="mu"),
+        lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain,
+                            partials=dlam, name="lam"),
+        params={"mu": str(mu), "f": str(f), "r": str(r),
+                "box": [list(iv) for iv in box]},
+    )
+
+
+def _chart_inputs(pts):
+    """x, y, z, lam = sqrt(-1-z), lam' = -1/(2 lam), and 0, 1 columns."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    lam = np.sqrt(-1.0 - z)
+    return x, y, z, lam, -0.5 / lam, np.zeros_like(z), np.ones_like(z)
 
 
 def build_kmu_chart_model(params: KmuChartParams) -> AlmostContactModel:
     """The kmu chart family on {z < -1} with nominal k = z."""
     mu, f, r = params.resolved()
-    domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
+    dmu, df, dr = mu.diff(), f.diff(), r.diff()
 
     def coeff(pts):
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        lam = np.sqrt(-1.0 - z)
-        muv = mu(z)
+        x, y, z, lam, dlam, zero, one = _chart_inputs(pts)
+        muv, dmuv = mu(z), dmu(z)
         alpha = x - (0.5 * muv + lam) * y + f(z)
         beta = (0.5 * muv - lam) * x + y + r(z)
-        return alpha, beta, 4.0 * (1.0 + z)
+        dalpha = np.stack([one, -(0.5 * muv + lam),
+                           -(0.5 * dmuv + dlam) * y + df(z)], axis=1)
+        dbeta = np.stack([0.5 * muv - lam, one,
+                          (0.5 * dmuv - dlam) * x + dr(z)], axis=1)
+        dc = np.stack([zero, zero, 4.0 * one], axis=1)
+        return (alpha, beta, 4.0 * (1.0 + z)), (dalpha, dbeta, dc)
 
-    phi, xi, eta, g = _chart_fields(domain, coeff)
-    return AlmostContactModel(
-        family="kmu-chart", variant="h", coords=("x", "y", "z"),
-        domain=domain, default_box=params.box,
-        phi=phi, xi=xi, eta=eta, g=g,
-        k_nom=ScalarField(lambda p: p[:, 2].copy(), domain, name="k"),
-        mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain, name="mu"),
-        lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain, name="lam"),
-        params={"mu": str(mu), "f": str(f), "r": str(r),
-                "box": [list(iv) for iv in params.box]},
-    )
+    return _chart_model("kmu-chart", "h", params.box, mu, f, r, coeff)
 
 
 def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
     """The kmup chart family on {z < -1}, mu != -2, nominal k = z."""
     mu, f, r = params.resolved()
-    domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
+    dmu, df, dr = mu.diff(), f.diff(), r.diff()
 
     def coeff(pts):
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        lam = np.sqrt(-1.0 - z)
+        x, y, z, lam, dlam, zero, one = _chart_inputs(pts)
+        muv = mu(z)
         a = x * (1.0 + lam) + f(z)
         b = y * (1.0 - lam) + r(z)
-        c = 2.0 * (1.0 + z) * (mu(z) + 2.0)
-        return a, b, c
+        c = 2.0 * (1.0 + z) * (muv + 2.0)
+        da = np.stack([1.0 + lam, zero, x * dlam + df(z)], axis=1)
+        db = np.stack([zero, 1.0 - lam, -y * dlam + dr(z)], axis=1)
+        dc = np.stack([zero, zero,
+                       2.0 * (muv + 2.0) + 2.0 * (1.0 + z) * dmu(z)], axis=1)
+        return (a, b, c), (da, db, dc)
 
-    phi, xi, eta, g = _chart_fields(domain, coeff)
-    return AlmostContactModel(
-        family="kmup-chart", variant="hp", coords=("x", "y", "z"),
-        domain=domain, default_box=params.box,
-        phi=phi, xi=xi, eta=eta, g=g,
-        k_nom=ScalarField(lambda p: p[:, 2].copy(), domain, name="k"),
-        mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain, name="mu"),
-        lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain, name="lam"),
-        params={"mu": str(mu), "f": str(f), "r": str(r),
-                "box": [list(iv) for iv in params.box]},
-    )
+    return _chart_model("kmup-chart", "hp", params.box, mu, f, r, coeff)
 
 
 # --------------------------------------------------------------------------
@@ -258,12 +325,13 @@ def build_darboux_model(params: DarbouxParams,
     g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
     block is F(t); xi = d_t, eta = dt.  Positive definiteness of G is
     asserted at every node (det G = 1 is an invariant of the exact flow).
-    Every field depends on t alone, and all but mu carry their exact
-    t-partials from the ODE slopes: d_t phi is the block of F' = 2H,
-    d_t g = e^{2t}(2G + G') with G' = -M2 F', and lam' = -2 lam (kmu) or
-    -fint' lam (kmup).
+    Every field depends on t alone and carries its exact t-partial: mu from
+    ``Expr.diff``, the others from the ODE slopes: d_t phi is the block of
+    F' = 2H, d_t g = e^{2t}(2G + G') with G' = -M2 F', and lam' = -2 lam
+    (kmu) or -fint' lam (kmup).
     """
     mu_bar = params.resolved()
+    dmu_bar = mu_bar.diff()
     t0, t1 = map(float, params.t_range)
     if trajectory is not None:
         traj = trajectory
@@ -355,8 +423,8 @@ def build_darboux_model(params: DarbouxParams,
         g=MetricField(g_fn, domain, partials=dg_fn, **t_only, name="g"),
         k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
                           partials=dk_fn, **t_only, name="k"),
-        # Expr has no derivative: mu keeps FD, along t only
-        mu_nom=ScalarField(lambda p: np.asarray(mu_bar(p[:, 2]), float), domain,
+        mu_nom=ScalarField(lambda p: mu_bar(p[:, 2]), domain,
+                           partials=lambda p: on_t(dmu_bar(p[:, 2])),
                            **t_only, name="mu"),
         lam_nom=ScalarField(lambda p: traj.lam(p[:, 2]), domain,
                             partials=dlam_fn, **t_only, name="lam"),

@@ -413,6 +413,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> float:
     maxAlgResidual.
     """
     header = "t,f1,f2,f3,h1,h2,h3,b1,b2,b3,lambda,k,maxAlgResidual,detG"
+    row_fmt = ",".join(["%.17g"] * 14) + "\r\n"
     worst = 0.0
     with open(path, "w", newline="") as fh:
         # CRLF row ends, as the csv module's default dialect writes them
@@ -424,7 +425,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> float:
             lam = _lam(t, y, traj.variant)
             rows = np.column_stack(
                 [t, y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
-            np.savetxt(fh, rows.astype(float), fmt="%.17g", delimiter=",",
-                       newline="\r\n")
+            # one %-format of the whole block: np.savetxt's bytes, row by row
+            values = tuple(rows.astype(float).ravel().tolist())
+            fh.write(row_fmt * len(rows) % values)
             worst = max(worst, float(max_res.max()))
     return worst

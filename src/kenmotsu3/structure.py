@@ -103,8 +103,9 @@ def compute_h(model: AlmostContactModel, pts,
 
     For the coordinate field e_j:  (L_xi phi)(e_j) = [xi, phi e_j]
     - phi [xi, e_j], which expands to xi^a d_a phi^i_j - phi^a_j d_a xi^i
-    + phi^i_s d_j xi^s, with the fields' own partials where they carry them
-    (the Darboux families) and FD partials otherwise.
+    + phi^i_s d_j xi^s, with the fields' own exact partials (the chart
+    families by the quotient rule, the Darboux families from the ODE) and
+    FD partials otherwise (the baseline).
     """
     pts, single = as_points(pts)
     xi = model.xi(pts)

@@ -70,6 +70,14 @@ class TestVerify:
         assert run(["verify", "--family", "kenmotsu",
                     "--identities", "NOPE"]) == 2
 
+    def test_derivative_domain_error_names_the_users_text(self, capsys):
+        # d/dz sqrt(z+3) divides by zero at z = -3, the box's lower end: the
+        # message names the user's node, not the derivative's 0.5 / sqrt(...)
+        assert run(["verify", "--family", "kmu-chart", "--mu", "sqrt(z+3)",
+                    "--grid", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "division by zero in the derivative of 'sqrt(z + 3.0)'" in err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["verify", "--family", "kenmotsu", "--nope"]) == 2
 

@@ -154,3 +154,118 @@ def test_expr_is_shareable_and_pure():
     b = e(np.linspace(0, 1, 11))
     assert np.array_equal(a, b)
     assert isinstance(e, Expr)
+
+
+# --- symbolic derivative ----------------------------------------------------
+
+class TestDiff:
+    @pytest.mark.parametrize("src,want", [
+        ("2.5", "0.0"),
+        ("t", "1.0"),
+        ("-t", "-1.0"),
+        ("3*t + 2", "3.0"),
+        ("t - 1/t", "1.0 - -1.0 / t^2.0"),
+        ("t^3", "3.0 * t^2.0"),
+        ("t^0.5", "0.5 * t^(-0.5)"),
+        ("2^t", "2.0^t * log(2.0)"),
+        ("exp(2*t)", "exp(2.0 * t) * 2.0"),
+        ("log(t)", "1.0 / t"),
+        ("sqrt(t)", "0.5 / sqrt(t)"),
+        ("sin(t)", "cos(t)"),
+        ("cos(t)", "-sin(t)"),
+    ])
+    def test_rules_fold_zero_and_one_terms(self, src, want):
+        assert str(parse_expr(src, "t").diff()) == want
+
+    @pytest.mark.parametrize("src,x,dfdx", [
+        ("t*sin(t)", 0.7, np.sin(0.7) + 0.7 * np.cos(0.7)),
+        ("(t + 1)/(t - 2)", 0.5, -3.0 / 1.5**2),
+        ("t^t", 1.5, 1.5**1.5 * (np.log(1.5) + 1.0)),
+        ("log(t^2 + 1)", 2.0, 4.0 / 5.0),
+        ("cos(exp(-t))", 0.3, np.sin(np.exp(-0.3)) * np.exp(-0.3)),
+    ])
+    def test_closed_forms(self, src, x, dfdx):
+        assert parse_expr(src, "t").diff()(x) == pytest.approx(dfdx, rel=1e-14)
+
+    def test_keeps_the_variable_and_evaluates_on_arrays(self):
+        d = parse_expr("z^2 + 1", "z").diff()
+        assert d.var == "z" and str(d) == d.src == "2.0 * z"
+        assert np.array_equal(d(np.array([0.0, 1.5])), [0.0, 3.0])
+        assert np.array_equal(parse_expr("3", "z").diff()(np.zeros(4)),
+                              np.zeros(4))
+
+    @pytest.mark.parametrize("src,x,message", [
+        ("sqrt(z + 3)", -3.0,
+         "division by zero in the derivative of 'sqrt(z + 3.0)'"),
+        ("1 + log(z^2)", 0.0,
+         "division by zero in the derivative of 'log(z^2.0)'"),
+        ("z^0.5 - 1", 0.0,
+         "zero raised to negative power in the derivative of 'z^0.5'"),
+        ("2 + (z - 1)^z", 1.0,
+         "log of non-positive value in the derivative of '(z - 1.0)^z'"),
+        ("1/z", 0.0, "division by zero in the derivative of '1.0 / z'"),
+    ])
+    def test_domain_error_names_the_original_node(self, src, x, message):
+        e = parse_expr(src, "z")
+        with pytest.raises(ExprDomainError) as err:
+            e.diff()(x)
+        assert str(err.value) == message
+
+    def test_domain_error_of_an_original_node_names_it_plainly(self):
+        with pytest.raises(ExprDomainError) as err:
+            parse_expr("sqrt(z)", "z").diff()(-1.0)
+        assert str(err.value) == "sqrt of negative value in 'sqrt(z)'"
+
+
+def _smooth_exprs(depth):
+    """Expression text smooth on t in [0.5, 2]: log, sqrt, '/' and a
+    variable-exponent '^' get arguments bounded away from 0."""
+    const = st.floats(min_value=0.1, max_value=3.0).map(lambda v: f"{v:.3f}")
+    leaf = st.one_of(const, st.just("t"))
+    if depth == 0:
+        return leaf
+    sub = _smooth_exprs(depth - 1)
+    positive = st.tuples(sub, const).map(lambda t: f"(({t[0]})^2 + {t[1]})")
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, positive).map(lambda t: f"({t[0]} / {t[1]})"),
+        sub.map(lambda s: f"-({s})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), sub).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["log", "sqrt"]), positive).map(
+            lambda t: f"{t[0]}{t[1]}"),
+        st.tuples(sub, st.integers(min_value=0, max_value=3)).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(positive, st.sampled_from(["0.5", "-1.5", "2.5"])).map(
+            lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(positive, sub).map(lambda t: f"{t[0]}^({t[1]})"),
+    )
+
+
+def _central_difference(e, x, h):
+    """5-point 4th-order central difference of ``e`` at ``x``."""
+    f = e(x + h * np.array([-2.0, -1.0, 1.0, 2.0]))
+    return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=_smooth_exprs(3), x=st.floats(min_value=0.5, max_value=2.0))
+def test_diff_matches_central_difference(src, x):
+    e = parse_expr(src, "t")
+    d = e.diff()
+    assert parse_expr(str(d), "t") == d  # the printed derivative parses back
+    h = 1e-3
+    try:
+        exact = d(x)
+        fd = _central_difference(e, x, h)
+        fd_half = _central_difference(e, x, h / 2)
+        scale = max(1.0, abs(exact), float(np.max(np.abs(
+            e(x + h * np.arange(-2.0, 3.0))))))
+    except ExprDomainError:
+        return  # overflow: no finite value to compare
+    # the h/2 difference errs by its 4th-order truncation, about 1/15 of its
+    # gap to the h difference, plus rounding of about eps max|f| / h, here
+    # allowed 1e3 times over
+    assert abs(fd_half - exact) <= abs(fd - fd_half) + 1e-10 * scale

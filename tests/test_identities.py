@@ -528,7 +528,7 @@ class TestStagedContractions:
 @pytest.mark.parametrize("variant,mu", [("kmu", "1"), ("kmup", "sin(t)")])
 def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
         monkeypatch, variant, mu):
-    # phi, g, xi, eta, k and lam carry exact t-partials and vary along t
+    # phi, g, xi, eta, k, mu and lam carry exact t-partials and vary along t
     # alone, so a suite sends them into no stencil, and nothing along x, y
     model = build_darboux_model(DarbouxParams(variant, mu, (-0.25, 0.25)))
     seen = []
@@ -541,10 +541,45 @@ def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
     monkeypatch.setattr(fields, "partial_derivative", spy)
     check_suite(model, "all", PLAN)
     exact = [model.phi, model.g, model.xi, model.eta, model.k_nom,
-             model.lam_nom]
+             model.mu_nom, model.lam_nom]
     assert seen and {axis for _, axis in seen} == {2}
     assert not [f for f, _ in seen if any(f is e for e in exact)]
-    assert any(f is model.mu_nom for f, _ in seen)  # Expr has no derivative
+
+
+CHART_MODELS = [
+    (build_kmu_chart_model, KmuChartParams("z + 1", "sin(z)", "0.1*z^2")),
+    (build_kmu_prime_chart_model,
+     KmupChartParams("0.3*cos(z)", "z", "exp(z)")),
+]
+
+
+@pytest.mark.parametrize("build,params", CHART_MODELS,
+                         ids=lambda c: getattr(c, "__name__", ""))
+def test_chart_suite_differentiates_by_fd_only_derived_fields(
+        monkeypatch, build, params):
+    # the seven base fields carry exact partials: a suite sends none of them
+    # into a stencil, and one FD level over closed-form fields evaluates
+    # fields at 302 points per sample point (1,577 with FD of phi, xi and g
+    # under every stencil)
+    model = build(params)
+    seen, evaluated = [], [0]
+    stencil, call = fields.partial_derivative, fields.ArrayField.__call__
+
+    def spy(field, pts, axis, scheme=None):
+        seen.append(field)
+        return stencil(field, pts, axis, scheme)
+
+    def counting(self, pts):
+        evaluated[0] += len(pts) if np.ndim(pts) == 2 else 1
+        return call(self, pts)
+
+    monkeypatch.setattr(fields, "partial_derivative", spy)
+    monkeypatch.setattr(fields.ArrayField, "__call__", counting)
+    check_suite(model, "all", PLAN)
+    base = [model.phi, model.g, model.xi, model.eta, model.k_nom,
+            model.mu_nom, model.lam_nom]
+    assert seen and not [f for f in seen if any(f is b for b in base)]
+    assert evaluated[0] <= 302 * len(PLAN.points(model))
 
 
 def test_probe_freed_without_cyclic_gc(kmu_chart):

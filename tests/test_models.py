@@ -209,7 +209,7 @@ class TestDarbouxExactPartials:
         # most 4.5e-9 on the other models
         # (xi and eta are constant: exact zeros, and FD reads 4e-14)
         pts = self._pts(np.linspace(-1.0, 1.0, 11))
-        for name in ("phi", "g", "xi", "eta", "k_nom", "lam_nom"):
+        for name in ("phi", "g", "xi", "eta", "k_nom", "mu_nom", "lam_nom"):
             field = getattr(model, name)
             assert field.varies == (False, False, True)
             exact = coordinate_derivatives(field, pts)
@@ -219,10 +219,53 @@ class TestDarbouxExactPartials:
             axes = tuple(range(1, fd.ndim))
             err = np.abs(fd - exact[:, 2]).max(axis=axes, initial=0.0)
             scale = np.abs(exact[:, 2]).max(axis=axes, initial=0.0)
-            if name in ("xi", "eta"):
+            if name in ("xi", "eta") or not scale.any():  # constant mu too
                 assert not exact.any() and np.all(err <= 1e-12), name
             else:
                 assert np.all(err <= 1e-6 * scale), name
+
+
+# mu, f, r of the form the chart benchmark draws (seeds 1-2)
+CHART_CASES = [
+    (build_kmu_chart_model, KmuChartParams,
+     "-0.378 - 0.143*z + 0.172*sin(1.0*z)", "-0.451*cos(1.563*z)",
+     "-0.0704*z^2 - 0.504"),
+    (build_kmu_prime_chart_model, KmupChartParams,
+     "0.176 + 0.0081*z + 0.159*sin(1.714*z)", "0.0107*cos(0.804*z)",
+     "-0.0268*z^2 - 0.624"),
+    (build_kmu_chart_model, KmuChartParams,
+     "0.429 - 0.0139*z + 0.216*sin(1.223*z)", "-0.159*cos(1.962*z)",
+     "0.103*z^2 + 0.088"),
+    (build_kmu_prime_chart_model, KmupChartParams,
+     "-0.170 + 0.0351*z + 0.137*sin(1.410*z)", "0.320*cos(1.993*z)",
+     "-0.0654*z^2 - 0.979"),
+]
+BASE_FIELDS = ("phi", "xi", "eta", "g", "k_nom", "mu_nom", "lam_nom")
+
+
+class TestChartExactPartials:
+    """The chart fields carry exact partials, by the quotient rule from those
+    of (a, b, c) and from Expr.diff."""
+
+    @pytest.fixture(scope="class", params=CHART_CASES,
+                    ids=lambda c: c[0].__name__)
+    def model(self, request):
+        build, params, mu, f, r = request.param
+        return build(params(mu, f, r))
+
+    def test_exact_partials_match_fd(self, model):
+        # 5-point FD at h_rel 1e-3 errs by its 4th-order truncation and its
+        # rounding: measured at most 9.1e-10 of max |exact| over each field
+        # here, and 9.4e-10 on the chart benchmark's grid-9 inputs of seeds 1-3
+        pts = sample(model, grid=5)
+        for name in BASE_FIELDS:
+            field = getattr(model, name)
+            assert field.partials is not None, name
+            exact = coordinate_derivatives(field, pts)
+            plain = type(field)(field.fn, field.domain)
+            fd = np.stack([partial_derivative(plain, pts, a) for a in range(3)],
+                          axis=1)
+            assert np.abs(fd - exact).max() <= 5e-9 * np.abs(exact).max(), name
 
 
 class TestBaseline:

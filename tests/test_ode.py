@@ -1,6 +1,7 @@
 """Matrix ODE: right-hand side, invariants, integrator, CSV export."""
 
 import csv
+import io
 import re
 
 import numpy as np
@@ -384,3 +385,20 @@ class TestCsvExport:
         rows = list(csv.reader(open(path)))[1:]
         det = np.array([float(r[13]) for r in rows])
         assert np.max(np.abs(det - 1.0)) <= 1e-9
+
+    def test_bytes_match_savetxt(self, tmp_path):
+        # each block is written by one %-format; the bytes are those that
+        # np.savetxt writes for the same float64 rows (which %.17g text
+        # gives back exactly)
+        tr = integrate("kmup", parse_expr("0.3 + 0.2*sin(2*t)", "t"),
+                       (-1.0, 1.0), 1e-3)
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(tr, path)
+        data = path.read_bytes()
+        header, _ = data.split(b"\r\n", 1)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert rows.shape == (len(tr.times), 14) and len(rows) > 128
+        ref = io.BytesIO()
+        np.savetxt(ref, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=header.decode(), comments="")
+        assert data == ref.getvalue()
