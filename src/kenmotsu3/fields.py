@@ -107,9 +107,9 @@ class DiffScheme:
         if not 0 < self.h_rel < 0.1:
             raise ValueError("h_rel out of range")
 
-    def refined(self, factor: float = 2.0) -> "DiffScheme":
-        """Scheme with the step divided by ``factor`` (convergence runs)."""
-        return DiffScheme(self.h_rel / factor)
+    def refined(self) -> "DiffScheme":
+        """Scheme with half the step (convergence runs)."""
+        return DiffScheme(self.h_rel / 2.0)
 
     def steps(self, pts: np.ndarray, axis: int,
               quantum: float | None = None) -> np.ndarray:

@@ -30,11 +30,13 @@ __all__ = [
     "Curvature",
     "christoffel",
     "christoffel_field",
+    "curvature",
     "riemann",
     "sectional_curvature",
     "covariant_derivative_tensor11",
     "covariant_differential",
     "exterior_derivative",
+    "exterior_differential",
     "g_norm",
     "g_operator_norm",
 ]
@@ -99,12 +101,10 @@ class Curvature:
         return np.einsum("nil,nl->ni", np.einsum("nikl,nk->nil", r_z, x), y)
 
 
-def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
-    """Full curvature from Gamma and its numeric derivatives."""
-    pts, _ = as_points(pts)
-    gamma, ginv = christoffel(g, pts, scheme, return_ginv=True)
-    dgamma = coordinate_derivatives(christoffel_field(g, scheme), pts, scheme)
-    # dgamma[n, a, i, j, k] = d_a Gamma^i_{jk}
+def curvature(gamma: np.ndarray, ginv: np.ndarray,
+              dgamma: np.ndarray) -> Curvature:
+    """Curvature from Gamma (n,3,3,3), g^{-1} (n,3,3) and the partials
+    ``dgamma[n, a, i, j, k] = d_a Gamma^i_{jk}``."""
     riem = (np.einsum("nkilj->nijkl", dgamma) - np.einsum("nlikj->nijkl", dgamma)
             + np.einsum("niks,nslj->nijkl", gamma, gamma)
             - np.einsum("nils,nskj->nijkl", gamma, gamma))
@@ -112,6 +112,14 @@ def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
     q = np.einsum("nis,nsj->nij", ginv, ric)
     sc = np.einsum("nii->n", q)
     return Curvature(riem, ric, q, sc, gamma, ginv)
+
+
+def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
+    """Full curvature from Gamma and its numeric derivatives."""
+    pts, _ = as_points(pts)
+    gamma, ginv = christoffel(g, pts, scheme, return_ginv=True)
+    dgamma = coordinate_derivatives(christoffel_field(g, scheme), pts, scheme)
+    return curvature(gamma, ginv, dgamma)
 
 
 def sectional_curvature(g: MetricField, pts, x, y,
@@ -148,12 +156,10 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
 
 
 def covariant_derivative_tensor11(g: MetricField, t_field: Tensor11Field,
-                                  x, pts, scheme: DiffScheme | None = None,
-                                  gamma: np.ndarray | None = None) -> np.ndarray:
+                                  x, pts, scheme: DiffScheme | None = None) -> np.ndarray:
     """(nabla_X T)^i_j = X(T^i_j) + Gamma^i_{ks} X^k T^s_j - Gamma^s_{kj} X^k T^i_s."""
     pts, single = as_points(pts)
-    if gamma is None:
-        gamma = christoffel(g, pts, scheme)
+    gamma = christoffel(g, pts, scheme)
     if isinstance(x, VectorField):
         xv = x(pts)
     else:
@@ -167,21 +173,24 @@ def covariant_derivative_tensor11(g: MetricField, t_field: Tensor11Field,
 
 def exterior_derivative(form: ArrayField, pts,
                         scheme: DiffScheme | None = None) -> np.ndarray:
-    """Coordinate exterior derivative of a 1-form or 2-form field.
+    """Coordinate exterior derivative of a 1-form or 2-form field."""
+    pts, single = as_points(pts)
+    out = exterior_differential(coordinate_derivatives(form, pts, scheme))
+    return out[0] if single else out
 
-    1-form (components (n,3)) -> 2-form components (d omega)_{ij} (n,3,3);
-    2-form (components (n,3,3), antisymmetric) -> the single 3-form density
+
+def exterior_differential(d: np.ndarray) -> np.ndarray:
+    """Exterior derivative from a form's coordinate partials (n, axis, ...).
+
+    1-form (partials (n,3,3)) -> 2-form components (d omega)_{ij} (n,3,3);
+    2-form (partials (n,3,3,3), antisymmetric) -> the single 3-form density
     (d omega)(e_0, e_1, e_2) as a scalar (n,).
     """
-    pts, single = as_points(pts)
-    d = coordinate_derivatives(form, pts, scheme)  # (n, axis, ...)
-    if form.out_shape == (3,):
-        out = d - np.einsum("nji->nij", d)
-    elif form.out_shape == (3, 3):
-        out = d[:, 0, 1, 2] - d[:, 1, 0, 2] + d[:, 2, 0, 1]
-    else:
-        raise ValueError(f"not a 1-form or 2-form field: shape {form.out_shape}")
-    return out[0] if single else out
+    if d.shape[1:] == (3, 3):
+        return d - np.einsum("nji->nij", d)
+    if d.shape[1:] == (3, 3, 3):
+        return d[:, 0, 1, 2] - d[:, 1, 0, 2] + d[:, 2, 0, 1]
+    raise ValueError(f"not the partials of a 1-form or 2-form: shape {d.shape[1:]}")
 
 
 # --------------------------------------------------------------------------

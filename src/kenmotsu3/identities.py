@@ -21,22 +21,25 @@ import numpy as np
 from .fields import (
     ArrayField,
     DiffScheme,
-    Tensor11Field,
     as_points,
     coordinate_derivatives,
 )
 from .geometry import (
     christoffel,
     covariant_differential,
+    curvature,
     exterior_derivative,
+    exterior_differential,
     g_norm,
     g_operator_norm,
     riemann,
+    sectional_curvature,
 )
 from .structure import (
     AlmostContactModel,
     compute_h,
     eigenframe,
+    lie_derivative,
     two_form_components,
 )
 
@@ -55,6 +58,11 @@ __all__ = [
 PROFILES = {"strict": 1e-10, "fd1": 1e-6, "fd2": 5e-5}
 
 MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
+
+# the quantities the Probe differentiates by FD, with their per-node shapes,
+# in the order of the stacked field's components
+_STACK = (("h", (3, 3)), ("hp", (3, 3)), ("b", (3, 3)), ("x", (3,)),
+          ("phi_x", (3,)), ("lam", ()), ("phi2", (3, 3)), ("gamma", (3, 3, 3)))
 
 
 @dataclass(frozen=True)
@@ -176,15 +184,52 @@ class Probe:
     def eye(self):
         return np.broadcast_to(np.eye(3), (self.n, 3, 3))
 
+    # --- the one FD pass ----------------------------------------------------
+
+    @cached_property
+    def fd_partials(self):
+        """Coordinate partials of every quantity differentiated by FD.
+
+        One field stacks, at each stencil node, h (computed once), h' = h phi,
+        B = phi h, the eigenframe (X, phi X, lam) of T from that h, the
+        2-form Phi and the connection Gamma, so one stencil pass serves them
+        all; the values and weights are those of one field per quantity.
+        Maps each name of ``_STACK`` to its partials ``[n, axis, ...]``.
+        """
+        model, scheme = self.model, self.scheme  # fn holds no Probe
+
+        def fn(q):
+            h, phi = compute_h(model, q, scheme), model.phi(q)
+            ef = eigenframe(model, q, scheme, h=h)
+            parts = (h, h @ phi, phi @ h, ef.x, ef.phi_x, ef.lam,
+                     two_form_components(model, q), christoffel(model.g, q, scheme))
+            return np.concatenate([a.reshape(len(q), -1) for a in parts], axis=1)
+
+        sizes = [int(np.prod(shape)) for _, shape in _STACK]
+        field = ArrayField(fn, model.domain, out_shape=(sum(sizes),),
+                           axis_quanta=model.g.axis_quanta, varies=model.g.varies)
+        d = coordinate_derivatives(field, self.pts, scheme)
+        ends = np.cumsum(sizes)
+        return {name: d[:, :, end - size:end].reshape((self.n, 3) + shape)
+                for (name, shape), size, end in zip(_STACK, sizes, ends)}
+
     # --- connection and curvature -------------------------------------------
 
     @cached_property
+    def _christoffel(self):
+        return christoffel(self.model.g, self.pts, self.scheme, return_ginv=True)
+
+    @cached_property
     def gamma(self):
-        return christoffel(self.model.g, self.pts, self.scheme)
+        return self._christoffel[0]
+
+    @cached_property
+    def ginv(self):
+        return self._christoffel[1]
 
     @cached_property
     def curv(self):
-        return riemann(self.model.g, self.pts, self.scheme)
+        return curvature(self.gamma, self.ginv, self.fd_partials["gamma"])
 
     @cached_property
     def r_xi(self):
@@ -220,50 +265,20 @@ class Probe:
               + np.einsum("niks,ns->nik", self.gamma, self.xi))
         return op
 
-    def _partials(self, fn, out_shape):
-        """Coordinate partials at the sample points of the field ``fn``.
-
-        ``fn`` stacks several quantities computed together at each node, so
-        one stencil evaluation serves all of them; the values and weights
-        are those of one field per quantity.
-        """
-        field = ArrayField(fn, self.model.domain, out_shape=out_shape,
-                           axis_quanta=self.model.g.axis_quanta,
-                           varies=self.model.g.varies)
-        return coordinate_derivatives(field, self.pts, self.scheme)
-
-    @cached_property
-    def _d_h_hp_b(self):
-        """Partials of h, h' = h phi and B = phi h, stacked on axis 2."""
-        def fn(q):
-            h, phi = compute_h(self.model, q, self.scheme), self.model.phi(q)
-            return np.stack([h, h @ phi, phi @ h], axis=1)
-
-        return self._partials(fn, (3, 3, 3))
-
-    @cached_property
-    def dh(self):
-        return self._d_h_hp_b[:, :, 0]
-
     @cached_property
     def nabla_h(self):
-        return covariant_differential(self.h, self.dh, self.gamma)
-
-    @cached_property
-    def dhp(self):
-        return self._d_h_hp_b[:, :, 1]
+        return covariant_differential(self.h, self.fd_partials["h"],
+                                      self.gamma)
 
     @cached_property
     def nabla_hp(self):
-        return covariant_differential(self.hp, self.dhp, self.gamma)
-
-    @cached_property
-    def db(self):
-        return self._d_h_hp_b[:, :, 2]
+        return covariant_differential(self.hp, self.fd_partials["hp"],
+                                      self.gamma)
 
     @cached_property
     def nabla_b(self):
-        return covariant_differential(self.bmat, self.db, self.gamma)
+        return covariant_differential(self.bmat, self.fd_partials["b"],
+                                      self.gamma)
 
     @cached_property
     def dphi(self):
@@ -273,19 +288,13 @@ class Probe:
     def nabla_phi(self):
         return covariant_differential(self.phi, self.dphi, self.gamma)
 
-    def _lie_along_xi(self, t_vals, dt_vals):
-        """(L_xi T)^i_j = xi^a d_a T^i_j - T^a_j d_a xi^i + T^i_s d_j xi^s."""
-        return (np.einsum("na,naij->nij", self.xi, dt_vals)
-                - np.einsum("naj,nai->nij", t_vals, self.dxi)
-                + np.einsum("nis,njs->nij", t_vals, self.dxi))
-
     @cached_property
     def lie_h(self):
-        return self._lie_along_xi(self.h, self.dh)
+        return lie_derivative(self.xi, self.dxi, self.h, self.fd_partials["h"])
 
     @cached_property
     def lie_hp(self):
-        return self._lie_along_xi(self.hp, self.dhp)
+        return lie_derivative(self.xi, self.dxi, self.hp, self.fd_partials["hp"])
 
     # --- scalars' differentials ----------------------------------------------
 
@@ -308,18 +317,10 @@ class Probe:
         return two_form_components(self.model, self.pts)
 
     @cached_property
-    def phi2_field(self):
-        model = self.model  # a lambda capturing self would make a cycle
-        return Tensor11Field(lambda q: two_form_components(model, q),
-                             model.domain,
-                             axis_quanta=model.g.axis_quanta,
-                             varies=model.g.varies, name="Phi")
-
-    @cached_property
     def nabla_phi2(self):
         """(nabla_k Phi)_{ij} = d_k Phi_ij - G^s_{ki} Phi_sj - G^s_{kj} Phi_is."""
-        d = coordinate_derivatives(self.phi2_field, self.pts, self.scheme)
-        return (d - np.einsum("nski,nsj->nkij", self.gamma, self.phi2)
+        return (self.fd_partials["phi2"]
+                - np.einsum("nski,nsj->nkij", self.gamma, self.phi2)
                 - np.einsum("nskj,nis->nkij", self.gamma, self.phi2))
 
     @cached_property
@@ -331,16 +332,6 @@ class Probe:
     @cached_property
     def eigen(self):
         return eigenframe(self.model, self.pts, self.scheme, h=self.h)
-
-    @cached_property
-    def d_eigen(self):
-        """Partials (dX, d(phi X), d lam), each indexed ``[n, axis, ...]``."""
-        def fn(q):
-            ef = eigenframe(self.model, q, self.scheme)
-            return np.concatenate([ef.x, ef.phi_x, ef.lam[:, None]], axis=1)
-
-        d = self._partials(fn, (7,))
-        return d[:, :, :3], d[:, :, 3:6], d[:, :, 6]
 
     @cached_property
     def frame(self):
@@ -438,7 +429,7 @@ def _res_ak_deta(p: Probe):
 
 
 def _res_ak_dphi(p: Probe):
-    dphi3 = exterior_derivative(p.phi2_field, p.pts, p.scheme)
+    dphi3 = exterior_differential(p.fd_partials["phi2"])
     eta_wedge = (p.eta[:, 0] * p.phi2[:, 1, 2]
                  - p.eta[:, 1] * p.phi2[:, 0, 2]
                  + p.eta[:, 2] * p.phi2[:, 0, 1])
@@ -587,9 +578,8 @@ def _res_tr_h(p: Probe):
 
 
 def _res_grad(p: Probe):
-    ginv = np.linalg.inv(p.g)
-    grad_mu = np.einsum("nij,nj->ni", ginv, p.dmu)
-    grad_k = np.einsum("nij,nj->ni", ginv, p.dk)
+    grad_mu = np.einsum("nij,nj->ni", p.ginv, p.dmu)
+    grad_k = np.einsum("nij,nj->ni", p.ginv, p.dk)
     xi_k = np.einsum("ni,ni->n", p.xi, p.dk)
     v = np.einsum("nij,nj->ni", p.t_op, grad_mu) - grad_k + xi_k[:, None] * p.xi
     return p.vec_norm(v)
@@ -634,7 +624,8 @@ def _conn_residual(p: Probe, relations):
     """
     x, phi_x = p.eigen.x, p.eigen.phi_x
     lam = p.eigen.lam
-    dx, dpx, dl = p.d_eigen
+    d = p.fd_partials
+    dx, dpx, dl = d["x"], d["phi_x"], d["lam"]
 
     def nabla(direction, which):
         # (nabla_W V)^i = W^a (d_a V^i + Gamma^i_{as} V^s)
@@ -700,12 +691,8 @@ def _res_conn_kmup(p: Probe):
 
 
 def _res_flat_leaf(p: Probe):
-    x, px = p.eigen.x, p.eigen.phi_x
-    num = np.einsum("ni,nij,nj->n", p.curv.apply(x, px, px), p.g, x)
-    xx = np.einsum("ni,nij,nj->n", x, p.g, x)
-    pp = np.einsum("ni,nij,nj->n", px, p.g, px)
-    xp = np.einsum("ni,nij,nj->n", x, p.g, px)
-    kappa = num / (xx * pp - xp ** 2)
+    kappa = sectional_curvature(p.model.g, p.pts, p.eigen.x, p.eigen.phi_x,
+                                curv=p.curv)
     return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
 
 
@@ -910,7 +897,7 @@ def check_identity(model: AlmostContactModel, identity: str,
         # distinguish truncation from structural failure by a half-step
         # rerun; trajectory-backed fields snap their t-steps to the node
         # grid, so there a half step would equal the full one
-        fine = Probe(model, probe.pts, scheme.refined(2.0),
+        fine = Probe(model, probe.pts, scheme.refined(),
                      plan.rand_pairs, plan.seed)
         fine_res = float(np.max(spec.fn(fine)))
         ratio = report.residual / fine_res if fine_res > 0 else float("inf")

@@ -40,7 +40,7 @@ from .fields import (
     Tensor11Field,
     VectorField,
 )
-from .ode import M2, Trajectory, _as_matrix, integrate, metric_from_state
+from .ode import M2, _as_matrix, integrate, metric_from_state
 from .structure import AlmostContactModel
 
 __all__ = [
@@ -91,6 +91,21 @@ def _expr_or_default(e: Expr | str | None, var: str, default: str) -> Expr:
     if isinstance(e, str):
         return parse_expr(e, var)
     return e
+
+
+def _dt_covector(pts):
+    """Components (n, 3) of dt (the Darboux and baseline xi and eta)."""
+    out = np.zeros((pts.shape[0], 3))
+    out[:, 2] = 1.0
+    return out
+
+
+def _on_axis2(block):
+    """Partials (n, 3) + block shape: ``block`` along the third axis, 0
+    along the first two."""
+    out = np.zeros((len(block), 3) + block.shape[1:])
+    out[:, 2] = block
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,23 +258,17 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
     phi, xi, eta, g = _chart_fields(domain, coeff_fn)
 
-    def on_z(dz):
-        """Partials (n, 3): ``dz`` along z, 0 along x, y."""
-        out = np.zeros((len(dz), 3))
-        out[:, 2] = dz
-        return out
-
     def dlam(p):  # lam' = -1/(2 lam)
-        return on_z(-0.5 / np.sqrt(-1.0 - p[:, 2]))
+        return _on_axis2(-0.5 / np.sqrt(-1.0 - p[:, 2]))
 
     return AlmostContactModel(
         family=family, variant=variant, coords=("x", "y", "z"),
         domain=domain, default_box=box,
         phi=phi, xi=xi, eta=eta, g=g,
         k_nom=ScalarField(lambda p: p[:, 2].copy(), domain,
-                          partials=lambda p: on_z(np.ones(len(p))), name="k"),
+                          partials=lambda p: _on_axis2(np.ones(len(p))), name="k"),
         mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain,
-                           partials=lambda p: on_z(dmu(p[:, 2])), name="mu"),
+                           partials=lambda p: _on_axis2(dmu(p[:, 2])), name="mu"),
         lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain,
                             partials=dlam, name="lam"),
         params={"mu": str(mu), "f": str(f), "r": str(r),
@@ -318,8 +327,7 @@ def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
 # Darboux families
 # --------------------------------------------------------------------------
 
-def build_darboux_model(params: DarbouxParams,
-                        trajectory: Trajectory | None = None) -> AlmostContactModel:
+def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     """A Darboux-like model backed by the matrix-ODE trajectory.
 
     g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
@@ -333,15 +341,11 @@ def build_darboux_model(params: DarbouxParams,
     mu_bar = params.resolved()
     dmu_bar = mu_bar.diff()
     t0, t1 = map(float, params.t_range)
-    if trajectory is not None:
-        traj = trajectory
-    else:
-        # integrate a few stencil widths past the requested range so the
-        # finite differences of derived fields (h, the connection) at the
-        # interval ends stay on centered windows
-        pad = 8.0 * params.step * max(1.0, abs(t0), abs(t1))
-        traj = integrate(params.variant, mu_bar, (t0 - pad, t1 + pad),
-                         params.step)
+    # integrate a few stencil widths past the requested range so the
+    # finite differences of derived fields (h, the connection) at the
+    # interval ends stay on centered windows
+    pad = 8.0 * params.step * max(1.0, abs(t0), abs(t1))
+    traj = integrate(params.variant, mu_bar, (t0 - pad, t1 + pad), params.step)
     metric_from_state(traj.times, traj.states)  # raises on PD failure
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
@@ -368,21 +372,10 @@ def build_darboux_model(params: DarbouxParams,
         out[:, 2, 2] = 1.0
         return out
 
-    def const_cov(pts):
-        out = np.zeros((pts.shape[0], 3))
-        out[:, 2] = 1.0
-        return out
-
-    def on_t(block):
-        """Partials (n, 3) + block shape, ``block`` along t and 0 along x, y."""
-        out = np.zeros((len(block), 3) + block.shape[1:])
-        out[:, 2] = block
-        return out
-
     def dphi_fn(pts):
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, :2, :2] = _as_matrix(traj.slopes(pts[:, 2])[:, 0:3])  # F' = 2H
-        return on_t(out)
+        return _on_axis2(out)
 
     def dg_fn(pts):
         ts = pts[:, 2]
@@ -390,7 +383,7 @@ def build_darboux_model(params: DarbouxParams,
         dgmat = -M2 @ _as_matrix(traj.slopes(ts)[:, 0:3])
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, :2, :2] = np.exp(2.0 * ts)[:, None, None] * (2.0 * gmat + dgmat)
-        return on_t(out)
+        return _on_axis2(out)
 
     def zero_partials(pts):
         return np.zeros((pts.shape[0], 3, 3))
@@ -403,11 +396,11 @@ def build_darboux_model(params: DarbouxParams,
 
     def dlam_fn(pts):
         ts = pts[:, 2]
-        return on_t(lam_rate(ts) * traj.lam(ts))
+        return _on_axis2(lam_rate(ts) * traj.lam(ts))
 
     def dk_fn(pts):  # k = -1 - lam^2
         ts = pts[:, 2]
-        return on_t(-2.0 * lam_rate(ts) * traj.lam(ts) ** 2)
+        return _on_axis2(-2.0 * lam_rate(ts) * traj.lam(ts) ** 2)
 
     model = AlmostContactModel(
         family=f"{params.variant}-darboux",
@@ -416,15 +409,15 @@ def build_darboux_model(params: DarbouxParams,
         domain=domain,
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
         phi=Tensor11Field(phi_fn, domain, partials=dphi_fn, **t_only, name="phi"),
-        xi=VectorField(lambda p: const_cov(p), domain, partials=zero_partials,
-                       **t_only, name="xi"),
-        eta=CovectorField(const_cov, domain, partials=zero_partials, **t_only,
-                          name="eta"),
+        xi=VectorField(_dt_covector, domain, partials=zero_partials, **t_only,
+                       name="xi"),
+        eta=CovectorField(_dt_covector, domain, partials=zero_partials,
+                          **t_only, name="eta"),
         g=MetricField(g_fn, domain, partials=dg_fn, **t_only, name="g"),
         k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
                           partials=dk_fn, **t_only, name="k"),
         mu_nom=ScalarField(lambda p: mu_bar(p[:, 2]), domain,
-                           partials=lambda p: on_t(dmu_bar(p[:, 2])),
+                           partials=lambda p: _on_axis2(dmu_bar(p[:, 2])),
                            **t_only, name="mu"),
         lam_nom=ScalarField(lambda p: traj.lam(p[:, 2]), domain,
                             partials=dlam_fn, **t_only, name="lam"),
@@ -455,11 +448,6 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
         out[:, 0, 1] = -1.0  # phi d_y = -d_x
         return out
 
-    def const_cov(pts):
-        out = np.zeros((pts.shape[0], 3))
-        out[:, 2] = 1.0
-        return out
-
     def const_scalar(v):
         return lambda p: np.full(p.shape[0], v)
 
@@ -467,8 +455,8 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
         family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
         domain=domain, default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
         phi=Tensor11Field(phi_fn, domain, name="phi"),
-        xi=VectorField(const_cov, domain, name="xi"),
-        eta=CovectorField(const_cov, domain, name="eta"),
+        xi=VectorField(_dt_covector, domain, name="xi"),
+        eta=CovectorField(_dt_covector, domain, name="eta"),
         g=MetricField(g_fn, domain, name="g"),
         k_nom=ScalarField(const_scalar(-1.0), domain, name="k"),
         mu_nom=ScalarField(const_scalar(0.0), domain, name="mu"),

@@ -32,6 +32,7 @@ from .geometry import exterior_derivative, g_norm
 __all__ = [
     "AlmostContactModel",
     "Eigenframe",
+    "lie_derivative",
     "compute_h",
     "compute_h_prime",
     "compute_b",
@@ -97,25 +98,31 @@ class Eigenframe:
     degenerate: np.ndarray  # (n,) bool
 
 
+def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
+                   dt_vals: np.ndarray) -> np.ndarray:
+    """(L_xi T)^i_j = xi^a d_a T^i_j - T^a_j d_a xi^i + T^i_s d_j xi^s.
+
+    For the coordinate field e_j this is [xi, T e_j] - T [xi, e_j], from the
+    values of xi (n,3) and of a (1,1) tensor T (n,3,3) and their coordinate
+    partials (axis first).
+    """
+    return (np.einsum("na,naij->nij", xi, dt_vals)
+            - np.einsum("naj,nai->nij", t_vals, dxi)
+            + np.einsum("nis,njs->nij", t_vals, dxi))
+
+
 def compute_h(model: AlmostContactModel, pts,
               scheme: DiffScheme | None = None) -> np.ndarray:
     """h = (1/2) L_xi phi from the Lie-derivative definition.
 
-    For the coordinate field e_j:  (L_xi phi)(e_j) = [xi, phi e_j]
-    - phi [xi, e_j], which expands to xi^a d_a phi^i_j - phi^a_j d_a xi^i
-    + phi^i_s d_j xi^s, with the fields' own exact partials (the chart
+    The partials of phi and xi are the fields' own exact ones (the chart
     families by the quotient rule, the Darboux families from the ODE) and
-    FD partials otherwise (the baseline).
+    FD otherwise (the baseline).
     """
     pts, single = as_points(pts)
-    xi = model.xi(pts)
-    phi = model.phi(pts)
     dphi = coordinate_derivatives(model.phi, pts, scheme)  # (n, a, i, j)
     dxi = coordinate_derivatives(model.xi, pts, scheme)    # (n, a, i)
-    lie = (np.einsum("na,naij->nij", xi, dphi)
-           - np.einsum("naj,nai->nij", phi, dxi)
-           + np.einsum("nis,njs->nij", phi, dxi))
-    h = 0.5 * lie
+    h = 0.5 * lie_derivative(model.xi(pts), dxi, model.phi(pts), dphi)
     return h[0] if single else h
 
 

@@ -14,7 +14,7 @@ from kenmotsu3.fields import (
     VectorField,
     coordinate_derivatives,
 )
-from kenmotsu3.geometry import g_norm
+from kenmotsu3.geometry import christoffel_field, g_norm, riemann
 from kenmotsu3.identities import (
     IDENTITIES,
     PROFILES,
@@ -38,7 +38,12 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
 )
-from kenmotsu3.structure import compute_h, eigenframe, h_field
+from kenmotsu3.structure import (
+    compute_h,
+    eigenframe,
+    h_field,
+    two_form_components,
+)
 
 PLAN = SamplePlan(grid=3, rand_pairs=3, seed=21)
 
@@ -226,8 +231,8 @@ class TestFrameIndependence:
 
 
 class TestStackedPartials:
-    """One stacked field per FD-backed operator gives, bit for bit, the
-    partials of the separate per-quantity fields."""
+    """The Probe's one stacked field gives, bit for bit, the partials of the
+    separate per-quantity fields."""
 
     @pytest.fixture(params=["kmu_chart", "kmup_darboux"])
     def probe(self, request):
@@ -255,10 +260,11 @@ class TestStackedPartials:
         m, scheme = probe.model, probe.scheme
         b_field = self._field(probe, Tensor11Field,
                               lambda q: m.phi(q) @ compute_h(m, q, scheme))
-        assert np.array_equal(probe.dh, self._partials(probe, h_field(m, scheme)))
-        assert np.array_equal(probe.dhp, self._partials(
+        d = probe.fd_partials
+        assert np.array_equal(d["h"], self._partials(probe, h_field(m, scheme)))
+        assert np.array_equal(d["hp"], self._partials(
             probe, h_field(m, scheme, prime=True)))
-        assert np.array_equal(probe.db, self._partials(probe, b_field))
+        assert np.array_equal(d["b"], self._partials(probe, b_field))
 
     def test_eigenframe(self, probe):
         m, scheme = probe.model, probe.scheme
@@ -267,10 +273,24 @@ class TestStackedPartials:
             return self._partials(probe, self._field(
                 probe, cls, lambda q: getattr(eigenframe(m, q, scheme), attr)))
 
-        dx, dpx, dlam = probe.d_eigen
-        assert np.array_equal(dx, part(VectorField, "x"))
-        assert np.array_equal(dpx, part(VectorField, "phi_x"))
-        assert np.array_equal(dlam, part(ScalarField, "lam"))
+        d = probe.fd_partials
+        assert np.array_equal(d["x"], part(VectorField, "x"))
+        assert np.array_equal(d["phi_x"], part(VectorField, "phi_x"))
+        assert np.array_equal(d["lam"], part(ScalarField, "lam"))
+
+    def test_two_form_and_connection(self, probe):
+        m, scheme = probe.model, probe.scheme
+        phi2 = self._field(probe, Tensor11Field,
+                           lambda q: two_form_components(m, q))
+        d = probe.fd_partials
+        assert np.array_equal(d["phi2"], self._partials(probe, phi2))
+        assert np.array_equal(d["gamma"], self._partials(
+            probe, christoffel_field(m.g, scheme)))
+
+    def test_curvature_equals_riemann(self, probe):
+        ref = riemann(probe.model.g, probe.pts, probe.scheme)
+        for name in ("riemann", "ricci", "q", "scalar", "gamma", "ginv"):
+            assert np.array_equal(getattr(probe.curv, name), getattr(ref, name))
 
 
 # Reference implementations: each pooled contraction as one multi-operand
@@ -529,7 +549,8 @@ class TestStagedContractions:
 def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
         monkeypatch, variant, mu):
     # phi, g, xi, eta, k, mu and lam carry exact t-partials and vary along t
-    # alone, so a suite sends them into no stencil, and nothing along x, y
+    # alone, so a suite sends them into no stencil, and nothing along x, y:
+    # one stencil pass along t, of the Probe's stacked field
     model = build_darboux_model(DarbouxParams(variant, mu, (-0.25, 0.25)))
     seen = []
     stencil = fields.partial_derivative
@@ -542,7 +563,7 @@ def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
     check_suite(model, "all", PLAN)
     exact = [model.phi, model.g, model.xi, model.eta, model.k_nom,
              model.mu_nom, model.lam_nom]
-    assert seen and {axis for _, axis in seen} == {2}
+    assert len(seen) == 1 and seen[0][1] == 2
     assert not [f for f, _ in seen if any(f is e for e in exact)]
 
 
@@ -558,9 +579,11 @@ CHART_MODELS = [
 def test_chart_suite_differentiates_by_fd_only_derived_fields(
         monkeypatch, build, params):
     # the seven base fields carry exact partials: a suite sends none of them
-    # into a stencil, and one FD level over closed-form fields evaluates
-    # fields at 302 points per sample point (1,577 with FD of phi, xi and g
-    # under every stencil)
+    # into a stencil, and differentiates the Probe's stacked field alone,
+    # one stencil pass per axis; one FD level over closed-form fields then
+    # evaluates fields at 182 points per sample point (302 with a stencil
+    # pass per derived field, 1,577 with FD of phi, xi and g under every
+    # stencil)
     model = build(params)
     seen, evaluated = [], [0]
     stencil, call = fields.partial_derivative, fields.ArrayField.__call__
@@ -578,17 +601,18 @@ def test_chart_suite_differentiates_by_fd_only_derived_fields(
     check_suite(model, "all", PLAN)
     base = [model.phi, model.g, model.xi, model.eta, model.k_nom,
             model.mu_nom, model.lam_nom]
-    assert seen and not [f for f in seen if any(f is b for b in base)]
-    assert evaluated[0] <= 302 * len(PLAN.points(model))
+    assert len(seen) == 3 and not [f for f in seen if any(f is b for b in base)]
+    assert evaluated[0] <= 182 * len(PLAN.points(model))
 
 
 def test_probe_freed_without_cyclic_gc(kmu_chart):
-    # a cached field whose function holds the Probe would keep it (and its
-    # curvature and partials) alive until the cyclic collector runs
+    # a field kept on the Probe whose function holds the Probe would keep
+    # it (and its curvature and partials) alive until the cyclic collector
+    # runs; the stacked partials keep no field
     gc.disable()
     try:
         probe = Probe(kmu_chart, PLAN.points(kmu_chart), DiffScheme())
-        probe.phi2_field
+        probe.fd_partials
         ref = weakref.ref(probe)
         del probe
         assert ref() is None
