@@ -59,7 +59,7 @@ def as_points(p) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class ChartDomain:
-    """Open (or closed) box plus an optional predicate.
+    """Open (or closed) coordinate box.
 
     ``bounds`` holds per-axis ``(lo, hi)`` pairs, infinite ends allowed.
     ``inclusive`` admits the finite endpoints themselves (used by the
@@ -68,7 +68,6 @@ class ChartDomain:
 
     bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] = (
         (-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, np.inf))
-    predicate: object = None
     inclusive: bool = False
 
     def contains(self, pts) -> np.ndarray:
@@ -80,8 +79,6 @@ class ChartDomain:
                 ok &= (x >= lo) & (x <= hi)
             else:
                 ok &= (x > lo) & (x < hi)
-        if self.predicate is not None:
-            ok &= np.asarray(self.predicate(pts), bool)
         return ok[0] if single else ok
 
     def require(self, pts) -> None:

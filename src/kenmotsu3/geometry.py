@@ -31,6 +31,7 @@ __all__ = [
     "christoffel",
     "christoffel_field",
     "curvature",
+    "levi_civita",
     "riemann",
     "sectional_curvature",
     "covariant_derivative_tensor11",
@@ -62,18 +63,21 @@ def _inverse_metric(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def christoffel(g: MetricField, pts, scheme: DiffScheme | None = None,
-                return_ginv: bool = False):
-    """Gamma^i_{jk} = 1/2 g^{is}(d_j g_{sk} + d_k g_{sj} - d_s g_{jk})."""
-    pts, single = as_points(pts)
-    gv = g(pts)
-    ginv = _inverse_metric(gv)
-    dg = coordinate_derivatives(g, pts, scheme)  # (n, axis, i, j)
+def levi_civita(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma, g^{-1}) from metric values (n,3,3) and partials (n, axis, i, j).
+
+    Gamma^i_{jk} = 1/2 g^{is}(d_j g_{sk} + d_k g_{sj} - d_s g_{jk}).
+    """
+    ginv = _inverse_metric(g)
     braces = np.einsum("njsk->nsjk", dg) + np.einsum("nksj->nsjk", dg) - dg
-    gamma = 0.5 * np.einsum("nis,nsjk->nijk", ginv, braces)
-    if single:
-        gamma, ginv = gamma[0], ginv[0]
-    return (gamma, ginv) if return_ginv else gamma
+    return 0.5 * np.einsum("nis,nsjk->nijk", ginv, braces), ginv
+
+
+def christoffel(g: MetricField, pts, scheme: DiffScheme | None = None) -> np.ndarray:
+    """Gamma^i_{jk} of the metric field ``g`` at ``pts``."""
+    pts, single = as_points(pts)
+    gamma, _ = levi_civita(g(pts), coordinate_derivatives(g, pts, scheme))
+    return gamma[0] if single else gamma
 
 
 def christoffel_field(g: MetricField, scheme: DiffScheme | None = None) -> ArrayField:
@@ -100,6 +104,21 @@ class Curvature:
         r_z = np.einsum("nijkl,nj->nikl", self.riemann, z)
         return np.einsum("nil,nl->ni", np.einsum("nikl,nk->nil", r_z, x), y)
 
+    def sectional(self, g: np.ndarray, x, y) -> np.ndarray:
+        """K(X,Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2) from the metric
+        values ``g`` (n,3,3) at the same points; X, Y per point or constant."""
+        x = np.broadcast_to(np.asarray(x, float), (len(g), 3))
+        y = np.broadcast_to(np.asarray(y, float), (len(g), 3))
+        num = np.einsum("ni,nij,nj->n", self.apply(x, y, y), g, x)
+        xx = np.einsum("ni,nij,nj->n", x, g, x)
+        yy = np.einsum("ni,nij,nj->n", y, g, y)
+        xy = np.einsum("ni,nij,nj->n", x, g, y)
+        den = xx * yy - xy ** 2
+        if np.any(den < 1e-12):
+            raise DegeneratePlaneError(
+                f"plane area^2 {float(np.min(den)):.3e} below 1e-12")
+        return num / den
+
 
 def curvature(gamma: np.ndarray, ginv: np.ndarray,
               dgamma: np.ndarray) -> Curvature:
@@ -117,30 +136,16 @@ def curvature(gamma: np.ndarray, ginv: np.ndarray,
 def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
     """Full curvature from Gamma and its numeric derivatives."""
     pts, _ = as_points(pts)
-    gamma, ginv = christoffel(g, pts, scheme, return_ginv=True)
+    gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, scheme))
     dgamma = coordinate_derivatives(christoffel_field(g, scheme), pts, scheme)
     return curvature(gamma, ginv, dgamma)
 
 
 def sectional_curvature(g: MetricField, pts, x, y,
-                        scheme: DiffScheme | None = None,
-                        curv: Curvature | None = None) -> np.ndarray:
-    """K(X,Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2)."""
+                        scheme: DiffScheme | None = None) -> np.ndarray:
+    """K(X,Y) of the metric field ``g`` at ``pts`` (see Curvature.sectional)."""
     pts, single = as_points(pts)
-    x = np.broadcast_to(np.asarray(x, float), (pts.shape[0], 3))
-    y = np.broadcast_to(np.asarray(y, float), (pts.shape[0], 3))
-    gv = g(pts)
-    if curv is None:
-        curv = riemann(g, pts, scheme)
-    num = np.einsum("ni,nij,nj->n", curv.apply(x, y, y), gv, x)
-    xx = np.einsum("ni,nij,nj->n", x, gv, x)
-    yy = np.einsum("ni,nij,nj->n", y, gv, y)
-    xy = np.einsum("ni,nij,nj->n", x, gv, y)
-    den = xx * yy - xy ** 2
-    if np.any(den < 1e-12):
-        raise DegeneratePlaneError(
-            f"plane area^2 {float(np.min(den)):.3e} below 1e-12")
-    out = num / den
+    out = riemann(g, pts, scheme).sectional(g(pts), x, y)
     return out[0] if single else out
 
 

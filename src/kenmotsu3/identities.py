@@ -25,23 +25,15 @@ from .fields import (
     coordinate_derivatives,
 )
 from .geometry import (
-    christoffel,
     covariant_differential,
     curvature,
     exterior_derivative,
     exterior_differential,
     g_norm,
     g_operator_norm,
-    riemann,
-    sectional_curvature,
+    levi_civita,
 )
-from .structure import (
-    AlmostContactModel,
-    compute_h,
-    eigenframe,
-    lie_derivative,
-    two_form_components,
-)
+from .structure import AlmostContactModel, frame_of, lie_derivative
 
 __all__ = [
     "PROFILES",
@@ -139,7 +131,11 @@ class ResidualReport:
 # --------------------------------------------------------------------------
 
 class Probe:
-    """Lazy per-plan cache of everything the identities consume."""
+    """Lazy per-plan cache of everything the identities consume.
+
+    phi, xi, eta and g, and the partials of phi, xi and g, are evaluated
+    once; everything else is derived from those values.
+    """
 
     def __init__(self, model: AlmostContactModel, pts: np.ndarray,
                  scheme: DiffScheme, rand_pairs: int = 4, seed: int = 0):
@@ -190,42 +186,46 @@ class Probe:
     def fd_partials(self):
         """Coordinate partials of every quantity differentiated by FD.
 
-        One field stacks, at each stencil node, h (computed once), h' = h phi,
-        B = phi h, the eigenframe (X, phi X, lam) of T from that h, the
-        2-form Phi and the connection Gamma, so one stencil pass serves them
-        all; the values and weights are those of one field per quantity.
+        The stacked field's value at the stencil nodes is :attr:`stack` of a
+        Probe there, so each quantity has one definition at the sample
+        points and at every node, and one stencil pass serves them all.
         Maps each name of ``_STACK`` to its partials ``[n, axis, ...]``.
         """
         model, scheme = self.model, self.scheme  # fn holds no Probe
-
-        def fn(q):
-            h, phi = compute_h(model, q, scheme), model.phi(q)
-            ef = eigenframe(model, q, scheme, h=h)
-            parts = (h, h @ phi, phi @ h, ef.x, ef.phi_x, ef.lam,
-                     two_form_components(model, q), christoffel(model.g, q, scheme))
-            return np.concatenate([a.reshape(len(q), -1) for a in parts], axis=1)
-
         sizes = [int(np.prod(shape)) for _, shape in _STACK]
-        field = ArrayField(fn, model.domain, out_shape=(sum(sizes),),
+        field = ArrayField(lambda q: Probe(model, q, scheme).stack, model.domain,
+                           out_shape=(sum(sizes),),
                            axis_quanta=model.g.axis_quanta, varies=model.g.varies)
         d = coordinate_derivatives(field, self.pts, scheme)
         ends = np.cumsum(sizes)
         return {name: d[:, :, end - size:end].reshape((self.n, 3) + shape)
                 for (name, shape), size, end in zip(_STACK, sizes, ends)}
 
+    @property
+    def stack(self):
+        """The quantities of ``_STACK``, flattened per point and concatenated."""
+        ef = self.eigen
+        parts = (self.h, self.hp, self.bmat, ef.x, ef.phi_x, ef.lam,
+                 self.phi2, self.gamma)
+        return np.concatenate([a.reshape(self.n, -1) for a in parts], axis=1)
+
     # --- connection and curvature -------------------------------------------
 
     @cached_property
-    def _christoffel(self):
-        return christoffel(self.model.g, self.pts, self.scheme, return_ginv=True)
+    def dg(self):
+        return coordinate_derivatives(self.model.g, self.pts, self.scheme)
+
+    @cached_property
+    def _levi_civita(self):
+        return levi_civita(self.g, self.dg)
 
     @cached_property
     def gamma(self):
-        return self._christoffel[0]
+        return self._levi_civita[0]
 
     @cached_property
     def ginv(self):
-        return self._christoffel[1]
+        return self._levi_civita[1]
 
     @cached_property
     def curv(self):
@@ -240,7 +240,8 @@ class Probe:
 
     @cached_property
     def h(self):
-        return compute_h(self.model, self.pts, self.scheme)
+        """h = (1/2) L_xi phi."""
+        return 0.5 * lie_derivative(self.xi, self.dxi, self.phi, self.dphi)
 
     @cached_property
     def hp(self):
@@ -252,7 +253,7 @@ class Probe:
 
     @cached_property
     def t_op(self):
-        return self.hp if self.model.variant == "hp" else self.h
+        return self.model.nullity_operator(self.h, self.phi)
 
     @cached_property
     def dxi(self):
@@ -314,7 +315,8 @@ class Probe:
 
     @cached_property
     def phi2(self):
-        return two_form_components(self.model, self.pts)
+        """Phi_ij = g_is phi^s_j."""
+        return np.einsum("nis,nsj->nij", self.g, self.phi)
 
     @cached_property
     def nabla_phi2(self):
@@ -331,7 +333,7 @@ class Probe:
 
     @cached_property
     def eigen(self):
-        return eigenframe(self.model, self.pts, self.scheme, h=self.h)
+        return frame_of(self.g, self.xi, self.phi, self.eta, self.t_op)
 
     @cached_property
     def frame(self):
@@ -691,8 +693,7 @@ def _res_conn_kmup(p: Probe):
 
 
 def _res_flat_leaf(p: Probe):
-    kappa = sectional_curvature(p.model.g, p.pts, p.eigen.x, p.eigen.phi_x,
-                                curv=p.curv)
+    kappa = p.curv.sectional(p.g, p.eigen.x, p.eigen.phi_x)
     return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
 
 
@@ -950,15 +951,12 @@ def infer_k_mu(model: AlmostContactModel, pts,
     mu is flagged indeterminate where lam < 1e-6.
     """
     pts, single = as_points(pts)
-    scheme = scheme or DiffScheme()
-    g = model.g(pts)
-    curv = riemann(model.g, pts, scheme)
-    xi = model.xi(pts)
-    ef = eigenframe(model, pts, scheme)
-    lx = curv.apply(ef.x, xi, xi)
-    lpx = curv.apply(ef.phi_x, xi, xi)
-    s1 = np.einsum("ni,nij,nj->n", lx, g, ef.x)
-    s2 = np.einsum("ni,nij,nj->n", lpx, g, ef.phi_x)
+    p = Probe(model, pts, scheme or DiffScheme())
+    ef = p.eigen
+    lx = p.curv.apply(ef.x, p.xi, p.xi)
+    lpx = p.curv.apply(ef.phi_x, p.xi, p.xi)
+    s1 = np.einsum("ni,nij,nj->n", lx, p.g, ef.x)
+    s2 = np.einsum("ni,nij,nj->n", lpx, p.g, ef.phi_x)
     k = 0.5 * (s1 + s2)
     mu_ok = ef.lam >= MU_EIGEN_FLOOR
     mu = np.where(mu_ok, (s1 - s2) / (2.0 * np.maximum(ef.lam, 1e-300)), np.nan)

@@ -38,6 +38,7 @@ __all__ = [
     "compute_b",
     "h_field",
     "eigenframe",
+    "frame_of",
     "fundamental_two_form",
     "two_form_components",
     "nijenhuis",
@@ -153,24 +154,26 @@ def h_field(model: AlmostContactModel,
 
 
 def eigenframe(model: AlmostContactModel, pts,
-               scheme: DiffScheme | None = None,
-               h: np.ndarray | None = None) -> Eigenframe:
-    """Largest-eigenvalue unit frame of the model's nullity operator.
+               scheme: DiffScheme | None = None) -> Eigenframe:
+    """Largest-eigenvalue unit frame of the model's nullity operator."""
+    pts, single = as_points(pts)
+    phi = model.phi(pts)
+    t_op = model.nullity_operator(compute_h(model, pts, scheme), phi)
+    ef = frame_of(model.g(pts), model.xi(pts), phi, model.eta(pts), t_op)
+    if single:
+        ef = Eigenframe(ef.lam[0], ef.x[0], ef.phi_x[0], ef.degenerate[0])
+    return ef
+
+
+def frame_of(g: np.ndarray, xi: np.ndarray, phi: np.ndarray, eta: np.ndarray,
+             t_op: np.ndarray) -> Eigenframe:
+    """Largest-eigenvalue unit frame of ``t_op`` from per-point values.
 
     The eigenproblem is solved on the 2-dimensional distribution orthogonal
     to xi (h xi = 0 exactly in every family, so projecting out xi first
     avoids spurious mixing).  The sign of X is fixed by making its first
     component above 1e-8 in magnitude positive.
     """
-    pts, single = as_points(pts)
-    g = model.g(pts)
-    xi = model.xi(pts)
-    phi = model.phi(pts)
-    eta = model.eta(pts)
-    if h is None:
-        h = compute_h(model, pts, scheme)
-    t_op = model.nullity_operator(h, phi)
-
     # g-orthonormal basis of ker(eta): project the first two coordinate
     # directions and Gram-Schmidt them
     basis = []
@@ -186,7 +189,7 @@ def eigenframe(model: AlmostContactModel, pts,
 
     t_u1 = np.einsum("nij,nj->ni", t_op, u1)
     t_u2 = np.einsum("nij,nj->ni", t_op, u2)
-    m = np.empty((pts.shape[0], 2, 2))
+    m = np.empty((len(g), 2, 2))
     m[:, 0, 0] = np.einsum("ni,nij,nj->n", t_u1, g, u1)
     m[:, 1, 1] = np.einsum("ni,nij,nj->n", t_u2, g, u2)
     m[:, 0, 1] = m[:, 1, 0] = 0.5 * (
@@ -206,11 +209,7 @@ def eigenframe(model: AlmostContactModel, pts,
     lead = x[np.arange(len(x)), first]
     x = np.where((lead < 0)[:, None], -x, x)
 
-    phi_x = np.einsum("nij,nj->ni", phi, x)
-    ef = Eigenframe(lam, x, phi_x, degenerate)
-    if single:
-        ef = Eigenframe(lam[0], x[0], phi_x[0], degenerate[0])
-    return ef
+    return Eigenframe(lam, x, np.einsum("nij,nj->ni", phi, x), degenerate)
 
 
 def two_form_components(model: AlmostContactModel, pts) -> np.ndarray:

@@ -174,6 +174,3 @@ def test_domain_membership():
     assert not HALF.contains(np.array([0.0, 0.0, -1.0]))
     closed = ChartDomain(((0.0, 1.0),) * 3, inclusive=True)
     assert closed.contains(np.array([0.0, 1.0, 0.5]))
-    pred = ChartDomain(predicate=lambda p: p[:, 0] + p[:, 1] > 0)
-    assert pred.contains(np.array([1.0, 0.5, 0.0]))
-    assert not pred.contains(np.array([-1.0, 0.5, 0.0]))

@@ -14,7 +14,7 @@ from kenmotsu3.fields import (
     VectorField,
     coordinate_derivatives,
 )
-from kenmotsu3.geometry import christoffel_field, g_norm, riemann
+from kenmotsu3.geometry import christoffel, christoffel_field, g_norm, riemann
 from kenmotsu3.identities import (
     IDENTITIES,
     PROFILES,
@@ -39,7 +39,9 @@ from kenmotsu3.models import (
     build_kmu_prime_chart_model,
 )
 from kenmotsu3.structure import (
+    compute_b,
     compute_h,
+    compute_h_prime,
     eigenframe,
     h_field,
     two_form_components,
@@ -286,6 +288,20 @@ class TestStackedPartials:
         assert np.array_equal(d["phi2"], self._partials(probe, phi2))
         assert np.array_equal(d["gamma"], self._partials(
             probe, christoffel_field(m.g, scheme)))
+
+    def test_point_values(self, probe):
+        # the Probe derives these from one evaluation of phi, xi, eta, g and
+        # their partials; the library functions evaluate each on their own
+        m, pts, scheme = probe.model, probe.pts, probe.scheme
+        assert np.array_equal(probe.h, compute_h(m, pts, scheme))
+        assert np.array_equal(probe.hp, compute_h_prime(m, pts, scheme))
+        assert np.array_equal(probe.bmat, compute_b(m, pts, scheme))
+        ef = eigenframe(m, pts, scheme)
+        for name in ("lam", "x", "phi_x", "degenerate"):
+            assert np.array_equal(getattr(probe.eigen, name), getattr(ef, name))
+        assert np.array_equal(probe.phi2, two_form_components(m, pts))
+        assert np.array_equal(probe.gamma, christoffel(m.g, pts, scheme))
+        assert np.array_equal(probe.ginv, np.linalg.inv(m.g(pts)))
 
     def test_curvature_equals_riemann(self, probe):
         ref = riemann(probe.model.g, probe.pts, probe.scheme)
@@ -545,26 +561,45 @@ class TestStagedContractions:
         assert checked == len(REFERENCE_RESIDUALS) - 1
 
 
-@pytest.mark.parametrize("variant,mu", [("kmu", "1"), ("kmup", "sin(t)")])
-def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
-        monkeypatch, variant, mu):
-    # phi, g, xi, eta, k, mu and lam carry exact t-partials and vary along t
-    # alone, so a suite sends them into no stencil, and nothing along x, y:
-    # one stencil pass along t, of the Probe's stacked field
-    model = build_darboux_model(DarbouxParams(variant, mu, (-0.25, 0.25)))
-    seen = []
-    stencil = fields.partial_derivative
+def _spied_suite(monkeypatch, model):
+    """Run ``check_suite(model, "all", PLAN)``; return the ``(field, axis)``
+    of each stencil pass and the field point-evaluations per sample point."""
+    seen, evaluated = [], [0]
+    stencil, call = fields.partial_derivative, fields.ArrayField.__call__
 
     def spy(field, pts, axis, scheme=None):
         seen.append((field, axis))
         return stencil(field, pts, axis, scheme)
 
+    def counting(self, pts):
+        evaluated[0] += len(pts) if np.ndim(pts) == 2 else 1
+        return call(self, pts)
+
     monkeypatch.setattr(fields, "partial_derivative", spy)
+    monkeypatch.setattr(fields.ArrayField, "__call__", counting)
     check_suite(model, "all", PLAN)
-    exact = [model.phi, model.g, model.xi, model.eta, model.k_nom,
-             model.mu_nom, model.lam_nom]
+    return seen, evaluated[0] / len(PLAN.points(model))
+
+
+def _base_fields(model):
+    return [model.phi, model.g, model.xi, model.eta, model.k_nom,
+            model.mu_nom, model.lam_nom]
+
+
+@pytest.mark.parametrize("variant,mu", [("kmu", "1"), ("kmup", "sin(t)")])
+def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
+        monkeypatch, variant, mu):
+    # phi, g, xi, eta, k, mu and lam carry exact t-partials and vary along t
+    # alone, so a suite sends them into no stencil, and nothing along x, y:
+    # one stencil pass along t, of the Probe's stacked field.  Each of the
+    # 5 stencil nodes evaluates the stack and phi, xi, eta, g once; the
+    # sample point adds the 7 base fields: 32 points per sample point
+    # (72 when the stack's quantities each evaluated their own fields)
+    model = build_darboux_model(DarbouxParams(variant, mu, (-0.25, 0.25)))
+    seen, per_sample = _spied_suite(monkeypatch, model)
     assert len(seen) == 1 and seen[0][1] == 2
-    assert not [f for f, _ in seen if any(f is e for e in exact)]
+    assert not [f for f, _ in seen if any(f is e for e in _base_fields(model))]
+    assert per_sample <= 32
 
 
 CHART_MODELS = [
@@ -580,29 +615,16 @@ def test_chart_suite_differentiates_by_fd_only_derived_fields(
         monkeypatch, build, params):
     # the seven base fields carry exact partials: a suite sends none of them
     # into a stencil, and differentiates the Probe's stacked field alone,
-    # one stencil pass per axis; one FD level over closed-form fields then
-    # evaluates fields at 182 points per sample point (302 with a stencil
-    # pass per derived field, 1,577 with FD of phi, xi and g under every
-    # stencil)
+    # one stencil pass per axis.  Each of the 15 stencil nodes evaluates the
+    # stack and phi, xi, eta, g once; the sample point adds the 7 base
+    # fields: 82 points per sample point (182 when the stack's quantities
+    # each evaluated their own fields, 302 with a stencil pass per derived
+    # field, 1,577 with FD of phi, xi and g under every stencil)
     model = build(params)
-    seen, evaluated = [], [0]
-    stencil, call = fields.partial_derivative, fields.ArrayField.__call__
-
-    def spy(field, pts, axis, scheme=None):
-        seen.append(field)
-        return stencil(field, pts, axis, scheme)
-
-    def counting(self, pts):
-        evaluated[0] += len(pts) if np.ndim(pts) == 2 else 1
-        return call(self, pts)
-
-    monkeypatch.setattr(fields, "partial_derivative", spy)
-    monkeypatch.setattr(fields.ArrayField, "__call__", counting)
-    check_suite(model, "all", PLAN)
-    base = [model.phi, model.g, model.xi, model.eta, model.k_nom,
-            model.mu_nom, model.lam_nom]
-    assert len(seen) == 3 and not [f for f in seen if any(f is b for b in base)]
-    assert evaluated[0] <= 182 * len(PLAN.points(model))
+    seen, per_sample = _spied_suite(monkeypatch, model)
+    assert len(seen) == 3
+    assert not [f for f, _ in seen if any(f is b for b in _base_fields(model))]
+    assert per_sample <= 82
 
 
 def test_probe_freed_without_cyclic_gc(kmu_chart):
