@@ -386,10 +386,6 @@ class Probe:
         """Apply per-point operator (n,3,3) to pooled vectors (n,P,3)."""
         return np.einsum("nij,naj->nai", op, vecs)
 
-    def ip(self, u, v):
-        """g inner products for pooled vectors: (n,P,3),(n,Q,3) -> (n,P,Q)."""
-        return np.einsum("naj,nbj->nab", np.einsum("nai,nij->naj", u, self.g), v)
-
     def vec_norm(self, v):
         return g_norm(v, self.g)
 
@@ -400,13 +396,17 @@ class Probe:
 # --------------------------------------------------------------------------
 # Identity residual functions (each returns per-point residuals (n,))
 #
-# The four-operand contractions over pooled vectors run as two-operand
-# einsums, one contracted index per stage: numpy evaluates a multi-operand
-# einsum as one nested loop over every index at once.  The last stage of
-# _pool_triples and _pool_riemann is a batched matmul, about 4x faster than
-# its einsum, into the same contiguous tensor; geometry.g_norm over each
-# pooled residual is one too.  A three-operand one remains: the frame trace
-# in _trace_residual.
+# A pooled identity subtracts its right-hand side per point first, then
+# contracts that (n, 3, 3, 3[, 3]) residual tensor with the pool in one pass,
+# a two-operand einsum or batched matmul per contracted index (numpy runs a
+# multi-operand einsum as one nested loop).  CURV2 keeps phi on the vectors:
+# its first stage takes X_a and phi X_a, and the terms that share a Z slot
+# (X_c or phi X_c) meet before the last matmul.  Composing phi into its
+# tensor instead moved the kmu-darboux mu=0.858 residual 1.75e-10 from the
+# long-double reference, where TestStagedContractions allows 9.45e-11 (this
+# form: 3.67e-11).  WEYL3 contracts all pairs (a, b) though its residual is
+# antisymmetric in them; over a < b alone it met that test too (2.57e-12
+# against 4.31e-12), but that restriction is not made here.
 # --------------------------------------------------------------------------
 
 def _pool_pairs(t, xs, ys):
@@ -414,9 +414,13 @@ def _pool_pairs(t, xs, ys):
     return np.einsum("naij,nbj->nabi", np.einsum("nkij,nak->naij", t, xs), ys)
 
 
-def _pool_triples(t_x, ys, zs):
-    """t_x[n, a, s, j] Y_b^j Z_c^s over pooled vectors: (n, a, b, c)."""
-    return np.einsum("nasj,nbj->nabs", t_x, ys) @ zs.transpose(0, 2, 1)[:, None]
+def _pool_triples(terms, zs):
+    """Sum of t_x[n, a, s, j] Y_b^j over ``terms`` of (t_x, ys), then Z_c^s
+    of the pooled ``zs``: (n, a, c, b)."""
+    n, size = zs.shape[:2]
+    stage = sum(t_x.reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
+                for t_x, ys in terms)                       # (n, a, s, b)
+    return zs[:, None] @ stage.reshape(n, size, 3, size)
 
 
 def _res_nabla_xi(p: Probe):
@@ -464,33 +468,28 @@ def _res_l_id(p: Probe):
     return p.op_norm(m)
 
 
-def _curv2_terms(p: Probe):
-    """CURV2's left-hand side and (nabla_{hX_a} Phi)(X_b, X_c): (n, a, b, c)."""
+def _curv2_residual(p: Probe):
+    """CURV2's left-hand side minus its right-hand side: (n, a, c, b)."""
+    n, pool, phi_pool = p.n, p.pool, p.apply(p.phi, p.pool)
     # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
     a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
-    pool, phi_pool = p.pool, p.apply(p.phi, p.pool)
-    ga = np.einsum("nsi,nijl->nsjl", p.g, a)
+    ga = np.einsum("nsi,nijl->nlsj", p.g, a).reshape(n, 3, 9)
     # g(R(xi, X_a) e_j, e_s), the first stage shared by the four terms
-    ga_x, ga_phix = (np.einsum("nsjl,nal->nasj", ga, v) for v in (pool, phi_pool))
-    lhs = (_pool_triples(ga_x, pool, pool)
-           - _pool_triples(ga_x, phi_pool, phi_pool)
-           + _pool_triples(ga_phix, pool, phi_pool)
-           + _pool_triples(ga_phix, phi_pool, pool))
-    # (nabla_{hX_a} Phi)_{ij} with i the Y slot and j the Z slot
-    nabla_hx = np.einsum("nkij,nak->naji", p.nabla_phi2, p.apply(p.h, pool))
-    return lhs, _pool_triples(nabla_hx, pool, pool)
+    ga_x, ga_phix = ((v @ ga).reshape(n, -1, 3, 3) for v in (pool, phi_pool))
+    # the right-hand side in the same slots, s for Z and j for Y, M = I - phi h:
+    # 2 (nabla_{hX_a} Phi)_{js} + 2 eta_j (g M X_a)_s - 2 eta_s (g M X_a)_j
+    d_phi2 = p.nabla_phi2.transpose(0, 1, 3, 2).reshape(n, 3, 9)
+    nabla_hx = (p.apply(p.h, pool) @ d_phi2).reshape(ga_x.shape)
+    gmx = p.apply(p.g, pool - p.apply(p.bmat, pool))
+    rhs_x = 2.0 * (nabla_hx + np.einsum("nj,nas->nasj", p.eta, gmx)
+                   - np.einsum("ns,naj->nasj", p.eta, gmx))
+    out = _pool_triples([(ga_x - rhs_x, pool), (ga_phix, phi_pool)], pool)
+    out += _pool_triples([(ga_phix, pool), (-ga_x, phi_pool)], phi_pool)
+    return out
 
 
 def _res_curv2(p: Probe):
-    lhs, nabla_hx_phi = _curv2_terms(p)
-    pool = p.pool
-    m_pool = pool - p.apply(p.bmat, pool)
-    eta_pool = np.einsum("ni,nai->na", p.eta, pool)
-    gzm = p.ip(pool, m_pool)  # (n, c, a) -> g(Z_c, M_a)
-    rhs = (2.0 * nabla_hx_phi
-           + 2.0 * np.einsum("nb,nca->nabc", eta_pool, gzm)
-           - 2.0 * np.einsum("nc,nba->nabc", eta_pool, gzm))
-    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
+    return np.max(np.abs(_curv2_residual(p)), axis=(1, 2, 3))
 
 
 def _res_codazzi_hp(p: Probe):
@@ -597,16 +596,12 @@ def _res_ricci_form(p: Probe):
 
 
 def _nullity(p: Probe, t_op):
-    r_xy_xi = _pool_pairs(p.r_xi, p.pool, p.pool)
-    eta_pool = np.einsum("ni,nai->na", p.eta, p.pool)
-    t_pool = p.apply(t_op, p.pool)
-    kterm = (np.einsum("nb,nai->nabi", eta_pool, p.pool)
-             - np.einsum("na,nbi->nabi", eta_pool, p.pool))
-    muterm = (np.einsum("nb,nai->nabi", eta_pool, t_pool)
-              - np.einsum("na,nbi->nabi", eta_pool, t_pool))
-    v = (r_xy_xi - p.k[:, None, None, None] * kterm
-         - p.mu[:, None, None, None] * muterm)
-    return np.max(g_norm(v, p.g[:, None, None, :, :]), axis=(1, 2))
+    # k(eta(Y) X - eta(X) Y) + mu(eta(Y) TX - eta(X) TY) = eta(Y) A X - eta(X) A Y
+    # with A = k I + mu T, in r_xi's slots (X, component, Y)
+    a = p.k[:, None, None] * p.eye + p.mu[:, None, None] * t_op
+    rhs = np.einsum("nj,nik->nkij", p.eta, a) - np.einsum("nk,nij->nkij", p.eta, a)
+    vals = _pool_pairs(p.r_xi - rhs, p.pool, p.pool)
+    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
 
 
 def _res_null_kmu(p: Probe):
@@ -697,26 +692,31 @@ def _res_flat_leaf(p: Probe):
     return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
 
 
-def _pool_riemann(p: Probe):
-    """R(X_a, X_b) X_c over the pool: (n, a, b, c, i)."""
-    r_x = np.einsum("nijkl,nak->naijl", p.curv.riemann, p.pool)
-    r_xy = np.einsum("naijl,nbl->nabij", r_x, p.pool)
-    return np.matmul(p.pool[:, None, None], r_xy.transpose(0, 1, 2, 4, 3))
+def _pool_riemann(t, pool):
+    """t[n, i, j, k, l] X_a^k X_b^l X_c^j over the pool: (n, c, a, b, i).
+
+    Each stage is one matmul per point of the pool with the leading index,
+    and a copy then moves the next index to contract to the front (the
+    stage before it is freed ahead of the last, largest matmul).
+    """
+    n, size = pool.shape[:2]
+    s = pool @ t.transpose(0, 3, 4, 2, 1).reshape(n, 3, 27)          # (a, l, j, i)
+    s = pool @ s.reshape(n, size, 3, 9).transpose(0, 2, 1, 3).reshape(n, 3, -1)
+    s = s.reshape(n, size, size, 3, 3).transpose(0, 3, 2, 1, 4).reshape(n, 3, -1)
+    return (pool @ s).reshape(n, size, size, size, 3)
 
 
 def _res_weyl3(p: Probe):
-    pool = p.pool
-    q_pool = p.apply(p.curv.q, pool)
-    ip = p.ip(pool, pool)            # g(X_a, X_b)
-    ipq = p.ip(pool, q_pool)         # g(X_a, Q X_b)
-    u = q_pool - 0.5 * p.curv.scalar[:, None, None] * pool   # QX - (Sc/2)X
-    # R(X,Y)Z minus the right-hand side, term by term in one buffer
-    v = _pool_riemann(p)
-    v -= np.einsum("nbc,nai->nabci", ip, u)
-    v += np.einsum("nac,nbi->nabci", ip, u)
-    v -= np.einsum("nbc,nai->nabci", ipq, pool)
-    v += np.einsum("nac,nbi->nabci", ipq, pool)
-    return np.max(g_norm(v, p.g[:, None, None, None, :, :]), axis=(1, 2, 3))
+    # W(X, Y) Z = R(X, Y) Z minus the right-hand side, with U = Q - (Sc/2) I:
+    # W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l
+    u = p.curv.q - 0.5 * p.curv.scalar[:, None, None] * p.eye
+    gq = p.g @ p.curv.q
+    w = (p.curv.riemann
+         - np.einsum("nlj,nik->nijkl", p.g, u) + np.einsum("nkj,nil->nijkl", p.g, u)
+         - np.einsum("nlj,ik->nijkl", gq, np.eye(3))
+         + np.einsum("nkj,il->nijkl", gq, np.eye(3)))
+    v = _pool_riemann(w, p.pool).reshape(p.n, -1, 3)
+    return np.max(g_norm(v, p.g[:, None]), axis=1)
 
 
 def _res_dk_eta(p: Probe):

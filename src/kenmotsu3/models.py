@@ -174,7 +174,7 @@ def _quotient_partials(u, c, du, dc):
     return (du - (u / c)[:, None] * dc) / c[:, None]
 
 
-def _chart_fields(domain, coeff_fn):
+def _chart_fields(domain, coeff_fn, dcoeff_fn):
     """Assemble (phi, xi, eta, g) from per-point (a, b, c) coefficients.
 
     Both chart families share the frame structure e1 = d_x, e2 = d_y,
@@ -183,13 +183,14 @@ def _chart_fields(domain, coeff_fn):
         g   = [[1, 0, a/c], [0, 1, b/c], [a/c, b/c, (1+a^2+b^2)/c^2]]
         phi = [[0, -1, -b/c], [1, 0, a/c], [0, 0, 0]]
 
-    ``coeff_fn`` maps points to ``((a, b, c), (da, db, dc))`` with each
-    partial ``(n, 3)``, axis last; every field carries its exact partials,
-    from these by the quotient rule.
+    ``coeff_fn`` maps points to ``(a, b, c)`` and ``dcoeff_fn`` to their
+    partials ``(da, db, dc)``, each ``(n, 3)``, axis last; every field
+    carries its exact partials, from these by the quotient rule, and a value
+    alone evaluates no partial.
     """
 
     def phi_fn(pts):
-        (a, b, c), _ = coeff_fn(pts)
+        a, b, c = coeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, 0, 1] = -1.0
         out[:, 1, 0] = 1.0
@@ -198,34 +199,34 @@ def _chart_fields(domain, coeff_fn):
         return out
 
     def dphi_fn(pts):
-        (a, b, c), (da, db, dc) = coeff_fn(pts)
+        (a, b, c), (da, db, dc) = coeff_fn(pts), dcoeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3, 3))
         out[:, :, 0, 2] = -_quotient_partials(b, c, db, dc)
         out[:, :, 1, 2] = _quotient_partials(a, c, da, dc)
         return out
 
     def xi_fn(pts):
-        (a, b, c), _ = coeff_fn(pts)
+        a, b, c = coeff_fn(pts)
         return np.stack([a, b, -c], axis=1)
 
     def dxi_fn(pts):
-        _, (da, db, dc) = coeff_fn(pts)
+        da, db, dc = dcoeff_fn(pts)
         return np.stack([da, db, -dc], axis=2)
 
     def eta_fn(pts):
-        (_, _, c), _ = coeff_fn(pts)
+        _, _, c = coeff_fn(pts)
         out = np.zeros((pts.shape[0], 3))
         out[:, 2] = -1.0 / c
         return out
 
     def deta_fn(pts):  # d(-1/c) = dc / c^2
-        (_, _, c), (_, _, dc) = coeff_fn(pts)
+        (_, _, c), (_, _, dc) = coeff_fn(pts), dcoeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, :, 2] = dc / (c * c)[:, None]
         return out
 
     def g_fn(pts):
-        (a, b, c), _ = coeff_fn(pts)
+        a, b, c = coeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3))
         out[:, 0, 0] = 1.0
         out[:, 1, 1] = 1.0
@@ -235,7 +236,7 @@ def _chart_fields(domain, coeff_fn):
         return out
 
     def dg_fn(pts):
-        (a, b, c), (da, db, dc) = coeff_fn(pts)
+        (a, b, c), (da, db, dc) = coeff_fn(pts), dcoeff_fn(pts)
         out = np.zeros((pts.shape[0], 3, 3, 3))
         out[:, :, 0, 2] = out[:, :, 2, 0] = _quotient_partials(a, c, da, dc)
         out[:, :, 1, 2] = out[:, :, 2, 1] = _quotient_partials(b, c, db, dc)
@@ -251,12 +252,12 @@ def _chart_fields(domain, coeff_fn):
 
 
 def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
-                 r: Expr, coeff_fn) -> AlmostContactModel:
+                 r: Expr, coeff_fn, dcoeff_fn) -> AlmostContactModel:
     """A chart model with nominal k = z, lam = sqrt(-1-z) and the given mu;
     k, mu and lam carry their exact z-partials."""
     dmu = mu.diff()
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
-    phi, xi, eta, g = _chart_fields(domain, coeff_fn)
+    phi, xi, eta, g = _chart_fields(domain, coeff_fn, dcoeff_fn)
 
     def dlam(p):  # lam' = -1/(2 lam)
         return _on_axis2(-0.5 / np.sqrt(-1.0 - p[:, 2]))
@@ -289,18 +290,21 @@ def build_kmu_chart_model(params: KmuChartParams) -> AlmostContactModel:
     dmu, df, dr = mu.diff(), f.diff(), r.diff()
 
     def coeff(pts):
+        x, y, z, lam = _chart_inputs(pts)[:4]
+        muv = mu(z)
+        return (x - (0.5 * muv + lam) * y + f(z),
+                (0.5 * muv - lam) * x + y + r(z), 4.0 * (1.0 + z))
+
+    def dcoeff(pts):
         x, y, z, lam, dlam, zero, one = _chart_inputs(pts)
         muv, dmuv = mu(z), dmu(z)
-        alpha = x - (0.5 * muv + lam) * y + f(z)
-        beta = (0.5 * muv - lam) * x + y + r(z)
         dalpha = np.stack([one, -(0.5 * muv + lam),
                            -(0.5 * dmuv + dlam) * y + df(z)], axis=1)
         dbeta = np.stack([0.5 * muv - lam, one,
                           (0.5 * dmuv - dlam) * x + dr(z)], axis=1)
-        dc = np.stack([zero, zero, 4.0 * one], axis=1)
-        return (alpha, beta, 4.0 * (1.0 + z)), (dalpha, dbeta, dc)
+        return dalpha, dbeta, np.stack([zero, zero, 4.0 * one], axis=1)
 
-    return _chart_model("kmu-chart", "h", params.box, mu, f, r, coeff)
+    return _chart_model("kmu-chart", "h", params.box, mu, f, r, coeff, dcoeff)
 
 
 def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
@@ -309,18 +313,19 @@ def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
     dmu, df, dr = mu.diff(), f.diff(), r.diff()
 
     def coeff(pts):
+        x, y, z, lam = _chart_inputs(pts)[:4]
+        return (x * (1.0 + lam) + f(z), y * (1.0 - lam) + r(z),
+                2.0 * (1.0 + z) * (mu(z) + 2.0))
+
+    def dcoeff(pts):
         x, y, z, lam, dlam, zero, one = _chart_inputs(pts)
-        muv = mu(z)
-        a = x * (1.0 + lam) + f(z)
-        b = y * (1.0 - lam) + r(z)
-        c = 2.0 * (1.0 + z) * (muv + 2.0)
         da = np.stack([1.0 + lam, zero, x * dlam + df(z)], axis=1)
         db = np.stack([zero, 1.0 - lam, -y * dlam + dr(z)], axis=1)
         dc = np.stack([zero, zero,
-                       2.0 * (muv + 2.0) + 2.0 * (1.0 + z) * dmu(z)], axis=1)
-        return (a, b, c), (da, db, dc)
+                       2.0 * (mu(z) + 2.0) + 2.0 * (1.0 + z) * dmu(z)], axis=1)
+        return da, db, dc
 
-    return _chart_model("kmup-chart", "hp", params.box, mu, f, r, coeff)
+    return _chart_model("kmup-chart", "hp", params.box, mu, f, r, coeff, dcoeff)
 
 
 # --------------------------------------------------------------------------

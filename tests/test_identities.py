@@ -1,6 +1,7 @@
 """Identity checking: reports, applicability, nullity, k/mu recovery."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from kenmotsu3.identities import (
     PROFILES,
     Probe,
     SamplePlan,
-    _curv2_terms,
+    _curv2_residual,
     _pool_pairs,
     _pool_riemann,
     applicable_identities,
@@ -355,6 +356,28 @@ def _ref_curv2_lhs(ga, pool, phi_pool):
             + _ref_quad(ga, phi_pool, phi_pool, pool))
 
 
+def _ref_curv2_tensor(p, absolute=False):
+    """CURV2's left-hand side minus its right-hand side, each term by a
+    single call; with ``absolute``, the sum of the absolute products behind
+    each entry: the scale of its rounding."""
+    ga, pool, phi_pool, h_pool = _curv2_operands(p)
+    m_pool = pool - p.apply(p.bmat, pool)
+    ops = (ga, pool, phi_pool, h_pool, m_pool, p.eta, p.g, p.nabla_phi2)
+    ga, pool, phi_pool, h_pool, m_pool, eta, g, nabla_phi2 = (
+        map(np.abs, ops) if absolute else ops)
+    eta_pool = np.einsum("ni,nai->na", eta, pool)
+    gzm = _ref_ip(pool, g, m_pool)
+    nabla = 2.0 * _ref_nabla_phi2_term(nabla_phi2, h_pool, pool)
+    eta_y = 2.0 * np.einsum("nb,nca->nabc", eta_pool, gzm)
+    eta_z = 2.0 * np.einsum("nc,nba->nabc", eta_pool, gzm)
+    if absolute:
+        lhs = sum(_ref_quad(ga, x, y, z) for x, y, z in (
+            (pool, pool, pool), (pool, phi_pool, phi_pool),
+            (phi_pool, pool, phi_pool), (phi_pool, phi_pool, pool)))
+        return lhs + nabla + eta_y + eta_z
+    return _ref_curv2_lhs(ga, pool, phi_pool) - (nabla + eta_y - eta_z)
+
+
 def _pooled_norm(p, vals):
     return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
 
@@ -383,15 +406,7 @@ def _ref_curv1(p):
 
 
 def _ref_curv2(p):
-    ga, pool, phi_pool, h_pool = _curv2_operands(p)
-    m_pool = pool - p.apply(p.bmat, pool)
-    eta_pool = np.einsum("ni,nai->na", p.eta, pool)
-    gzm = _ref_ip(pool, p.g, m_pool)
-    rhs = (2.0 * _ref_nabla_phi2_term(p.nabla_phi2, h_pool, pool)
-           + 2.0 * np.einsum("nb,nca->nabc", eta_pool, gzm)
-           - 2.0 * np.einsum("nc,nba->nabc", eta_pool, gzm))
-    lhs = _ref_curv2_lhs(ga, pool, phi_pool)
-    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
+    return np.max(np.abs(_ref_curv2_tensor(p)), axis=(1, 2, 3))
 
 
 def _ref_codazzi_hp(p):
@@ -509,16 +524,16 @@ class TestStagedContractions:
 
     def test_pool_riemann(self, probe):
         p = probe
-        self._same(_pool_riemann(p), _ref_pool_riemann, p.curv.riemann, p.pool)
+        self._same(_pool_riemann(p.curv.riemann, p.pool),
+                   lambda r, pool: np.moveaxis(_ref_pool_riemann(r, pool), 3, 1),
+                   p.curv.riemann, p.pool)
 
     def test_curv2_terms(self, probe):
-        ga, pool, phi_pool, h_pool = _curv2_operands(probe)
-        lhs, nabla = _curv2_terms(probe)
-        scale = sum(_ref_quad(*map(np.abs, (ga, x, y, z))) for x, y, z in (
-            (pool, pool, pool), (pool, phi_pool, phi_pool),
-            (phi_pool, pool, phi_pool), (phi_pool, phi_pool, pool)))
-        self._within(lhs, _ref_curv2_lhs(ga, pool, phi_pool), scale)
-        self._same(nabla, _ref_nabla_phi2_term, probe.nabla_phi2, h_pool, pool)
+        # the staged residual tensor, right-hand side subtracted before the
+        # pool, against the single-call terms of both sides
+        self._within(_curv2_residual(probe).swapaxes(2, 3),
+                     _ref_curv2_tensor(probe),
+                     _ref_curv2_tensor(probe, absolute=True))
 
     def test_nullity_r_xi(self, probe):
         p = probe
@@ -534,7 +549,6 @@ class TestStagedContractions:
 
     def test_ip_and_curvature_apply(self, probe):
         p = probe
-        self._same(p.ip(p.pool, p.pool), _ref_ip, p.pool, p.g, p.pool)
         x, px = p.eigen.x, p.eigen.phi_x
         self._same(p.curv.apply(x, px, p.xi), _ref_apply,
                    p.curv.riemann, x, px, p.xi)
@@ -559,6 +573,27 @@ class TestStagedContractions:
             assert (staged.max() <= spec.tol()) == (ref.max() <= spec.tol())
             checked += 1
         assert checked == len(REFERENCE_RESIDUALS) - 1
+
+
+@pytest.mark.parametrize("ident", ["WEYL3", "CURV2"])
+def test_pooled_identity_peak_memory(kmu_chart, ident):
+    # the residual tensor meets the pool once, so the peak stays within 1.5
+    # pooled (n, P, P, P, 3) float64 tensors; building the right-hand side's
+    # terms over the pool and subtracting afterwards peaked at 2.11 (WEYL3)
+    # and 1.71 (CURV2)
+    plan = SamplePlan(grid=5, rand_pairs=4)
+    p = Probe(kmu_chart, plan.points(kmu_chart), DiffScheme(),
+              plan.rand_pairs, plan.seed)
+    fn = IDENTITIES[ident].fn
+    fn(p)  # fill the Probe's caches, which the peak should not count
+    tracemalloc.start()
+    try:
+        fn(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, size = p.pool.shape[:2]
+    assert peak <= 1.5 * n * size ** 3 * 3 * np.dtype(float).itemsize
 
 
 def _spied_suite(monkeypatch, model):
