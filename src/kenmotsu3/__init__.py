@@ -27,7 +27,7 @@ from .models import (
     model_from_json,
     model_to_json,
 )
-from .structure import AlmostContactModel, compute_h, eigenframe
+from .structure import AlmostContactModel, compute_h
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "build_kmu_chart_model", "build_kmu_prime_chart_model",
     "build_darboux_model", "build_kenmotsu_baseline",
     "model_to_json", "model_from_json",
-    "AlmostContactModel", "compute_h", "eigenframe",
+    "AlmostContactModel", "compute_h",
     "__version__",
 ]

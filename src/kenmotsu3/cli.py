@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -97,6 +98,8 @@ def _parse_tols(items) -> dict[str, float]:
         if name not in IDENTITIES:
             raise UsageError(f"unknown identity in --tol: {name!r}")
         out[name] = float(value)
+        if not (math.isfinite(out[name]) and out[name] >= 0):
+            raise UsageError(f"--tol {name} must be finite and >= 0, got {value!r}")
     return out
 
 
@@ -195,6 +198,9 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --mu-values: {ex}") from None
     if not mu_values:
         raise UsageError("--mu-values must list at least one number")
+    if not all(map(math.isfinite, mu_values)):
+        raise UsageError(f"bad --mu-values: {args.mu_values!r} lists a "
+                         f"non-finite value")
     worst: dict[str, dict] = {}
     runs = []
     overall = "pass"

@@ -18,8 +18,6 @@ from .fields import (
     ArrayField,
     DiffScheme,
     MetricField,
-    Tensor11Field,
-    VectorField,
     as_points,
     coordinate_derivatives,
 )
@@ -28,13 +26,10 @@ __all__ = [
     "DegenerateMetricError",
     "DegeneratePlaneError",
     "Curvature",
-    "christoffel",
-    "christoffel_field",
     "curvature",
     "levi_civita",
     "riemann",
     "sectional_curvature",
-    "covariant_derivative_tensor11",
     "covariant_differential",
     "exterior_derivative",
     "exterior_differential",
@@ -71,20 +66,6 @@ def levi_civita(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ginv = _inverse_metric(g)
     braces = np.einsum("njsk->nsjk", dg) + np.einsum("nksj->nsjk", dg) - dg
     return 0.5 * np.einsum("nis,nsjk->nijk", ginv, braces), ginv
-
-
-def christoffel(g: MetricField, pts, scheme: DiffScheme | None = None) -> np.ndarray:
-    """Gamma^i_{jk} of the metric field ``g`` at ``pts``."""
-    pts, single = as_points(pts)
-    gamma, _ = levi_civita(g(pts), coordinate_derivatives(g, pts, scheme))
-    return gamma[0] if single else gamma
-
-
-def christoffel_field(g: MetricField, scheme: DiffScheme | None = None) -> ArrayField:
-    """The connection as a differentiable (FD-backed) field."""
-    return ArrayField(lambda pts: christoffel(g, pts, scheme), g.domain,
-                      out_shape=(3, 3, 3), axis_quanta=g.axis_quanta,
-                      varies=g.varies, name="christoffel")
 
 
 @dataclass(frozen=True)
@@ -134,10 +115,14 @@ def curvature(gamma: np.ndarray, ginv: np.ndarray,
 
 
 def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
-    """Full curvature from Gamma and its numeric derivatives."""
+    """Full curvature from Gamma and the FD partials of Gamma as a field."""
     pts, _ = as_points(pts)
     gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, scheme))
-    dgamma = coordinate_derivatives(christoffel_field(g, scheme), pts, scheme)
+    gamma_field = ArrayField(
+        lambda q: levi_civita(g(q), coordinate_derivatives(g, q, scheme))[0],
+        g.domain, out_shape=(3, 3, 3), axis_quanta=g.axis_quanta,
+        varies=g.varies, name="christoffel")
+    dgamma = coordinate_derivatives(gamma_field, pts, scheme)
     return curvature(gamma, ginv, dgamma)
 
 
@@ -158,22 +143,6 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
     """
     return (dt_vals + np.einsum("niks,nsj->nkij", gamma, t_vals)
             - np.einsum("nskj,nis->nkij", gamma, t_vals))
-
-
-def covariant_derivative_tensor11(g: MetricField, t_field: Tensor11Field,
-                                  x, pts, scheme: DiffScheme | None = None) -> np.ndarray:
-    """(nabla_X T)^i_j = X(T^i_j) + Gamma^i_{ks} X^k T^s_j - Gamma^s_{kj} X^k T^i_s."""
-    pts, single = as_points(pts)
-    gamma = christoffel(g, pts, scheme)
-    if isinstance(x, VectorField):
-        xv = x(pts)
-    else:
-        xv = np.broadcast_to(np.asarray(x, float), (pts.shape[0], 3))
-    tv = t_field(pts)
-    dt = coordinate_derivatives(t_field, pts, scheme)
-    nabla = covariant_differential(tv, dt, gamma)
-    out = np.einsum("nk,nkij->nij", xv, nabla)
-    return out[0] if single else out
 
 
 def exterior_derivative(form: ArrayField, pts,

@@ -71,6 +71,12 @@ class SamplePlan:
     seed: int = 0
     box: tuple | None = None
 
+    def __post_init__(self):
+        for name, least in (("grid", 1), ("rand_pairs", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"sample plan {name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
+
     def resolved_box(self, model: AlmostContactModel):
         box = self.box if self.box is not None else model.default_box
         if len(box) != 3 or any(len(iv) != 2 or not iv[0] < iv[1] for iv in box):

@@ -4,8 +4,8 @@ An :class:`AlmostContactModel` bundles the structure tensors (phi, xi, eta, g)
 as field evaluators over one chart, together with nominal scalar fields
 k, mu, lambda and family metadata.  The tensor h is computed from its
 Lie-derivative definition h = (1/2) L_xi phi (never from the connection, so
-the connection identities stay an independent cross-check); h' = h o phi and
-B = phi o h follow by composition.
+the connection identities stay an independent cross-check); the identities'
+Probe composes h' = h o phi and B = phi o h from the same values.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .fields import (
     Tensor11Field,
     VectorField,
     as_points,
-    constant_vector_field,
     coordinate_derivatives,
-    lie_bracket,
 )
 from .geometry import exterior_derivative, g_norm
 
@@ -34,13 +32,7 @@ __all__ = [
     "Eigenframe",
     "lie_derivative",
     "compute_h",
-    "compute_h_prime",
-    "compute_b",
-    "h_field",
-    "eigenframe",
     "frame_of",
-    "fundamental_two_form",
-    "two_form_components",
     "nijenhuis",
     "structure_residuals",
 ]
@@ -127,44 +119,6 @@ def compute_h(model: AlmostContactModel, pts,
     return h[0] if single else h
 
 
-def compute_h_prime(model: AlmostContactModel, pts,
-                    scheme: DiffScheme | None = None) -> np.ndarray:
-    """h' = h o phi (component matrices compose as H @ Phi)."""
-    pts, single = as_points(pts)
-    out = compute_h(model, pts, scheme) @ model.phi(pts)
-    return out[0] if single else out
-
-
-def compute_b(model: AlmostContactModel, pts,
-              scheme: DiffScheme | None = None) -> np.ndarray:
-    """B = phi o h."""
-    pts, single = as_points(pts)
-    out = model.phi(pts) @ compute_h(model, pts, scheme)
-    return out[0] if single else out
-
-
-def h_field(model: AlmostContactModel,
-            scheme: DiffScheme | None = None,
-            prime: bool = False) -> Tensor11Field:
-    """h (or h') as a differentiable FD-backed field."""
-    fn = compute_h_prime if prime else compute_h
-    return Tensor11Field(lambda pts: fn(model, pts, scheme), model.domain,
-                         axis_quanta=model.g.axis_quanta,
-                         varies=model.g.varies, name="h'" if prime else "h")
-
-
-def eigenframe(model: AlmostContactModel, pts,
-               scheme: DiffScheme | None = None) -> Eigenframe:
-    """Largest-eigenvalue unit frame of the model's nullity operator."""
-    pts, single = as_points(pts)
-    phi = model.phi(pts)
-    t_op = model.nullity_operator(compute_h(model, pts, scheme), phi)
-    ef = frame_of(model.g(pts), model.xi(pts), phi, model.eta(pts), t_op)
-    if single:
-        ef = Eigenframe(ef.lam[0], ef.x[0], ef.phi_x[0], ef.degenerate[0])
-    return ef
-
-
 def frame_of(g: np.ndarray, xi: np.ndarray, phi: np.ndarray, eta: np.ndarray,
              t_op: np.ndarray) -> Eigenframe:
     """Largest-eigenvalue unit frame of ``t_op`` from per-point values.
@@ -212,44 +166,29 @@ def frame_of(g: np.ndarray, xi: np.ndarray, phi: np.ndarray, eta: np.ndarray,
     return Eigenframe(lam, x, np.einsum("nij,nj->ni", phi, x), degenerate)
 
 
-def two_form_components(model: AlmostContactModel, pts) -> np.ndarray:
-    """Fundamental 2-form components Phi_ij = g_is phi^s_j (antisymmetric)."""
-    pts, single = as_points(pts)
-    out = np.einsum("nis,nsj->nij", model.g(pts), model.phi(pts))
-    return out[0] if single else out
-
-
-def fundamental_two_form(model: AlmostContactModel, pts, x, y) -> np.ndarray:
-    """Phi(X, Y) = g(X, phi Y) at each point."""
-    pts, single = as_points(pts)
-    comps = two_form_components(model, pts)
-    xv = np.broadcast_to(np.asarray(x, float), (pts.shape[0], 3))
-    yv = np.broadcast_to(np.asarray(y, float), (pts.shape[0], 3))
-    out = np.einsum("ni,nij,nj->n", xv, comps, yv)
-    return out[0] if single else out
-
-
 def nijenhuis(model: AlmostContactModel, pts, x, y,
               scheme: DiffScheme | None = None) -> np.ndarray:
     """N(X,Y) = [phi,phi](X,Y) + 2 d(eta)(X,Y) xi for constant X, Y.
 
     [phi,phi](X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y]
     - phi [X, phi Y]; the first bracket vanishes for constant-coefficient
-    fields.
+    fields, and the partials of phi X and phi Y are those of phi applied to
+    X and Y.
     """
     pts, single = as_points(pts)
     xv = np.asarray(x, float)
     yv = np.asarray(y, float)
-    xf = constant_vector_field(xv, model.domain)
-    yf = constant_vector_field(yv, model.domain)
-    phi_xf = VectorField(lambda q: np.einsum("nij,j->ni", model.phi(q), xv),
-                         model.domain, name="phiX")
-    phi_yf = VectorField(lambda q: np.einsum("nij,j->ni", model.phi(q), yv),
-                         model.domain, name="phiY")
     phi = model.phi(pts)
-    torsion = (lie_bracket(phi_xf, phi_yf, pts, scheme)
-               - np.einsum("nij,nj->ni", phi, lie_bracket(phi_xf, yf, pts, scheme))
-               - np.einsum("nij,nj->ni", phi, lie_bracket(xf, phi_yf, pts, scheme)))
+    dphi = coordinate_derivatives(model.phi, pts, scheme)  # (n, a, i, j)
+    phi_x, phi_y = phi @ xv, phi @ yv
+    d_phi_x, d_phi_y = dphi @ xv, dphi @ yv                # (n, a, i)
+    # [U, V]^i = U^a d_a V^i - V^a d_a U^i, with d_a X = d_a Y = 0
+    br_phix_phiy = (np.einsum("na,nai->ni", phi_x, d_phi_y)
+                    - np.einsum("na,nai->ni", phi_y, d_phi_x))
+    br_phix_y = -np.einsum("a,nai->ni", yv, d_phi_x)
+    br_x_phiy = np.einsum("a,nai->ni", xv, d_phi_y)
+    torsion = (br_phix_phiy - np.einsum("nij,nj->ni", phi, br_phix_y)
+               - np.einsum("nij,nj->ni", phi, br_x_phiy))
     deta = exterior_derivative(model.eta, pts, scheme)
     deta_xy = np.einsum("i,nij,j->n", xv, deta, yv)
     out = torsion + 2.0 * deta_xy[:, None] * model.xi(pts)

@@ -61,7 +61,7 @@ class TestVerify:
             assert rep["verdict"] == "fail"
             assert ("refinement" in rep) == refined, family
 
-    def test_usage_errors_exit_2(self):
+    def test_usage_errors_exit_2(self, capsys):
         assert run(["verify", "--family", "kmu-chart", "--mu", "1 +"]) == 2
         assert run(["verify", "--family", "kmu-chart",
                     "--box", "0,1:0,1:-2,0"]) == 2
@@ -69,6 +69,21 @@ class TestVerify:
                     "--tol", "NOPE=1"]) == 2
         assert run(["verify", "--family", "kenmotsu",
                     "--identities", "NOPE"]) == 2
+        # a tolerance that is not a finite non-negative number is bad input,
+        # not a numerical failure (nan and -1 used to fail, inf to pass)
+        for value in ("nan", "-1", "inf"):
+            assert run(["verify", "--family", "kenmotsu", "--grid", "2",
+                        "--identities", "NABLA_XI",
+                        "--tol", f"NABLA_XI={value}"]) == 2, value
+        # a bad sample plan is named by its field, not by a numpy error
+        for flag, value, field in (("--grid", "0", "grid"),
+                                   ("--rand-pairs", "-1", "rand_pairs"),
+                                   ("--seed", "-1", "seed")):
+            capsys.readouterr()
+            assert run(["verify", "--family", "kenmotsu",
+                        "--identities", "NABLA_XI", flag, value]) == 2
+            err = capsys.readouterr().err
+            assert f"sample plan {field} must be >= " in err, err
 
     def test_derivative_domain_error_names_the_users_text(self, capsys):
         # d/dz sqrt(z+3) divides by zero at z = -3, the box's lower end: the
@@ -160,6 +175,11 @@ class TestSweep:
         per_run = [r["identities"][0]["residual"] for r in doc["runs"]]
         assert worst == max(per_run)
 
-    def test_bad_values(self):
+    def test_bad_values(self, capsys):
         assert run(["sweep", "--family", "kmu-chart",
                     "--mu-values", "a,b"]) == 2
+        # non-finite values are rejected before any mu is integrated
+        for values in ("1,nan", "inf", "0,-inf"):
+            assert run(["sweep", "--family", "kmu-chart", "--grid", "2",
+                        "--identities", "H2", "--mu-values", values]) == 2
+            assert capsys.readouterr().out == "", values

@@ -15,17 +15,16 @@ from kenmotsu3.fields import (
     DiffScheme,
     MetricField,
     Tensor11Field,
-    constant_vector_field,
     coordinate_derivatives,
 )
 from kenmotsu3.geometry import (
     DegenerateMetricError,
     DegeneratePlaneError,
-    christoffel,
-    covariant_derivative_tensor11,
+    covariant_differential,
     exterior_derivative,
     g_norm,
     g_operator_norm,
+    levi_civita,
     riemann,
     sectional_curvature,
 )
@@ -37,6 +36,7 @@ from kenmotsu3.models import (
     build_kenmotsu_baseline,
     build_kmu_chart_model,
 )
+from kenmotsu3.structure import compute_h
 
 FULL = ChartDomain()
 
@@ -60,13 +60,26 @@ def hyperbolic():
 PTS = np.array([[0.3, -0.2, 0.0], [0.1, 0.5, 0.4], [-0.7, 0.2, -0.3]])
 
 
+def christoffel(g, pts):
+    """Gamma^i_{jk} of the metric field ``g`` at a batch of points."""
+    return levi_civita(g(pts), coordinate_derivatives(g, pts))[0]
+
+
+def nabla_along(g, t_field, x, pts):
+    """(nabla_X T)^i_j of a (1,1) tensor field along per-point X (n, 3)."""
+    nabla = covariant_differential(t_field(pts),
+                                   coordinate_derivatives(t_field, pts),
+                                   christoffel(g, pts))
+    return np.einsum("nk,nkij->nij", x, nabla)
+
+
 class TestChristoffel:
     def test_euclidean_vanishes(self):
         gam = christoffel(euclidean(), PTS)
         assert np.max(np.abs(gam)) < 1e-10
 
     def test_warped_oracle_values(self):
-        gam = christoffel(hyperbolic(), np.array([0.0, 0.0, 0.0]))
+        gam = christoffel(hyperbolic(), np.array([[0.0, 0.0, 0.0]]))[0]
         assert gam[2, 0, 0] == pytest.approx(-1.0, abs=1e-7)
         assert gam[0, 0, 2] == pytest.approx(1.0, abs=1e-7)
 
@@ -125,27 +138,28 @@ class TestCovariantDerivative:
     def test_identity_tensor_parallel(self):
         t = Tensor11Field(
             lambda p: np.broadcast_to(np.eye(3), (p.shape[0], 3, 3)).copy(), FULL)
-        x = constant_vector_field([0.3, 1.0, -0.2], FULL)
-        out = covariant_derivative_tensor11(hyperbolic(), t, x, PTS)
+        x = np.broadcast_to([0.3, 1.0, -0.2], PTS.shape)
+        out = nabla_along(hyperbolic(), t, x, PTS)
         assert np.max(np.abs(out)) < 1e-9
 
     def test_nabla_xi_phi_vanishes_on_models(self):
         for model in (build_kenmotsu_baseline(1.0),
                       build_kmu_chart_model(KmuChartParams(mu="1"))):
             pts = SamplePlan(grid=2, seed=3).points(model)
-            out = covariant_derivative_tensor11(model.g, model.phi, model.xi, pts)
+            out = nabla_along(model.g, model.phi, model.xi(pts), pts)
             assert np.max(np.abs(out)) < 1e-6, model.family
 
     def test_nh_relation_on_chart_model(self):
         # nabla_xi h = -2h - mu phi h on the kmu chart family
-        from kenmotsu3.structure import h_field
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
         pts = SamplePlan(grid=2, seed=3).points(model)
-        hf = h_field(model)
+        hf = Tensor11Field(lambda q: compute_h(model, q), model.domain,
+                           axis_quanta=model.g.axis_quanta,
+                           varies=model.g.varies)
         h = hf(pts)
         phi = model.phi(pts)
         mu = model.mu_nom(pts)
-        nab = covariant_derivative_tensor11(model.g, hf, model.xi, pts)
+        nab = nabla_along(model.g, hf, model.xi(pts), pts)
         res = nab + 2.0 * h + mu[:, None, None] * (phi @ h)
         assert np.max(np.abs(res)) < 1e-6
 
@@ -181,13 +195,15 @@ class TestExteriorDerivative:
 
     def test_darboux_fundamental_form_law(self):
         # d Phi = 2 eta ^ Phi with Phi_12 = e^{2t} on the Darboux model
-        from kenmotsu3.structure import two_form_components
+        def two_form(q):
+            return np.einsum("nis,nsj->nij", model.g(q), model.phi(q))
+
         model = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
         pts = np.array([[0.2, 0.3, 0.0], [0.0, 0.0, 0.25]])
-        phi2 = Tensor11Field(lambda q: two_form_components(model, q),
-                             model.domain, axis_quanta=model.g.axis_quanta)
+        phi2 = Tensor11Field(two_form, model.domain,
+                             axis_quanta=model.g.axis_quanta)
         d3 = exterior_derivative(phi2, pts)
-        comps = two_form_components(model, pts)
+        comps = two_form(pts)
         eta = model.eta(pts)
         wedge = (eta[:, 0] * comps[:, 1, 2] - eta[:, 1] * comps[:, 0, 2]
                  + eta[:, 2] * comps[:, 0, 1])

@@ -9,13 +9,11 @@ import pytest
 
 from kenmotsu3 import fields
 from kenmotsu3.fields import (
+    ArrayField,
     DiffScheme,
-    ScalarField,
-    Tensor11Field,
-    VectorField,
     coordinate_derivatives,
 )
-from kenmotsu3.geometry import christoffel, christoffel_field, g_norm, riemann
+from kenmotsu3.geometry import g_norm, levi_civita, riemann
 from kenmotsu3.identities import (
     IDENTITIES,
     PROFILES,
@@ -39,14 +37,7 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
 )
-from kenmotsu3.structure import (
-    compute_b,
-    compute_h,
-    compute_h_prime,
-    eigenframe,
-    h_field,
-    two_form_components,
-)
+from kenmotsu3.structure import compute_h, frame_of
 
 PLAN = SamplePlan(grid=3, rand_pairs=3, seed=21)
 
@@ -233,9 +224,22 @@ class TestFrameIndependence:
             assert rep.verdict == "pass", (name, rep.residual)
 
 
+def _stack_reference(m, q, scheme):
+    """The Probe's stacked quantities at ``q``, each composed on its own from
+    the model's fields, ``compute_h``, ``frame_of`` and ``levi_civita``."""
+    g, phi = m.g(q), m.phi(q)
+    h = compute_h(m, q, scheme)
+    ef = frame_of(g, m.xi(q), phi, m.eta(q), m.nullity_operator(h, phi))
+    gamma, ginv = levi_civita(g, coordinate_derivatives(m.g, q, scheme))
+    return {"h": h, "hp": h @ phi, "b": phi @ h, "x": ef.x,
+            "phi_x": ef.phi_x, "lam": ef.lam, "degenerate": ef.degenerate,
+            "phi2": np.einsum("nis,nsj->nij", g, phi), "gamma": gamma,
+            "ginv": ginv}
+
+
 class TestStackedPartials:
-    """The Probe's one stacked field gives, bit for bit, the partials of the
-    separate per-quantity fields."""
+    """The Probe's one stacked field gives, bit for bit, the partials of
+    separate per-quantity fields built from the model's fields."""
 
     @pytest.fixture(params=["kmu_chart", "kmup_darboux"])
     def probe(self, request):
@@ -248,61 +252,41 @@ class TestStackedPartials:
                      PLAN.rand_pairs, PLAN.seed)
 
     @staticmethod
-    def _partials(probe, field):
-        return coordinate_derivatives(field, probe.pts, probe.scheme)
-
-    @staticmethod
-    def _field(probe, cls, fn):
-        # the stacks inherit the model's axes: FD along an axis a t-only
-        # field does not vary on reads rounding noise, not the stacks' zeros
-        model = probe.model
-        return cls(fn, model.domain, axis_quanta=model.g.axis_quanta,
-                   varies=model.g.varies)
+    def _same_partials(probe, *names):
+        # each reference field inherits the model's axes: FD along an axis a
+        # t-only field does not vary on reads rounding noise, not the
+        # stack's zeros
+        m, scheme = probe.model, probe.scheme
+        for name in names:
+            stacked = probe.fd_partials[name]  # (n, axis) + shape
+            field = ArrayField(
+                lambda q, name=name: _stack_reference(m, q, scheme)[name],
+                m.domain, stacked.shape[2:], axis_quanta=m.g.axis_quanta,
+                varies=m.g.varies)
+            assert np.array_equal(
+                stacked, coordinate_derivatives(field, probe.pts, scheme)), name
 
     def test_h_hp_b(self, probe):
-        m, scheme = probe.model, probe.scheme
-        b_field = self._field(probe, Tensor11Field,
-                              lambda q: m.phi(q) @ compute_h(m, q, scheme))
-        d = probe.fd_partials
-        assert np.array_equal(d["h"], self._partials(probe, h_field(m, scheme)))
-        assert np.array_equal(d["hp"], self._partials(
-            probe, h_field(m, scheme, prime=True)))
-        assert np.array_equal(d["b"], self._partials(probe, b_field))
+        self._same_partials(probe, "h", "hp", "b")
 
     def test_eigenframe(self, probe):
-        m, scheme = probe.model, probe.scheme
-
-        def part(cls, attr):
-            return self._partials(probe, self._field(
-                probe, cls, lambda q: getattr(eigenframe(m, q, scheme), attr)))
-
-        d = probe.fd_partials
-        assert np.array_equal(d["x"], part(VectorField, "x"))
-        assert np.array_equal(d["phi_x"], part(VectorField, "phi_x"))
-        assert np.array_equal(d["lam"], part(ScalarField, "lam"))
+        self._same_partials(probe, "x", "phi_x", "lam")
 
     def test_two_form_and_connection(self, probe):
-        m, scheme = probe.model, probe.scheme
-        phi2 = self._field(probe, Tensor11Field,
-                           lambda q: two_form_components(m, q))
-        d = probe.fd_partials
-        assert np.array_equal(d["phi2"], self._partials(probe, phi2))
-        assert np.array_equal(d["gamma"], self._partials(
-            probe, christoffel_field(m.g, scheme)))
+        self._same_partials(probe, "phi2", "gamma")
 
     def test_point_values(self, probe):
         # the Probe derives these from one evaluation of phi, xi, eta, g and
-        # their partials; the library functions evaluate each on their own
-        m, pts, scheme = probe.model, probe.pts, probe.scheme
-        assert np.array_equal(probe.h, compute_h(m, pts, scheme))
-        assert np.array_equal(probe.hp, compute_h_prime(m, pts, scheme))
-        assert np.array_equal(probe.bmat, compute_b(m, pts, scheme))
-        ef = eigenframe(m, pts, scheme)
+        # their partials; the reference evaluates each on its own
+        ref = _stack_reference(probe.model, probe.pts, probe.scheme)
+        for name, value in (("h", probe.h), ("hp", probe.hp),
+                            ("b", probe.bmat), ("phi2", probe.phi2),
+                            ("gamma", probe.gamma)):
+            assert np.array_equal(value, ref[name]), name
         for name in ("lam", "x", "phi_x", "degenerate"):
-            assert np.array_equal(getattr(probe.eigen, name), getattr(ef, name))
-        assert np.array_equal(probe.phi2, two_form_components(m, pts))
-        assert np.array_equal(probe.gamma, christoffel(m.g, pts, scheme))
-        assert np.array_equal(probe.ginv, np.linalg.inv(m.g(pts)))
+            assert np.array_equal(getattr(probe.eigen, name), ref[name]), name
+        assert np.array_equal(probe.ginv, ref["ginv"])
+        assert np.array_equal(probe.ginv, np.linalg.inv(probe.model.g(probe.pts)))
 
     def test_curvature_equals_riemann(self, probe):
         ref = riemann(probe.model.g, probe.pts, probe.scheme)

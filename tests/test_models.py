@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from kenmotsu3.fields import (
+    DiffScheme,
     constant_vector_field,
     coordinate_derivatives,
     lie_bracket,
     partial_derivative,
 )
-from kenmotsu3.identities import SamplePlan
+from kenmotsu3.identities import Probe, SamplePlan
 from kenmotsu3.models import (
     DarbouxParams,
     KmuChartParams,
@@ -23,13 +24,7 @@ from kenmotsu3.models import (
     parse_box,
 )
 from kenmotsu3.ode import _as_matrix
-from kenmotsu3.structure import (
-    compute_h,
-    compute_h_prime,
-    eigenframe,
-    fundamental_two_form,
-    structure_residuals,
-)
+from kenmotsu3.structure import compute_h, structure_residuals
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -37,6 +32,11 @@ E2 = np.array([0.0, 1.0, 0.0])
 
 def sample(model, grid=3, seed=9):
     return SamplePlan(grid=grid, seed=seed).points(model)
+
+
+def phi12(model, pt):
+    """Phi(E1, E2) = g(E1, phi E2) at one point."""
+    return Probe(model, np.array([pt]), DiffScheme()).phi2[0, 0, 1]
 
 
 class TestKmuChart:
@@ -87,7 +87,8 @@ class TestKmuChart:
 class TestKmupChart:
     def test_h_prime_eigenvalues_at_z_minus5(self):
         m = build_kmu_prime_chart_model(KmupChartParams())
-        hp = compute_h_prime(m, np.array([0.0, 0.0, -5.0]))
+        pt = np.array([0.0, 0.0, -5.0])
+        hp = compute_h(m, pt) @ m.phi(pt)
         assert np.allclose(hp @ E1, 2.0 * E1, atol=1e-6)
         assert np.allclose(hp @ E2, -2.0 * E2, atol=1e-6)
 
@@ -125,12 +126,12 @@ class TestDarboux:
 
     def test_phi12_at_zero(self):
         m = build_darboux_model(DarbouxParams("kmu", "0", (-0.5, 0.5)))
-        val = fundamental_two_form(m, np.array([0.0, 0.0, 0.0]), E1, E2)
+        val = phi12(m, [0.0, 0.0, 0.0])
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_phi12_exponential(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-1.0, 1.0)))
-        val = fundamental_two_form(m, np.array([0.0, 0.0, 0.5]), E1, E2)
+        val = phi12(m, [0.0, 0.0, 0.5])
         assert val == pytest.approx(np.exp(1.0), abs=1e-9)
 
     def test_h_at_zero_is_minus_m3_block(self):
@@ -166,7 +167,7 @@ class TestDarboux:
 
     def test_eigen_lambda_at_zero(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
-        ef = eigenframe(m, np.array([[0.0, 0.0, 0.0]]))
+        ef = Probe(m, np.array([[0.0, 0.0, 0.0]]), DiffScheme()).eigen
         assert ef.lam[0] == pytest.approx(1.0, abs=1e-6)
 
 

@@ -1,6 +1,7 @@
-"""Source guards: contraction forms that must not come back."""
+"""Source guards: contraction forms and exports that must not come back."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kenmotsu3"
@@ -44,3 +45,18 @@ def test_no_multi_operand_or_optimized_einsum_in_package():
     offences = [o for f in files
                 for o in _einsum_offences(f.read_text(), f.name)]
     assert not offences, offences
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition went is a broken import
+    # for every ``from kenmotsu3.<module> import *``
+    names = ["kenmotsu3"] + [f"kenmotsu3.{f.stem}"
+                             for f in sorted(SRC.glob("*.py"))
+                             if f.stem != "__init__"]
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert len(names) > 1
+    assert not missing, missing

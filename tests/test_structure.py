@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from kenmotsu3.fields import DiffScheme
 from kenmotsu3.geometry import g_norm
-from kenmotsu3.identities import SamplePlan
+from kenmotsu3.identities import Probe, SamplePlan
 from kenmotsu3.models import (
     DarbouxParams,
     KmuChartParams,
@@ -14,15 +15,7 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
 )
-from kenmotsu3.structure import (
-    compute_b,
-    compute_h,
-    compute_h_prime,
-    eigenframe,
-    fundamental_two_form,
-    nijenhuis,
-    two_form_components,
-)
+from kenmotsu3.structure import compute_h, nijenhuis
 
 ALL_MODELS = [
     build_kenmotsu_baseline(1.0),
@@ -35,6 +28,10 @@ ALL_MODELS = [
 
 def sample(model, grid=3, seed=13):
     return SamplePlan(grid=grid, seed=seed).points(model)
+
+
+def probe(model, pts):
+    return Probe(model, pts, DiffScheme())
 
 
 class TestHOperator:
@@ -59,13 +56,13 @@ class TestHOperator:
         # chart families, ~1.3e-8 on the trajectory-backed ones)
         pts = sample(model)
         h = compute_h(model, pts)
-        hp = compute_h_prime(model, pts)
+        hp = h @ model.phi(pts)
         assert np.max(np.abs(h @ h - hp @ hp)) < 1e-7
 
     def test_b_is_phi_h(self):
         m = build_kmu_chart_model(KmuChartParams())
         pts = sample(m)
-        assert np.array_equal(compute_b(m, pts),
+        assert np.array_equal(probe(m, pts).bmat,
                               m.phi(pts) @ compute_h(m, pts))
 
     def test_baseline_h_zero(self):
@@ -86,19 +83,19 @@ class TestHOperator:
 class TestEigenframe:
     def test_baseline_degenerate(self):
         m = build_kenmotsu_baseline(1.0)
-        ef = eigenframe(m, np.array([[0.1, 0.2, 0.0]]))
+        ef = probe(m, np.array([[0.1, 0.2, 0.0]])).eigen
         assert ef.degenerate[0]
         assert ef.lam[0] == 0.0
 
     def test_kmup_chart_eigenvector(self):
         m = build_kmu_prime_chart_model(KmupChartParams())
-        ef = eigenframe(m, np.array([[0.0, 0.0, -2.0]]))
+        ef = probe(m, np.array([[0.0, 0.0, -2.0]])).eigen
         assert ef.lam[0] == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(ef.x[0], [1.0, 0.0, 0.0], atol=1e-6)
 
     def test_darboux_lambda_decays(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
-        ef = eigenframe(m, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]))
+        ef = probe(m, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])).eigen
         assert ef.lam[0] == pytest.approx(1.0, abs=1e-6)
         assert ef.lam[1] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
@@ -106,7 +103,7 @@ class TestEigenframe:
     def test_frame_orthonormal_and_eigen(self, model):
         pts = sample(model)
         g = model.g(pts)
-        ef = eigenframe(model, pts)
+        ef = probe(model, pts).eigen
         frame = np.stack([model.xi(pts), ef.x, ef.phi_x], axis=1)
         gram = np.einsum("nai,nij,nbj->nab", frame, g, frame)
         assert np.max(np.abs(gram - np.eye(3))) < 1e-8
@@ -121,7 +118,7 @@ class TestEigenframe:
         # T = lam (X (x) X^flat - phiX (x) (phiX)^flat)
         pts = sample(model)
         g = model.g(pts)
-        ef = eigenframe(model, pts)
+        ef = probe(model, pts).eigen
         xf = np.einsum("nij,nj->ni", g, ef.x)
         pxf = np.einsum("nij,nj->ni", g, ef.phi_x)
         recon = ef.lam[:, None, None] * (
@@ -133,8 +130,8 @@ class TestEigenframe:
     def test_sign_fix_deterministic(self):
         m = build_kmu_chart_model(KmuChartParams(mu="1"))
         pts = sample(m)
-        a = eigenframe(m, pts)
-        b = eigenframe(m, pts)
+        a = probe(m, pts).eigen
+        b = probe(m, pts).eigen
         assert np.array_equal(a.x, b.x)
         lead = a.x[np.arange(len(a.x)), np.argmax(np.abs(a.x) > 1e-8, axis=1)]
         assert np.all(lead > 0)
@@ -147,20 +144,20 @@ class TestFundamentalForm:
         xi = model.xi(pts)
         rng = np.random.default_rng(5)
         y = rng.standard_normal((pts.shape[0], 3))
-        comps = two_form_components(model, pts)
+        comps = probe(model, pts).phi2
         vals = np.einsum("ni,nij,nj->n", xi, comps, y)
         assert np.max(np.abs(vals)) < 1e-12
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
     def test_antisymmetry(self, model):
         pts = sample(model)
-        comps = two_form_components(model, pts)
+        comps = probe(model, pts).phi2
         assert np.max(np.abs(comps + np.swapaxes(comps, 1, 2))) < 1e-12
 
     def test_darboux_phi12(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
-        val = fundamental_two_form(m, np.array([0.0, 0.0, 0.5]),
-                                   [1, 0, 0], [0, 1, 0])
+        # Phi(e1, e2) = g(e1, phi e2) = Phi_12
+        val = probe(m, np.array([[0.0, 0.0, 0.5]])).phi2[0, 0, 1]
         assert val == pytest.approx(np.exp(1.0), abs=1e-9)
 
 
