@@ -97,7 +97,10 @@ def _parse_tols(items) -> dict[str, float]:
         name, _, value = item.partition("=")
         if name not in IDENTITIES:
             raise UsageError(f"unknown identity in --tol: {name!r}")
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise UsageError(f"--tol {name} expects a number, got {value!r}") from None
         if not (math.isfinite(out[name]) and out[name] >= 0):
             raise UsageError(f"--tol {name} must be finite and >= 0, got {value!r}")
     return out
@@ -179,8 +182,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    if args.family not in ("kmu-darboux", "kmup-darboux"):
-        raise UsageError("trajectory requires --family kmu-darboux|kmup-darboux")
     variant = args.family.split("-")[0]
     params = DarbouxParams(variant=variant, mu_bar=args.mu,
                            t_range=tuple(args.t_range), step=args.step)

@@ -54,7 +54,7 @@ MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
 # the quantities the Probe differentiates by FD, with their per-node shapes,
 # in the order of the stacked field's components
 _STACK = (("h", (3, 3)), ("hp", (3, 3)), ("b", (3, 3)), ("x", (3,)),
-          ("phi_x", (3,)), ("lam", ()), ("phi2", (3, 3)), ("gamma", (3, 3, 3)))
+          ("lam", ()), ("gamma", (3, 3, 3)))
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,7 @@ class Probe:
     def stack(self):
         """The quantities of ``_STACK``, flattened per point and concatenated."""
         ef = self.eigen
-        parts = (self.h, self.hp, self.bmat, ef.x, ef.phi_x, ef.lam,
-                 self.phi2, self.gamma)
+        parts = (self.h, self.hp, self.bmat, ef.x, ef.lam, self.gamma)
         return np.concatenate([a.reshape(self.n, -1) for a in parts], axis=1)
 
     # --- connection and curvature -------------------------------------------
@@ -326,10 +325,8 @@ class Probe:
 
     @cached_property
     def nabla_phi2(self):
-        """(nabla_k Phi)_{ij} = d_k Phi_ij - G^s_{ki} Phi_sj - G^s_{kj} Phi_is."""
-        return (self.fd_partials["phi2"]
-                - np.einsum("nski,nsj->nkij", self.gamma, self.phi2)
-                - np.einsum("nskj,nis->nkij", self.gamma, self.phi2))
+        """(nabla_k Phi)_{ij} = g_is (nabla_k phi)^s_j, as nabla g = 0."""
+        return self.g[:, None] @ self.nabla_phi
 
     @cached_property
     def deta(self):
@@ -345,6 +342,22 @@ class Probe:
     def frame(self):
         """(n, 3, 3): the adapted orthonormal frame (xi, X, phi X)."""
         return np.stack([self.xi, self.eigen.x, self.eigen.phi_x], axis=1)
+
+    @cached_property
+    def frame_nabla(self):
+        """(nabla_{E_a} E_b)^i over the adapted frame E, indexed [n, a, b, i].
+
+        X takes its stacked partials, and phi X the product rule
+        nabla(phi X) = (nabla phi) X + phi nabla X.
+        """
+        x = self.eigen.x
+        nabla_x = (self.fd_partials["x"]
+                   + np.einsum("nias,ns->nai", self.gamma, x))      # [n, k, i]
+        nabla_phi_x = (np.einsum("nkij,nj->nki", self.nabla_phi, x)
+                       + np.einsum("nij,nkj->nki", self.phi, nabla_x))
+        nabla_e = np.stack([self.nabla_xi.transpose(0, 2, 1), nabla_x,
+                            nabla_phi_x], axis=1)
+        return np.einsum("nak,nbki->nabi", self.frame, nabla_e)
 
     @cached_property
     def _rng_draws(self):
@@ -441,7 +454,9 @@ def _res_ak_deta(p: Probe):
 
 
 def _res_ak_dphi(p: Probe):
-    dphi3 = exterior_differential(p.fd_partials["phi2"])
+    # the connection is torsion-free, so its terms cancel from the
+    # alternation and d Phi is that of nabla Phi
+    dphi3 = exterior_differential(p.nabla_phi2)
     eta_wedge = (p.eta[:, 0] * p.phi2[:, 1, 2]
                  - p.eta[:, 1] * p.phi2[:, 0, 2]
                  + p.eta[:, 2] * p.phi2[:, 0, 1])
@@ -518,31 +533,25 @@ def _res_qxi(p: Probe):
     return p.vec_norm(v)
 
 
-def _scalar_laws_h(p: Probe):
+def _scalar_laws(p: Probe, rate):
+    """|xi(lam) + rate lam| and |xi(k) + 2 rate (k + 1)|, the larger per point."""
     dlam_xi = np.einsum("ni,ni->n", p.xi, p.dlam)
     dk_xi = np.einsum("ni,ni->n", p.xi, p.dk)
-    return np.maximum(np.abs(dlam_xi + 2.0 * p.lam_nom),
-                      np.abs(dk_xi + 4.0 * (p.k + 1.0)))
-
-
-def _scalar_laws_hp(p: Probe):
-    dlam_xi = np.einsum("ni,ni->n", p.xi, p.dlam)
-    dk_xi = np.einsum("ni,ni->n", p.xi, p.dk)
-    mp2 = p.mu + 2.0
-    return np.maximum(np.abs(dlam_xi + p.lam_nom * mp2),
-                      np.abs(dk_xi + 2.0 * (p.k + 1.0) * mp2))
+    return np.maximum(np.abs(dlam_xi + p.lam_nom * rate),
+                      np.abs(dk_xi + 2.0 * (p.k + 1.0) * rate))
 
 
 def _res_nh(p: Probe):
     nabla_xi_h = np.einsum("nk,nkij->nij", p.xi, p.nabla_h)
     m = nabla_xi_h + 2.0 * p.h + p.mu[:, None, None] * p.bmat
-    return np.maximum(p.op_norm(m), _scalar_laws_h(p))
+    return np.maximum(p.op_norm(m), _scalar_laws(p, 2.0))
 
 
 def _res_nhp(p: Probe):
     nabla_xi_hp = np.einsum("nk,nkij->nij", p.xi, p.nabla_hp)
-    m = nabla_xi_hp + (p.mu + 2.0)[:, None, None] * p.hp
-    return np.maximum(p.op_norm(m), _scalar_laws_hp(p))
+    mp2 = p.mu + 2.0
+    m = nabla_xi_hp + mp2[:, None, None] * p.hp
+    return np.maximum(p.op_norm(m), _scalar_laws(p, mp2))
 
 
 def _res_lie1(p: Probe):
@@ -618,79 +627,37 @@ def _res_null_kmup(p: Probe):
     return _nullity(p, p.hp)
 
 
-def _conn_residual(p: Probe, relations):
-    """Shared machinery for the connection-formula identities.
+def _conn_residual(p: Probe, table):
+    """Largest g-length over the frame pairs (a, b) of nabla_{E_a} E_b minus
+    its formula, E = (xi, X, phi X).
 
-    ``relations(lam, x, phi_x, dirder)`` returns the list of residual
-    vectors; ``dirder`` maps a vector field's covariant data to directional
-    derivatives.
+    ``table(lam, mu, xl, pl)`` maps each pair (a, b) to the coefficients of
+    (xi, X, phi X) in its formula, with xl = X(lam) / 2 lam and
+    pl = phi X(lam) / 2 lam.
     """
-    x, phi_x = p.eigen.x, p.eigen.phi_x
     lam = p.eigen.lam
-    d = p.fd_partials
-    dx, dpx, dl = d["x"], d["phi_x"], d["lam"]
-
-    def nabla(direction, which):
-        # (nabla_W V)^i = W^a (d_a V^i + Gamma^i_{as} V^s)
-        dvals, vals = (dx, x) if which == "x" else (dpx, phi_x)
-        full = dvals + np.einsum("nias,ns->nai", p.gamma, vals)
-        return np.einsum("na,nai->ni", direction, full)
-
-    x_lam = np.einsum("na,na->n", x, dl)
-    px_lam = np.einsum("na,na->n", phi_x, dl)
-    nabla_x_xi = np.einsum("nik,nk->ni", p.nabla_xi, x)
-    nabla_px_xi = np.einsum("nik,nk->ni", p.nabla_xi, phi_x)
-    ctx = {
-        "lam": lam, "x": x, "phi_x": phi_x, "xi": p.xi, "mu": p.mu,
-        "x_lam": x_lam, "px_lam": px_lam,
-        "nabla_x_xi": nabla_x_xi, "nabla_px_xi": nabla_px_xi,
-        "nabla_x_x": nabla(x, "x"), "nabla_px_px": nabla(phi_x, "px"),
-        "nabla_x_px": nabla(x, "px"), "nabla_px_x": nabla(phi_x, "x"),
-        "nabla_xi_x": nabla(p.xi, "x"), "nabla_xi_px": nabla(p.xi, "px"),
-    }
-    residuals = relations(ctx)
-    out = None
-    for v in residuals:
-        r = p.vec_norm(v)
-        out = r if out is None else np.maximum(out, r)
-    return out
+    il2 = 0.5 / np.maximum(lam, 1e-300)
+    xl, pl = (np.einsum("na,na->n", v, p.fd_partials["lam"]) * il2
+              for v in (p.eigen.x, p.eigen.phi_x))
+    frame = p.frame.transpose(1, 0, 2)
+    return np.max([
+        p.vec_norm(p.frame_nabla[:, a, b]
+                   - sum(np.asarray(c)[..., None] * e for c, e in zip(coef, frame)))
+        for (a, b), coef in table(lam, p.mu, xl, pl).items()], axis=0)
 
 
-def _res_conn_kmu(p: Probe):
-    def rel(c):
-        lam = c["lam"][:, None]
-        il2 = (0.5 / np.maximum(c["lam"], 1e-300))[:, None]
-        mu2 = (0.5 * c["mu"])[:, None]
-        return [
-            c["nabla_x_xi"] - (c["x"] - lam * c["phi_x"]),
-            c["nabla_px_xi"] - (c["phi_x"] - lam * c["x"]),
-            c["nabla_px_px"] - (c["x_lam"][:, None] * il2 * c["x"] - c["xi"]),
-            c["nabla_x_x"] - (c["px_lam"][:, None] * il2 * c["phi_x"] - c["xi"]),
-            c["nabla_x_px"] - (lam * c["xi"] - c["px_lam"][:, None] * il2 * c["x"]),
-            c["nabla_px_x"] - (lam * c["xi"] - c["x_lam"][:, None] * il2 * c["phi_x"]),
-            c["nabla_xi_x"] + mu2 * c["phi_x"],
-            c["nabla_xi_px"] - mu2 * c["x"],
-        ]
-    return _conn_residual(p, rel)
+def _conn_kmu(lam, mu, xl, pl):
+    return {(1, 0): (0, 1, -lam), (2, 0): (0, -lam, 1),
+            (2, 2): (-1, xl, 0), (1, 1): (-1, 0, pl),
+            (1, 2): (lam, -pl, 0), (2, 1): (lam, 0, -xl),
+            (0, 1): (0, 0, -0.5 * mu), (0, 2): (0, 0.5 * mu, 0)}
 
 
-def _res_conn_kmup(p: Probe):
-    def rel(c):
-        lam = c["lam"][:, None]
-        il2 = (0.5 / np.maximum(c["lam"], 1e-300))[:, None]
-        return [
-            c["nabla_x_xi"] - (1.0 + lam) * c["x"],
-            c["nabla_px_xi"] - (1.0 - lam) * c["phi_x"],
-            c["nabla_px_px"] - (c["x_lam"][:, None] * il2 * c["x"]
-                                - (1.0 - lam) * c["xi"]),
-            c["nabla_x_x"] - (c["px_lam"][:, None] * il2 * c["phi_x"]
-                              - (1.0 + lam) * c["xi"]),
-            c["nabla_x_px"] + c["px_lam"][:, None] * il2 * c["x"],
-            c["nabla_px_x"] + c["x_lam"][:, None] * il2 * c["phi_x"],
-            c["nabla_xi_x"],
-            c["nabla_xi_px"],
-        ]
-    return _conn_residual(p, rel)
+def _conn_kmup(lam, mu, xl, pl):
+    return {(1, 0): (0, 1 + lam, 0), (2, 0): (0, 0, 1 - lam),
+            (2, 2): (lam - 1, xl, 0), (1, 1): (-1 - lam, 0, pl),
+            (1, 2): (0, -pl, 0), (2, 1): (0, 0, -xl),
+            (0, 1): (0, 0, 0), (0, 2): (0, 0, 0)}
 
 
 def _res_flat_leaf(p: Probe):
@@ -838,11 +805,12 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
     IdentitySpec("CONN_KMU",
                  "nabla_X xi = X - lam phi X (and the 7 companion formulas"
                  " of the h-eigenframe connection)",
-                 "fd1", _res_conn_kmu, _nondeg_h),
+                 "fd1", lambda p: _conn_residual(p, _conn_kmu), _nondeg_h),
     IdentitySpec("CONN_KMUP",
                  "nabla_X xi = (1+lam) X (and the 7 companion formulas"
                  " of the h'-eigenframe connection)",
-                 "fd1", _res_conn_kmup, _variant_hp),
+                 "fd1", lambda p: _conn_residual(p, _conn_kmup),
+                 _variant_hp),
     IdentitySpec("FLAT_LEAF", "K(X, phi X) = -(1 - lam^2)",
                  "fd2", _res_flat_leaf, _all),
     IdentitySpec("WEYL3",

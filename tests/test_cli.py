@@ -75,6 +75,12 @@ class TestVerify:
             assert run(["verify", "--family", "kenmotsu", "--grid", "2",
                         "--identities", "NABLA_XI",
                         "--tol", f"NABLA_XI={value}"]) == 2, value
+        # a tolerance that is no number is named by the flag and identity
+        capsys.readouterr()
+        assert run(["verify", "--family", "kenmotsu", "--grid", "2",
+                    "--identities", "NABLA_XI", "--tol", "NABLA_XI=abc"]) == 2
+        err = capsys.readouterr().err
+        assert "--tol NABLA_XI expects a number, got 'abc'" in err, err
         # a bad sample plan is named by its field, not by a numpy error
         for flag, value, field in (("--grid", "0", "grid"),
                                    ("--rand-pairs", "-1", "rand_pairs"),

@@ -65,6 +65,11 @@ def kmu_darboux():
     return build_darboux_model(DarbouxParams("kmu", "1", (-0.25, 0.25)))
 
 
+@pytest.fixture(scope="module")
+def kmup_darboux():
+    return build_darboux_model(DarbouxParams("kmup", "1", (-0.25, 0.25)))
+
+
 class TestSamplePlan:
     def test_deterministic(self, kmu_chart):
         a = SamplePlan(grid=4, seed=7).points(kmu_chart)
@@ -243,37 +248,46 @@ class TestStackedPartials:
 
     @pytest.fixture(params=["kmu_chart", "kmup_darboux"])
     def probe(self, request):
-        if request.param == "kmu_chart":
-            model = request.getfixturevalue("kmu_chart")
-        else:
-            model = build_darboux_model(
-                DarbouxParams("kmup", "1", (-0.25, 0.25)))
+        model = request.getfixturevalue(request.param)
         return Probe(model, PLAN.points(model), DiffScheme(),
                      PLAN.rand_pairs, PLAN.seed)
 
     @staticmethod
-    def _same_partials(probe, *names):
+    def _reference_partials(probe, name):
         # each reference field inherits the model's axes: FD along an axis a
         # t-only field does not vary on reads rounding noise, not the
         # stack's zeros
         m, scheme = probe.model, probe.scheme
+        shape = _stack_reference(m, probe.pts[:1], scheme)[name].shape[1:]
+        field = ArrayField(lambda q: _stack_reference(m, q, scheme)[name],
+                           m.domain, shape, axis_quanta=m.g.axis_quanta,
+                           varies=m.g.varies)
+        return coordinate_derivatives(field, probe.pts, scheme)
+
+    def _same_partials(self, probe, *names):
         for name in names:
-            stacked = probe.fd_partials[name]  # (n, axis) + shape
-            field = ArrayField(
-                lambda q, name=name: _stack_reference(m, q, scheme)[name],
-                m.domain, stacked.shape[2:], axis_quanta=m.g.axis_quanta,
-                varies=m.g.varies)
-            assert np.array_equal(
-                stacked, coordinate_derivatives(field, probe.pts, scheme)), name
+            assert np.array_equal(probe.fd_partials[name],
+                                  self._reference_partials(probe, name)), name
 
     def test_h_hp_b(self, probe):
         self._same_partials(probe, "h", "hp", "b")
 
     def test_eigenframe(self, probe):
-        self._same_partials(probe, "x", "phi_x", "lam")
+        self._same_partials(probe, "x", "lam")
+        # nabla(phi X) by the product rule, against FD of phi X, along the
+        # frame (xi, X, phi X)
+        d_phi_x = self._reference_partials(probe, "phi_x")
+        ref = d_phi_x + np.einsum("niks,ns->nki", probe.gamma, probe.eigen.phi_x)
+        ref = np.einsum("nak,nki->nai", probe.frame, ref)
+        assert np.max(np.abs(probe.frame_nabla[:, :, 2] - ref)) <= 1e-8
 
     def test_two_form_and_connection(self, probe):
-        self._same_partials(probe, "phi2", "gamma")
+        self._same_partials(probe, "gamma")
+        # nabla Phi = g nabla phi, against FD of Phi = g phi
+        d_phi2 = self._reference_partials(probe, "phi2")
+        ref = (d_phi2 - np.einsum("nski,nsj->nkij", probe.gamma, probe.phi2)
+               - np.einsum("nskj,nis->nkij", probe.gamma, probe.phi2))
+        assert np.max(np.abs(probe.nabla_phi2 - ref)) <= 1e-8
 
     def test_point_values(self, probe):
         # the Probe derives these from one evaluation of phi, xi, eta, g and
@@ -292,6 +306,67 @@ class TestStackedPartials:
         ref = riemann(probe.model.g, probe.pts, probe.scheme)
         for name in ("riemann", "ricci", "q", "scalar", "gamma", "ginv"):
             assert np.array_equal(getattr(probe.curv, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("fixture", ["kmu_chart", "kmup_chart", "kmu_darboux",
+                                     "kmup_darboux"])
+def test_d_phi_has_no_truncation(request, fixture):
+    # d Phi is the alternation of the exact nabla Phi = g nabla phi: rounding
+    # alone is left (FD of Phi left 1.7e-13 to 1.6e-12 here)
+    model = request.getfixturevalue(fixture)
+    assert check_identity(model, "AK_DPHI", PLAN).residual <= 1e-14
+
+
+def _ref_conn(p, variant):
+    """The eight connection formulas of each family, written out."""
+    nab = p.frame_nabla  # nabla_{E_a} E_b at [:, a, b], E = (xi, X, phi X)
+    xi, x, px, lam = p.xi, p.eigen.x, p.eigen.phi_x, p.eigen.lam[:, None]
+    il2 = (0.5 / np.maximum(p.eigen.lam, 1e-300))[:, None]
+    x_lam = np.einsum("na,na->n", x, p.fd_partials["lam"])[:, None]
+    px_lam = np.einsum("na,na->n", px, p.fd_partials["lam"])[:, None]
+    if variant == "h":
+        mu2 = (0.5 * p.mu)[:, None]
+        rel = [
+            nab[:, 1, 0] - (x - lam * px),
+            nab[:, 2, 0] - (px - lam * x),
+            nab[:, 2, 2] - (x_lam * il2 * x - xi),
+            nab[:, 1, 1] - (px_lam * il2 * px - xi),
+            nab[:, 1, 2] - (lam * xi - px_lam * il2 * x),
+            nab[:, 2, 1] - (lam * xi - x_lam * il2 * px),
+            nab[:, 0, 1] + mu2 * px,
+            nab[:, 0, 2] - mu2 * x,
+        ]
+    else:
+        rel = [
+            nab[:, 1, 0] - (1.0 + lam) * x,
+            nab[:, 2, 0] - (1.0 - lam) * px,
+            nab[:, 2, 2] - (x_lam * il2 * x - (1.0 - lam) * xi),
+            nab[:, 1, 1] - (px_lam * il2 * px - (1.0 + lam) * xi),
+            nab[:, 1, 2] + px_lam * il2 * x,
+            nab[:, 2, 1] + x_lam * il2 * px,
+            nab[:, 0, 1],
+            nab[:, 0, 2],
+        ]
+    return np.max([p.vec_norm(v) for v in rel], axis=0)
+
+
+@pytest.mark.parametrize("fixture,ident", [
+    ("kmu_chart", "CONN_KMU"), ("kmu_darboux", "CONN_KMU"),
+    ("kmup_chart", "CONN_KMUP"), ("kmup_darboux", "CONN_KMUP")])
+def test_connection_tables_match_written_formulas(request, fixture, ident):
+    # lam varies along xi alone, so X(lam) and phi X(lam) read 0 here: random
+    # partials of lam stand in, and each pair (a, b) in turn is shifted to
+    # dominate the maximum, so a dropped pair or a wrong coefficient shows
+    model = request.getfixturevalue(fixture)
+    p = Probe(model, PLAN.points(model), DiffScheme(), PLAN.rand_pairs,
+              PLAN.seed)
+    p.fd_partials["lam"] = np.random.default_rng(5).standard_normal((p.n, 3))
+    nabla = p.frame_nabla
+    for a, b in np.ndindex(3, 3):
+        p.frame_nabla = nabla.copy()
+        p.frame_nabla[:, a, b] += 1e3 * p.xi
+        assert np.array_equal(IDENTITIES[ident].fn(p),
+                              _ref_conn(p, model.variant)), (a, b)
 
 
 # Reference implementations: each pooled contraction as one multi-operand
@@ -484,10 +559,7 @@ class TestStagedContractions:
         *(f"kmu_darboux_mu{mu}" for mu in SWEEP_MUS)])
     def probe(self, request):
         plan = PLAN
-        if request.param == "kmup_darboux":
-            model = build_darboux_model(
-                DarbouxParams("kmup", "1", (-0.25, 0.25)))
-        elif request.param.startswith("kmu_darboux_mu"):
+        if request.param.startswith("kmu_darboux_mu"):
             mu = request.param.removeprefix("kmu_darboux_mu")
             model = build_darboux_model(DarbouxParams("kmu", mu, (-1.0, 1.0)))
             plan = SWEEP_PLAN
