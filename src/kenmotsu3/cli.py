@@ -32,21 +32,17 @@ from .identities import (
     check_suite,
 )
 from .models import (
+    DEFAULT_BOX,
     DarbouxParams,
-    KmuChartParams,
-    KmupChartParams,
-    build_darboux_model,
-    build_kenmotsu_baseline,
-    build_kmu_chart_model,
-    build_kmu_prime_chart_model,
+    model_from_params,
     model_to_json,
     parse_box,
 )
 from .ode import ConsistencyError, integrate, trajectory_to_csv
 from .structure import FAMILIES
 
-# the CLI spells the baseline family without its "-baseline" suffix
-FAMILY_ALIASES = {"kenmotsu-baseline": "kenmotsu"}
+# the CLI's family names: the baseline's name drops its "-baseline" suffix
+FAMILY_NAMES = {f.removesuffix("-baseline"): f for f in FAMILIES}
 
 
 class UsageError(ValueError):
@@ -67,26 +63,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def build_model(args):
-    family = args.family
-    if family == "kenmotsu":
-        return build_kenmotsu_baseline(args.c)
-    box = parse_box(args.box) if args.box else None
-    if family == "kmu-chart":
-        params = KmuChartParams(args.mu, args.f, args.r,
-                                box or KmuChartParams().box)
-        return build_kmu_chart_model(params)
-    if family == "kmup-chart":
-        params = KmupChartParams(args.mu, args.f, args.r,
-                                 box or KmupChartParams().box)
-        return build_kmu_prime_chart_model(params)
-    if family in ("kmu-darboux", "kmup-darboux"):
-        xy = (box[0], box[1]) if box else ((0.0, 1.0), (0.0, 1.0))
-        params = DarbouxParams(variant=family.split("-")[0],
-                               mu_bar=args.mu,
-                               t_range=tuple(args.t_range),
-                               step=args.step, xy_box=xy)
-        return build_darboux_model(params)
-    raise UsageError(f"unknown family {family!r}")
+    """The model of ``args``; ``model_from_params`` reads its family's flags."""
+    box = parse_box(args.box) if args.box else DEFAULT_BOX
+    return model_from_params(FAMILY_NAMES[args.family], {
+        "c": args.c, "mu": args.mu, "f": args.f, "r": args.r, "box": box,
+        "t_range": args.t_range, "step": args.step, "xy_box": box[:2]})
 
 
 def _parse_tols(items) -> dict[str, float]:
@@ -183,9 +164,8 @@ def cmd_verify(args) -> int:
 
 def cmd_trajectory(args) -> int:
     variant = args.family.split("-")[0]
-    params = DarbouxParams(variant=variant, mu_bar=args.mu,
-                           t_range=tuple(args.t_range), step=args.step)
-    traj = integrate(variant, params.resolved(), params.t_range, params.step)
+    mu_bar = DarbouxParams(variant, args.mu).resolved()
+    traj = integrate(variant, mu_bar, args.t_range, args.step)
     worst = trajectory_to_csv(traj, args.csv)
     print(f"wrote {args.csv}: {len(traj.times)} nodes, "
           f"max algebraic residual {worst:.6e}")
@@ -236,9 +216,8 @@ def cmd_sweep(args) -> int:
     return 0 if overall == "pass" else 1
 
 
-def _add_model_flags(sub, darboux_defaults=False):
-    sub.add_argument("--family", required=True,
-                     choices=[FAMILY_ALIASES.get(f, f) for f in FAMILIES])
+def _add_model_flags(sub):
+    sub.add_argument("--family", required=True, choices=list(FAMILY_NAMES))
     sub.add_argument("--mu", default=None,
                      help="expression in z (chart) or t (darboux)")
     sub.add_argument("--f", default=None, help="expression in z")
@@ -288,7 +267,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = subs.add_parser("trajectory", help="integrate the matrix ODE, write CSV")
     t.add_argument("--family", required=True,
-                   choices=("kmu-darboux", "kmup-darboux"))
+                   choices=[f for f in FAMILIES if f.endswith("-darboux")])
     t.add_argument("--mu", default=None, help="expression in t")
     t.add_argument("--t-range", nargs=2, type=float, default=[-1.0, 1.0],
                    metavar=("T0", "T1"))

@@ -202,9 +202,11 @@ def _fd_weights(offsets: np.ndarray) -> np.ndarray:
     return w[:, 1]
 
 
-_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
-# weights of the window shifted by s in row s + 4: (9, 5)
-_WEIGHTS = np.stack([_fd_weights(np.arange(-2, 3) + s) for s in range(-4, 5)])
+# no shift past 2: on a box, the window shifted by 2 holds the point and
+# nodes of any window shifted further, so it fits wherever those fit
+_SHIFTS = (0, 1, -1, 2, -2)
+# weights of the window shifted by s in row s + 2: (5, 5)
+_WEIGHTS = np.stack([_fd_weights(np.arange(-2, 3) + s) for s in range(-2, 3)])
 
 
 def _window_shifts(field: ArrayField, pts: np.ndarray, axis: int,
@@ -248,7 +250,7 @@ def partial_derivative(field: ArrayField, pts, axis: int,
     stencil[:, :, axis] += (np.arange(-2, 3)[None, :] + shifts[:, None]) * h[:, None]
     values = field(stencil.reshape(-1, 3)).reshape((pts.shape[0], 5) + field.out_shape)
 
-    weights = _WEIGHTS[shifts + 4] / h[:, None]
+    weights = _WEIGHTS[shifts + 2] / h[:, None]
     extra = (1,) * len(field.out_shape)
     out = np.sum(values * weights.reshape(weights.shape + extra), axis=1)
     return out[0] if single else out

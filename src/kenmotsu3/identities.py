@@ -54,7 +54,7 @@ MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
 # the quantities the Probe differentiates by FD, with their per-node shapes,
 # in the order of the stacked field's components
 _STACK = (("h", (3, 3)), ("hp", (3, 3)), ("b", (3, 3)), ("x", (3,)),
-          ("lam", ()), ("gamma", (3, 3, 3)))
+          ("gamma", (3, 3, 3)))
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,7 @@ class Probe:
     @property
     def stack(self):
         """The quantities of ``_STACK``, flattened per point and concatenated."""
-        ef = self.eigen
-        parts = (self.h, self.hp, self.bmat, ef.x, ef.lam, self.gamma)
+        parts = (self.h, self.hp, self.bmat, self.eigen.x, self.gamma)
         return np.concatenate([a.reshape(self.n, -1) for a in parts], axis=1)
 
     # --- connection and curvature -------------------------------------------
@@ -633,11 +632,11 @@ def _conn_residual(p: Probe, table):
 
     ``table(lam, mu, xl, pl)`` maps each pair (a, b) to the coefficients of
     (xi, X, phi X) in its formula, with xl = X(lam) / 2 lam and
-    pl = phi X(lam) / 2 lam.
+    pl = phi X(lam) / 2 lam, from the model's partials of lam.
     """
     lam = p.eigen.lam
     il2 = 0.5 / np.maximum(lam, 1e-300)
-    xl, pl = (np.einsum("na,na->n", v, p.fd_partials["lam"]) * il2
+    xl, pl = (np.einsum("na,na->n", v, p.dlam) * il2
               for v in (p.eigen.x, p.eigen.phi_x))
     frame = p.frame.transpose(1, 0, 2)
     return np.max([

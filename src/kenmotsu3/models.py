@@ -52,13 +52,15 @@ __all__ = [
     "build_darboux_model",
     "build_kenmotsu_baseline",
     "model_to_json",
+    "model_from_params",
     "model_from_json",
     "parse_box",
 ]
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
-CHART_DEFAULT_BOX: Box = ((0.0, 1.0), (0.0, 1.0), (-3.0, -1.5))
+# the chart families' default box; its x, y intervals are the Darboux ones
+DEFAULT_BOX: Box = ((0.0, 1.0), (0.0, 1.0), (-3.0, -1.5))
 Z_MARGIN = 1e-3
 
 
@@ -115,29 +117,19 @@ class KmuChartParams:
     mu: Expr | str | None = None
     f: Expr | str | None = None
     r: Expr | str | None = None
-    box: Box = CHART_DEFAULT_BOX
+    box: Box = DEFAULT_BOX
 
     def resolved(self):
         _require_box_in_half_space(self.box)
-        return (_expr_or_default(self.mu, "z", "0"),
-                _expr_or_default(self.f, "z", "0"),
-                _expr_or_default(self.r, "z", "0"))
+        return tuple(_expr_or_default(e, "z", "0") for e in (self.mu, self.f, self.r))
 
 
 @dataclass(frozen=True)
-class KmupChartParams:
+class KmupChartParams(KmuChartParams):
     """Inputs for the kmup chart family; requires mu(z) != -2 on the box."""
 
-    mu: Expr | str | None = None
-    f: Expr | str | None = None
-    r: Expr | str | None = None
-    box: Box = CHART_DEFAULT_BOX
-
     def resolved(self):
-        _require_box_in_half_space(self.box)
-        mu, f, r = (_expr_or_default(self.mu, "z", "0"),
-                    _expr_or_default(self.f, "z", "0"),
-                    _expr_or_default(self.r, "z", "0"))
+        mu, f, r = super().resolved()
         zs = np.linspace(self.box[2][0], self.box[2][1], 513)
         if np.min(np.abs(mu(zs) + 2.0)) < 1e-6:
             raise ValueError("mu(z) + 2 vanishes (or nearly) on the z-box")
@@ -157,7 +149,7 @@ class DarbouxParams:
     mu_bar: Expr | str | None = None
     t_range: tuple[float, float] = (-1.0, 1.0)
     step: float = 1e-3
-    xy_box: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0))
+    xy_box: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_BOX[:2]
 
     def resolved(self) -> Expr:
         if self.variant not in ("kmu", "kmup"):
@@ -340,8 +332,7 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     asserted at every node (det G = 1 is an invariant of the exact flow).
     Every field depends on t alone and carries its exact t-partial: mu from
     ``Expr.diff``, the others from the ODE slopes: d_t phi is the block of
-    F' = 2H, d_t g = e^{2t}(2G + G') with G' = -M2 F', and lam' = -2 lam
-    (kmu) or -fint' lam (kmup).
+    F' = 2H, d_t g = e^{2t}(2G + G') with G' = -M2 F', and lam' = -f' lam.
     """
     mu_bar = params.resolved()
     dmu_bar = mu_bar.diff()
@@ -393,10 +384,7 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     def zero_partials(pts):
         return np.zeros((pts.shape[0], 3, 3))
 
-    def lam_rate(ts):
-        """lambda' / lambda: -2 (kmu) or -fint' = -(mu + 2) (kmup)."""
-        if params.variant == "kmu":
-            return np.full(len(ts), -2.0)
+    def lam_rate(ts):  # lambda' / lambda = -f'
         return -traj.slopes(ts)[:, 9]
 
     def dlam_fn(pts):
@@ -407,7 +395,7 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
         ts = pts[:, 2]
         return _on_axis2(-2.0 * lam_rate(ts) * traj.lam(ts) ** 2)
 
-    model = AlmostContactModel(
+    return AlmostContactModel(
         family=f"{params.variant}-darboux",
         variant="h" if params.variant == "kmu" else "hp",
         coords=("x", "y", "t"),
@@ -430,7 +418,6 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
                 "xy_box": [list(iv) for iv in params.xy_box]},
         trajectory=traj,
     )
-    return model
 
 
 def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
@@ -496,25 +483,29 @@ def model_to_json(model: AlmostContactModel) -> dict:
     return doc
 
 
+_CHART_BUILDERS = {"kmu-chart": (KmuChartParams, build_kmu_chart_model),
+                   "kmup-chart": (KmupChartParams, build_kmu_prime_chart_model)}
+
+
+def model_from_params(family: str, params: dict) -> AlmostContactModel:
+    """Build the model of ``family`` from the keys its ``model.params``
+    records: c (baseline); mu, f, r and box (charts); mu, t_range, step and
+    xy_box (Darboux).  Other keys are ignored."""
+    if family == "kenmotsu-baseline":
+        return build_kenmotsu_baseline(params["c"])
+    if family in ("kmu-darboux", "kmup-darboux"):
+        return build_darboux_model(DarbouxParams(
+            family.split("-")[0], params["mu"], tuple(params["t_range"]),
+            params["step"], tuple(tuple(iv) for iv in params["xy_box"])))
+    if family not in _CHART_BUILDERS:
+        raise ValueError(f"unknown family {family!r}")
+    cls, build = _CHART_BUILDERS[family]
+    return build(cls(params["mu"], params["f"], params["r"],
+                     tuple(tuple(iv) for iv in params["box"])))
+
+
 def model_from_json(doc: dict | str) -> AlmostContactModel:
     """Rebuild a model from its JSON document (re-running the builder)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    family = doc["family"]
-    params = doc["params"]
-    box = tuple(tuple(iv) for iv in doc["box"])
-    if family == "kenmotsu-baseline":
-        return build_kenmotsu_baseline(params["c"])
-    if family == "kmu-chart":
-        return build_kmu_chart_model(KmuChartParams(
-            params["mu"], params["f"], params["r"], box))
-    if family == "kmup-chart":
-        return build_kmu_prime_chart_model(KmupChartParams(
-            params["mu"], params["f"], params["r"], box))
-    if family in ("kmu-darboux", "kmup-darboux"):
-        variant = family.split("-")[0]
-        return build_darboux_model(DarbouxParams(
-            variant=variant, mu_bar=params["mu"],
-            t_range=tuple(params["t_range"]), step=params["step"],
-            xy_box=tuple(tuple(iv) for iv in params["xy_box"])))
-    raise ValueError(f"unknown family {family!r}")
+    return model_from_params(doc["family"], doc["params"])

@@ -2,12 +2,13 @@
 
 Three 2x2 functional matrices F, H, B expand over the constant basis
 M1 = [[1,0],[0,-1]], M2 = [[0,1],[-1,0]], M3 = [[0,1],[1,0]], giving nine
-scalar components (f1,f2,f3,h1,h2,h3,b1,b2,b3).  Two variants:
+scalar components (f1,f2,f3,h1,h2,h3,b1,b2,b3).  Two variants, both with
+lam = e^{-f} and f(0) = 0:
 
   kmu :  F' = 2H,  H' = 2*lam^2*F - 2H - mu*B,  B' = mu*H - 2B,
-         lam = e^{-2t};  B carries the components of phi o h.
+         f' = 2 (so f = 2t);  B carries the components of phi o h.
   kmup:  F' = 2H,  H' = 2*lam^2*F - (mu+2)*H,  B' = -(mu+2)*B,
-         lam = e^{-fint}, fint' = mu + 2, fint(0)=0;  B carries h o phi.
+         f' = mu + 2;  B carries h o phi.
 
 Initial conditions at t = 0:
 
@@ -16,7 +17,7 @@ Initial conditions at t = 0:
          column-vector composition; asserted by check_initial_relations)
   kmup:  F = M2, H = -M3, B = M1    (B = H@F at t=0)
 
-A node's state is the vector (f1..f3, h1..h3, b1..b3, fint); a trajectory
+A node's state is the vector (f1..f3, h1..h3, b1..b3, f); a trajectory
 is the (m, 10) array of its nodes.  The rows f, h, b form a 3x3 matrix Y
 with Y' = a(t) Y:
 
@@ -68,7 +69,7 @@ def _as_matrix(c: np.ndarray) -> np.ndarray:
 
 
 def initial_state(variant: str) -> np.ndarray:
-    """State vector (f1..f3, h1..h3, b1..b3, fint) at t = 0."""
+    """State vector (f1..f3, h1..h3, b1..b3, f) at t = 0."""
     if variant == "kmu":
         return np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0, -1.0, 0.0, 0.0, 0.0])
     if variant == "kmup":
@@ -90,22 +91,18 @@ def _generator(variant: str, lam2, mu) -> np.ndarray:
     return a
 
 
-def rhs(variant: str, y: np.ndarray, t, mu_value) -> np.ndarray:
-    """Componentwise derivative a(t) Y in the (M1, M2, M3) basis, plus fint'.
+def rhs(variant: str, y: np.ndarray, mu_value) -> np.ndarray:
+    """Componentwise derivative a(t) Y in the (M1, M2, M3) basis, plus f'.
 
-    ``y`` has shape (..., 10), ``t`` and ``mu_value`` the shape (...); the
+    ``y`` has shape (..., 10) and ``mu_value`` the shape (...); the
     derivative has the dtype of ``y``.
     """
     mu = np.asarray(mu_value, y.dtype)
-    if variant == "kmu":
-        lam2 = np.exp(-4.0 * np.asarray(t, y.dtype))
-    else:
-        lam2 = np.exp(-2.0 * y[..., 9])
     rows = y.shape[:-1]
     out = np.empty_like(y)
-    out[..., :9] = (_generator(variant, lam2, mu)
+    out[..., :9] = (_generator(variant, np.exp(-2.0 * y[..., 9]), mu)
                     @ y[..., :9].reshape(rows + (3, 3))).reshape(rows + (9,))
-    out[..., 9] = 0.0 if variant == "kmu" else mu + 2.0
+    out[..., 9] = 2.0 if variant == "kmu" else mu + 2.0
     return out
 
 
@@ -120,17 +117,15 @@ def check_initial_relations(variant: str) -> dict[str, float]:
             or not np.array_equal(M2 @ M2, -np.eye(2)):
         raise ConsistencyError("basis matrices corrupted")
     res = {k: float(v) for k, v in
-           algebraic_residuals(0.0, initial_state(variant), variant).items()}
+           algebraic_residuals(initial_state(variant), variant).items()}
     if any(v != 0.0 for v in res.values()):
         raise ConsistencyError(
             f"initial algebraic relations not exact for {variant}: {res}")
     return res
 
 
-def _lam(t, y, variant: str) -> np.ndarray:
-    """lambda in the dtype of the states ``y``."""
-    if variant == "kmu":
-        return np.exp(-2.0 * np.asarray(t, y.dtype))
+def _lam(y: np.ndarray) -> np.ndarray:
+    """lambda = e^{-f} in the dtype of the states ``y``."""
     return np.exp(-y[..., 9])
 
 
@@ -139,19 +134,18 @@ def _det_g(y: np.ndarray) -> np.ndarray:
     return (f2 - f3) * (f2 + f3) - f1 * f1
 
 
-def algebraic_residuals(t, y, variant: str) -> dict[str, np.ndarray]:
+def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
     """Max-norm of each of the ten matrix/scalar relation residuals.
 
-    ``t`` has shape (...) and ``y`` shape (..., 10); every value has the
-    shape of ``t``.  The three product relations depend on the variant (B
-    holds phi o h for kmu but h o phi = h' for kmup, which flips their
-    signs):
+    ``y`` has shape (..., 10); every value has the shape (...).  The three
+    product relations depend on the variant (B holds phi o h for kmu but
+    h o phi = h' for kmup, which flips their signs):
 
       kmu :  B@H = lam^2 F,   B@F = H,    F@H = B
       kmup:  B@H = -lam^2 F,  B@F = -H,   H@F = B
     """
     F, H, B = (_as_matrix(y[..., i:i + 3]) for i in (0, 3, 6))
-    lam2 = (_lam(t, y, variant) ** 2)[..., None, None]
+    lam2 = (_lam(y) ** 2)[..., None, None]
     eye = np.eye(2)
     res = {
         "F2": F @ F + eye,
@@ -245,8 +239,8 @@ def _expm(om: np.ndarray) -> np.ndarray:
 
 def _span_mu(variant, mu_bar: Expr, ts, t, off):
     """mu at the nodes and at the Gauss nodes ``t_n + off`` of a span, from
-    one call; for kmup also the Gauss-Legendre mean of mu + 2 over each
-    [t_n, t_n + off] (None for kmu)."""
+    one call, and the mean of f' over each [t_n, t_n + off]: 2 for kmu, the
+    Gauss-Legendre mean of mu + 2 for kmup."""
     n = len(off)
     at = [ts, (t[:-1, None] + off).ravel()]
     if variant == "kmup":  # Gauss nodes of each [t_n, t_n + off]: (n, 3, 3)
@@ -256,7 +250,7 @@ def _span_mu(variant, mu_bar: Expr, ts, t, off):
     mus = mu_bar(np.concatenate(at, dtype=float))
     mu_stage = np.asarray(mus[n + 1:4 * n + 1], np.longdouble).reshape(n, 3)
     rate = (mus[4 * n + 1:].reshape(n, 3, 3) @ _GAUSS_W + 2
-            if variant == "kmup" else None)
+            if variant == "kmup" else 2)
     return mus[:n + 1], mu_stage, rate
 
 
@@ -266,10 +260,11 @@ def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
     Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
     & Ros, Phys. Rep. 470, 2009), in long double: each step's exponential
     exp(Omega_n) is built in batches of ``_BLOCK`` steps, and only the 3x3
-    products Y_{n+1} = exp(Omega_n) Y_n run in sequence.  For kmup, fint
-    at the nodes and at the Gauss nodes is Gauss-Legendre quadrature of
-    mu + 2.  mu is evaluated once, at the nodes, the Gauss nodes and the
-    quadrature times, none of which lies past the last node.  ``out`` is
+    products Y_{n+1} = exp(Omega_n) Y_n run in sequence.  f is 2t exactly
+    for kmu; for kmup, f at the nodes and at the Gauss nodes is
+    Gauss-Legendre quadrature of mu + 2.  mu is evaluated once, at the
+    nodes, the Gauss nodes and the quadrature times, none of which lies past
+    the last node.  ``out`` is
     an (n + 1, 10) long-double array or view, ``slopes`` a float64 one that
     receives a(t) Y at every node.  Raises at the first node whose state or
     slope has no finite float64 value, which every reader of the states
@@ -281,11 +276,10 @@ def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
     off = h[:, None] * _GAUSS_C                    # Gauss nodes - t_n: (n, 3)
     mu_nodes, mu_stage, rate = _span_mu(variant, mu_bar, ts, t, off)
     if variant == "kmu":
-        out[1:, 9] = out[0, 9]
-        lam2 = np.exp(-4 * (t[:-1, None] + off))
+        out[1:, 9] = out[0, 9] + 2 * (t[1:] - t[0])
     else:
         out[1:, 9] = out[0, 9] + np.cumsum(h * ((mu_stage + 2) @ _GAUSS_W))
-        lam2 = np.exp(-2 * (out[:-1, 9, None] + off * rate))
+    lam2 = np.exp(-2 * (out[:-1, 9, None] + off * rate))
     ys = out[:, :9].reshape(-1, 3, 3)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
@@ -294,14 +288,14 @@ def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
         for i in range(s, e):
             np.matmul(flow[i - s], ys[i], out=ys[i + 1])
         nodes = slice(s + 1, e + 1)
-        d = rhs(variant, out[nodes], t[nodes], mu_nodes[nodes])
+        d = rhs(variant, out[nodes], mu_nodes[nodes])
         finite = ((np.abs(out[nodes]) <= _FLOAT64_MAX)
                   & (np.abs(d) <= _FLOAT64_MAX)).all(axis=1)
         if not finite.all():
             raise ConsistencyError("ODE state non-finite in float64 at "
                                    f"t={ts[s + 1 + int(np.argmin(finite))]}")
         slopes[nodes] = d
-    slopes[0] = rhs(variant, out[0], t[0], mu_nodes[0])
+    slopes[0] = rhs(variant, out[0], mu_nodes[0])
 
 
 @dataclass
@@ -357,7 +351,7 @@ class Trajectory:
         return out
 
     def slopes(self, ts) -> np.ndarray:
-        """float64 ODE slopes a(t) Y, plus fint', at arbitrary times: the
+        """float64 ODE slopes a(t) Y, plus f', at arbitrary times: the
         stored node slopes at stored nodes, elsewhere ``rhs`` at
         :meth:`dense`."""
         ts = np.asarray(ts, float)
@@ -365,14 +359,11 @@ class Trajectory:
         out = self.derivs[nearest]
         if off.any():
             t = ts[off]
-            out[off] = rhs(self.variant, self.dense(t), t, self.mu_bar(t))
+            out[off] = rhs(self.variant, self.dense(t), self.mu_bar(t))
         return out
 
     def lam(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, float)
-        if self.variant == "kmu":
-            return np.exp(-2.0 * ts)
-        return np.exp(-self.dense(ts)[:, 9])
+        return _lam(self.dense(ts))
 
     def k_nominal(self, ts) -> np.ndarray:
         return -1.0 - self.lam(ts) ** 2
@@ -420,9 +411,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> float:
         fh.write(header + "\r\n")
         for s in range(0, len(traj.times), _BLOCK):
             t, y = traj.times[s:s + _BLOCK], traj.states[s:s + _BLOCK]
-            res = algebraic_residuals(t, y, traj.variant)
+            res = algebraic_residuals(y, traj.variant)
             max_res = np.max(np.stack(list(res.values())), axis=0)
-            lam = _lam(t, y, traj.variant)
+            lam = _lam(y)
             rows = np.column_stack(
                 [t, y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
             # one %-format of the whole block: np.savetxt's bytes, row by row

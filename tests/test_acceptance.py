@@ -138,7 +138,7 @@ def test_criterion_3_kmup_chart_suite():
 def _darboux_common_failures(variant, mu, failures):
     label = f"{variant} mu={mu}: "
     traj = integrate(variant, parse_expr(mu, "t"), (-1.0, 1.0), 1e-3)
-    res = algebraic_residuals(traj.times, traj.states, variant)
+    res = algebraic_residuals(traj.states, variant)
     det = float(np.max(res.pop("detG")))
     alg = max(float(np.max(v)) for v in res.values())
     metric_from_state(traj.times, traj.states)  # G positive definite
@@ -213,7 +213,7 @@ def test_criterion_6_convergence_witnesses():
     worst = []
     for step in (2e-3, 1e-3):
         traj = integrate("kmu", parse_expr("1", "t"), (-1.0, 1.0), step)
-        res = algebraic_residuals(traj.times, traj.states, "kmu")
+        res = algebraic_residuals(traj.states, "kmu")
         worst.append(max(float(np.max(v)) for v in res.values()))
     if not (worst[1] <= worst[0] / 8.0 or worst[1] <= 1e-12):
         failures.append(f"Magnus halving ratio {worst[0] / worst[1]:.2f} < 8")
@@ -230,7 +230,7 @@ def test_criterion_7_startup_consistency():
     # the check aborts under a broken composition convention: the stated
     # initial data with b1(0) = +1 leaves product relations off by exactly 2
     bad = np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0])
-    res = algebraic_residuals(0.0, bad, "kmu")
+    res = algebraic_residuals(bad, "kmu")
     if res["prod_FH"] != 2.0:
         failures.append("wrong-convention detection lost")
     _verdict(7, failures)

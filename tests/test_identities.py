@@ -273,7 +273,7 @@ class TestStackedPartials:
         self._same_partials(probe, "h", "hp", "b")
 
     def test_eigenframe(self, probe):
-        self._same_partials(probe, "x", "lam")
+        self._same_partials(probe, "x")
         # nabla(phi X) by the product rule, against FD of phi X, along the
         # frame (xi, X, phi X)
         d_phi_x = self._reference_partials(probe, "phi_x")
@@ -322,8 +322,8 @@ def _ref_conn(p, variant):
     nab = p.frame_nabla  # nabla_{E_a} E_b at [:, a, b], E = (xi, X, phi X)
     xi, x, px, lam = p.xi, p.eigen.x, p.eigen.phi_x, p.eigen.lam[:, None]
     il2 = (0.5 / np.maximum(p.eigen.lam, 1e-300))[:, None]
-    x_lam = np.einsum("na,na->n", x, p.fd_partials["lam"])[:, None]
-    px_lam = np.einsum("na,na->n", px, p.fd_partials["lam"])[:, None]
+    x_lam = np.einsum("na,na->n", x, p.dlam)[:, None]
+    px_lam = np.einsum("na,na->n", px, p.dlam)[:, None]
     if variant == "h":
         mu2 = (0.5 * p.mu)[:, None]
         rel = [
@@ -360,7 +360,7 @@ def test_connection_tables_match_written_formulas(request, fixture, ident):
     model = request.getfixturevalue(fixture)
     p = Probe(model, PLAN.points(model), DiffScheme(), PLAN.rand_pairs,
               PLAN.seed)
-    p.fd_partials["lam"] = np.random.default_rng(5).standard_normal((p.n, 3))
+    p.dlam = np.random.default_rng(5).standard_normal((p.n, 3))
     nabla = p.frame_nabla
     for a, b in np.ndindex(3, 3):
         p.frame_nabla = nabla.copy()

@@ -1,8 +1,11 @@
 """Model builders: structure axioms, frames, brackets, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
+from kenmotsu3.cli import build_model, main, make_parser
 from kenmotsu3.fields import (
     DiffScheme,
     constant_vector_field,
@@ -24,7 +27,7 @@ from kenmotsu3.models import (
     parse_box,
 )
 from kenmotsu3.ode import _as_matrix
-from kenmotsu3.structure import compute_h, structure_residuals
+from kenmotsu3.structure import FAMILIES, compute_h, structure_residuals
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -295,20 +298,66 @@ class TestDkWedgeEta:
             assert rep.residual <= 1e-12, m.family
 
 
-class TestSerialization:
-    def test_roundtrip_chart(self):
-        m = build_kmu_chart_model(KmuChartParams(mu="z+1", f="0", r="1"))
-        doc = model_to_json(m)
-        m2 = model_from_json(doc)
-        pts = sample(m)
-        assert np.array_equal(m.g(pts), m2.g(pts))
+# a model of each family by its builder
+BUILD = {
+    "kenmotsu-baseline": lambda: build_kenmotsu_baseline(2.0),
+    "kmu-chart": lambda: build_kmu_chart_model(
+        KmuChartParams(mu="z+1", f="0", r="1")),
+    "kmup-chart": lambda: build_kmu_prime_chart_model(KmupChartParams(
+        mu="cos(z)", f="z", r="2", box=((0.0, 0.5), (0.0, 1.0), (-2.5, -1.5)))),
+    "kmu-darboux": lambda: build_darboux_model(
+        DarbouxParams("kmu", "sin(t)", (-0.25, 0.25))),
+    "kmup-darboux": lambda: build_darboux_model(DarbouxParams(
+        "kmup", "1", (-0.25, 0.25), 2e-3, ((0.0, 2.0), (0.0, 1.0)))),
+}
 
-    def test_roundtrip_darboux_nodes_identical(self):
-        m = build_darboux_model(DarbouxParams("kmup", "1", (-0.25, 0.25)))
-        doc = model_to_json(m)
-        assert "trajectory" in doc and "states" not in doc["trajectory"]
-        m2 = model_from_json(doc)
+
+# the CLI flags of the same models
+CLI_FLAGS = {
+    "kenmotsu-baseline": ["--family", "kenmotsu", "--c", "2"],
+    "kmu-chart": ["--family", "kmu-chart", "--mu", "z+1", "--f", "0",
+                  "--r", "1"],
+    "kmup-chart": ["--family", "kmup-chart", "--mu", "cos(z)", "--f", "z",
+                   "--r", "2", "--box", "0,0.5:0,1:-2.5,-1.5"],
+    "kmu-darboux": ["--family", "kmu-darboux", "--mu", "sin(t)",
+                    "--t-range", "-0.25", "0.25"],
+    "kmup-darboux": ["--family", "kmup-darboux", "--mu", "1",
+                     "--t-range", "-0.25", "0.25", "--step", "2e-3",
+                     "--box", "0,2:0,1:-1,1"],
+}
+
+
+def _same_model(m, m2):
+    """The same fields bit for bit on a grid-3 plan, and the same states."""
+    assert m2.family == m.family
+    pts = sample(m)
+    for name in ("phi", "xi", "eta", "g", "k_nom", "mu_nom", "lam_nom"):
+        assert np.array_equal(getattr(m, name)(pts), getattr(m2, name)(pts)), name
+    if m.trajectory is not None:
         assert np.array_equal(m.trajectory.states, m2.trajectory.states)
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_roundtrip(self, family):
+        m = BUILD[family]()
+        doc = model_to_json(m)
+        assert ("trajectory" in doc) == family.endswith("-darboux")
+        assert "states" not in doc.get("trajectory", {})
+        m2 = model_from_json(json.dumps(doc))
+        _same_model(m, m2)
+        assert model_to_json(m2) == doc
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cli_build_roundtrip(self, family, tmp_path):
+        out = tmp_path / "m.json"
+        argv = ["build", *CLI_FLAGS[family], "--out", str(out)]
+        assert main(argv) == 0
+        m = build_model(make_parser().parse_args(argv))
+        m2 = model_from_json(out.read_text())
+        _same_model(m, m2)
+        _same_model(BUILD[family](), m2)
+        assert json.dumps(model_to_json(m2), indent=2) + "\n" == out.read_text()
 
     def test_parse_box(self):
         assert parse_box("0,1:0,1:-3,-1.5") == ((0, 1), (0, 1), (-3, -1.5))

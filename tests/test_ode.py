@@ -37,7 +37,7 @@ def _fhb(y):
 
 
 def _max_residual(times, states):
-    res = algebraic_residuals(times, states, "kmu")
+    res = algebraic_residuals(states, "kmu")
     return max(float(np.max(v)) for v in res.values())
 
 
@@ -74,7 +74,7 @@ class TestStartupConsistency:
         # with b1(0) = +1 (instead of -1) the product relations are off by
         # exactly 2 at t=0; the startup check would abort on this convention
         bad = np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0])
-        res = algebraic_residuals(0.0, bad, "kmu")
+        res = algebraic_residuals(bad, "kmu")
         assert res["prod_FH"] == 2.0
         assert res["prod_BF"] == 2.0
         assert res["F2"] == 0.0  # F, H unaffected
@@ -83,17 +83,17 @@ class TestStartupConsistency:
 class TestRhs:
     def test_kmup_mu_minus_two_freezes_b(self):
         y = initial_state("kmup")
-        d = rhs("kmup", y, 0.3, -2.0)
+        d = rhs("kmup", y, -2.0)
         assert np.array_equal(d[6:9], np.zeros(3))
 
     def test_kmu_f_prime_is_twice_h(self):
         y = initial_state("kmu")
-        d = rhs("kmu", y, 0.0, 5.0)
+        d = rhs("kmu", y, 5.0)
         assert np.array_equal(d[0:3], 2.0 * np.asarray(y[3:6]))
 
     def test_zero_state_zero_derivative(self):
         y = np.zeros(10)
-        d = rhs("kmu", y, 0.2, 3.0)
+        d = rhs("kmu", y, 3.0)
         assert np.array_equal(d[:9], np.zeros(9))
 
 
@@ -116,6 +116,13 @@ class TestIntegrate:
         tr = integrate("kmup", parse_expr("-2", "t"), (-1.0, 1.0), 1e-3)
         drift = np.max(np.abs(tr.states[:, 6:9] - np.array([1.0, 0.0, 0.0])))
         assert drift <= 1e-12
+
+    def test_kmu_f_is_twice_t(self):
+        # lam = e^{-f} in both variants; kmu's f = 2t is set exactly, so its
+        # lam is e^{-2t} bit for bit
+        tr = integrate("kmu", parse_expr("sin(t)", "t"), (-0.3, 0.3), 1e-3)
+        assert np.array_equal(tr.states[:, 9], 2 * tr.times)
+        assert np.array_equal(tr.lam(tr.times), np.exp(-2.0 * tr.times))
 
     def test_traces_vanish_structurally(self):
         # the state lives in the traceless (M1, M2, M3) span by construction
@@ -224,6 +231,7 @@ def _per_step_magnus(variant, mu, t_range, step):
             mus = np.array([mu(float(t + o)) for o in off], np.longdouble)
             if variant == "kmu":
                 lam2 = np.exp(-4 * (t + off))
+                y[9] = 2 * (t + dt)
             else:
                 quad = np.array([[mu(float(o * c + t)) for c in _GAUSS_C]
                                  for o in off])
@@ -260,15 +268,15 @@ class TestArrayPath:
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-0.2, 0.2), 1e-3)
         mus = expr(tr.times)
-        expected = np.array([rhs(variant, tr.states[i], tr.times[i], mus[i])
+        expected = np.array([rhs(variant, tr.states[i], mus[i])
                              for i in range(len(tr.times))])
         assert np.array_equal(tr.derivs, expected.astype(float))
 
     def test_residuals_of_one_node_match_the_stack(self):
         tr = integrate("kmup", parse_expr("exp(t)-0.5", "t"), (-0.2, 0.2), 1e-3)
-        stack = algebraic_residuals(tr.times, tr.states, "kmup")
+        stack = algebraic_residuals(tr.states, "kmup")
         assert all(v.shape == tr.times.shape for v in stack.values())
-        one = algebraic_residuals(tr.times[7], tr.states[7], "kmup")
+        one = algebraic_residuals(tr.states[7], "kmup")
         for name, v in one.items():
             assert v == pytest.approx(stack[name][7], abs=1e-14), name
 
