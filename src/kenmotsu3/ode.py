@@ -32,6 +32,7 @@ cubic-Hermite dense output and the dense output itself are float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,19 +189,22 @@ def metric_from_state(t, y) -> np.ndarray:
 # Integration
 # --------------------------------------------------------------------------
 
-# three Gauss-Legendre nodes and weights on [0, 1], built from scalars: an
-# array operation at import raised the resident memory of runs that never
-# integrate
+# three Gauss-Legendre nodes and weights on [0, 1], and 1/k! for k <= 11,
+# built from scalars: an array operation at import raised the resident
+# memory of runs that never integrate
 _SQRT15 = np.sqrt(np.longdouble(15))
 _GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10])
 _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
                      np.longdouble(5) / 18])
-# steps per batch of exponentials, and nodes per batch of slopes and CSV
-# rows: bounds the long-double temporaries
+# steps per batch of exponentials, counted over the spans stepped together,
+# and nodes per batch of CSV rows: bounds the long-double temporaries
 _BLOCK = 128
-# exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail is below 2e-20
+# exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
+# 2e-20.  The terms from X^4 on sum to less than ||X||^4/24 <= 1e-5, so they
+# are float64 (rounding about 1e-21); I + X + X^2/2 + X^3/6 is long double.
 _TAYLOR_TERMS = 11
 _TAYLOR_RADIUS = 0.125
+_INV_FACTORIAL = tuple(1 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1))
 _FLOAT64_MAX = np.finfo(float).max
 
 
@@ -209,93 +213,124 @@ def _comm(x, y):
 
 
 def _magnus_exponent(a: np.ndarray) -> np.ndarray:
-    """Omega of each step from h * a at its three Gauss nodes: (b, 3, 3, 3)
-    -> (b, 3, 3), by the sixth-order commutator formula."""
-    a1 = a[:, 1]
-    a2 = _SQRT15 / 3 * (a[:, 2] - a[:, 0])
-    a3 = np.longdouble(10) / 3 * (a[:, 2] - 2 * a[:, 1] + a[:, 0])
-    c1 = _comm(a1, a2)
-    c2 = _comm(a1, 2 * a3 + c1) / -60
-    return a1 + a3 / 12 + _comm(-20 * a1 - a3 + c1, a2 + c2) / 240
+    """Omega of each step from h * a at its three Gauss nodes: (..., 3, 3, 3)
+    -> (..., 3, 3), by the sixth-order commutator formula.
+
+    Omega - a1 is below 1e-6 of Omega on every integration measured, so a1
+    and the node differences, which cancel, are long double, and a2, a3 and
+    the correction are float64: about 1e-22 of Omega.
+    """
+    lo, a1, hi = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+    a2 = (hi - lo).astype(float) * (float(_SQRT15) / 3)
+    a3 = (hi - 2 * a1 + lo).astype(float) * (10 / 3)
+    b1 = a1.astype(float)
+    c1 = _comm(b1, a2)
+    c2 = _comm(b1, 2 * a3 + c1) / -60
+    return a1 + (a3 / 12 + _comm(-20 * b1 - a3 + c1, a2 + c2) / 240)
 
 
 def _expm(om: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (b, 3, 3) stack: Taylor series, scaled by
-    2^-s into the series' radius and squared s times, s per matrix."""
-    norm = np.abs(om).sum(axis=-1).max(axis=-1)
-    squarings = np.zeros(len(om), int)
+    """exp of each matrix of a (..., 3, 3) stack: Taylor series, scaled by
+    2^-s into the series' radius and squared s times, s per matrix.  The
+    series' terms from x^4 on are float64 (``_TAYLOR_TERMS``)."""
+    norm = np.abs(om.astype(float)).sum(axis=-1).max(axis=-1)
+    squarings = np.zeros(norm.shape, int)
     big = (norm > _TAYLOR_RADIUS) & (norm < np.inf)
     squarings[big] = np.ceil(np.log2(norm[big] / _TAYLOR_RADIUS))
-    x = np.ldexp(om, -squarings[:, None, None])
-    eye = np.eye(3, dtype=om.dtype)
-    e = eye + x / _TAYLOR_TERMS
-    for k in range(_TAYLOR_TERMS - 1, 0, -1):  # Horner
-        e = eye + (x @ e) / k
+    x = om * np.ldexp(1.0, -squarings)[..., None, None] if big.any() else om
+    x2 = x @ x
+    x3 = x2 @ x
+    # sum_{k=4}^{11} x^k/k! = x^4 (p_4 + x^4 (p_8)), p_j = sum_{r<4} x^r/(j+r)!
+    eye = np.eye(3)
+    powers = (eye, x.astype(float), x2.astype(float), x3.astype(float))
+    x4 = powers[2] @ powers[2]
+    tail = 0
+    for j in range(_TAYLOR_TERMS - 3, 0, -4):
+        tail = x4 @ (sum(c * p for c, p in zip(_INV_FACTORIAL[j:], powers))
+                     + tail)
+    e = eye + (x + (x2 / 2 + (x3 / 6 + tail)))
     for k in range(squarings.max(initial=0)):
         more = squarings > k
         e[more] = e[more] @ e[more]
     return e
 
 
-def _span_mu(variant, mu_bar: Expr, ts, t, off):
-    """mu at the nodes and at the Gauss nodes ``t_n + off`` of a span, from
-    one call, and the mean of f' over each [t_n, t_n + off]: 2 for kmu, the
-    Gauss-Legendre mean of mu + 2 for kmup."""
-    n = len(off)
-    at = [ts, (t[:-1, None] + off).ravel()]
-    if variant == "kmup":  # Gauss nodes of each [t_n, t_n + off]: (n, 3, 3)
-        quad = off[:, :, None] * _GAUSS_C
-        quad += t[:-1, None, None]
-        at.append(quad.ravel())
-    mus = mu_bar(np.concatenate(at, dtype=float))
-    mu_stage = np.asarray(mus[n + 1:4 * n + 1], np.longdouble).reshape(n, 3)
-    rate = (mus[4 * n + 1:].reshape(n, 3, 3) @ _GAUSS_W + 2
-            if variant == "kmup" else 2)
-    return mus[:n + 1], mu_stage, rate
+def _span_steps(variant, mu_bar: Expr, ts, out, slopes):
+    """The step data of the span over the node times ``ts`` that starts at
+    the state ``out[0]``: writes f into ``out[1:, 9]`` and a(t) Y at the
+    start into ``slopes[0]``, and returns, per step, h, mu at its end node,
+    and mu and lam^2 at its Gauss nodes ``t_n + off``.
 
-
-def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
-    """Carry the state ``out[0]`` over the node times ``ts`` into ``out[1:]``.
-
-    Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
-    & Ros, Phys. Rep. 470, 2009), in long double: each step's exponential
-    exp(Omega_n) is built in batches of ``_BLOCK`` steps, and only the 3x3
-    products Y_{n+1} = exp(Omega_n) Y_n run in sequence.  f is 2t exactly
-    for kmu; for kmup, f at the nodes and at the Gauss nodes is
-    Gauss-Legendre quadrature of mu + 2.  mu is evaluated once, at the
-    nodes, the Gauss nodes and the quadrature times, none of which lies past
-    the last node.  ``out`` is
-    an (n + 1, 10) long-double array or view, ``slopes`` a float64 one that
-    receives a(t) Y at every node.  Raises at the first node whose state or
-    slope has no finite float64 value, which every reader of the states
-    needs.
+    mu comes from one call, at the nodes, the Gauss nodes and, for kmup,
+    the Gauss nodes of each [t_n, t_n + off], none of which lies past the
+    last node.  f is 2t exactly for kmu; for kmup it is Gauss-Legendre
+    quadrature of mu + 2, summed from the span's start.
     """
     n = len(ts) - 1
     t = np.asarray(ts, np.longdouble)
     h = np.diff(t)
     off = h[:, None] * _GAUSS_C                    # Gauss nodes - t_n: (n, 3)
-    mu_nodes, mu_stage, rate = _span_mu(variant, mu_bar, ts, t, off)
+    at = np.empty(n + 1 + 3 * n * (1 if variant == "kmu" else 4))
+    at[:n + 1] = ts
+    at[n + 1:4 * n + 1].reshape(n, 3)[:] = t[:-1, None] + off
+    if variant == "kmup":  # Gauss nodes of each [t_n, t_n + off]: (n, 3, 3)
+        quad = at[4 * n + 1:].reshape(n, 3, 3)
+        for c in range(3):
+            quad[..., c] = off * _GAUSS_C[c] + t[:-1, None]
+    mus = mu_bar(at)
+    mu_stage = mus[n + 1:4 * n + 1].reshape(n, 3)
     if variant == "kmu":
         out[1:, 9] = out[0, 9] + 2 * (t[1:] - t[0])
+        rate = 2
     else:
-        out[1:, 9] = out[0, 9] + np.cumsum(h * ((mu_stage + 2) @ _GAUSS_W))
+        out[1:, 9] = out[0, 9] + np.cumsum(
+            h * ((mu_stage.astype(np.longdouble) + 2) @ _GAUSS_W))
+        rate = mus[4 * n + 1:].reshape(n, 3, 3) @ _GAUSS_W + 2
     lam2 = np.exp(-2 * (out[:-1, 9, None] + off * rate))
-    ys = out[:, :9].reshape(-1, 3, 3)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        a = _generator(variant, lam2[s:e], mu_stage[s:e])
-        flow = _expm(_magnus_exponent(a * h[s:e, None, None, None]))
-        for i in range(s, e):
-            np.matmul(flow[i - s], ys[i], out=ys[i + 1])
-        nodes = slice(s + 1, e + 1)
-        d = rhs(variant, out[nodes], mu_nodes[nodes])
-        finite = ((np.abs(out[nodes]) <= _FLOAT64_MAX)
-                  & (np.abs(d) <= _FLOAT64_MAX)).all(axis=1)
+    slopes[0] = rhs(variant, out[0], mus[0])
+    return h, mus[1:n + 1].copy(), mu_stage.copy(), lam2
+
+
+def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
+    """Carry each span's state ``out[j][0]`` over its node times ``ts[j]``
+    into ``out[j][1:]``.
+
+    Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
+    & Ros, Phys. Rep. 470, 2009), in long double.  The spans are stepped
+    together: each step's exponential exp(Omega_n) is built for all of
+    them in batches of ``_BLOCK`` steps, and only the 3x3 products
+    Y_{n+1} = exp(Omega_n) Y_n run in sequence, one stacked product per
+    step while more than one span is left.  A span's states do not depend
+    on the others.  ``out[j]`` is an (n_j + 1, 10) long-double array or
+    view, ``slopes[j]`` a float64 one that receives a(t) Y at every node.
+    Raises at the first node, in steps from the start, whose state or
+    slope has no finite float64 value, which every reader of the states
+    needs.
+    """
+    steps = [_span_steps(variant, mu_bar, *span) for span in zip(ts, out, slopes)]
+    s = 0
+    while live := [j for j, t in enumerate(ts) if len(t) - 1 > s]:
+        e = min([s + _BLOCK // len(live)] + [len(ts[j]) - 1 for j in live])
+        h, mu_nodes, mu_stage, lam2 = (
+            np.stack([steps[j][q][s:e] for j in live], 1) for q in range(4))
+        a = (_generator(variant, lam2, mu_stage.astype(np.longdouble))
+             * h[..., None, None, None])
+        flow = _expm(_magnus_exponent(a))          # (e - s, spans, 3, 3)
+        block = np.stack([out[j][s:e + 1] for j in live], 1)
+        ys = block[..., :9].reshape(block.shape[:2] + (3, 3))
+        for i in range(e - s):
+            np.matmul(flow[i], ys[i], out=ys[i + 1])
+        d = rhs(variant, block[1:], mu_nodes)
+        finite = ((np.abs(block[1:]) <= _FLOAT64_MAX)
+                  & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1)
         if not finite.all():
+            i, k = divmod(int(np.argmin(finite)), len(live))
             raise ConsistencyError("ODE state non-finite in float64 at "
-                                   f"t={ts[s + 1 + int(np.argmin(finite))]}")
-        slopes[nodes] = d
-    slopes[0] = rhs(variant, out[0], mu_nodes[0])
+                                   f"t={ts[live[k]][s + 1 + i]}")
+        for k, j in enumerate(live):
+            out[j][s + 1:e + 1] = block[1:, k]
+            slopes[j][s + 1:e + 1] = d[:, k]
+        s = e
 
 
 @dataclass
@@ -371,11 +406,14 @@ class Trajectory:
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
               step: float = 1e-3) -> Trajectory:
-    """Integrate from t=0 forward to t1 and backward to t0.
+    """Integrate from t=0 forward to t1 and backward to t0, both
+    directions stepped together.
 
     ``step`` must be positive and at most 1e-2; endpoints are realized as
-    integer numbers of steps (rounded).  The startup consistency check runs
-    first and aborts on any inexact initial relation.
+    integer numbers of steps (rounded), at least one in all.  A node count
+    whose arrays cannot be allocated is bad input too (``ValueError``).  The
+    startup consistency check runs first and aborts on any inexact initial
+    relation.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -387,12 +425,20 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     check_initial_relations(variant)
     n_back = int(round(-t0 / step))
     n_fwd = int(round(t1 / step))
-    times = (np.arange(-n_back, n_fwd + 1)) * step
-    states = np.empty((times.size, 10), np.longdouble)
+    if n_back + n_fwd == 0:
+        raise ValueError(f"t-range [{t0}, {t1}] rounds to the single node "
+                         f"t=0 at step {step}")
+    try:  # the largest array first, before any is written
+        states = np.empty((n_back + n_fwd + 1, 10), np.longdouble)
+        derivs = np.empty(states.shape)
+        times = np.arange(-n_back, n_fwd + 1) * step
+    except (MemoryError, ValueError) as ex:
+        raise ValueError(f"step {step} needs {n_back + n_fwd + 1} nodes, "
+                         f"which cannot be allocated ({ex})") from None
     states[n_back] = initial_state(variant)
-    derivs = np.empty(states.shape)
-    for span in (slice(n_back, None), slice(n_back, None, -1)):
-        _magnus_span(variant, mu_bar, times[span], states[span], derivs[span])
+    spans = (slice(n_back, None), slice(n_back, None, -1))
+    _magnus_span(variant, mu_bar, [times[s] for s in spans],
+                 [states[s] for s in spans], [derivs[s] for s in spans])
     return Trajectory(variant, mu_bar, step, times, states, derivs)
 
 

@@ -99,6 +99,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "division by zero in the derivative of 'sqrt(z + 3.0)'" in err
 
+    def test_unallocatable_step_exits_2(self, capsys):
+        # 2e15 nodes exceed any address space, whatever the overcommit
+        # policy: bad input, not a failed verification (exit 1)
+        assert run(["verify", "--family", "kmu-darboux", "--t-range",
+                    "-0.1", "0.1", "--step", "1e-16"]) == 2
+        err = capsys.readouterr().err
+        assert "step 1e-16 needs 2000000000000017 nodes" in err, err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["verify", "--family", "kenmotsu", "--nope"]) == 2
 
@@ -159,6 +167,15 @@ class TestTrajectory:
         # the long-double Magnus states meet 1e-9 on the whole range, also
         # at the backward end where the components reach ~2e3
         assert max(det) <= 1e-9
+
+    def test_sub_step_range_exits_2(self, tmp_path, capsys):
+        # both ends round to t = 0: no step, and no one-node CSV
+        out = tmp_path / "x.csv"
+        assert run(["trajectory", "--family", "kmu-darboux", "--t-range",
+                    "-0.004", "0.004", "--step", "0.01",
+                    "--csv", str(out)]) == 2
+        assert not out.exists()
+        assert "rounds to the single node t=0" in capsys.readouterr().err
 
     def test_wrong_family(self):
         assert run(["trajectory", "--family", "kenmotsu",

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from kenmotsu3.ode import (
     ConsistencyError,
     _GAUSS_C,
     _GAUSS_W,
+    _SQRT15,
     _as_matrix,
+    _comm,
     _expm,
     _generator,
     _magnus_exponent,
@@ -140,7 +143,7 @@ class TestIntegrate:
         tr = integrate("kmu", mu, (0.0, 1.0), 1e-3)
         back = np.empty_like(tr.states)
         back[0] = tr.states[-1]
-        _magnus_span("kmu", mu, tr.times[::-1], back, np.empty(back.shape))
+        _magnus_span("kmu", mu, [tr.times[::-1]], [back], [np.empty(back.shape)])
         assert np.max(np.abs(back[-1] - tr.states[0])) <= 1e-12
 
     def test_step_halving_reduces_drift_32x(self):
@@ -190,6 +193,27 @@ class TestIntegrate:
             integrate("kmu", parse_expr("0", "t"), (1.0, 2.0), 1e-3)
         with pytest.raises(ValueError):
             integrate("nope", parse_expr("0", "t"), (-1.0, 1.0), 1e-3)
+        # a range whose ends both round to t = 0 holds no step
+        for t_range in ((-0.004, 0.004), (0.0, 0.004), (-0.004, 0.0)):
+            with pytest.raises(ValueError, match="single node t=0"):
+                integrate("kmu", parse_expr("0", "t"), t_range, 1e-2)
+        tr = integrate("kmu", parse_expr("0", "t"), (-0.004, 0.006), 1e-2)
+        assert tr.times.tolist() == [0.0, 0.01]
+
+    def test_peak_memory(self):
+        # both directions' step data live at once, but the blocks stay at
+        # _BLOCK steps in all and mu's sample times are written straight
+        # into one float64 array: the peak stays within the 1,162,982
+        # bytes that stepping one direction after the other took
+        mu = parse_expr("0.3+0.2*sin(2*t)", "t")
+        integrate("kmup", mu, (-1.0, 1.0), 1e-3)
+        tracemalloc.start()
+        try:
+            integrate("kmup", mu, (-1.0, 1.0), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_162_982
 
     def test_dense_exact_at_nodes_and_smooth_between(self):
         tr = integrate("kmu", parse_expr("1", "t"), (-0.2, 0.2), 1e-3)
@@ -272,6 +296,21 @@ class TestArrayPath:
                              for i in range(len(tr.times))])
         assert np.array_equal(tr.derivs, expected.astype(float))
 
+    @pytest.mark.parametrize("variant", ["kmu", "kmup"])
+    @pytest.mark.parametrize("t_range", [(-0.05, 0.2), (-0.2, 0.05),
+                                         (0.0, 0.1), (-0.1, 0.0)])
+    def test_uneven_ranges(self, variant, t_range):
+        # the longer direction steps on alone past the shorter one's end,
+        # and kmup's f is still summed from t = 0 there
+        expr = parse_expr("0.3+0.2*sin(2*t)", "t")
+        tr = integrate(variant, expr, t_range, 1e-3)
+        ref = _per_step_magnus(variant, expr, t_range, 1e-3)
+        assert np.array_equal(tr.states, ref)
+        mus = expr(tr.times)
+        expected = np.array([rhs(variant, tr.states[i], mus[i])
+                             for i in range(len(tr.times))])
+        assert np.array_equal(tr.derivs, expected.astype(float))
+
     def test_residuals_of_one_node_match_the_stack(self):
         tr = integrate("kmup", parse_expr("exp(t)-0.5", "t"), (-0.2, 0.2), 1e-3)
         stack = algebraic_residuals(tr.states, "kmup")
@@ -327,6 +366,67 @@ class TestLongDoubleStates:
         err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
         scale = np.max(np.abs(ref), axis=(1, 2))
         assert np.all(err <= 16 * np.finfo(np.longdouble).eps * scale)
+
+    @staticmethod
+    def _step_generators(variant, mu):
+        """h * a at the Gauss nodes of every step of [-1.008, 1.008], both
+        directions, for a constant mu, where f = (mu + 2) t (2t for kmu)."""
+        rate = 2 if variant == "kmu" else mu + 2
+        h = np.longdouble(1e-3)
+        t = np.arange(-1008, 1008).astype(np.longdouble) * h
+        a = [_generator(variant, np.exp(-2 * rate * (t[:, None] + d * h * _GAUSS_C)),
+                        np.longdouble(mu)) * (d * h) for d in (1, -1)]
+        return np.concatenate(a)
+
+    @staticmethod
+    def _norm(m):
+        return np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+
+    @staticmethod
+    def _ld_exponent(a):
+        """The sixth-order Magnus exponent all in long double."""
+        a1 = a[:, 1]
+        a2 = _SQRT15 / 3 * (a[:, 2] - a[:, 0])
+        a3 = np.longdouble(10) / 3 * (a[:, 2] - 2 * a[:, 1] + a[:, 0])
+        c1 = _comm(a1, a2)
+        c2 = _comm(a1, 2 * a3 + c1) / -60
+        return a1 + a3 / 12 + _comm(-20 * a1 - a3 + c1, a2 + c2) / 240
+
+    @staticmethod
+    def _ld_expm(om):
+        """exp by the 11-term Taylor series all in long double, scaled and
+        squared as ``_expm`` does; also returns the squarings."""
+        norm = np.max(np.sum(np.abs(om), axis=-1), axis=-1)
+        squarings = np.zeros(len(om), int)
+        big = norm > 0.125
+        squarings[big] = np.ceil(np.log2(norm[big] / 0.125))
+        x = np.ldexp(om, -squarings[:, None, None])
+        eye = np.eye(3, dtype=om.dtype)
+        e = eye + x / 11
+        for k in range(10, 0, -1):
+            e = eye + (x @ e) / k
+        for k in range(squarings.max(initial=0)):
+            more = squarings > k
+            e[more] = e[more] @ e[more]
+        return e, squarings
+
+    @WIDE
+    @pytest.mark.parametrize("variant,mu,top", [("kmu", 1.0, 0.11),
+                                                ("kmup", 1.0, 0.84)])
+    def test_kernels_to_long_double_rounding(self, variant, mu, top):
+        # the float64 parts of Omega and of exp(Omega) lie below the long
+        # double rounding of the results: within 4 eps_LD of the norm of an
+        # all-long-double computation, times 2^s after s squarings
+        eps = np.finfo(np.longdouble).eps
+        a = self._step_generators(variant, mu)
+        om = self._ld_exponent(a)
+        assert self._norm(om).max() >= top
+        err = np.max(np.abs(_magnus_exponent(a) - om), axis=(1, 2))
+        assert np.all(err <= 4 * eps * self._norm(om))
+        ref, squarings = self._ld_expm(om)
+        assert variant == "kmu" or np.mean(squarings > 0) >= 0.15
+        err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
+        assert np.all(err <= 4 * eps * self._norm(ref) * 2.0 ** squarings)
 
     def test_dtypes(self):
         model = build_darboux_model(DarbouxParams("kmu", "sin(t)", (-0.1, 0.1)))
