@@ -248,7 +248,7 @@ def _expm(om: np.ndarray) -> np.ndarray:
     for j in range(_TAYLOR_TERMS - 3, 0, -4):
         tail = x4 @ (sum(c * p for c, p in zip(_INV_FACTORIAL[j:], powers))
                      + tail)
-    e = eye + (x + (x2 / 2 + (x3 / 6 + tail)))
+    e = np.eye(3, dtype=om.dtype) + (x + (x2 / 2 + (x3 / 6 + tail)))
     for k in range(squarings.max(initial=0)):
         more = squarings > k
         e[more] = e[more] @ e[more]
@@ -317,9 +317,9 @@ def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
              * h[..., None, None, None])
         flow = _expm(_magnus_exponent(a))          # (e - s, spans, 3, 3)
         block = np.stack([out[j][s:e + 1] for j in live], 1)
-        ys = block[..., :9].reshape(block.shape[:2] + (3, 3))
-        for i in range(e - s):
-            np.matmul(flow[i], ys[i], out=ys[i + 1])
+        ys = list(block[..., :9].reshape(block.shape[:2] + (3, 3)))
+        for f, y, y_next in zip(flow, ys, ys[1:]):
+            np.matmul(f, y, out=y_next)
         d = rhs(variant, block[1:], mu_nodes)
         finite = ((np.abs(block[1:]) <= _FLOAT64_MAX)
                   & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1)
