@@ -25,8 +25,12 @@ with Y' = a(t) Y:
   kmup:  a = [[0, 2, 0], [2*lam^2, -(mu+2), 0], [0, 0, -(mu+2)]]
 
 Integration is fixed-step sixth-order Magnus with three Gauss nodes,
-forward and backward from t=0, with mu evaluated once per direction.  The
-states are long double (np.longdouble); the node slopes a(t) Y of the
+forward and backward from t=0, both directions stepped together, with mu
+evaluated once per direction.  The states are long double
+(np.longdouble), and so is every part of a step that reaches their
+rounding; the parts below it are float64: the commutator terms of each
+step's exponent (below 1e-6 of it) and the Taylor tail of its exponential
+from x^4 on (below 1e-5 after scaling).  The node slopes a(t) Y of the
 cubic-Hermite dense output and the dense output itself are float64.
 """
 
@@ -189,22 +193,24 @@ def metric_from_state(t, y) -> np.ndarray:
 # Integration
 # --------------------------------------------------------------------------
 
-# three Gauss-Legendre nodes and weights on [0, 1], and 1/k! for k <= 11,
-# built from scalars: an array operation at import raised the resident
-# memory of runs that never integrate
+# three Gauss-Legendre nodes and weights on [0, 1], and the Taylor tail's
+# coefficients, built from scalars: an array operation at import raised the
+# resident memory of runs that never integrate
 _SQRT15 = np.sqrt(np.longdouble(15))
 _GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10])
 _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
                      np.longdouble(5) / 18])
-# steps per batch of exponentials, counted over the spans stepped together,
-# and nodes per batch of CSV rows: bounds the long-double temporaries
+# nodes per batch of CSV rows, and Magnus steps per block, counted over the
+# spans stepped together: bound the long-double temporaries
 _BLOCK = 128
+_MAGNUS_BLOCK = 256
 # exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
 # 2e-20.  The terms from X^4 on sum to less than ||X||^4/24 <= 1e-5, so they
 # are float64 (rounding about 1e-21); I + X + X^2/2 + X^3/6 is long double.
 _TAYLOR_TERMS = 11
 _TAYLOR_RADIUS = 0.125
-_INV_FACTORIAL = tuple(1 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1))
+# 1/(j+r)! for r < 4: the rows p_4, p_8 of sum_{k=4}^{11} X^k/k! = X^4 (p_4 + X^4 p_8)
+_TAIL = np.array([[1 / math.factorial(j + r) for r in range(4)] for j in (4, 8)])
 _FLOAT64_MAX = np.finfo(float).max
 
 
@@ -233,22 +239,28 @@ def _expm(om: np.ndarray) -> np.ndarray:
     """exp of each matrix of a (..., 3, 3) stack: Taylor series, scaled by
     2^-s into the series' radius and squared s times, s per matrix.  The
     series' terms from x^4 on are float64 (``_TAYLOR_TERMS``)."""
-    norm = np.abs(om.astype(float)).sum(axis=-1).max(axis=-1)
+    a = np.abs(om.astype(float))  # the max row sum, without reductions over
+    rows = a[..., 0] + a[..., 1] + a[..., 2]  # 3-long axes, which cost more
+    norm = np.maximum(np.maximum(rows[..., 0], rows[..., 1]), rows[..., 2])
     squarings = np.zeros(norm.shape, int)
     big = (norm > _TAYLOR_RADIUS) & (norm < np.inf)
     squarings[big] = np.ceil(np.log2(norm[big] / _TAYLOR_RADIUS))
+    # an exact power of two per matrix: ldexp of every long-double entry
+    # cost more than the rest of the series
     x = om * np.ldexp(1.0, -squarings)[..., None, None] if big.any() else om
     x2 = x @ x
     x3 = x2 @ x
-    # sum_{k=4}^{11} x^k/k! = x^4 (p_4 + x^4 (p_8)), p_j = sum_{r<4} x^r/(j+r)!
-    eye = np.eye(3)
-    powers = (eye, x.astype(float), x2.astype(float), x3.astype(float))
+    powers = np.empty((4,) + x.shape)  # I, x, x^2, x^3 in float64
+    powers[0], powers[1], powers[2], powers[3] = np.eye(3), x, x2, x3
+    p4, p8 = np.tensordot(_TAIL, powers, 1)
     x4 = powers[2] @ powers[2]
-    tail = 0
-    for j in range(_TAYLOR_TERMS - 3, 0, -4):
-        tail = x4 @ (sum(c * p for c, p in zip(_INV_FACTORIAL[j:], powers))
-                     + tail)
-    e = np.eye(3, dtype=om.dtype) + (x + (x2 / 2 + (x3 / 6 + tail)))
+    e = x3  # I + x + x^2/2 + x^3/6 + tail, smallest terms first, in place
+    e /= 6
+    e += x4 @ (p4 + x4 @ p8)
+    x2 /= 2
+    e += x2
+    e += x
+    e += np.eye(3, dtype=om.dtype)
     for k in range(squarings.max(initial=0)):
         more = squarings > k
         e[more] = e[more] @ e[more]
@@ -291,6 +303,33 @@ def _span_steps(variant, mu_bar: Expr, ts, out, slopes):
     return h, mus[1:n + 1].copy(), mu_stage.copy(), lam2
 
 
+def _magnus_block(variant, steps, out, slopes, ts) -> None:
+    """One block of steps of the spans stepped together: carry the states
+    ``out[k][0]`` into ``out[k][1:]``, and write the slopes at those nodes
+    into ``slopes[k]``.  ``steps[k]`` holds the block's step data of span k
+    (``_span_steps``) and ``ts[k]`` its nodes after the first; all spans
+    have the block's number of steps.  A function of its own, so that no
+    block's temporaries outlive it."""
+    h, mu_nodes, mu_stage, lam2 = (np.stack(q, 1) for q in zip(*steps))
+    flow = _expm(_magnus_exponent(                     # (steps, spans, 3, 3)
+        _generator(variant, lam2, mu_stage.astype(np.longdouble))
+        * h[..., None, None, None]))
+    block = np.stack(out, 1)
+    ys = list(block[..., :9].reshape(block.shape[:2] + (3, 3)))
+    for f, y, y_next in zip(flow, ys, ys[1:]):
+        np.matmul(f, y, out=y_next)
+    d = rhs(variant, block[1:], mu_nodes)
+    finite = ((np.abs(block[1:]) <= _FLOAT64_MAX)
+              & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1)
+    if not finite.all():
+        i, k = divmod(int(np.argmin(finite)), len(out))
+        raise ConsistencyError(
+            f"ODE state non-finite in float64 at t={ts[k][i]}")
+    for k, (y, y_slopes) in enumerate(zip(out, slopes)):
+        y[1:] = block[1:, k]
+        y_slopes[:] = d[:, k]
+
+
 def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
     """Carry each span's state ``out[j][0]`` over its node times ``ts[j]``
     into ``out[j][1:]``.
@@ -298,38 +337,23 @@ def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
     Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
     & Ros, Phys. Rep. 470, 2009), in long double.  The spans are stepped
     together: each step's exponential exp(Omega_n) is built for all of
-    them in batches of ``_BLOCK`` steps, and only the 3x3 products
-    Y_{n+1} = exp(Omega_n) Y_n run in sequence, one stacked product per
-    step while more than one span is left.  A span's states do not depend
-    on the others.  ``out[j]`` is an (n_j + 1, 10) long-double array or
-    view, ``slopes[j]`` a float64 one that receives a(t) Y at every node.
-    Raises at the first node, in steps from the start, whose state or
-    slope has no finite float64 value, which every reader of the states
-    needs.
+    them in blocks of ``_MAGNUS_BLOCK`` steps in all, and only the 3x3
+    products Y_{n+1} = exp(Omega_n) Y_n run in sequence, one stacked
+    product per step while more than one span is left.  A span's states do
+    not depend on the others.  ``out[j]`` is an (n_j + 1, 10) long-double
+    array or view, ``slopes[j]`` a float64 one that receives a(t) Y at
+    every node.  Raises at the first node, in steps from the start, whose
+    state or slope has no finite float64 value, which every reader of the
+    states needs.
     """
     steps = [_span_steps(variant, mu_bar, *span) for span in zip(ts, out, slopes)]
     s = 0
     while live := [j for j, t in enumerate(ts) if len(t) - 1 > s]:
-        e = min([s + _BLOCK // len(live)] + [len(ts[j]) - 1 for j in live])
-        h, mu_nodes, mu_stage, lam2 = (
-            np.stack([steps[j][q][s:e] for j in live], 1) for q in range(4))
-        a = (_generator(variant, lam2, mu_stage.astype(np.longdouble))
-             * h[..., None, None, None])
-        flow = _expm(_magnus_exponent(a))          # (e - s, spans, 3, 3)
-        block = np.stack([out[j][s:e + 1] for j in live], 1)
-        ys = list(block[..., :9].reshape(block.shape[:2] + (3, 3)))
-        for f, y, y_next in zip(flow, ys, ys[1:]):
-            np.matmul(f, y, out=y_next)
-        d = rhs(variant, block[1:], mu_nodes)
-        finite = ((np.abs(block[1:]) <= _FLOAT64_MAX)
-                  & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1)
-        if not finite.all():
-            i, k = divmod(int(np.argmin(finite)), len(live))
-            raise ConsistencyError("ODE state non-finite in float64 at "
-                                   f"t={ts[live[k]][s + 1 + i]}")
-        for k, j in enumerate(live):
-            out[j][s + 1:e + 1] = block[1:, k]
-            slopes[j][s + 1:e + 1] = d[:, k]
+        e = min([s + _MAGNUS_BLOCK // len(live)] + [len(ts[j]) - 1 for j in live])
+        _magnus_block(variant, [[q[s:e] for q in steps[j]] for j in live],
+                      [out[j][s:e + 1] for j in live],
+                      [slopes[j][s + 1:e + 1] for j in live],
+                      [ts[j][s + 1:e + 1] for j in live])
         s = e
 
 
