@@ -209,8 +209,9 @@ _MAGNUS_BLOCK = 256
 # are float64 (rounding about 1e-21); I + X + X^2/2 + X^3/6 is long double.
 _TAYLOR_TERMS = 11
 _TAYLOR_RADIUS = 0.125
-# 1/(j+r)! for r < 4: the rows p_4, p_8 of sum_{k=4}^{11} X^k/k! = X^4 (p_4 + X^4 p_8)
-_TAIL = np.array([[1 / math.factorial(j + r) for r in range(4)] for j in (4, 8)])
+# 1/(j+r)! for r < 4: the rows p_4, p_8 of the tail X^4 (p_4 + X^4 p_8)
+_TAIL = np.array([[1 / math.factorial(j + r) for r in range(4)]
+                  for j in range(4, _TAYLOR_TERMS, 4)])
 _FLOAT64_MAX = np.finfo(float).max
 
 
@@ -239,14 +240,12 @@ def _expm(om: np.ndarray) -> np.ndarray:
     """exp of each matrix of a (..., 3, 3) stack: Taylor series, scaled by
     2^-s into the series' radius and squared s times, s per matrix.  The
     series' terms from x^4 on are float64 (``_TAYLOR_TERMS``)."""
-    a = np.abs(om.astype(float))  # the max row sum, without reductions over
-    rows = a[..., 0] + a[..., 1] + a[..., 2]  # 3-long axes, which cost more
-    norm = np.maximum(np.maximum(rows[..., 0], rows[..., 1]), rows[..., 2])
+    norm = np.abs(om.astype(float)).sum(axis=-1).max(axis=-1)
     squarings = np.zeros(norm.shape, int)
     big = (norm > _TAYLOR_RADIUS) & (norm < np.inf)
     squarings[big] = np.ceil(np.log2(norm[big] / _TAYLOR_RADIUS))
-    # an exact power of two per matrix: ldexp of every long-double entry
-    # cost more than the rest of the series
+    # an exact power of two per matrix, cheaper than ldexp of each
+    # long-double entry
     x = om * np.ldexp(1.0, -squarings)[..., None, None] if big.any() else om
     x2 = x @ x
     x3 = x2 @ x
@@ -300,6 +299,7 @@ def _span_steps(variant, mu_bar: Expr, ts, out, slopes):
         rate = mus[4 * n + 1:].reshape(n, 3, 3) @ _GAUSS_W + 2
     lam2 = np.exp(-2 * (out[:-1, 9, None] + off * rate))
     slopes[0] = rhs(variant, out[0], mus[0])
+    # copies: the kmup quadrature values need not outlive this call
     return h, mus[1:n + 1].copy(), mu_stage.copy(), lam2
 
 

@@ -39,6 +39,11 @@ def _fhb(y):
     return (_as_matrix(y[0:3]), _as_matrix(y[3:6]), _as_matrix(y[6:9]))
 
 
+def _norm(m):
+    """The largest row sum of each matrix of a stack."""
+    return np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+
+
 def _max_residual(times, states):
     res = algebraic_residuals(states, "kmu")
     return max(float(np.max(v)) for v in res.values())
@@ -201,10 +206,11 @@ class TestIntegrate:
         assert tr.times.tolist() == [0.0, 0.01]
 
     def test_peak_memory(self):
-        # both directions' step data live at once, but the blocks stay at
-        # _BLOCK steps in all and mu's sample times are written straight
-        # into one float64 array: the peak stays within the 1,162,982
-        # bytes that stepping one direction after the other took
+        # both directions' step data live at once, but a block's
+        # temporaries die with it and mu's sample times are written
+        # straight into one float64 array: the peak (1,077,350 bytes) stays
+        # within the 1,162,982 that stepping one direction after the other,
+        # all in long double, took
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
         integrate("kmup", mu, (-1.0, 1.0), 1e-3)
         tracemalloc.start()
@@ -379,10 +385,6 @@ class TestLongDoubleStates:
         return np.concatenate(a)
 
     @staticmethod
-    def _norm(m):
-        return np.max(np.sum(np.abs(m), axis=-1), axis=-1)
-
-    @staticmethod
     def _ld_exponent(a):
         """The sixth-order Magnus exponent all in long double."""
         a1 = a[:, 1]
@@ -396,7 +398,7 @@ class TestLongDoubleStates:
     def _ld_expm(om):
         """exp by the 11-term Taylor series all in long double, scaled and
         squared as ``_expm`` does; also returns the squarings."""
-        norm = np.max(np.sum(np.abs(om), axis=-1), axis=-1)
+        norm = _norm(om)
         squarings = np.zeros(len(om), int)
         big = norm > 0.125
         squarings[big] = np.ceil(np.log2(norm[big] / 0.125))
@@ -420,13 +422,13 @@ class TestLongDoubleStates:
         eps = np.finfo(np.longdouble).eps
         a = self._step_generators(variant, mu)
         om = self._ld_exponent(a)
-        assert self._norm(om).max() >= top
+        assert _norm(om).max() >= top
         err = np.max(np.abs(_magnus_exponent(a) - om), axis=(1, 2))
-        assert np.all(err <= 4 * eps * self._norm(om))
+        assert np.all(err <= 4 * eps * _norm(om))
         ref, squarings = self._ld_expm(om)
         assert variant == "kmu" or np.mean(squarings > 0) >= 0.15
         err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
-        assert np.all(err <= 4 * eps * self._norm(ref) * 2.0 ** squarings)
+        assert np.all(err <= 4 * eps * _norm(ref) * 2.0 ** squarings)
 
     def test_dtypes(self):
         model = build_darboux_model(DarbouxParams("kmu", "sin(t)", (-0.1, 0.1)))
