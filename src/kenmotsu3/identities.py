@@ -402,7 +402,7 @@ class Probe:
 
     def apply(self, op, vecs):
         """Apply per-point operator (n,3,3) to pooled vectors (n,P,3)."""
-        return np.einsum("nij,naj->nai", op, vecs)
+        return vecs @ op.transpose(0, 2, 1)
 
     def vec_norm(self, v):
         return g_norm(v, self.g)
@@ -416,10 +416,12 @@ class Probe:
 #
 # A pooled identity subtracts its right-hand side per point first, then
 # contracts that (n, 3, 3, 3[, 3]) residual tensor with the pool in one pass,
-# a two-operand einsum or batched matmul per contracted index (numpy runs a
-# multi-operand einsum as one nested loop).  CURV2 keeps phi on the vectors:
-# its first stage takes X_a and phi X_a, and the terms that share a Z slot
-# (X_c or phi X_c) meet before the last matmul.  Composing phi into its
+# a batched matmul per contracted index: numpy runs a multi-operand einsum
+# as one nested loop, and a two-operand one over a 3-long contracted index
+# as a 3-long inner loop (_pool_pairs' two einsums took 10.6 ms on a grid-9
+# chart probe's r_xi, its two matmuls 0.7 ms).  CURV2 keeps phi on the
+# vectors: its first stage takes X_a and phi X_a, and the terms that share a
+# Z slot (X_c or phi X_c) meet before the last matmul.  Composing phi into its
 # tensor instead moved the kmu-darboux mu=0.858 residual 1.75e-10 from the
 # long-double reference, where TestStagedContractions allows 9.45e-11 (this
 # form: 3.67e-11).  WEYL3 contracts all pairs (a, b) though its residual is
@@ -429,7 +431,9 @@ class Probe:
 
 def _pool_pairs(t, xs, ys):
     """t[n, k, i, j] X_a^k Y_b^j over pooled vectors: (n, a, b, i)."""
-    return np.einsum("naij,nbj->nabi", np.einsum("nkij,nak->naij", t, xs), ys)
+    n, size = xs.shape[:2]
+    s = (xs @ t.reshape(n, 3, 9)).reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
+    return s.reshape(n, size, 3, -1).transpose(0, 1, 3, 2)
 
 
 def _pool_triples(terms, zs):
@@ -447,8 +451,7 @@ def _res_nabla_xi(p: Probe):
 
 
 def _res_ak_deta(p: Probe):
-    d_x = np.einsum("nij,nai->naj", p.deta, p.pool)
-    vals = np.einsum("naj,nbj->nab", d_x, p.pool)
+    vals = p.pool @ p.deta @ p.pool.transpose(0, 2, 1)
     return np.max(np.abs(vals), axis=(1, 2))
 
 
@@ -570,9 +573,13 @@ def _res_lie2(p: Probe):
 
 
 def _trace_residual(p: Probe, nabla_t, target):
+    """g-length of sum_a (nabla_{E_a} T) E_a minus ``target``, the larger
+    over the adapted and the random frame E: (n,)."""
+    n = p.n
     res = None
     for frame in (p.frame, p.random_frame):
-        v = np.einsum("nkij,nak,naj->ni", nabla_t, frame, frame) - target
+        t_e = (frame @ nabla_t.reshape(n, 3, 9)).reshape(n, 3, 3, 3)  # [a, i, j]
+        v = (t_e @ frame[..., None])[..., 0].sum(axis=1) - target
         r = p.vec_norm(v)
         res = r if res is None else np.maximum(res, r)
     return res

@@ -99,9 +99,11 @@ def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
     values of xi (n,3) and of a (1,1) tensor T (n,3,3) and their coordinate
     partials (axis first).
     """
+    # the first einsum's inner loop runs over (i, j), 9 long, and beat a
+    # matmul; the other two contract a 3-long index and take matmuls
+    dxi_t = dxi.transpose(0, 2, 1)
     return (np.einsum("na,naij->nij", xi, dt_vals)
-            - np.einsum("naj,nai->nij", t_vals, dxi)
-            + np.einsum("nis,njs->nij", t_vals, dxi))
+            - dxi_t @ t_vals + t_vals @ dxi_t)
 
 
 def compute_h(model: AlmostContactModel, pts,

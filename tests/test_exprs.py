@@ -218,29 +218,34 @@ class TestDiff:
 
 
 def _smooth_exprs(depth):
-    """Expression text smooth on t in [0.5, 2]: log, sqrt, '/' and a
-    variable-exponent '^' get arguments bounded away from 0."""
+    """Expression text smooth on t in [0.5, 2]: log, sqrt, '/' and the base
+    of a variable-exponent '^' get arguments bounded away from 0; exp, sin,
+    cos and the variable exponent get arguments bounded in value and slope."""
     const = st.floats(min_value=0.1, max_value=3.0).map(lambda v: f"{v:.3f}")
     leaf = st.one_of(const, st.just("t"))
     if depth == 0:
         return leaf
     sub = _smooth_exprs(depth - 1)
     positive = st.tuples(sub, const).map(lambda t: f"(({t[0]})^2 + {t[1]})")
+    # s / (s^2 + 1) lies in [-1/2, 1/2] and is nowhere steeper than s: an
+    # unbounded argument nests growth no difference quotient at h = 1e-3
+    # can follow (sin(exp(((t)^2 + 1)^2.5)) has derivative -1.7e26 at t = 2)
+    bounded = sub.map(lambda s: f"(({s}) / (({s})^2 + 1))")
     return st.one_of(
         leaf,
         st.tuples(sub, st.sampled_from("+-*"), sub).map(
             lambda t: f"({t[0]} {t[1]} {t[2]})"),
         st.tuples(sub, positive).map(lambda t: f"({t[0]} / {t[1]})"),
         sub.map(lambda s: f"-({s})"),
-        st.tuples(st.sampled_from(["sin", "cos", "exp"]), sub).map(
-            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), bounded).map(
+            lambda t: f"{t[0]}{t[1]}"),
         st.tuples(st.sampled_from(["log", "sqrt"]), positive).map(
             lambda t: f"{t[0]}{t[1]}"),
         st.tuples(sub, st.integers(min_value=0, max_value=3)).map(
             lambda t: f"({t[0]})^{t[1]}"),
         st.tuples(positive, st.sampled_from(["0.5", "-1.5", "2.5"])).map(
             lambda t: f"{t[0]}^{t[1]}"),
-        st.tuples(positive, sub).map(lambda t: f"{t[0]}^({t[1]})"),
+        st.tuples(positive, bounded).map(lambda t: f"{t[0]}^{t[1]}"),
     )
 
 

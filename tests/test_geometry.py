@@ -18,6 +18,7 @@ from kenmotsu3.fields import (
     coordinate_derivatives,
 )
 from kenmotsu3.geometry import (
+    COND_LIMIT,
     DegenerateMetricError,
     DegeneratePlaneError,
     covariant_differential,
@@ -27,6 +28,7 @@ from kenmotsu3.geometry import (
     levi_civita,
     riemann,
     sectional_curvature,
+    _inverse_metric,
 )
 from kenmotsu3.identities import Probe, SamplePlan
 from kenmotsu3.models import (
@@ -94,6 +96,72 @@ class TestChristoffel:
             return g
         with pytest.raises(DegenerateMetricError):
             christoffel(MetricField(fn, FULL), PTS)
+
+
+def _rotated(diag, seed=0):
+    """Symmetric metrics R diag R^T, one per row of ``diag``."""
+    diag = np.atleast_2d(np.asarray(diag, float))
+    rot = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(diag), 3, 3)))[0]
+    return rot @ (diag[:, :, None] * rot.transpose(0, 2, 1))
+
+
+def _frobenius_bound(g):
+    return (np.linalg.norm(g, axis=(1, 2))
+            * np.linalg.norm(np.linalg.inv(g), axis=(1, 2)))
+
+
+class TestInverseMetric:
+    """_inverse_metric accepts exactly where np.linalg.cond(g) <= COND_LIMIT,
+    and returns np.linalg.inv(g) bit for bit."""
+
+    @pytest.mark.parametrize("diag", [
+        (1.0, 1.0, 1.0 / 0.9e12),      # cond 0.9e12, Frobenius bound 1.27e12
+        (2.0, 3.0, 3.0 / 0.999e12),    # cond 0.999e12
+        (1.0, 0.5, 0.25),
+    ])
+    def test_accepts_where_cond_does(self, diag):
+        g = np.concatenate([_rotated(diag), np.eye(3)[None]])
+        assert np.all(np.linalg.cond(g) <= COND_LIMIT)
+        assert np.array_equal(_inverse_metric(g), np.linalg.inv(g))
+
+    def test_frobenius_bound_above_the_limit_is_not_a_rejection(self):
+        g = _rotated((1.0, 1.0, 1.0 / 0.9e12))
+        assert _frobenius_bound(g)[0] > COND_LIMIT >= np.linalg.cond(g)[0]
+        assert np.array_equal(_inverse_metric(g), np.linalg.inv(g))
+
+    @pytest.mark.parametrize("diag", [(1.0, 1.0, 1e-13), (3.0, 1.0, 3.0 / 1.001e12)])
+    def test_rejects_where_cond_does(self, diag):
+        g = np.concatenate([np.eye(3)[None], _rotated(diag)])
+        assert np.linalg.cond(g)[1] > COND_LIMIT
+        with pytest.raises(DegenerateMetricError):
+            _inverse_metric(g)
+
+    def test_exactly_singular_is_degenerate_not_linalg_error(self):
+        g = np.stack([np.eye(3), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0]])])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(g)
+        assert not np.all(np.linalg.cond(g) <= COND_LIMIT)
+        with pytest.raises(DegenerateMetricError):
+            _inverse_metric(g)
+
+    def test_nan_entries_are_degenerate(self):
+        g = np.stack([np.eye(3), np.eye(3)])
+        g[1, 0, 2] = g[1, 2, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cond(g)  # the SVD does not converge
+        with pytest.raises(DegenerateMetricError):
+            _inverse_metric(g)
+
+    def test_well_conditioned_metrics_take_no_svd(self, monkeypatch):
+        g = _rotated(np.random.default_rng(1).uniform(0.1, 10.0, (50, 3)))
+
+        def no_cond(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called")
+
+        monkeypatch.setattr(np.linalg, "cond", no_cond)
+        assert np.array_equal(_inverse_metric(g), np.linalg.inv(g))
 
 
 class TestRiemann:
@@ -234,6 +302,85 @@ def test_g_norms():
     assert g_norm(v, g)[0] == pytest.approx(2.0)
     a = np.array([[[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
     assert g_operator_norm(a, g)[0] == pytest.approx(3.0)
+
+
+def _svd_operator_norm(a, g):
+    """The largest singular value of L^T A L^{-T}, g = L L^T."""
+    lt = np.linalg.cholesky(g).transpose(0, 2, 1)
+    return np.linalg.svd(lt @ a @ np.linalg.inv(lt), compute_uv=False)[:, 0]
+
+
+def _g_singular(sigma, g, seed):
+    """Operators whose g-singular values are the rows of ``sigma``."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((len(g), 3, 3)))[0]
+            for _ in range(2))
+    lt = np.linalg.cholesky(g).transpose(0, 2, 1)
+    m = u @ (np.asarray(sigma, float)[:, :, None] * v.transpose(0, 2, 1))
+    return np.linalg.inv(lt) @ m @ lt
+
+
+class TestOperatorNorm:
+    """g_operator_norm against the SVD, under non-identity metrics (cond g
+    up to 80): within 6 eps relative.  Each is within 3 eps of the exact
+    norm of the rounded L^T A L^{-T} (against 40-digit SVDs of the worst
+    cases); measured apart by at most 4.6 eps."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return _rotated(np.random.default_rng(2).uniform(0.1, 10.0, (self.N, 3)),
+                        seed=3)
+
+    def _close(self, a, g):
+        ref = _svd_operator_norm(a, g)
+        out = g_operator_norm(a, g)
+        assert np.all(np.abs(out - ref) <= 6.0 * np.finfo(float).eps * ref)
+
+    def test_random(self, g):
+        self._close(np.random.default_rng(4).standard_normal((self.N, 3, 3)), g)
+
+    def test_rank_one(self, g):
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal((2, self.N, 3))
+        self._close(u[:, :, None] * v[:, None, :], g)
+
+    def test_orthogonal(self, g):
+        q = np.linalg.qr(np.random.default_rng(6).standard_normal((self.N, 3, 3)))[0]
+        self._close(q, g)
+        # g-orthogonal: three equal g-singular values
+        self._close(_g_singular(np.ones((self.N, 3)), g, 7), g)
+
+    def test_equal_top_pair(self, g):
+        # the top two g-singular values equal (h itself has +-lam, 0) or
+        # 1e-9 apart: the trigonometric roots of the Gram matrix's
+        # characteristic cubic lose half the digits there (4e-9 relative)
+        sigma = np.column_stack([np.ones(self.N),
+                                 1.0 - np.repeat([0.0, 1e-9], self.N // 2),
+                                 np.linspace(0.0, 0.9, self.N)])
+        self._close(_g_singular(sigma, g, 8), g)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-200, 1e200])
+    def test_zero_tiny_and_huge(self, g, scale):
+        # the Gram matrix of the unscaled m would underflow or overflow at
+        # 1e-200 and 1e200
+        assert np.array_equal(g_operator_norm(np.zeros((self.N, 3, 3)), g),
+                              np.zeros(self.N))
+        self._close(scale * np.random.default_rng(9).standard_normal(
+            (self.N, 3, 3)), g)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, g, bad):
+        a = np.random.default_rng(10).standard_normal((self.N, 3, 3))
+        a[7, 1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            g_operator_norm(a, g)
+        gb = g.copy()
+        gb[7, 0, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            g_operator_norm(np.ones((self.N, 3, 3)), gb)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,

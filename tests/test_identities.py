@@ -511,7 +511,58 @@ def _ref_weyl3(p):
     return np.max(g_norm(v, p.g[:, None, None, None, :, :]), axis=(1, 2, 3))
 
 
+def _ref_trace(p, t, dt, target):
+    """TR_*: sum_a (nabla_{E_a} T) E_a minus ``target`` over both frames, the
+    covariant differential of T from its values and partials included."""
+    nabla = (dt + np.einsum("niks,nsj->nkij", p.gamma, t)
+             - np.einsum("nskj,nis->nkij", p.gamma, t))
+    return np.max([g_norm(np.einsum("nkij,nak,naj->ni", nabla, f, f) - target,
+                          p.g) for f in (p.frame, p.random_frame)], axis=0)
+
+
+def _ref_q_xi(p):
+    return np.einsum("nij,nj->ni", p.curv.q, p.xi)
+
+
+def _ref_op_norm(m, g):
+    """sup_v |m v|_g / |v|_g.  In float64, the largest singular value of
+    L^T m L^{-T}, g = L L^T, by SVD.  In long double (which numpy's linalg
+    lacks), the quotient at the maximizer that float64 SVD gives: it is
+    exact to second order in the maximizer's error."""
+    g64 = np.asarray(g, float)
+    lt = np.linalg.cholesky(g64).transpose(0, 2, 1)
+    inv_lt = np.linalg.inv(lt)
+    _, sv, vt = np.linalg.svd(lt @ np.asarray(m, float) @ inv_lt)
+    if m.dtype != np.longdouble:
+        return sv[:, 0]
+    v = np.einsum("nij,nj->ni", inv_lt, vt[:, 0]).astype(np.longdouble)
+    mv = np.einsum("nij,nj->ni", m, v)
+    return np.sqrt(np.einsum("ni,nij,nj->n", mv, g, mv)
+                   / np.einsum("ni,nij,nj->n", v, g, v))
+
+
+def _ref_nabla_xi(p):
+    rhs = p.eye - np.einsum("ni,nk->nik", p.xi, p.eta) - p.bmat
+    return _ref_op_norm(p.nabla_xi - rhs, p.g)
+
+
+def _ref_ricci_form(p):
+    a = 0.5 * p.curv.scalar - p.k
+    b = 3.0 * p.k - 0.5 * p.curv.scalar
+    m = (p.curv.q - a[:, None, None] * p.eye
+         - b[:, None, None] * np.einsum("ni,nj->nij", p.xi, p.eta)
+         - p.mu[:, None, None] * p.t_op)
+    return _ref_op_norm(m, p.g)
+
+
 REFERENCE_RESIDUALS = {
+    "NABLA_XI": _ref_nabla_xi,
+    "RICCI_FORM": _ref_ricci_form,
+    "TR_HP": lambda p: _ref_trace(p, p.hp, p.fd_partials["hp"],
+                                  _ref_q_xi(p) + 2.0 * p.xi),
+    "TR_PHI": lambda p: _ref_trace(p, p.phi, p.dphi, 0.0 * p.xi),
+    "TR_H": lambda p: _ref_trace(p, p.h, p.fd_partials["h"],
+                                 np.einsum("nij,nj->ni", p.phi, _ref_q_xi(p))),
     "AK_DETA": _ref_ak_deta,
     "KLEAVES": _ref_kleaves,
     "CURV1": _ref_curv1,
@@ -716,6 +767,19 @@ def test_chart_suite_differentiates_by_fd_only_derived_fields(
     assert len(seen) == 3
     assert not [f for f, _ in seen if any(f is b for b in _base_fields(model))]
     assert per_sample <= 82
+
+
+@pytest.mark.parametrize("fixture", ["kmu_chart", "kmu_darboux"])
+def test_suite_runs_no_condition_number_svd(request, monkeypatch, fixture):
+    # every metric of these suites clears _inverse_metric's Frobenius bound,
+    # at the sample points and at every stencil node
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+
+    model = request.getfixturevalue(fixture)
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    reports = check_suite(model, "all", PLAN)
+    assert all(r.verdict in ("pass", "not-applicable") for r in reports)
 
 
 def test_probe_freed_without_cyclic_gc(kmu_chart):

@@ -60,3 +60,44 @@ def test_every_exported_name_resolves():
                     if not hasattr(module, n)]
     assert len(names) > 1
     assert not missing, missing
+
+
+def _linalg_uses(source: str, filename: str = "<string>") -> list[tuple[str, str]]:
+    """(name, enclosing function) of each use of ``linalg.svd`` or
+    ``linalg.cond``, and of each import of them from ``numpy.linalg``."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in ("svd", "cond")
+                and getattr(node.value, "attr", getattr(node.value, "id", None))
+                == "linalg"):
+            out.append((node.attr, func))
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            out.extend((a.name, func) for a in node.names
+                       if a.name in ("svd", "cond"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source, filename), "<module>")
+    return out
+
+
+def test_linalg_guard_flags_what_it_should():
+    assert _linalg_uses("def f(m):\n    return np.linalg.svd(m)") == [("svd", "f")]
+    assert _linalg_uses("from numpy.linalg import cond") == [("cond", "<module>")]
+    assert _linalg_uses("import numpy.linalg as la\nla.cond(m)") == []
+    assert not _linalg_uses("np.linalg.inv(m); np.linalg.eigvalsh(m)")
+
+
+def test_no_svd_and_cond_only_in_the_metric_inverse_fallback():
+    # the per-point 3x3 paths run no batched SVD: operator norms take the
+    # Gram matrix's top eigenvalue, and _inverse_metric calls cond only on
+    # the points its Frobenius bound cannot clear
+    uses = {f.name: _linalg_uses(f.read_text(), f.name)
+            for f in sorted(SRC.glob("*.py"))}
+    assert uses
+    flat = [(name, func, file) for file, found in uses.items()
+            for name, func in found]
+    assert flat == [("cond", "_inverse_metric", "geometry.py")], flat
