@@ -24,7 +24,6 @@ import tempfile
 from datetime import datetime, timezone
 
 from .exprs import ExprDomainError, ExprSyntaxError
-from .fields import DiffScheme
 from .identities import (
     IDENTITIES,
     PROFILES,
@@ -107,9 +106,8 @@ def _run_suite(args):
     plan = SamplePlan(grid=args.grid, rand_pairs=args.rand_pairs,
                       seed=args.seed,
                       box=parse_box(args.box) if args.box else None)
-    scheme = DiffScheme(h_rel=args.h_rel)
     reports = check_suite(model, _parse_identities(args.identities), plan,
-                          scheme, tolerances=_parse_tols(args.tol),
+                          tolerances=_parse_tols(args.tol),
                           profile=args.tol_profile)
     passed = all(r.verdict in ("pass", "not-applicable") for r in reports)
     return model, reports, "pass" if passed else "fail"
@@ -127,7 +125,6 @@ def _verification_document(model, args, reports, overall):
             "randomPairs": args.rand_pairs,
             "seed": args.seed,
         },
-        "scheme": {"hRel": args.h_rel, "order": 4},
         "identities": [r.as_dict() for r in reports],
         "overall": overall,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -238,8 +235,6 @@ def _add_plan_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--identities", default="all",
                      help="comma-separated identity ids, or 'all'")
-    sub.add_argument("--h-rel", type=float, default=1e-3,
-                     help="relative finite-difference step")
     sub.add_argument("--tol-profile", choices=sorted(PROFILES), default=None,
                      help="force one tolerance profile for every identity")
     sub.add_argument("--tol", action="append", metavar="ID=VALUE",

@@ -86,7 +86,7 @@ class _Neg:
 
 
 # ``origin`` marks a node that a derivative rule introduced: the node of the
-# differentiated expression whose derivative it belongs to.  It takes no
+# parsed expression whose derivative (of any order) it belongs to.  It takes no
 # part in equality or printing.
 
 @dataclass(frozen=True)
@@ -250,15 +250,17 @@ def _diff_node(node):
         return _Num(1.0)
     if isinstance(node, _Neg):
         return _neg(_diff_node(node.arg))
+    # a node of a derivative passes on the user's node it came from
+    origin = getattr(node, "origin", None) or node
     if isinstance(node, _Call):
         u = node.arg
         du = _diff_node(u)
         if node.func == "exp":
             return _mul(node, du)
         if node.func == "log":
-            return _div(du, u, node)
+            return _div(du, u, origin)
         if node.func == "sqrt":
-            return _div(_mul(_Num(0.5), du), node, node)
+            return _div(_mul(_Num(0.5), du), node, origin)
         if node.func == "sin":
             return _mul(_Call("cos", u), du)
         if node.func == "cos":
@@ -274,15 +276,15 @@ def _diff_node(node):
             return _add(_mul(du, v), _mul(u, dv))
         if node.op == "/":
             if _const(dv) == 0:
-                return _div(du, v, node)
+                return _div(du, v, origin)
             return _div(_sub(_mul(du, v), _mul(u, dv)),
-                        _pow(v, _Num(2.0), node), node)
+                        _pow(v, _Num(2.0), origin), origin)
         if node.op == "^":
             if _const(dv) == 0:  # c u^(c-1) u'
-                return _mul(_mul(v, _pow(u, _sub(v, _Num(1.0)), node)), du)
+                return _mul(_mul(v, _pow(u, _sub(v, _Num(1.0)), origin)), du)
             # u^v (v' log u + v u'/u)
-            return _mul(node, _add(_mul(dv, _Call("log", u, node)),
-                                   _mul(v, _div(du, u, node))))
+            return _mul(node, _add(_mul(dv, _Call("log", u, origin)),
+                                   _mul(v, _div(du, u, origin))))
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 

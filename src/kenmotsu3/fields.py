@@ -9,8 +9,8 @@ metrics to ``(n, 3, 3)``.  A (1,1) tensor acts on column component vectors,
 Derivatives use a 5-point 4th-order stencil whose window shifts inward near
 a domain boundary (one-sided weights via the classic divided-difference
 weight recursion); it errors only when no 5-point window fits.  A field may
-instead carry its exact partials, and states the axes it varies along: its
-partials along the others are exact zeros, with no stencil.
+instead carry its exact partials, first and second, and states the axes it
+varies along: its partials along the others are exact zeros, with no stencil.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class DiffScheme:
 
     ``h_rel`` is the relative step, scaled per point by ``max(1, |coord|)``.
     Every field is differentiated with this one step, whether its values are
-    closed-form or themselves built from finite differences (h, the
-    connection), which keeps curvature-level truncation at O(h^4).
+    closed-form or themselves built from finite differences (the connection
+    of :func:`~kenmotsu3.geometry.riemann`), which keeps curvature-level
+    truncation at O(h^4).
     """
 
     h_rel: float = 1e-3
@@ -104,41 +105,32 @@ class DiffScheme:
         if not 0 < self.h_rel < 0.1:
             raise ValueError("h_rel out of range")
 
-    def refined(self) -> "DiffScheme":
-        """Scheme with half the step (convergence runs)."""
-        return DiffScheme(self.h_rel / 2.0)
-
-    def steps(self, pts: np.ndarray, axis: int,
-              quantum: float | None = None) -> np.ndarray:
-        h = self.h_rel * np.maximum(1.0, np.abs(pts[:, axis]))
-        if quantum is not None:
-            # snap to the stored-node grid of trajectory-backed fields
-            h = quantum * np.maximum(1.0, np.round(h / quantum))
-        return h
+    def steps(self, pts: np.ndarray, axis: int) -> np.ndarray:
+        return self.h_rel * np.maximum(1.0, np.abs(pts[:, axis]))
 
 
 class ArrayField:
     """A pure evaluator ``(n, 3) -> (n,) + out_shape`` over a chart domain.
 
-    ``axis_quanta`` optionally pins the FD step along an axis to multiples
-    of a grid quantum.  ``varies`` flags the axes the field depends on; its
-    partials along the others are zero.  ``partials``, when set, maps
-    ``(n, 3)`` points to the exact partials ``(n, 3) + out_shape`` (axis
-    first), which :func:`coordinate_derivatives` then uses in place of FD.
+    ``varies`` flags the axes the field depends on; its partials along the
+    others are zero.  ``partials``, when set, maps ``(n, 3)`` points to the
+    exact partials ``(n, 3) + out_shape`` (axis first), which
+    :func:`coordinate_derivatives` then uses in place of FD; ``second`` to
+    the exact second partials ``(n, 3, 3) + out_shape`` (both axes first).
     """
 
     out_shape: tuple[int, ...] = ()
 
     def __init__(self, fn, domain: ChartDomain, out_shape=None, *,
-                 axis_quanta=(None, None, None), varies=(True, True, True),
-                 partials=None, name: str = ""):
+                 varies=(True, True, True), partials=None, second=None,
+                 name: str = ""):
         self.fn = fn
         self.domain = domain
         if out_shape is not None:
             self.out_shape = tuple(out_shape)
-        self.axis_quanta = tuple(axis_quanta)
         self.varies = tuple(varies)
         self.partials = partials
+        self.second = second
         self.name = name
 
     def __call__(self, pts) -> np.ndarray:
@@ -243,7 +235,7 @@ def partial_derivative(field: ArrayField, pts, axis: int,
     scheme = scheme or DiffScheme()
     pts, single = as_points(pts)
     field.domain.require(pts)
-    h = scheme.steps(pts, axis, field.axis_quanta[axis])
+    h = scheme.steps(pts, axis)
     shifts = _window_shifts(field, pts, axis, h)
 
     stencil = np.repeat(pts[:, None, :], 5, axis=1)

@@ -28,6 +28,7 @@ __all__ = [
     "Curvature",
     "curvature",
     "levi_civita",
+    "christoffel_partials",
     "riemann",
     "sectional_curvature",
     "covariant_differential",
@@ -84,8 +85,26 @@ def levi_civita(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Gamma^i_{jk} = 1/2 g^{is}(d_j g_{sk} + d_k g_{sj} - d_s g_{jk}).
     """
     ginv = _inverse_metric(g)
-    braces = np.einsum("njsk->nsjk", dg) + np.einsum("nksj->nsjk", dg) - dg
-    return 0.5 * np.einsum("nis,nsjk->nijk", ginv, braces), ginv
+    return 0.5 * np.einsum("nis,nsjk->nijk", ginv, _braces(dg)), ginv
+
+
+def _braces(dg: np.ndarray) -> np.ndarray:
+    """d_j g_sk + d_k g_sj - d_s g_jk at ``[..., s, j, k]`` from the metric's
+    partials ``[..., axis, i, j]``."""
+    return (np.einsum("...jsk->...sjk", dg) + np.einsum("...ksj->...sjk", dg)
+            - dg)
+
+
+def christoffel_partials(gamma: np.ndarray, ginv: np.ndarray, dg: np.ndarray,
+                         ddg: np.ndarray) -> np.ndarray:
+    """d_a Gamma^i_{jk} at ``[n, a, i, j, k]`` from Gamma, g^{-1}, the metric's
+    partials and its second partials ``ddg[n, a, b, i, j]``:
+    d_a Gamma = g^{-1} (braces(d_a dg) / 2 - (d_a g) Gamma), as
+    d_a g^{-1} = -g^{-1} (d_a g) g^{-1}."""
+    n = len(gamma)
+    inner = (0.5 * _braces(ddg).reshape(n, 3, 3, 9)
+             - dg @ gamma.reshape(n, 1, 3, 9))
+    return (ginv[:, None] @ inner).reshape(n, 3, 3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -140,8 +159,7 @@ def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
     gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, scheme))
     gamma_field = ArrayField(
         lambda q: levi_civita(g(q), coordinate_derivatives(g, q, scheme))[0],
-        g.domain, out_shape=(3, 3, 3), axis_quanta=g.axis_quanta,
-        varies=g.varies, name="christoffel")
+        g.domain, out_shape=(3, 3, 3), varies=g.varies, name="christoffel")
     dgamma = coordinate_derivatives(gamma_field, pts, scheme)
     return curvature(gamma, ginv, dgamma)
 

@@ -18,16 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (
-    ArrayField,
-    DiffScheme,
-    as_points,
-    coordinate_derivatives,
-)
+from .fields import as_points
 from .geometry import (
+    christoffel_partials,
     covariant_differential,
     curvature,
-    exterior_derivative,
     exterior_differential,
     g_norm,
     g_operator_norm,
@@ -50,11 +45,6 @@ __all__ = [
 PROFILES = {"strict": 1e-10, "fd1": 1e-6, "fd2": 5e-5}
 
 MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
-
-# the quantities the Probe differentiates by FD, with their per-node shapes,
-# in the order of the stacked field's components
-_STACK = (("h", (3, 3)), ("hp", (3, 3)), ("b", (3, 3)), ("x", (3,)),
-          ("gamma", (3, 3, 3)))
 
 
 @dataclass(frozen=True)
@@ -87,8 +77,8 @@ class SamplePlan:
         box = self.resolved_box(model)
         axes = [np.linspace(lo, hi, self.grid) for lo, hi in box]
         if model.trajectory is not None:
-            # snap the t-axis to stored nodes so FD stencils never
-            # interpolate between them
+            # snap the t-axis to stored nodes, so the fields read node
+            # states and slopes, not the Hermite interpolant
             traj = model.trajectory
             axes[2] = traj.times[np.clip(
                 np.round((axes[2] - traj.t_min) / traj.step).astype(int),
@@ -114,10 +104,9 @@ class ResidualReport:
     verdict: str                 # "pass" | "fail" | "not-applicable"
     max_point: tuple | None
     samples: int
-    refinement: dict | None = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "id": self.id,
             "formula": self.formula,
             "residual": self.residual,
@@ -127,97 +116,80 @@ class ResidualReport:
             "samples": self.samples,
             "verdict": self.verdict,
         }
-        if self.refinement is not None:
-            out["refinement"] = self.refinement
-        return out
 
 
 # --------------------------------------------------------------------------
 # Evaluation cache
 # --------------------------------------------------------------------------
 
+class _Eval:
+    """A Probe attribute: a model field's values (``order`` 0), exact
+    partials (1) or second partials (2) at its points, passed through
+    ``then``.  A field without the partials asked for is an error, never a
+    finite-difference fallback.  Second partials, read once each (by
+    ``curv`` and ``dh``), are not kept."""
+
+    def __init__(self, field: str, order: int = 0, then=None):
+        self.field, self.order, self.then = field, order, then or (lambda d: d)
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, probe, owner=None):
+        if probe is None:
+            return self
+        field = getattr(probe.model, self.field)
+        fn = (field, field.partials, field.second)[self.order]
+        if fn is None:
+            raise ValueError(f"{field!r} carries no exact partials of "
+                             f"order {self.order}")
+        value = self.then(np.asarray(fn(probe.pts), dtype=float))
+        if self.order < 2:
+            probe.__dict__[self.name] = value
+        return value
+
+
 class Probe:
     """Lazy per-plan cache of everything the identities consume.
 
-    phi, xi, eta and g, and the partials of phi, xi and g, are evaluated
-    once; everything else is derived from those values.
+    phi, xi, eta and g, and the fields' exact partials (second partials
+    of phi, xi and g), are evaluated once; everything else is derived from
+    those values in closed form, with no finite differences.
     """
 
     def __init__(self, model: AlmostContactModel, pts: np.ndarray,
-                 scheme: DiffScheme, rand_pairs: int = 4, seed: int = 0):
+                 rand_pairs: int = 4, seed: int = 0):
         self.model = model
         self.pts, _ = as_points(pts)
-        self.scheme = scheme
         self.rand_pairs = rand_pairs
         self.seed = seed
         self.n = self.pts.shape[0]
 
-    # --- closed-form values -------------------------------------------------
+    # --- the model's fields: values, exact partials, second partials ---------
 
-    @cached_property
-    def g(self):
-        return self.model.g(self.pts)
-
-    @cached_property
-    def phi(self):
-        return self.model.phi(self.pts)
-
-    @cached_property
-    def xi(self):
-        return self.model.xi(self.pts)
-
-    @cached_property
-    def eta(self):
-        return self.model.eta(self.pts)
-
-    @cached_property
-    def k(self):
-        return self.model.k_nom(self.pts)
-
-    @cached_property
-    def mu(self):
-        return self.model.mu_nom(self.pts)
-
-    @cached_property
-    def lam_nom(self):
-        return self.model.lam_nom(self.pts)
+    g = _Eval("g")
+    phi = _Eval("phi")
+    xi = _Eval("xi")
+    eta = _Eval("eta")
+    k = _Eval("k_nom")
+    mu = _Eval("mu_nom")
+    lam_nom = _Eval("lam_nom")
+    dg = _Eval("g", 1)
+    ddg = _Eval("g", 2)
+    dxi = _Eval("xi", 1)
+    ddxi = _Eval("xi", 2)
+    dphi = _Eval("phi", 1)
+    ddphi = _Eval("phi", 2)
+    dk = _Eval("k_nom", 1)
+    dmu = _Eval("mu_nom", 1)
+    dlam = _Eval("lam_nom", 1)
+    deta = _Eval("eta", 1, then=exterior_differential)
 
     @cached_property
     def eye(self):
         return np.broadcast_to(np.eye(3), (self.n, 3, 3))
 
-    # --- the one FD pass ----------------------------------------------------
-
-    @cached_property
-    def fd_partials(self):
-        """Coordinate partials of every quantity differentiated by FD.
-
-        The stacked field's value at the stencil nodes is :attr:`stack` of a
-        Probe there, so each quantity has one definition at the sample
-        points and at every node, and one stencil pass serves them all.
-        Maps each name of ``_STACK`` to its partials ``[n, axis, ...]``.
-        """
-        model, scheme = self.model, self.scheme  # fn holds no Probe
-        sizes = [int(np.prod(shape)) for _, shape in _STACK]
-        field = ArrayField(lambda q: Probe(model, q, scheme).stack, model.domain,
-                           out_shape=(sum(sizes),),
-                           axis_quanta=model.g.axis_quanta, varies=model.g.varies)
-        d = coordinate_derivatives(field, self.pts, scheme)
-        ends = np.cumsum(sizes)
-        return {name: d[:, :, end - size:end].reshape((self.n, 3) + shape)
-                for (name, shape), size, end in zip(_STACK, sizes, ends)}
-
-    @property
-    def stack(self):
-        """The quantities of ``_STACK``, flattened per point and concatenated."""
-        parts = (self.h, self.hp, self.bmat, self.eigen.x, self.gamma)
-        return np.concatenate([a.reshape(self.n, -1) for a in parts], axis=1)
-
     # --- connection and curvature -------------------------------------------
-
-    @cached_property
-    def dg(self):
-        return coordinate_derivatives(self.model.g, self.pts, self.scheme)
 
     @cached_property
     def _levi_civita(self):
@@ -233,7 +205,8 @@ class Probe:
 
     @cached_property
     def curv(self):
-        return curvature(self.gamma, self.ginv, self.fd_partials["gamma"])
+        dgamma = christoffel_partials(self.gamma, self.ginv, self.dg, self.ddg)
+        return curvature(self.gamma, self.ginv, dgamma)
 
     @cached_property
     def r_xi(self):
@@ -260,34 +233,40 @@ class Probe:
         return self.model.nullity_operator(self.h, self.phi)
 
     @cached_property
-    def dxi(self):
-        return coordinate_derivatives(self.model.xi, self.pts, self.scheme)
+    def dh(self):
+        """d_b h = (1/2)(L_{d_b xi} phi + L_xi d_b phi), ``[n, b, i, j]``."""
+        return 0.5 * (lie_derivative(self.dxi, self.ddxi, self.phi[:, None],
+                                     self.dphi[:, None])
+                      + lie_derivative(self.xi[:, None], self.dxi[:, None],
+                                       self.dphi, self.ddphi))
+
+    @cached_property
+    def dhp(self):
+        """d h' = (d h) phi + h d phi."""
+        return self.dh @ self.phi[:, None] + self.h[:, None] @ self.dphi
+
+    @cached_property
+    def db(self):
+        """d B = (d phi) h + phi d h."""
+        return self.dphi @ self.h[:, None] + self.phi[:, None] @ self.dh
 
     @cached_property
     def nabla_xi(self):
         """(nabla_k xi)^i as operator [n, i, k]."""
-        op = (np.einsum("nki->nik", self.dxi)
-              + np.einsum("niks,ns->nik", self.gamma, self.xi))
-        return op
+        return (np.einsum("nki->nik", self.dxi)
+                + np.einsum("niks,ns->nik", self.gamma, self.xi))
 
     @cached_property
     def nabla_h(self):
-        return covariant_differential(self.h, self.fd_partials["h"],
-                                      self.gamma)
+        return covariant_differential(self.h, self.dh, self.gamma)
 
     @cached_property
     def nabla_hp(self):
-        return covariant_differential(self.hp, self.fd_partials["hp"],
-                                      self.gamma)
+        return covariant_differential(self.hp, self.dhp, self.gamma)
 
     @cached_property
     def nabla_b(self):
-        return covariant_differential(self.bmat, self.fd_partials["b"],
-                                      self.gamma)
-
-    @cached_property
-    def dphi(self):
-        return coordinate_derivatives(self.model.phi, self.pts, self.scheme)
+        return covariant_differential(self.bmat, self.db, self.gamma)
 
     @cached_property
     def nabla_phi(self):
@@ -295,25 +274,11 @@ class Probe:
 
     @cached_property
     def lie_h(self):
-        return lie_derivative(self.xi, self.dxi, self.h, self.fd_partials["h"])
+        return lie_derivative(self.xi, self.dxi, self.h, self.dh)
 
     @cached_property
     def lie_hp(self):
-        return lie_derivative(self.xi, self.dxi, self.hp, self.fd_partials["hp"])
-
-    # --- scalars' differentials ----------------------------------------------
-
-    @cached_property
-    def dk(self):
-        return coordinate_derivatives(self.model.k_nom, self.pts, self.scheme)
-
-    @cached_property
-    def dmu(self):
-        return coordinate_derivatives(self.model.mu_nom, self.pts, self.scheme)
-
-    @cached_property
-    def dlam(self):
-        return coordinate_derivatives(self.model.lam_nom, self.pts, self.scheme)
+        return lie_derivative(self.xi, self.dxi, self.hp, self.dhp)
 
     # --- the fundamental 2-form ----------------------------------------------
 
@@ -327,10 +292,6 @@ class Probe:
         """(nabla_k Phi)_{ij} = g_is (nabla_k phi)^s_j, as nabla g = 0."""
         return self.g[:, None] @ self.nabla_phi
 
-    @cached_property
-    def deta(self):
-        return exterior_derivative(self.model.eta, self.pts, self.scheme)
-
     # --- frames and vector pools ----------------------------------------------
 
     @cached_property
@@ -343,15 +304,32 @@ class Probe:
         return np.stack([self.xi, self.eigen.x, self.eigen.phi_x], axis=1)
 
     @cached_property
+    def dx(self):
+        """d_a X = alpha_a X + c_a phi X, ``[n, a, i]``.
+
+        X stays g-unit, alpha = -(1/2) d_a g(X, X), and stays an eigenvector
+        of T in ker(eta) with T phi X = -lam phi X, c = g((d_a T) X, phi X) /
+        (2 lam).  eta is a multiple of dz or dt in every family, so
+        eta(d_a X) = 0: d_a X has no xi part.
+        """
+        ef = self.eigen
+        d_t = self.dhp if self.model.variant == "hp" else self.dh
+        gpx = (self.g @ ef.phi_x[..., None])[..., 0]
+        alpha = -0.5 * np.einsum("naij,ni,nj->na", self.dg, ef.x, ef.x)
+        c = (np.einsum("naij,nj,ni->na", d_t, ef.x, gpx)
+             * (0.5 / np.maximum(ef.lam, 1e-300))[:, None])
+        return (alpha[..., None] * ef.x[:, None]
+                + c[..., None] * ef.phi_x[:, None])
+
+    @cached_property
     def frame_nabla(self):
         """(nabla_{E_a} E_b)^i over the adapted frame E, indexed [n, a, b, i].
 
-        X takes its stacked partials, and phi X the product rule
+        X takes :attr:`dx`, and phi X the product rule
         nabla(phi X) = (nabla phi) X + phi nabla X.
         """
         x = self.eigen.x
-        nabla_x = (self.fd_partials["x"]
-                   + np.einsum("nias,ns->nai", self.gamma, x))      # [n, k, i]
+        nabla_x = self.dx + np.einsum("nias,ns->nai", self.gamma, x)  # [n, k, i]
         nabla_phi_x = (np.einsum("nkij,nj->nki", self.nabla_phi, x)
                        + np.einsum("nij,nkj->nki", self.phi, nabla_x))
         nabla_e = np.stack([self.nabla_xi.transpose(0, 2, 1), nabla_x,
@@ -685,16 +663,30 @@ def _pool_riemann(t, pool):
     return (pool @ s).reshape(n, size, size, size, 3)
 
 
+def _weyl_tensor(p: Probe):
+    """W(X, Y) Z = R(X, Y) Z minus the right-hand side, U = Q - (Sc/2) I:
+    W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l.
+
+    Formed in long double, 64 points at a time, and rounded once.  In
+    float64 the rounding of its five terms dominates a residual at its
+    floor: on a kmu-darboux sweep suite (mu = 0.858, t in [-1, 1]) it put
+    WEYL3 5.2e-10 from the long-double reference, and 2.7e-16 this way.
+    """
+    out = np.empty_like(p.curv.riemann)
+    for s in range(0, p.n, 64):
+        riem, g, q, sc = (a[s:s + 64].astype(np.longdouble) for a in (
+            p.curv.riemann, p.g, p.curv.q, p.curv.scalar))
+        u = q - 0.5 * sc[:, None, None] * np.eye(3)
+        g_jl, gq_jl = g.transpose(0, 2, 1), (g @ q).transpose(0, 2, 1)
+        # t^i_jkl = g_lj U^i_k + (gQ)_lj d^i_k: W = R - t + t, k and l swapped
+        t = (u[:, :, None, :, None] * g_jl[:, None, :, None, :]
+             + np.eye(3)[:, None, :, None] * gq_jl[:, None, :, None, :])
+        out[s:s + 64] = riem - t + t.swapaxes(3, 4)
+    return out
+
+
 def _res_weyl3(p: Probe):
-    # W(X, Y) Z = R(X, Y) Z minus the right-hand side, with U = Q - (Sc/2) I:
-    # W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l
-    u = p.curv.q - 0.5 * p.curv.scalar[:, None, None] * p.eye
-    gq = p.g @ p.curv.q
-    w = (p.curv.riemann
-         - np.einsum("nlj,nik->nijkl", p.g, u) + np.einsum("nkj,nil->nijkl", p.g, u)
-         - np.einsum("nlj,ik->nijkl", gq, np.eye(3))
-         + np.einsum("nkj,il->nijkl", gq, np.eye(3)))
-    v = _pool_riemann(w, p.pool).reshape(p.n, -1, 3)
+    v = _pool_riemann(_weyl_tensor(p), p.pool).reshape(p.n, -1, 3)
     return np.max(g_norm(v, p.g[:, None]), axis=1)
 
 
@@ -852,7 +844,6 @@ def _run(spec: IdentitySpec, probe: Probe, tolerance: float) -> ResidualReport:
 
 def check_identity(model: AlmostContactModel, identity: str,
                    plan: SamplePlan | None = None,
-                   scheme: DiffScheme | None = None,
                    tolerance: float | None = None,
                    probe: Probe | None = None) -> ResidualReport:
     """Evaluate one identity; returns a not-applicable report when the
@@ -861,7 +852,6 @@ def check_identity(model: AlmostContactModel, identity: str,
         raise KeyError(f"unknown identity {identity!r}")
     spec = IDENTITIES[identity]
     plan = plan or SamplePlan()
-    scheme = scheme or DiffScheme()
     if not spec.applies(model):
         return ResidualReport(
             id=spec.id, formula=spec.formula, residual=float("nan"),
@@ -869,60 +859,38 @@ def check_identity(model: AlmostContactModel, identity: str,
             profile=spec.profile, verdict="not-applicable",
             max_point=None, samples=0)
     if probe is None:
-        probe = Probe(model, plan.points(model), scheme,
-                      plan.rand_pairs, plan.seed)
-    tol = tolerance if tolerance is not None else spec.tol()
-    report = _run(spec, probe, tol)
-    if (report.verdict == "fail" and identity == "CURV2"
-            and model.trajectory is None):
-        # distinguish truncation from structural failure by a half-step
-        # rerun; trajectory-backed fields snap their t-steps to the node
-        # grid, so there a half step would equal the full one
-        fine = Probe(model, probe.pts, scheme.refined(),
-                     plan.rand_pairs, plan.seed)
-        fine_res = float(np.max(spec.fn(fine)))
-        ratio = report.residual / fine_res if fine_res > 0 else float("inf")
-        refinement = {
-            "residualHalfStep": fine_res,
-            "reductionRatio": ratio,
-            "classification": "numerical" if ratio >= 8.0 else "structural",
-        }
-        report = ResidualReport(**{**report.__dict__, "refinement": refinement})
-    return report
+        probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
+    return _run(spec, probe, tolerance if tolerance is not None else spec.tol())
 
 
 def check_suite(model: AlmostContactModel, identities=None,
                 plan: SamplePlan | None = None,
-                scheme: DiffScheme | None = None,
                 tolerances: dict[str, float] | None = None,
                 profile: str | None = None) -> list[ResidualReport]:
     """Run a list of identities (default: every one known) on one shared
     evaluation cache; per-identity tolerances override the profile."""
     plan = plan or SamplePlan()
-    scheme = scheme or DiffScheme()
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
     tolerances = tolerances or {}
-    probe = Probe(model, plan.points(model), scheme, plan.rand_pairs, plan.seed)
+    probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
     reports = []
     for name in ids:
         tol = tolerances.get(name)
         if tol is None and profile is not None:
             tol = PROFILES[profile]
-        reports.append(check_identity(model, name, plan, scheme, tol, probe))
+        reports.append(check_identity(model, name, plan, tol, probe))
     return reports
 
 
 def nullity_residual(model: AlmostContactModel, variant: str | None = None,
-                     plan: SamplePlan | None = None,
-                     scheme: DiffScheme | None = None) -> ResidualReport:
+                     plan: SamplePlan | None = None) -> ResidualReport:
     """Residual of the family's nullity condition (variant h or hp)."""
     variant = variant or model.variant
     name = "NULL_KMU" if variant == "h" else "NULL_KMUP"
-    return check_identity(model, name, plan, scheme)
+    return check_identity(model, name, plan)
 
 
-def infer_k_mu(model: AlmostContactModel, pts,
-               scheme: DiffScheme | None = None):
+def infer_k_mu(model: AlmostContactModel, pts):
     """Recover (k, mu) from the curvature at each point.
 
     With a unit eigenvector X (T X = lam X):
@@ -931,7 +899,7 @@ def infer_k_mu(model: AlmostContactModel, pts,
     mu is flagged indeterminate where lam < 1e-6.
     """
     pts, single = as_points(pts)
-    p = Probe(model, pts, scheme or DiffScheme())
+    p = Probe(model, pts)
     ef = p.eigen
     lx = p.curv.apply(ef.x, p.xi, p.xi)
     lpx = p.curv.apply(ef.phi_x, p.xi, p.xi)

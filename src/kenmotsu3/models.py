@@ -13,9 +13,10 @@ Chart families (coordinates x, y, z on {z < -1}, lam = sqrt(-1-z), k = z):
               a = x (1 + lam) + f(z),  b = y (1 - lam) + r(z);
               h' e1 = lam e1.
 
-Chart fields carry exact partials: the builders give (a, b, c) of xi
-together with their partials, from mu', f', r' (``Expr.diff``) and
-lam' = -1/(2 lam).
+Every field of every family carries exact partials, and phi, xi and g
+their exact second partials too.  The chart builders write (a, b, c) of xi
+once, and second-order jets run that formula for the partials, from mu, f,
+r and two ``Expr.diff`` derivatives of each.
 
 Darboux families (coordinates x, y, t): phi's spatial block is the F(t) of
 the matrix ODE, g = dt^2 + e^{2t} G(t) with G = -M2 F, xi = d_t, eta = dt.
@@ -110,6 +111,32 @@ def _on_axis2(block):
     return out
 
 
+def _zeros(*shape):
+    """A field's partials that vanish: points (n, 3) to zeros (n,) + shape."""
+    return lambda pts: np.zeros((len(pts),) + shape)
+
+
+def _on_t(block, order, tt=0.0):
+    """(n,) + (3,) * order + (3, 3): the 2x2 ``block`` in the leaf corner,
+    as the ``order``-th partial along the third axis alone; a value
+    (``order`` 0) takes ``tt`` in its (t, t) entry."""
+    out = np.zeros((len(block),) + (3,) * order + (3, 3))
+    out[(slice(None),) + (2,) * order + (slice(0, 2), slice(0, 2))] = block
+    if not order:
+        out[:, 2, 2] = tt
+    return out
+
+
+# d_t^k (e^{2t} G) = e^{2t} sum_j c_kj G^(j): the coefficients c_kj
+_EXP2T_RULE = ((1.0,), (2.0, 1.0), (4.0, 4.0, 1.0))
+
+
+def _layered(cls, layer, domain, name, **kw):
+    """A field with values, partials and second partials ``layer(0..2)``."""
+    return cls(layer(0), domain, partials=layer(1), second=layer(2),
+               name=name, **kw)
+
+
 @dataclass(frozen=True)
 class KmuChartParams:
     """Inputs for the kmu chart family; mu, f, r are functions of z."""
@@ -161,13 +188,96 @@ class DarbouxParams:
 # Chart families
 # --------------------------------------------------------------------------
 
-def _quotient_partials(u, c, du, dc):
-    """Partials (n, 3) of u/c from those of u and c (quotient rule)."""
-    return (du - (u / c)[:, None] * dc) / c[:, None]
+def _sym_outer(p, q):
+    """p (x) q + q (x) p of per-point gradients (n, 3): (n, 3, 3)."""
+    o = p[:, :, None] * q[:, None, :]
+    return o + o.transpose(0, 2, 1)
 
 
-def _chart_fields(domain, coeff_fn, dcoeff_fn):
-    """Assemble (phi, xi, eta, g) from per-point (a, b, c) coefficients.
+class _Jet:
+    """Second-order jet of a scalar on a batch of points: value (n,),
+    gradient (n, 3) and Hessian (n, 3, 3), closed under + - * / with jets
+    and constants (forward-mode differentiation)."""
+
+    __slots__ = ("v", "d", "dd")
+    __array_ufunc__ = None  # an array operand defers to the jet's operator
+
+    def __init__(self, v, d, dd):
+        self.v, self.d, self.dd = v, d, dd
+
+    @classmethod
+    def along(cls, axis, e, de, dde):
+        """The jet of a function of coordinate ``axis`` alone, from its
+        value and first and second derivatives."""
+        n = len(e)
+        d, dd = np.zeros((n, 3)), np.zeros((n, 3, 3))
+        d[:, axis], dd[:, axis, axis] = de, dde
+        return cls(e, d, dd)
+
+    def _lift(self, u):
+        if isinstance(u, _Jet):
+            return u
+        return _Jet(np.broadcast_to(u, self.v.shape), np.zeros_like(self.d),
+                    np.zeros_like(self.dd))
+
+    def __add__(self, u):
+        u = self._lift(u)
+        return _Jet(self.v + u.v, self.d + u.d, self.dd + u.dd)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d, -self.dd)
+
+    def __sub__(self, u):
+        return self + -self._lift(u)
+
+    def __rsub__(self, u):
+        return -self + u
+
+    def __mul__(self, u):
+        u = self._lift(u)
+        v, w = self.v, u.v
+        return _Jet(v * w, self.d * w[:, None] + v[:, None] * u.d,
+                    self.dd * w[:, None, None] + v[:, None, None] * u.dd
+                    + _sym_outer(self.d, u.d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, u):
+        # q = self / u from self = q u, differentiated once and twice
+        u = self._lift(u)
+        w = u.v
+        q = self.v / w
+        dq = (self.d - q[:, None] * u.d) / w[:, None]
+        return _Jet(q, dq, (self.dd - q[:, None, None] * u.dd
+                            - _sym_outer(dq, u.d)) / w[:, None, None])
+
+    def __rtruediv__(self, u):
+        return self._lift(u) / self
+
+
+def _phi_entries(a, b, c):
+    return {(0, 1): -1.0, (1, 0): 1.0, (0, 2): -b / c, (1, 2): a / c}
+
+
+def _xi_entries(a, b, c):
+    return {(0,): a, (1,): b, (2,): -c}
+
+
+def _eta_entries(a, b, c):
+    return {(2,): -1.0 / c}
+
+
+def _g_entries(a, b, c):
+    p, q = a / c, b / c
+    return {(0, 0): 1.0, (1, 1): 1.0, (0, 2): p, (2, 0): p, (1, 2): q,
+            (2, 1): q, (2, 2): (1.0 + a * a + b * b) / (c * c)}
+
+
+def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
+                 r: Expr, coeff) -> AlmostContactModel:
+    """A chart model with nominal k = z, lam = sqrt(-1-z) and the given mu.
 
     Both chart families share the frame structure e1 = d_x, e2 = d_y,
     e3 = xi = a d_x + b d_y - c d_z with eta = -dz/c:
@@ -175,81 +285,39 @@ def _chart_fields(domain, coeff_fn, dcoeff_fn):
         g   = [[1, 0, a/c], [0, 1, b/c], [a/c, b/c, (1+a^2+b^2)/c^2]]
         phi = [[0, -1, -b/c], [1, 0, a/c], [0, 0, 0]]
 
-    ``coeff_fn`` maps points to ``(a, b, c)`` and ``dcoeff_fn`` to their
-    partials ``(da, db, dc)``, each ``(n, 3)``, axis last; every field
-    carries its exact partials, from these by the quotient rule, and a value
-    alone evaluates no partial.
+    ``coeff(x, y, z, lam, mu, f, r)`` gives (a, b, c), on arrays for the
+    fields' values and on second-order jets for their exact partials and
+    second partials: mu, f and r enter with two ``Expr.diff`` derivatives,
+    lam with lam' = -1/(2 lam) and lam'' = -1/(4 lam^3).  A value alone
+    builds no jet.  k, mu and lam carry their exact z-partials.
     """
-
-    def phi_fn(pts):
-        a, b, c = coeff_fn(pts)
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, 0, 1] = -1.0
-        out[:, 1, 0] = 1.0
-        out[:, 0, 2] = -b / c
-        out[:, 1, 2] = a / c
-        return out
-
-    def dphi_fn(pts):
-        (a, b, c), (da, db, dc) = coeff_fn(pts), dcoeff_fn(pts)
-        out = np.zeros((pts.shape[0], 3, 3, 3))
-        out[:, :, 0, 2] = -_quotient_partials(b, c, db, dc)
-        out[:, :, 1, 2] = _quotient_partials(a, c, da, dc)
-        return out
-
-    def xi_fn(pts):
-        a, b, c = coeff_fn(pts)
-        return np.stack([a, b, -c], axis=1)
-
-    def dxi_fn(pts):
-        da, db, dc = dcoeff_fn(pts)
-        return np.stack([da, db, -dc], axis=2)
-
-    def eta_fn(pts):
-        _, _, c = coeff_fn(pts)
-        out = np.zeros((pts.shape[0], 3))
-        out[:, 2] = -1.0 / c
-        return out
-
-    def deta_fn(pts):  # d(-1/c) = dc / c^2
-        (_, _, c), (_, _, dc) = coeff_fn(pts), dcoeff_fn(pts)
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, :, 2] = dc / (c * c)[:, None]
-        return out
-
-    def g_fn(pts):
-        a, b, c = coeff_fn(pts)
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        out[:, 0, 2] = out[:, 2, 0] = a / c
-        out[:, 1, 2] = out[:, 2, 1] = b / c
-        out[:, 2, 2] = (1.0 + a * a + b * b) / (c * c)
-        return out
-
-    def dg_fn(pts):
-        (a, b, c), (da, db, dc) = coeff_fn(pts), dcoeff_fn(pts)
-        out = np.zeros((pts.shape[0], 3, 3, 3))
-        out[:, :, 0, 2] = out[:, :, 2, 0] = _quotient_partials(a, c, da, dc)
-        out[:, :, 1, 2] = out[:, :, 2, 1] = _quotient_partials(b, c, db, dc)
-        out[:, :, 2, 2] = _quotient_partials(
-            1.0 + a * a + b * b, c * c,
-            2.0 * (a[:, None] * da + b[:, None] * db), 2.0 * c[:, None] * dc)
-        return out
-
-    return (Tensor11Field(phi_fn, domain, partials=dphi_fn, name="phi"),
-            VectorField(xi_fn, domain, partials=dxi_fn, name="xi"),
-            CovectorField(eta_fn, domain, partials=deta_fn, name="eta"),
-            MetricField(g_fn, domain, partials=dg_fn, name="g"))
-
-
-def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
-                 r: Expr, coeff_fn, dcoeff_fn) -> AlmostContactModel:
-    """A chart model with nominal k = z, lam = sqrt(-1-z) and the given mu;
-    k, mu and lam carry their exact z-partials."""
-    dmu = mu.diff()
+    dmu, df, dr = (e.diff() for e in (mu, f, r))
+    ddmu, ddf, ddr = (e.diff() for e in (dmu, df, dr))
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
-    phi, xi, eta, g = _chart_fields(domain, coeff_fn, dcoeff_fn)
+
+    def coeffs(pts, order):
+        x, y, z = pts.T
+        lam = np.sqrt(-1.0 - z)
+        if not order:
+            return coeff(x, y, z, lam, mu(z), f(z), r(z))
+        one, zero = np.ones(len(z)), np.zeros(len(z))
+        return coeff(*(_Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)),
+                     _Jet.along(2, lam, -0.5 / lam, -0.25 / lam ** 3),
+                     *(_Jet.along(2, e(z), de(z), dde(z)) for e, de, dde in
+                       ((mu, dmu, ddmu), (f, df, ddf), (r, dr, ddr))))
+
+    def layers(entries, out_shape):
+        def layer(order):
+            def fn(pts):
+                out = np.zeros((len(pts),) + (3,) * order + out_shape)
+                for index, e in entries(*coeffs(pts, order)).items():
+                    if not order:
+                        out[(Ellipsis,) + index] = e
+                    elif isinstance(e, _Jet):  # constants have no partials
+                        out[(Ellipsis,) + index] = e.d if order == 1 else e.dd
+                return out
+            return fn
+        return layer
 
     def dlam(p):  # lam' = -1/(2 lam)
         return _on_axis2(-0.5 / np.sqrt(-1.0 - p[:, 2]))
@@ -257,7 +325,10 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
     return AlmostContactModel(
         family=family, variant=variant, coords=("x", "y", "z"),
         domain=domain, default_box=box,
-        phi=phi, xi=xi, eta=eta, g=g,
+        phi=_layered(Tensor11Field, layers(_phi_entries, (3, 3)), domain, "phi"),
+        xi=_layered(VectorField, layers(_xi_entries, (3,)), domain, "xi"),
+        eta=_layered(CovectorField, layers(_eta_entries, (3,)), domain, "eta"),
+        g=_layered(MetricField, layers(_g_entries, (3, 3)), domain, "g"),
         k_nom=ScalarField(lambda p: p[:, 2].copy(), domain,
                           partials=lambda p: _on_axis2(np.ones(len(p))), name="k"),
         mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain,
@@ -269,55 +340,26 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
     )
 
 
-def _chart_inputs(pts):
-    """x, y, z, lam = sqrt(-1-z), lam' = -1/(2 lam), and 0, 1 columns."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    lam = np.sqrt(-1.0 - z)
-    return x, y, z, lam, -0.5 / lam, np.zeros_like(z), np.ones_like(z)
-
-
 def build_kmu_chart_model(params: KmuChartParams) -> AlmostContactModel:
     """The kmu chart family on {z < -1} with nominal k = z."""
     mu, f, r = params.resolved()
-    dmu, df, dr = mu.diff(), f.diff(), r.diff()
 
-    def coeff(pts):
-        x, y, z, lam = _chart_inputs(pts)[:4]
-        muv = mu(z)
-        return (x - (0.5 * muv + lam) * y + f(z),
-                (0.5 * muv - lam) * x + y + r(z), 4.0 * (1.0 + z))
+    def coeff(x, y, z, lam, muv, fv, rv):
+        return (x - (0.5 * muv + lam) * y + fv,
+                (0.5 * muv - lam) * x + y + rv, 4.0 * (1.0 + z))
 
-    def dcoeff(pts):
-        x, y, z, lam, dlam, zero, one = _chart_inputs(pts)
-        muv, dmuv = mu(z), dmu(z)
-        dalpha = np.stack([one, -(0.5 * muv + lam),
-                           -(0.5 * dmuv + dlam) * y + df(z)], axis=1)
-        dbeta = np.stack([0.5 * muv - lam, one,
-                          (0.5 * dmuv - dlam) * x + dr(z)], axis=1)
-        return dalpha, dbeta, np.stack([zero, zero, 4.0 * one], axis=1)
-
-    return _chart_model("kmu-chart", "h", params.box, mu, f, r, coeff, dcoeff)
+    return _chart_model("kmu-chart", "h", params.box, mu, f, r, coeff)
 
 
 def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
     """The kmup chart family on {z < -1}, mu != -2, nominal k = z."""
     mu, f, r = params.resolved()
-    dmu, df, dr = mu.diff(), f.diff(), r.diff()
 
-    def coeff(pts):
-        x, y, z, lam = _chart_inputs(pts)[:4]
-        return (x * (1.0 + lam) + f(z), y * (1.0 - lam) + r(z),
-                2.0 * (1.0 + z) * (mu(z) + 2.0))
+    def coeff(x, y, z, lam, muv, fv, rv):
+        return (x * (1.0 + lam) + fv, y * (1.0 - lam) + rv,
+                2.0 * (1.0 + z) * (muv + 2.0))
 
-    def dcoeff(pts):
-        x, y, z, lam, dlam, zero, one = _chart_inputs(pts)
-        da = np.stack([1.0 + lam, zero, x * dlam + df(z)], axis=1)
-        db = np.stack([zero, 1.0 - lam, -y * dlam + dr(z)], axis=1)
-        dc = np.stack([zero, zero,
-                       2.0 * (mu(z) + 2.0) + 2.0 * (1.0 + z) * dmu(z)], axis=1)
-        return da, db, dc
-
-    return _chart_model("kmup-chart", "hp", params.box, mu, f, r, coeff, dcoeff)
+    return _chart_model("kmup-chart", "hp", params.box, mu, f, r, coeff)
 
 
 # --------------------------------------------------------------------------
@@ -330,59 +372,38 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
     block is F(t); xi = d_t, eta = dt.  Positive definiteness of G is
     asserted at every node (det G = 1 is an invariant of the exact flow).
-    Every field depends on t alone and carries its exact t-partial: mu from
-    ``Expr.diff``, the others from the ODE slopes: d_t phi is the block of
-    F' = 2H, d_t g = e^{2t}(2G + G') with G' = -M2 F', and lam' = -f' lam.
+    Every field depends on t alone and carries its exact t-partials: mu
+    from ``Expr.diff``, the others from the ODE slopes: F' = 2H, F'' = 2H',
+    d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k), lam' = -f' lam.
     """
     mu_bar = params.resolved()
     dmu_bar = mu_bar.diff()
     t0, t1 = map(float, params.t_range)
-    # integrate a few stencil widths past the requested range so the
-    # finite differences of derived fields (h, the connection) at the
-    # interval ends stay on centered windows
-    pad = 8.0 * params.step * max(1.0, abs(t0), abs(t1))
-    traj = integrate(params.variant, mu_bar, (t0 - pad, t1 + pad), params.step)
+    traj = integrate(params.variant, mu_bar, (t0, t1), params.step)
     metric_from_state(traj.times, traj.states)  # raises on PD failure
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
-    # every field depends on t alone; its t-partial comes from the ODE slopes
-    t_only = dict(axis_quanta=(None, None, traj.step), varies=(False, False, True))
+    t_only = dict(varies=(False, False, True))
 
-    def f_g_at(ts):
-        states = traj.dense(ts)
-        fmat = _as_matrix(states[:, 0:3])
-        gmat = -M2 @ fmat
-        return fmat, gmat
+    def f_blocks(ts, order):
+        """F and its first ``order`` t-derivatives, as 2x2 matrices."""
+        out = [_as_matrix(traj.dense(ts)[:, 0:3])]
+        if order:
+            slope = traj.slopes(ts)
+            out += [_as_matrix(slope[:, 0:3]), 2.0 * _as_matrix(slope[:, 3:6])]
+        return out[:order + 1]
 
-    def phi_fn(pts):
-        fmat, _ = f_g_at(pts[:, 2])
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, :2, :2] = fmat
-        return out
+    def phi_layer(order):
+        return lambda pts: _on_t(f_blocks(pts[:, 2], order)[order], order)
 
-    def g_fn(pts):
-        _, gmat = f_g_at(pts[:, 2])
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, :2, :2] = np.exp(2.0 * pts[:, 2])[:, None, None] * gmat
-        out[:, 2, 2] = 1.0
-        return out
-
-    def dphi_fn(pts):
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, :2, :2] = _as_matrix(traj.slopes(pts[:, 2])[:, 0:3])  # F' = 2H
-        return _on_axis2(out)
-
-    def dg_fn(pts):
-        ts = pts[:, 2]
-        _, gmat = f_g_at(ts)
-        dgmat = -M2 @ _as_matrix(traj.slopes(ts)[:, 0:3])
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, :2, :2] = np.exp(2.0 * ts)[:, None, None] * (2.0 * gmat + dgmat)
-        return _on_axis2(out)
-
-    def zero_partials(pts):
-        return np.zeros((pts.shape[0], 3, 3))
+    def g_layer(order):
+        def fn(pts):
+            ts = pts[:, 2]
+            gs = [-M2 @ f for f in f_blocks(ts, order)]
+            block = sum(c * gk for c, gk in zip(_EXP2T_RULE[order], gs))
+            return _on_t(np.exp(2.0 * ts)[:, None, None] * block, order, 1.0)
+        return fn
 
     def lam_rate(ts):  # lambda' / lambda = -f'
         return -traj.slopes(ts)[:, 9]
@@ -401,12 +422,12 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
         coords=("x", "y", "t"),
         domain=domain,
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
-        phi=Tensor11Field(phi_fn, domain, partials=dphi_fn, **t_only, name="phi"),
-        xi=VectorField(_dt_covector, domain, partials=zero_partials, **t_only,
-                       name="xi"),
-        eta=CovectorField(_dt_covector, domain, partials=zero_partials,
+        phi=_layered(Tensor11Field, phi_layer, domain, "phi", **t_only),
+        xi=VectorField(_dt_covector, domain, partials=_zeros(3, 3),
+                       second=_zeros(3, 3, 3), **t_only, name="xi"),
+        eta=CovectorField(_dt_covector, domain, partials=_zeros(3, 3),
                           **t_only, name="eta"),
-        g=MetricField(g_fn, domain, partials=dg_fn, **t_only, name="g"),
+        g=_layered(MetricField, g_layer, domain, "g", **t_only),
         k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
                           partials=dk_fn, **t_only, name="k"),
         mu_nom=ScalarField(lambda p: mu_bar(p[:, 2]), domain,
@@ -421,38 +442,39 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
 
 
 def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
-    """Warped-product baseline g = dt^2 + c^2 e^{2t}(dx^2+dy^2); h = 0."""
+    """Warped-product baseline g = dt^2 + c^2 e^{2t}(dx^2+dy^2); h = 0.
+
+    Every field carries its closed-form partials: with w = c^2 e^{2t},
+    w' = 2w and w'' = 4w; phi, xi, eta, k, mu and lam are constant."""
     if not c > 0:
         raise ValueError("warping constant c must be positive")
     domain = ChartDomain()
 
-    def g_fn(pts):
-        out = np.zeros((pts.shape[0], 3, 3))
-        w = (c * np.exp(pts[:, 2])) ** 2
-        out[:, 0, 0] = w
-        out[:, 1, 1] = w
-        out[:, 2, 2] = 1.0
-        return out
+    def g_layer(order):
+        def fn(pts):
+            w = (c * np.exp(pts[:, 2])) ** 2 * 2.0 ** order
+            return _on_t(w[:, None, None] * np.eye(2), order, 1.0)
+        return fn
 
-    def phi_fn(pts):
-        out = np.zeros((pts.shape[0], 3, 3))
-        out[:, 1, 0] = 1.0   # phi d_x = d_y
-        out[:, 0, 1] = -1.0  # phi d_y = -d_x
-        return out
-
-    def const_scalar(v):
-        return lambda p: np.full(p.shape[0], v)
+    def const_scalar(v, name):
+        return ScalarField(lambda p: np.full(p.shape[0], v), domain,
+                           partials=_zeros(3), name=name)
 
     return AlmostContactModel(
         family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
         domain=domain, default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        phi=Tensor11Field(phi_fn, domain, name="phi"),
-        xi=VectorField(_dt_covector, domain, name="xi"),
-        eta=CovectorField(_dt_covector, domain, name="eta"),
-        g=MetricField(g_fn, domain, name="g"),
-        k_nom=ScalarField(const_scalar(-1.0), domain, name="k"),
-        mu_nom=ScalarField(const_scalar(0.0), domain, name="mu"),
-        lam_nom=ScalarField(const_scalar(0.0), domain, name="lam"),
+        # phi d_x = d_y, phi d_y = -d_x
+        phi=Tensor11Field(lambda p: _on_t(np.broadcast_to(-M2, (len(p), 2, 2)), 0),
+                          domain, partials=_zeros(3, 3, 3),
+                          second=_zeros(3, 3, 3, 3), name="phi"),
+        xi=VectorField(_dt_covector, domain, partials=_zeros(3, 3),
+                       second=_zeros(3, 3, 3), name="xi"),
+        eta=CovectorField(_dt_covector, domain, partials=_zeros(3, 3),
+                          name="eta"),
+        g=_layered(MetricField, g_layer, domain, "g"),
+        k_nom=const_scalar(-1.0, "k"),
+        mu_nom=const_scalar(0.0, "mu"),
+        lam_nom=const_scalar(0.0, "lam"),
         params={"c": c},
     )
 

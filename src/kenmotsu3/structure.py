@@ -96,13 +96,14 @@ def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
     """(L_xi T)^i_j = xi^a d_a T^i_j - T^a_j d_a xi^i + T^i_s d_j xi^s.
 
     For the coordinate field e_j this is [xi, T e_j] - T [xi, e_j], from the
-    values of xi (n,3) and of a (1,1) tensor T (n,3,3) and their coordinate
-    partials (axis first).
+    values of xi (..., 3) and of a (1,1) tensor T (..., 3, 3) and their
+    coordinate partials (axis before the components); the leading axes
+    broadcast.
     """
     # the first einsum's inner loop runs over (i, j), 9 long, and beat a
     # matmul; the other two contract a 3-long index and take matmuls
-    dxi_t = dxi.transpose(0, 2, 1)
-    return (np.einsum("na,naij->nij", xi, dt_vals)
+    dxi_t = np.swapaxes(dxi, -1, -2)
+    return (np.einsum("...a,...aij->...ij", xi, dt_vals)
             - dxi_t @ t_vals + t_vals @ dxi_t)
 
 
@@ -111,8 +112,8 @@ def compute_h(model: AlmostContactModel, pts,
     """h = (1/2) L_xi phi from the Lie-derivative definition.
 
     The partials of phi and xi are the fields' own exact ones (the chart
-    families by the quotient rule, the Darboux families from the ODE) and
-    FD otherwise (the baseline).
+    families by jets, the Darboux families from the ODE, the baseline in
+    closed form) and FD for a field that carries none.
     """
     pts, single = as_points(pts)
     dphi = coordinate_derivatives(model.phi, pts, scheme)  # (n, a, i, j)

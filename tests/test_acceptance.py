@@ -12,8 +12,9 @@ import numpy as np
 from kenmotsu3.cli import main as cli_main
 from kenmotsu3.exprs import parse_expr
 from kenmotsu3.fields import DiffScheme
-from kenmotsu3.geometry import sectional_curvature
+from kenmotsu3.geometry import riemann, sectional_curvature
 from kenmotsu3.identities import (
+    Probe,
     SamplePlan,
     check_identity,
     check_suite,
@@ -200,12 +201,13 @@ def test_criterion_5_darboux_kmup_suite():
 
 def test_criterion_6_convergence_witnesses():
     failures = []
-    # FD halving on a curvature identity of the kmu-chart suite (order 4)
+    # FD halving of riemann against the suites' exact curvature (order 4)
     model = build_kmu_chart_model(KmuChartParams(mu="1", box=CHART_BOX))
-    plan = SamplePlan(grid=3, rand_pairs=3, seed=11)
-    coarse = check_identity(model, "NULL_KMU", plan, DiffScheme(2e-3))
-    fine = check_identity(model, "NULL_KMU", plan, DiffScheme(1e-3))
-    ratio = coarse.residual / fine.residual
+    pts = SamplePlan(grid=3, rand_pairs=3, seed=11).points(model)
+    exact = Probe(model, pts).curv.riemann
+    coarse, fine = (np.abs(riemann(model.g, pts, DiffScheme(h)).riemann
+                           - exact).max() for h in (2e-3, 1e-3))
+    ratio = coarse / fine
     if ratio < 8.0:
         failures.append(f"FD halving ratio {ratio:.2f} < 8")
     # Magnus step halving on the suite-4 algebraic residuals, down to the

@@ -44,22 +44,10 @@ class TestVerify:
         assert doc["overall"] == "pass"
 
     def test_failure_exit_code(self, tmp_path):
-        code = run(["verify", "--family", "kenmotsu", "--grid", "2",
+        # the baseline's QXI residual is an exact zero, which passes any bound
+        code = run(["verify", "--family", "kmu-chart", "--grid", "2",
                     "--identities", "QXI", "--tol", "QXI=1e-30"])
         assert code == 1
-
-    def test_curv2_refinement_only_off_trajectory(self, tmp_path):
-        # Darboux fields snap t-steps to the node grid, so a half-step rerun
-        # would repeat the full step: no refinement is reported there
-        for family, refined in (("kmu-chart", True), ("kmup-darboux", False)):
-            report = tmp_path / f"{family}.json"
-            code = run(["verify", "--family", family, "--identities", "CURV2",
-                        "--tol", "CURV2=1e-30", "--grid", "2",
-                        "--report", str(report)])
-            assert code == 1
-            rep = json.loads(report.read_text())["identities"][0]
-            assert rep["verdict"] == "fail"
-            assert ("refinement" in rep) == refined, family
 
     def test_usage_errors_exit_2(self, capsys):
         assert run(["verify", "--family", "kmu-chart", "--mu", "1 +"]) == 2
@@ -98,6 +86,13 @@ class TestVerify:
                     "--grid", "3"]) == 2
         err = capsys.readouterr().err
         assert "division by zero in the derivative of 'sqrt(z + 3.0)'" in err
+        # the second derivative, which the chart partials evaluate too, names
+        # the user's node, not a node of the first derivative
+        assert run(["verify", "--family", "kmu-chart", "--mu", "(z+3)^1.5",
+                    "--grid", "3"]) == 2
+        err = capsys.readouterr().err
+        assert ("zero raised to negative power in the derivative of "
+                "'(z + 3.0)^1.5'") in err, err
 
     def test_unallocatable_step_exits_2(self, capsys):
         # 2e15 nodes exceed any address space, whatever the overcommit
@@ -105,10 +100,13 @@ class TestVerify:
         assert run(["verify", "--family", "kmu-darboux", "--t-range",
                     "-0.1", "0.1", "--step", "1e-16"]) == 2
         err = capsys.readouterr().err
-        assert "step 1e-16 needs 2000000000000017 nodes" in err, err
+        assert "step 1e-16 needs 2000000000000001 nodes" in err, err
 
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["verify", "--family", "kenmotsu", "--nope"]) == 2
+        # no suite differentiates by FD, so no option sets a step
+        assert run(["verify", "--family", "kenmotsu", "--h-rel", "1e-3"]) == 2
+        assert "unrecognized arguments: --h-rel" in capsys.readouterr().err
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -149,8 +147,8 @@ class TestBuild:
         doc = json.loads(out.read_text())
         assert doc["family"] == "kmu-darboux"
         assert doc["trajectory"]["step"] == 1e-3
-        # 501 nodes for the requested range plus the FD guard padding
-        assert doc["trajectory"]["nodes"] == 517
+        # the requested range alone: no FD stencil needs nodes beyond it
+        assert doc["trajectory"]["nodes"] == 501
         assert doc["params"]["t_range"] == [-0.25, 0.25]
 
 

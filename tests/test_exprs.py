@@ -211,6 +211,19 @@ class TestDiff:
             e.diff()(x)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("src,x,message", [
+        ("(z+3)^1.5", -3.0, "zero raised to negative power in the "
+         "derivative of '(z + 3.0)^1.5'"),
+        ("sqrt(z + 3)", -3.0,
+         "division by zero in the derivative of 'sqrt(z + 3.0)'"),
+        ("log(z)", 0.0, "division by zero in the derivative of 'log(z)'"),
+    ])
+    def test_second_derivative_names_the_original_node(self, src, x, message):
+        # not a node of the first derivative, such as '(z + 3.0)^0.5'
+        with pytest.raises(ExprDomainError) as err:
+            parse_expr(src, "z").diff().diff()(x)
+        assert str(err.value) == message
+
     def test_domain_error_of_an_original_node_names_it_plainly(self):
         with pytest.raises(ExprDomainError) as err:
             parse_expr("sqrt(z)", "z").diff()(-1.0)

@@ -76,12 +76,6 @@ class TestPartialDerivative:
         assert h[0] == pytest.approx(1e-3)
         assert h[1] == pytest.approx(4e-2)
 
-    def test_quantum_snaps_step(self):
-        scheme = DiffScheme(1e-3)
-        pts = np.array([[0.0, 0.0, 0.4]])
-        h = scheme.steps(pts, 2, quantum=3e-4)
-        assert h[0] == pytest.approx(3e-4 * 3)
-
 
 class TestLieBracket:
     def test_coordinate_fields_commute(self):

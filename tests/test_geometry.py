@@ -12,7 +12,6 @@ import pytest
 from kenmotsu3.fields import (
     ChartDomain,
     CovectorField,
-    DiffScheme,
     MetricField,
     Tensor11Field,
     coordinate_derivatives,
@@ -222,7 +221,6 @@ class TestCovariantDerivative:
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
         pts = SamplePlan(grid=2, seed=3).points(model)
         hf = Tensor11Field(lambda q: compute_h(model, q), model.domain,
-                           axis_quanta=model.g.axis_quanta,
                            varies=model.g.varies)
         h = hf(pts)
         phi = model.phi(pts)
@@ -268,8 +266,7 @@ class TestExteriorDerivative:
 
         model = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
         pts = np.array([[0.2, 0.3, 0.0], [0.0, 0.0, 0.25]])
-        phi2 = Tensor11Field(two_form, model.domain,
-                             axis_quanta=model.g.axis_quanta)
+        phi2 = Tensor11Field(two_form, model.domain)
         d3 = exterior_derivative(phi2, pts)
         comps = two_form(pts)
         eta = model.eta(pts)
@@ -289,8 +286,7 @@ class TestWeylDecomposition:
     def test_three_dim_curvature_determined_by_ricci(self):
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
         plan = SamplePlan(grid=3, rand_pairs=3, seed=11)
-        probe = Probe(model, plan.points(model), DiffScheme(),
-                      plan.rand_pairs, plan.seed)
+        probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
         from kenmotsu3.identities import IDENTITIES
         res = IDENTITIES["WEYL3"].fn(probe)
         assert np.max(res) < 5e-5

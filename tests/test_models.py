@@ -7,7 +7,7 @@ import pytest
 
 from kenmotsu3.cli import build_model, main, make_parser
 from kenmotsu3.fields import (
-    DiffScheme,
+    ArrayField,
     constant_vector_field,
     coordinate_derivatives,
     lie_bracket,
@@ -39,7 +39,7 @@ def sample(model, grid=3, seed=9):
 
 def phi12(model, pt):
     """Phi(E1, E2) = g(E1, phi E2) at one point."""
-    return Probe(model, np.array([pt]), DiffScheme()).phi2[0, 0, 1]
+    return Probe(model, np.array([pt])).phi2[0, 0, 1]
 
 
 class TestKmuChart:
@@ -170,7 +170,7 @@ class TestDarboux:
 
     def test_eigen_lambda_at_zero(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
-        ef = Probe(m, np.array([[0.0, 0.0, 0.0]]), DiffScheme()).eigen
+        ef = Probe(m, np.array([[0.0, 0.0, 0.0]])).eigen
         assert ef.lam[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -218,8 +218,7 @@ class TestDarbouxExactPartials:
             assert field.varies == (False, False, True)
             exact = coordinate_derivatives(field, pts)
             assert not exact[:, :2].any(), name
-            fd = partial_derivative(type(field)(
-                field.fn, field.domain, axis_quanta=field.axis_quanta), pts, 2)
+            fd = partial_derivative(type(field)(field.fn, field.domain), pts, 2)
             axes = tuple(range(1, fd.ndim))
             err = np.abs(fd - exact[:, 2]).max(axis=axes, initial=0.0)
             scale = np.abs(exact[:, 2]).max(axis=axes, initial=0.0)
@@ -227,6 +226,26 @@ class TestDarbouxExactPartials:
                 assert not exact.any() and np.all(err <= 1e-12), name
             else:
                 assert np.all(err <= 1e-6 * scale), name
+
+    def test_second_partials_match_fd_of_the_partials(self, model):
+        # F'' = 2H' and G'' = -M2 F'' against 5-point FD of F' and G' at the
+        # node step: measured up to 1.1e-6 of max |d_t^2 field| (kmup mu=1,
+        # t=-1, a one-sided stencil) and at most 3.6e-8 on the other models
+        pts = self._pts(np.linspace(-1.0, 1.0, 11))
+        for name in ("phi", "g", "xi"):
+            field = getattr(model, name)
+            exact = field.second(pts)
+            assert not exact[:, :2].any() and not exact[:, 2, :2].any(), name
+            partials = ArrayField(field.partials, field.domain,
+                                  (3,) + field.out_shape)
+            fd = partial_derivative(partials, pts, 2)[:, 2]
+            axes = tuple(range(1, fd.ndim))
+            err = np.abs(fd - exact[:, 2, 2]).max(axis=axes)
+            scale = np.abs(exact[:, 2, 2]).max(axis=axes)
+            if name == "xi":
+                assert not exact.any() and not fd.any()
+            else:
+                assert np.all(err <= 5e-6 * scale), name
 
 
 # mu, f, r of the form the chart benchmark draws (seeds 1-2)
@@ -271,6 +290,18 @@ class TestChartExactPartials:
                           axis=1)
             assert np.abs(fd - exact).max() <= 5e-9 * np.abs(exact).max(), name
 
+    def test_second_partials_match_fd_of_the_partials(self, model):
+        # the jets' Hessians against FD of their gradients: measured at most
+        # 2.2e-9 of max |exact| over each field here
+        pts = sample(model, grid=5)
+        for name in ("phi", "xi", "eta", "g"):
+            field = getattr(model, name)
+            exact = field.second(pts)
+            partials = ArrayField(field.partials, field.domain,
+                                  (3,) + field.out_shape)
+            fd = coordinate_derivatives(partials, pts)
+            assert np.abs(fd - exact).max() <= 5e-9 * np.abs(exact).max(), name
+
 
 class TestBaseline:
     def test_h_vanishes(self):
@@ -281,6 +312,26 @@ class TestBaseline:
     def test_structure_axioms(self):
         m = build_kenmotsu_baseline(2.5)
         assert max(structure_residuals(m, sample(m)).values()) < 1e-12
+
+    def test_closed_form_partials(self):
+        # w = c^2 e^{2t}: w' = 2w and w'' = 4w, and every other field is
+        # constant; FD of the values agrees to rounding (measured 6.9e-13)
+        m = build_kenmotsu_baseline(2.0)
+        pts = sample(m)
+        for name in BASE_FIELDS:
+            field = getattr(m, name)
+            plain = type(field)(field.fn, field.domain)
+            fd = np.stack([partial_derivative(plain, pts, a) for a in range(3)],
+                          axis=1)
+            assert np.abs(fd - field.partials(pts)).max() <= 1e-11 * max(
+                1.0, np.abs(fd).max()), name
+        w = (2.0 * np.exp(pts[:, 2])) ** 2
+        ddg = m.g.second(pts)
+        assert np.array_equal(ddg[:, 2, 2, 0, 0], 4.0 * w)
+        assert np.array_equal(ddg[:, 2, 2, 1, 1], 4.0 * w)
+        ddg[:, 2, 2, 0, 0] = ddg[:, 2, 2, 1, 1] = 0.0
+        assert not ddg.any() and not m.phi.second(pts).any()
+        assert not m.xi.second(pts).any()
 
     def test_positive_c_required(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,33 @@ def test_every_exported_name_resolves():
     assert not missing, missing
 
 
+def _imported_names(source: str, module: str) -> set[str]:
+    """Names ``source`` imports from ``module`` (``from .module import ...``
+    or ``from kenmotsu3.module import ...``)."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == module
+            for a in node.names}
+
+
+def test_identities_run_no_finite_differences():
+    # the suites read exact partials only: the identities' module imports
+    # none of the FD entry points, and the stacked FD pass and its step
+    # snapping are gone from the package
+    source = (SRC / "identities.py").read_text()
+    fd = {"DiffScheme", "partial_derivative", "coordinate_derivatives"}
+    assert not (_imported_names(source, "fields") & fd)
+    assert "exterior_derivative" not in _imported_names(source, "geometry")
+    for name in ("_STACK", "fd_partials", "axis_quanta"):
+        assert not [f.name for f in SRC.glob("*.py") if name in f.read_text()], name
+
+
+def test_import_guard_reads_both_forms():
+    assert _imported_names("from .fields import (a,\n    b)", "fields") == {"a", "b"}
+    assert _imported_names("from kenmotsu3.geometry import c", "geometry") == {"c"}
+    assert not _imported_names("from .fields import a", "geometry")
+
+
 def _linalg_uses(source: str, filename: str = "<string>") -> list[tuple[str, str]]:
     """(name, enclosing function) of each use of ``linalg.svd`` or
     ``linalg.cond``, and of each import of them from ``numpy.linalg``."""

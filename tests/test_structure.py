@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from kenmotsu3.fields import DiffScheme
 from kenmotsu3.geometry import g_norm
 from kenmotsu3.identities import Probe, SamplePlan
 from kenmotsu3.models import (
@@ -31,7 +30,7 @@ def sample(model, grid=3, seed=13):
 
 
 def probe(model, pts):
-    return Probe(model, pts, DiffScheme())
+    return Probe(model, pts)
 
 
 class TestHOperator:
