@@ -36,6 +36,8 @@ __all__ = [
     "exterior_differential",
     "g_norm",
     "g_operator_norm",
+    "metric_factors",
+    "frame_operator_norm",
 ]
 
 COND_LIMIT = 1e12
@@ -235,16 +237,21 @@ def g_norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
-def g_operator_norm(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Operator norm of a (1,1) tensor w.r.t. the metric.
+def metric_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L^T, L^{-T}) of the Cholesky factorisation g = L L^T.
 
-    Equals the largest singular value of m = L^T A L^{-T} where g = L L^T,
-    taken as the square root of the top eigenvalue of the Gram matrix
-    m^T m, with m scaled to a largest entry of 1 so that the Gram matrix
-    neither overflows nor underflows.  Non-finite input raises LinAlgError.
+    In that frame the metric is Euclidean: |v|_g = |L^T v|, and a (1,1)
+    tensor A acts as L^T A L^{-T}.
     """
     lt = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    m = lt @ a @ np.linalg.inv(lt)
+    return lt, np.linalg.inv(lt)
+
+
+def frame_operator_norm(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of per-point matrices ``m`` (..., 3, 3), taken
+    as the square root of the top eigenvalue of the Gram matrix m^T m, with
+    m scaled to a largest entry of 1 so that the Gram matrix neither
+    overflows nor underflows.  Non-finite input raises LinAlgError."""
     scale = np.max(np.abs(m), axis=(-2, -1))
     scale = np.where(scale > 0.0, scale, 1.0)
     m = m / scale[..., None, None]
@@ -253,3 +260,10 @@ def g_operator_norm(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     if not np.isfinite(out).all():
         raise np.linalg.LinAlgError("operator norm of a non-finite tensor")
     return out
+
+
+def g_operator_norm(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Operator norm of a (1,1) tensor w.r.t. the metric: the
+    :func:`frame_operator_norm` of L^T A L^{-T} (:func:`metric_factors`)."""
+    lt, lt_inv = metric_factors(g)
+    return frame_operator_norm(lt @ a @ lt_inv)

@@ -24,9 +24,10 @@ from .geometry import (
     covariant_differential,
     curvature,
     exterior_differential,
+    frame_operator_norm,
     g_norm,
-    g_operator_norm,
     levi_civita,
+    metric_factors,
 )
 from .structure import AlmostContactModel, frame_of, lie_derivative
 
@@ -382,11 +383,18 @@ class Probe:
         """Apply per-point operator (n,3,3) to pooled vectors (n,P,3)."""
         return vecs @ op.transpose(0, 2, 1)
 
+    @cached_property
+    def factors(self):
+        """(L^T, L^{-T}) of g = L L^T, factored once: every operator norm,
+        and every pooled residual norm, is Euclidean in that frame."""
+        return metric_factors(self.g)
+
     def vec_norm(self, v):
         return g_norm(v, self.g)
 
-    def op_norm(self, m):
-        return g_operator_norm(m, self.g)
+    def op_norm(self, m):  # g_operator_norm on the kept factors
+        lt, lt_inv = self.factors
+        return frame_operator_norm(lt @ m @ lt_inv)
 
 
 # --------------------------------------------------------------------------
@@ -412,6 +420,18 @@ def _pool_pairs(t, xs, ys):
     n, size = xs.shape[:2]
     s = (xs @ t.reshape(n, 3, 9)).reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
     return s.reshape(n, size, 3, -1).transpose(0, 1, 3, 2)
+
+
+def _largest_length(u, axis):
+    """Largest Euclidean length of the vectors u[..., :] over ``axis``."""
+    return np.sqrt(np.max(np.einsum("...i,...i->...", u, u), axis=axis))
+
+
+def _pooled_frame_norm(p: Probe, t, xs, ys):
+    """Largest g-length over the pooled pairs of t[n, k, i, j] X_a^k Y_b^j:
+    L^T folded into t's output index i makes it a Euclidean length."""
+    return _largest_length(_pool_pairs(p.factors[0][:, None] @ t, xs, ys),
+                           (1, 2))
 
 
 def _pool_triples(terms, zs):
@@ -448,8 +468,7 @@ def _res_kleaves(p: Probe):
     ph = p.phi + p.h
     rhs = (np.einsum("nsk,nsj,ni->nkij", ph, p.g, p.xi)
            - np.einsum("nj,nik->nkij", p.eta, ph))
-    vals = _pool_pairs(p.nabla_phi - rhs, p.pool, p.pool)
-    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+    return _pooled_frame_norm(p, p.nabla_phi - rhs, p.pool, p.pool)
 
 
 def _res_curv1(p: Probe):
@@ -458,8 +477,7 @@ def _res_curv1(p: Probe):
            - np.einsum("nl,nik->nkil", p.eta, imb)
            + np.einsum("nlik->nkil", p.nabla_b)
            - p.nabla_b)
-    vals = _pool_pairs(p.r_xi - rhs, p.pool, p.pool)
-    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+    return _pooled_frame_norm(p, p.r_xi - rhs, p.pool, p.pool)
 
 
 def _res_l_id(p: Probe):
@@ -496,8 +514,7 @@ def _res_curv2(p: Probe):
 def _res_codazzi_hp(p: Probe):
     # antisymmetrize in the two vector slots before contracting the pool
     anti = p.nabla_hp - np.einsum("njik->nkij", p.nabla_hp)
-    vals = _pool_pairs(anti, p.pool_d, p.pool_d)
-    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+    return _pooled_frame_norm(p, anti, p.pool_d, p.pool_d)
 
 
 def _res_h2(p: Probe):
@@ -599,8 +616,7 @@ def _nullity(p: Probe, t_op):
     # with A = k I + mu T, in r_xi's slots (X, component, Y)
     a = p.k[:, None, None] * p.eye + p.mu[:, None, None] * t_op
     rhs = np.einsum("nj,nik->nkij", p.eta, a) - np.einsum("nk,nij->nkij", p.eta, a)
-    vals = _pool_pairs(p.r_xi - rhs, p.pool, p.pool)
-    return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+    return _pooled_frame_norm(p, p.r_xi - rhs, p.pool, p.pool)
 
 
 def _res_null_kmu(p: Probe):
@@ -663,31 +679,30 @@ def _pool_riemann(t, pool):
     return (pool @ s).reshape(n, size, size, size, 3)
 
 
-def _weyl_tensor(p: Probe):
+def _res_weyl3(p: Probe):
     """W(X, Y) Z = R(X, Y) Z minus the right-hand side, U = Q - (Sc/2) I:
     W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l.
 
-    Formed in long double, 64 points at a time, and rounded once.  In
-    float64 the rounding of its five terms dominates a residual at its
+    Formed in long double 64 points at a time, folded into the Cholesky
+    frame (L^T W) and rounded once; each block meets its points' pool and
+    keeps one maximum per point, so no (n, P^3, 3) tensor is formed.  In
+    float64 the rounding of W's five terms dominates a residual at its
     floor: on a kmu-darboux sweep suite (mu = 0.858, t in [-1, 1]) it put
-    WEYL3 5.2e-10 from the long-double reference, and 2.7e-16 this way.
+    WEYL3 5.2e-10 from a long-double evaluation, and 6e-23 this way.
     """
-    out = np.empty_like(p.curv.riemann)
+    out = np.empty(p.n)
     for s in range(0, p.n, 64):
-        riem, g, q, sc = (a[s:s + 64].astype(np.longdouble) for a in (
-            p.curv.riemann, p.g, p.curv.q, p.curv.scalar))
+        riem, g, q, sc, lt = (a[s:s + 64].astype(np.longdouble) for a in (
+            p.curv.riemann, p.g, p.curv.q, p.curv.scalar, p.factors[0]))
         u = q - 0.5 * sc[:, None, None] * np.eye(3)
         g_jl, gq_jl = g.transpose(0, 2, 1), (g @ q).transpose(0, 2, 1)
         # t^i_jkl = g_lj U^i_k + (gQ)_lj d^i_k: W = R - t + t, k and l swapped
         t = (u[:, :, None, :, None] * g_jl[:, None, :, None, :]
              + np.eye(3)[:, None, :, None] * gq_jl[:, None, :, None, :])
-        out[s:s + 64] = riem - t + t.swapaxes(3, 4)
+        w = (lt @ (riem - t + t.swapaxes(3, 4)).reshape(-1, 3, 27)).astype(float)
+        out[s:s + 64] = _largest_length(_pool_riemann(
+            w.reshape(riem.shape), p.pool[s:s + 64]), (1, 2, 3))
     return out
-
-
-def _res_weyl3(p: Probe):
-    v = _pool_riemann(_weyl_tensor(p), p.pool).reshape(p.n, -1, 3)
-    return np.max(g_norm(v, p.g[:, None]), axis=1)
 
 
 def _res_dk_eta(p: Probe):

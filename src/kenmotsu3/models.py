@@ -28,6 +28,7 @@ c^2 e^{2t}(dx^2 + dy^2) with h = 0, k = -1.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,16 +290,17 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
     fields' values and on second-order jets for their exact partials and
     second partials: mu, f and r enter with two ``Expr.diff`` derivatives,
     lam with lam' = -1/(2 lam) and lam'' = -1/(4 lam^3).  A value alone
-    builds no jet.  k, mu and lam carry their exact z-partials.
+    builds no jet, and the jets of one point array serve every partial of
+    phi, xi, eta and g.  k, mu and lam carry their exact z-partials.
     """
     dmu, df, dr = (e.diff() for e in (mu, f, r))
     ddmu, ddf, ddr = (e.diff() for e in (dmu, df, dr))
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
 
-    def coeffs(pts, order):
+    def coeffs(pts, jets):
         x, y, z = pts.T
         lam = np.sqrt(-1.0 - z)
-        if not order:
+        if not jets:
             return coeff(x, y, z, lam, mu(z), f(z), r(z))
         one, zero = np.ones(len(z)), np.zeros(len(z))
         return coeff(*(_Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)),
@@ -306,11 +308,25 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
                      *(_Jet.along(2, e(z), de(z), dde(z)) for e, de, dde in
                        ((mu, dmu, ddmu), (f, df, ddf), (r, dr, ddr))))
 
+    kept = {}  # (a, b, c) and entry jets of the last point array, freed with it
+
+    def entry_jets(entries, pts):
+        if not ("ref" in kept and kept["ref"]() is pts
+                and np.array_equal(kept["pts"], pts)):
+            kept.clear()
+            kept.update(ref=weakref.ref(pts, lambda _: kept.clear()),
+                        pts=pts.copy(), abc=coeffs(pts, True))
+        if entries not in kept:
+            kept[entries] = entries(*kept["abc"])
+        return kept[entries]
+
     def layers(entries, out_shape):
         def layer(order):
             def fn(pts):
                 out = np.zeros((len(pts),) + (3,) * order + out_shape)
-                for index, e in entries(*coeffs(pts, order)).items():
+                values = (entry_jets(entries, pts) if order
+                          else entries(*coeffs(pts, False)))
+                for index, e in values.items():
                     if not order:
                         out[(Ellipsis,) + index] = e
                     elif isinstance(e, _Jet):  # constants have no partials

@@ -9,14 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kenmotsu3 import fields
+from kenmotsu3 import fields, models
 from kenmotsu3.fields import (
     ArrayField,
     DiffScheme,
     ScalarField,
     coordinate_derivatives,
 )
-from kenmotsu3.geometry import christoffel_partials, g_norm, levi_civita, riemann
+from kenmotsu3.geometry import (
+    christoffel_partials,
+    g_norm,
+    g_operator_norm,
+    levi_civita,
+    riemann,
+)
 from kenmotsu3.identities import (
     IDENTITIES,
     PROFILES,
@@ -25,6 +31,7 @@ from kenmotsu3.identities import (
     _curv2_residual,
     _pool_pairs,
     _pool_riemann,
+    _pooled_frame_norm,
     applicable_identities,
     check_identity,
     check_suite,
@@ -515,20 +522,54 @@ def _ref_flat_leaf(p):
     return np.abs(num / (xx * pp - xp ** 2) + 1.0 - p.eigen.lam ** 2)
 
 
+def _split(a):
+    """a = hi + lo exactly, each half of a's mantissa (Veltkamp)."""
+    c = (2.0 ** -(-(np.finfo(a.dtype).nmant + 1) // 2) + 1.0) * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p the rounded a b and p + e = a b exactly (Dekker)."""
+    p = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _accurate_sum(terms):
+    """The sum of ``terms`` as if in twice the working precision, then
+    rounded: cascaded error-free additions (Ogita, Rump and Oishi's Sum2)."""
+    s, err = terms[0], 0.0
+    for t in terms[1:]:
+        x = s + t
+        z = x - s
+        err = err + ((s - (x - z)) + (t - z))
+        s = x
+    return s + err
+
+
 def _ref_weyl3(p):
-    q_pool = p.apply(p.curv.q, p.pool)
-    ip = _ref_ip(p.pool, p.g, p.pool)
-    ipq = _ref_ip(p.pool, p.g, q_pool)
-    sc2 = 0.5 * p.curv.scalar
-    rhs = (np.einsum("nbc,nai->nabci", ip, q_pool)
-           - np.einsum("nac,nbi->nabci", ip, q_pool)
-           + np.einsum("nbc,nai->nabci", ipq, p.pool)
-           - np.einsum("nac,nbi->nabci", ipq, p.pool)
-           - sc2[:, None, None, None, None]
-           * (np.einsum("nbc,nai->nabci", ip, p.pool)
-              - np.einsum("nac,nbi->nabci", ip, p.pool)))
-    v = _ref_pool_riemann(p.curv.riemann, p.pool) - rhs
-    return np.max(g_norm(v, p.g[:, None, None, None, :, :]), axis=(1, 2, 3))
+    # W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l
+    # with U = Q - (Sc/2) I, summed per point from its exact products, so that
+    # W is one rounding from its value (in float64 as in long double), then
+    # pooled by one einsum.  Rounding each product put the float64 form
+    # 3.3e-10 from long double on kmu-darboux mu=0.858, where the residual
+    # is 4.9e-10, and the 2x rule then let a float64 W (5.2e-10) through.
+    g, q, d = p.g, p.curv.q, np.eye(3, dtype=p.g.dtype)
+    sc2 = 0.5 * p.curv.scalar[:, None, None, None, None]
+    g_jl = g.transpose(0, 2, 1)
+    g_lj, g_kj = g_jl[:, None, :, None, :], g_jl[:, None, :, :, None]
+    d_ik, d_il = d[:, None, :, None], d[:, None, None, :]
+    products = [(-1, g_lj, q[:, :, None, :, None]), (1, g_lj, sc2 * d_ik),
+                (1, g_kj, q[:, :, None, None, :]), (-1, g_kj, sc2 * d_il)]
+    for s in range(3):  # (gQ)_lj = g_ls Q^s_j
+        q_sj, g_s = q[:, s, None, :, None, None], g[:, :, s]
+        products += [(-1, d_ik * g_s[:, None, None, None, :], q_sj),
+                     (1, d_il * g_s[:, None, None, :, None], q_sj)]
+    w = _accurate_sum([p.curv.riemann] + [sign * x for sign, a, b in products
+                                          for x in _two_product(a, b)])
+    v = _ref_pool_riemann(w, p.pool)
+    return np.max(g_norm(v, g[:, None, None, None, :, :]), axis=(1, 2, 3))
 
 
 def _ref_trace(p, t, dt, target):
@@ -719,6 +760,147 @@ def test_pooled_identity_peak_memory(kmu_chart, ident):
         tracemalloc.stop()
     n, size = p.pool.shape[:2]
     assert peak <= 1.5 * n * size ** 3 * 3 * np.dtype(float).itemsize
+
+
+def test_weyl3_peak_memory_at_grid9(kmu_chart):
+    # WEYL3 pools W 64 points at a time and keeps one maximum per point:
+    # at grid 9 its peak is 0.13 pooled (n, P, P, P, 3) float64 tensors
+    # (1.34 when the whole pooled tensor was formed)
+    plan = SamplePlan(grid=9, rand_pairs=4)
+    p = Probe(kmu_chart, plan.points(kmu_chart), plan.rand_pairs, plan.seed)
+    fn = IDENTITIES["WEYL3"].fn
+    fn(p)
+    tracemalloc.start()
+    try:
+        fn(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, size = p.pool.shape[:2]
+    assert peak <= 0.15 * n * size ** 3 * 3 * np.dtype(float).itemsize
+
+
+def _metric_probe(g):
+    """A Probe that reads nothing but the metric values ``g``."""
+    p = Probe.__new__(Probe)
+    p.g = g
+    return p
+
+
+@pytest.fixture(scope="module")
+def hard_metrics():
+    """Random SPD metrics with cond up to 1e10 and scales over six decades,
+    and kmup-darboux mu=1 metrics at t = -1 and 1 (cond up to 1.1e11)."""
+    rng = np.random.default_rng(1)
+    cond = 10.0 ** rng.uniform(0.0, 10.0, 400)
+    eigs = (np.column_stack([np.ones(400), cond ** rng.uniform(0, 1, 400), cond])
+            * 10.0 ** rng.uniform(-3, 3, (400, 1)))
+    rot = np.linalg.qr(rng.standard_normal((400, 3, 3)))[0]
+    model = build_darboux_model(DarbouxParams("kmup", "1", (-1.0, 1.0)))
+    xy = np.linspace(0.0, 1.0, 5)
+    pts = np.array([[x, y, t] for x in xy for y in xy for t in (-1.0, 1.0)])
+    return {"random": rot @ (eigs[:, :, None] * rot.transpose(0, 2, 1)),
+            "kmup_darboux": model.g(pts)}
+
+
+@pytest.mark.parametrize("kind", ["random", "kmup_darboux"])
+def test_factored_op_norm_is_g_operator_norm(hard_metrics, kind):
+    # the Probe's factors run the same operations on the same metric, and the
+    # norm is within 8 eps of the SVD of the same rounded L^T A L^{-T}: each
+    # is a few eps from its exact norm (measured apart: 4.7 eps here, 6.6
+    # over 12,000 draws)
+    g = hard_metrics[kind]
+    a = np.random.default_rng(2).standard_normal(g.shape)
+    out = _metric_probe(g).op_norm(a)
+    assert np.array_equal(out, g_operator_norm(a, g))
+    ref = _ref_op_norm(a, g)
+    assert np.all(np.abs(out - ref) <= 8.0 * np.finfo(float).eps * ref)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64")
+@pytest.mark.parametrize("kind", ["random", "kmup_darboux"])
+def test_pooled_frame_norm_against_long_double_g_norm(hard_metrics, kind):
+    # |v|_g as |L^T v|: against the long-double (v g) . v of the long-double
+    # pool, the error stays within 8 eps of the absolute products behind the
+    # square, over twice the norm, where the Cholesky factor bounds the
+    # metric's part by sqrt(g_ii g_jj) (measured: 1.8 and 2.9; 3.6 over
+    # 8,000 draws)
+    g = hard_metrics[kind]
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((len(g), 3, 3, 3)) * 10.0 ** rng.uniform(
+        -3, 3, (len(g), 1, 1, 1))
+    pool = rng.standard_normal((len(g), 11, 3))
+    pool /= g_norm(pool, g[:, None])[..., None]
+    out = _pooled_frame_norm(_metric_probe(g), t, pool, pool)
+    ld = [a.astype(np.longdouble) for a in (t, pool, g)]
+    exact = g_norm(_ref_pool_pairs(ld[0], ld[1], ld[1]), ld[2][:, None, None])
+    at = np.argmax(exact.reshape(len(g), -1), axis=1)
+    abs_v = _ref_pool_pairs(np.abs(t), np.abs(pool), np.abs(pool))
+    scale = np.einsum("nabi,ni->nab", abs_v,
+                      np.sqrt(np.einsum("nii->ni", g))) ** 2
+    scale = scale.reshape(len(g), -1)[np.arange(len(g)), at]
+    exact = exact.reshape(len(g), -1)[np.arange(len(g)), at]
+    assert np.all(np.abs(out - exact)
+                  <= 8.0 * np.finfo(float).eps * scale / (2.0 * exact))
+
+
+@pytest.mark.parametrize("fixture", ["kmu_chart", "kmup_darboux"])
+def test_suite_factors_the_metric_once(request, monkeypatch, fixture):
+    # every operator and pooled norm of a suite reads the Probe's factors
+    calls = [0]
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls[0] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    check_suite(request.getfixturevalue(fixture), "all", PLAN)
+    assert calls[0] == 1
+
+
+def test_chart_jets_built_once_and_freed_with_the_points(monkeypatch):
+    # one (a, b, c) jet (7 coordinate and z-function jets) serves every
+    # partial and second partial of a suite, and nothing of it outlives the
+    # suite's points
+    model = build_kmu_chart_model(KmuChartParams("z + 1", "sin(z)", "0.1*z^2"))
+    leaves, arrays = [0], []
+    along, init = models._Jet.along.__func__, models._Jet.__init__
+
+    def counting(cls, *args):
+        leaves[0] += 1
+        return along(cls, *args)
+
+    def tracked(self, v, d, dd):
+        arrays.append(weakref.ref(d))
+        init(self, v, d, dd)
+
+    monkeypatch.setattr(models._Jet, "along", classmethod(counting))
+    monkeypatch.setattr(models._Jet, "__init__", tracked)
+    gc.disable()
+    try:
+        check_suite(model, "all", PLAN)
+        assert leaves[0] == 7
+        assert arrays and not [r for r in arrays if r() is not None]
+    finally:
+        gc.enable()
+
+
+def test_chart_partials_from_kept_jets_match_fresh_ones(kmup_chart):
+    # kept jets give the bits a fresh build gives, and points changed in
+    # place are not served from the jets of their old values
+    pts = PLAN.points(kmup_chart)
+    fns = [fn for name in ("phi", "xi", "eta", "g")
+           for fn in (getattr(kmup_chart, name).partials,
+                      getattr(kmup_chart, name).second) if fn is not None]
+    before = pts.copy()
+    kept = [fn(pts) for fn in fns]
+    pts[:, 2] -= 0.25
+    moved = [fn(pts) for fn in fns]
+    for fn, out, out_moved in zip(fns, kept, moved):
+        assert np.array_equal(out, fn(before.copy()))
+        assert np.array_equal(out_moved, fn(pts.copy()))
 
 
 def _spied_suite(monkeypatch, model):

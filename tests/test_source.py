@@ -89,21 +89,25 @@ def test_import_guard_reads_both_forms():
     assert not _imported_names("from .fields import a", "geometry")
 
 
-def _linalg_uses(source: str, filename: str = "<string>") -> list[tuple[str, str]]:
-    """(name, enclosing function) of each use of ``linalg.svd`` or
-    ``linalg.cond``, and of each import of them from ``numpy.linalg``."""
+def _linalg_uses(source: str, filename: str = "<string>",
+                 names=("svd", "cond"), functions=()) -> list[tuple[str, str]]:
+    """(name, enclosing function) of each use of ``linalg.<name>`` for
+    ``names`` (``svd`` and ``cond`` by default), of each import of them from
+    ``numpy.linalg``, and of each call of a plain function in ``functions``."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Attribute) and node.attr in ("svd", "cond")
+        if (isinstance(node, ast.Attribute) and node.attr in names
                 and getattr(node.value, "attr", getattr(node.value, "id", None))
                 == "linalg"):
             out.append((node.attr, func))
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            out.extend((a.name, func) for a in node.names
-                       if a.name in ("svd", "cond"))
+            out.extend((a.name, func) for a in node.names if a.name in names)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions):
+            out.append((node.func.id, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -128,3 +132,27 @@ def test_no_svd_and_cond_only_in_the_metric_inverse_fallback():
     flat = [(name, func, file) for file, found in uses.items()
             for name, func in found]
     assert flat == [("cond", "_inverse_metric", "geometry.py")], flat
+
+
+# what factors the metric: numpy's Cholesky and inverse, and the geometry
+# functions that call them
+_FACTORING = {"names": ("cholesky", "inv"),
+              "functions": ("metric_factors", "g_operator_norm")}
+
+
+def test_factoring_guard_flags_what_it_should():
+    assert _linalg_uses("def op_norm(self, m):\n    return g_operator_norm(m, g)",
+                        **_FACTORING) == [("g_operator_norm", "op_norm")]
+    assert _linalg_uses("def f(g):\n    return np.linalg.inv(np.linalg.cholesky(g))",
+                        **_FACTORING) == [("inv", "f"), ("cholesky", "f")]
+    assert _linalg_uses("from numpy.linalg import cholesky", **_FACTORING)
+    assert not _linalg_uses("np.linalg.det(g); g_norm(v, g); metric_factors",
+                            **_FACTORING)
+
+
+def test_identities_factor_the_metric_only_in_the_probe_factors():
+    # the Probe factors g once, in its ``factors`` property; a Cholesky or
+    # inverse anywhere else in the identities would run once per call
+    uses = _linalg_uses((SRC / "identities.py").read_text(), "identities.py",
+                        **_FACTORING)
+    assert uses == [("metric_factors", "factors")], uses
