@@ -17,15 +17,18 @@ means -(x^2).  Domain violations (sqrt of a negative, log of a non-positive,
 division by zero, fractional power of a negative base, overflow) raise
 instead of returning non-finite values.
 
-``Expr.diff`` differentiates symbolically in the expression's variable.  A
-violation inside a node that a derivative rule introduced names the node of
-the original expression it is the derivative of.
+``Expr.jet`` differentiates in the expression's variable by running the
+same evaluation on second-order jets (:class:`Jet`, forward mode), the
+package's one differentiation primitive: a value has the bits a plain
+evaluation gives, and a derivative rule that fails names the node of the
+expression whose derivative it is.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +36,17 @@ __all__ = [
     "Expr",
     "ExprSyntaxError",
     "ExprDomainError",
+    "Jet",
     "parse_expr",
 ]
 
+# each function F, with F'(u) and F''(u) from u and F(u)
 _FUNCTIONS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
+    "exp": (np.exp, lambda u, f: (f, f)),
+    "log": (np.log, lambda u, f: (1.0 / u, -1.0 / u ** 2)),
+    "sqrt": (np.sqrt, lambda u, f: (0.5 / f, -0.25 / f ** 3)),
+    "sin": (np.sin, lambda u, f: (np.cos(u), -f)),
+    "cos": (np.cos, lambda u, f: (-np.sin(u), -f)),
 }
 
 
@@ -85,23 +90,17 @@ class _Neg:
     arg: object
 
 
-# ``origin`` marks a node that a derivative rule introduced: the node of the
-# parsed expression whose derivative (of any order) it belongs to.  It takes no
-# part in equality or printing.
-
 @dataclass(frozen=True)
 class _BinOp:
     op: str
     lhs: object
     rhs: object
-    origin: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class _Call:
     func: str
     arg: object
-    origin: object = field(default=None, compare=False, repr=False)
 
 
 def _node_str(node, parent_prec: int = 0) -> str:
@@ -131,161 +130,167 @@ def _node_str(node, parent_prec: int = 0) -> str:
     return f"({s})" if prec < parent_prec else s
 
 
-def _domain_error(message: str, node) -> ExprDomainError:
-    origin = getattr(node, "origin", None)
-    return ExprDomainError(message, _node_str(origin or node),
-                           derivative=origin is not None)
+# --------------------------------------------------------------------------
+# Second-order jets
+# --------------------------------------------------------------------------
+
+def _sym_outer(p, q):
+    """p (x) q + q (x) p of per-point gradients (n, k): (n, k, k)."""
+    o = p[:, :, None] * q[:, None, :]
+    return o + o.transpose(0, 2, 1)
 
 
-def _eval_node(node, x):
+class Jet:
+    """Second-order jet of a scalar on a batch of points: value (n,),
+    gradient (n, k) and Hessian (n, k, k), closed under + - * / with jets
+    and scalars (forward-mode differentiation).  A scalar operand takes a
+    direct path: its partials are exact zeros, so it changes no bit."""
+
+    __slots__ = ("v", "d", "dd")
+    __array_ufunc__ = None  # an array operand defers to the jet's operator
+
+    def __init__(self, v, d, dd):
+        self.v, self.d, self.dd = v, d, dd
+
+    @classmethod
+    def along(cls, axis, e, de, dde):
+        """The jet in 3 coordinates of a function of coordinate ``axis``
+        alone, from its value and first and second derivatives."""
+        n = len(e)
+        d, dd = np.zeros((n, 3)), np.zeros((n, 3, 3))
+        d[:, axis], dd[:, axis, axis] = de, dde
+        return cls(e, d, dd)
+
+    def chain(self, f, f1, f2):
+        """The jet of F(self) from F, F' and F'' at the value (each (n,))."""
+        return Jet(f, f1[:, None] * self.d,
+                   f1[:, None, None] * self.dd
+                   + (f2[:, None] * self.d)[:, :, None] * self.d[:, None, :])
+
+    def __add__(self, u):
+        if isinstance(u, Jet):
+            return Jet(self.v + u.v, self.d + u.d, self.dd + u.dd)
+        return Jet(self.v + u, self.d, self.dd)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d, -self.dd)
+
+    def __sub__(self, u):
+        return self + -u
+
+    def __rsub__(self, u):
+        return -self + u
+
+    def __mul__(self, u):
+        if not isinstance(u, Jet):
+            return Jet(self.v * u, self.d * u, self.dd * u)
+        v, w = self.v, u.v
+        return Jet(v * w, self.d * w[:, None] + v[:, None] * u.d,
+                   self.dd * w[:, None, None] + v[:, None, None] * u.dd
+                   + _sym_outer(self.d, u.d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, u):
+        if not isinstance(u, Jet):
+            return Jet(self.v / u, self.d / u, self.dd / u)
+        # q = self / u from self = q u, differentiated once and twice
+        w = u.v
+        q = self.v / w
+        dq = (self.d - q[:, None] * u.d) / w[:, None]
+        return Jet(q, dq, (self.dd - q[:, None, None] * u.dd
+                           - _sym_outer(dq, u.d)) / w[:, None, None])
+
+    def __rtruediv__(self, u):
+        lifted = Jet(np.broadcast_to(u, self.v.shape), np.zeros_like(self.d),
+                     np.zeros_like(self.dd))
+        return lifted / self
+
+
+# --------------------------------------------------------------------------
+# Evaluation
+# --------------------------------------------------------------------------
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
+def _domain_error(message: str, node, derivative: bool = False):
+    return ExprDomainError(message, _node_str(node), derivative)
+
+
+def _value(a):
+    return a.v if isinstance(a, Jet) else a
+
+
+def _power_jet(node, base, exponent, value, order):
+    """The jet of base^exponent, whose value is ``value``."""
+    if isinstance(exponent, Jet):  # u^v = exp(v log u)
+        if np.any(np.asarray(_value(base)) <= 0):
+            raise _domain_error("log of non-positive value", node, derivative=True)
+        log_u = _apply(_Call("log", node.lhs), [base], order)
+        return (exponent * log_u).chain(value, value, value)
+
+    def factor(k):  # u^(c - k), which diverges at u = 0 where c < k
+        if exponent < k and np.any(base.v == 0):
+            raise _domain_error("zero raised to negative power", node,
+                                derivative=True)
+        return np.power(base.v, exponent - k)
+
+    c, zero = exponent, np.zeros_like(base.v)
+    f1 = zero if c == 0 else c * factor(1)
+    f2 = zero if c in (0, 1) or order < 2 else c * ((c - 1) * factor(2))
+    return base.chain(value, f1, f2)
+
+
+def _apply(node, args, order):
+    """``node`` on its operands' values, or on their jets where one is a
+    :class:`Jet`, by the same numpy call and domain checks either way.  A
+    derivative rule's check names ``node``; those that only a second
+    derivative needs are skipped below ``order`` 2."""
+    if isinstance(node, _Neg):
+        return -args[0]
+    if isinstance(node, _Call):
+        arg, u = args[0], _value(args[0])
+        if node.func == "sqrt" and np.any(np.asarray(u) < 0):
+            raise _domain_error("sqrt of negative value", node)
+        if node.func == "log" and np.any(np.asarray(u) <= 0):
+            raise _domain_error("log of non-positive value", node)
+        function, slopes = _FUNCTIONS[node.func]
+        value = function(u)
+        if not isinstance(arg, Jet):
+            return value
+        if node.func == "sqrt" and np.any(value == 0):
+            raise _domain_error("division by zero", node, derivative=True)
+        return arg.chain(value, *slopes(u, value))
+    if node.op == "/" and np.any(np.asarray(_value(args[1])) == 0):
+        raise _domain_error("division by zero", node)
+    if node.op != "^":
+        return _ARITHMETIC[node.op](*args)
+    vals = [_value(a) for a in args]
+    l, r = np.asarray(vals[0], float), np.asarray(vals[1], float)
+    if np.any((l < 0) & (r != np.floor(r))):
+        raise _domain_error("fractional power of negative base", node)
+    if np.any((l == 0) & (r < 0)):
+        raise _domain_error("zero raised to negative power", node)
+    value = np.power(*vals)
+    if not any(isinstance(a, Jet) for a in args):
+        return value
+    return _power_jet(node, *args, value, order)
+
+
+def _eval_node(node, x, order=2):
+    """The node at ``x``, an array or a :class:`Jet` of the variable."""
     if isinstance(node, _Num):
         return node.value
     if isinstance(node, _Var):
         return x
-    if isinstance(node, _Neg):
-        return -_eval_node(node.arg, x)
-    if isinstance(node, _Call):
-        arg = _eval_node(node.arg, x)
-        if node.func == "sqrt" and np.any(np.asarray(arg) < 0):
-            raise _domain_error("sqrt of negative value", node)
-        if node.func == "log" and np.any(np.asarray(arg) <= 0):
-            raise _domain_error("log of non-positive value", node)
-        return _FUNCTIONS[node.func](arg)
     if isinstance(node, _BinOp):
-        lhs = _eval_node(node.lhs, x)
-        rhs = _eval_node(node.rhs, x)
-        if node.op == "+":
-            return np.add(lhs, rhs)
-        if node.op == "-":
-            return np.subtract(lhs, rhs)
-        if node.op == "*":
-            return np.multiply(lhs, rhs)
-        if node.op == "/":
-            if np.any(np.asarray(rhs) == 0):
-                raise _domain_error("division by zero", node)
-            return np.divide(lhs, rhs)
-        if node.op == "^":
-            l, r = np.asarray(lhs, float), np.asarray(rhs, float)
-            if np.any((l < 0) & (r != np.floor(r))):
-                raise _domain_error("fractional power of negative base", node)
-            if np.any((l == 0) & (r < 0)):
-                raise _domain_error("zero raised to negative power", node)
-            return np.power(lhs, rhs)
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-# --------------------------------------------------------------------------
-# Symbolic differentiation
-# --------------------------------------------------------------------------
-
-def _const(node):
-    """The value of a number or a negated number, else None."""
-    if isinstance(node, _Num):
-        return node.value
-    if isinstance(node, _Neg) and isinstance(node.arg, _Num):
-        return -node.arg.value
-    return None
-
-
-def _num(value: float):
-    # a negative value as a negated number, so the printed tree parses back
-    # to itself; "+ 0.0" turns -0.0 into 0.0
-    return _Neg(_Num(-value)) if value < 0 else _Num(value + 0.0)
-
-
-def _neg(u):
-    c = _const(u)
-    if c is not None:
-        return _num(-c)
-    return u.arg if isinstance(u, _Neg) else _Neg(u)
-
-
-def _add(u, v):
-    cu, cv = _const(u), _const(v)
-    if cu is not None and cv is not None:
-        return _num(cu + cv)
-    if cu == 0:
-        return v
-    return u if cv == 0 else _BinOp("+", u, v)
-
-
-def _sub(u, v):
-    cu, cv = _const(u), _const(v)
-    if cu is not None and cv is not None:
-        return _num(cu - cv)
-    if cu == 0:
-        return _neg(v)
-    return u if cv == 0 else _BinOp("-", u, v)
-
-
-def _mul(u, v):
-    cu, cv = _const(u), _const(v)
-    if cu is not None and cv is not None:
-        return _num(cu * cv)
-    if cu == 0 or cv == 0:
-        return _Num(0.0)
-    if cu in (1, -1):
-        return v if cu == 1 else _neg(v)
-    if cv in (1, -1):
-        return u if cv == 1 else _neg(u)
-    return _BinOp("*", u, v)
-
-
-def _div(u, v, origin):
-    return _Num(0.0) if _const(u) == 0 else _BinOp("/", u, v, origin)
-
-
-def _pow(u, v, origin):
-    cv = _const(v)
-    if cv in (0, 1):
-        return _Num(1.0) if cv == 0 else u
-    return _BinOp("^", u, v, origin)
-
-
-def _diff_node(node):
-    """d(node)/d(var), with 0 and 1 terms folded away."""
-    if isinstance(node, _Num):
-        return _Num(0.0)
-    if isinstance(node, _Var):
-        return _Num(1.0)
-    if isinstance(node, _Neg):
-        return _neg(_diff_node(node.arg))
-    # a node of a derivative passes on the user's node it came from
-    origin = getattr(node, "origin", None) or node
-    if isinstance(node, _Call):
-        u = node.arg
-        du = _diff_node(u)
-        if node.func == "exp":
-            return _mul(node, du)
-        if node.func == "log":
-            return _div(du, u, origin)
-        if node.func == "sqrt":
-            return _div(_mul(_Num(0.5), du), node, origin)
-        if node.func == "sin":
-            return _mul(_Call("cos", u), du)
-        if node.func == "cos":
-            return _neg(_mul(_Call("sin", u), du))
-    if isinstance(node, _BinOp):
-        u, v = node.lhs, node.rhs
-        du, dv = _diff_node(u), _diff_node(v)
-        if node.op == "+":
-            return _add(du, dv)
-        if node.op == "-":
-            return _sub(du, dv)
-        if node.op == "*":
-            return _add(_mul(du, v), _mul(u, dv))
-        if node.op == "/":
-            if _const(dv) == 0:
-                return _div(du, v, origin)
-            return _div(_sub(_mul(du, v), _mul(u, dv)),
-                        _pow(v, _Num(2.0), origin), origin)
-        if node.op == "^":
-            if _const(dv) == 0:  # c u^(c-1) u'
-                return _mul(_mul(v, _pow(u, _sub(v, _Num(1.0)), origin)), du)
-            # u^v (v' log u + v u'/u)
-            return _mul(node, _add(_mul(dv, _Call("log", u, origin)),
-                                   _mul(v, _div(du, u, origin))))
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+        return _apply(node, (_eval_node(node.lhs, x, order),
+                             _eval_node(node.rhs, x, order)), order)
+    return _apply(node, (_eval_node(node.arg, x, order),), order)
 
 
 # --------------------------------------------------------------------------
@@ -402,12 +407,11 @@ class Expr:
     safe to share across workers.
     """
 
-    __slots__ = ("_root", "var", "src")
+    __slots__ = ("_root", "var")
 
-    def __init__(self, root, var: str, src: str):
+    def __init__(self, root, var: str):
         self._root = root
         self.var = var
-        self.src = src
 
     def __call__(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -418,15 +422,30 @@ class Expr:
             return float(value)
         return np.broadcast_to(np.asarray(value, float), np.shape(x)).copy()
 
-    def diff(self) -> "Expr":
-        """The derivative in ``var``, as an expression of the same kind.
+    def jet(self, x, order: int = 2):
+        """The value and the first ``order`` (1 or 2) derivatives in ``var``
+        at the array ``x``, each of ``x``'s shape, by :class:`Jet`
+        arithmetic.
 
-        A domain violation while evaluating it names the node of this
-        expression whose derivative rule (``/``, ``^``, ``log``, ``sqrt``)
-        failed.
+        The value has the bits ``self(x)`` has.  A derivative rule that
+        fails (``sqrt`` or a power at a zero base, a variable exponent on a
+        non-positive base) raises ExprDomainError naming this expression's
+        node whose derivative it is.
         """
-        root = _diff_node(self._root)
-        return Expr(root, self.var, _node_str(root))
+        x = np.array(x, float)
+        n = x.size
+        seed = Jet(x.reshape(n), np.ones((n, 1)), np.zeros((n, 1, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _eval_node(self._root, seed, order)
+        if isinstance(out, Jet):
+            parts = (out.v, out.d[:, 0], out.dd[:, 0, 0])
+        else:
+            parts = (np.full(n, out), np.zeros(n), np.zeros(n))
+        for k, part in enumerate(parts[:order + 1]):
+            if not np.all(np.isfinite(part)):
+                raise ExprDomainError("non-finite result (overflow?)",
+                                      str(self), derivative=k > 0)
+        return tuple(part.reshape(x.shape) for part in parts[:order + 1])
 
     def __str__(self) -> str:
         return _node_str(self._root)
@@ -450,4 +469,4 @@ def parse_expr(src: str, var: str = "z") -> Expr:
     if not isinstance(src, str) or src.strip() == "":
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(_tokenize(src), var).parse()
-    return Expr(root, var, src)
+    return Expr(root, var)

@@ -267,14 +267,13 @@ def coordinate_derivatives(field: ArrayField, pts,
     return out[0] if single else out
 
 
-def lie_bracket(x_field: VectorField, y_field: VectorField, pts,
-                scheme: DiffScheme | None = None) -> np.ndarray:
+def lie_bracket(x_field: VectorField, y_field: VectorField, pts) -> np.ndarray:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i with numeric partials."""
     pts, single = as_points(pts)
     xv, yv = x_field(pts), y_field(pts)
     # jac[n, j, i] = d_j (field^i)
-    jac_y = coordinate_derivatives(y_field, pts, scheme)
-    jac_x = coordinate_derivatives(x_field, pts, scheme)
+    jac_y = coordinate_derivatives(y_field, pts)
+    jac_x = coordinate_derivatives(x_field, pts)
     out = np.einsum("nj,nji->ni", xv, jac_y) - np.einsum("nj,nji->ni", yv, jac_x)
     return out[0] if single else out
 

@@ -114,11 +114,8 @@ class Curvature:
     """Curvature data at a batch of points."""
 
     riemann: np.ndarray   # (n, 3, 3, 3, 3) = R^i_{jkl}
-    ricci: np.ndarray     # (n, 3, 3)
     q: np.ndarray         # (n, 3, 3) Ricci operator
     scalar: np.ndarray    # (n,)
-    gamma: np.ndarray     # (n, 3, 3, 3)
-    ginv: np.ndarray      # (n, 3, 3)
 
     def apply(self, x, y, z) -> np.ndarray:
         """(R(X,Y)Z)^i for per-point component vectors; Z is contracted
@@ -152,7 +149,7 @@ def curvature(gamma: np.ndarray, ginv: np.ndarray,
     ric = np.einsum("nijil->nlj", riem)
     q = np.einsum("nis,nsj->nij", ginv, ric)
     sc = np.einsum("nii->n", q)
-    return Curvature(riem, ric, q, sc, gamma, ginv)
+    return Curvature(riem, q, sc)
 
 
 def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
@@ -166,11 +163,10 @@ def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
     return curvature(gamma, ginv, dgamma)
 
 
-def sectional_curvature(g: MetricField, pts, x, y,
-                        scheme: DiffScheme | None = None) -> np.ndarray:
+def sectional_curvature(g: MetricField, pts, x, y) -> np.ndarray:
     """K(X,Y) of the metric field ``g`` at ``pts`` (see Curvature.sectional)."""
     pts, single = as_points(pts)
-    out = riemann(g, pts, scheme).sectional(g(pts), x, y)
+    out = riemann(g, pts).sectional(g(pts), x, y)
     return out[0] if single else out
 
 
@@ -191,11 +187,10 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
             - minus.transpose(0, 2, 1, 3))
 
 
-def exterior_derivative(form: ArrayField, pts,
-                        scheme: DiffScheme | None = None) -> np.ndarray:
+def exterior_derivative(form: ArrayField, pts) -> np.ndarray:
     """Coordinate exterior derivative of a 1-form or 2-form field."""
     pts, single = as_points(pts)
-    out = exterior_differential(coordinate_derivatives(form, pts, scheme))
+    out = exterior_differential(coordinate_derivatives(form, pts))
     return out[0] if single else out
 
 

@@ -519,10 +519,9 @@ def _res_codazzi_hp(p: Probe):
 
 def _res_h2(p: Probe):
     kp1_phi2 = (p.k + 1.0)[:, None, None] * (p.phi @ p.phi)
-    r1 = p.op_norm(p.h @ p.h - kp1_phi2)
-    r2 = p.op_norm(p.hp @ p.hp - kp1_phi2)
-    r3 = p.op_norm(p.h @ p.h - p.hp @ p.hp)
-    return np.maximum(np.maximum(r1, r2), r3)
+    h2, hp2 = p.h @ p.h, p.hp @ p.hp
+    return p.op_norm(np.stack([h2 - kp1_phi2, hp2 - kp1_phi2,
+                               h2 - hp2])).max(axis=0)
 
 
 def _res_qxi(p: Probe):
@@ -556,7 +555,7 @@ def _res_lie1(p: Probe):
     mu = p.mu[:, None, None]
     m1 = p.lie_h - (2.0 * lam2 * p.phi - 2.0 * p.h + mu * p.hp)
     m2 = p.lie_hp - (-mu * p.h - 2.0 * p.hp)
-    return np.maximum(p.op_norm(m1), p.op_norm(m2))
+    return p.op_norm(np.stack([m1, m2])).max(axis=0)
 
 
 def _res_lie2(p: Probe):
@@ -564,7 +563,7 @@ def _res_lie2(p: Probe):
     mp2 = (p.mu + 2.0)[:, None, None]
     m1 = p.lie_hp + mp2 * p.hp
     m2 = p.lie_h - (2.0 * lam2 * p.phi - mp2 * p.h)
-    return np.maximum(p.op_norm(m1), p.op_norm(m2))
+    return p.op_norm(np.stack([m1, m2])).max(axis=0)
 
 
 def _trace_residual(p: Probe, nabla_t, target):

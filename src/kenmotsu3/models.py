@@ -15,8 +15,8 @@ Chart families (coordinates x, y, z on {z < -1}, lam = sqrt(-1-z), k = z):
 
 Every field of every family carries exact partials, and phi, xi and g
 their exact second partials too.  The chart builders write (a, b, c) of xi
-once, and second-order jets run that formula for the partials, from mu, f,
-r and two ``Expr.diff`` derivatives of each.
+once, and second-order jets (``exprs.Jet``) run that formula for the
+partials, with lam = sqrt(-1-z), mu, f and r entering as ``Expr.jet``.
 
 Darboux families (coordinates x, y, t): phi's spatial block is the F(t) of
 the matrix ODE, g = dt^2 + e^{2t} G(t) with G = -M2 F, xi = d_t, eta = dt.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Expr, parse_expr
+from .exprs import Expr, Jet, parse_expr
 from .fields import (
     ChartDomain,
     CovectorField,
@@ -189,75 +189,6 @@ class DarbouxParams:
 # Chart families
 # --------------------------------------------------------------------------
 
-def _sym_outer(p, q):
-    """p (x) q + q (x) p of per-point gradients (n, 3): (n, 3, 3)."""
-    o = p[:, :, None] * q[:, None, :]
-    return o + o.transpose(0, 2, 1)
-
-
-class _Jet:
-    """Second-order jet of a scalar on a batch of points: value (n,),
-    gradient (n, 3) and Hessian (n, 3, 3), closed under + - * / with jets
-    and constants (forward-mode differentiation)."""
-
-    __slots__ = ("v", "d", "dd")
-    __array_ufunc__ = None  # an array operand defers to the jet's operator
-
-    def __init__(self, v, d, dd):
-        self.v, self.d, self.dd = v, d, dd
-
-    @classmethod
-    def along(cls, axis, e, de, dde):
-        """The jet of a function of coordinate ``axis`` alone, from its
-        value and first and second derivatives."""
-        n = len(e)
-        d, dd = np.zeros((n, 3)), np.zeros((n, 3, 3))
-        d[:, axis], dd[:, axis, axis] = de, dde
-        return cls(e, d, dd)
-
-    def _lift(self, u):
-        if isinstance(u, _Jet):
-            return u
-        return _Jet(np.broadcast_to(u, self.v.shape), np.zeros_like(self.d),
-                    np.zeros_like(self.dd))
-
-    def __add__(self, u):
-        u = self._lift(u)
-        return _Jet(self.v + u.v, self.d + u.d, self.dd + u.dd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Jet(-self.v, -self.d, -self.dd)
-
-    def __sub__(self, u):
-        return self + -self._lift(u)
-
-    def __rsub__(self, u):
-        return -self + u
-
-    def __mul__(self, u):
-        u = self._lift(u)
-        v, w = self.v, u.v
-        return _Jet(v * w, self.d * w[:, None] + v[:, None] * u.d,
-                    self.dd * w[:, None, None] + v[:, None, None] * u.dd
-                    + _sym_outer(self.d, u.d))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, u):
-        # q = self / u from self = q u, differentiated once and twice
-        u = self._lift(u)
-        w = u.v
-        q = self.v / w
-        dq = (self.d - q[:, None] * u.d) / w[:, None]
-        return _Jet(q, dq, (self.dd - q[:, None, None] * u.dd
-                            - _sym_outer(dq, u.d)) / w[:, None, None])
-
-    def __rtruediv__(self, u):
-        return self._lift(u) / self
-
-
 def _phi_entries(a, b, c):
     return {(0, 1): -1.0, (1, 0): 1.0, (0, 2): -b / c, (1, 2): a / c}
 
@@ -276,6 +207,18 @@ def _g_entries(a, b, c):
             (2, 1): q, (2, 2): (1.0 + a * a + b * b) / (c * c)}
 
 
+# the chart families' nominal eigenvalue, lam^2 = -1 - k with k = z
+_LAM = parse_expr("sqrt(-1 - z)")
+
+
+def _axis2_scalar(e: Expr, domain, name: str, **kw) -> ScalarField:
+    """The scalar field e of the third coordinate, with its exact partials
+    from the first derivative of ``e.jet``."""
+    return ScalarField(lambda p: e(p[:, 2]), domain,
+                       partials=lambda p: _on_axis2(e.jet(p[:, 2], 1)[1]),
+                       name=name, **kw)
+
+
 def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
                  r: Expr, coeff) -> AlmostContactModel:
     """A chart model with nominal k = z, lam = sqrt(-1-z) and the given mu.
@@ -288,25 +231,21 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
 
     ``coeff(x, y, z, lam, mu, f, r)`` gives (a, b, c), on arrays for the
     fields' values and on second-order jets for their exact partials and
-    second partials: mu, f and r enter with two ``Expr.diff`` derivatives,
-    lam with lam' = -1/(2 lam) and lam'' = -1/(4 lam^3).  A value alone
-    builds no jet, and the jets of one point array serve every partial of
-    phi, xi, eta and g.  k, mu and lam carry their exact z-partials.
+    second partials: lam, mu, f and r enter with the derivatives of their
+    ``Expr.jet``.  A value alone builds no jet, and the jets of one point
+    array serve every partial of phi, xi, eta and g.  k, mu and lam carry
+    their exact z-partials.
     """
-    dmu, df, dr = (e.diff() for e in (mu, f, r))
-    ddmu, ddf, ddr = (e.diff() for e in (dmu, df, dr))
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
+    scalars = (_LAM, mu, f, r)
 
     def coeffs(pts, jets):
         x, y, z = pts.T
-        lam = np.sqrt(-1.0 - z)
         if not jets:
-            return coeff(x, y, z, lam, mu(z), f(z), r(z))
+            return coeff(x, y, z, *(e(z) for e in scalars))
         one, zero = np.ones(len(z)), np.zeros(len(z))
-        return coeff(*(_Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)),
-                     _Jet.along(2, lam, -0.5 / lam, -0.25 / lam ** 3),
-                     *(_Jet.along(2, e(z), de(z), dde(z)) for e, de, dde in
-                       ((mu, dmu, ddmu), (f, df, ddf), (r, dr, ddr))))
+        return coeff(*(Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)),
+                     *(Jet.along(2, *e.jet(z)) for e in scalars))
 
     kept = {}  # (a, b, c) and entry jets of the last point array, freed with it
 
@@ -329,14 +268,11 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
                 for index, e in values.items():
                     if not order:
                         out[(Ellipsis,) + index] = e
-                    elif isinstance(e, _Jet):  # constants have no partials
+                    elif isinstance(e, Jet):  # constants have no partials
                         out[(Ellipsis,) + index] = e.d if order == 1 else e.dd
                 return out
             return fn
         return layer
-
-    def dlam(p):  # lam' = -1/(2 lam)
-        return _on_axis2(-0.5 / np.sqrt(-1.0 - p[:, 2]))
 
     return AlmostContactModel(
         family=family, variant=variant, coords=("x", "y", "z"),
@@ -345,12 +281,9 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
         xi=_layered(VectorField, layers(_xi_entries, (3,)), domain, "xi"),
         eta=_layered(CovectorField, layers(_eta_entries, (3,)), domain, "eta"),
         g=_layered(MetricField, layers(_g_entries, (3, 3)), domain, "g"),
-        k_nom=ScalarField(lambda p: p[:, 2].copy(), domain,
-                          partials=lambda p: _on_axis2(np.ones(len(p))), name="k"),
-        mu_nom=ScalarField(lambda p: mu(p[:, 2]), domain,
-                           partials=lambda p: _on_axis2(dmu(p[:, 2])), name="mu"),
-        lam_nom=ScalarField(lambda p: np.sqrt(-1.0 - p[:, 2]), domain,
-                            partials=dlam, name="lam"),
+        k_nom=_axis2_scalar(parse_expr("z"), domain, "k"),
+        mu_nom=_axis2_scalar(mu, domain, "mu"),
+        lam_nom=_axis2_scalar(_LAM, domain, "lam"),
         params={"mu": str(mu), "f": str(f), "r": str(r),
                 "box": [list(iv) for iv in box]},
     )
@@ -389,11 +322,11 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     block is F(t); xi = d_t, eta = dt.  Positive definiteness of G is
     asserted at every node (det G = 1 is an invariant of the exact flow).
     Every field depends on t alone and carries its exact t-partials: mu
-    from ``Expr.diff``, the others from the ODE slopes: F' = 2H, F'' = 2H',
+    from ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is
+    fine at t = -1), the others from the ODE slopes: F' = 2H, F'' = 2H',
     d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k), lam' = -f' lam.
     """
     mu_bar = params.resolved()
-    dmu_bar = mu_bar.diff()
     t0, t1 = map(float, params.t_range)
     traj = integrate(params.variant, mu_bar, (t0, t1), params.step)
     metric_from_state(traj.times, traj.states)  # raises on PD failure
@@ -446,9 +379,7 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
         g=_layered(MetricField, g_layer, domain, "g", **t_only),
         k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
                           partials=dk_fn, **t_only, name="k"),
-        mu_nom=ScalarField(lambda p: mu_bar(p[:, 2]), domain,
-                           partials=lambda p: _on_axis2(dmu_bar(p[:, 2])),
-                           **t_only, name="mu"),
+        mu_nom=_axis2_scalar(mu_bar, domain, "mu", **t_only),
         lam_nom=ScalarField(lambda p: traj.lam(p[:, 2]), domain,
                             partials=dlam_fn, **t_only, name="lam"),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,

@@ -17,7 +17,6 @@ import numpy as np
 from .fields import (
     ChartDomain,
     CovectorField,
-    DiffScheme,
     MetricField,
     ScalarField,
     Tensor11Field,
@@ -107,8 +106,7 @@ def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
             - dxi_t @ t_vals + t_vals @ dxi_t)
 
 
-def compute_h(model: AlmostContactModel, pts,
-              scheme: DiffScheme | None = None) -> np.ndarray:
+def compute_h(model: AlmostContactModel, pts) -> np.ndarray:
     """h = (1/2) L_xi phi from the Lie-derivative definition.
 
     The partials of phi and xi are the fields' own exact ones (the chart
@@ -116,8 +114,8 @@ def compute_h(model: AlmostContactModel, pts,
     closed form) and FD for a field that carries none.
     """
     pts, single = as_points(pts)
-    dphi = coordinate_derivatives(model.phi, pts, scheme)  # (n, a, i, j)
-    dxi = coordinate_derivatives(model.xi, pts, scheme)    # (n, a, i)
+    dphi = coordinate_derivatives(model.phi, pts)  # (n, a, i, j)
+    dxi = coordinate_derivatives(model.xi, pts)    # (n, a, i)
     h = 0.5 * lie_derivative(model.xi(pts), dxi, model.phi(pts), dphi)
     return h[0] if single else h
 
@@ -169,8 +167,7 @@ def frame_of(g: np.ndarray, xi: np.ndarray, phi: np.ndarray, eta: np.ndarray,
     return Eigenframe(lam, x, np.einsum("nij,nj->ni", phi, x), degenerate)
 
 
-def nijenhuis(model: AlmostContactModel, pts, x, y,
-              scheme: DiffScheme | None = None) -> np.ndarray:
+def nijenhuis(model: AlmostContactModel, pts, x, y) -> np.ndarray:
     """N(X,Y) = [phi,phi](X,Y) + 2 d(eta)(X,Y) xi for constant X, Y.
 
     [phi,phi](X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y]
@@ -182,7 +179,7 @@ def nijenhuis(model: AlmostContactModel, pts, x, y,
     xv = np.asarray(x, float)
     yv = np.asarray(y, float)
     phi = model.phi(pts)
-    dphi = coordinate_derivatives(model.phi, pts, scheme)  # (n, a, i, j)
+    dphi = coordinate_derivatives(model.phi, pts)  # (n, a, i, j)
     phi_x, phi_y = phi @ xv, phi @ yv
     d_phi_x, d_phi_y = dphi @ xv, dphi @ yv                # (n, a, i)
     # [U, V]^i = U^a d_a V^i - V^a d_a U^i, with d_a X = d_a Y = 0
@@ -192,7 +189,7 @@ def nijenhuis(model: AlmostContactModel, pts, x, y,
     br_x_phiy = np.einsum("a,nai->ni", xv, d_phi_y)
     torsion = (br_phix_phiy - np.einsum("nij,nj->ni", phi, br_phix_y)
                - np.einsum("nij,nj->ni", phi, br_x_phiy))
-    deta = exterior_derivative(model.eta, pts, scheme)
+    deta = exterior_derivative(model.eta, pts)
     deta_xy = np.einsum("i,nij,j->n", xv, deta, yv)
     out = torsion + 2.0 * deta_xy[:, None] * model.xi(pts)
     return out[0] if single else out

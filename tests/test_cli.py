@@ -94,6 +94,12 @@ class TestVerify:
         assert ("zero raised to negative power in the derivative of "
                 "'(z + 3.0)^1.5'") in err, err
 
+    def test_darboux_families_read_the_first_derivative_of_mu_alone(self):
+        # (t+1)^1.5 has no second derivative at t = -1, the t-range's lower
+        # end, but the Darboux fields take mu's first derivative alone
+        assert run(["verify", "--family", "kmu-darboux", "--mu", "(t+1)^1.5",
+                    "--grid", "3"]) == 0
+
     def test_unallocatable_step_exits_2(self, capsys):
         # 2e15 nodes exceed any address space, whatever the overcommit
         # policy: bad input, not a failed verification (exit 1)

@@ -156,78 +156,115 @@ def test_expr_is_shareable_and_pure():
     assert isinstance(e, Expr)
 
 
-# --- symbolic derivative ----------------------------------------------------
+# --- derivatives by jets ----------------------------------------------------
 
-class TestDiff:
-    @pytest.mark.parametrize("src,want", [
-        ("2.5", "0.0"),
-        ("t", "1.0"),
-        ("-t", "-1.0"),
-        ("3*t + 2", "3.0"),
-        ("t - 1/t", "1.0 - -1.0 / t^2.0"),
-        ("t^3", "3.0 * t^2.0"),
-        ("t^0.5", "0.5 * t^(-0.5)"),
-        ("2^t", "2.0^t * log(2.0)"),
-        ("exp(2*t)", "exp(2.0 * t) * 2.0"),
-        ("log(t)", "1.0 / t"),
-        ("sqrt(t)", "0.5 / sqrt(t)"),
-        ("sin(t)", "cos(t)"),
-        ("cos(t)", "-sin(t)"),
-    ])
-    def test_rules_fold_zero_and_one_terms(self, src, want):
-        assert str(parse_expr(src, "t").diff()) == want
+_X = 0.7
+_E, _C, _S = np.exp, np.cos, np.sin
 
-    @pytest.mark.parametrize("src,x,dfdx", [
-        ("t*sin(t)", 0.7, np.sin(0.7) + 0.7 * np.cos(0.7)),
-        ("(t + 1)/(t - 2)", 0.5, -3.0 / 1.5**2),
-        ("t^t", 1.5, 1.5**1.5 * (np.log(1.5) + 1.0)),
-        ("log(t^2 + 1)", 2.0, 4.0 / 5.0),
-        ("cos(exp(-t))", 0.3, np.sin(np.exp(-0.3)) * np.exp(-0.3)),
-    ])
-    def test_closed_forms(self, src, x, dfdx):
-        assert parse_expr(src, "t").diff()(x) == pytest.approx(dfdx, rel=1e-14)
 
-    def test_keeps_the_variable_and_evaluates_on_arrays(self):
-        d = parse_expr("z^2 + 1", "z").diff()
-        assert d.var == "z" and str(d) == d.src == "2.0 * z"
-        assert np.array_equal(d(np.array([0.0, 1.5])), [0.0, 3.0])
-        assert np.array_equal(parse_expr("3", "z").diff()(np.zeros(4)),
-                              np.zeros(4))
+def _cases(rows):
+    """Parameter sets with the expression text (each row's first entry) as
+    their test id."""
+    return [pytest.param(*row, id=row[0]) for row in rows]
 
-    @pytest.mark.parametrize("src,x,message", [
+
+class TestJet:
+    # (src, first derivative, second derivative) at t = 0.7
+    @pytest.mark.parametrize("src,d1,d2", _cases([
+        ("2.5", 0.0, 0.0),
+        ("t", 1.0, 0.0),
+        ("-t", -1.0, 0.0),
+        ("3*t + 2", 3.0, 0.0),
+        ("t - 1/t", 1.0 + _X**-2, -2.0 * _X**-3),
+        ("t^3", 3.0 * _X**2, 6.0 * _X),
+        ("t^0.5", 0.5 * _X**-0.5, -0.25 * _X**-1.5),
+        ("2^t", 2.0**_X * np.log(2.0), 2.0**_X * np.log(2.0)**2),
+        ("exp(2*t)", 2.0 * _E(2 * _X), 4.0 * _E(2 * _X)),
+        ("log(t)", 1.0 / _X, -_X**-2),
+        ("sqrt(t)", 0.5 * _X**-0.5, -0.25 * _X**-1.5),
+        ("sin(t)", _C(_X), -_S(_X)),
+        ("cos(t)", -_S(_X), -_C(_X)),
+    ]))
+    def test_rules(self, src, d1, d2):
+        e = parse_expr(src, "t")
+        value, first, second = e.jet(_X)
+        assert value == e(_X)  # the bits of a plain evaluation
+        assert first == pytest.approx(d1, rel=1e-14)
+        assert second == pytest.approx(d2, rel=1e-14)
+
+    @pytest.mark.parametrize("src,x,d1,d2", _cases([
+        ("t*sin(t)", 0.7, _S(0.7) + 0.7 * _C(0.7), 2.0 * _C(0.7) - 0.7 * _S(0.7)),
+        ("(t + 1)/(t - 2)", 0.5, -3.0 / 1.5**2, -6.0 / 1.5**3),
+        ("t^t", 1.5, 1.5**1.5 * (np.log(1.5) + 1.0),
+         1.5**1.5 * ((np.log(1.5) + 1.0)**2 + 1.0 / 1.5)),
+        ("log(t^2 + 1)", 2.0, 4.0 / 5.0, (2.0 - 8.0) / 25.0),
+        ("cos(exp(-t))", 0.3, _S(_E(-0.3)) * _E(-0.3),
+         -_E(-0.6) * _C(_E(-0.3)) - _E(-0.3) * _S(_E(-0.3))),
+    ]))
+    def test_closed_forms(self, src, x, d1, d2):
+        _, first, second = parse_expr(src, "t").jet(x)
+        assert first == pytest.approx(d1, rel=1e-14)
+        assert second == pytest.approx(d2, rel=1e-14)
+
+    def test_evaluates_on_arrays_of_any_shape(self):
+        e = parse_expr("z^2 + 1", "z")
+        xs = np.array([[0.0, 1.5], [-2.0, 3.0]])
+        value, first, second = e.jet(xs)
+        assert np.array_equal(value, e(xs))
+        assert np.array_equal(first, 2.0 * xs)
+        assert np.array_equal(second, np.full((2, 2), 2.0))
+        for part, want in zip(parse_expr("3", "z").jet(np.zeros(4)),
+                              (np.full(4, 3.0), np.zeros(4), np.zeros(4))):
+            assert np.array_equal(part, want)
+
+    def test_order_one_reads_the_first_derivative_alone(self):
+        # (t+1)^1.5 has a first derivative at t = -1 but no second
+        e = parse_expr("(t+1)^1.5", "t")
+        assert e.jet(-1.0, 1) == (0.0, 0.0)
+        with pytest.raises(ExprDomainError, match="derivative"):
+            e.jet(-1.0)
+
+    @pytest.mark.parametrize("src,x,message", _cases([
         ("sqrt(z + 3)", -3.0,
          "division by zero in the derivative of 'sqrt(z + 3.0)'"),
-        ("1 + log(z^2)", 0.0,
-         "division by zero in the derivative of 'log(z^2.0)'"),
         ("z^0.5 - 1", 0.0,
          "zero raised to negative power in the derivative of 'z^0.5'"),
         ("2 + (z - 1)^z", 1.0,
          "log of non-positive value in the derivative of '(z - 1.0)^z'"),
-        ("1/z", 0.0, "division by zero in the derivative of '1.0 / z'"),
-    ])
-    def test_domain_error_names_the_original_node(self, src, x, message):
-        e = parse_expr(src, "z")
+    ]))
+    def test_domain_error_names_the_users_node(self, src, x, message):
         with pytest.raises(ExprDomainError) as err:
-            e.diff()(x)
+            parse_expr(src, "z").jet(x, 1)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("src,x,message", [
+    @pytest.mark.parametrize("src,x,message", _cases([
         ("(z+3)^1.5", -3.0, "zero raised to negative power in the "
          "derivative of '(z + 3.0)^1.5'"),
         ("sqrt(z + 3)", -3.0,
          "division by zero in the derivative of 'sqrt(z + 3.0)'"),
-        ("log(z)", 0.0, "division by zero in the derivative of 'log(z)'"),
-    ])
-    def test_second_derivative_names_the_original_node(self, src, x, message):
-        # not a node of the first derivative, such as '(z + 3.0)^0.5'
+    ]))
+    def test_second_derivative_names_the_users_node(self, src, x, message):
         with pytest.raises(ExprDomainError) as err:
-            parse_expr(src, "z").diff().diff()(x)
+            parse_expr(src, "z").jet(x)
         assert str(err.value) == message
 
-    def test_domain_error_of_an_original_node_names_it_plainly(self):
+    @pytest.mark.parametrize("src,x,message", _cases([
+        ("1/z", 0.0, "division by zero in '1.0 / z'"),
+        ("1 + log(z^2)", 0.0, "log of non-positive value in 'log(z^2.0)'"),
+        ("log(z)", 0.0, "log of non-positive value in 'log(z)'"),
+        ("sqrt(z)", -1.0, "sqrt of negative value in 'sqrt(z)'"),
+    ]))
+    def test_a_value_outside_the_domain_fails_in_the_value(self, src, x, message):
         with pytest.raises(ExprDomainError) as err:
-            parse_expr("sqrt(z)", "z").diff()(-1.0)
-        assert str(err.value) == "sqrt of negative value in 'sqrt(z)'"
+            parse_expr(src, "z").jet(x)
+        assert str(err.value) == message
+
+    def test_overflow_of_a_derivative_names_the_expression(self):
+        # exp(t^2) is 1.6e307 at t = 26.6; its derivative overflows
+        with pytest.raises(ExprDomainError) as err:
+            parse_expr("exp(t^2)", "t").jet(26.6)
+        assert str(err.value) == ("non-finite result (overflow?) in the "
+                                  "derivative of 'exp(t^2.0)'")
 
 
 def _smooth_exprs(depth):
@@ -263,7 +300,7 @@ def _smooth_exprs(depth):
 
 
 def _central_difference(e, x, h):
-    """5-point 4th-order central difference of ``e`` at ``x``."""
+    """5-point 4th-order central difference of the function ``e`` at ``x``."""
     f = e(x + h * np.array([-2.0, -1.0, 1.0, 2.0]))
     return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
 
@@ -271,19 +308,19 @@ def _central_difference(e, x, h):
 @settings(max_examples=300, deadline=None)
 @given(src=_smooth_exprs(3), x=st.floats(min_value=0.5, max_value=2.0))
 def test_diff_matches_central_difference(src, x):
+    # each derivative of Expr.jet against differences of the order below it
     e = parse_expr(src, "t")
-    d = e.diff()
-    assert parse_expr(str(d), "t") == d  # the printed derivative parses back
     h = 1e-3
-    try:
-        exact = d(x)
-        fd = _central_difference(e, x, h)
-        fd_half = _central_difference(e, x, h / 2)
-        scale = max(1.0, abs(exact), float(np.max(np.abs(
-            e(x + h * np.arange(-2.0, 3.0))))))
-    except ExprDomainError:
-        return  # overflow: no finite value to compare
-    # the h/2 difference errs by its 4th-order truncation, about 1/15 of its
-    # gap to the h difference, plus rounding of about eps max|f| / h, here
-    # allowed 1e3 times over
-    assert abs(fd_half - exact) <= abs(fd - fd_half) + 1e-10 * scale
+    for order, lower in ((1, e), (2, lambda y: e.jet(y, 1)[1])):
+        try:
+            exact = e.jet(x, order)[order]
+            fd = _central_difference(lower, x, h)
+            fd_half = _central_difference(lower, x, h / 2)
+            scale = max(1.0, abs(exact), float(np.max(np.abs(
+                lower(x + h * np.arange(-2.0, 3.0))))))
+        except ExprDomainError:
+            return  # overflow: no finite value to compare
+        # the h/2 difference errs by its 4th-order truncation, about 1/15 of
+        # its gap to the h difference, plus rounding of about eps max|f| / h,
+        # here allowed 1e3 times over
+        assert abs(fd_half - exact) <= abs(fd - fd_half) + 1e-10 * scale

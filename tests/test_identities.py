@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kenmotsu3 import fields, models
+from kenmotsu3 import exprs, fields
 from kenmotsu3.fields import (
     ArrayField,
     DiffScheme,
@@ -329,11 +329,10 @@ class TestStackedPartials:
     def test_curvature_equals_riemann(self, probe):
         # riemann differentiates Gamma by FD: within its truncation of the
         # exact curvature (measured at most 2.5e-9 relative, kmup-darboux)
+        # (Gamma and g^-1 are compared bit for bit in test_point_values)
         ref = riemann(probe.model.g, probe.pts)
-        for name in ("riemann", "ricci", "q", "scalar"):
+        for name in ("riemann", "q", "scalar"):
             _near_fd(getattr(ref, name), getattr(probe.curv, name), name)
-        for name in ("gamma", "ginv"):
-            assert np.array_equal(getattr(probe.curv, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("fixture", ["kmu_chart", "kmup_chart", "kmu_darboux",
@@ -866,7 +865,7 @@ def test_chart_jets_built_once_and_freed_with_the_points(monkeypatch):
     # suite's points
     model = build_kmu_chart_model(KmuChartParams("z + 1", "sin(z)", "0.1*z^2"))
     leaves, arrays = [0], []
-    along, init = models._Jet.along.__func__, models._Jet.__init__
+    along, init = exprs.Jet.along.__func__, exprs.Jet.__init__
 
     def counting(cls, *args):
         leaves[0] += 1
@@ -876,8 +875,8 @@ def test_chart_jets_built_once_and_freed_with_the_points(monkeypatch):
         arrays.append(weakref.ref(d))
         init(self, v, d, dd)
 
-    monkeypatch.setattr(models._Jet, "along", classmethod(counting))
-    monkeypatch.setattr(models._Jet, "__init__", tracked)
+    monkeypatch.setattr(exprs.Jet, "along", classmethod(counting))
+    monkeypatch.setattr(exprs.Jet, "__init__", tracked)
     gc.disable()
     try:
         check_suite(model, "all", PLAN)

@@ -268,7 +268,7 @@ BASE_FIELDS = ("phi", "xi", "eta", "g", "k_nom", "mu_nom", "lam_nom")
 
 class TestChartExactPartials:
     """The chart fields carry exact partials, by the quotient rule from those
-    of (a, b, c) and from Expr.diff."""
+    of (a, b, c) and from Expr.jet."""
 
     @pytest.fixture(scope="class", params=CHART_CASES,
                     ids=lambda c: c[0].__name__)

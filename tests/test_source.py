@@ -83,6 +83,30 @@ def test_identities_run_no_finite_differences():
         assert not [f.name for f in SRC.glob("*.py") if name in f.read_text()], name
 
 
+def _defined(source: str, kind) -> list[str]:
+    """Names of the ``kind`` definitions (functions, methods or classes) in
+    ``source``, nested ones included."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, kind)]
+
+
+def test_one_way_to_differentiate():
+    # expressions differentiate by jets: no symbolic differentiator is left
+    # in exprs, and the package defines its jet class once, there
+    functions = _defined((SRC / "exprs.py").read_text(), ast.FunctionDef)
+    assert functions and not {"diff", "_diff_node"} & set(functions)
+    jets = [(f.name, name) for f in sorted(SRC.glob("*.py"))
+            for name in _defined(f.read_text(), ast.ClassDef)
+            if "jet" in name.lower()]
+    assert jets == [("exprs.py", "Jet")], jets
+
+
+def test_definition_guard_reads_nested_names():
+    source = "class A:\n    def diff(self):\n        class _Jet: pass"
+    assert _defined(source, ast.FunctionDef) == ["diff"]
+    assert _defined(source, ast.ClassDef) == ["A", "_Jet"]
+
+
 def test_import_guard_reads_both_forms():
     assert _imported_names("from .fields import (a,\n    b)", "fields") == {"a", "b"}
     assert _imported_names("from kenmotsu3.geometry import c", "geometry") == {"c"}
