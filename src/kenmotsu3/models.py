@@ -13,16 +13,17 @@ Chart families (coordinates x, y, z on {z < -1}, lam = sqrt(-1-z), k = z):
               a = x (1 + lam) + f(z),  b = y (1 - lam) + r(z);
               h' e1 = lam e1.
 
-Every field of every family carries exact partials, and phi, xi and g
-their exact second partials too.  The chart builders write (a, b, c) of xi
-once, and second-order jets (``exprs.Jet``) run that formula for the
-partials, with lam = sqrt(-1-z), mu, f and r entering as ``Expr.jet``.
-
 Darboux families (coordinates x, y, t): phi's spatial block is the F(t) of
 the matrix ODE, g = dt^2 + e^{2t} G(t) with G = -M2 F, xi = d_t, eta = dt.
 
 Baseline (coordinates x, y, t): the warped product g = dt^2 +
 c^2 e^{2t}(dx^2 + dy^2) with h = 0, k = -1.
+
+One assembler, :func:`_model`, builds phi, xi, eta and g of every family
+from entry formulas in its coefficients (the chart's (a, b, c), the
+entries of F and e^{2t} G, w = c^2 e^{2t}), run on arrays for the values
+and on second-order jets (``exprs.Jet``) for the exact partials and second
+partials.  k, mu and lam carry their exact partials too.
 """
 
 from __future__ import annotations
@@ -97,13 +98,6 @@ def _expr_or_default(e: Expr | str | None, var: str, default: str) -> Expr:
     return e
 
 
-def _dt_covector(pts):
-    """Components (n, 3) of dt (the Darboux and baseline xi and eta)."""
-    out = np.zeros((pts.shape[0], 3))
-    out[:, 2] = 1.0
-    return out
-
-
 def _on_axis2(block):
     """Partials (n, 3) + block shape: ``block`` along the third axis, 0
     along the first two."""
@@ -112,30 +106,65 @@ def _on_axis2(block):
     return out
 
 
-def _zeros(*shape):
-    """A field's partials that vanish: points (n, 3) to zeros (n,) + shape."""
-    return lambda pts: np.zeros((len(pts),) + shape)
+# the structure tensors: field class and component shape
+_FIELDS = {"phi": (Tensor11Field, (3, 3)), "xi": (VectorField, (3,)),
+           "eta": (CovectorField, (3,)), "g": (MetricField, (3, 3))}
 
+# xi = eta = dt, the Darboux and baseline families' entries
+_DT = {"xi": lambda *c: {(2,): 1.0}, "eta": lambda *c: {(2,): 1.0}}
 
-def _on_t(block, order, tt=0.0):
-    """(n,) + (3,) * order + (3, 3): the 2x2 ``block`` in the leaf corner,
-    as the ``order``-th partial along the third axis alone; a value
-    (``order`` 0) takes ``tt`` in its (t, t) entry."""
-    out = np.zeros((len(block),) + (3,) * order + (3, 3))
-    out[(slice(None),) + (2,) * order + (slice(0, 2), slice(0, 2))] = block
-    if not order:
-        out[:, 2, 2] = tt
-    return out
-
+# the entries of a 2x2 block in the (x, y) corner
+_CORNER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # d_t^k (e^{2t} G) = e^{2t} sum_j c_kj G^(j): the coefficients c_kj
 _EXP2T_RULE = ((1.0,), (2.0, 1.0), (4.0, 4.0, 1.0))
 
 
-def _layered(cls, layer, domain, name, **kw):
-    """A field with values, partials and second partials ``layer(0..2)``."""
-    return cls(layer(0), domain, partials=layer(1), second=layer(2),
-               name=name, **kw)
+def _model(coeffs, entries, domain, varies, **model_kw) -> AlmostContactModel:
+    """A model whose phi, xi, eta and g are given entry by entry.
+
+    ``coeffs(pts, jets)`` gives the family's coefficients at the points:
+    arrays, or when ``jets`` is set second-order jets, whose partials are
+    the fields' exact partials.  ``entries[name](*coefficients)`` maps them
+    to the nonzero entries ``{index: entry}`` of field ``name``, each a
+    coefficient expression or a constant (whose partials are exact zeros).
+    The coefficients and entries of the last point array, values and jets
+    alike, are kept and freed with that array, so a suite computes each
+    once; a value alone builds no jet.  ``model_kw`` holds the other
+    :class:`AlmostContactModel` fields.
+    """
+    kept = {}
+
+    def entry_values(name, pts, jets):
+        if not ("ref" in kept and kept["ref"]() is pts
+                and np.array_equal(kept["pts"], pts)):
+            kept.clear()
+            kept.update(ref=weakref.ref(pts, lambda _: kept.clear()),
+                        pts=pts.copy())
+        if (name, jets) not in kept:
+            if jets not in kept:  # the coefficients
+                kept[jets] = coeffs(pts, jets)
+            kept[name, jets] = entries[name](*kept[jets])
+        return kept[name, jets]
+
+    def layer(name, order):
+        shape = (3,) * order + _FIELDS[name][1]
+
+        def fn(pts):
+            out = np.zeros((len(pts),) + shape)
+            for index, e in entry_values(name, pts, order > 0).items():
+                if not order:
+                    out[(Ellipsis,) + index] = e
+                elif isinstance(e, Jet):  # constants have no partials
+                    out[(Ellipsis,) + index] = e.d if order == 1 else e.dd
+            return out
+        return fn
+
+    return AlmostContactModel(
+        domain=domain, **model_kw,
+        **{name: cls(layer(name, 0), domain, partials=layer(name, 1),
+                     second=layer(name, 2), varies=varies, name=name)
+           for name, (cls, _) in _FIELDS.items()})
 
 
 @dataclass(frozen=True)
@@ -189,23 +218,20 @@ class DarbouxParams:
 # Chart families
 # --------------------------------------------------------------------------
 
-def _phi_entries(a, b, c):
-    return {(0, 1): -1.0, (1, 0): 1.0, (0, 2): -b / c, (1, 2): a / c}
-
-
-def _xi_entries(a, b, c):
-    return {(0,): a, (1,): b, (2,): -c}
-
-
-def _eta_entries(a, b, c):
-    return {(2,): -1.0 / c}
-
-
 def _g_entries(a, b, c):
     p, q = a / c, b / c
     return {(0, 0): 1.0, (1, 1): 1.0, (0, 2): p, (2, 0): p, (1, 2): q,
             (2, 1): q, (2, 2): (1.0 + a * a + b * b) / (c * c)}
 
+
+# phi, xi, eta and g of the chart frame in its coefficients (a, b, c)
+_CHART_ENTRIES = {
+    "phi": lambda a, b, c: {(0, 1): -1.0, (1, 0): 1.0, (0, 2): -b / c,
+                            (1, 2): a / c},
+    "xi": lambda a, b, c: {(0,): a, (1,): b, (2,): -c},
+    "eta": lambda a, b, c: {(2,): -1.0 / c},
+    "g": _g_entries,
+}
 
 # the chart families' nominal eigenvalue, lam^2 = -1 - k with k = z
 _LAM = parse_expr("sqrt(-1 - z)")
@@ -231,10 +257,9 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
 
     ``coeff(x, y, z, lam, mu, f, r)`` gives (a, b, c), on arrays for the
     fields' values and on second-order jets for their exact partials and
-    second partials: lam, mu, f and r enter with the derivatives of their
-    ``Expr.jet``.  A value alone builds no jet, and the jets of one point
-    array serve every partial of phi, xi, eta and g.  k, mu and lam carry
-    their exact z-partials.
+    second partials (see :func:`_model`): lam, mu, f and r enter with the
+    derivatives of their ``Expr.jet``.  k, mu and lam carry their exact
+    z-partials.
     """
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
     scalars = (_LAM, mu, f, r)
@@ -247,40 +272,10 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
         return coeff(*(Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)),
                      *(Jet.along(2, *e.jet(z)) for e in scalars))
 
-    kept = {}  # (a, b, c) and entry jets of the last point array, freed with it
-
-    def entry_jets(entries, pts):
-        if not ("ref" in kept and kept["ref"]() is pts
-                and np.array_equal(kept["pts"], pts)):
-            kept.clear()
-            kept.update(ref=weakref.ref(pts, lambda _: kept.clear()),
-                        pts=pts.copy(), abc=coeffs(pts, True))
-        if entries not in kept:
-            kept[entries] = entries(*kept["abc"])
-        return kept[entries]
-
-    def layers(entries, out_shape):
-        def layer(order):
-            def fn(pts):
-                out = np.zeros((len(pts),) + (3,) * order + out_shape)
-                values = (entry_jets(entries, pts) if order
-                          else entries(*coeffs(pts, False)))
-                for index, e in values.items():
-                    if not order:
-                        out[(Ellipsis,) + index] = e
-                    elif isinstance(e, Jet):  # constants have no partials
-                        out[(Ellipsis,) + index] = e.d if order == 1 else e.dd
-                return out
-            return fn
-        return layer
-
-    return AlmostContactModel(
+    return _model(
+        coeffs, _CHART_ENTRIES, domain, (True, True, True),
         family=family, variant=variant, coords=("x", "y", "z"),
-        domain=domain, default_box=box,
-        phi=_layered(Tensor11Field, layers(_phi_entries, (3, 3)), domain, "phi"),
-        xi=_layered(VectorField, layers(_xi_entries, (3,)), domain, "xi"),
-        eta=_layered(CovectorField, layers(_eta_entries, (3,)), domain, "eta"),
-        g=_layered(MetricField, layers(_g_entries, (3, 3)), domain, "g"),
+        default_box=box,
         k_nom=_axis2_scalar(parse_expr("z"), domain, "k"),
         mu_nom=_axis2_scalar(mu, domain, "mu"),
         lam_nom=_axis2_scalar(_LAM, domain, "lam"),
@@ -333,55 +328,47 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
-    t_only = dict(varies=(False, False, True))
+    varies = (False, False, True)
 
-    def f_blocks(ts, order):
-        """F and its first ``order`` t-derivatives, as 2x2 matrices."""
-        out = [_as_matrix(traj.dense(ts)[:, 0:3])]
-        if order:
+    def coeffs(pts, jets):
+        """The entries of F and of e^{2t} G: values, or jets along t from
+        the blocks' t-derivatives.  Each order of e^{2t} G is its own sum
+        by ``_EXP2T_RULE``: the jets' product rule on e^{2t} and G would
+        round the t-partials differently."""
+        ts = pts[:, 2]
+        fs = [_as_matrix(traj.dense(ts)[:, 0:3])]
+        if jets:
             slope = traj.slopes(ts)
-            out += [_as_matrix(slope[:, 0:3]), 2.0 * _as_matrix(slope[:, 3:6])]
-        return out[:order + 1]
-
-    def phi_layer(order):
-        return lambda pts: _on_t(f_blocks(pts[:, 2], order)[order], order)
-
-    def g_layer(order):
-        def fn(pts):
-            ts = pts[:, 2]
-            gs = [-M2 @ f for f in f_blocks(ts, order)]
-            block = sum(c * gk for c, gk in zip(_EXP2T_RULE[order], gs))
-            return _on_t(np.exp(2.0 * ts)[:, None, None] * block, order, 1.0)
-        return fn
+            fs += [_as_matrix(slope[:, 0:3]), 2.0 * _as_matrix(slope[:, 3:6])]
+        gs = [-M2 @ f for f in fs]
+        e2t = np.exp(2.0 * ts)[:, None, None]
+        egs = [e2t * sum(c * gk for c, gk in zip(rule, gs))
+               for rule in _EXP2T_RULE[:len(fs)]]
+        cells = [[m[:, i, j] for m in ms] for ms in (fs, egs)
+                 for i, j in _CORNER]
+        return [Jet.along(2, *cell) if jets else cell[0] for cell in cells]
 
     def lam_rate(ts):  # lambda' / lambda = -f'
         return -traj.slopes(ts)[:, 9]
 
-    def dlam_fn(pts):
-        ts = pts[:, 2]
-        return _on_axis2(lam_rate(ts) * traj.lam(ts))
-
-    def dk_fn(pts):  # k = -1 - lam^2
-        ts = pts[:, 2]
-        return _on_axis2(-2.0 * lam_rate(ts) * traj.lam(ts) ** 2)
-
-    return AlmostContactModel(
+    return _model(
+        coeffs, {"phi": lambda *c: dict(zip(_CORNER, c[:4])),
+                 "g": lambda *c: {**dict(zip(_CORNER, c[4:])), (2, 2): 1.0},
+                 **_DT},
+        domain, varies,
         family=f"{params.variant}-darboux",
         variant="h" if params.variant == "kmu" else "hp",
         coords=("x", "y", "t"),
-        domain=domain,
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
-        phi=_layered(Tensor11Field, phi_layer, domain, "phi", **t_only),
-        xi=VectorField(_dt_covector, domain, partials=_zeros(3, 3),
-                       second=_zeros(3, 3, 3), **t_only, name="xi"),
-        eta=CovectorField(_dt_covector, domain, partials=_zeros(3, 3),
-                          **t_only, name="eta"),
-        g=_layered(MetricField, g_layer, domain, "g", **t_only),
-        k_nom=ScalarField(lambda p: traj.k_nominal(p[:, 2]), domain,
-                          partials=dk_fn, **t_only, name="k"),
-        mu_nom=_axis2_scalar(mu_bar, domain, "mu", **t_only),
-        lam_nom=ScalarField(lambda p: traj.lam(p[:, 2]), domain,
-                            partials=dlam_fn, **t_only, name="lam"),
+        k_nom=ScalarField(
+            lambda p: -1.0 - traj.lam(p[:, 2]) ** 2, domain, varies=varies,
+            partials=lambda p: _on_axis2(
+                -2.0 * lam_rate(p[:, 2]) * traj.lam(p[:, 2]) ** 2), name="k"),
+        mu_nom=_axis2_scalar(mu_bar, domain, "mu", varies=varies),
+        lam_nom=ScalarField(
+            lambda p: traj.lam(p[:, 2]), domain, varies=varies,
+            partials=lambda p: _on_axis2(lam_rate(p[:, 2]) * traj.lam(p[:, 2])),
+            name="lam"),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
                 "xy_box": [list(iv) for iv in params.xy_box]},
         trajectory=traj,
@@ -397,28 +384,21 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
         raise ValueError("warping constant c must be positive")
     domain = ChartDomain()
 
-    def g_layer(order):
-        def fn(pts):
-            w = (c * np.exp(pts[:, 2])) ** 2 * 2.0 ** order
-            return _on_t(w[:, None, None] * np.eye(2), order, 1.0)
-        return fn
+    def coeffs(pts, jets):
+        w = (c * np.exp(pts[:, 2])) ** 2
+        return (Jet.along(2, w, 2.0 * w, 4.0 * w) if jets else w,)
 
     def const_scalar(v, name):
         return ScalarField(lambda p: np.full(p.shape[0], v), domain,
-                           partials=_zeros(3), name=name)
+                           partials=lambda p: np.zeros((len(p), 3)), name=name)
 
-    return AlmostContactModel(
-        family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
-        domain=domain, default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+    return _model(
         # phi d_x = d_y, phi d_y = -d_x
-        phi=Tensor11Field(lambda p: _on_t(np.broadcast_to(-M2, (len(p), 2, 2)), 0),
-                          domain, partials=_zeros(3, 3, 3),
-                          second=_zeros(3, 3, 3, 3), name="phi"),
-        xi=VectorField(_dt_covector, domain, partials=_zeros(3, 3),
-                       second=_zeros(3, 3, 3), name="xi"),
-        eta=CovectorField(_dt_covector, domain, partials=_zeros(3, 3),
-                          name="eta"),
-        g=_layered(MetricField, g_layer, domain, "g"),
+        coeffs, {"phi": lambda w: {(0, 1): -1.0, (1, 0): 1.0},
+                 "g": lambda w: {(0, 0): w, (1, 1): w, (2, 2): 1.0}, **_DT},
+        domain, (True, True, True),
+        family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
+        default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
         k_nom=const_scalar(-1.0, "k"),
         mu_nom=const_scalar(0.0, "mu"),
         lam_nom=const_scalar(0.0, "lam"),

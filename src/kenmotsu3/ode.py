@@ -424,9 +424,6 @@ class Trajectory:
     def lam(self, ts) -> np.ndarray:
         return _lam(self.dense(ts))
 
-    def k_nominal(self, ts) -> np.ndarray:
-        return -1.0 - self.lam(ts) ** 2
-
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
               step: float = 1e-3) -> Trajectory:

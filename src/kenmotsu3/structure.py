@@ -46,8 +46,9 @@ class AlmostContactModel:
 
     ``variant`` names the operator entering this family's nullity condition:
     ``"h"`` or ``"hp"`` (for h').  ``coords`` labels the axes; the third axis
-    is the distinguished coordinate (z or t).  All evaluators are pure and
-    immutable, safe to share across workers.
+    is the distinguished coordinate (z or t).  phi, xi, eta and g keep the
+    coefficients of their last point array (``models._model``): a model's
+    values depend on the points alone, but it is not thread-safe.
     """
 
     family: str

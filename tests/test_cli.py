@@ -165,7 +165,8 @@ class TestTrajectory:
                     "--t-range", "-1", "1", "--step", "1e-3",
                     "--csv", str(out)])
         assert code == 0
-        rows = list(csv.reader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 2002  # header + 2001 nodes
         det = [abs(float(r[13]) - 1.0) for r in rows[1:]]
         # the long-double Magnus states meet 1e-9 on the whole range, also

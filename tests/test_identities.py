@@ -859,11 +859,24 @@ def test_suite_factors_the_metric_once(request, monkeypatch, fixture):
     assert calls[0] == 1
 
 
-def test_chart_jets_built_once_and_freed_with_the_points(monkeypatch):
-    # one (a, b, c) jet (7 coordinate and z-function jets) serves every
-    # partial and second partial of a suite, and nothing of it outlives the
-    # suite's points
-    model = build_kmu_chart_model(KmuChartParams("z + 1", "sin(z)", "0.1*z^2"))
+# a model of each kind and its leaf jets (``Jet.along``) per suite: the
+# chart's 3 coordinates and lam, mu, f and r; the 4 entries each of F and
+# e^{2t} G; the baseline's w = c^2 e^{2t}
+KEPT_JETS = {
+    "kmu_chart": (lambda: build_kmu_chart_model(
+        KmuChartParams("z + 1", "sin(z)", "0.1*z^2")), 7),
+    "kmu_darboux": (lambda: build_darboux_model(
+        DarbouxParams("kmu", "sin(t)", (-0.25, 0.25))), 8),
+    "baseline": (lambda: build_kenmotsu_baseline(1.0), 1),
+}
+
+
+@pytest.mark.parametrize("kind", KEPT_JETS)
+def test_field_jets_built_once_and_freed_with_the_points(monkeypatch, kind):
+    # one set of coefficient jets serves every partial and second partial
+    # of a suite, and nothing of it outlives the suite's points
+    build, count = KEPT_JETS[kind]
+    model = build()
     leaves, arrays = [0], []
     along, init = exprs.Jet.along.__func__, exprs.Jet.__init__
 
@@ -880,23 +893,38 @@ def test_chart_jets_built_once_and_freed_with_the_points(monkeypatch):
     gc.disable()
     try:
         check_suite(model, "all", PLAN)
-        assert leaves[0] == 7
+        assert leaves[0] == count
         assert arrays and not [r for r in arrays if r() is not None]
     finally:
         gc.enable()
 
 
-def test_chart_partials_from_kept_jets_match_fresh_ones(kmup_chart):
-    # kept jets give the bits a fresh build gives, and points changed in
-    # place are not served from the jets of their old values
-    pts = PLAN.points(kmup_chart)
+def _move_in_place(model, pts):
+    """Change the points' third coordinate in place; a Darboux model's by
+    whole node steps, so they stay on its nodes."""
+    traj = model.trajectory
+    if traj is None:
+        pts[:, 2] -= 0.25
+    else:
+        nodes = np.rint((pts[:, 2] - traj.t_min) / traj.step).astype(int)
+        pts[:, 2] = traj.times[nodes // 2]
+
+
+@pytest.mark.parametrize("fixture", ["kmup_chart", "kmup_darboux", "baseline"])
+def test_fields_from_kept_coefficients_match_fresh_ones(request, fixture):
+    # kept values and jets give the bits a fresh build gives, and points
+    # changed in place are not served from the cache of their old values
+    model = request.getfixturevalue(fixture)
+    pts = PLAN.points(model)
     fns = [fn for name in ("phi", "xi", "eta", "g")
-           for fn in (getattr(kmup_chart, name).partials,
-                      getattr(kmup_chart, name).second) if fn is not None]
+           for fn in (getattr(model, name).fn, getattr(model, name).partials,
+                      getattr(model, name).second) if fn is not None]
     before = pts.copy()
     kept = [fn(pts) for fn in fns]
-    pts[:, 2] -= 0.25
+    _move_in_place(model, pts)
     moved = [fn(pts) for fn in fns]
+    assert not np.array_equal(before, pts)
+    assert any(not np.array_equal(a, b) for a, b in zip(kept, moved))
     for fn, out, out_moved in zip(fns, kept, moved):
         assert np.array_equal(out, fn(before.copy()))
         assert np.array_equal(out_moved, fn(pts.copy()))

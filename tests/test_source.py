@@ -101,6 +101,18 @@ def test_one_way_to_differentiate():
     assert jets == [("exprs.py", "Jet")], jets
 
 
+def test_one_field_assembler():
+    # every family's phi, xi, eta and g come from entry formulas through
+    # models._model, the one place that constructs a model, and the
+    # per-order block helpers are gone
+    source = (SRC / "models.py").read_text()
+    calls = _linalg_uses(source, "models.py", names=(),
+                         functions=("AlmostContactModel",))
+    assert calls == [("AlmostContactModel", "_model")], calls
+    helpers = {"_on_t", "_zeros", "_dt_covector", "_layered"}
+    assert not helpers & set(_defined(source, ast.FunctionDef))
+
+
 def test_definition_guard_reads_nested_names():
     source = "class A:\n    def diff(self):\n        class _Jet: pass"
     assert _defined(source, ast.FunctionDef) == ["diff"]
