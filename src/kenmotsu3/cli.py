@@ -90,6 +90,8 @@ def _parse_identities(text: str) -> list[str] | str:
     if text == "all":
         return "all"
     ids = [s.strip() for s in text.split(",") if s.strip()]
+    if not ids:
+        raise UsageError(f"--identities names no identity: {text!r}")
     for name in ids:
         if name not in IDENTITIES:
             raise UsageError(f"unknown identity {name!r}")

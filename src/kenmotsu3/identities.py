@@ -79,11 +79,14 @@ class SamplePlan:
         axes = [np.linspace(lo, hi, self.grid) for lo, hi in box]
         if model.trajectory is not None:
             # snap the t-axis to stored nodes, so the fields read node
-            # states and slopes, not the Hermite interpolant
+            # states and slopes, not the Hermite interpolant; a time that
+            # snaps by more than half a step lies past the integrated range
             traj = model.trajectory
-            axes[2] = traj.times[np.clip(
-                np.round((axes[2] - traj.t_min) / traj.step).astype(int),
-                0, len(traj.times) - 1)]
+            nodes = np.round((axes[2] - traj.t_min) / traj.step).astype(int)
+            if nodes.min() < 0 or nodes.max() >= len(traj.times):
+                raise ValueError(f"sample box {box!r} leaves the integrated "
+                                 f"t-range [{traj.t_min}, {traj.t_max}]")
+            axes[2] = traj.times[nodes]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         inside = np.atleast_1d(model.domain.contains(pts))
         if not inside.all():
@@ -896,11 +899,10 @@ def check_suite(model: AlmostContactModel, identities=None,
     return reports
 
 
-def nullity_residual(model: AlmostContactModel, variant: str | None = None,
+def nullity_residual(model: AlmostContactModel,
                      plan: SamplePlan | None = None) -> ResidualReport:
-    """Residual of the family's nullity condition (variant h or hp)."""
-    variant = variant or model.variant
-    name = "NULL_KMU" if variant == "h" else "NULL_KMUP"
+    """Residual of the model's own nullity condition (variant h or hp)."""
+    name = "NULL_KMU" if model.variant == "h" else "NULL_KMUP"
     return check_identity(model, name, plan)
 
 

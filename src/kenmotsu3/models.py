@@ -19,11 +19,11 @@ the matrix ODE, g = dt^2 + e^{2t} G(t) with G = -M2 F, xi = d_t, eta = dt.
 Baseline (coordinates x, y, t): the warped product g = dt^2 +
 c^2 e^{2t}(dx^2 + dy^2) with h = 0, k = -1.
 
-One assembler, :func:`_model`, builds phi, xi, eta and g of every family
-from entry formulas in its coefficients (the chart's (a, b, c), the
-entries of F and e^{2t} G, w = c^2 e^{2t}), run on arrays for the values
-and on second-order jets (``exprs.Jet``) for the exact partials and second
-partials.  k, mu and lam carry their exact partials too.
+One assembler, :func:`_model`, builds all seven fields of every family
+(phi, xi, eta, g and the nominal k, mu, lam) from entry formulas in its
+coefficients, run on arrays for the values and on second-order jets
+(``exprs.Jet``) for the exact partials and, but for the scalars, second
+partials.
 """
 
 from __future__ import annotations
@@ -98,17 +98,15 @@ def _expr_or_default(e: Expr | str | None, var: str, default: str) -> Expr:
     return e
 
 
-def _on_axis2(block):
-    """Partials (n, 3) + block shape: ``block`` along the third axis, 0
-    along the first two."""
-    out = np.zeros((len(block), 3) + block.shape[1:])
-    out[:, 2] = block
-    return out
-
-
-# the structure tensors: field class and component shape
+# the structure tensors and the nominal scalars: class and component shape
 _FIELDS = {"phi": (Tensor11Field, (3, 3)), "xi": (VectorField, (3,)),
-           "eta": (CovectorField, (3,)), "g": (MetricField, (3, 3))}
+           "eta": (CovectorField, (3,)), "g": (MetricField, (3, 3)),
+           "k_nom": (ScalarField, ()), "mu_nom": (ScalarField, ()),
+           "lam_nom": (ScalarField, ())}
+
+# k, mu and lam: the last three coefficients of every family
+_NOMINAL = {name: lambda *c, i=i: {(): c[i]}
+            for i, name in enumerate(("k_nom", "mu_nom", "lam_nom"), -3)}
 
 # xi = eta = dt, the Darboux and baseline families' entries
 _DT = {"xi": lambda *c: {(2,): 1.0}, "eta": lambda *c: {(2,): 1.0}}
@@ -121,18 +119,20 @@ _EXP2T_RULE = ((1.0,), (2.0, 1.0), (4.0, 4.0, 1.0))
 
 
 def _model(coeffs, entries, domain, varies, **model_kw) -> AlmostContactModel:
-    """A model whose phi, xi, eta and g are given entry by entry.
+    """A model whose seven fields are given entry by entry.
 
-    ``coeffs(pts, jets)`` gives the family's coefficients at the points:
-    arrays, or when ``jets`` is set second-order jets, whose partials are
-    the fields' exact partials.  ``entries[name](*coefficients)`` maps them
-    to the nonzero entries ``{index: entry}`` of field ``name``, each a
-    coefficient expression or a constant (whose partials are exact zeros).
-    The coefficients and entries of the last point array, values and jets
-    alike, are kept and freed with that array, so a suite computes each
-    once; a value alone builds no jet.  ``model_kw`` holds the other
-    :class:`AlmostContactModel` fields.
+    ``coeffs(pts, jets)`` gives the family's coefficients at the points,
+    the nominal k, mu and lam last: arrays, or when ``jets`` is set
+    second-order jets, whose partials are the fields' exact partials.
+    ``entries[name](*coefficients)`` maps them to the nonzero entries
+    ``{index: entry}`` of tensor ``name``, each a coefficient expression or
+    a constant (whose partials are exact zeros).  The scalars carry no
+    second partials.  The coefficients and entries of the last point
+    array, values and jets alike, are kept and freed with that array, so a
+    suite computes each once; a value alone builds no jet.  ``model_kw``
+    holds the other :class:`AlmostContactModel` fields.
     """
+    entries = {**entries, **_NOMINAL}
     kept = {}
 
     def entry_values(name, pts, jets):
@@ -163,8 +163,9 @@ def _model(coeffs, entries, domain, varies, **model_kw) -> AlmostContactModel:
     return AlmostContactModel(
         domain=domain, **model_kw,
         **{name: cls(layer(name, 0), domain, partials=layer(name, 1),
-                     second=layer(name, 2), varies=varies, name=name)
-           for name, (cls, _) in _FIELDS.items()})
+                     second=layer(name, 2) if shape else None,
+                     varies=varies, name=name)
+           for name, (cls, shape) in _FIELDS.items()})
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ class DarbouxParams:
 # Chart families
 # --------------------------------------------------------------------------
 
-def _g_entries(a, b, c):
+def _g_entries(a, b, c, *_):
     p, q = a / c, b / c
     return {(0, 0): 1.0, (1, 1): 1.0, (0, 2): p, (2, 0): p, (1, 2): q,
             (2, 1): q, (2, 2): (1.0 + a * a + b * b) / (c * c)}
@@ -226,23 +227,15 @@ def _g_entries(a, b, c):
 
 # phi, xi, eta and g of the chart frame in its coefficients (a, b, c)
 _CHART_ENTRIES = {
-    "phi": lambda a, b, c: {(0, 1): -1.0, (1, 0): 1.0, (0, 2): -b / c,
-                            (1, 2): a / c},
-    "xi": lambda a, b, c: {(0,): a, (1,): b, (2,): -c},
-    "eta": lambda a, b, c: {(2,): -1.0 / c},
+    "phi": lambda a, b, c, *_: {(0, 1): -1.0, (1, 0): 1.0, (0, 2): -b / c,
+                                (1, 2): a / c},
+    "xi": lambda a, b, c, *_: {(0,): a, (1,): b, (2,): -c},
+    "eta": lambda a, b, c, *_: {(2,): -1.0 / c},
     "g": _g_entries,
 }
 
 # the chart families' nominal eigenvalue, lam^2 = -1 - k with k = z
 _LAM = parse_expr("sqrt(-1 - z)")
-
-
-def _axis2_scalar(e: Expr, domain, name: str, **kw) -> ScalarField:
-    """The scalar field e of the third coordinate, with its exact partials
-    from the first derivative of ``e.jet``."""
-    return ScalarField(lambda p: e(p[:, 2]), domain,
-                       partials=lambda p: _on_axis2(e.jet(p[:, 2], 1)[1]),
-                       name=name, **kw)
 
 
 def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
@@ -258,27 +251,23 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
     ``coeff(x, y, z, lam, mu, f, r)`` gives (a, b, c), on arrays for the
     fields' values and on second-order jets for their exact partials and
     second partials (see :func:`_model`): lam, mu, f and r enter with the
-    derivatives of their ``Expr.jet``.  k, mu and lam carry their exact
-    z-partials.
+    derivatives of their ``Expr.jet``.  The nominal k, mu and lam are the
+    z, mu and lam it is given.
     """
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
-    scalars = (_LAM, mu, f, r)
 
     def coeffs(pts, jets):
-        x, y, z = pts.T
-        if not jets:
-            return coeff(x, y, z, *(e(z) for e in scalars))
-        one, zero = np.ones(len(z)), np.zeros(len(z))
-        return coeff(*(Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)),
-                     *(Jet.along(2, *e.jet(z)) for e in scalars))
+        z, one, zero = pts[:, 2], np.ones(len(pts)), np.zeros(len(pts))
+        xyz = [Jet.along(a, u, one, zero) if jets else u
+               for a, u in enumerate(pts.T)]
+        lam, muv, fv, rv = (Jet.along(2, *e.jet(z)) if jets else e(z)
+                            for e in (_LAM, mu, f, r))
+        return (*coeff(*xyz, lam, muv, fv, rv), xyz[2], muv, lam)
 
     return _model(
         coeffs, _CHART_ENTRIES, domain, (True, True, True),
         family=family, variant=variant, coords=("x", "y", "z"),
         default_box=box,
-        k_nom=_axis2_scalar(parse_expr("z"), domain, "k"),
-        mu_nom=_axis2_scalar(mu, domain, "mu"),
-        lam_nom=_axis2_scalar(_LAM, domain, "lam"),
         params={"mu": str(mu), "f": str(f), "r": str(r),
                 "box": [list(iv) for iv in box]},
     )
@@ -319,7 +308,8 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     Every field depends on t alone and carries its exact t-partials: mu
     from ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is
     fine at t = -1), the others from the ODE slopes: F' = 2H, F'' = 2H',
-    d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k), lam' = -f' lam.
+    d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k), and lam = e^{-f}
+    and k = -1 - e^{-2f} by the chain rule from f and f'.
     """
     mu_bar = params.resolved()
     t0, t1 = map(float, params.t_range)
@@ -331,44 +321,45 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     varies = (False, False, True)
 
     def coeffs(pts, jets):
-        """The entries of F and of e^{2t} G: values, or jets along t from
-        the blocks' t-derivatives.  Each order of e^{2t} G is its own sum
-        by ``_EXP2T_RULE``: the jets' product rule on e^{2t} and G would
-        round the t-partials differently."""
+        """The entries of F and of e^{2t} G, then k, mu and lam: values, or
+        jets along t from the t-derivatives of the state and of mu, each
+        looked up once.  Each order of e^{2t} G is its own sum by
+        ``_EXP2T_RULE``: the jets' product rule on e^{2t} and G would round
+        the t-partials differently.  F's (1, 1) entry is -F's (0, 0) and
+        e^{2t} G is symmetric, so neither takes a leaf of its own; the
+        scalars' second partials, which their fields do not carry, are 0."""
         ts = pts[:, 2]
-        fs = [_as_matrix(traj.dense(ts)[:, 0:3])]
+        state = traj.dense(ts)
+        fs, f = [_as_matrix(state[:, 0:3])], [state[:, 9]]
         if jets:
-            slope = traj.slopes(ts)
+            slope, zero = traj.slopes(ts), np.zeros(len(ts))
             fs += [_as_matrix(slope[:, 0:3]), 2.0 * _as_matrix(slope[:, 3:6])]
-        gs = [-M2 @ f for f in fs]
+            f += [slope[:, 9], zero]
+        mu = [*mu_bar.jet(ts, 1), zero] if jets else [mu_bar(ts)]
+        gs = [-M2 @ m for m in fs]
         e2t = np.exp(2.0 * ts)[:, None, None]
         egs = [e2t * sum(c * gk for c, gk in zip(rule, gs))
                for rule in _EXP2T_RULE[:len(fs)]]
-        cells = [[m[:, i, j] for m in ms] for ms in (fs, egs)
-                 for i, j in _CORNER]
-        return [Jet.along(2, *cell) if jets else cell[0] for cell in cells]
-
-    def lam_rate(ts):  # lambda' / lambda = -f'
-        return -traj.slopes(ts)[:, 9]
+        cells = ([[m[:, i, j] for m in fs] for i, j in _CORNER[:3]]
+                 + [[m[:, i, j] for m in egs]
+                    for i, j in ((0, 0), (0, 1), (1, 1))])
+        p00, p01, p10, g00, g01, g11, f, mu = (
+            Jet.along(2, *cell) if jets else cell[0] for cell in cells + [f, mu])
+        lam = np.exp(-(f.v if jets else f))
+        k = -1.0 - lam ** 2
+        if jets:  # dk/df = 2 lam^2, dlam/df = -lam
+            k, lam = f.chain(k, 2.0 * lam ** 2, zero), f.chain(lam, -lam, zero)
+        return p00, p01, p10, -p00, g00, g01, g01, g11, k, mu, lam
 
     return _model(
         coeffs, {"phi": lambda *c: dict(zip(_CORNER, c[:4])),
-                 "g": lambda *c: {**dict(zip(_CORNER, c[4:])), (2, 2): 1.0},
+                 "g": lambda *c: {**dict(zip(_CORNER, c[4:8])), (2, 2): 1.0},
                  **_DT},
         domain, varies,
         family=f"{params.variant}-darboux",
         variant="h" if params.variant == "kmu" else "hp",
         coords=("x", "y", "t"),
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
-        k_nom=ScalarField(
-            lambda p: -1.0 - traj.lam(p[:, 2]) ** 2, domain, varies=varies,
-            partials=lambda p: _on_axis2(
-                -2.0 * lam_rate(p[:, 2]) * traj.lam(p[:, 2]) ** 2), name="k"),
-        mu_nom=_axis2_scalar(mu_bar, domain, "mu", varies=varies),
-        lam_nom=ScalarField(
-            lambda p: traj.lam(p[:, 2]), domain, varies=varies,
-            partials=lambda p: _on_axis2(lam_rate(p[:, 2]) * traj.lam(p[:, 2])),
-            name="lam"),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
                 "xy_box": [list(iv) for iv in params.xy_box]},
         trajectory=traj,
@@ -386,22 +377,16 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
 
     def coeffs(pts, jets):
         w = (c * np.exp(pts[:, 2])) ** 2
-        return (Jet.along(2, w, 2.0 * w, 4.0 * w) if jets else w,)
-
-    def const_scalar(v, name):
-        return ScalarField(lambda p: np.full(p.shape[0], v), domain,
-                           partials=lambda p: np.zeros((len(p), 3)), name=name)
+        # k = -1, mu = lam = 0
+        return Jet.along(2, w, 2.0 * w, 4.0 * w) if jets else w, -1.0, 0.0, 0.0
 
     return _model(
         # phi d_x = d_y, phi d_y = -d_x
-        coeffs, {"phi": lambda w: {(0, 1): -1.0, (1, 0): 1.0},
-                 "g": lambda w: {(0, 0): w, (1, 1): w, (2, 2): 1.0}, **_DT},
+        coeffs, {"phi": lambda *_: {(0, 1): -1.0, (1, 0): 1.0},
+                 "g": lambda w, *_: {(0, 0): w, (1, 1): w, (2, 2): 1.0}, **_DT},
         domain, (True, True, True),
         family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
         default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        k_nom=const_scalar(-1.0, "k"),
-        mu_nom=const_scalar(0.0, "mu"),
-        lam_nom=const_scalar(0.0, "lam"),
         params={"c": c},
     )
 

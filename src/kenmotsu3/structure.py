@@ -46,9 +46,11 @@ class AlmostContactModel:
 
     ``variant`` names the operator entering this family's nullity condition:
     ``"h"`` or ``"hp"`` (for h').  ``coords`` labels the axes; the third axis
-    is the distinguished coordinate (z or t).  phi, xi, eta and g keep the
-    coefficients of their last point array (``models._model``): a model's
-    values depend on the points alone, but it is not thread-safe.
+    is the distinguished coordinate (z or t).  All seven fields are built
+    by ``models._model`` from one set of coefficients, which they keep for
+    their last point array: a model's values depend on the points alone,
+    but it is not thread-safe.  k_nom, mu_nom and lam_nom carry exact
+    partials but no second partials.
     """
 
     family: str

@@ -79,7 +79,7 @@ def test_criterion_1_baseline_suite():
         worst = float(np.max(np.abs(k + 1.0)))
         if worst > 5e-6:
             failures.append(f"sectional curvature deviates {worst:.3e} > 5e-6")
-    rep = nullity_residual(model, "h", PLAN)
+    rep = nullity_residual(model, PLAN)
     if rep.residual > 5e-5:
         failures.append(f"nullity residual {rep.residual:.3e} > 5e-5")
     _verdict(1, failures)
@@ -93,7 +93,7 @@ def test_criterion_2_kmu_chart_suite():
         model = build_kmu_chart_model(KmuChartParams(mu=mu, f="0", r="0",
                                                      box=CHART_BOX))
         failures += _suite_failures(model, ids, label=f"mu={mu}: ")
-        rep = nullity_residual(model, "h", PLAN)
+        rep = nullity_residual(model, PLAN)
         if rep.residual > 5e-5:
             failures.append(f"mu={mu}: nullity {rep.residual:.3e} > 5e-5")
         pts = PLAN.points(model)
@@ -116,7 +116,7 @@ def test_criterion_3_kmup_chart_suite():
         model = build_kmu_prime_chart_model(
             KmupChartParams(mu=mu, f="0", r="0", box=CHART_BOX))
         failures += _suite_failures(model, own + shared, label=f"mu={mu}: ")
-        rep = nullity_residual(model, "hp", PLAN)
+        rep = nullity_residual(model, PLAN)
         if rep.residual > 5e-5:
             failures.append(f"mu={mu}: nullity {rep.residual:.3e} > 5e-5")
         # bracket relations [e1,e3] = (1+lam) e1, [e2,e3] = (1-lam) e2
@@ -162,7 +162,7 @@ def _darboux_common_failures(variant, mu, failures):
     h_err = float(np.max(np.abs(h[:, :2, :2] - hmat)))
     if h_err > 1e-6:
         failures.append(f"{label}compute_h vs H(t) {h_err:.3e} > 1e-6")
-    rep = nullity_residual(model, plan=PLAN)
+    rep = nullity_residual(model, PLAN)
     if rep.residual > 5e-5:
         failures.append(f"{label}nullity {rep.residual:.3e} > 5e-5")
     return model

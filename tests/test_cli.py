@@ -57,6 +57,14 @@ class TestVerify:
                     "--tol", "NOPE=1"]) == 2
         assert run(["verify", "--family", "kenmotsu",
                     "--identities", "NOPE"]) == 2
+        # an empty identity list would check nothing and pass
+        for ids in (",", ""):
+            assert run(["verify", "--family", "kenmotsu",
+                        "--identities", ids]) == 2, ids
+        # a Darboux box past the integrated t-range is not clamped onto it
+        assert run(["verify", "--family", "kmu-darboux", "--mu", "1",
+                    "--t-range", "-0.5", "0.5", "--box", "0,1:0,1:-2,2",
+                    "--grid", "3"]) == 2
         # a tolerance that is not a finite non-negative number is bad input,
         # not a numerical failure (nan and -1 used to fail, inf to pass)
         for value in ("nan", "-1", "inf"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kenmotsu3 import exprs, fields
+from kenmotsu3 import exprs, fields, ode
 from kenmotsu3.fields import (
     ArrayField,
     DiffScheme,
@@ -96,10 +96,20 @@ class TestSamplePlan:
         traj = kmu_darboux.trajectory
         pos = (pts[:, 2] - traj.t_min) / traj.step
         assert np.max(np.abs(pos - np.round(pos))) < 1e-9
+        # a box end less than half a step past the range snaps to its end
+        half = 0.5 * traj.step
+        box = ((0, 1), (0, 1),
+               (traj.t_min - 0.9 * half, traj.t_max + 0.9 * half))
+        pts = SamplePlan(grid=3, box=box).points(kmu_darboux)
+        assert set(pts[:, 2]) == {traj.t_min, 0.0, traj.t_max}
 
-    def test_bad_box_rejected(self, kmu_chart):
+    def test_bad_box_rejected(self, kmu_chart, kmu_darboux):
         with pytest.raises(ValueError):
             SamplePlan(box=((0, 1), (0, 1), (-2, 0))).points(kmu_chart)
+        # a Darboux t-axis past the integrated range is not clamped onto it
+        for t_box in ((-2, 2), (-0.25, 0.3), (-0.3, 0.25)):
+            with pytest.raises(ValueError, match="integrated t-range"):
+                SamplePlan(box=((0, 1), (0, 1), t_box)).points(kmu_darboux)
 
 
 class TestReports:
@@ -175,17 +185,17 @@ class TestNullity:
     def test_baseline_constant_curvature_oracle(self, baseline):
         # R(X,Y)xi = -(eta(Y)X - eta(X)Y) for the curvature -1 oracle,
         # i.e. the h-nullity condition with k = -1, mu = 0
-        rep = nullity_residual(baseline, "h", PLAN)
+        rep = nullity_residual(baseline, PLAN)
         assert rep.verdict == "pass"
         assert rep.residual <= 5e-5
 
     def test_kmu_chart_k_equals_z(self, kmu_chart):
-        rep = nullity_residual(kmu_chart, plan=PLAN)
+        rep = nullity_residual(kmu_chart, PLAN)
         assert rep.id == "NULL_KMU"
         assert rep.residual <= 5e-5
 
     def test_kmup_chart_k_equals_z(self, kmup_chart):
-        rep = nullity_residual(kmup_chart, plan=PLAN)
+        rep = nullity_residual(kmup_chart, PLAN)
         assert rep.id == "NULL_KMUP"
         assert rep.residual <= 5e-5
 
@@ -859,15 +869,20 @@ def test_suite_factors_the_metric_once(request, monkeypatch, fixture):
     assert calls[0] == 1
 
 
-# a model of each kind and its leaf jets (``Jet.along``) per suite: the
-# chart's 3 coordinates and lam, mu, f and r; the 4 entries each of F and
-# e^{2t} G; the baseline's w = c^2 e^{2t}
+# a model of each kind, its leaf jets (``Jet.along``) per suite: the
+# chart's 3 coordinates and lam, mu, f and r; 3 entries each of F and
+# e^{2t} G, f and mu; the baseline's w = c^2 e^{2t}; and its lookups per
+# suite: trajectory states (``dense``) and slopes, expression values
+# (``__call__``) and jets, one pass each for the values and for the jets
 KEPT_JETS = {
     "kmu_chart": (lambda: build_kmu_chart_model(
-        KmuChartParams("z + 1", "sin(z)", "0.1*z^2")), 7),
+        KmuChartParams("z + 1", "sin(z)", "0.1*z^2")), 7,
+        {"dense": 0, "slopes": 0, "__call__": 4, "jet": 4}),
     "kmu_darboux": (lambda: build_darboux_model(
-        DarbouxParams("kmu", "sin(t)", (-0.25, 0.25))), 8),
-    "baseline": (lambda: build_kenmotsu_baseline(1.0), 1),
+        DarbouxParams("kmu", "sin(t)", (-0.25, 0.25))), 8,
+        {"dense": 2, "slopes": 1, "__call__": 1, "jet": 1}),
+    "baseline": (lambda: build_kenmotsu_baseline(1.0), 1,
+                 {"dense": 0, "slopes": 0, "__call__": 0, "jet": 0}),
 }
 
 
@@ -875,7 +890,7 @@ KEPT_JETS = {
 def test_field_jets_built_once_and_freed_with_the_points(monkeypatch, kind):
     # one set of coefficient jets serves every partial and second partial
     # of a suite, and nothing of it outlives the suite's points
-    build, count = KEPT_JETS[kind]
+    build, count, _ = KEPT_JETS[kind]
     model = build()
     leaves, arrays = [0], []
     along, init = exprs.Jet.along.__func__, exprs.Jet.__init__
@@ -899,6 +914,31 @@ def test_field_jets_built_once_and_freed_with_the_points(monkeypatch, kind):
         gc.enable()
 
 
+@pytest.mark.parametrize("kind", KEPT_JETS)
+def test_suite_looks_up_states_and_expressions_once_per_pass(monkeypatch,
+                                                             kind):
+    # all seven fields, the nominal k, mu and lam with them, are read off
+    # one coefficient pass for values and one for jets
+    build, _, lookups = KEPT_JETS[kind]
+    model = build()
+    seen = dict.fromkeys(lookups, 0)
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            seen[name] += 1
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, names in ((ode.Trajectory, ("dense", "slopes")),
+                       (exprs.Expr, ("__call__", "jet"))):
+        for name in names:
+            counted(cls, name)
+    check_suite(model, "all", PLAN)
+    assert seen == lookups
+
+
 def _move_in_place(model, pts):
     """Change the points' third coordinate in place; a Darboux model's by
     whole node steps, so they stay on its nodes."""
@@ -916,7 +956,8 @@ def test_fields_from_kept_coefficients_match_fresh_ones(request, fixture):
     # changed in place are not served from the cache of their old values
     model = request.getfixturevalue(fixture)
     pts = PLAN.points(model)
-    fns = [fn for name in ("phi", "xi", "eta", "g")
+    fns = [fn for name in ("phi", "xi", "eta", "g", "k_nom", "mu_nom",
+                           "lam_nom")
            for fn in (getattr(model, name).fn, getattr(model, name).partials,
                       getattr(model, name).second) if fn is not None]
     before = pts.copy()

@@ -102,14 +102,16 @@ def test_one_way_to_differentiate():
 
 
 def test_one_field_assembler():
-    # every family's phi, xi, eta and g come from entry formulas through
-    # models._model, the one place that constructs a model, and the
-    # per-order block helpers are gone
+    # every family's seven fields, phi, xi, eta, g and the nominal k, mu
+    # and lam, come from entry formulas through models._model, the one
+    # place that constructs a model, and the per-order block helpers and
+    # the scalars' own builders are gone
     source = (SRC / "models.py").read_text()
     calls = _linalg_uses(source, "models.py", names=(),
-                         functions=("AlmostContactModel",))
+                         functions=("AlmostContactModel", "ScalarField"))
     assert calls == [("AlmostContactModel", "_model")], calls
-    helpers = {"_on_t", "_zeros", "_dt_covector", "_layered"}
+    helpers = {"_on_t", "_zeros", "_dt_covector", "_layered", "_axis2_scalar",
+               "_on_axis2", "const_scalar", "lam_rate"}
     assert not helpers & set(_defined(source, ast.FunctionDef))
 
 
