@@ -172,6 +172,8 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if FAMILY_NAMES[args.family] == "kenmotsu-baseline":
+        raise UsageError("the kenmotsu baseline has no mu to sweep")
     try:
         mu_values = [float(s) for s in args.mu_values.split(",") if s.strip()]
     except ValueError as ex:
@@ -290,7 +292,8 @@ def main(argv=None) -> int:
         return int(ex.code or 0)
     try:
         return args.fn(args)
-    except (UsageError, ExprSyntaxError, ExprDomainError, ValueError) as ex:
+    except (UsageError, ExprSyntaxError, ExprDomainError, ValueError,
+            OSError) as ex:  # OSError: an output path that cannot be written
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except ConsistencyError as ex:

@@ -126,39 +126,14 @@ class ResidualReport:
 # Evaluation cache
 # --------------------------------------------------------------------------
 
-class _Eval:
-    """A Probe attribute: a model field's values (``order`` 0), exact
-    partials (1) or second partials (2) at its points, passed through
-    ``then``.  A field without the partials asked for is an error, never a
-    finite-difference fallback.  Second partials, read once each (by
-    ``curv`` and ``dh``), are not kept."""
-
-    def __init__(self, field: str, order: int = 0, then=None):
-        self.field, self.order, self.then = field, order, then or (lambda d: d)
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, probe, owner=None):
-        if probe is None:
-            return self
-        field = getattr(probe.model, self.field)
-        fn = (field, field.partials, field.second)[self.order]
-        if fn is None:
-            raise ValueError(f"{field!r} carries no exact partials of "
-                             f"order {self.order}")
-        value = self.then(np.asarray(fn(probe.pts), dtype=float))
-        if self.order < 2:
-            probe.__dict__[self.name] = value
-        return value
-
-
 class Probe:
     """Lazy per-plan cache of everything the identities consume.
 
-    phi, xi, eta and g, and the fields' exact partials (second partials
-    of phi, xi and g), are evaluated once; everything else is derived from
-    those values in closed form, with no finite differences.
+    phi, xi, eta, g and the nominal k, mu and lam, with their exact partials
+    and the second partials of phi, xi and g, come from one ``model.at``
+    pass over the points; everything else is derived from those values in
+    closed form, with no finite differences.  Each second partial is
+    dropped by its one reader (``curv``, ``dh``).
     """
 
     def __init__(self, model: AlmostContactModel, pts: np.ndarray,
@@ -168,26 +143,16 @@ class Probe:
         self.rand_pairs = rand_pairs
         self.seed = seed
         self.n = self.pts.shape[0]
-
-    # --- the model's fields: values, exact partials, second partials ---------
-
-    g = _Eval("g")
-    phi = _Eval("phi")
-    xi = _Eval("xi")
-    eta = _Eval("eta")
-    k = _Eval("k_nom")
-    mu = _Eval("mu_nom")
-    lam_nom = _Eval("lam_nom")
-    dg = _Eval("g", 1)
-    ddg = _Eval("g", 2)
-    dxi = _Eval("xi", 1)
-    ddxi = _Eval("xi", 2)
-    dphi = _Eval("phi", 1)
-    ddphi = _Eval("phi", 2)
-    dk = _Eval("k_nom", 1)
-    dmu = _Eval("mu_nom", 1)
-    dlam = _Eval("lam_nom", 1)
-    deta = _Eval("eta", 1, then=exterior_differential)
+        at = model.at(self.pts)
+        self.g, self.dg, ddg = at["g"]
+        self.phi, self.dphi, ddphi = at["phi"]
+        self.xi, self.dxi, ddxi = at["xi"]
+        self.eta, deta, _ = at["eta"]
+        self.deta = exterior_differential(deta)
+        self.k, self.dk, _ = at["k_nom"]
+        self.mu, self.dmu, _ = at["mu_nom"]
+        self.lam_nom, self.dlam, _ = at["lam_nom"]
+        self._second = {"g": ddg, "phi": ddphi, "xi": ddxi}
 
     @cached_property
     def eye(self):
@@ -209,7 +174,8 @@ class Probe:
 
     @cached_property
     def curv(self):
-        dgamma = christoffel_partials(self.gamma, self.ginv, self.dg, self.ddg)
+        dgamma = christoffel_partials(self.gamma, self.ginv, self.dg,
+                                      self._second.pop("g"))
         return curvature(self.gamma, self.ginv, dgamma)
 
     @cached_property
@@ -239,10 +205,11 @@ class Probe:
     @cached_property
     def dh(self):
         """d_b h = (1/2)(L_{d_b xi} phi + L_xi d_b phi), ``[n, b, i, j]``."""
-        return 0.5 * (lie_derivative(self.dxi, self.ddxi, self.phi[:, None],
+        ddxi, ddphi = self._second.pop("xi"), self._second.pop("phi")
+        return 0.5 * (lie_derivative(self.dxi, ddxi, self.phi[:, None],
                                      self.dphi[:, None])
                       + lie_derivative(self.xi[:, None], self.dxi[:, None],
-                                       self.dphi, self.ddphi))
+                                       self.dphi, ddphi))
 
     @cached_property
     def dhp(self):

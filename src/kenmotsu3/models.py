@@ -21,30 +21,22 @@ c^2 e^{2t}(dx^2 + dy^2) with h = 0, k = -1.
 
 One assembler, :func:`_model`, builds all seven fields of every family
 (phi, xi, eta, g and the nominal k, mu, lam) from entry formulas in its
-coefficients, run on arrays for the values and on second-order jets
-(``exprs.Jet``) for the exact partials and, but for the scalars, second
-partials.
+coefficients, run once per point array on second-order jets
+(``exprs.Jet``), which carry the values, the exact partials and, but for
+the scalars, the second partials.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exprs import Expr, Jet, parse_expr
-from .fields import (
-    ChartDomain,
-    CovectorField,
-    MetricField,
-    ScalarField,
-    Tensor11Field,
-    VectorField,
-)
+from .fields import ChartDomain
 from .ode import M2, _as_matrix, integrate, metric_from_state
-from .structure import AlmostContactModel
+from .structure import _FIELDS, AlmostContactModel
 
 __all__ = [
     "KmuChartParams",
@@ -98,12 +90,6 @@ def _expr_or_default(e: Expr | str | None, var: str, default: str) -> Expr:
     return e
 
 
-# the structure tensors and the nominal scalars: class and component shape
-_FIELDS = {"phi": (Tensor11Field, (3, 3)), "xi": (VectorField, (3,)),
-           "eta": (CovectorField, (3,)), "g": (MetricField, (3, 3)),
-           "k_nom": (ScalarField, ()), "mu_nom": (ScalarField, ()),
-           "lam_nom": (ScalarField, ())}
-
 # k, mu and lam: the last three coefficients of every family
 _NOMINAL = {name: lambda *c, i=i: {(): c[i]}
             for i, name in enumerate(("k_nom", "mu_nom", "lam_nom"), -3)}
@@ -118,54 +104,34 @@ _CORNER = ((0, 0), (0, 1), (1, 0), (1, 1))
 _EXP2T_RULE = ((1.0,), (2.0, 1.0), (4.0, 4.0, 1.0))
 
 
-def _model(coeffs, entries, domain, varies, **model_kw) -> AlmostContactModel:
+def _model(coeffs, entries, domain, **model_kw) -> AlmostContactModel:
     """A model whose seven fields are given entry by entry.
 
-    ``coeffs(pts, jets)`` gives the family's coefficients at the points,
-    the nominal k, mu and lam last: arrays, or when ``jets`` is set
-    second-order jets, whose partials are the fields' exact partials.
+    ``coeffs(pts)`` gives the family's coefficients at the points as
+    second-order jets (or constants), the nominal k, mu and lam last; their
+    values and partials are the fields' values and exact partials.
     ``entries[name](*coefficients)`` maps them to the nonzero entries
-    ``{index: entry}`` of tensor ``name``, each a coefficient expression or
-    a constant (whose partials are exact zeros).  The scalars carry no
-    second partials.  The coefficients and entries of the last point
-    array, values and jets alike, are kept and freed with that array, so a
-    suite computes each once; a value alone builds no jet.  ``model_kw``
-    holds the other :class:`AlmostContactModel` fields.
+    ``{index: entry}`` of field ``name``, each a coefficient expression or
+    a constant (whose partials are exact zeros).  The model's ``at`` runs
+    this one pass per call; the scalars carry no second partials.
+    ``model_kw`` holds the other :class:`AlmostContactModel` fields.
     """
     entries = {**entries, **_NOMINAL}
-    kept = {}
 
-    def entry_values(name, pts, jets):
-        if not ("ref" in kept and kept["ref"]() is pts
-                and np.array_equal(kept["pts"], pts)):
-            kept.clear()
-            kept.update(ref=weakref.ref(pts, lambda _: kept.clear()),
-                        pts=pts.copy())
-        if (name, jets) not in kept:
-            if jets not in kept:  # the coefficients
-                kept[jets] = coeffs(pts, jets)
-            kept[name, jets] = entries[name](*kept[jets])
-        return kept[name, jets]
+    def at(pts):
+        coefficients, n = coeffs(pts), len(pts)
+        out = {}
+        for name, (_, shape) in _FIELDS.items():
+            layers = [np.zeros((n,) + (3,) * order + shape)
+                      for order in range(3 if shape else 2)]
+            for index, e in entries[name](*coefficients).items():
+                parts = (e.v, e.d, e.dd) if isinstance(e, Jet) else (e,)
+                for layer, part in zip(layers, parts):
+                    layer[(Ellipsis,) + index] = part
+            out[name] = tuple(layers) if shape else (*layers, None)
+        return out
 
-    def layer(name, order):
-        shape = (3,) * order + _FIELDS[name][1]
-
-        def fn(pts):
-            out = np.zeros((len(pts),) + shape)
-            for index, e in entry_values(name, pts, order > 0).items():
-                if not order:
-                    out[(Ellipsis,) + index] = e
-                elif isinstance(e, Jet):  # constants have no partials
-                    out[(Ellipsis,) + index] = e.d if order == 1 else e.dd
-            return out
-        return fn
-
-    return AlmostContactModel(
-        domain=domain, **model_kw,
-        **{name: cls(layer(name, 0), domain, partials=layer(name, 1),
-                     second=layer(name, 2) if shape else None,
-                     varies=varies, name=name)
-           for name, (cls, shape) in _FIELDS.items()})
+    return AlmostContactModel(domain=domain, at=at, **model_kw)
 
 
 @dataclass(frozen=True)
@@ -248,26 +214,21 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
         g   = [[1, 0, a/c], [0, 1, b/c], [a/c, b/c, (1+a^2+b^2)/c^2]]
         phi = [[0, -1, -b/c], [1, 0, a/c], [0, 0, 0]]
 
-    ``coeff(x, y, z, lam, mu, f, r)`` gives (a, b, c), on arrays for the
-    fields' values and on second-order jets for their exact partials and
-    second partials (see :func:`_model`): lam, mu, f and r enter with the
-    derivatives of their ``Expr.jet``.  The nominal k, mu and lam are the
-    z, mu and lam it is given.
+    ``coeff(x, y, z, lam, mu, f, r)`` gives (a, b, c) on second-order jets
+    (see :func:`_model`): lam, mu, f and r enter as their ``Expr.jet``.
+    The nominal k, mu and lam are the z, mu and lam it is given.
     """
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
 
-    def coeffs(pts, jets):
+    def coeffs(pts):
         z, one, zero = pts[:, 2], np.ones(len(pts)), np.zeros(len(pts))
-        xyz = [Jet.along(a, u, one, zero) if jets else u
-               for a, u in enumerate(pts.T)]
-        lam, muv, fv, rv = (Jet.along(2, *e.jet(z)) if jets else e(z)
-                            for e in (_LAM, mu, f, r))
+        xyz = [Jet.along(a, u, one, zero) for a, u in enumerate(pts.T)]
+        lam, muv, fv, rv = (Jet.along(2, *e.jet(z)) for e in (_LAM, mu, f, r))
         return (*coeff(*xyz, lam, muv, fv, rv), xyz[2], muv, lam)
 
     return _model(
-        coeffs, _CHART_ENTRIES, domain, (True, True, True),
-        family=family, variant=variant, coords=("x", "y", "z"),
-        default_box=box,
+        coeffs, _CHART_ENTRIES, domain, family=family, variant=variant,
+        coords=("x", "y", "z"), default_box=box,
         params={"mu": str(mu), "f": str(f), "r": str(r),
                 "box": [list(iv) for iv in box]},
     )
@@ -318,44 +279,39 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
-    varies = (False, False, True)
 
-    def coeffs(pts, jets):
-        """The entries of F and of e^{2t} G, then k, mu and lam: values, or
-        jets along t from the t-derivatives of the state and of mu, each
-        looked up once.  Each order of e^{2t} G is its own sum by
-        ``_EXP2T_RULE``: the jets' product rule on e^{2t} and G would round
-        the t-partials differently.  F's (1, 1) entry is -F's (0, 0) and
-        e^{2t} G is symmetric, so neither takes a leaf of its own; the
-        scalars' second partials, which their fields do not carry, are 0."""
+    def coeffs(pts):
+        """The entries of F and of e^{2t} G, then k, mu and lam: jets along
+        t from the t-derivatives of the state and of mu, each looked up
+        once.  Each order of e^{2t} G is its own sum by ``_EXP2T_RULE``:
+        the jets' product rule on e^{2t} and G would round the t-partials
+        differently.  F's (1, 1) entry is -F's (0, 0) and e^{2t} G is
+        symmetric, so neither takes a leaf of its own; the scalars' second
+        partials, which their fields do not carry, are 0."""
         ts = pts[:, 2]
-        state = traj.dense(ts)
-        fs, f = [_as_matrix(state[:, 0:3])], [state[:, 9]]
-        if jets:
-            slope, zero = traj.slopes(ts), np.zeros(len(ts))
-            fs += [_as_matrix(slope[:, 0:3]), 2.0 * _as_matrix(slope[:, 3:6])]
-            f += [slope[:, 9], zero]
-        mu = [*mu_bar.jet(ts, 1), zero] if jets else [mu_bar(ts)]
+        state, slope, zero = traj.dense(ts), traj.slopes(ts), np.zeros(len(ts))
+        fs = [_as_matrix(state[:, 0:3]), _as_matrix(slope[:, 0:3]),
+              2.0 * _as_matrix(slope[:, 3:6])]
         gs = [-M2 @ m for m in fs]
         e2t = np.exp(2.0 * ts)[:, None, None]
         egs = [e2t * sum(c * gk for c, gk in zip(rule, gs))
-               for rule in _EXP2T_RULE[:len(fs)]]
+               for rule in _EXP2T_RULE]
         cells = ([[m[:, i, j] for m in fs] for i, j in _CORNER[:3]]
                  + [[m[:, i, j] for m in egs]
-                    for i, j in ((0, 0), (0, 1), (1, 1))])
-        p00, p01, p10, g00, g01, g11, f, mu = (
-            Jet.along(2, *cell) if jets else cell[0] for cell in cells + [f, mu])
-        lam = np.exp(-(f.v if jets else f))
-        k = -1.0 - lam ** 2
-        if jets:  # dk/df = 2 lam^2, dlam/df = -lam
-            k, lam = f.chain(k, 2.0 * lam ** 2, zero), f.chain(lam, -lam, zero)
+                    for i, j in ((0, 0), (0, 1), (1, 1))]
+                 + [[state[:, 9], slope[:, 9], zero],
+                    [*mu_bar.jet(ts, 1), zero]])
+        p00, p01, p10, g00, g01, g11, f, mu = (Jet.along(2, *c) for c in cells)
+        lam = np.exp(-f.v)  # k = -1 - lam^2: dk/df = 2 lam^2, dlam/df = -lam
+        k = f.chain(-1.0 - lam ** 2, 2.0 * lam ** 2, zero)
+        lam = f.chain(lam, -lam, zero)
         return p00, p01, p10, -p00, g00, g01, g01, g11, k, mu, lam
 
     return _model(
         coeffs, {"phi": lambda *c: dict(zip(_CORNER, c[:4])),
                  "g": lambda *c: {**dict(zip(_CORNER, c[4:8])), (2, 2): 1.0},
                  **_DT},
-        domain, varies,
+        domain, varies=(False, False, True),
         family=f"{params.variant}-darboux",
         variant="h" if params.variant == "kmu" else "hp",
         coords=("x", "y", "t"),
@@ -375,17 +331,17 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
         raise ValueError("warping constant c must be positive")
     domain = ChartDomain()
 
-    def coeffs(pts, jets):
+    def coeffs(pts):
         w = (c * np.exp(pts[:, 2])) ** 2
         # k = -1, mu = lam = 0
-        return Jet.along(2, w, 2.0 * w, 4.0 * w) if jets else w, -1.0, 0.0, 0.0
+        return Jet.along(2, w, 2.0 * w, 4.0 * w), -1.0, 0.0, 0.0
 
     return _model(
         # phi d_x = d_y, phi d_y = -d_x
         coeffs, {"phi": lambda *_: {(0, 1): -1.0, (1, 0): 1.0},
                  "g": lambda w, *_: {(0, 0): w, (1, 1): w, (2, 2): 1.0}, **_DT},
-        domain, (True, True, True),
-        family="kenmotsu-baseline", variant="h", coords=("x", "y", "t"),
+        domain, family="kenmotsu-baseline", variant="h",
+        coords=("x", "y", "t"),
         default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
         params={"c": c},
     )

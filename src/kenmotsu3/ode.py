@@ -421,9 +421,6 @@ class Trajectory:
             out[off] = rhs(self.variant, self.dense(t), self.mu_bar(t))
         return out
 
-    def lam(self, ts) -> np.ndarray:
-        return _lam(self.dense(ts))
-
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
               step: float = 1e-3) -> Trajectory:

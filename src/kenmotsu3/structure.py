@@ -1,8 +1,9 @@
 """Almost contact metric structures and the operators derived from them.
 
-An :class:`AlmostContactModel` bundles the structure tensors (phi, xi, eta, g)
-as field evaluators over one chart, together with nominal scalar fields
-k, mu, lambda and family metadata.  The tensor h is computed from its
+An :class:`AlmostContactModel` is one evaluation ``at(pts)`` of the structure
+tensors (phi, xi, eta, g) and the nominal scalars k, mu, lambda over one
+chart, with their exact partials, plus family metadata; its seven fields are
+field-evaluator views of that evaluation.  The tensor h is computed from its
 Lie-derivative definition h = (1/2) L_xi phi (never from the connection, so
 the connection identities stay an independent cross-check); the identities'
 Probe composes h' = h o phi and B = phi o h from the same values.
@@ -10,6 +11,7 @@ Probe composes h' = h o phi and B = phi o h from the same values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -22,9 +24,8 @@ from .fields import (
     Tensor11Field,
     VectorField,
     as_points,
-    coordinate_derivatives,
 )
-from .geometry import exterior_derivative, g_norm
+from .geometry import exterior_differential, g_norm
 
 __all__ = [
     "AlmostContactModel",
@@ -40,17 +41,26 @@ FAMILIES = ("kenmotsu-baseline", "kmu-chart", "kmup-chart",
             "kmu-darboux", "kmup-darboux")
 
 
+# the structure tensors and the nominal scalars: class and component shape
+_FIELDS = {"phi": (Tensor11Field, (3, 3)), "xi": (VectorField, (3,)),
+           "eta": (CovectorField, (3,)), "g": (MetricField, (3, 3)),
+           "k_nom": (ScalarField, ()), "mu_nom": (ScalarField, ()),
+           "lam_nom": (ScalarField, ())}
+
+
 @dataclass
 class AlmostContactModel:
     """Structure tensors plus nominal scalars over a single chart.
 
     ``variant`` names the operator entering this family's nullity condition:
     ``"h"`` or ``"hp"`` (for h').  ``coords`` labels the axes; the third axis
-    is the distinguished coordinate (z or t).  All seven fields are built
-    by ``models._model`` from one set of coefficients, which they keep for
-    their last point array: a model's values depend on the points alone,
-    but it is not thread-safe.  k_nom, mu_nom and lam_nom carry exact
-    partials but no second partials.
+    is the distinguished coordinate (z or t).  ``at(pts)`` evaluates the
+    model at an (n, 3) point array in one pass: it maps each name of
+    ``_FIELDS`` to the field's values, exact partials (axis first) and
+    exact second partials (both axes first; None for k_nom, mu_nom and
+    lam_nom).  A model's values depend on the points alone.  The seven
+    fields phi ... lam_nom are views of ``at``, each call of which runs
+    the whole pass; ``varies`` flags the axes they depend on.
     """
 
     family: str
@@ -58,21 +68,33 @@ class AlmostContactModel:
     coords: tuple[str, str, str]
     domain: ChartDomain
     default_box: tuple[tuple[float, float], ...]
-    phi: Tensor11Field
-    xi: VectorField
-    eta: CovectorField
-    g: MetricField
-    k_nom: ScalarField
-    mu_nom: ScalarField
-    lam_nom: ScalarField
+    at: Callable[[np.ndarray], dict]
+    varies: tuple[bool, bool, bool] = (True, True, True)
     params: dict = dc_field(default_factory=dict)
     trajectory: object = None
+    phi: Tensor11Field = dc_field(init=False)
+    xi: VectorField = dc_field(init=False)
+    eta: CovectorField = dc_field(init=False)
+    g: MetricField = dc_field(init=False)
+    k_nom: ScalarField = dc_field(init=False)
+    mu_nom: ScalarField = dc_field(init=False)
+    lam_nom: ScalarField = dc_field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.variant not in ("h", "hp"):
             raise ValueError(f"variant must be 'h' or 'hp', got {self.variant!r}")
+        at = self.at  # the views hold the evaluation, not the model
+
+        def view(name, order):
+            return lambda pts: at(pts)[name][order]
+
+        for name, (cls, shape) in _FIELDS.items():
+            setattr(self, name, cls(
+                view(name, 0), self.domain, partials=view(name, 1),
+                second=view(name, 2) if shape else None, varies=self.varies,
+                name=name))
 
     def nullity_operator(self, h: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """The T of this family's nullity condition from computed h, phi."""
@@ -112,14 +134,15 @@ def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
 def compute_h(model: AlmostContactModel, pts) -> np.ndarray:
     """h = (1/2) L_xi phi from the Lie-derivative definition.
 
-    The partials of phi and xi are the fields' own exact ones (the chart
+    The partials of phi and xi are the model's exact ones (the chart
     families by jets, the Darboux families from the ODE, the baseline in
-    closed form) and FD for a field that carries none.
+    closed form), from one ``model.at`` pass.
     """
     pts, single = as_points(pts)
-    dphi = coordinate_derivatives(model.phi, pts)  # (n, a, i, j)
-    dxi = coordinate_derivatives(model.xi, pts)    # (n, a, i)
-    h = 0.5 * lie_derivative(model.xi(pts), dxi, model.phi(pts), dphi)
+    model.domain.require(pts)
+    at = model.at(pts)
+    (phi, dphi, _), (xi, dxi, _) = at["phi"], at["xi"]
+    h = 0.5 * lie_derivative(xi, dxi, phi, dphi)
     return h[0] if single else h
 
 
@@ -181,8 +204,9 @@ def nijenhuis(model: AlmostContactModel, pts, x, y) -> np.ndarray:
     pts, single = as_points(pts)
     xv = np.asarray(x, float)
     yv = np.asarray(y, float)
-    phi = model.phi(pts)
-    dphi = coordinate_derivatives(model.phi, pts)  # (n, a, i, j)
+    model.domain.require(pts)
+    at = model.at(pts)
+    (phi, dphi, _), (xi, _, _) = at["phi"], at["xi"]  # dphi: (n, a, i, j)
     phi_x, phi_y = phi @ xv, phi @ yv
     d_phi_x, d_phi_y = dphi @ xv, dphi @ yv                # (n, a, i)
     # [U, V]^i = U^a d_a V^i - V^a d_a U^i, with d_a X = d_a Y = 0
@@ -192,9 +216,9 @@ def nijenhuis(model: AlmostContactModel, pts, x, y) -> np.ndarray:
     br_x_phiy = np.einsum("a,nai->ni", xv, d_phi_y)
     torsion = (br_phix_phiy - np.einsum("nij,nj->ni", phi, br_phix_y)
                - np.einsum("nij,nj->ni", phi, br_x_phiy))
-    deta = exterior_derivative(model.eta, pts)
+    deta = exterior_differential(at["eta"][1])
     deta_xy = np.einsum("i,nij,j->n", xv, deta, yv)
-    out = torsion + 2.0 * deta_xy[:, None] * model.xi(pts)
+    out = torsion + 2.0 * deta_xy[:, None] * xi
     return out[0] if single else out
 
 
@@ -205,10 +229,9 @@ def structure_residuals(model: AlmostContactModel, pts) -> dict[str, float]:
     g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y),  lam^2 = -1 - k.
     """
     pts, _ = as_points(pts)
-    phi = model.phi(pts)
-    xi = model.xi(pts)
-    eta = model.eta(pts)
-    g = model.g(pts)
+    at = model.at(pts)
+    phi, xi, eta, g, k, lam = (at[name][0] for name in (
+        "phi", "xi", "eta", "g", "k_nom", "lam_nom"))
     eye = np.broadcast_to(np.eye(3), g.shape)
     out = {
         "phi_squared": float(np.max(np.abs(
@@ -221,6 +244,6 @@ def structure_residuals(model: AlmostContactModel, pts) -> dict[str, float]:
             np.einsum("nsi,nst,ntj->nij", phi, g, phi)
             - g + np.einsum("ni,nj->nij", eta, eta)))),
         "lam_sq_vs_k": float(np.max(np.abs(
-            model.lam_nom(pts) ** 2 + 1.0 + model.k_nom(pts)))),
+            lam ** 2 + 1.0 + k))),
     }
     return out

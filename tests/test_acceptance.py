@@ -193,7 +193,7 @@ def test_criterion_5_darboux_kmup_suite():
                                 - initial_state("kmup")[6:9])))
     if drift > 1e-12:
         failures.append(f"mu=-2: b drift {drift:.3e} > 1e-12")
-    k = -1.0 - traj.lam(traj.times) ** 2
+    k = -1.0 - np.exp(-traj.dense(traj.times)[:, 9]) ** 2
     if float(np.max(np.abs(k - k[0]))) > 1e-12:
         failures.append("mu=-2: nominal k not constant")
     _verdict(5, failures)

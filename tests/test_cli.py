@@ -4,6 +4,8 @@ import csv
 import json
 import re
 
+import pytest
+
 from kenmotsu3.cli import main
 
 
@@ -219,3 +221,27 @@ class TestSweep:
             assert run(["sweep", "--family", "kmu-chart", "--grid", "2",
                         "--identities", "H2", "--mu-values", values]) == 2
             assert capsys.readouterr().out == "", values
+
+    def test_baseline_has_no_mu_to_sweep(self, capsys):
+        # the baseline takes no mu: a sweep would run one model per value
+        assert run(["sweep", "--family", "kenmotsu", "--grid", "2",
+                    "--identities", "H2", "--mu-values", "1,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "mu" in err
+
+
+# an output path in a missing directory: an error line and exit 2, not a
+# traceback and the exit 1 of a failed verification
+@pytest.mark.parametrize("args,flag", [
+    (["verify", "--family", "kenmotsu", "--grid", "2", "--identities", "H2"],
+     "--report"),
+    (["build", "--family", "kenmotsu"], "--out"),
+    (["trajectory", "--family", "kmu-darboux", "--t-range", "-0.01", "0.01"],
+     "--csv"),
+], ids=["verify", "build", "trajectory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, args, flag):
+    path = tmp_path / "missing" / "out"
+    assert run(args + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.parent.exists()

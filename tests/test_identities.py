@@ -873,14 +873,14 @@ def test_suite_factors_the_metric_once(request, monkeypatch, fixture):
 # chart's 3 coordinates and lam, mu, f and r; 3 entries each of F and
 # e^{2t} G, f and mu; the baseline's w = c^2 e^{2t}; and its lookups per
 # suite: trajectory states (``dense``) and slopes, expression values
-# (``__call__``) and jets, one pass each for the values and for the jets
+# (``__call__``) and jets, all in the one pass on jets
 KEPT_JETS = {
     "kmu_chart": (lambda: build_kmu_chart_model(
         KmuChartParams("z + 1", "sin(z)", "0.1*z^2")), 7,
-        {"dense": 0, "slopes": 0, "__call__": 4, "jet": 4}),
+        {"dense": 0, "slopes": 0, "__call__": 0, "jet": 4}),
     "kmu_darboux": (lambda: build_darboux_model(
         DarbouxParams("kmu", "sin(t)", (-0.25, 0.25))), 8,
-        {"dense": 2, "slopes": 1, "__call__": 1, "jet": 1}),
+        {"dense": 1, "slopes": 1, "__call__": 0, "jet": 1}),
     "baseline": (lambda: build_kenmotsu_baseline(1.0), 1,
                  {"dense": 0, "slopes": 0, "__call__": 0, "jet": 0}),
 }
@@ -918,7 +918,7 @@ def test_field_jets_built_once_and_freed_with_the_points(monkeypatch, kind):
 def test_suite_looks_up_states_and_expressions_once_per_pass(monkeypatch,
                                                              kind):
     # all seven fields, the nominal k, mu and lam with them, are read off
-    # one coefficient pass for values and one for jets
+    # one coefficient pass on jets, whose values are the fields' values
     build, _, lookups = KEPT_JETS[kind]
     model = build()
     seen = dict.fromkeys(lookups, 0)
@@ -952,8 +952,8 @@ def _move_in_place(model, pts):
 
 @pytest.mark.parametrize("fixture", ["kmup_chart", "kmup_darboux", "baseline"])
 def test_fields_from_kept_coefficients_match_fresh_ones(request, fixture):
-    # kept values and jets give the bits a fresh build gives, and points
-    # changed in place are not served from the cache of their old values
+    # a model's values and partials depend on the points alone: points
+    # changed in place give the bits of a fresh array of the same points
     model = request.getfixturevalue(fixture)
     pts = PLAN.points(model)
     fns = [fn for name in ("phi", "xi", "eta", "g", "k_nom", "mu_nom",
@@ -961,12 +961,12 @@ def test_fields_from_kept_coefficients_match_fresh_ones(request, fixture):
            for fn in (getattr(model, name).fn, getattr(model, name).partials,
                       getattr(model, name).second) if fn is not None]
     before = pts.copy()
-    kept = [fn(pts) for fn in fns]
+    first = [fn(pts) for fn in fns]
     _move_in_place(model, pts)
     moved = [fn(pts) for fn in fns]
     assert not np.array_equal(before, pts)
-    assert any(not np.array_equal(a, b) for a, b in zip(kept, moved))
-    for fn, out, out_moved in zip(fns, kept, moved):
+    assert any(not np.array_equal(a, b) for a, b in zip(first, moved))
+    for fn, out, out_moved in zip(fns, first, moved):
         assert np.array_equal(out, fn(before.copy()))
         assert np.array_equal(out_moved, fn(pts.copy()))
 
@@ -991,9 +991,9 @@ def _spied_suite(monkeypatch, model):
     return seen, evaluated[0] / len(PLAN.points(model))
 
 
-# every field carries exact partials, so a suite runs no stencil, and each
-# sample point evaluates phi, g, xi, eta, k, mu and lam once
-EVALS_PER_SAMPLE = 7
+# every field carries exact partials, so a suite runs no stencil, and the
+# Probe reads the model's one ``at`` pass, calling no field view
+EVALS_PER_SAMPLE = 0
 
 
 @pytest.mark.parametrize("variant,mu", [("kmu", "1"), ("kmup", "sin(t)")])
@@ -1027,12 +1027,44 @@ def test_baseline_suite_runs_no_fd(monkeypatch, baseline):
     assert per_sample <= EVALS_PER_SAMPLE
 
 
-def test_field_without_exact_partials_fails_loudly(baseline):
-    # a suite never falls back to FD for a field that lacks exact partials
-    bare = dataclasses.replace(baseline, lam_nom=ScalarField(
-        baseline.lam_nom.fn, baseline.domain, name="lam"))
-    with pytest.raises(ValueError, match="carries no exact partials"):
-        check_suite(bare, ["NH"], PLAN)
+FAMILY_FIXTURES = ["baseline", "kmu_chart", "kmup_chart", "kmu_darboux",
+                   "kmup_darboux"]
+
+
+@pytest.mark.parametrize("fixture", FAMILY_FIXTURES)
+def test_suite_evaluates_the_model_once(request, fixture):
+    model = request.getfixturevalue(fixture)
+    calls = []
+
+    def at(pts):
+        calls.append(len(pts))
+        return model.at(pts)
+
+    check_suite(dataclasses.replace(model, at=at), "all", PLAN)
+    assert calls == [len(PLAN.points(model))]
+
+
+def test_fields_are_views_of_the_one_evaluation(request, baseline):
+    # a model's fields cannot be replaced one by one, and each field's
+    # values, partials and second partials are the bits of ``at``
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(baseline, lam_nom=ScalarField(
+            baseline.lam_nom.fn, baseline.domain, name="lam"))
+    for fixture in FAMILY_FIXTURES:
+        model = request.getfixturevalue(fixture)
+        pts = PLAN.points(model)
+        at = model.at(pts)
+        for name, (values, partials, second) in at.items():
+            field = getattr(model, name)
+            where = (fixture, name)
+            assert np.array_equal(field(pts), values), where
+            assert np.array_equal(field.partials(pts), partials), where
+            if second is None:
+                assert field.second is None and name.endswith("_nom"), where
+            else:
+                assert np.array_equal(field.second(pts), second), where
+        assert list(at) == ["phi", "xi", "eta", "g", "k_nom", "mu_nom",
+                            "lam_nom"]
 
 
 def _smooth_z_exprs(depth):

@@ -130,7 +130,8 @@ class TestIntegrate:
         # lam is e^{-2t} bit for bit
         tr = integrate("kmu", parse_expr("sin(t)", "t"), (-0.3, 0.3), 1e-3)
         assert np.array_equal(tr.states[:, 9], 2 * tr.times)
-        assert np.array_equal(tr.lam(tr.times), np.exp(-2.0 * tr.times))
+        assert np.array_equal(np.exp(-tr.dense(tr.times)[:, 9]),
+                              np.exp(-2.0 * tr.times))
 
     def test_traces_vanish_structurally(self):
         # the state lives in the traceless (M1, M2, M3) span by construction

@@ -115,6 +115,23 @@ def test_one_field_assembler():
     assert not helpers & set(_defined(source, ast.FunctionDef))
 
 
+def test_one_evaluation_per_point_array():
+    # a model evaluates in one pass on jets: no family's coefficients take
+    # a flag for a second, value-only pass, nothing keeps a pass for later
+    # calls, and the Probe reads the model's ``at`` with no descriptor
+    models = ast.parse((SRC / "models.py").read_text())
+    imported = ({a.name for node in ast.walk(models)
+                 if isinstance(node, ast.Import) for a in node.names}
+                | {node.module for node in ast.walk(models)
+                   if isinstance(node, ast.ImportFrom)})
+    assert "weakref" not in imported, imported
+    coeffs = [[a.arg for a in node.args.args] for node in ast.walk(models)
+              if isinstance(node, ast.FunctionDef) and node.name == "coeffs"]
+    assert len(coeffs) == 3 and all(args == ["pts"] for args in coeffs), coeffs
+    identities = (SRC / "identities.py").read_text()
+    assert "_Eval" not in _defined(identities, ast.ClassDef)
+
+
 def test_definition_guard_reads_nested_names():
     source = "class A:\n    def diff(self):\n        class _Jet: pass"
     assert _defined(source, ast.FunctionDef) == ["diff"]
