@@ -7,7 +7,7 @@ ODE invariants numerically, with per-identity residual reports.
 """
 
 from .exprs import Expr, parse_expr
-from .fields import ChartDomain, DiffScheme
+from .fields import ChartDomain
 from .identities import (
     IDENTITIES,
     SamplePlan,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Expr", "parse_expr",
-    "ChartDomain", "DiffScheme",
+    "ChartDomain",
     "SamplePlan", "IDENTITIES", "check_identity", "check_suite",
     "nullity_residual", "infer_k_mu",
     "KmuChartParams", "KmupChartParams", "DarbouxParams",

@@ -24,12 +24,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from .exprs import ExprDomainError, ExprSyntaxError
-from .identities import (
-    IDENTITIES,
-    PROFILES,
-    SamplePlan,
-    check_suite,
-)
+from .identities import IDENTITIES, SamplePlan, check_suite
 from .models import (
     DEFAULT_BOX,
     DarbouxParams,
@@ -109,8 +104,7 @@ def _run_suite(args):
                       seed=args.seed,
                       box=parse_box(args.box) if args.box else None)
     reports = check_suite(model, _parse_identities(args.identities), plan,
-                          tolerances=_parse_tols(args.tol),
-                          profile=args.tol_profile)
+                          tolerances=_parse_tols(args.tol))
     passed = all(r.verdict in ("pass", "not-applicable") for r in reports)
     return model, reports, "pass" if passed else "fail"
 
@@ -239,8 +233,6 @@ def _add_plan_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--identities", default="all",
                      help="comma-separated identity ids, or 'all'")
-    sub.add_argument("--tol-profile", choices=sorted(PROFILES), default=None,
-                     help="force one tolerance profile for every identity")
     sub.add_argument("--tol", action="append", metavar="ID=VALUE",
                      help="per-identity tolerance override (repeatable)")
 

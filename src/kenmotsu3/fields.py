@@ -1,16 +1,18 @@
 """Chart domains, tensor-field evaluators and numerical differentiation.
 
-Everything is a single 3-dimensional chart.  Fields are pure evaluators from
-a batch of points (shape ``(n, 3)``) to per-point values; scalar fields map
-to ``(n,)``, vector fields and 1-forms to ``(n, 3)``, (1,1)-tensors and
-metrics to ``(n, 3, 3)``.  A (1,1) tensor acts on column component vectors,
+Everything is a single 3-dimensional chart.  A field is an
+:class:`ArrayField`, a pure evaluator from a batch of points (shape
+``(n, 3)``) to per-point values of its component shape: ``()`` for a scalar,
+``(3,)`` for a vector field or 1-form, ``(3, 3)`` for a (1,1)-tensor or a
+metric.  A (1,1) tensor acts on column component vectors,
 ``(T X)^i = T^i_j X^j``.
 
-Derivatives use a 5-point 4th-order stencil whose window shifts inward near
-a domain boundary (one-sided weights via the classic divided-difference
-weight recursion); it errors only when no 5-point window fits.  A field may
-instead carry its exact partials, first and second, and states the axes it
-varies along: its partials along the others are exact zeros, with no stencil.
+Derivatives use a 5-point 4th-order stencil of relative step ``h_rel``
+whose window shifts inward near a domain boundary (one-sided weights via the
+classic divided-difference weight recursion); it errors only when no 5-point
+window fits.  A field may instead carry its exact partials, first and
+second, and states the axes it varies along: its partials along the others
+are exact zeros, with no stencil.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ import numpy as np
 
 __all__ = [
     "ChartDomain",
-    "DiffScheme",
     "ArrayField",
-    "ScalarField",
-    "VectorField",
-    "CovectorField",
-    "Tensor11Field",
-    "MetricField",
     "BoundaryError",
     "partial_derivative",
     "coordinate_derivatives",
@@ -88,27 +84,6 @@ class ChartDomain:
             raise BoundaryError(f"point {bad.tolist()} outside chart domain")
 
 
-@dataclass(frozen=True)
-class DiffScheme:
-    """Finite-difference configuration.
-
-    ``h_rel`` is the relative step, scaled per point by ``max(1, |coord|)``.
-    Every field is differentiated with this one step, whether its values are
-    closed-form or themselves built from finite differences (the connection
-    of :func:`~kenmotsu3.geometry.riemann`), which keeps curvature-level
-    truncation at O(h^4).
-    """
-
-    h_rel: float = 1e-3
-
-    def __post_init__(self):
-        if not 0 < self.h_rel < 0.1:
-            raise ValueError("h_rel out of range")
-
-    def steps(self, pts: np.ndarray, axis: int) -> np.ndarray:
-        return self.h_rel * np.maximum(1.0, np.abs(pts[:, axis]))
-
-
 class ArrayField:
     """A pure evaluator ``(n, 3) -> (n,) + out_shape`` over a chart domain.
 
@@ -119,15 +94,12 @@ class ArrayField:
     the exact second partials ``(n, 3, 3) + out_shape`` (both axes first).
     """
 
-    out_shape: tuple[int, ...] = ()
-
-    def __init__(self, fn, domain: ChartDomain, out_shape=None, *,
+    def __init__(self, fn, domain: ChartDomain, out_shape=(), *,
                  varies=(True, True, True), partials=None, second=None,
                  name: str = ""):
         self.fn = fn
         self.domain = domain
-        if out_shape is not None:
-            self.out_shape = tuple(out_shape)
+        self.out_shape = tuple(out_shape)
         self.varies = tuple(varies)
         self.partials = partials
         self.second = second
@@ -144,26 +116,6 @@ class ArrayField:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name or self.fn!r})"
-
-
-class ScalarField(ArrayField):
-    out_shape = ()
-
-
-class VectorField(ArrayField):
-    out_shape = (3,)
-
-
-class CovectorField(ArrayField):
-    out_shape = (3,)
-
-
-class Tensor11Field(ArrayField):
-    out_shape = (3, 3)
-
-
-class MetricField(ArrayField):
-    out_shape = (3, 3)
 
 
 # --------------------------------------------------------------------------
@@ -225,17 +177,18 @@ def _window_shifts(field: ArrayField, pts: np.ndarray, axis: int,
 
 
 def partial_derivative(field: ArrayField, pts, axis: int,
-                       scheme: DiffScheme | None = None) -> np.ndarray:
-    """d(field)/dx^axis with the scheme's 5-point stencil.
+                       h_rel: float = 1e-3) -> np.ndarray:
+    """d(field)/dx^axis with the 5-point stencil of step h_rel max(1, |x|).
 
-    Works for any field kind; the output has the field's own shape.  Near a
+    Works for any field shape; the output has the field's own shape.  Near a
     boundary the window shifts inward (one-sided 4th-order); if no window
     fits, :class:`BoundaryError` is raised.
     """
-    scheme = scheme or DiffScheme()
+    if not 0 < h_rel < 0.1:
+        raise ValueError(f"h_rel {h_rel!r} outside (0, 0.1)")
     pts, single = as_points(pts)
     field.domain.require(pts)
-    h = scheme.steps(pts, axis)
+    h = h_rel * np.maximum(1.0, np.abs(pts[:, axis]))
     shifts = _window_shifts(field, pts, axis, h)
 
     stencil = np.repeat(pts[:, None, :], 5, axis=1)
@@ -249,7 +202,7 @@ def partial_derivative(field: ArrayField, pts, axis: int,
 
 
 def coordinate_derivatives(field: ArrayField, pts,
-                           scheme: DiffScheme | None = None) -> np.ndarray:
+                           h_rel: float = 1e-3) -> np.ndarray:
     """All three partials stacked: output ``(n, 3) + out_shape`` (axis first).
 
     The field's exact partials when it has them; otherwise FD along the axes
@@ -263,11 +216,11 @@ def coordinate_derivatives(field: ArrayField, pts,
         out = np.zeros((pts.shape[0], 3) + field.out_shape)
         for a in range(3):
             if field.varies[a]:
-                out[:, a] = partial_derivative(field, pts, a, scheme)
+                out[:, a] = partial_derivative(field, pts, a, h_rel)
     return out[0] if single else out
 
 
-def lie_bracket(x_field: VectorField, y_field: VectorField, pts) -> np.ndarray:
+def lie_bracket(x_field: ArrayField, y_field: ArrayField, pts) -> np.ndarray:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i with numeric partials."""
     pts, single = as_points(pts)
     xv, yv = x_field(pts), y_field(pts)
@@ -278,11 +231,11 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, pts) -> np.ndarray:
     return out[0] if single else out
 
 
-def constant_vector_field(components, domain: ChartDomain) -> VectorField:
+def constant_vector_field(components, domain: ChartDomain) -> ArrayField:
     """Coordinate-constant vector field (e.g. a coordinate direction)."""
     comp = np.asarray(components, float)
 
     def fn(pts):
         return np.broadcast_to(comp, (pts.shape[0], 3)).copy()
 
-    return VectorField(fn, domain, name=f"const{comp.tolist()}")
+    return ArrayField(fn, domain, (3,), name=f"const{comp.tolist()}")

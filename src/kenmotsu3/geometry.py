@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    ArrayField,
-    DiffScheme,
-    MetricField,
-    as_points,
-    coordinate_derivatives,
-)
+from .fields import ArrayField, as_points, coordinate_derivatives
 
 __all__ = [
     "DegenerateMetricError",
@@ -41,8 +35,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-# largest (v g) temporary of g_norm over pooled vectors
-_NORM_BLOCK_BYTES = 1 << 18
 
 
 class DegenerateMetricError(ValueError):
@@ -152,18 +144,22 @@ def curvature(gamma: np.ndarray, ginv: np.ndarray,
     return Curvature(riem, q, sc)
 
 
-def riemann(g: MetricField, pts, scheme: DiffScheme | None = None) -> Curvature:
-    """Full curvature from Gamma and the FD partials of Gamma as a field."""
+def riemann(g: ArrayField, pts, h_rel: float = 1e-3) -> Curvature:
+    """Full curvature from Gamma and the FD partials of Gamma as a field.
+
+    The metric and the connection are differentiated with the one relative
+    step ``h_rel``, which keeps curvature-level truncation at O(h^4).
+    """
     pts, _ = as_points(pts)
-    gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, scheme))
+    gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, h_rel))
     gamma_field = ArrayField(
-        lambda q: levi_civita(g(q), coordinate_derivatives(g, q, scheme))[0],
+        lambda q: levi_civita(g(q), coordinate_derivatives(g, q, h_rel))[0],
         g.domain, out_shape=(3, 3, 3), varies=g.varies, name="christoffel")
-    dgamma = coordinate_derivatives(gamma_field, pts, scheme)
+    dgamma = coordinate_derivatives(gamma_field, pts, h_rel)
     return curvature(gamma, ginv, dgamma)
 
 
-def sectional_curvature(g: MetricField, pts, x, y) -> np.ndarray:
+def sectional_curvature(g: ArrayField, pts, x, y) -> np.ndarray:
     """K(X,Y) of the metric field ``g`` at ``pts`` (see Curvature.sectional)."""
     pts, single = as_points(pts)
     out = riemann(g, pts).sectional(g(pts), x, y)
@@ -213,23 +209,9 @@ def exterior_differential(d: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def g_norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Riemannian length of per-point component vectors, as (v g) . v.
-
-    Where g is broadcast along the axis before the components, as over a
-    pool of vectors at each point, that axis gives the rows of one matmul
-    with the point's g, a block of points at a time: the (v g) temporary
-    then stays under ``_NORM_BLOCK_BYTES``.
-    """
-    if v.ndim < 2 or g.ndim != v.ndim + 1 or g.shape[-3] != 1 or len(g) != len(v):
-        vg = (v[..., None, :] @ g)[..., 0, :]
-        return np.sqrt(np.maximum(np.einsum("...i,...i->...", vg, v), 0.0))
-    g = g[..., 0, :, :]
-    out = np.empty(v.shape[:-1], np.result_type(v, g))
-    step = max(1, _NORM_BLOCK_BYTES // max(1, v[0].nbytes))
-    for s in range(0, len(v), step):
-        vs = v[s:s + step]
-        np.einsum("...i,...i->...", vs @ g[s:s + step], vs, out=out[s:s + step])
-    return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    """Riemannian length of per-point component vectors, as (v g) . v."""
+    vg = (v[..., None, :] @ g)[..., 0, :]
+    return np.sqrt(np.maximum(np.einsum("...i,...i->...", vg, v), 0.0))
 
 
 def metric_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

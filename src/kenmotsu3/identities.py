@@ -110,10 +110,12 @@ class ResidualReport:
     samples: int
 
     def as_dict(self) -> dict:
+        """JSON-ready fields; a residual that is not a finite number (the
+        not-applicable NaN) becomes None, which JSON writes as null."""
         return {
             "id": self.id,
             "formula": self.formula,
-            "residual": self.residual,
+            "residual": self.residual if np.isfinite(self.residual) else None,
             "tolerance": self.tolerance,
             "profile": self.profile,
             "maxPoint": list(self.max_point) if self.max_point else None,
@@ -849,21 +851,15 @@ def check_identity(model: AlmostContactModel, identity: str,
 
 def check_suite(model: AlmostContactModel, identities=None,
                 plan: SamplePlan | None = None,
-                tolerances: dict[str, float] | None = None,
-                profile: str | None = None) -> list[ResidualReport]:
+                tolerances: dict[str, float] | None = None) -> list[ResidualReport]:
     """Run a list of identities (default: every one known) on one shared
     evaluation cache; per-identity tolerances override the profile."""
     plan = plan or SamplePlan()
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
     tolerances = tolerances or {}
     probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
-    reports = []
-    for name in ids:
-        tol = tolerances.get(name)
-        if tol is None and profile is not None:
-            tol = PROFILES[profile]
-        reports.append(check_identity(model, name, plan, tol, probe))
-    return reports
+    return [check_identity(model, name, plan, tolerances.get(name), probe)
+            for name in ids]
 
 
 def nullity_residual(model: AlmostContactModel,

@@ -70,6 +70,8 @@ def parse_box(text: str) -> Box:
         if len(nums) != 2:
             raise ValueError(f"interval must be 'lo,hi': {part!r}")
         lo, hi = float(nums[0]), float(nums[1])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"interval ends must be finite: {part!r}")
         if not lo < hi:
             raise ValueError(f"empty interval in box: {part!r}")
         box.append((lo, hi))
@@ -121,7 +123,7 @@ def _model(coeffs, entries, domain, **model_kw) -> AlmostContactModel:
     def at(pts):
         coefficients, n = coeffs(pts), len(pts)
         out = {}
-        for name, (_, shape) in _FIELDS.items():
+        for name, shape in _FIELDS.items():
             layers = [np.zeros((n,) + (3,) * order + shape)
                       for order in range(3 if shape else 2)]
             for index, e in entries[name](*coefficients).items():
@@ -327,8 +329,8 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
 
     Every field carries its closed-form partials: with w = c^2 e^{2t},
     w' = 2w and w'' = 4w; phi, xi, eta, k, mu and lam are constant."""
-    if not c > 0:
-        raise ValueError("warping constant c must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError(f"warping constant c must be finite and positive: {c!r}")
     domain = ChartDomain()
 
     def coeffs(pts):
@@ -373,10 +375,6 @@ def model_to_json(model: AlmostContactModel) -> dict:
     return doc
 
 
-_CHART_BUILDERS = {"kmu-chart": (KmuChartParams, build_kmu_chart_model),
-                   "kmup-chart": (KmupChartParams, build_kmu_prime_chart_model)}
-
-
 def model_from_params(family: str, params: dict) -> AlmostContactModel:
     """Build the model of ``family`` from the keys its ``model.params``
     records: c (baseline); mu, f, r and box (charts); mu, t_range, step and
@@ -387,9 +385,11 @@ def model_from_params(family: str, params: dict) -> AlmostContactModel:
         return build_darboux_model(DarbouxParams(
             family.split("-")[0], params["mu"], tuple(params["t_range"]),
             params["step"], tuple(tuple(iv) for iv in params["xy_box"])))
-    if family not in _CHART_BUILDERS:
+    if family not in ("kmu-chart", "kmup-chart"):
         raise ValueError(f"unknown family {family!r}")
-    cls, build = _CHART_BUILDERS[family]
+    # the builders by their module names at call time, so a wrapper runs
+    cls, build = ((KmuChartParams, build_kmu_chart_model) if family == "kmu-chart"
+                  else (KmupChartParams, build_kmu_prime_chart_model))
     return build(cls(params["mu"], params["f"], params["r"],
                      tuple(tuple(iv) for iv in params["box"])))
 

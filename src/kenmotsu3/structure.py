@@ -16,15 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (
-    ChartDomain,
-    CovectorField,
-    MetricField,
-    ScalarField,
-    Tensor11Field,
-    VectorField,
-    as_points,
-)
+from .fields import ArrayField, ChartDomain, as_points
 from .geometry import exterior_differential, g_norm
 
 __all__ = [
@@ -41,11 +33,9 @@ FAMILIES = ("kenmotsu-baseline", "kmu-chart", "kmup-chart",
             "kmu-darboux", "kmup-darboux")
 
 
-# the structure tensors and the nominal scalars: class and component shape
-_FIELDS = {"phi": (Tensor11Field, (3, 3)), "xi": (VectorField, (3,)),
-           "eta": (CovectorField, (3,)), "g": (MetricField, (3, 3)),
-           "k_nom": (ScalarField, ()), "mu_nom": (ScalarField, ()),
-           "lam_nom": (ScalarField, ())}
+# the structure tensors and the nominal scalars: component shape
+_FIELDS = {"phi": (3, 3), "xi": (3,), "eta": (3,), "g": (3, 3),
+           "k_nom": (), "mu_nom": (), "lam_nom": ()}
 
 
 @dataclass
@@ -72,13 +62,13 @@ class AlmostContactModel:
     varies: tuple[bool, bool, bool] = (True, True, True)
     params: dict = dc_field(default_factory=dict)
     trajectory: object = None
-    phi: Tensor11Field = dc_field(init=False)
-    xi: VectorField = dc_field(init=False)
-    eta: CovectorField = dc_field(init=False)
-    g: MetricField = dc_field(init=False)
-    k_nom: ScalarField = dc_field(init=False)
-    mu_nom: ScalarField = dc_field(init=False)
-    lam_nom: ScalarField = dc_field(init=False)
+    phi: ArrayField = dc_field(init=False)
+    xi: ArrayField = dc_field(init=False)
+    eta: ArrayField = dc_field(init=False)
+    g: ArrayField = dc_field(init=False)
+    k_nom: ArrayField = dc_field(init=False)
+    mu_nom: ArrayField = dc_field(init=False)
+    lam_nom: ArrayField = dc_field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -90,9 +80,9 @@ class AlmostContactModel:
         def view(name, order):
             return lambda pts: at(pts)[name][order]
 
-        for name, (cls, shape) in _FIELDS.items():
-            setattr(self, name, cls(
-                view(name, 0), self.domain, partials=view(name, 1),
+        for name, shape in _FIELDS.items():
+            setattr(self, name, ArrayField(
+                view(name, 0), self.domain, shape, partials=view(name, 1),
                 second=view(name, 2) if shape else None, varies=self.varies,
                 name=name))
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from kenmotsu3.cli import main as cli_main
 from kenmotsu3.exprs import parse_expr
-from kenmotsu3.fields import DiffScheme
 from kenmotsu3.geometry import riemann, sectional_curvature
 from kenmotsu3.identities import (
     Probe,
@@ -205,7 +204,7 @@ def test_criterion_6_convergence_witnesses():
     model = build_kmu_chart_model(KmuChartParams(mu="1", box=CHART_BOX))
     pts = SamplePlan(grid=3, rand_pairs=3, seed=11).points(model)
     exact = Probe(model, pts).curv.riemann
-    coarse, fine = (np.abs(riemann(model.g, pts, DiffScheme(h)).riemann
+    coarse, fine = (np.abs(riemann(model.g, pts, h).riemann
                            - exact).max() for h in (2e-3, 1e-3))
     ratio = coarse / fine
     if ratio < 8.0:

@@ -1,16 +1,29 @@
 """End-to-end CLI: subcommands, exit codes, reports, determinism."""
 
+import argparse
+import ast
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from kenmotsu3.cli import main
+from kenmotsu3.cli import main, make_parser
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
     return main(args)
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestVerify:
@@ -245,3 +258,64 @@ def test_unwritable_output_exits_2(tmp_path, capsys, args, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not path.parent.exists()
+
+
+class TestStrictJson:
+    def test_not_applicable_residual_is_null(self, tmp_path):
+        # the report keeps the not-applicable verdict; its residual is null
+        report = tmp_path / "r.json"
+        assert run(["verify", "--family", "kmu-chart", "--grid", "2",
+                    "--identities", "H2,CONN_KMUP", "--report", str(report)]) == 0
+        ids = {r["id"]: r for r in strict_json(report.read_text())["identities"]}
+        assert ids["CONN_KMUP"]["verdict"] == "not-applicable"
+        assert ids["CONN_KMUP"]["residual"] is None
+        assert isinstance(ids["H2"]["residual"], float)
+
+    def test_sweep_and_build_documents_are_json(self, tmp_path):
+        sweep, model = tmp_path / "s.json", tmp_path / "m.json"
+        assert run(["sweep", "--family", "kmu-chart", "--grid", "2",
+                    "--identities", "H2,CONN_KMUP", "--mu-values", "0,1",
+                    "--report", str(sweep)]) == 0
+        assert [r["identities"][1]["residual"]
+                for r in strict_json(sweep.read_text())["runs"]] == [None, None]
+        assert run(["build", "--family", "kenmotsu", "--c", "2",
+                    "--out", str(model)]) == 0
+        assert strict_json(model.read_text())["params"] == {"c": 2.0}
+
+    @pytest.mark.parametrize("model", [
+        ["--family", "kenmotsu", "--c", "inf"],
+        ["--family", "kenmotsu", "--c", "nan"],
+        ["--family", "kmu-chart", "--box", "0,inf:0,1:-3,-2"],
+        ["--family", "kmu-chart", "--box=-inf,1:0,1:-3,-2"],
+    ], ids=["c-inf", "c-nan", "box-inf", "box-minus-inf"])
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, model, command):
+        # a non-finite input is bad input: no Infinity in a document, and
+        # no misleading numerical message from the suite
+        path = tmp_path / "out.json"
+        flag = "--out" if command == "build" else "--report"
+        assert run([command, *model, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err, err
+        assert not path.exists()
+
+
+def _string_literals(path: Path) -> set[str]:
+    return {node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_option_is_exercised():
+    # an option no test and no benchmark workload passes is a knob that
+    # nothing sets; --help is argparse's own
+    options = set()
+    for action in make_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= {o for a in sub._actions
+                            if not isinstance(a, argparse._HelpAction)
+                            for o in a.option_strings}
+    literals = set().union(*map(_string_literals, [
+        *sorted((ROOT / "tests").glob("*.py")), ROOT / "perfbench" / "workloads.py"]))
+    assert "--family" in options and "--mu-values" in options
+    assert not options - literals, sorted(options - literals)

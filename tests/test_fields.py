@@ -5,10 +5,8 @@ import pytest
 
 from kenmotsu3.fields import (
     BoundaryError,
+    ArrayField,
     ChartDomain,
-    DiffScheme,
-    ScalarField,
-    VectorField,
     constant_vector_field,
     coordinate_derivatives,
     lie_bracket,
@@ -22,28 +20,28 @@ HALF = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, -1.0)))
 
 class TestPartialDerivative:
     def test_quadratic(self):
-        f = ScalarField(lambda p: p[:, 2] ** 2, FULL)
+        f = ArrayField(lambda p: p[:, 2] ** 2, FULL)
         d = partial_derivative(f, np.array([0.0, 0.0, 3.0]), 2)
         assert d == pytest.approx(6.0, abs=1e-9)
 
     def test_exponential(self):
-        f = ScalarField(lambda p: np.exp(2.0 * p[:, 2]), FULL)
+        f = ArrayField(lambda p: np.exp(2.0 * p[:, 2]), FULL)
         d = partial_derivative(f, np.array([0.0, 0.0, 0.0]), 2)
         assert d == pytest.approx(2.0, abs=1e-8)
 
     def test_constant(self):
-        f = ScalarField(lambda p: np.full(p.shape[0], 7.25), FULL)
+        f = ArrayField(lambda p: np.full(p.shape[0], 7.25), FULL)
         d = partial_derivative(f, np.array([1.0, 2.0, 3.0]), 0)
         assert abs(d) < 1e-12
 
     def test_batched(self):
-        f = ScalarField(lambda p: np.sin(p[:, 0]), FULL)
+        f = ArrayField(lambda p: np.sin(p[:, 0]), FULL)
         pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [1.2, 0, 0]])
         d = partial_derivative(f, pts, 0)
         assert np.allclose(d, np.cos(pts[:, 0]), atol=1e-10)
 
     def test_one_sided_near_boundary(self):
-        f = ScalarField(lambda p: p[:, 2] ** 3, HALF)
+        f = ArrayField(lambda p: p[:, 2] ** 3, HALF)
         z = -1.0005
         d = partial_derivative(f, np.array([0.0, 0.0, z]), 2)
         assert d == pytest.approx(3 * z * z, abs=1e-8)
@@ -51,30 +49,44 @@ class TestPartialDerivative:
     def test_no_window_fits(self):
         thin = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                             (-1.000001, -1.0)))
-        f = ScalarField(lambda p: p[:, 2], thin)
+        f = ArrayField(lambda p: p[:, 2], thin)
         with pytest.raises(BoundaryError):
             partial_derivative(f, np.array([0.0, 0.0, -1.0000005]), 2)
 
     def test_point_outside_domain_rejected(self):
-        f = ScalarField(lambda p: p[:, 2], HALF)
+        f = ArrayField(lambda p: p[:, 2], HALF)
         with pytest.raises(BoundaryError):
             partial_derivative(f, np.array([0.0, 0.0, 0.0]), 2)
 
     def test_halving_reduces_error_by_8x(self):
-        f = ScalarField(lambda p: np.sin(3.0 * p[:, 2]), FULL)
+        f = ArrayField(lambda p: np.sin(3.0 * p[:, 2]), FULL)
         p = np.array([0.0, 0.0, 0.7])
         exact = 3.0 * np.cos(2.1)
-        err = [abs(partial_derivative(f, p, 2, DiffScheme(h)) - exact)
+        err = [abs(partial_derivative(f, p, 2, h) - exact)
                for h in (4e-3, 2e-3, 1e-3)]
         assert err[0] / err[1] >= 8.0
         assert err[1] / err[2] >= 8.0
 
     def test_step_scales_with_coordinate(self):
-        scheme = DiffScheme(1e-3)
+        # the step is h_rel max(1, |z|): the five stencil nodes lie 1e-3
+        # apart at z = 0.5 and 4e-2 apart at z = -40
+        seen = []
+
+        def fn(p):
+            seen.append(p[:, 2].copy())
+            return p[:, 2]
+
         pts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -40.0]])
-        h = scheme.steps(pts, 2)
-        assert h[0] == pytest.approx(1e-3)
-        assert h[1] == pytest.approx(4e-2)
+        partial_derivative(ArrayField(fn, FULL), pts, 2, 1e-3)
+        gaps = np.diff(seen[0].reshape(2, 5), axis=1)
+        assert gaps[0] == pytest.approx([1e-3] * 4)
+        assert gaps[1] == pytest.approx([4e-2] * 4)
+
+    @pytest.mark.parametrize("h_rel", [0.0, 0.1, -1e-3])
+    def test_step_out_of_range_rejected(self, h_rel):
+        f = ArrayField(lambda p: p[:, 2], FULL)
+        with pytest.raises(ValueError, match="h_rel"):
+            partial_derivative(f, np.array([0.0, 0.0, 0.5]), 2, h_rel)
 
 
 class TestLieBracket:
@@ -85,10 +97,10 @@ class TestLieBracket:
         assert np.max(np.abs(br)) < 1e-10
 
     def test_antisymmetry(self):
-        xf = VectorField(lambda p: np.stack(
-            [np.sin(p[:, 1]), p[:, 0] * p[:, 2], p[:, 2] ** 2], axis=1), FULL)
-        yf = VectorField(lambda p: np.stack(
-            [p[:, 1] ** 2, np.cos(p[:, 0]), p[:, 0] + p[:, 2]], axis=1), FULL)
+        xf = ArrayField(lambda p: np.stack(
+            [np.sin(p[:, 1]), p[:, 0] * p[:, 2], p[:, 2] ** 2], axis=1), FULL, (3,))
+        yf = ArrayField(lambda p: np.stack(
+            [p[:, 1] ** 2, np.cos(p[:, 0]), p[:, 0] + p[:, 2]], axis=1), FULL, (3,))
         pts = np.array([[0.2, 0.4, -0.3], [1.0, -1.0, 0.5]])
         fw = lie_bracket(xf, yf, pts)
         bw = lie_bracket(yf, xf, pts)
@@ -96,8 +108,8 @@ class TestLieBracket:
 
     def test_scaling_commutator(self):
         # [x d_x, d_x] = -d_x
-        xf = VectorField(lambda p: np.stack(
-            [p[:, 0], 0 * p[:, 0], 0 * p[:, 0]], axis=1), FULL)
+        xf = ArrayField(lambda p: np.stack(
+            [p[:, 0], 0 * p[:, 0], 0 * p[:, 0]], axis=1), FULL, (3,))
         yf = constant_vector_field([1, 0, 0], FULL)
         br = lie_bracket(xf, yf, np.array([2.0, 0.0, 0.0]))
         assert np.allclose(br, [-1.0, 0.0, 0.0], atol=1e-10)
@@ -121,7 +133,7 @@ class TestExactAndStatedPartials:
         def exact(p):
             return np.stack([0 * p[:, 0], 0 * p[:, 0], 2 * p[:, 2]], axis=1)
 
-        f = ScalarField(fn, FULL, varies=(False, False, True), partials=exact)
+        f = ArrayField(fn, FULL, varies=(False, False, True), partials=exact)
         pts = np.array([[0.0, 1.0, 3.0], [2.0, 0.5, -1.0]])
         assert np.array_equal(coordinate_derivatives(f, pts), exact(pts))
         assert not calls  # no stencil evaluated
@@ -133,7 +145,7 @@ class TestExactAndStatedPartials:
             calls.append(p.copy())
             return np.sin(p[:, 2])
 
-        f = ScalarField(fn, FULL, varies=(False, False, True))
+        f = ArrayField(fn, FULL, varies=(False, False, True))
         pts = np.array([[0.3, -0.2, 0.7]])
         d = coordinate_derivatives(f, pts)
         assert np.array_equal(d[:, :2], np.zeros((1, 2)))
@@ -142,23 +154,23 @@ class TestExactAndStatedPartials:
         assert all(np.all(c[:, :2] == pts[0, :2]) for c in calls)
 
     def test_varying_along_every_axis_is_the_stencil_result(self):
-        f = VectorField(lambda p: np.stack(
-            [p[:, 0] * p[:, 1], np.exp(p[:, 2]), p[:, 1] ** 3], axis=1), FULL)
+        f = ArrayField(lambda p: np.stack(
+            [p[:, 0] * p[:, 1], np.exp(p[:, 2]), p[:, 1] ** 3], axis=1), FULL, (3,))
         pts = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 0.5]])
         d = coordinate_derivatives(f, pts)
         for a in range(3):
             assert np.array_equal(d[:, a], partial_derivative(f, pts, a))
 
     def test_exact_partials_check_the_domain(self):
-        f = ScalarField(lambda p: p[:, 2], HALF,
+        f = ArrayField(lambda p: p[:, 2], HALF,
                         partials=lambda p: np.zeros((len(p), 3)))
         with pytest.raises(BoundaryError):
             coordinate_derivatives(f, np.array([0.0, 0.0, 0.0]))
 
 
 def test_coordinate_derivatives_shape():
-    f = VectorField(lambda p: np.stack(
-        [p[:, 0] ** 2, p[:, 1], np.sin(p[:, 2])], axis=1), FULL)
+    f = ArrayField(lambda p: np.stack(
+        [p[:, 0] ** 2, p[:, 1], np.sin(p[:, 2])], axis=1), FULL, (3,))
     out = coordinate_derivatives(f, np.zeros((4, 3)))
     assert out.shape == (4, 3, 3)
 

@@ -9,13 +9,7 @@ sectional curvature equals -1.
 import numpy as np
 import pytest
 
-from kenmotsu3.fields import (
-    ChartDomain,
-    CovectorField,
-    MetricField,
-    Tensor11Field,
-    coordinate_derivatives,
-)
+from kenmotsu3.fields import ArrayField, ChartDomain, coordinate_derivatives
 from kenmotsu3.geometry import (
     COND_LIMIT,
     DegenerateMetricError,
@@ -43,8 +37,8 @@ FULL = ChartDomain()
 
 
 def euclidean():
-    return MetricField(
-        lambda p: np.broadcast_to(np.eye(3), (p.shape[0], 3, 3)).copy(), FULL)
+    return ArrayField(
+        lambda p: np.broadcast_to(np.eye(3), (p.shape[0], 3, 3)).copy(), FULL, (3, 3))
 
 
 def hyperbolic():
@@ -55,7 +49,7 @@ def hyperbolic():
         g[:, 1, 1] = w
         g[:, 2, 2] = 1.0
         return g
-    return MetricField(fn, FULL)
+    return ArrayField(fn, FULL, (3, 3))
 
 
 PTS = np.array([[0.3, -0.2, 0.0], [0.1, 0.5, 0.4], [-0.7, 0.2, -0.3]])
@@ -94,7 +88,7 @@ class TestChristoffel:
             g[:, 0, 0] = 1e-14
             return g
         with pytest.raises(DegenerateMetricError):
-            christoffel(MetricField(fn, FULL), PTS)
+            christoffel(ArrayField(fn, FULL, (3, 3)), PTS)
 
 
 def _rotated(diag, seed=0):
@@ -203,8 +197,8 @@ class TestRiemann:
 
 class TestCovariantDerivative:
     def test_identity_tensor_parallel(self):
-        t = Tensor11Field(
-            lambda p: np.broadcast_to(np.eye(3), (p.shape[0], 3, 3)).copy(), FULL)
+        t = ArrayField(lambda p: np.broadcast_to(
+            np.eye(3), (p.shape[0], 3, 3)).copy(), FULL, (3, 3))
         x = np.broadcast_to([0.3, 1.0, -0.2], PTS.shape)
         out = nabla_along(hyperbolic(), t, x, PTS)
         assert np.max(np.abs(out)) < 1e-9
@@ -220,7 +214,7 @@ class TestCovariantDerivative:
         # nabla_xi h = -2h - mu phi h on the kmu chart family
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
         pts = SamplePlan(grid=2, seed=3).points(model)
-        hf = Tensor11Field(lambda q: compute_h(model, q), model.domain,
+        hf = ArrayField(lambda q: compute_h(model, q), model.domain, (3, 3),
                            varies=model.g.varies)
         h = hf(pts)
         phi = model.phi(pts)
@@ -249,14 +243,14 @@ class TestCovariantDerivative:
 class TestExteriorDerivative:
     def test_closed_coordinate_form(self):
         # eta = dt (third coordinate differential) is closed
-        eta = CovectorField(lambda p: np.broadcast_to(
-            np.array([0.0, 0.0, 1.0]), (p.shape[0], 3)).copy(), FULL)
+        eta = ArrayField(lambda p: np.broadcast_to(
+            np.array([0.0, 0.0, 1.0]), (p.shape[0], 3)).copy(), FULL, (3,))
         assert np.max(np.abs(exterior_derivative(eta, PTS))) < 1e-12
 
     def test_constant_two_form_closed(self):
-        form = Tensor11Field(lambda p: np.broadcast_to(
+        form = ArrayField(lambda p: np.broadcast_to(
             np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-            (p.shape[0], 3, 3)).copy(), FULL)
+            (p.shape[0], 3, 3)).copy(), FULL, (3, 3))
         assert np.max(np.abs(exterior_derivative(form, PTS))) < 1e-12
 
     def test_darboux_fundamental_form_law(self):
@@ -266,7 +260,7 @@ class TestExteriorDerivative:
 
         model = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
         pts = np.array([[0.2, 0.3, 0.0], [0.0, 0.0, 0.25]])
-        phi2 = Tensor11Field(two_form, model.domain)
+        phi2 = ArrayField(two_form, model.domain, (3, 3))
         d3 = exterior_derivative(phi2, pts)
         comps = two_form(pts)
         eta = model.eta(pts)
@@ -275,9 +269,9 @@ class TestExteriorDerivative:
         assert np.max(np.abs(d3 - 2.0 * wedge)) < 1e-7
 
     def test_d_squared_zero(self):
-        eta = CovectorField(lambda p: np.stack(
-            [np.sin(p[:, 2]), p[:, 0] ** 2, p[:, 1]], axis=1), FULL)
-        d1 = Tensor11Field(lambda q: exterior_derivative(eta, q), FULL)
+        eta = ArrayField(lambda p: np.stack(
+            [np.sin(p[:, 2]), p[:, 0] ** 2, p[:, 1]], axis=1), FULL, (3,))
+        d1 = ArrayField(lambda q: exterior_derivative(eta, q), FULL, (3, 3))
         dd = exterior_derivative(d1, PTS)
         assert np.max(np.abs(dd)) < 5e-7
 

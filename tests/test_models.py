@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kenmotsu3 import models
 from kenmotsu3.cli import build_model, main, make_parser
 from kenmotsu3.fields import (
     ArrayField,
@@ -23,6 +24,7 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
     model_from_json,
+    model_from_params,
     model_to_json,
     parse_box,
 )
@@ -218,7 +220,8 @@ class TestDarbouxExactPartials:
             assert field.varies == (False, False, True)
             exact = coordinate_derivatives(field, pts)
             assert not exact[:, :2].any(), name
-            fd = partial_derivative(type(field)(field.fn, field.domain), pts, 2)
+            plain = ArrayField(field.fn, field.domain, field.out_shape)
+            fd = partial_derivative(plain, pts, 2)
             axes = tuple(range(1, fd.ndim))
             err = np.abs(fd - exact[:, 2]).max(axis=axes, initial=0.0)
             scale = np.abs(exact[:, 2]).max(axis=axes, initial=0.0)
@@ -285,7 +288,7 @@ class TestChartExactPartials:
             field = getattr(model, name)
             assert field.partials is not None, name
             exact = coordinate_derivatives(field, pts)
-            plain = type(field)(field.fn, field.domain)
+            plain = ArrayField(field.fn, field.domain, field.out_shape)
             fd = np.stack([partial_derivative(plain, pts, a) for a in range(3)],
                           axis=1)
             assert np.abs(fd - exact).max() <= 5e-9 * np.abs(exact).max(), name
@@ -320,7 +323,7 @@ class TestBaseline:
         pts = sample(m)
         for name in BASE_FIELDS:
             field = getattr(m, name)
-            plain = type(field)(field.fn, field.domain)
+            plain = ArrayField(field.fn, field.domain, field.out_shape)
             fd = np.stack([partial_derivative(plain, pts, a) for a in range(3)],
                           axis=1)
             assert np.abs(fd - field.partials(pts)).max() <= 1e-11 * max(
@@ -416,3 +419,22 @@ class TestSerialization:
             parse_box("0,1:0,1")
         with pytest.raises(ValueError):
             parse_box("1,0:0,1:-3,-1.5")
+
+
+@pytest.mark.parametrize("family,builder", [
+    ("kmu-chart", "build_kmu_chart_model"),
+    ("kmup-chart", "build_kmu_prime_chart_model"),
+])
+def test_chart_builders_are_read_at_call_time(monkeypatch, family, builder):
+    # a wrapper installed on a builder's module name, as a tracer installs
+    # one, runs when model_from_params builds that family
+    calls, original = [], getattr(models, builder)
+
+    def wrapped(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(models, builder, wrapped)
+    model = model_from_params(family, {"mu": "1", "f": "0", "r": "0",
+                                       "box": [[0, 1], [0, 1], [-3, -1.5]]})
+    assert model.family == family and len(calls) == 1

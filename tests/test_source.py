@@ -76,7 +76,7 @@ def test_identities_run_no_finite_differences():
     # none of the FD entry points, and the stacked FD pass and its step
     # snapping are gone from the package
     source = (SRC / "identities.py").read_text()
-    fd = {"DiffScheme", "partial_derivative", "coordinate_derivatives"}
+    fd = {"partial_derivative", "coordinate_derivatives"}
     assert not (_imported_names(source, "fields") & fd)
     assert "exterior_derivative" not in _imported_names(source, "geometry")
     for name in ("_STACK", "fd_partials", "axis_quanta"):
@@ -105,14 +105,32 @@ def test_one_field_assembler():
     # every family's seven fields, phi, xi, eta, g and the nominal k, mu
     # and lam, come from entry formulas through models._model, the one
     # place that constructs a model, and the per-order block helpers and
-    # the scalars' own builders are gone
+    # the scalars' own builders are gone: models.py builds no field itself
     source = (SRC / "models.py").read_text()
     calls = _linalg_uses(source, "models.py", names=(),
-                         functions=("AlmostContactModel", "ScalarField"))
+                         functions=("AlmostContactModel", "ArrayField"))
     assert calls == [("AlmostContactModel", "_model")], calls
     helpers = {"_on_t", "_zeros", "_dt_covector", "_layered", "_axis2_scalar",
                "_on_axis2", "const_scalar", "lam_rate"}
     assert not helpers & set(_defined(source, ast.FunctionDef))
+
+
+def test_one_field_class():
+    # a field's kind is its component shape: fields.py defines ArrayField
+    # and no shape-only subclass or step class, no __all__ names one of
+    # those, and g_norm keeps no pooled block path
+    fields = _defined((SRC / "fields.py").read_text(), ast.ClassDef)
+    assert sorted(fields) == ["ArrayField", "BoundaryError", "ChartDomain"], fields
+    removed = {"ScalarField", "VectorField", "CovectorField", "Tensor11Field",
+               "MetricField", "DiffScheme"}
+    names = ["kenmotsu3"] + [f"kenmotsu3.{f.stem}" for f in sorted(SRC.glob("*.py"))
+                             if f.stem != "__init__"]
+    exported = {(name, n) for name in names
+                for n in getattr(importlib.import_module(name), "__all__", ())
+                if n in removed}
+    assert not exported, exported
+    blocks = [f.name for f in SRC.glob("*.py") if "_NORM_BLOCK_BYTES" in f.read_text()]
+    assert not blocks, blocks
 
 
 def test_one_evaluation_per_point_array():
