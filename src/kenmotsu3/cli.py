@@ -138,6 +138,7 @@ def _print_reports(reports) -> None:
 
 def cmd_build(args) -> int:
     model = build_model(args)
+    model.at(SamplePlan(grid=2).points(model))  # fails where a suite would
     doc = model_to_json(model)
     _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out} ({model.family})")

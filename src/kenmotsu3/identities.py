@@ -1,11 +1,11 @@
 """Residual evaluation of every verified identity over a sample plan.
 
 Each identity is evaluated pointwise on a deterministic grid-plus-random-
-vectors plan; the report carries the sup-norm residual (g-operator norm for
-tensor identities, g-length for vector ones, absolute value for scalars),
-the point of the maximum, the tolerance profile and the verdict.  Identities
-that do not apply to a model family get a distinct "not-applicable" verdict,
-never a silent pass.
+vectors plan, a block of BLOCK points at a time; the report carries the
+sup-norm residual (g-operator norm for tensor identities, g-length for
+vector ones, absolute value for scalars), the point of the maximum, the
+tolerance profile and the verdict.  Identities that do not apply to a
+model family get a distinct "not-applicable" verdict, never a silent pass.
 
 Tolerance profiles: STRICT 1e-10 (algebraic, no differentiation),
 FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
@@ -14,7 +14,7 @@ FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
 PROFILES = {"strict": 1e-10, "fd1": 1e-6, "fd2": 5e-5}
 
 MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
+
+BLOCK = 256  # sample points per Probe: a suite's peak memory is the block's
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,13 @@ class SamplePlan:
                 f"(first bad point {pts[~inside][0].tolist()})")
         return pts
 
+    def draws(self, n: int):
+        """The plan's random draws for its ``n`` points, in point order:
+        raw vectors (n, 2 rand_pairs, 3), then raw frames (n, 3, 3)."""
+        rng = np.random.default_rng(self.seed)
+        return (rng.standard_normal((n, 2 * self.rand_pairs, 3)),
+                rng.standard_normal((n, 3, 3)))
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -129,21 +138,21 @@ class ResidualReport:
 # --------------------------------------------------------------------------
 
 class Probe:
-    """Lazy per-plan cache of everything the identities consume.
+    """Lazy per-block cache of everything the identities consume.
 
     phi, xi, eta, g and the nominal k, mu and lam, with their exact partials
     and the second partials of phi, xi and g, come from one ``model.at``
-    pass over the points; everything else is derived from those values in
-    closed form, with no finite differences.  Each second partial is
-    dropped by its one reader (``curv``, ``dh``).
+    pass over the block's points; everything else is derived from those
+    values in closed form, with no finite differences.  Each second partial
+    is dropped by its one reader (``curv``, ``dh``).  The pools read
+    ``draws``, the plan's random draws at these points (``SamplePlan.draws``).
     """
 
     def __init__(self, model: AlmostContactModel, pts: np.ndarray,
-                 rand_pairs: int = 4, seed: int = 0):
+                 draws: tuple | None = None):
         self.model = model
         self.pts, _ = as_points(pts)
-        self.rand_pairs = rand_pairs
-        self.seed = seed
+        self.draws = draws
         self.n = self.pts.shape[0]
         at = model.at(self.pts)
         self.g, self.dg, ddg = at["g"]
@@ -307,26 +316,22 @@ class Probe:
                        + np.einsum("nij,nkj->nki", self.phi, nabla_x))
         nabla_e = np.stack([self.nabla_xi.transpose(0, 2, 1), nabla_x,
                             nabla_phi_x], axis=1)
-        return np.einsum("nak,nbki->nabi", self.frame, nabla_e)
-
-    @cached_property
-    def _rng_draws(self):
-        rng = np.random.default_rng(self.seed)
-        randoms = rng.standard_normal((self.n, 2 * self.rand_pairs, 3))
-        frame_raw = rng.standard_normal((self.n, 3, 3))
-        return randoms, frame_raw
+        # term by term, so a point rounds alike in any batch: einsum's sum
+        # over k did not (CONN_KMU at grid 17, one Probe against blocks)
+        return sum(self.frame[:, :, k, None, None] * nabla_e[:, None, :, k]
+                   for k in range(3))
 
     @cached_property
     def pool(self):
         """(n, 3 + 2*rand_pairs, 3): frame then g-unit random vectors."""
-        randoms, _ = self._rng_draws
+        randoms, _ = self.draws
         randoms = randoms / g_norm(randoms, self.g[:, None, :, :])[..., None]
         return np.concatenate([self.frame, randoms], axis=1)
 
     @cached_property
     def random_frame(self):
         """A second g-orthonormal frame (witness of frame independence)."""
-        _, raw = self._rng_draws
+        _, raw = self.draws
         out = np.empty_like(raw)
         for a in range(3):
             v = raw[:, a, :]
@@ -817,49 +822,68 @@ def applicable_identities(model: AlmostContactModel) -> list[str]:
 # Checking API
 # --------------------------------------------------------------------------
 
-def _run(spec: IdentitySpec, probe: Probe, tolerance: float) -> ResidualReport:
-    per_point = spec.fn(probe)
-    idx = int(np.argmax(per_point))
-    residual = float(per_point[idx])
+def _per_block(model: AlmostContactModel, pts, draws, fn) -> list:
+    """``fn`` of one Probe per block of BLOCK points, in order; each Probe
+    lives for its ``fn`` call alone and reads its block's slice of ``draws``."""
+    return [fn(Probe(model, pts[s:s + BLOCK],
+                     None if draws is None else tuple(d[s:s + BLOCK] for d in draws)))
+            for s in range(0, len(pts), BLOCK)]
+
+
+def _block_maxima(specs, p: Probe) -> list[tuple]:
+    """(largest residual, its first point) of each identity on one block."""
+    maxima = [(v, int(np.argmax(v))) for v in (spec.fn(p) for spec in specs)]
+    return [(float(v[i]), tuple(p.pts[i].tolist())) for v, i in maxima]
+
+
+def _merge(kept: tuple, later: tuple) -> tuple:
+    """``np.argmax``'s pick over two runs of points, ``kept`` first: the first
+    NaN wins, else the later run's maximum only if it is strictly larger."""
+    return later if not np.isnan(kept[0]) and not later[0] <= kept[0] else kept
+
+
+def _report(spec: IdentitySpec, tolerance, kept, samples) -> ResidualReport:
+    """The report of ``spec`` from its merged (residual, point), or a
+    not-applicable one from None."""
+    tolerance = tolerance if tolerance is not None else spec.tol()
+    residual, point = kept or (float("nan"), None)
     return ResidualReport(
         id=spec.id, formula=spec.formula, residual=residual,
         tolerance=tolerance, profile=spec.profile,
-        verdict="pass" if residual <= tolerance else "fail",
-        max_point=tuple(probe.pts[idx].tolist()), samples=probe.n)
+        verdict=("not-applicable" if kept is None
+                 else "pass" if residual <= tolerance else "fail"),
+        max_point=point, samples=samples if kept else 0)
 
 
 def check_identity(model: AlmostContactModel, identity: str,
                    plan: SamplePlan | None = None,
-                   tolerance: float | None = None,
-                   probe: Probe | None = None) -> ResidualReport:
+                   tolerance: float | None = None) -> ResidualReport:
     """Evaluate one identity; returns a not-applicable report when the
     identity does not quantify over this model family."""
-    if identity not in IDENTITIES:
-        raise KeyError(f"unknown identity {identity!r}")
-    spec = IDENTITIES[identity]
-    plan = plan or SamplePlan()
-    if not spec.applies(model):
-        return ResidualReport(
-            id=spec.id, formula=spec.formula, residual=float("nan"),
-            tolerance=tolerance if tolerance is not None else spec.tol(),
-            profile=spec.profile, verdict="not-applicable",
-            max_point=None, samples=0)
-    if probe is None:
-        probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
-    return _run(spec, probe, tolerance if tolerance is not None else spec.tol())
+    if identity in IDENTITIES and not IDENTITIES[identity].applies(model):
+        return _report(IDENTITIES[identity], tolerance, None, 0)
+    return check_suite(model, [identity], plan, {identity: tolerance})[0]
 
 
 def check_suite(model: AlmostContactModel, identities=None,
                 plan: SamplePlan | None = None,
                 tolerances: dict[str, float] | None = None) -> list[ResidualReport]:
-    """Run a list of identities (default: every one known) on one shared
-    evaluation cache; per-identity tolerances override the profile."""
+    """Run a list of identities (default: every one known), sharing one Probe
+    per block of BLOCK points; per-identity tolerances override the profile.
+    Each report keeps the plan's largest residual and its first point."""
     plan = plan or SamplePlan()
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
-    tolerances = tolerances or {}
-    probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
-    return [check_identity(model, name, plan, tolerances.get(name), probe)
-            for name in ids]
+    for name in ids:
+        if name not in IDENTITIES:
+            raise KeyError(f"unknown identity {name!r}")
+    specs = [IDENTITIES[name] for name in ids]
+    live = [spec for spec in specs if spec.applies(model)]
+    pts = plan.points(model)
+    blocks = _per_block(model, pts, plan.draws(len(pts)),
+                        lambda p: _block_maxima(live, p))
+    kept = {spec.id: reduce(_merge, m) for spec, m in zip(live, zip(*blocks))}
+    return [_report(spec, (tolerances or {}).get(spec.id), kept.get(spec.id),
+                    len(pts)) for spec in specs]
 
 
 def nullity_residual(model: AlmostContactModel,
@@ -867,6 +891,18 @@ def nullity_residual(model: AlmostContactModel,
     """Residual of the model's own nullity condition (variant h or hp)."""
     name = "NULL_KMU" if model.variant == "h" else "NULL_KMUP"
     return check_identity(model, name, plan)
+
+
+def _k_mu(p: Probe):
+    """infer_k_mu's (k, mu, mu_ok) at one block's points."""
+    ef = p.eigen
+    lx = p.curv.apply(ef.x, p.xi, p.xi)
+    lpx = p.curv.apply(ef.phi_x, p.xi, p.xi)
+    s1 = np.einsum("ni,nij,nj->n", lx, p.g, ef.x)
+    s2 = np.einsum("ni,nij,nj->n", lpx, p.g, ef.phi_x)
+    mu_ok = ef.lam >= MU_EIGEN_FLOOR
+    mu = np.where(mu_ok, (s1 - s2) / (2.0 * np.maximum(ef.lam, 1e-300)), np.nan)
+    return 0.5 * (s1 + s2), mu, mu_ok
 
 
 def infer_k_mu(model: AlmostContactModel, pts):
@@ -878,15 +914,8 @@ def infer_k_mu(model: AlmostContactModel, pts):
     mu is flagged indeterminate where lam < 1e-6.
     """
     pts, single = as_points(pts)
-    p = Probe(model, pts)
-    ef = p.eigen
-    lx = p.curv.apply(ef.x, p.xi, p.xi)
-    lpx = p.curv.apply(ef.phi_x, p.xi, p.xi)
-    s1 = np.einsum("ni,nij,nj->n", lx, p.g, ef.x)
-    s2 = np.einsum("ni,nij,nj->n", lpx, p.g, ef.phi_x)
-    k = 0.5 * (s1 + s2)
-    mu_ok = ef.lam >= MU_EIGEN_FLOOR
-    mu = np.where(mu_ok, (s1 - s2) / (2.0 * np.maximum(ef.lam, 1e-300)), np.nan)
+    k, mu, mu_ok = (np.concatenate(parts)
+                    for parts in zip(*_per_block(model, pts, None, _k_mu)))
     if single:
         return float(k[0]), float(mu[0]), bool(mu_ok[0])
     return k, mu, mu_ok

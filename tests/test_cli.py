@@ -180,6 +180,20 @@ class TestBuild:
         assert doc["trajectory"]["nodes"] == 501
         assert doc["params"]["t_range"] == [-0.25, 0.25]
 
+    @pytest.mark.parametrize("flag", ["--mu", "--f", "--r"])
+    def test_model_no_suite_can_evaluate_is_not_written(self, tmp_path, capsys,
+                                                        flag):
+        # build evaluates the model on its box once, so it fails as verify
+        # does, with exit 2 and no document
+        out = tmp_path / "m.json"
+        model = ["--family", "kmu-chart", flag, "1e308*1e308"]
+        for argv in (["build", *model, "--out", str(out)],
+                     ["verify", *model, "--grid", "2", "--report", str(out)]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: non-finite result"), err
+            assert not out.exists()
+
 
 class TestTrajectory:
     def test_csv_export(self, tmp_path):

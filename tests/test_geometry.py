@@ -280,7 +280,8 @@ class TestWeylDecomposition:
     def test_three_dim_curvature_determined_by_ricci(self):
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
         plan = SamplePlan(grid=3, rand_pairs=3, seed=11)
-        probe = Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
+        pts = plan.points(model)
+        probe = Probe(model, pts, plan.draws(len(pts)))
         from kenmotsu3.identities import IDENTITIES
         res = IDENTITIES["WEYL3"].fn(probe)
         assert np.max(res) < 5e-5

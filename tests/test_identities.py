@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kenmotsu3 import exprs, fields, ode
+from kenmotsu3 import exprs, fields, identities, ode
 from kenmotsu3.fields import ArrayField, coordinate_derivatives
 from kenmotsu3.geometry import (
     christoffel_partials,
@@ -45,6 +45,12 @@ from kenmotsu3.models import (
 from kenmotsu3.structure import compute_h, frame_of
 
 PLAN = SamplePlan(grid=3, rand_pairs=3, seed=21)
+
+
+def _plan_probe(model, plan):
+    """One Probe over the whole of ``plan``, with the plan's draws."""
+    pts = plan.points(model)
+    return Probe(model, pts, plan.draws(len(pts)))
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +277,7 @@ class TestStackedPartials:
     @pytest.fixture(params=["kmu_chart", "kmup_darboux"])
     def probe(self, request):
         model = request.getfixturevalue(request.param)
-        return Probe(model, PLAN.points(model), PLAN.rand_pairs, PLAN.seed)
+        return _plan_probe(model, PLAN)
 
     @staticmethod
     def _reference_partials(probe, name):
@@ -380,7 +386,7 @@ def test_connection_tables_match_written_formulas(request, fixture, ident):
     # partials of lam stand in, and each pair (a, b) in turn is shifted to
     # dominate the maximum, so a dropped pair or a wrong coefficient shows
     model = request.getfixturevalue(fixture)
-    p = Probe(model, PLAN.points(model), PLAN.rand_pairs, PLAN.seed)
+    p = _plan_probe(model, PLAN)
     p.dlam = np.random.default_rng(5).standard_normal((p.n, 3))
     nabla = p.frame_nabla
     for a, b in np.ndindex(3, 3):
@@ -671,7 +677,7 @@ class TestStagedContractions:
             plan = SWEEP_PLAN
         else:
             model = request.getfixturevalue(request.param)
-        return Probe(model, plan.points(model), plan.rand_pairs, plan.seed)
+        return _plan_probe(model, plan)
 
     @staticmethod
     def _within(staged, ref, scale):
@@ -743,7 +749,7 @@ def test_pooled_identity_peak_memory(kmu_chart, ident):
     # terms over the pool and subtracting afterwards peaked at 2.11 (WEYL3)
     # and 1.71 (CURV2)
     plan = SamplePlan(grid=5, rand_pairs=4)
-    p = Probe(kmu_chart, plan.points(kmu_chart), plan.rand_pairs, plan.seed)
+    p = _plan_probe(kmu_chart, plan)
     fn = IDENTITIES[ident].fn
     fn(p)  # fill the Probe's caches, which the peak should not count
     tracemalloc.start()
@@ -761,7 +767,7 @@ def test_weyl3_peak_memory_at_grid9(kmu_chart):
     # at grid 9 its peak is 0.13 pooled (n, P, P, P, 3) float64 tensors
     # (1.34 when the whole pooled tensor was formed)
     plan = SamplePlan(grid=9, rand_pairs=4)
-    p = Probe(kmu_chart, plan.points(kmu_chart), plan.rand_pairs, plan.seed)
+    p = _plan_probe(kmu_chart, plan)
     fn = IDENTITIES["WEYL3"].fn
     fn(p)
     tracemalloc.start()
@@ -1027,6 +1033,97 @@ def test_suite_evaluates_the_model_once(request, fixture):
 
     check_suite(dataclasses.replace(model, at=at), "all", PLAN)
     assert calls == [len(PLAN.points(model))]
+
+
+def test_suite_evaluates_each_block_once(kmu_chart):
+    # a grid-9 plan is three blocks, each read off one ``at`` call
+    calls = []
+
+    def at(pts):
+        calls.append(len(pts))
+        return kmu_chart.at(pts)
+
+    check_suite(dataclasses.replace(kmu_chart, at=at), "all", SamplePlan(grid=9))
+    assert calls == [256, 256, 217]
+
+
+def _chart_kmu():
+    return build_kmu_chart_model(KmuChartParams("0.3*z + 1", "z^2", "sin(z)"))
+
+
+# a model of each variant, its plan's grid, the block size to run it at and
+# the identities to check: together they check every identity over plans of
+# several blocks.  CONN_KMU at grid 17 is where einsum's sum over k in
+# frame_nabla rounded some points apart in blocks and in one Probe.
+STREAMED = [
+    (_chart_kmu, 9, identities.BLOCK, "all"),
+    (lambda: build_darboux_model(DarbouxParams("kmup", "1", (-0.25, 0.25))),
+     3, 8, "all"),
+    (_chart_kmu, 17, identities.BLOCK, ["CONN_KMU"]),
+]
+
+
+def test_blocked_suite_matches_one_probe_over_the_plan(monkeypatch):
+    # residual and max point of every identity, bit for bit, as one Probe
+    # over the whole plan gives them
+    checked = set()
+    for build, grid, block, ids in STREAMED:
+        monkeypatch.setattr(identities, "BLOCK", block)
+        model, plan = build(), SamplePlan(grid=grid, rand_pairs=4, seed=1)
+        assert grid ** 3 > 2 * block
+        whole = _plan_probe(model, plan)
+        for rep in check_suite(model, ids, plan):
+            if rep.verdict == "not-applicable":
+                continue
+            per_point = IDENTITIES[rep.id].fn(whole)
+            idx = int(np.argmax(per_point))
+            assert rep.residual == float(per_point[idx]), (rep.id, grid)
+            assert rep.max_point == tuple(whole.pts[idx].tolist()), (rep.id, grid)
+            assert rep.samples == grid ** 3
+            checked.add(rep.id)
+    assert checked == set(IDENTITIES)
+
+
+def test_blocks_merge_as_argmax_over_the_plan(monkeypatch, kmu_chart):
+    # a later block's maximum replaces the kept one only if strictly larger,
+    # so a tie keeps the first point; a NaN wins, the first of several
+    monkeypatch.setattr(identities, "BLOCK", 4)
+    plan = SamplePlan(grid=3)
+    pts = plan.points(kmu_chart)
+    index = {q: i for i, q in enumerate(map(tuple, pts.tolist()))}
+    tie, nans, later = np.zeros(27), np.ones(27), np.ones(27)
+    tie[[5, 6, 13]] = 2.0                     # blocks 1, 1 and 3
+    nans[[2, 9, 22]] = [5.0, np.nan, np.nan]  # blocks 0, 2 and 5
+    later[[0, 20]] = [3.0, 4.0]               # blocks 0 and 5
+    rng = np.random.default_rng(7)
+    drawn = [rng.integers(0, 3, 27).astype(float) for _ in range(20)]
+    for values in [tie, nans, later, *drawn]:
+        spec = dataclasses.replace(IDENTITIES["H2"], fn=lambda p: values[
+            [index[q] for q in map(tuple, p.pts.tolist())]])
+        monkeypatch.setitem(IDENTITIES, "H2", spec)
+        rep = check_identity(kmu_chart, "H2", plan)
+        idx = int(np.argmax(values))
+        assert rep.max_point == tuple(pts[idx].tolist())
+        assert repr(rep.residual) == repr(float(values[idx]))
+        assert rep.verdict == ("fail" if np.isnan(values[idx]) else "pass"
+                               if values[idx] <= rep.tolerance else "fail")
+    assert [int(np.argmax(v)) for v in (tie, nans, later)] == [5, 9, 20]
+
+
+def test_suite_peak_memory_follows_the_block(kmu_chart):
+    # each block's Probe is freed before the next is built: a grid-17 suite
+    # (20 blocks) peaks within 1.25 times a grid-9 suite (3 blocks); one
+    # Probe over the plan peaked 6.7 times higher at grid 17 than at grid 9
+    check_suite(kmu_chart, "all", PLAN)
+    peaks = []
+    for grid in (9, 17):
+        tracemalloc.start()
+        try:
+            check_suite(kmu_chart, "all", SamplePlan(grid=grid))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_fields_are_views_of_the_one_evaluation(request, baseline):

@@ -229,3 +229,13 @@ def test_identities_factor_the_metric_only_in_the_probe_factors():
     uses = _linalg_uses((SRC / "identities.py").read_text(), "identities.py",
                         **_FACTORING)
     assert uses == [("metric_factors", "factors")], uses
+
+
+def test_probe_built_only_in_the_block_loop():
+    # suites, check_identity, nullity_residual and infer_k_mu build their
+    # Probes in one place, the loop over blocks of points: no second,
+    # whole-plan path
+    uses = [(f.name, *use) for f in sorted(SRC.glob("*.py"))
+            for use in _linalg_uses(f.read_text(), f.name, names=(),
+                                    functions=("Probe",))]
+    assert uses == [("identities.py", "Probe", "_per_block")], uses
