@@ -221,7 +221,8 @@ def coordinate_derivatives(field: ArrayField, pts,
 
 
 def lie_bracket(x_field: ArrayField, y_field: ArrayField, pts) -> np.ndarray:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i with numeric partials."""
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, with the partials of
+    :func:`coordinate_derivatives`: a field's exact ones if it has them."""
     pts, single = as_points(pts)
     xv, yv = x_field(pts), y_field(pts)
     # jac[n, j, i] = d_j (field^i)

@@ -147,8 +147,8 @@ def curvature(gamma: np.ndarray, ginv: np.ndarray,
 def riemann(g: ArrayField, pts, h_rel: float = 1e-3) -> Curvature:
     """Full curvature from Gamma and the FD partials of Gamma as a field.
 
-    The metric and the connection are differentiated with the one relative
-    step ``h_rel``, which keeps curvature-level truncation at O(h^4).
+    Gamma is differenced with the relative step ``h_rel`` (O(h^4)), and so
+    is the metric unless it carries exact partials, as every model's does.
     """
     pts, _ = as_points(pts)
     gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, h_rel))

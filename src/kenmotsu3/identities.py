@@ -29,7 +29,7 @@ from .geometry import (
     levi_civita,
     metric_factors,
 )
-from .structure import AlmostContactModel, frame_of, lie_derivative
+from .structure import FAMILIES, AlmostContactModel, frame_of, lie_derivative
 
 __all__ = [
     "PROFILES",
@@ -704,24 +704,12 @@ def _res_phi12(p: Probe):
 # Registry
 # --------------------------------------------------------------------------
 
-def _all(model):
-    return True
-
-
-def _variant_h(model):
-    return model.variant == "h"
-
-
-def _variant_hp(model):
-    return model.variant == "hp"
-
-
-def _nondeg_h(model):
-    return model.variant == "h" and model.family != "kenmotsu-baseline"
-
-
-def _darboux(model):
-    return model.trajectory is not None
+# the families each identity quantifies over, from their nullity operators:
+# the baseline's h vanishes, which leaves CONN_KMU's eigenframe undefined
+_ALL = frozenset(FAMILIES)
+_KMU = frozenset(f for f, (op, _) in FAMILIES.items() if op == "h")
+_KMUP = _ALL - _KMU
+_DARBOUX = frozenset(f for f in FAMILIES if f.endswith("-darboux"))
 
 
 @dataclass(frozen=True)
@@ -730,7 +718,7 @@ class IdentitySpec:
     formula: str
     profile: str
     fn: object
-    applies: object
+    families: frozenset  # the FAMILIES it quantifies over
     tolerance: float | None = None  # overrides the profile value when set
 
     def tol(self) -> float:
@@ -739,83 +727,84 @@ class IdentitySpec:
 
 IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
     IdentitySpec("NABLA_XI", "nabla_X xi = X - eta(X) xi - phi h X",
-                 "fd1", _res_nabla_xi, _all),
-    IdentitySpec("AK_DETA", "d eta = 0", "fd1", _res_ak_deta, _all),
-    IdentitySpec("AK_DPHI", "d Phi = 2 eta ^ Phi", "fd1", _res_ak_dphi, _all),
+                 "fd1", _res_nabla_xi, _ALL),
+    IdentitySpec("AK_DETA", "d eta = 0", "fd1", _res_ak_deta, _ALL),
+    IdentitySpec("AK_DPHI", "d Phi = 2 eta ^ Phi", "fd1", _res_ak_dphi, _ALL),
     IdentitySpec("KLEAVES",
                  "(nabla_X phi)Y = g(phi X + h X, Y) xi - eta(Y)(phi X + h X)",
-                 "fd1", _res_kleaves, _all),
+                 "fd1", _res_kleaves, _ALL),
     IdentitySpec("CURV1",
                  "R(Y,Z)xi = eta(Y)(Z - phi h Z) - eta(Z)(Y - phi h Y)"
                  " + (nabla_Z phi h)Y - (nabla_Y phi h)Z",
-                 "fd2", _res_curv1, _all),
+                 "fd2", _res_curv1, _ALL),
     IdentitySpec("L_ID", "phi l phi - l = 2(-phi^2 + h^2), l = R(., xi) xi",
-                 "fd2", _res_l_id, _all),
+                 "fd2", _res_l_id, _ALL),
     IdentitySpec("CURV2",
                  "g(R(xi,X)Y,Z) - g(R(xi,X)phiY,phiZ) + g(R(xi,phiX)Y,phiZ)"
                  " + g(R(xi,phiX)phiY,Z) = 2(nabla_{hX}Phi)(Y,Z)"
                  " + 2 eta(Y) g(Z, X - phi h X) - 2 eta(Z) g(Y, X - phi h X)",
-                 "fd2", _res_curv2, _all),
+                 "fd2", _res_curv2, _ALL),
     IdentitySpec("CODAZZI_HP", "(nabla_X h')Y - (nabla_Y h')X = 0 on ker(eta)",
-                 "fd1", _res_codazzi_hp, _all),
-    IdentitySpec("H2", "h^2 = h'^2 = (k+1) phi^2", "fd1", _res_h2, _all),
-    IdentitySpec("QXI", "Q xi = 2k xi", "fd2", _res_qxi, _all),
+                 "fd1", _res_codazzi_hp, _ALL),
+    IdentitySpec("H2", "h^2 = h'^2 = (k+1) phi^2", "fd1", _res_h2, _ALL),
+    IdentitySpec("QXI", "Q xi = 2k xi", "fd2", _res_qxi, _ALL),
     IdentitySpec("NH",
                  "nabla_xi h = -2h - mu phi h;  dlam(xi) = -2 lam;"
                  "  dk(xi) = -4(k+1)",
-                 "fd1", _res_nh, _variant_h),
+                 "fd1", _res_nh, _KMU),
     IdentitySpec("NHP",
                  "nabla_xi h' = -(mu+2) h';  dlam(xi) = -lam(mu+2);"
                  "  dk(xi) = -2(k+1)(mu+2)",
-                 "fd1", _res_nhp, _variant_hp),
+                 "fd1", _res_nhp, _KMUP),
     IdentitySpec("LIE1",
                  "L_xi h = 2 lam^2 phi - 2h + mu h';  L_xi h' = -mu h - 2h'",
-                 "fd1", _res_lie1, _variant_h),
+                 "fd1", _res_lie1, _KMU),
     IdentitySpec("LIE2",
                  "L_xi h' = -(mu+2) h';  L_xi h = 2 lam^2 phi - (mu+2) h",
-                 "fd1", _res_lie2, _variant_hp),
+                 "fd1", _res_lie2, _KMUP),
     IdentitySpec("TR_HP", "sum_i (nabla_{X_i} h') X_i = Q xi + 2 xi",
-                 "fd2", _res_tr_hp, _all),
+                 "fd2", _res_tr_hp, _ALL),
     IdentitySpec("TR_PHI", "sum_i (nabla_{X_i} phi) X_i = 0",
-                 "fd1", _res_tr_phi, _all),
+                 "fd1", _res_tr_phi, _ALL),
     IdentitySpec("TR_H", "sum_i (nabla_{X_i} h) X_i = phi Q xi",
-                 "fd2", _res_tr_h, _all),
+                 "fd2", _res_tr_h, _ALL),
     IdentitySpec("GRAD", "T(grad mu) = grad k - (xi k) xi",
-                 "fd1", _res_grad, _all),
+                 "fd1", _res_grad, _ALL),
     IdentitySpec("RICCI_FORM",
                  "Q = a I + b eta (x) xi + mu T, a = Sc/2 - k, b = 3k - Sc/2",
-                 "fd2", _res_ricci_form, _all),
+                 "fd2", _res_ricci_form, _ALL),
     IdentitySpec("NULL_KMU",
                  "R(X,Y)xi = k(eta(Y)X - eta(X)Y) + mu(eta(Y)hX - eta(X)hY)",
-                 "fd2", _res_null_kmu, _variant_h),
+                 "fd2", _res_null_kmu, _KMU),
     IdentitySpec("NULL_KMUP",
                  "R(X,Y)xi = k(eta(Y)X - eta(X)Y) + mu(eta(Y)h'X - eta(X)h'Y)",
-                 "fd2", _res_null_kmup, _variant_hp),
+                 "fd2", _res_null_kmup, _KMUP),
     IdentitySpec("CONN_KMU",
                  "nabla_X xi = X - lam phi X (and the 7 companion formulas"
                  " of the h-eigenframe connection)",
-                 "fd1", lambda p: _conn_residual(p, _conn_kmu), _nondeg_h),
+                 "fd1", lambda p: _conn_residual(p, _conn_kmu),
+                 _KMU - {"kenmotsu-baseline"}),
     IdentitySpec("CONN_KMUP",
                  "nabla_X xi = (1+lam) X (and the 7 companion formulas"
                  " of the h'-eigenframe connection)",
                  "fd1", lambda p: _conn_residual(p, _conn_kmup),
-                 _variant_hp),
+                 _KMUP),
     IdentitySpec("FLAT_LEAF", "K(X, phi X) = -(1 - lam^2)",
-                 "fd2", _res_flat_leaf, _all),
+                 "fd2", _res_flat_leaf, _ALL),
     IdentitySpec("WEYL3",
                  "R(X,Y)Z = g(Y,Z)QX - g(X,Z)QY + g(QY,Z)X - g(QX,Z)Y"
                  " - (Sc/2)(g(Y,Z)X - g(X,Z)Y)",
-                 "fd2", _res_weyl3, _all),
-    IdentitySpec("DK_ETA", "dk ^ eta = 0", "strict", _res_dk_eta, _all),
+                 "fd2", _res_weyl3, _ALL),
+    IdentitySpec("DK_ETA", "dk ^ eta = 0", "strict", _res_dk_eta, _ALL),
     IdentitySpec("BSQ", "B^i_s B^s_j = lam^2 delta^i_j on the leaf block",
-                 "custom", _res_bsq, _darboux, tolerance=1e-8),
+                 "custom", _res_bsq, _DARBOUX, tolerance=1e-8),
     IdentitySpec("PHI12", "Phi(d_x, d_y) = e^{2t}",
-                 "custom", _res_phi12, _darboux, tolerance=1e-9),
+                 "custom", _res_phi12, _DARBOUX, tolerance=1e-9),
 ]}
 
 
 def applicable_identities(model: AlmostContactModel) -> list[str]:
-    return [s.id for s in IDENTITIES.values() if s.applies(model)]
+    return [s.id for s in IDENTITIES.values() if model.family in s.families]
 
 
 # --------------------------------------------------------------------------
@@ -858,10 +847,7 @@ def _report(spec: IdentitySpec, tolerance, kept, samples) -> ResidualReport:
 def check_identity(model: AlmostContactModel, identity: str,
                    plan: SamplePlan | None = None,
                    tolerance: float | None = None) -> ResidualReport:
-    """Evaluate one identity; returns a not-applicable report when the
-    identity does not quantify over this model family."""
-    if identity in IDENTITIES and not IDENTITIES[identity].applies(model):
-        return _report(IDENTITIES[identity], tolerance, None, 0)
+    """Evaluate one identity: the one report of its suite."""
     return check_suite(model, [identity], plan, {identity: tolerance})[0]
 
 
@@ -870,17 +856,18 @@ def check_suite(model: AlmostContactModel, identities=None,
                 tolerances: dict[str, float] | None = None) -> list[ResidualReport]:
     """Run a list of identities (default: every one known), sharing one Probe
     per block of BLOCK points; per-identity tolerances override the profile.
-    Each report keeps the plan's largest residual and its first point."""
+    Each report keeps the plan's largest residual and its first point; one
+    whose identity skips the model's family is not-applicable, unevaluated."""
     plan = plan or SamplePlan()
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
     for name in ids:
         if name not in IDENTITIES:
             raise KeyError(f"unknown identity {name!r}")
     specs = [IDENTITIES[name] for name in ids]
-    live = [spec for spec in specs if spec.applies(model)]
+    live = [spec for spec in specs if model.family in spec.families]
     pts = plan.points(model)
-    blocks = _per_block(model, pts, plan.draws(len(pts)),
-                        lambda p: _block_maxima(live, p))
+    blocks = (_per_block(model, pts, plan.draws(len(pts)),
+                         lambda p: _block_maxima(live, p)) if live else [])
     kept = {spec.id: reduce(_merge, m) for spec, m in zip(live, zip(*blocks))}
     return [_report(spec, (tolerances or {}).get(spec.id), kept.get(spec.id),
                     len(pts)) for spec in specs]

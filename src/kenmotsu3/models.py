@@ -115,12 +115,14 @@ def _model(coeffs, entries, domain, **model_kw) -> AlmostContactModel:
     ``entries[name](*coefficients)`` maps them to the nonzero entries
     ``{index: entry}`` of field ``name``, each a coefficient expression or
     a constant (whose partials are exact zeros).  The model's ``at`` runs
-    this one pass per call; the scalars carry no second partials.
-    ``model_kw`` holds the other :class:`AlmostContactModel` fields.
+    this one pass per call, on points of ``domain``; the scalars carry no
+    second partials.  ``model_kw`` holds the other
+    :class:`AlmostContactModel` fields.
     """
     entries = {**entries, **_NOMINAL}
 
     def at(pts):
+        domain.require(pts)
         coefficients, n = coeffs(pts), len(pts)
         out = {}
         for name, shape in _FIELDS.items():
@@ -206,8 +208,8 @@ _CHART_ENTRIES = {
 _LAM = parse_expr("sqrt(-1 - z)")
 
 
-def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
-                 r: Expr, coeff) -> AlmostContactModel:
+def _chart_model(family: str, box: Box, mu: Expr, f: Expr, r: Expr,
+                 coeff) -> AlmostContactModel:
     """A chart model with nominal k = z, lam = sqrt(-1-z) and the given mu.
 
     Both chart families share the frame structure e1 = d_x, e2 = d_y,
@@ -229,8 +231,7 @@ def _chart_model(family: str, variant: str, box: Box, mu: Expr, f: Expr,
         return (*coeff(*xyz, lam, muv, fv, rv), xyz[2], muv, lam)
 
     return _model(
-        coeffs, _CHART_ENTRIES, domain, family=family, variant=variant,
-        coords=("x", "y", "z"), default_box=box,
+        coeffs, _CHART_ENTRIES, domain, family=family, default_box=box,
         params={"mu": str(mu), "f": str(f), "r": str(r),
                 "box": [list(iv) for iv in box]},
     )
@@ -244,7 +245,7 @@ def build_kmu_chart_model(params: KmuChartParams) -> AlmostContactModel:
         return (x - (0.5 * muv + lam) * y + fv,
                 (0.5 * muv - lam) * x + y + rv, 4.0 * (1.0 + z))
 
-    return _chart_model("kmu-chart", "h", params.box, mu, f, r, coeff)
+    return _chart_model("kmu-chart", params.box, mu, f, r, coeff)
 
 
 def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
@@ -255,7 +256,7 @@ def build_kmu_prime_chart_model(params: KmupChartParams) -> AlmostContactModel:
         return (x * (1.0 + lam) + fv, y * (1.0 - lam) + rv,
                 2.0 * (1.0 + z) * (muv + 2.0))
 
-    return _chart_model("kmup-chart", "hp", params.box, mu, f, r, coeff)
+    return _chart_model("kmup-chart", params.box, mu, f, r, coeff)
 
 
 # --------------------------------------------------------------------------
@@ -315,8 +316,6 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
                  **_DT},
         domain, varies=(False, False, True),
         family=f"{params.variant}-darboux",
-        variant="h" if params.variant == "kmu" else "hp",
-        coords=("x", "y", "t"),
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
                 "xy_box": [list(iv) for iv in params.xy_box]},
@@ -342,8 +341,7 @@ def build_kenmotsu_baseline(c: float = 1.0) -> AlmostContactModel:
         # phi d_x = d_y, phi d_y = -d_x
         coeffs, {"phi": lambda *_: {(0, 1): -1.0, (1, 0): 1.0},
                  "g": lambda w, *_: {(0, 0): w, (1, 1): w, (2, 2): 1.0}, **_DT},
-        domain, family="kenmotsu-baseline", variant="h",
-        coords=("x", "y", "t"),
+        domain, family="kenmotsu-baseline",
         default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
         params={"c": c},
     )

@@ -455,8 +455,10 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
                          f"which cannot be allocated ({ex})") from None
     states[n_back] = initial_state(variant)
     spans = (slice(n_back, None), slice(n_back, None, -1))
-    _magnus_span(variant, mu_bar, [times[s] for s in spans],
-                 [states[s] for s in spans], [derivs[s] for s in spans])
+    # the span raises at the first non-finite node: no overflow warnings first
+    with np.errstate(over="ignore", invalid="ignore"):
+        _magnus_span(variant, mu_bar, [times[s] for s in spans],
+                     [states[s] for s in spans], [derivs[s] for s in spans])
     return Trajectory(variant, mu_bar, step, times, states, derivs)
 
 

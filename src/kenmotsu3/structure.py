@@ -29,8 +29,11 @@ __all__ = [
     "structure_residuals",
 ]
 
-FAMILIES = ("kenmotsu-baseline", "kmu-chart", "kmup-chart",
-            "kmu-darboux", "kmup-darboux")
+# each family's nullity operator, h or h' = h o phi ("hp"), and the name of
+# its third coordinate: what decides the identities a family quantifies over
+FAMILIES = {"kenmotsu-baseline": ("h", "t"), "kmu-chart": ("h", "z"),
+            "kmup-chart": ("hp", "z"), "kmu-darboux": ("h", "t"),
+            "kmup-darboux": ("hp", "t")}
 
 
 # the structure tensors and the nominal scalars: component shape
@@ -42,20 +45,19 @@ _FIELDS = {"phi": (3, 3), "xi": (3,), "eta": (3,), "g": (3, 3),
 class AlmostContactModel:
     """Structure tensors plus nominal scalars over a single chart.
 
-    ``variant`` names the operator entering this family's nullity condition:
-    ``"h"`` or ``"hp"`` (for h').  ``coords`` labels the axes; the third axis
-    is the distinguished coordinate (z or t).  ``at(pts)`` evaluates the
-    model at an (n, 3) point array in one pass: it maps each name of
-    ``_FIELDS`` to the field's values, exact partials (axis first) and
-    exact second partials (both axes first; None for k_nom, mu_nom and
-    lam_nom).  A model's values depend on the points alone.  The seven
-    fields phi ... lam_nom are views of ``at``, each call of which runs
-    the whole pass; ``varies`` flags the axes they depend on.
+    The family's row of ``FAMILIES`` gives ``variant``, the operator of its
+    nullity condition (``"h"``, or ``"hp"`` for h'), and ``coords``, the axis
+    labels, the distinguished coordinate (z or t) third.  ``at(pts)``
+    evaluates the model at an (n, 3) point array inside ``domain`` (others
+    raise ``BoundaryError``) in one pass: it maps each name of ``_FIELDS``
+    to the field's values, exact partials (axis first) and exact second
+    partials (both axes first; None for k_nom, mu_nom and lam_nom).  A
+    model's values depend on the points alone.  The seven fields phi ...
+    lam_nom are views of ``at``, each call of which runs the whole pass;
+    ``varies`` flags the axes they depend on.
     """
 
     family: str
-    variant: str
-    coords: tuple[str, str, str]
     domain: ChartDomain
     default_box: tuple[tuple[float, float], ...]
     at: Callable[[np.ndarray], dict]
@@ -73,8 +75,6 @@ class AlmostContactModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.variant not in ("h", "hp"):
-            raise ValueError(f"variant must be 'h' or 'hp', got {self.variant!r}")
         at = self.at  # the views hold the evaluation, not the model
 
         def view(name, order):
@@ -85,6 +85,9 @@ class AlmostContactModel:
                 view(name, 0), self.domain, shape, partials=view(name, 1),
                 second=view(name, 2) if shape else None, varies=self.varies,
                 name=name))
+
+    variant = property(lambda self: FAMILIES[self.family][0])
+    coords = property(lambda self: ("x", "y", FAMILIES[self.family][1]))
 
     def nullity_operator(self, h: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """The T of this family's nullity condition from computed h, phi."""
@@ -129,7 +132,6 @@ def compute_h(model: AlmostContactModel, pts) -> np.ndarray:
     closed form), from one ``model.at`` pass.
     """
     pts, single = as_points(pts)
-    model.domain.require(pts)
     at = model.at(pts)
     (phi, dphi, _), (xi, dxi, _) = at["phi"], at["xi"]
     h = 0.5 * lie_derivative(xi, dxi, phi, dphi)
@@ -194,7 +196,6 @@ def nijenhuis(model: AlmostContactModel, pts, x, y) -> np.ndarray:
     pts, single = as_points(pts)
     xv = np.asarray(x, float)
     yv = np.asarray(y, float)
-    model.domain.require(pts)
     at = model.at(pts)
     (phi, dphi, _), (xi, _, _) = at["phi"], at["xi"]  # dphi: (n, a, i, j)
     phi_x, phi_y = phi @ xv, phi @ yv

@@ -5,6 +5,7 @@ import ast
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,30 @@ class TestSweep:
                     "--identities", "H2", "--mu-values", "1,2"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "mu" in err
+
+
+# bad input met at each stage of a run: the flags, the box, the integration
+# (mu = 50 drives the kmup state past float64 near t = -0.178); one error
+# line, no warning before it, and no report
+@pytest.mark.parametrize("args,prefix", [
+    (["verify", "--family", "kenmotsu", "--grid", "2", "--identities",
+      "NABLA_XI", "--tol", "NABLA_XI"], "error: --tol expects ID=VALUE"),
+    (["sweep", "--family", "kmu-chart", "--grid", "2", "--identities", "H2",
+      "--mu-values", ","], "error: --mu-values must list at least one"),
+    (["verify", "--family", "kmu-chart", "--box", "0:0,1:-3,-2"],
+     "error: interval must be 'lo,hi'"),
+    (["verify", "--family", "kmup-darboux", "--mu", "50", "--grid", "2"],
+     "fatal consistency error: ODE state non-finite"),
+], ids=["tol-without-value", "no-mu-values", "box-interval", "consistency"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, args, prefix):
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args + ["--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix) and err.count("\n") == 1, err
+    assert not caught, [str(w.message) for w in caught]
+    assert not report.exists()
 
 
 # an output path in a missing directory: an error line and exit 2, not a

@@ -148,6 +148,49 @@ class TestReports:
         assert "CODAZZI_HP" in applicable_identities(kmu_chart)  # both variants
 
 
+# the identities each family quantifies over, in registry order: the kmu
+# families run NH, LIE1 and NULL_KMU, the kmup ones NHP, LIE2, NULL_KMUP
+# and CONN_KMUP, the kmu families but the baseline (h = 0) CONN_KMU, and the
+# Darboux families BSQ and PHI12
+_HEAD = ["NABLA_XI", "AK_DETA", "AK_DPHI", "KLEAVES", "CURV1", "L_ID",
+         "CURV2", "CODAZZI_HP", "H2", "QXI"]
+_TRACES = ["TR_HP", "TR_PHI", "TR_H", "GRAD", "RICCI_FORM"]
+_TAIL = ["FLAT_LEAF", "WEYL3", "DK_ETA"]
+APPLICABLE = {
+    "baseline": _HEAD + ["NH", "LIE1"] + _TRACES + ["NULL_KMU"] + _TAIL,
+    "kmu_chart": (_HEAD + ["NH", "LIE1"] + _TRACES + ["NULL_KMU", "CONN_KMU"]
+                  + _TAIL),
+    "kmup_chart": (_HEAD + ["NHP", "LIE2"] + _TRACES
+                   + ["NULL_KMUP", "CONN_KMUP"] + _TAIL),
+    "kmu_darboux": (_HEAD + ["NH", "LIE1"] + _TRACES + ["NULL_KMU", "CONN_KMU"]
+                    + _TAIL + ["BSQ", "PHI12"]),
+    "kmup_darboux": (_HEAD + ["NHP", "LIE2"] + _TRACES
+                     + ["NULL_KMUP", "CONN_KMUP"] + _TAIL + ["BSQ", "PHI12"]),
+}
+
+
+@pytest.mark.parametrize("fixture", APPLICABLE)
+def test_applicability_matrix(request, fixture):
+    model = request.getfixturevalue(fixture)
+    assert applicable_identities(model) == APPLICABLE[fixture]
+
+
+def test_suite_of_inapplicable_identities_evaluates_nothing(kmu_chart):
+    # two identities kmu-chart does not quantify over: not-applicable
+    # reports, with no block of the grid-9 plan evaluated
+    calls = []
+
+    def at(pts):
+        calls.append(len(pts))
+        return kmu_chart.at(pts)
+
+    reports = check_suite(dataclasses.replace(kmu_chart, at=at),
+                          ["NHP", "CONN_KMUP"], SamplePlan(grid=9))
+    assert [(r.id, r.verdict, r.samples) for r in reports] == [
+        ("NHP", "not-applicable", 0), ("CONN_KMUP", "not-applicable", 0)]
+    assert calls == []
+
+
 class TestSuites:
     def test_baseline_all_pass(self, baseline):
         reports = check_suite(baseline, "all", PLAN)
@@ -731,7 +774,7 @@ class TestStagedContractions:
         checked = 0
         for ident, ref_fn in REFERENCE_RESIDUALS.items():
             spec = IDENTITIES[ident]
-            if not spec.applies(probe.model):
+            if ident not in applicable_identities(probe.model):
                 continue
             staged, ref = spec.fn(probe), ref_fn(probe)
             exact = ref_fn(_Extended(probe))

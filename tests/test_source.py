@@ -239,3 +239,23 @@ def test_probe_built_only_in_the_block_loop():
             for use in _linalg_uses(f.read_text(), f.name, names=(),
                                     functions=("Probe",))]
     assert uses == [("identities.py", "Probe", "_per_block")], uses
+
+
+def test_families_decide_applicability_once():
+    # a family's row of structure.FAMILIES (its nullity operator and third
+    # coordinate) is the one statement of the identities it runs: the
+    # registry keeps no predicates of its own, each identity names families
+    # of that table, and a model takes neither value as an argument
+    from dataclasses import fields
+
+    from kenmotsu3.identities import IDENTITIES
+    from kenmotsu3.structure import FAMILIES, AlmostContactModel
+
+    defined = set(_defined((SRC / "identities.py").read_text(), ast.FunctionDef))
+    predicates = {"_all", "_variant_h", "_variant_hp", "_nondeg_h", "_darboux"}
+    assert not defined & predicates, defined & predicates
+    strays = {s.id: set(s.families) - set(FAMILIES) for s in IDENTITIES.values()
+              if not s.families or not set(s.families) <= set(FAMILIES)}
+    assert not strays, strays
+    init = {f.name for f in fields(AlmostContactModel) if f.init}
+    assert "family" in init and not {"variant", "coords"} & init, init

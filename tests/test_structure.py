@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from kenmotsu3.fields import BoundaryError
 from kenmotsu3.geometry import g_norm
-from kenmotsu3.identities import Probe, SamplePlan
+from kenmotsu3.identities import Probe, SamplePlan, infer_k_mu
 from kenmotsu3.models import (
     DarbouxParams,
     KmuChartParams,
@@ -14,7 +15,7 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
 )
-from kenmotsu3.structure import compute_h, nijenhuis
+from kenmotsu3.structure import compute_h, nijenhuis, structure_residuals
 
 ALL_MODELS = [
     build_kenmotsu_baseline(1.0),
@@ -188,3 +189,20 @@ class TestNijenhuis:
                 best = max(best, float(np.max(np.abs(n))))
         assert best > 1e-3
         assert best == pytest.approx(0.5, abs=1e-6)
+
+
+# a point off the chart: z = -0.5 leaves z < -1, and t = 0.5 the integrated
+# t-range [-0.25, 0.25]; the model's ``at`` refuses both, so every reader of
+# the model fails alike rather than in the expression or the trajectory
+@pytest.mark.parametrize("model,point", [
+    (build_kmu_chart_model(KmuChartParams(mu="1")), [0.5, 0.5, -0.5]),
+    (build_darboux_model(DarbouxParams("kmu", "1", (-0.25, 0.25))),
+     [0.5, 0.5, 0.5]),
+], ids=["kmu-chart", "kmu-darboux"])
+@pytest.mark.parametrize("reader", [
+    compute_h, structure_residuals, infer_k_mu,
+    lambda m, pts: nijenhuis(m, pts, [1.0, 0, 0], [0, 1.0, 0]),
+], ids=["compute_h", "structure_residuals", "infer_k_mu", "nijenhuis"])
+def test_off_domain_point_raises_boundary_error(model, point, reader):
+    with pytest.raises(BoundaryError, match="outside chart domain"):
+        reader(model, np.array([point]))
