@@ -1,5 +1,9 @@
 """Levi-Civita connection, curvature and covariant calculus of a metric.
 
+Every function works on arrays at a batch of points: the metric's values
+and its exact coordinate partials, first and second, as a model's ``at``
+returns them.  Nothing here differentiates numerically.
+
 Conventions.  Christoffel symbols Gamma^i_{jk} are indexed ``[i, j, k]``.
 The curvature convention is R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_{[X,Y]} Z, stored as R^i_{jkl} with R(e_k, e_l)e_j = R^i_{jkl} e_i.
@@ -14,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ArrayField, as_points, coordinate_derivatives
-
 __all__ = [
     "DegenerateMetricError",
     "DegeneratePlaneError",
@@ -23,10 +25,7 @@ __all__ = [
     "curvature",
     "levi_civita",
     "christoffel_partials",
-    "riemann",
-    "sectional_curvature",
     "covariant_differential",
-    "exterior_derivative",
     "exterior_differential",
     "g_norm",
     "g_operator_norm",
@@ -144,28 +143,6 @@ def curvature(gamma: np.ndarray, ginv: np.ndarray,
     return Curvature(riem, q, sc)
 
 
-def riemann(g: ArrayField, pts, h_rel: float = 1e-3) -> Curvature:
-    """Full curvature from Gamma and the FD partials of Gamma as a field.
-
-    Gamma is differenced with the relative step ``h_rel`` (O(h^4)), and so
-    is the metric unless it carries exact partials, as every model's does.
-    """
-    pts, _ = as_points(pts)
-    gamma, ginv = levi_civita(g(pts), coordinate_derivatives(g, pts, h_rel))
-    gamma_field = ArrayField(
-        lambda q: levi_civita(g(q), coordinate_derivatives(g, q, h_rel))[0],
-        g.domain, out_shape=(3, 3, 3), varies=g.varies, name="christoffel")
-    dgamma = coordinate_derivatives(gamma_field, pts, h_rel)
-    return curvature(gamma, ginv, dgamma)
-
-
-def sectional_curvature(g: ArrayField, pts, x, y) -> np.ndarray:
-    """K(X,Y) of the metric field ``g`` at ``pts`` (see Curvature.sectional)."""
-    pts, single = as_points(pts)
-    out = riemann(g, pts).sectional(g(pts), x, y)
-    return out[0] if single else out
-
-
 def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
                            gamma: np.ndarray) -> np.ndarray:
     """(nabla_k T)^i_j for a (1,1) tensor from values and coordinate partials.
@@ -181,13 +158,6 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
     minus = (t_vals @ gamma.reshape(len(t_vals), 3, 9)).reshape(-1, 3, 3, 3)
     return (dt_vals + np.einsum("niks,nsj->nkij", gamma, t_vals)
             - minus.transpose(0, 2, 1, 3))
-
-
-def exterior_derivative(form: ArrayField, pts) -> np.ndarray:
-    """Coordinate exterior derivative of a 1-form or 2-form field."""
-    pts, single = as_points(pts)
-    out = exterior_differential(coordinate_derivatives(form, pts))
-    return out[0] if single else out
 
 
 def exterior_differential(d: np.ndarray) -> np.ndarray:

@@ -314,8 +314,7 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
         coeffs, {"phi": lambda *c: dict(zip(_CORNER, c[:4])),
                  "g": lambda *c: {**dict(zip(_CORNER, c[4:8])), (2, 2): 1.0},
                  **_DT},
-        domain, varies=(False, False, True),
-        family=f"{params.variant}-darboux",
+        domain, family=f"{params.variant}-darboux",
         default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
                 "xy_box": [list(iv) for iv in params.xy_box]},

@@ -53,15 +53,13 @@ class AlmostContactModel:
     to the field's values, exact partials (axis first) and exact second
     partials (both axes first; None for k_nom, mu_nom and lam_nom).  A
     model's values depend on the points alone.  The seven fields phi ...
-    lam_nom are views of ``at``, each call of which runs the whole pass;
-    ``varies`` flags the axes they depend on.
+    lam_nom are views of ``at``, each call of which runs the whole pass.
     """
 
     family: str
     domain: ChartDomain
     default_box: tuple[tuple[float, float], ...]
     at: Callable[[np.ndarray], dict]
-    varies: tuple[bool, bool, bool] = (True, True, True)
     params: dict = dc_field(default_factory=dict)
     trajectory: object = None
     phi: ArrayField = dc_field(init=False)
@@ -83,8 +81,7 @@ class AlmostContactModel:
         for name, shape in _FIELDS.items():
             setattr(self, name, ArrayField(
                 view(name, 0), self.domain, shape, partials=view(name, 1),
-                second=view(name, 2) if shape else None, varies=self.varies,
-                name=name))
+                second=view(name, 2) if shape else None, name=name))
 
     variant = property(lambda self: FAMILIES[self.family][0])
     coords = property(lambda self: ("x", "y", FAMILIES[self.family][1]))

@@ -9,9 +9,9 @@ import re
 
 import numpy as np
 
+from fd_reference import model_metric, riemann
 from kenmotsu3.cli import main as cli_main
 from kenmotsu3.exprs import parse_expr
-from kenmotsu3.geometry import riemann, sectional_curvature
 from kenmotsu3.identities import (
     Probe,
     SamplePlan,
@@ -69,12 +69,14 @@ def test_criterion_1_baseline_suite():
     ids = ["NABLA_XI", "AK_DETA", "AK_DPHI", "KLEAVES", "CURV1", "L_ID",
            "H2", "QXI"]
     failures += _suite_failures(model, ids)
-    # every sectional curvature equals -1 within 5e-6
+    # every sectional curvature equals -1 within 5e-6, by FD of the
+    # Christoffel symbols
     pts = PLAN.points(model)
+    curv = riemann(model_metric(model), model.domain, pts)
     rng = np.random.default_rng(1)
     for _ in range(4):
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        k = sectional_curvature(model.g, pts, x, y)
+        k = curv.sectional(model.g(pts), x, y)
         worst = float(np.max(np.abs(k + 1.0)))
         if worst > 5e-6:
             failures.append(f"sectional curvature deviates {worst:.3e} > 5e-6")
@@ -118,14 +120,11 @@ def test_criterion_3_kmup_chart_suite():
         rep = nullity_residual(model, PLAN)
         if rep.residual > 5e-5:
             failures.append(f"mu={mu}: nullity {rep.residual:.3e} > 5e-5")
-        # bracket relations [e1,e3] = (1+lam) e1, [e2,e3] = (1-lam) e2
-        from kenmotsu3.fields import constant_vector_field, lie_bracket
-        pts = PLAN.points(model)
-        lam = model.lam_nom(pts)
-        e1 = constant_vector_field([1, 0, 0], model.domain)
-        e2 = constant_vector_field([0, 1, 0], model.domain)
-        br1 = lie_bracket(e1, model.xi, pts)
-        br2 = lie_bracket(e2, model.xi, pts)
+        # bracket relations [e1,e3] = (1+lam) e1, [e2,e3] = (1-lam) e2;
+        # e1 and e2 are coordinate fields, so [e_a, xi] = d_a xi
+        at = model.at(PLAN.points(model))
+        lam, dxi = at["lam_nom"][0], at["xi"][1]
+        br1, br2 = dxi[:, 0], dxi[:, 1]
         w1 = br1 - (1.0 + lam)[:, None] * np.array([1.0, 0, 0])
         w2 = br2 - (1.0 - lam)[:, None] * np.array([0.0, 1, 0])
         worst = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
@@ -204,8 +203,9 @@ def test_criterion_6_convergence_witnesses():
     model = build_kmu_chart_model(KmuChartParams(mu="1", box=CHART_BOX))
     pts = SamplePlan(grid=3, rand_pairs=3, seed=11).points(model)
     exact = Probe(model, pts).curv.riemann
-    coarse, fine = (np.abs(riemann(model.g, pts, h).riemann
-                           - exact).max() for h in (2e-3, 1e-3))
+    coarse, fine = (np.abs(riemann(model_metric(model), model.domain, pts,
+                                   h).riemann - exact).max()
+                    for h in (2e-3, 1e-3))
     ratio = coarse / fine
     if ratio < 8.0:
         failures.append(f"FD halving ratio {ratio:.2f} < 8")

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fd_reference import derivatives, model_axes, model_metric, riemann
 from kenmotsu3 import exprs, fields, identities, ode
-from kenmotsu3.fields import ArrayField, coordinate_derivatives
+from kenmotsu3.fields import ArrayField
 from kenmotsu3.geometry import (
     christoffel_partials,
     g_norm,
     g_operator_norm,
     levi_civita,
-    riemann,
 )
 from kenmotsu3.identities import (
     IDENTITIES,
@@ -294,7 +294,7 @@ def _stack_reference(m, q):
     g, phi = m.g(q), m.phi(q)
     h = compute_h(m, q)
     ef = frame_of(g, m.xi(q), phi, m.eta(q), m.nullity_operator(h, phi))
-    gamma, ginv = levi_civita(g, coordinate_derivatives(m.g, q))
+    gamma, ginv = levi_civita(g, m.g.partials(q))
     return {"h": h, "hp": h @ phi, "b": phi @ h, "x": ef.x,
             "phi_x": ef.phi_x, "lam": ef.lam, "degenerate": ef.degenerate,
             "phi2": np.einsum("nis,nsj->nij", g, phi), "gamma": gamma,
@@ -324,13 +324,11 @@ class TestStackedPartials:
 
     @staticmethod
     def _reference_partials(probe, name):
-        # each reference field inherits the model's axes: FD along an axis a
-        # t-only field does not vary on reads rounding noise, not zeros
+        # FD along the model's axes only: along an axis a t-only quantity
+        # does not vary on, FD reads rounding noise, not zeros
         m = probe.model
-        shape = _stack_reference(m, probe.pts[:1])[name].shape[1:]
-        field = ArrayField(lambda q: _stack_reference(m, q)[name],
-                           m.domain, shape, varies=m.g.varies)
-        return coordinate_derivatives(field, probe.pts)
+        return derivatives(lambda q: _stack_reference(m, q)[name], m.domain,
+                           probe.pts, axes=model_axes(m))
 
     def _near_partials(self, probe, **exact):
         for name, value in exact.items():
@@ -374,7 +372,8 @@ class TestStackedPartials:
         # riemann differentiates Gamma by FD: within its truncation of the
         # exact curvature (measured at most 2.5e-9 relative, kmup-darboux)
         # (Gamma and g^-1 are compared bit for bit in test_point_values)
-        ref = riemann(probe.model.g, probe.pts)
+        m = probe.model
+        ref = riemann(model_metric(m), m.domain, probe.pts, axes=model_axes(m))
         for name in ("riemann", "q", "scalar"):
             _near_fd(getattr(ref, name), getattr(probe.curv, name), name)
 
@@ -1005,28 +1004,22 @@ def test_fields_from_kept_coefficients_match_fresh_ones(request, fixture):
         assert np.array_equal(out_moved, fn(pts.copy()))
 
 
-def _spied_suite(monkeypatch, model):
-    """Run ``check_suite(model, "all", PLAN)``; return the ``(field, axis)``
-    of each stencil pass and the field point-evaluations per sample point."""
-    seen, evaluated = [], [0]
-    stencil, call = fields.partial_derivative, fields.ArrayField.__call__
-
-    def spy(field, pts, axis, h_rel=1e-3):
-        seen.append((field, axis))
-        return stencil(field, pts, axis, h_rel)
+def _field_evals_per_sample(monkeypatch, model):
+    """Run ``check_suite(model, "all", PLAN)``; return the field
+    point-evaluations per sample point."""
+    evaluated, call = [0], fields.ArrayField.__call__
 
     def counting(self, pts):
         evaluated[0] += len(pts) if np.ndim(pts) == 2 else 1
         return call(self, pts)
 
-    monkeypatch.setattr(fields, "partial_derivative", spy)
     monkeypatch.setattr(fields.ArrayField, "__call__", counting)
     check_suite(model, "all", PLAN)
-    return seen, evaluated[0] / len(PLAN.points(model))
+    return evaluated[0] / len(PLAN.points(model))
 
 
-# every field carries exact partials, so a suite runs no stencil, and the
-# Probe reads the model's one ``at`` pass, calling no field view
+# the Probe reads the model's one ``at`` pass, calling no field view (the
+# package holds no finite differences: test_source guards that)
 EVALS_PER_SAMPLE = 0
 
 
@@ -1034,9 +1027,7 @@ EVALS_PER_SAMPLE = 0
 def test_darboux_suite_differentiates_by_fd_only_derived_fields_along_t(
         monkeypatch, variant, mu):
     model = build_darboux_model(DarbouxParams(variant, mu, (-0.25, 0.25)))
-    seen, per_sample = _spied_suite(monkeypatch, model)
-    assert not seen
-    assert per_sample <= EVALS_PER_SAMPLE
+    assert _field_evals_per_sample(monkeypatch, model) <= EVALS_PER_SAMPLE
 
 
 CHART_MODELS = [
@@ -1050,15 +1041,11 @@ CHART_MODELS = [
                          ids=lambda c: getattr(c, "__name__", ""))
 def test_chart_suite_differentiates_by_fd_only_derived_fields(
         monkeypatch, build, params):
-    seen, per_sample = _spied_suite(monkeypatch, build(params))
-    assert not seen
-    assert per_sample <= EVALS_PER_SAMPLE
+    assert _field_evals_per_sample(monkeypatch, build(params)) <= EVALS_PER_SAMPLE
 
 
 def test_baseline_suite_runs_no_fd(monkeypatch, baseline):
-    seen, per_sample = _spied_suite(monkeypatch, baseline)
-    assert not seen
-    assert per_sample <= EVALS_PER_SAMPLE
+    assert _field_evals_per_sample(monkeypatch, baseline) <= EVALS_PER_SAMPLE
 
 
 FAMILY_FIXTURES = ["baseline", "kmu_chart", "kmup_chart", "kmu_darboux",
@@ -1267,8 +1254,9 @@ class TestConvergence:
         # (measured ratio 16.0: 8.3e-9 -> 5.2e-10)
         pts = PLAN.points(kmu_chart)
         exact = Probe(kmu_chart, pts).curv.riemann
-        coarse, fine = (np.abs(riemann(kmu_chart.g, pts, h).riemann
-                               - exact).max() for h in (2e-3, 1e-3))
+        coarse, fine = (np.abs(riemann(model_metric(kmu_chart), kmu_chart.domain,
+                                       pts, h).riemann - exact).max()
+                        for h in (2e-3, 1e-3))
         assert coarse / fine >= 8.0
 
 

@@ -90,6 +90,30 @@ def _defined(source: str, kind) -> list[str]:
             if isinstance(node, kind)]
 
 
+def test_package_holds_no_finite_differences():
+    # every partial the package reads is exact: no module defines or
+    # exports a name of the FD layer (the tests keep its stencil, as their
+    # oracle, in tests/fd_reference.py), no field states the axes it varies
+    # along, and geometry works on arrays alone, importing nothing of fields
+    removed = {"partial_derivative", "coordinate_derivatives", "lie_bracket",
+               "constant_vector_field", "riemann", "sectional_curvature",
+               "exterior_derivative"}
+    files, found = sorted(SRC.glob("*.py")), set()
+    for f in files:
+        text = f.read_text()
+        module = importlib.import_module(
+            "kenmotsu3" + ("" if f.stem == "__init__" else f".{f.stem}"))
+        names = (set(_defined(text, ast.FunctionDef))
+                 | set(getattr(module, "__all__", ())))
+        found |= {(f.name, n) for n in removed & names}
+        found |= {(f.name, n) for n in ("_fd_weights", "_SHIFTS", "_WEIGHTS",
+                                        "_window_shifts", "varies") if n in text}
+    assert files and not found, found
+    geometry = (SRC / "geometry.py").read_text()
+    assert not _imported_names(geometry, "fields")
+    assert "fields" not in _imported_names(geometry, "")
+
+
 def test_one_way_to_differentiate():
     # expressions differentiate by jets: no symbolic differentiator is left
     # in exprs, and the package defines its jet class once, there
