@@ -2,10 +2,21 @@
 
 Each identity is evaluated pointwise on a deterministic grid-plus-random-
 vectors plan, a block of BLOCK points at a time; the report carries the
-sup-norm residual (g-operator norm for tensor identities, g-length for
-vector ones, absolute value for scalars), the point of the maximum, the
+largest residual over the plan's points, the point of that maximum, the
 tolerance profile and the verdict.  Identities that do not apply to a
 model family get a distinct "not-applicable" verdict, never a silent pass.
+
+Pointwise norms: the g-operator norm for (1,1) tensor identities, the
+g-length for vector ones, the absolute value for scalars.  WEYL3 and CURV2
+take the Frobenius norm of their residual tensor in the adapted
+g-orthonormal frame E = (xi, X, phi X): the root sum of squares, over
+every frame triple (a, b, c), of the g-length of W(E_a, E_b) E_c or of
+CURV2's value.  For g-unit X, Y, Z, Cauchy-Schwarz in that frame gives
+|T(X, Y, Z)| <= |T|_F, so it bounds the residual at any unit vectors from
+above, and it is the same in every g-orthonormal frame.  KLEAVES, CURV1,
+CODAZZI_HP, the nullity conditions, AK_DETA and DK_ETA take the largest
+value over the pool, the frame and the plan's random g-unit vectors: a
+lower bound on their sup norm over unit vectors.
 
 Tolerance profiles: STRICT 1e-10 (algebraic, no differentiation),
 FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
@@ -15,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -98,11 +110,18 @@ class SamplePlan:
         return pts
 
     def draws(self, n: int):
-        """The plan's random draws for its ``n`` points, in point order:
-        raw vectors (n, 2 rand_pairs, 3), then raw frames (n, 3, 3)."""
-        rng = np.random.default_rng(self.seed)
-        return (rng.standard_normal((n, 2 * self.rand_pairs, 3)),
-                rng.standard_normal((n, 3, 3)))
+        """The plan's random draws for its ``n`` points, BLOCK points at a
+        time in point order: raw vectors (m, 2 rand_pairs, 3) and raw frames
+        (m, 3, 3) per block.  The one stream holds every point's vectors,
+        then every point's frames; a second generator skips the vectors to
+        read the frames, so no array of the plan's size is formed."""
+        vectors, frames = (np.random.default_rng(self.seed) for _ in range(2))
+        sizes = [min(BLOCK, n - s) for s in range(0, n, BLOCK)]
+        for m in sizes:
+            frames.standard_normal((m, 2 * self.rand_pairs, 3))
+        for m in sizes:
+            yield (vectors.standard_normal((m, 2 * self.rand_pairs, 3)),
+                   frames.standard_normal((m, 3, 3)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +164,8 @@ class Probe:
     pass over the block's points; everything else is derived from those
     values in closed form, with no finite differences.  Each second partial
     is dropped by its one reader (``curv``, ``dh``).  The pools read
-    ``draws``, the plan's random draws at these points (``SamplePlan.draws``).
+    ``draws``, the plan's random draws at these points (one block of
+    ``SamplePlan.draws``).
     """
 
     def __init__(self, model: AlmostContactModel, pts: np.ndarray,
@@ -377,19 +397,19 @@ class Probe:
 # --------------------------------------------------------------------------
 # Identity residual functions (each returns per-point residuals (n,))
 #
-# A pooled identity subtracts its right-hand side per point first, then
-# contracts that (n, 3, 3, 3[, 3]) residual tensor with the pool in one pass,
-# a batched matmul per contracted index: numpy runs a multi-operand einsum
-# as one nested loop, and a two-operand one over a 3-long contracted index
-# as a 3-long inner loop (_pool_pairs' two einsums took 10.6 ms on a grid-9
-# chart probe's r_xi, its two matmuls 0.7 ms).  CURV2 keeps phi on the
-# vectors: its first stage takes X_a and phi X_a, and the terms that share a
-# Z slot (X_c or phi X_c) meet before the last matmul.  Composing phi into its
-# tensor instead moved the kmu-darboux mu=0.858 residual 1.75e-10 from the
-# long-double reference, where TestStagedContractions allows 9.45e-11 (this
-# form: 3.67e-11).  WEYL3 contracts all pairs (a, b) though its residual is
-# antisymmetric in them; over a < b alone it met that test too (2.57e-12
-# against 4.31e-12), but that restriction is not made here.
+# An identity over tangent vectors subtracts its right-hand side per point
+# first, then contracts that (n, 3, 3, 3[, 3]) residual tensor with its
+# vectors (the pool, or the frame) in one pass, a batched matmul per
+# contracted index: numpy runs a multi-operand einsum as one nested loop,
+# and a two-operand one over a 3-long contracted index as a 3-long inner
+# loop (_pool_pairs' two einsums took 10.6 ms on a grid-9 chart probe's
+# r_xi, its two matmuls 0.7 ms).  CURV2 keeps phi on the vectors: its first
+# stage takes X_a and phi X_a, and the terms that share a Z slot (X_c or
+# phi X_c) meet before the last matmul.  Composing phi into its tensor
+# instead moved the pooled kmu-darboux mu=0.858 residual 1.75e-10 from the
+# long-double reference, where TestStagedContractions allowed 9.45e-11
+# (this form: 3.67e-11).  WEYL3 and CURV2 sum over every frame triple: a
+# sum over a < b alone would be another norm.
 # --------------------------------------------------------------------------
 
 def _pool_pairs(t, xs, ys):
@@ -399,16 +419,18 @@ def _pool_pairs(t, xs, ys):
     return s.reshape(n, size, 3, -1).transpose(0, 1, 3, 2)
 
 
-def _largest_length(u, axis):
-    """Largest Euclidean length of the vectors u[..., :] over ``axis``."""
-    return np.sqrt(np.max(np.einsum("...i,...i->...", u, u), axis=axis))
-
-
 def _pooled_frame_norm(p: Probe, t, xs, ys):
     """Largest g-length over the pooled pairs of t[n, k, i, j] X_a^k Y_b^j:
     L^T folded into t's output index i makes it a Euclidean length."""
-    return _largest_length(_pool_pairs(p.factors[0][:, None] @ t, xs, ys),
-                           (1, 2))
+    u = _pool_pairs(p.factors[0][:, None] @ t, xs, ys)
+    return np.sqrt(np.max(np.einsum("nabi,nabi->nab", u, u), axis=(1, 2)))
+
+
+def _frobenius(u):
+    """Root sum of squares of each point's entries u[n, ...]: with every
+    slot contracted by a g-orthonormal frame, the Frobenius norm."""
+    u = u.reshape(len(u), -1)
+    return np.sqrt(np.einsum("nk,nk->n", u, u))
 
 
 def _pool_triples(terms, zs):
@@ -464,9 +486,10 @@ def _res_l_id(p: Probe):
     return p.op_norm(m)
 
 
-def _curv2_residual(p: Probe):
-    """CURV2's left-hand side minus its right-hand side: (n, a, c, b)."""
-    n, pool, phi_pool = p.n, p.pool, p.apply(p.phi, p.pool)
+def _curv2_residual(p: Probe, vecs):
+    """CURV2's left-hand side minus its right-hand side on the vectors
+    ``vecs`` (n, P, 3) in each slot: (n, a, c, b)."""
+    n, pool, phi_pool = p.n, vecs, p.apply(p.phi, vecs)
     # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
     a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
     ga = np.einsum("nsi,nijl->nlsj", p.g, a).reshape(n, 3, 9)
@@ -485,7 +508,7 @@ def _curv2_residual(p: Probe):
 
 
 def _res_curv2(p: Probe):
-    return np.max(np.abs(_curv2_residual(p)), axis=(1, 2, 3))
+    return _frobenius(_curv2_residual(p, p.frame))
 
 
 def _res_codazzi_hp(p: Probe):
@@ -655,30 +678,75 @@ def _pool_riemann(t, pool):
     return (pool @ s).reshape(n, size, size, size, 3)
 
 
+def _split(a):
+    """a = hi + lo exactly, each with half of a's mantissa (Veltkamp)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p the rounded a b and p + e = a b exactly (Dekker)."""
+    p = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _two_sum(a, b):
+    """(s, e) with s the rounded a + b and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
 def _res_weyl3(p: Probe):
     """W(X, Y) Z = R(X, Y) Z minus the right-hand side, U = Q - (Sc/2) I:
-    W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l.
+    W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l,
+    normed in the adapted frame.
 
-    Formed in long double 64 points at a time, folded into the Cholesky
-    frame (L^T W) and rounded once; each block meets its points' pool and
-    keeps one maximum per point, so no (n, P^3, 3) tensor is formed.  In
-    float64 the rounding of W's five terms dominates a residual at its
-    floor: on a kmu-darboux sweep suite (mu = 0.858, t in [-1, 1]) it put
-    WEYL3 5.2e-10 from a long-double evaluation, and 6e-23 this way.
+    W is folded into the Cholesky frame (L^T W) 64 points at a time: over a
+    whole grid-9 Probe its temporaries peaked at 10.1 float64 frame tensors
+    (n, 3, 3, 3, 3), against 0.84 this way, with bit-identical residuals.
     """
     out = np.empty(p.n)
     for s in range(0, p.n, 64):
-        riem, g, q, sc, lt = (a[s:s + 64].astype(np.longdouble) for a in (
-            p.curv.riemann, p.g, p.curv.q, p.curv.scalar, p.factors[0]))
-        u = q - 0.5 * sc[:, None, None] * np.eye(3)
-        g_jl, gq_jl = g.transpose(0, 2, 1), (g @ q).transpose(0, 2, 1)
-        # t^i_jkl = g_lj U^i_k + (gQ)_lj d^i_k: W = R - t + t, k and l swapped
-        t = (u[:, :, None, :, None] * g_jl[:, None, :, None, :]
-             + np.eye(3)[:, None, :, None] * gq_jl[:, None, :, None, :])
-        w = (lt @ (riem - t + t.swapaxes(3, 4)).reshape(-1, 3, 27)).astype(float)
-        out[s:s + 64] = _largest_length(_pool_riemann(
-            w.reshape(riem.shape), p.pool[s:s + 64]), (1, 2, 3))
+        out[s:s + 64] = _frobenius(_pool_riemann(
+            _weyl3_tensor(*(a[s:s + 64] for a in (
+                p.curv.riemann, p.g, p.curv.q, p.curv.scalar, p.factors[0]))),
+            p.frame[s:s + 64]))
     return out
+
+
+def _weyl3_tensor(riem, g, q, sc, lt):
+    """L^T W (see _res_weyl3) from R, g, Q, Sc and L^T, [n, i, j, k, l].
+
+    W = R - (A - A^T), with A^i_jkl = Q^i_k g_lj - d^i_k D_jl, D_jl =
+    (Sc/2) g_lj - (gQ)_lj and A^T its k and l swapped, comes from exact
+    products and sums, each kept as a rounded value and its error: where W
+    is small against R, R minus the rounded A - A^T is exact (Sterbenz),
+    and elsewhere it rounds relative to W.  The terms are far larger than W:
+    on a kmu-darboux sweep suite (mu = 0.858, t = -1) A reaches 2.7e5 where
+    W is 1.3e-7, and W formed in long double put the frame norm 6.4e-14
+    from its exact value, where the frame's g-unit X has coordinates of 44
+    (this way: 2e-22).
+    """
+    n = len(g)
+    # the point axis last, so that each operation runs along the points
+    g, q = (np.moveaxis(a, 0, -1).copy() for a in (g, q))
+    g_jl = g.swapaxes(0, 1)                                      # [j, l] = g_lj
+    # D_jl, with (gQ)_lj = sum_m g_lm Q^m_j, and then A, each as a + a_lo
+    d, d_lo = _two_product(0.5 * sc, g_jl)
+    x, x_lo = _two_product(-q[:, :, None], g_jl[:, None])        # [m, j, l]
+    for m in range(3):
+        d, e = _two_sum(d, x[m])
+        d_lo = d_lo + (e + x_lo[m])
+    a, a_lo = _two_product(q[:, None, :, None], g_jl[None, :, None])
+    for i in range(3):
+        a[i, :, i], e = _two_sum(a[i, :, i], -d)
+        a_lo[i, :, i] += e - d_lo
+    b, e = _two_sum(a, -a.swapaxes(2, 3))
+    w = (np.moveaxis(riem, 0, -1) - b) - (e + (a_lo - a_lo.swapaxes(2, 3)))
+    return (lt @ np.moveaxis(w, -1, 0).reshape(n, 3, 27)).reshape(n, 3, 3, 3, 3)
 
 
 def _res_dk_eta(p: Probe):
@@ -813,10 +881,10 @@ def applicable_identities(model: AlmostContactModel) -> list[str]:
 
 def _per_block(model: AlmostContactModel, pts, draws, fn) -> list:
     """``fn`` of one Probe per block of BLOCK points, in order; each Probe
-    lives for its ``fn`` call alone and reads its block's slice of ``draws``."""
-    return [fn(Probe(model, pts[s:s + BLOCK],
-                     None if draws is None else tuple(d[s:s + BLOCK] for d in draws)))
-            for s in range(0, len(pts), BLOCK)]
+    lives for its ``fn`` call alone and reads its block's ``draws``, the
+    next of ``draws`` (``SamplePlan.draws``) or None."""
+    return [fn(Probe(model, pts[s:s + BLOCK], d))
+            for s, d in zip(range(0, len(pts), BLOCK), draws or repeat(None))]
 
 
 def _block_maxima(specs, p: Probe) -> list[tuple]:

@@ -289,9 +289,7 @@ class TestExteriorDerivative:
 class TestWeylDecomposition:
     def test_three_dim_curvature_determined_by_ricci(self):
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
-        plan = SamplePlan(grid=3, rand_pairs=3, seed=11)
-        pts = plan.points(model)
-        probe = Probe(model, pts, plan.draws(len(pts)))
+        probe = Probe(model, SamplePlan(grid=3).points(model))
         from kenmotsu3.identities import IDENTITIES
         res = IDENTITIES["WEYL3"].fn(probe)
         assert np.max(res) < 5e-5

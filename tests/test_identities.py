@@ -1,5 +1,6 @@
 """Identity checking: reports, applicability, nullity, k/mu recovery."""
 
+import copy
 import dataclasses
 import gc
 import tracemalloc
@@ -24,9 +25,11 @@ from kenmotsu3.identities import (
     Probe,
     SamplePlan,
     _curv2_residual,
+    _frobenius,
     _pool_pairs,
     _pool_riemann,
     _pooled_frame_norm,
+    _weyl3_tensor,
     applicable_identities,
     check_identity,
     check_suite,
@@ -50,7 +53,7 @@ PLAN = SamplePlan(grid=3, rand_pairs=3, seed=21)
 def _plan_probe(model, plan):
     """One Probe over the whole of ``plan``, with the plan's draws."""
     pts = plan.points(model)
-    return Probe(model, pts, plan.draws(len(pts)))
+    return Probe(model, pts, tuple(map(np.concatenate, zip(*plan.draws(len(pts))))))
 
 
 @pytest.fixture(scope="module")
@@ -470,11 +473,11 @@ def _ref_nabla_phi2_term(nabla_phi2, h_pool, pool):
     return np.einsum("nkij,nak,nbi,ncj->nabc", nabla_phi2, h_pool, pool, pool)
 
 
-def _curv2_operands(p):
-    """(ga, pool, phi pool, h pool) as CURV2 builds them."""
+def _curv2_operands(p, vecs):
+    """(ga, vecs, phi vecs, h vecs) as CURV2 builds them."""
     a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
     ga = np.einsum("nsi,nijl->nsjl", p.g, a)
-    return ga, p.pool, p.apply(p.phi, p.pool), p.apply(p.h, p.pool)
+    return ga, vecs, p.apply(p.phi, vecs), p.apply(p.h, vecs)
 
 
 def _ref_curv2_lhs(ga, pool, phi_pool):
@@ -484,11 +487,11 @@ def _ref_curv2_lhs(ga, pool, phi_pool):
             + _ref_quad(ga, phi_pool, phi_pool, pool))
 
 
-def _ref_curv2_tensor(p, absolute=False):
-    """CURV2's left-hand side minus its right-hand side, each term by a
-    single call; with ``absolute``, the sum of the absolute products behind
-    each entry: the scale of its rounding."""
-    ga, pool, phi_pool, h_pool = _curv2_operands(p)
+def _ref_curv2_tensor(p, vecs, absolute=False):
+    """CURV2's left-hand side minus its right-hand side on ``vecs`` in each
+    slot, each term by a single call; with ``absolute``, the sum of the
+    absolute products behind each entry: the scale of its rounding."""
+    ga, pool, phi_pool, h_pool = _curv2_operands(p, vecs)
     m_pool = pool - p.apply(p.bmat, pool)
     ops = (ga, pool, phi_pool, h_pool, m_pool, p.eta, p.g, p.nabla_phi2)
     ga, pool, phi_pool, h_pool, m_pool, eta, g, nabla_phi2 = (
@@ -508,6 +511,11 @@ def _ref_curv2_tensor(p, absolute=False):
 
 def _pooled_norm(p, vals):
     return np.max(g_norm(vals, p.g[:, None, None, :, :]), axis=(1, 2))
+
+
+def _ref_frobenius(vals):
+    """Root sum of squares over all but the point axis."""
+    return np.sqrt(np.sum(vals.reshape(len(vals), -1) ** 2, axis=1))
 
 
 def _ref_ak_deta(p):
@@ -534,7 +542,7 @@ def _ref_curv1(p):
 
 
 def _ref_curv2(p):
-    return np.max(np.abs(_ref_curv2_tensor(p)), axis=(1, 2, 3))
+    return _ref_frobenius(_ref_curv2_tensor(p, p.frame))
 
 
 def _ref_codazzi_hp(p):
@@ -590,13 +598,13 @@ def _accurate_sum(terms):
     return s + err
 
 
-def _ref_weyl3(p):
+def _ref_weyl3_tensor(p):
     # W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l
     # with U = Q - (Sc/2) I, summed per point from its exact products, so that
-    # W is one rounding from its value (in float64 as in long double), then
-    # pooled by one einsum.  Rounding each product put the float64 form
-    # 3.3e-10 from long double on kmu-darboux mu=0.858, where the residual
-    # is 4.9e-10, and the 2x rule then let a float64 W (5.2e-10) through.
+    # W is one rounding from its value (in float64 as in long double).
+    # Rounding each product put the float64 form 3.3e-10 from long double on
+    # kmu-darboux mu=0.858, where the pooled residual was 4.9e-10, and the 2x
+    # rule then let a float64 W (5.2e-10) through.
     g, q, d = p.g, p.curv.q, np.eye(3, dtype=p.g.dtype)
     sc2 = 0.5 * p.curv.scalar[:, None, None, None, None]
     g_jl = g.transpose(0, 2, 1)
@@ -608,10 +616,32 @@ def _ref_weyl3(p):
         q_sj, g_s = q[:, s, None, :, None, None], g[:, :, s]
         products += [(-1, d_ik * g_s[:, None, None, None, :], q_sj),
                      (1, d_il * g_s[:, None, None, :, None], q_sj)]
-    w = _accurate_sum([p.curv.riemann] + [sign * x for sign, a, b in products
-                                          for x in _two_product(a, b)])
-    v = _ref_pool_riemann(w, p.pool)
-    return np.max(g_norm(v, g[:, None, None, None, :, :]), axis=(1, 2, 3))
+    return _accurate_sum([p.curv.riemann] + [sign * x for sign, a, b in products
+                                             for x in _two_product(a, b)])
+
+
+def _ref_weyl3_lengths(p, vecs, absolute=False):
+    """g-lengths of W(X_a, X_b) X_c over ``vecs`` in each slot: (n, a, b, c);
+    with ``absolute``, those of the absolute products behind each component,
+    with sqrt(g_ii) bounding the metric's part: the scale of their rounding."""
+    w = _ref_weyl3_tensor(p)
+    if absolute:
+        v = _ref_pool_riemann(np.abs(w), np.abs(vecs))
+        return np.einsum("nabci,ni->nabc", v, np.sqrt(np.einsum("nii->ni", p.g)))
+    return g_norm(_ref_pool_riemann(w, vecs), p.g[:, None, None, None, :, :])
+
+
+def _ref_weyl3(p):
+    return _ref_frobenius(_ref_weyl3_lengths(p, p.frame))
+
+
+def _ref_slots(p, ident, vecs, absolute=False):
+    """|WEYL3| (a g-length) or |CURV2| on ``vecs`` in each slot, (n, a, b, c),
+    by the single-call references; with ``absolute``, the scale of their
+    rounding."""
+    if ident == "WEYL3":
+        return _ref_weyl3_lengths(p, vecs, absolute)
+    return np.abs(_ref_curv2_tensor(p, vecs, absolute))
 
 
 def _ref_trace(p, t, dt, target):
@@ -696,6 +726,25 @@ class _Extended:
         return np.einsum("nij,naj->nai", op, vecs)
 
 
+def _perturbed(p, scale):
+    """``p``, or for a nonzero ``scale`` a copy whose Riemann tensor carries a
+    random perturbation of that size: WEYL3 and CURV2 residuals far above
+    rounding, in no frame's directions."""
+    if not scale:
+        return p
+    riem = p.curv.riemann  # first, as it pops a second partial the copy shares
+    out = copy.copy(p)
+    out.curv = dataclasses.replace(p.curv, riemann=riem + scale * np.random.default_rng(
+        7).standard_normal(riem.shape))
+    return out
+
+
+def _gram_defect(p, frame):
+    """Largest entry of E g E^T - I: how far ``frame`` is from g-orthonormal."""
+    return np.max(np.abs(frame @ p.g @ frame.transpose(0, 2, 1) - np.eye(3)),
+                  axis=(1, 2))
+
+
 # kmu-darboux on t in [-1, 1] at two mu values and the sample plan of one
 # benchmark sweep (darboux-sweep, seed 1, op 2): there CODAZZI_HP and
 # FLAT_LEAF residuals sit at their float64 rounding floor, and summing in
@@ -740,9 +789,10 @@ class TestStagedContractions:
     def test_curv2_terms(self, probe):
         # the staged residual tensor, right-hand side subtracted before the
         # pool, against the single-call terms of both sides
-        self._within(_curv2_residual(probe).swapaxes(2, 3),
-                     _ref_curv2_tensor(probe),
-                     _ref_curv2_tensor(probe, absolute=True))
+        p = probe
+        self._within(_curv2_residual(p, p.pool).swapaxes(2, 3),
+                     _ref_curv2_tensor(p, p.pool),
+                     _ref_curv2_tensor(p, p.pool, absolute=True))
 
     def test_nullity_r_xi(self, probe):
         p = probe
@@ -783,43 +833,100 @@ class TestStagedContractions:
             checked += 1
         assert checked == len(REFERENCE_RESIDUALS) - 1
 
+    @pytest.mark.parametrize("perturb", [0.0, 1e-6])
+    def test_frame_norm_bounds_the_pooled_maximum(self, probe, perturb):
+        # |T(X, Y, Z)| <= |T|_F for g-unit X, Y, Z (Cauchy-Schwarz in a
+        # g-orthonormal frame), so WEYL3 and CURV2 are at least the largest
+        # value over the pool, less the rounding of both: 8 eps of the
+        # absolute products behind that value and behind the frame norm, and
+        # 9 times the frame's Gram defect, relative (where both sit at
+        # rounding level the pool's value exceeds the frame norm by at most
+        # 0.025 of that slack).  Perturbing R puts the residuals off
+        # the frame's directions, and there the largest value over the frame
+        # triples alone falls below the bound.
+        p, eps = _perturbed(probe, perturb), np.finfo(float).eps
+        for ident in ("WEYL3", "CURV2"):
+            new = IDENTITIES[ident].fn(p)
+            old = _ref_slots(p, ident, p.pool).max(axis=(1, 2, 3))
+            slack = (8.0 * eps * (
+                _ref_slots(p, ident, p.pool, absolute=True).max(axis=(1, 2, 3))
+                + _ref_frobenius(_ref_slots(p, ident, p.frame, absolute=True)))
+                + 9.0 * _gram_defect(p, p.frame) * new)
+            assert np.all(new >= old - slack), ident
+            if perturb:
+                frame_max = _ref_slots(p, ident, p.frame).max(axis=(1, 2, 3))
+                assert np.any(frame_max < old - slack), ident
 
-@pytest.mark.parametrize("ident", ["WEYL3", "CURV2"])
-def test_pooled_identity_peak_memory(kmu_chart, ident):
-    # the residual tensor meets the pool once, so the peak stays within 1.5
-    # pooled (n, P, P, P, 3) float64 tensors; building the right-hand side's
-    # terms over the pool and subtracting afterwards peaked at 2.11 (WEYL3)
-    # and 1.71 (CURV2)
-    plan = SamplePlan(grid=5, rand_pairs=4)
-    p = _plan_probe(kmu_chart, plan)
-    fn = IDENTITIES[ident].fn
-    fn(p)  # fill the Probe's caches, which the peak should not count
-    tracemalloc.start()
-    try:
-        fn(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    n, size = p.pool.shape[:2]
-    assert peak <= 1.5 * n * size ** 3 * 3 * np.dtype(float).itemsize
+    @pytest.mark.parametrize("perturb", [0.0, 1e-6])
+    def test_frame_norm_is_frame_independent(self, probe, perturb):
+        # the same residual tensor normed in the random witness frame agrees
+        # with the adapted frame's norm to rounding: 8 eps of the absolute
+        # products behind either norm, and 9 times the larger Gram defect,
+        # relative (measured: at most 0.14 of that bound).  A frame scaled by
+        # 1.1, a norm 1.331 times as large, fails that bound once the
+        # residuals are above rounding.
+        p, eps = _perturbed(probe, perturb), np.finfo(float).eps
+        w = _weyl3_tensor(p.curv.riemann, p.g, p.curv.q, p.curv.scalar,
+                          p.factors[0])
+        for ident, tensor in (("WEYL3", lambda f: _pool_riemann(w, f)),
+                              ("CURV2", lambda f: _curv2_residual(p, f))):
+            adapted = IDENTITIES[ident].fn(p)
+            other = _frobenius(tensor(p.random_frame))
+            bound = (8.0 * eps * sum(
+                _ref_frobenius(_ref_slots(p, ident, f, absolute=True))
+                for f in (p.frame, p.random_frame))
+                + 9.0 * np.maximum(_gram_defect(p, p.frame),
+                                   _gram_defect(p, p.random_frame))
+                * np.maximum(adapted, other))
+            assert np.all(np.abs(other - adapted) <= bound), ident
+            if perturb:
+                scaled = _frobenius(tensor(1.1 * p.random_frame))
+                assert np.any(np.abs(scaled - adapted) > bound), ident
 
 
-def test_weyl3_peak_memory_at_grid9(kmu_chart):
-    # WEYL3 pools W 64 points at a time and keeps one maximum per point:
-    # at grid 9 its peak is 0.13 pooled (n, P, P, P, 3) float64 tensors
-    # (1.34 when the whole pooled tensor was formed)
-    plan = SamplePlan(grid=9, rand_pairs=4)
-    p = _plan_probe(kmu_chart, plan)
-    fn = IDENTITIES["WEYL3"].fn
+def _frame_tensor_bytes(n):
+    """Bytes of one float64 frame tensor (n, 3, 3, 3, 3)."""
+    return n * 3 ** 4 * np.dtype(float).itemsize
+
+
+def _peak(fn, p):
+    """Peak traced bytes of ``fn(p)``, the Probe's caches filled first."""
     fn(p)
     tracemalloc.start()
     try:
         fn(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, size = p.pool.shape[:2]
-    assert peak <= 0.15 * n * size ** 3 * 3 * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("ident", ["WEYL3", "CURV2"])
+def test_pooled_identity_peak_memory(kmu_chart, ident):
+    # normed in the frame, a grid-5 residual peaks within 6 frame tensors
+    # (measured: WEYL3 4.79, CURV2 4.26), where the pooled residuals were
+    # bounded at 1.5 pooled (n, 11, 11, 11, 3) tensors, 74 frame tensors
+    p = _plan_probe(kmu_chart, SamplePlan(grid=5, rand_pairs=4))
+    assert _peak(IDENTITIES[ident].fn, p) <= 6.0 * _frame_tensor_bytes(p.n)
+
+
+def test_weyl3_peak_memory_at_grid9(kmu_chart):
+    # WEYL3 forms W 64 points at a time: at grid 9 its peak is 0.84 frame
+    # tensors (10.1 with W formed over all 729 points at once), where the
+    # pooled form was bounded at 0.15 pooled tensors, 7.4 frame tensors
+    p = _plan_probe(kmu_chart, SamplePlan(grid=9, rand_pairs=4))
+    assert _peak(IDENTITIES["WEYL3"].fn, p) <= 1.0 * _frame_tensor_bytes(p.n)
+
+
+@pytest.mark.parametrize("fixture", ["kmu_chart", "kmup_darboux"])
+def test_frame_normed_identities_read_no_pool(request, monkeypatch, fixture):
+    # WEYL3 and CURV2 read the adapted frame, not the random-vector pool
+    def no_pool(self):
+        raise AssertionError("the pool was read")
+
+    monkeypatch.setattr(Probe, "pool", property(no_pool))
+    p = _plan_probe(request.getfixturevalue(fixture), PLAN)
+    for ident in ("WEYL3", "CURV2"):
+        assert np.all(np.isfinite(IDENTITIES[ident].fn(p))), ident
 
 
 def _metric_probe(g):
