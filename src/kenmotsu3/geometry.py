@@ -152,9 +152,9 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
     """
     # Gamma T stays an einsum, which sums over s in order: as a matmul
     # (fused multiply-adds) it put TR_PHI on kmu-darboux mu=0.744 (a
-    # residual at its rounding floor, 3.7e-11) 8.1 times as far from the
-    # long-double reference as the einsum, where TestStagedContractions
-    # allows twice as far
+    # residual at its rounding floor) 7.6 times as far from the long-double
+    # reference as the einsum (5.5e-11 against 7.2e-12, g^-1 trace), where
+    # TestStagedContractions allows twice as far
     minus = (t_vals @ gamma.reshape(len(t_vals), 3, 9)).reshape(-1, 3, 3, 3)
     return (dt_vals + np.einsum("niks,nsj->nkij", gamma, t_vals)
             - minus.transpose(0, 2, 1, 3))

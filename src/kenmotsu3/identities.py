@@ -1,22 +1,25 @@
 """Residual evaluation of every verified identity over a sample plan.
 
-Each identity is evaluated pointwise on a deterministic grid-plus-random-
-vectors plan, a block of BLOCK points at a time; the report carries the
-largest residual over the plan's points, the point of that maximum, the
-tolerance profile and the verdict.  Identities that do not apply to a
-model family get a distinct "not-applicable" verdict, never a silent pass.
+Each identity is evaluated pointwise on a deterministic grid plan, a block
+of BLOCK points at a time; the report carries the largest residual over
+the plan's points, the point of that maximum, the tolerance profile and
+the verdict.  Identities that do not apply to a model family get a
+distinct "not-applicable" verdict, never a silent pass.  No identity reads
+a random number.
 
 Pointwise norms: the g-operator norm for (1,1) tensor identities, the
-g-length for vector ones, the absolute value for scalars.  WEYL3 and CURV2
-take the Frobenius norm of their residual tensor in the adapted
-g-orthonormal frame E = (xi, X, phi X): the root sum of squares, over
-every frame triple (a, b, c), of the g-length of W(E_a, E_b) E_c or of
-CURV2's value.  For g-unit X, Y, Z, Cauchy-Schwarz in that frame gives
-|T(X, Y, Z)| <= |T|_F, so it bounds the residual at any unit vectors from
-above, and it is the same in every g-orthonormal frame.  KLEAVES, CURV1,
-CODAZZI_HP, the nullity conditions, AK_DETA and DK_ETA take the largest
-value over the pool, the frame and the plan's random g-unit vectors: a
-lower bound on their sup norm over unit vectors.
+g-length for vector ones, the absolute value for scalars.  The identities
+over tangent vectors (KLEAVES, CURV1, CURV2, CODAZZI_HP, WEYL3, AK_DETA,
+DK_ETA and the nullity conditions) take the Frobenius norm of their
+residual tensor in the adapted g-orthonormal frame E = (xi, X, phi X):
+the root sum of squares, over every frame pair (a, b) or triple (a, b, c),
+of the g-length of the residual vector or of the residual's value;
+CODAZZI_HP quantifies over ker(eta), whose frame is (X, phi X).  Each
+identity is multilinear, so it holds for all vectors if and only if it
+holds on a basis, and for g-unit vectors Cauchy-Schwarz in the frame gives
+|T(X, Y, ...)| <= |T|_F: the norm bounds the residual at any unit vectors
+from above, and it is the same in every g-orthonormal frame.  The TR_*
+traces contract nabla T with g^-1, in no frame.
 
 Tolerance profiles: STRICT 1e-10 (algebraic, no differentiation),
 FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
 
 import numpy as np
 
@@ -64,11 +66,13 @@ BLOCK = 256  # sample points per Probe: a suite's peak memory is the block's
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic sample plan: a grid in a box plus random unit vectors.
+    """Deterministic sample plan: a grid of points in a box.
 
     ``grid`` points per axis inside ``box`` (the model's default box when
-    None); ``rand_pairs`` random tangent-vector pairs per point, g-unit
-    normalized; the same seed always reproduces the same plan.
+    None).  ``rand_pairs`` and ``seed`` select nothing: no identity reads a
+    random vector.  They are still validated and echoed in a report's plan,
+    as the benchmark's workloads pass both; removing them waits for the
+    benchmark's rebase (ROADMAP item 1).
     """
 
     grid: int = 5
@@ -108,20 +112,6 @@ class SamplePlan:
                 f"sample box {box!r} leaves the chart domain "
                 f"(first bad point {pts[~inside][0].tolist()})")
         return pts
-
-    def draws(self, n: int):
-        """The plan's random draws for its ``n`` points, BLOCK points at a
-        time in point order: raw vectors (m, 2 rand_pairs, 3) and raw frames
-        (m, 3, 3) per block.  The one stream holds every point's vectors,
-        then every point's frames; a second generator skips the vectors to
-        read the frames, so no array of the plan's size is formed."""
-        vectors, frames = (np.random.default_rng(self.seed) for _ in range(2))
-        sizes = [min(BLOCK, n - s) for s in range(0, n, BLOCK)]
-        for m in sizes:
-            frames.standard_normal((m, 2 * self.rand_pairs, 3))
-        for m in sizes:
-            yield (vectors.standard_normal((m, 2 * self.rand_pairs, 3)),
-                   frames.standard_normal((m, 3, 3)))
 
 
 @dataclass(frozen=True)
@@ -163,16 +153,12 @@ class Probe:
     and the second partials of phi, xi and g, come from one ``model.at``
     pass over the block's points; everything else is derived from those
     values in closed form, with no finite differences.  Each second partial
-    is dropped by its one reader (``curv``, ``dh``).  The pools read
-    ``draws``, the plan's random draws at these points (one block of
-    ``SamplePlan.draws``).
+    is dropped by its one reader (``curv``, ``dh``).
     """
 
-    def __init__(self, model: AlmostContactModel, pts: np.ndarray,
-                 draws: tuple | None = None):
+    def __init__(self, model: AlmostContactModel, pts: np.ndarray):
         self.model = model
         self.pts, _ = as_points(pts)
-        self.draws = draws
         self.n = self.pts.shape[0]
         at = model.at(self.pts)
         self.g, self.dg, ddg = at["g"]
@@ -294,7 +280,7 @@ class Probe:
         """(nabla_k Phi)_{ij} = g_is (nabla_k phi)^s_j, as nabla g = 0."""
         return self.g[:, None] @ self.nabla_phi
 
-    # --- frames and vector pools ----------------------------------------------
+    # --- the adapted frame --------------------------------------------------
 
     @cached_property
     def eigen(self):
@@ -341,49 +327,17 @@ class Probe:
         return sum(self.frame[:, :, k, None, None] * nabla_e[:, None, :, k]
                    for k in range(3))
 
-    @cached_property
-    def pool(self):
-        """(n, 3 + 2*rand_pairs, 3): frame then g-unit random vectors."""
-        randoms, _ = self.draws
-        randoms = randoms / g_norm(randoms, self.g[:, None, :, :])[..., None]
-        return np.concatenate([self.frame, randoms], axis=1)
-
-    @cached_property
-    def random_frame(self):
-        """A second g-orthonormal frame (witness of frame independence)."""
-        _, raw = self.draws
-        out = np.empty_like(raw)
-        for a in range(3):
-            v = raw[:, a, :]
-            for b in range(a):
-                v = v - np.einsum("ni,nij,nj->n", v, self.g, out[:, b, :])[:, None] \
-                    * out[:, b, :]
-            out[:, a, :] = v / g_norm(v, self.g)[:, None]
-        return out
-
-    @cached_property
-    def pool_d(self):
-        """Pool projected into ker(eta) and renormalized (X, phi X, randoms)."""
-        randoms = self.pool[:, 3:, :]
-        proj = randoms - np.einsum("ni,nai->na", self.eta, randoms)[..., None] \
-            * self.xi[:, None, :]
-        norms = g_norm(proj, self.g[:, None, :, :])
-        keep = norms > 1e-8
-        proj = np.where(keep[..., None], proj / np.maximum(norms, 1e-300)[..., None],
-                        self.eigen.x[:, None, :])
-        return np.concatenate(
-            [self.frame[:, 1:, :], proj], axis=1)
-
     # --- helper contractions ---------------------------------------------------
 
     def apply(self, op, vecs):
-        """Apply per-point operator (n,3,3) to pooled vectors (n,P,3)."""
+        """Apply per-point operator (n,3,3) to vectors (n,P,3)."""
         return vecs @ op.transpose(0, 2, 1)
 
     @cached_property
     def factors(self):
         """(L^T, L^{-T}) of g = L L^T, factored once: every operator norm,
-        and every pooled residual norm, is Euclidean in that frame."""
+        and every frame norm of a vector-valued residual, is Euclidean in
+        that frame."""
         return metric_factors(self.g)
 
     def vec_norm(self, v):
@@ -398,32 +352,25 @@ class Probe:
 # Identity residual functions (each returns per-point residuals (n,))
 #
 # An identity over tangent vectors subtracts its right-hand side per point
-# first, then contracts that (n, 3, 3, 3[, 3]) residual tensor with its
-# vectors (the pool, or the frame) in one pass, a batched matmul per
-# contracted index: numpy runs a multi-operand einsum as one nested loop,
-# and a two-operand one over a 3-long contracted index as a 3-long inner
-# loop (_pool_pairs' two einsums took 10.6 ms on a grid-9 chart probe's
-# r_xi, its two matmuls 0.7 ms).  CURV2 keeps phi on the vectors: its first
-# stage takes X_a and phi X_a, and the terms that share a Z slot (X_c or
-# phi X_c) meet before the last matmul.  Composing phi into its tensor
-# instead moved the pooled kmu-darboux mu=0.858 residual 1.75e-10 from the
-# long-double reference, where TestStagedContractions allowed 9.45e-11
-# (this form: 3.67e-11).  WEYL3 and CURV2 sum over every frame triple: a
-# sum over a < b alone would be another norm.
+# first, then contracts that (n, 3, 3[, 3[, 3]]) residual tensor with the
+# frame in one pass, a batched matmul per contracted index: numpy runs a
+# multi-operand einsum as one nested loop, and a two-operand one over a
+# 3-long contracted index as a 3-long inner loop (_pairs' two einsums took
+# 10.6 ms on a grid-9 chart probe's r_xi contracted with 11 vectors, its
+# two matmuls 0.7 ms).  CURV2 keeps phi on the vectors: its first stage
+# takes X_a and phi X_a, and the terms that share a Z slot (X_c or phi X_c)
+# meet before the last matmul.  Composing phi into its tensor instead moved
+# the kmu-darboux mu=0.858 residual 1.75e-10 from the long-double
+# reference, where TestStagedContractions allowed 9.45e-11 (this form:
+# 3.67e-11).  Each frame norm sums over every frame pair or triple: a sum
+# over a < b alone would be another norm.
 # --------------------------------------------------------------------------
 
-def _pool_pairs(t, xs, ys):
-    """t[n, k, i, j] X_a^k Y_b^j over pooled vectors: (n, a, b, i)."""
+def _pairs(t, xs, ys):
+    """t[n, k, i, j] X_a^k Y_b^j over the vectors xs, ys: (n, a, b, i)."""
     n, size = xs.shape[:2]
     s = (xs @ t.reshape(n, 3, 9)).reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
     return s.reshape(n, size, 3, -1).transpose(0, 1, 3, 2)
-
-
-def _pooled_frame_norm(p: Probe, t, xs, ys):
-    """Largest g-length over the pooled pairs of t[n, k, i, j] X_a^k Y_b^j:
-    L^T folded into t's output index i makes it a Euclidean length."""
-    u = _pool_pairs(p.factors[0][:, None] @ t, xs, ys)
-    return np.sqrt(np.max(np.einsum("nabi,nabi->nab", u, u), axis=(1, 2)))
 
 
 def _frobenius(u):
@@ -433,9 +380,21 @@ def _frobenius(u):
     return np.sqrt(np.einsum("nk,nk->n", u, u))
 
 
-def _pool_triples(terms, zs):
+def _pair_norm(p: Probe, t, frame):
+    """Frobenius norm of t[n, k, i, j] with ``frame`` in both vector slots
+    k and j: L^T folded into the output index i makes each g-length
+    Euclidean."""
+    return _frobenius(_pairs(p.factors[0][:, None] @ t, frame, frame))
+
+
+def _form_norm(omega, frame):
+    """Frobenius norm of the bilinear form omega[n, i, j] in ``frame``."""
+    return _frobenius(frame @ omega @ frame.transpose(0, 2, 1))
+
+
+def _triples(terms, zs):
     """Sum of t_x[n, a, s, j] Y_b^j over ``terms`` of (t_x, ys), then Z_c^s
-    of the pooled ``zs``: (n, a, c, b)."""
+    of ``zs``: (n, a, c, b)."""
     n, size = zs.shape[:2]
     stage = sum(t_x.reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
                 for t_x, ys in terms)                       # (n, a, s, b)
@@ -448,8 +407,7 @@ def _res_nabla_xi(p: Probe):
 
 
 def _res_ak_deta(p: Probe):
-    vals = p.pool @ p.deta @ p.pool.transpose(0, 2, 1)
-    return np.max(np.abs(vals), axis=(1, 2))
+    return _form_norm(p.deta, p.frame)
 
 
 def _res_ak_dphi(p: Probe):
@@ -463,20 +421,30 @@ def _res_ak_dphi(p: Probe):
     return dens / np.sqrt(np.linalg.det(p.g))
 
 
-def _res_kleaves(p: Probe):
+def _kleaves(p: Probe):
+    """KLEAVES' residual tensor, X in slot k and Y in slot j: [n, k, i, j]."""
     ph = p.phi + p.h
     rhs = (np.einsum("nsk,nsj,ni->nkij", ph, p.g, p.xi)
            - np.einsum("nj,nik->nkij", p.eta, ph))
-    return _pooled_frame_norm(p, p.nabla_phi - rhs, p.pool, p.pool)
+    return p.nabla_phi - rhs
 
 
-def _res_curv1(p: Probe):
+def _curv1(p: Probe):
+    """CURV1's residual tensor, Y in slot k and Z in slot l: [n, k, i, l]."""
     imb = p.eye - p.bmat
     rhs = (np.einsum("nk,nil->nkil", p.eta, imb)
            - np.einsum("nl,nik->nkil", p.eta, imb)
            + np.einsum("nlik->nkil", p.nabla_b)
            - p.nabla_b)
-    return _pooled_frame_norm(p, p.r_xi - rhs, p.pool, p.pool)
+    return p.r_xi - rhs
+
+
+def _res_kleaves(p: Probe):
+    return _pair_norm(p, _kleaves(p), p.frame)
+
+
+def _res_curv1(p: Probe):
+    return _pair_norm(p, _curv1(p), p.frame)
 
 
 def _res_l_id(p: Probe):
@@ -489,21 +457,21 @@ def _res_l_id(p: Probe):
 def _curv2_residual(p: Probe, vecs):
     """CURV2's left-hand side minus its right-hand side on the vectors
     ``vecs`` (n, P, 3) in each slot: (n, a, c, b)."""
-    n, pool, phi_pool = p.n, vecs, p.apply(p.phi, vecs)
+    n, phi_vecs = p.n, p.apply(p.phi, vecs)
     # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
     a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
     ga = np.einsum("nsi,nijl->nlsj", p.g, a).reshape(n, 3, 9)
     # g(R(xi, X_a) e_j, e_s), the first stage shared by the four terms
-    ga_x, ga_phix = ((v @ ga).reshape(n, -1, 3, 3) for v in (pool, phi_pool))
+    ga_x, ga_phix = ((v @ ga).reshape(n, -1, 3, 3) for v in (vecs, phi_vecs))
     # the right-hand side in the same slots, s for Z and j for Y, M = I - phi h:
     # 2 (nabla_{hX_a} Phi)_{js} + 2 eta_j (g M X_a)_s - 2 eta_s (g M X_a)_j
     d_phi2 = p.nabla_phi2.transpose(0, 1, 3, 2).reshape(n, 3, 9)
-    nabla_hx = (p.apply(p.h, pool) @ d_phi2).reshape(ga_x.shape)
-    gmx = p.apply(p.g, pool - p.apply(p.bmat, pool))
+    nabla_hx = (p.apply(p.h, vecs) @ d_phi2).reshape(ga_x.shape)
+    gmx = p.apply(p.g, vecs - p.apply(p.bmat, vecs))
     rhs_x = 2.0 * (nabla_hx + np.einsum("nj,nas->nasj", p.eta, gmx)
                    - np.einsum("ns,naj->nasj", p.eta, gmx))
-    out = _pool_triples([(ga_x - rhs_x, pool), (ga_phix, phi_pool)], pool)
-    out += _pool_triples([(ga_phix, pool), (-ga_x, phi_pool)], phi_pool)
+    out = _triples([(ga_x - rhs_x, vecs), (ga_phix, phi_vecs)], vecs)
+    out += _triples([(ga_phix, vecs), (-ga_x, phi_vecs)], phi_vecs)
     return out
 
 
@@ -511,10 +479,14 @@ def _res_curv2(p: Probe):
     return _frobenius(_curv2_residual(p, p.frame))
 
 
+def _codazzi_hp(p: Probe):
+    """nabla h' antisymmetrized in its two vector slots: [n, k, i, j]."""
+    return p.nabla_hp - np.einsum("njik->nkij", p.nabla_hp)
+
+
 def _res_codazzi_hp(p: Probe):
-    # antisymmetrize in the two vector slots before contracting the pool
-    anti = p.nabla_hp - np.einsum("njik->nkij", p.nabla_hp)
-    return _pooled_frame_norm(p, anti, p.pool_d, p.pool_d)
+    # ker(eta) is spanned by the frame's (X, phi X)
+    return _pair_norm(p, _codazzi_hp(p), p.frame[:, 1:])
 
 
 def _res_h2(p: Probe):
@@ -567,16 +539,15 @@ def _res_lie2(p: Probe):
 
 
 def _trace_residual(p: Probe, nabla_t, target):
-    """g-length of sum_a (nabla_{E_a} T) E_a minus ``target``, the larger
-    over the adapted and the random frame E: (n,)."""
-    n = p.n
-    res = None
-    for frame in (p.frame, p.random_frame):
-        t_e = (frame @ nabla_t.reshape(n, 3, 9)).reshape(n, 3, 3, 3)  # [a, i, j]
-        v = (t_e @ frame[..., None])[..., 0].sum(axis=1) - target
-        r = p.vec_norm(v)
-        res = r if res is None else np.maximum(res, r)
-    return res
+    """g-length of the trace g^{kj} (nabla_k T)^i_j minus ``target``: (n,).
+
+    No frame: the residual is formed after the contraction, so a frame's
+    Gram defect would multiply the large entries of nabla T.  On a
+    kmup-darboux sweep at t = -1 (mu = 0.864, cond g 1.1e10, defect
+    4.6e-7) the adapted frame read TR_HP 5.5e-6 where g^-1 reads 1.388e-4,
+    as does long double.
+    """
+    return p.vec_norm(np.einsum("nkij,nkj->ni", nabla_t, p.ginv) - target)
 
 
 def _res_tr_hp(p: Probe):
@@ -611,19 +582,23 @@ def _res_ricci_form(p: Probe):
 
 
 def _nullity(p: Probe, t_op):
-    # k(eta(Y) X - eta(X) Y) + mu(eta(Y) TX - eta(X) TY) = eta(Y) A X - eta(X) A Y
-    # with A = k I + mu T, in r_xi's slots (X, component, Y)
+    """The nullity condition's residual tensor for T = ``t_op``, in r_xi's
+    slots (X, component, Y): [n, k, i, j].
+
+    k(eta(Y) X - eta(X) Y) + mu(eta(Y) TX - eta(X) TY) = eta(Y) A X - eta(X) A Y
+    with A = k I + mu T.
+    """
     a = p.k[:, None, None] * p.eye + p.mu[:, None, None] * t_op
     rhs = np.einsum("nj,nik->nkij", p.eta, a) - np.einsum("nk,nij->nkij", p.eta, a)
-    return _pooled_frame_norm(p, p.r_xi - rhs, p.pool, p.pool)
+    return p.r_xi - rhs
 
 
 def _res_null_kmu(p: Probe):
-    return _nullity(p, p.h)
+    return _pair_norm(p, _nullity(p, p.h), p.frame)
 
 
 def _res_null_kmup(p: Probe):
-    return _nullity(p, p.hp)
+    return _pair_norm(p, _nullity(p, p.hp), p.frame)
 
 
 def _conn_residual(p: Probe, table):
@@ -664,18 +639,18 @@ def _res_flat_leaf(p: Probe):
     return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
 
 
-def _pool_riemann(t, pool):
-    """t[n, i, j, k, l] X_a^k X_b^l X_c^j over the pool: (n, c, a, b, i).
+def _riemann_triples(t, vecs):
+    """t[n, i, j, k, l] X_a^k X_b^l X_c^j over ``vecs``: (n, c, a, b, i).
 
-    Each stage is one matmul per point of the pool with the leading index,
-    and a copy then moves the next index to contract to the front (the
-    stage before it is freed ahead of the last, largest matmul).
+    Each stage is one matmul per point of the vectors with the leading
+    index, and a copy then moves the next index to contract to the front
+    (the stage before it is freed ahead of the last, largest matmul).
     """
-    n, size = pool.shape[:2]
-    s = pool @ t.transpose(0, 3, 4, 2, 1).reshape(n, 3, 27)          # (a, l, j, i)
-    s = pool @ s.reshape(n, size, 3, 9).transpose(0, 2, 1, 3).reshape(n, 3, -1)
+    n, size = vecs.shape[:2]
+    s = vecs @ t.transpose(0, 3, 4, 2, 1).reshape(n, 3, 27)          # (a, l, j, i)
+    s = vecs @ s.reshape(n, size, 3, 9).transpose(0, 2, 1, 3).reshape(n, 3, -1)
     s = s.reshape(n, size, size, 3, 3).transpose(0, 3, 2, 1, 4).reshape(n, 3, -1)
-    return (pool @ s).reshape(n, size, size, size, 3)
+    return (vecs @ s).reshape(n, size, size, size, 3)
 
 
 def _split(a):
@@ -710,7 +685,7 @@ def _res_weyl3(p: Probe):
     """
     out = np.empty(p.n)
     for s in range(0, p.n, 64):
-        out[s:s + 64] = _frobenius(_pool_riemann(
+        out[s:s + 64] = _frobenius(_riemann_triples(
             _weyl3_tensor(*(a[s:s + 64] for a in (
                 p.curv.riemann, p.g, p.curv.q, p.curv.scalar, p.factors[0]))),
             p.frame[s:s + 64]))
@@ -749,13 +724,14 @@ def _weyl3_tensor(riem, g, q, sc, lt):
     return (lt @ np.moveaxis(w, -1, 0).reshape(n, 3, 27)).reshape(n, 3, 3, 3, 3)
 
 
+def _dk_eta(p: Probe):
+    """(dk ^ eta)_ij = dk_i eta_j - dk_j eta_i: [n, i, j]."""
+    dk_eta = np.einsum("ni,nj->nij", p.dk, p.eta)
+    return dk_eta - dk_eta.transpose(0, 2, 1)
+
+
 def _res_dk_eta(p: Probe):
-    # (dk ^ eta)(u, v) = dk(u) eta(v) - dk(v) eta(u) over pool pairs
-    dk_pool = np.einsum("ni,nai->na", p.dk, p.pool)
-    eta_pool = np.einsum("ni,nai->na", p.eta, p.pool)
-    vals = (np.einsum("na,nb->nab", dk_pool, eta_pool)
-            - np.einsum("nb,na->nab", dk_pool, eta_pool))
-    return np.max(np.abs(vals), axis=(1, 2))
+    return _form_norm(_dk_eta(p), p.frame)
 
 
 def _res_bsq(p: Probe):
@@ -879,12 +855,10 @@ def applicable_identities(model: AlmostContactModel) -> list[str]:
 # Checking API
 # --------------------------------------------------------------------------
 
-def _per_block(model: AlmostContactModel, pts, draws, fn) -> list:
+def _per_block(model: AlmostContactModel, pts, fn) -> list:
     """``fn`` of one Probe per block of BLOCK points, in order; each Probe
-    lives for its ``fn`` call alone and reads its block's ``draws``, the
-    next of ``draws`` (``SamplePlan.draws``) or None."""
-    return [fn(Probe(model, pts[s:s + BLOCK], d))
-            for s, d in zip(range(0, len(pts), BLOCK), draws or repeat(None))]
+    lives for its ``fn`` call alone."""
+    return [fn(Probe(model, pts[s:s + BLOCK])) for s in range(0, len(pts), BLOCK)]
 
 
 def _block_maxima(specs, p: Probe) -> list[tuple]:
@@ -934,8 +908,7 @@ def check_suite(model: AlmostContactModel, identities=None,
     specs = [IDENTITIES[name] for name in ids]
     live = [spec for spec in specs if model.family in spec.families]
     pts = plan.points(model)
-    blocks = (_per_block(model, pts, plan.draws(len(pts)),
-                         lambda p: _block_maxima(live, p)) if live else [])
+    blocks = _per_block(model, pts, lambda p: _block_maxima(live, p)) if live else []
     kept = {spec.id: reduce(_merge, m) for spec, m in zip(live, zip(*blocks))}
     return [_report(spec, (tolerances or {}).get(spec.id), kept.get(spec.id),
                     len(pts)) for spec in specs]
@@ -970,7 +943,7 @@ def infer_k_mu(model: AlmostContactModel, pts):
     """
     pts, single = as_points(pts)
     k, mu, mu_ok = (np.concatenate(parts)
-                    for parts in zip(*_per_block(model, pts, None, _k_mu)))
+                    for parts in zip(*_per_block(model, pts, _k_mu)))
     if single:
         return float(k[0]), float(mu[0]), bool(mu_ok[0])
     return k, mu, mu_ok

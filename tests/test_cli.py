@@ -157,15 +157,20 @@ class TestVerify:
         text = path.read_text()
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
-    def test_different_seed_changes_random_dependent_residuals(self, tmp_path):
-        residuals = []
-        for seed in ("3", "4"):
+    def test_seed_and_rand_pairs_change_no_identity(self, tmp_path):
+        # no identity reads a random vector: the flags are echoed in the
+        # plan, and the identities section is the same, byte for byte
+        sections = []
+        for seed, pairs in (("3", "4"), ("4", "0"), ("210734320", "9")):
             p = tmp_path / f"s{seed}.json"
-            run(["verify", "--family", "kmu-chart", "--grid", "2",
-                 "--seed", seed, "--identities", "NULL_KMU",
-                 "--report", str(p)])
-            residuals.append(json.loads(p.read_text())["identities"][0]["residual"])
-        assert residuals[0] != residuals[1]
+            assert run(["verify", "--family", "kmu-chart", "--grid", "2",
+                        "--seed", seed, "--rand-pairs", pairs,
+                        "--report", str(p)]) == 0
+            doc = json.loads(p.read_text())
+            assert doc["plan"] == {"grid": 2, "randomPairs": int(pairs),
+                                   "seed": int(seed)}
+            sections.append(json.dumps(doc["identities"], indent=2))
+        assert sections[0] == sections[1] == sections[2]
 
 
 class TestBuild:
