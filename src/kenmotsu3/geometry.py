@@ -28,9 +28,7 @@ __all__ = [
     "covariant_differential",
     "exterior_differential",
     "g_norm",
-    "g_operator_norm",
     "metric_factors",
-    "frame_operator_norm",
 ]
 
 COND_LIMIT = 1e12
@@ -150,13 +148,15 @@ def covariant_differential(t_vals: np.ndarray, dt_vals: np.ndarray,
     ``t_vals``: (n,3,3), ``dt_vals``: (n, axis, 3, 3), ``gamma``: (n,3,3,3).
     Output indexed ``[n, k, i, j]``.
     """
-    # Gamma T stays an einsum, which sums over s in order: as a matmul
-    # (fused multiply-adds) it put TR_PHI on kmu-darboux mu=0.744 (a
-    # residual at its rounding floor) 7.6 times as far from the long-double
-    # reference as the einsum (5.5e-11 against 7.2e-12, g^-1 trace), where
+    # Gamma T is summed over s term by term, in order: the bits of the
+    # einsum it replaced, in less time.  As a matmul (fused multiply-adds)
+    # it put TR_PHI on kmu-darboux mu=0.744 (a residual at its rounding
+    # floor) 7.6 times as far from the long-double reference as the ordered
+    # sum (5.5e-11 against 7.2e-12, g^-1 trace), where
     # TestStagedContractions allows twice as far
+    plus = sum(gamma[..., s, None] * t_vals[:, None, None, s] for s in range(3))
     minus = (t_vals @ gamma.reshape(len(t_vals), 3, 9)).reshape(-1, 3, 3, 3)
-    return (dt_vals + np.einsum("niks,nsj->nkij", gamma, t_vals)
+    return (dt_vals + plus.transpose(0, 2, 1, 3)
             - minus.transpose(0, 2, 1, 3))
 
 
@@ -193,24 +193,3 @@ def metric_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lt = np.swapaxes(np.linalg.cholesky(g), -1, -2)
     return lt, np.linalg.inv(lt)
 
-
-def frame_operator_norm(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of per-point matrices ``m`` (..., 3, 3), taken
-    as the square root of the top eigenvalue of the Gram matrix m^T m, with
-    m scaled to a largest entry of 1 so that the Gram matrix neither
-    overflows nor underflows.  Non-finite input raises LinAlgError."""
-    scale = np.max(np.abs(m), axis=(-2, -1))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    m = m / scale[..., None, None]
-    gram = np.swapaxes(m, -1, -2) @ m
-    out = scale * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-    if not np.isfinite(out).all():
-        raise np.linalg.LinAlgError("operator norm of a non-finite tensor")
-    return out
-
-
-def g_operator_norm(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Operator norm of a (1,1) tensor w.r.t. the metric: the
-    :func:`frame_operator_norm` of L^T A L^{-T} (:func:`metric_factors`)."""
-    lt, lt_inv = metric_factors(g)
-    return frame_operator_norm(lt @ a @ lt_inv)

@@ -7,9 +7,12 @@ the verdict.  Identities that do not apply to a model family get a
 distinct "not-applicable" verdict, never a silent pass.  No identity reads
 a random number.
 
-Pointwise norms: the g-operator norm for (1,1) tensor identities, the
-g-length for vector ones, the absolute value for scalars.  The identities
-over tangent vectors (KLEAVES, CURV1, CURV2, CODAZZI_HP, WEYL3, AK_DETA,
+Pointwise norms: the g-length for vector identities, the absolute value
+for scalars, and a Frobenius norm for the rest.  A (1,1) tensor identity
+(NABLA_XI, L_ID, H2, NH, NHP, LIE1, LIE2, RICCI_FORM) takes the Frobenius
+norm of L^T A L^{-T} in the Cholesky frame of g = L L^T, which lies between
+the g-operator norm of A and sqrt(3) times it.  The identities over tangent
+vectors (KLEAVES, CURV1, CURV2, CODAZZI_HP, WEYL3, AK_DETA,
 DK_ETA and the nullity conditions) take the Frobenius norm of their
 residual tensor in the adapted g-orthonormal frame E = (xi, X, phi X):
 the root sum of squares, over every frame pair (a, b) or triple (a, b, c),
@@ -38,7 +41,6 @@ from .geometry import (
     covariant_differential,
     curvature,
     exterior_differential,
-    frame_operator_norm,
     g_norm,
     levi_civita,
     metric_factors,
@@ -335,17 +337,21 @@ class Probe:
 
     @cached_property
     def factors(self):
-        """(L^T, L^{-T}) of g = L L^T, factored once: every operator norm,
-        and every frame norm of a vector-valued residual, is Euclidean in
-        that frame."""
+        """(L^T, L^{-T}) of g = L L^T, factored once: every (1,1)-tensor
+        norm, and every frame norm of a vector-valued residual, is Euclidean
+        in that frame."""
         return metric_factors(self.g)
 
     def vec_norm(self, v):
         return g_norm(v, self.g)
 
-    def op_norm(self, m):  # g_operator_norm on the kept factors
+    def op_norm(self, m):
+        """Frobenius norm of (1,1) tensors m[..., 3, 3] in the Cholesky frame:
+        of L^T m L^{-T}, on the kept factors.  It lies between the
+        g-operator norm and sqrt(3) times it, and is non-finite where m is."""
         lt, lt_inv = self.factors
-        return frame_operator_norm(lt @ m @ lt_inv)
+        a = lt @ m @ lt_inv
+        return np.sqrt(np.einsum("...ij,...ij->...", a, a))
 
 
 # --------------------------------------------------------------------------

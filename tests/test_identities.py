@@ -17,7 +17,6 @@ from kenmotsu3.fields import ArrayField
 from kenmotsu3.geometry import (
     christoffel_partials,
     g_norm,
-    g_operator_norm,
     levi_civita,
 )
 from kenmotsu3.identities import (
@@ -702,20 +701,12 @@ def _inverse_3x3(g):
 
 
 def _ref_op_norm(m, g):
-    """sup_v |m v|_g / |v|_g.  In float64, the largest singular value of
-    L^T m L^{-T}, g = L L^T, by SVD.  In long double (which numpy's linalg
-    lacks), the quotient at the maximizer that float64 SVD gives: it is
-    exact to second order in the maximizer's error."""
-    g64 = np.asarray(g, float)
-    lt = np.linalg.cholesky(g64).transpose(0, 2, 1)
-    inv_lt = np.linalg.inv(lt)
-    _, sv, vt = np.linalg.svd(lt @ np.asarray(m, float) @ inv_lt)
-    if m.dtype != np.longdouble:
-        return sv[:, 0]
-    v = np.einsum("nij,nj->ni", inv_lt, vt[:, 0]).astype(np.longdouble)
-    mv = np.einsum("nij,nj->ni", m, v)
-    return np.sqrt(np.einsum("ni,nij,nj->n", mv, g, mv)
-                   / np.einsum("ni,nij,nj->n", v, g, v))
+    """The Frobenius norm of a (1,1) tensor in any g-orthonormal frame,
+    sqrt(tr(m^T g m g^-1)), with g^-1 from the adjugate, in the inputs'
+    precision (long double for the exact value)."""
+    gm = np.einsum("nij,njk->nik", g, m)
+    sq = np.einsum("nji,njk,nki->n", m, gm, _inverse_3x3(g))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _ref_nabla_xi(p):
@@ -1067,18 +1058,75 @@ def hard_metrics():
             "kmup_darboux": model.g(pts)}
 
 
+def _svd_op_norm(p: Probe, m):
+    """The g-operator norm of m[..., 3, 3]: the largest singular value, by
+    SVD, of the operand op_norm takes, L^T m L^{-T} on the Probe's factors."""
+    lt, lt_inv = p.factors
+    return np.linalg.svd(lt @ m @ lt_inv, compute_uv=False)[..., 0]
+
+
+def _between_op_norm_and_sqrt3(out, op):
+    """|A|_2 <= |A|_F <= sqrt(3) |A|_2 for 3x3 A, to 8 eps either way."""
+    eps = np.finfo(float).eps
+    return np.all((op * (1.0 - 8.0 * eps) <= out)
+                  & (out <= np.sqrt(3.0) * op * (1.0 + 8.0 * eps)))
+
+
 @pytest.mark.parametrize("kind", ["random", "kmup_darboux"])
-def test_factored_op_norm_is_g_operator_norm(hard_metrics, kind):
-    # the Probe's factors run the same operations on the same metric, and the
-    # norm is within 8 eps of the SVD of the same rounded L^T A L^{-T}: each
-    # is a few eps from its exact norm (measured apart: 4.7 eps here, 6.6
-    # over 12,000 draws)
+def test_op_norm_between_operator_norm_and_sqrt3(hard_metrics, kind):
+    # the Frobenius norm of the Cholesky-frame operand is within 8 eps of
+    # the root sum of its squared singular values, so between the largest
+    # and sqrt(3) times it (measured apart: 3.5 eps at most)
     g = hard_metrics[kind]
     a = np.random.default_rng(2).standard_normal(g.shape)
-    out = _metric_probe(g).op_norm(a)
-    assert np.array_equal(out, g_operator_norm(a, g))
-    ref = _ref_op_norm(a, g)
-    assert np.all(np.abs(out - ref) <= 8.0 * np.finfo(float).eps * ref)
+    p = _metric_probe(g)
+    out = p.op_norm(a)
+    lt, lt_inv = p.factors
+    sv = np.linalg.svd(lt @ a @ lt_inv, compute_uv=False)
+    frob = np.sqrt(np.sum(sv ** 2, axis=1))
+    assert np.all(np.abs(out - frob) <= 8.0 * np.finfo(float).eps * frob)
+    assert _between_op_norm_and_sqrt3(out, sv[:, 0])
+
+
+EIGHT = ("NABLA_XI", "L_ID", "H2", "NH", "NHP", "LIE1", "LIE2", "RICCI_FORM")
+
+
+@pytest.mark.parametrize("fixture", ["kmu_chart", "kmup_chart", "kmu_darboux",
+                                     "kmup_darboux"])
+def test_eight_residuals_between_operator_norm_and_sqrt3(request, monkeypatch,
+                                                         fixture):
+    # each (1,1)-tensor residual, normed by Frobenius in the Cholesky frame,
+    # lies between its g-operator-norm form and sqrt(3) times it: the
+    # larger-of and scalar-law maxima keep both bounds
+    p = _plan_probe(request.getfixturevalue(fixture), PLAN)
+    here = [ident for ident in EIGHT if ident in applicable_identities(p.model)]
+    assert len(here) == 6
+    new = {ident: IDENTITIES[ident].fn(p) for ident in here}
+    monkeypatch.setattr(Probe, "op_norm", _svd_op_norm)
+    for ident in here:
+        assert _between_op_norm_and_sqrt3(new[ident], IDENTITIES[ident].fn(p)), ident
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_fails_its_identity(monkeypatch, kmu_chart, bad):
+    # op_norm, like _frobenius and _pair_norm, is non-finite exactly where
+    # its tensor is, and a non-finite residual fails its identity: the
+    # report keeps the point and writes the residual as null
+    plan = SamplePlan(grid=3)
+    p = _plan_probe(kmu_chart, plan)
+    a = np.random.default_rng(10).standard_normal((p.n, 3, 3))
+    a[7, 1, 2] = bad
+    t = np.repeat(a[:, None], 3, axis=1)
+    for out in (p.op_norm(a), _frobenius(a), _pair_norm(p, t, p.frame)):
+        assert not np.isfinite(out[7])
+        assert np.isfinite(np.delete(out, 7)).all()
+    spec = dataclasses.replace(IDENTITIES["NABLA_XI"], fn=lambda q: q.op_norm(a))
+    monkeypatch.setitem(IDENTITIES, "NABLA_XI", spec)
+    rep = check_identity(kmu_chart, "NABLA_XI", plan)
+    assert rep.verdict == "fail"
+    assert rep.max_point == tuple(p.pts[7].tolist())
+    assert rep.as_dict()["residual"] is None
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,

@@ -220,9 +220,9 @@ def test_linalg_guard_flags_what_it_should():
 
 
 def test_no_svd_and_cond_only_in_the_metric_inverse_fallback():
-    # the per-point 3x3 paths run no batched SVD: operator norms take the
-    # Gram matrix's top eigenvalue, and _inverse_metric calls cond only on
-    # the points its Frobenius bound cannot clear
+    # the per-point 3x3 paths run no batched SVD: tensor norms are
+    # Frobenius norms, and _inverse_metric calls cond only on the points
+    # its Frobenius bound cannot clear
     uses = {f.name: _linalg_uses(f.read_text(), f.name)
             for f in sorted(SRC.glob("*.py"))}
     assert uses
@@ -231,15 +231,23 @@ def test_no_svd_and_cond_only_in_the_metric_inverse_fallback():
     assert flat == [("cond", "_inverse_metric", "geometry.py")], flat
 
 
+def test_one_eigen_solve_in_frame_of():
+    # no suite norms a tensor by its eigenvalues or singular values: the one
+    # eigen-solve is the 2x2 eigh that finds the adapted frame
+    names = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
+    flat = [(name, func, f.name) for f in sorted(SRC.glob("*.py"))
+            for name, func in _linalg_uses(f.read_text(), f.name, names=names)]
+    assert flat == [("eigh", "frame_of", "structure.py")], flat
+
+
 # what factors the metric: numpy's Cholesky and inverse, and the geometry
-# functions that call them
-_FACTORING = {"names": ("cholesky", "inv"),
-              "functions": ("metric_factors", "g_operator_norm")}
+# function that calls them
+_FACTORING = {"names": ("cholesky", "inv"), "functions": ("metric_factors",)}
 
 
 def test_factoring_guard_flags_what_it_should():
-    assert _linalg_uses("def op_norm(self, m):\n    return g_operator_norm(m, g)",
-                        **_FACTORING) == [("g_operator_norm", "op_norm")]
+    assert _linalg_uses("def op_norm(self, m):\n    return metric_factors(g)",
+                        **_FACTORING) == [("metric_factors", "op_norm")]
     assert _linalg_uses("def f(g):\n    return np.linalg.inv(np.linalg.cholesky(g))",
                         **_FACTORING) == [("inv", "f"), ("cholesky", "f")]
     assert _linalg_uses("from numpy.linalg import cholesky", **_FACTORING)
