@@ -454,10 +454,11 @@ class Expr:
         return f"Expr({str(self)!r}, var={self.var!r})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Expr) and self._root == other._root
+        return (isinstance(other, Expr) and self.var == other.var
+                and self._root == other._root)
 
     def __hash__(self) -> int:
-        return hash((self.var, str(self)))
+        return hash((self.var, self._root))
 
 
 def parse_expr(src: str, var: str = "z") -> Expr:

@@ -185,11 +185,13 @@ def g_norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def metric_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L^T, L^{-T}) of the Cholesky factorisation g = L L^T.
+    """(L^T, E) of the Cholesky factorisation g = L L^T, with E = L^{-1}.
 
-    In that frame the metric is Euclidean: |v|_g = |L^T v|, and a (1,1)
-    tensor A acts as L^T A L^{-T}.
+    The rows of E are a g-orthonormal frame, E g E^T = I, built from g
+    alone: |v|_g = |L^T v|, and a (1,1) tensor A acts as L^T A E^T.  E is
+    lower triangular, so its first two rows span the first two coordinate
+    directions.  E^T is the computed L^{-T}, a contiguous array.
     """
     lt = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    return lt, np.linalg.inv(lt)
+    return lt, np.swapaxes(np.linalg.inv(lt), -1, -2)
 

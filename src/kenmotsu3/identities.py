@@ -7,22 +7,20 @@ the verdict.  Identities that do not apply to a model family get a
 distinct "not-applicable" verdict, never a silent pass.  No identity reads
 a random number.
 
-Pointwise norms: the g-length for vector identities, the absolute value
-for scalars, and a Frobenius norm for the rest.  A (1,1) tensor identity
-(NABLA_XI, L_ID, H2, NH, NHP, LIE1, LIE2, RICCI_FORM) takes the Frobenius
-norm of L^T A L^{-T} in the Cholesky frame of g = L L^T, which lies between
-the g-operator norm of A and sqrt(3) times it.  The identities over tangent
-vectors (KLEAVES, CURV1, CURV2, CODAZZI_HP, WEYL3, AK_DETA,
-DK_ETA and the nullity conditions) take the Frobenius norm of their
-residual tensor in the adapted g-orthonormal frame E = (xi, X, phi X):
-the root sum of squares, over every frame pair (a, b) or triple (a, b, c),
-of the g-length of the residual vector or of the residual's value;
-CODAZZI_HP quantifies over ker(eta), whose frame is (X, phi X).  Each
-identity is multilinear, so it holds for all vectors if and only if it
-holds on a basis, and for g-unit vectors Cauchy-Schwarz in the frame gives
-|T(X, Y, ...)| <= |T|_F: the norm bounds the residual at any unit vectors
-from above, and it is the same in every g-orthonormal frame.  The TR_*
-traces contract nabla T with g^-1, in no frame.
+Pointwise norms: the absolute value for scalars, and for every other
+residual (Probe.norm) the Frobenius norm in the Cholesky frame of
+g = L L^T, the g-orthonormal rows of E = L^{-1}: L^T on the residual's one
+contravariant index, if it has one, E on every other index, then the root
+sum of squares.  A vector's norm is its g-length, and a (1,1) tensor's
+lies between its g-operator norm and sqrt(3) times it.  Each identity over
+tangent vectors is multilinear, so it holds for all vectors if and only if
+it holds on a basis, and for g-unit vectors Cauchy-Schwarz in the frame
+gives |T(X, Y, ...)| <= |T|_F: the norm bounds the residual at any unit
+vectors from above, and it is the same in every g-orthonormal frame.
+CODAZZI_HP quantifies over ker(eta), which E's first two rows span.  E
+needs g alone, where the adapted frame (xi, X, phi X) is orthonormal only
+as far as phi is g-compatible: only the identities about that frame,
+CONN_KMU, CONN_KMUP and FLAT_LEAF, read it.
 
 Tolerance profiles: STRICT 1e-10 (algebraic, no differentiation),
 FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
@@ -41,7 +39,6 @@ from .geometry import (
     covariant_differential,
     curvature,
     exterior_differential,
-    g_norm,
     levi_civita,
     metric_factors,
 )
@@ -290,7 +287,8 @@ class Probe:
 
     @cached_property
     def frame(self):
-        """(n, 3, 3): the adapted orthonormal frame (xi, X, phi X)."""
+        """(n, 3, 3): the adapted frame (xi, X, phi X), g-orthonormal as far
+        as phi is g-compatible; read by the identities about it alone."""
         return np.stack([self.xi, self.eigen.x, self.eigen.phi_x], axis=1)
 
     @cached_property
@@ -329,7 +327,7 @@ class Probe:
         return sum(self.frame[:, :, k, None, None] * nabla_e[:, None, :, k]
                    for k in range(3))
 
-    # --- helper contractions ---------------------------------------------------
+    # --- contractions and the one norm ----------------------------------------
 
     def apply(self, op, vecs):
         """Apply per-point operator (n,3,3) to vectors (n,P,3)."""
@@ -337,46 +335,14 @@ class Probe:
 
     @cached_property
     def factors(self):
-        """(L^T, L^{-T}) of g = L L^T, factored once: every (1,1)-tensor
-        norm, and every frame norm of a vector-valued residual, is Euclidean
-        in that frame."""
+        """(L^T, E) of g = L L^T, factored once: E = L^{-1}, whose rows are
+        the g-orthonormal frame every residual tensor is normed in."""
         return metric_factors(self.g)
 
-    def vec_norm(self, v):
-        return g_norm(v, self.g)
-
-    def op_norm(self, m):
-        """Frobenius norm of (1,1) tensors m[..., 3, 3] in the Cholesky frame:
-        of L^T m L^{-T}, on the kept factors.  It lies between the
-        g-operator norm and sqrt(3) times it, and is non-finite where m is."""
-        lt, lt_inv = self.factors
-        a = lt @ m @ lt_inv
-        return np.sqrt(np.einsum("...ij,...ij->...", a, a))
-
-
-# --------------------------------------------------------------------------
-# Identity residual functions (each returns per-point residuals (n,))
-#
-# An identity over tangent vectors subtracts its right-hand side per point
-# first, then contracts that (n, 3, 3[, 3[, 3]]) residual tensor with the
-# frame in one pass, a batched matmul per contracted index: numpy runs a
-# multi-operand einsum as one nested loop, and a two-operand one over a
-# 3-long contracted index as a 3-long inner loop (_pairs' two einsums took
-# 10.6 ms on a grid-9 chart probe's r_xi contracted with 11 vectors, its
-# two matmuls 0.7 ms).  CURV2 keeps phi on the vectors: its first stage
-# takes X_a and phi X_a, and the terms that share a Z slot (X_c or phi X_c)
-# meet before the last matmul.  Composing phi into its tensor instead moved
-# the kmu-darboux mu=0.858 residual 1.75e-10 from the long-double
-# reference, where TestStagedContractions allowed 9.45e-11 (this form:
-# 3.67e-11).  Each frame norm sums over every frame pair or triple: a sum
-# over a < b alone would be another norm.
-# --------------------------------------------------------------------------
-
-def _pairs(t, xs, ys):
-    """t[n, k, i, j] X_a^k Y_b^j over the vectors xs, ys: (n, a, b, i)."""
-    n, size = xs.shape[:2]
-    s = (xs @ t.reshape(n, 3, 9)).reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
-    return s.reshape(n, size, 3, -1).transpose(0, 1, 3, 2)
+    def norm(self, t, upper=None):
+        """:func:`_frame_norm` of t[n, ...] in the Cholesky frame, on the
+        kept factors."""
+        return _frame_norm(t, *self.factors, upper)
 
 
 def _frobenius(u):
@@ -386,17 +352,43 @@ def _frobenius(u):
     return np.sqrt(np.einsum("nk,nk->n", u, u))
 
 
-def _pair_norm(p: Probe, t, frame):
-    """Frobenius norm of t[n, k, i, j] with ``frame`` in both vector slots
-    k and j: L^T folded into the output index i makes each g-length
-    Euclidean."""
-    return _frobenius(_pairs(p.factors[0][:, None] @ t, frame, frame))
+def _frame_norm(t, lt, e, upper=None):
+    """Frobenius norm of each point's tensor t[n, ...] in the frame of the
+    rows of e[n, P, 3]: L^T on the slot ``upper``, the one contravariant
+    index (None if there is none), e on every other slot, then the root sum
+    of squares.  It is non-finite where t is.
+
+    Each stage is one matmul per point: L^T takes the upper slot swapped to
+    the front, and e the last slot, which then swaps with the next slot to
+    contract (the norm does not depend on the order of the slots).  A (1,1)
+    tensor A is thus L^T A E^T, a vector L^T v, and a 2-form E w E^T.
+    """
+    n = len(t)
+    if upper is not None:
+        t = t.swapaxes(1, 1 + upper)
+        t = (lt @ t.reshape(n, 3, -1)).reshape(t.shape)
+    et = e.swapaxes(1, 2)
+    for k in range(t.ndim - 1 - (upper is not None)):
+        t = t.swapaxes(-1, -1 - k)
+        t = (t.reshape(n, -1, 3) @ et).reshape(*t.shape[:-1], -1)
+    return _frobenius(t)
 
 
-def _form_norm(omega, frame):
-    """Frobenius norm of the bilinear form omega[n, i, j] in ``frame``."""
-    return _frobenius(frame @ omega @ frame.transpose(0, 2, 1))
-
+# --------------------------------------------------------------------------
+# Identity residual functions (each returns per-point residuals (n,))
+#
+# An identity subtracts its right-hand side per point first, then norms that
+# residual tensor in the Cholesky frame, a batched matmul per contracted
+# index: numpy runs a multi-operand einsum as one nested loop, and a
+# two-operand one over a 3-long contracted index as a 3-long inner loop.
+# CURV2 keeps phi on the vectors: its first stage takes X_a and phi X_a,
+# and the terms that share a Z slot (X_c or phi X_c) meet before the last
+# matmul.  Composing phi into its tensor instead moved the kmu-darboux
+# mu=0.858 residual 1.75e-10 from the long-double reference, where
+# TestStagedContractions allowed 9.45e-11 (this form: 3.67e-11).  Each frame
+# norm sums over every frame pair or triple: a sum over a < b alone would be
+# another norm.
+# --------------------------------------------------------------------------
 
 def _triples(terms, zs):
     """Sum of t_x[n, a, s, j] Y_b^j over ``terms`` of (t_x, ys), then Z_c^s
@@ -409,11 +401,11 @@ def _triples(terms, zs):
 
 def _res_nabla_xi(p: Probe):
     rhs = (p.eye - np.einsum("ni,nk->nik", p.xi, p.eta) - p.bmat)
-    return p.op_norm(p.nabla_xi - rhs)
+    return p.norm(p.nabla_xi - rhs, upper=0)
 
 
 def _res_ak_deta(p: Probe):
-    return _form_norm(p.deta, p.frame)
+    return p.norm(p.deta)
 
 
 def _res_ak_dphi(p: Probe):
@@ -446,18 +438,18 @@ def _curv1(p: Probe):
 
 
 def _res_kleaves(p: Probe):
-    return _pair_norm(p, _kleaves(p), p.frame)
+    return p.norm(_kleaves(p), upper=1)
 
 
 def _res_curv1(p: Probe):
-    return _pair_norm(p, _curv1(p), p.frame)
+    return p.norm(_curv1(p), upper=1)
 
 
 def _res_l_id(p: Probe):
     l_op = np.einsum("nijkl,nl,nj->nik", p.curv.riemann, p.xi, p.xi)
     m = (p.phi @ l_op @ p.phi - l_op
          + 2.0 * (p.phi @ p.phi) - 2.0 * (p.h @ p.h))
-    return p.op_norm(m)
+    return p.norm(m, upper=0)
 
 
 def _curv2_residual(p: Probe, vecs):
@@ -482,7 +474,7 @@ def _curv2_residual(p: Probe, vecs):
 
 
 def _res_curv2(p: Probe):
-    return _frobenius(_curv2_residual(p, p.frame))
+    return _frobenius(_curv2_residual(p, p.factors[1]))
 
 
 def _codazzi_hp(p: Probe):
@@ -491,20 +483,22 @@ def _codazzi_hp(p: Probe):
 
 
 def _res_codazzi_hp(p: Probe):
-    # ker(eta) is spanned by the frame's (X, phi X)
-    return _pair_norm(p, _codazzi_hp(p), p.frame[:, 1:])
+    # eta is a multiple of dz or dt in every family, so the Cholesky frame's
+    # first two rows, d_x and d_y orthonormalized, span ker(eta)
+    lt, e = p.factors
+    return _frame_norm(_codazzi_hp(p), lt, e[:, :2], upper=1)
 
 
 def _res_h2(p: Probe):
     kp1_phi2 = (p.k + 1.0)[:, None, None] * (p.phi @ p.phi)
     h2, hp2 = p.h @ p.h, p.hp @ p.hp
-    return p.op_norm(np.stack([h2 - kp1_phi2, hp2 - kp1_phi2,
-                               h2 - hp2])).max(axis=0)
+    return np.max([p.norm(m, upper=0)
+                   for m in (h2 - kp1_phi2, hp2 - kp1_phi2, h2 - hp2)], axis=0)
 
 
 def _res_qxi(p: Probe):
     v = np.einsum("nij,nj->ni", p.curv.q, p.xi) - 2.0 * p.k[:, None] * p.xi
-    return p.vec_norm(v)
+    return p.norm(v, upper=0)
 
 
 def _scalar_laws(p: Probe, rate):
@@ -518,14 +512,14 @@ def _scalar_laws(p: Probe, rate):
 def _res_nh(p: Probe):
     nabla_xi_h = np.einsum("nk,nkij->nij", p.xi, p.nabla_h)
     m = nabla_xi_h + 2.0 * p.h + p.mu[:, None, None] * p.bmat
-    return np.maximum(p.op_norm(m), _scalar_laws(p, 2.0))
+    return np.maximum(p.norm(m, upper=0), _scalar_laws(p, 2.0))
 
 
 def _res_nhp(p: Probe):
     nabla_xi_hp = np.einsum("nk,nkij->nij", p.xi, p.nabla_hp)
     mp2 = p.mu + 2.0
     m = nabla_xi_hp + mp2[:, None, None] * p.hp
-    return np.maximum(p.op_norm(m), _scalar_laws(p, mp2))
+    return np.maximum(p.norm(m, upper=0), _scalar_laws(p, mp2))
 
 
 def _res_lie1(p: Probe):
@@ -533,7 +527,7 @@ def _res_lie1(p: Probe):
     mu = p.mu[:, None, None]
     m1 = p.lie_h - (2.0 * lam2 * p.phi - 2.0 * p.h + mu * p.hp)
     m2 = p.lie_hp - (-mu * p.h - 2.0 * p.hp)
-    return p.op_norm(np.stack([m1, m2])).max(axis=0)
+    return np.maximum(p.norm(m1, upper=0), p.norm(m2, upper=0))
 
 
 def _res_lie2(p: Probe):
@@ -541,19 +535,19 @@ def _res_lie2(p: Probe):
     mp2 = (p.mu + 2.0)[:, None, None]
     m1 = p.lie_hp + mp2 * p.hp
     m2 = p.lie_h - (2.0 * lam2 * p.phi - mp2 * p.h)
-    return p.op_norm(np.stack([m1, m2])).max(axis=0)
+    return np.maximum(p.norm(m1, upper=0), p.norm(m2, upper=0))
 
 
 def _trace_residual(p: Probe, nabla_t, target):
     """g-length of the trace g^{kj} (nabla_k T)^i_j minus ``target``: (n,).
 
-    No frame: the residual is formed after the contraction, so a frame's
-    Gram defect would multiply the large entries of nabla T.  On a
-    kmup-darboux sweep at t = -1 (mu = 0.864, cond g 1.1e10, defect
+    The trace contracts g^-1, in no frame, and the residual is formed after
+    it: a frame's Gram defect would multiply the large entries of nabla T.
+    On a kmup-darboux sweep at t = -1 (mu = 0.864, cond g 1.1e10, defect
     4.6e-7) the adapted frame read TR_HP 5.5e-6 where g^-1 reads 1.388e-4,
     as does long double.
     """
-    return p.vec_norm(np.einsum("nkij,nkj->ni", nabla_t, p.ginv) - target)
+    return p.norm(np.einsum("nkij,nkj->ni", nabla_t, p.ginv) - target, upper=0)
 
 
 def _res_tr_hp(p: Probe):
@@ -575,7 +569,7 @@ def _res_grad(p: Probe):
     grad_k = np.einsum("nij,nj->ni", p.ginv, p.dk)
     xi_k = np.einsum("ni,ni->n", p.xi, p.dk)
     v = np.einsum("nij,nj->ni", p.t_op, grad_mu) - grad_k + xi_k[:, None] * p.xi
-    return p.vec_norm(v)
+    return p.norm(v, upper=0)
 
 
 def _res_ricci_form(p: Probe):
@@ -584,7 +578,7 @@ def _res_ricci_form(p: Probe):
     m = (p.curv.q - a[:, None, None] * p.eye
          - b[:, None, None] * np.einsum("ni,nj->nij", p.xi, p.eta)
          - p.mu[:, None, None] * p.t_op)
-    return p.op_norm(m)
+    return p.norm(m, upper=0)
 
 
 def _nullity(p: Probe, t_op):
@@ -600,11 +594,11 @@ def _nullity(p: Probe, t_op):
 
 
 def _res_null_kmu(p: Probe):
-    return _pair_norm(p, _nullity(p, p.h), p.frame)
+    return p.norm(_nullity(p, p.h), upper=1)
 
 
 def _res_null_kmup(p: Probe):
-    return _pair_norm(p, _nullity(p, p.hp), p.frame)
+    return p.norm(_nullity(p, p.hp), upper=1)
 
 
 def _conn_residual(p: Probe, table):
@@ -621,8 +615,9 @@ def _conn_residual(p: Probe, table):
               for v in (p.eigen.x, p.eigen.phi_x))
     frame = p.frame.transpose(1, 0, 2)
     return np.max([
-        p.vec_norm(p.frame_nabla[:, a, b]
-                   - sum(np.asarray(c)[..., None] * e for c, e in zip(coef, frame)))
+        p.norm(p.frame_nabla[:, a, b]
+               - sum(np.asarray(c)[..., None] * e for c, e in zip(coef, frame)),
+               upper=0)
         for (a, b), coef in table(lam, p.mu, xl, pl).items()], axis=0)
 
 
@@ -643,20 +638,6 @@ def _conn_kmup(lam, mu, xl, pl):
 def _res_flat_leaf(p: Probe):
     kappa = p.curv.sectional(p.g, p.eigen.x, p.eigen.phi_x)
     return np.abs(kappa + 1.0 - p.eigen.lam ** 2)
-
-
-def _riemann_triples(t, vecs):
-    """t[n, i, j, k, l] X_a^k X_b^l X_c^j over ``vecs``: (n, c, a, b, i).
-
-    Each stage is one matmul per point of the vectors with the leading
-    index, and a copy then moves the next index to contract to the front
-    (the stage before it is freed ahead of the last, largest matmul).
-    """
-    n, size = vecs.shape[:2]
-    s = vecs @ t.transpose(0, 3, 4, 2, 1).reshape(n, 3, 27)          # (a, l, j, i)
-    s = vecs @ s.reshape(n, size, 3, 9).transpose(0, 2, 1, 3).reshape(n, 3, -1)
-    s = s.reshape(n, size, size, 3, 3).transpose(0, 3, 2, 1, 4).reshape(n, 3, -1)
-    return (vecs @ s).reshape(n, size, size, size, 3)
 
 
 def _split(a):
@@ -683,23 +664,24 @@ def _two_sum(a, b):
 def _res_weyl3(p: Probe):
     """W(X, Y) Z = R(X, Y) Z minus the right-hand side, U = Q - (Sc/2) I:
     W^i_jkl = R^i_jkl - g_lj U^i_k + g_kj U^i_l - (gQ)_lj d^i_k + (gQ)_kj d^i_l,
-    normed in the adapted frame.
+    normed in the Cholesky frame.
 
-    W is folded into the Cholesky frame (L^T W) 64 points at a time: over a
-    whole grid-9 Probe its temporaries peaked at 10.1 float64 frame tensors
-    (n, 3, 3, 3, 3), against 0.84 this way, with bit-identical residuals.
+    W is formed and normed 64 points at a time: over a whole grid-9 Probe
+    its temporaries peaked at 10.1 float64 frame tensors (n, 3, 3, 3, 3),
+    against 0.84 this way, with bit-identical residuals.
     """
+    lt, e = p.factors
     out = np.empty(p.n)
     for s in range(0, p.n, 64):
-        out[s:s + 64] = _frobenius(_riemann_triples(
-            _weyl3_tensor(*(a[s:s + 64] for a in (
-                p.curv.riemann, p.g, p.curv.q, p.curv.scalar, p.factors[0]))),
-            p.frame[s:s + 64]))
+        part = slice(s, s + 64)
+        out[part] = _frame_norm(_weyl3_tensor(*(a[part] for a in (
+            p.curv.riemann, p.g, p.curv.q, p.curv.scalar))),
+            lt[part], e[part], upper=0)
     return out
 
 
-def _weyl3_tensor(riem, g, q, sc, lt):
-    """L^T W (see _res_weyl3) from R, g, Q, Sc and L^T, [n, i, j, k, l].
+def _weyl3_tensor(riem, g, q, sc):
+    """W (see _res_weyl3) from R, g, Q and Sc, [n, i, j, k, l].
 
     W = R - (A - A^T), with A^i_jkl = Q^i_k g_lj - d^i_k D_jl, D_jl =
     (Sc/2) g_lj - (gQ)_lj and A^T its k and l swapped, comes from exact
@@ -708,10 +690,9 @@ def _weyl3_tensor(riem, g, q, sc, lt):
     and elsewhere it rounds relative to W.  The terms are far larger than W:
     on a kmu-darboux sweep suite (mu = 0.858, t = -1) A reaches 2.7e5 where
     W is 1.3e-7, and W formed in long double put the frame norm 6.4e-14
-    from its exact value, where the frame's g-unit X has coordinates of 44
-    (this way: 2e-22).
+    from its exact value, where the adapted frame's g-unit X has coordinates
+    of 44 (this way: 2e-22).
     """
-    n = len(g)
     # the point axis last, so that each operation runs along the points
     g, q = (np.moveaxis(a, 0, -1).copy() for a in (g, q))
     g_jl = g.swapaxes(0, 1)                                      # [j, l] = g_lj
@@ -727,7 +708,7 @@ def _weyl3_tensor(riem, g, q, sc, lt):
         a_lo[i, :, i] += e - d_lo
     b, e = _two_sum(a, -a.swapaxes(2, 3))
     w = (np.moveaxis(riem, 0, -1) - b) - (e + (a_lo - a_lo.swapaxes(2, 3)))
-    return (lt @ np.moveaxis(w, -1, 0).reshape(n, 3, 27)).reshape(n, 3, 3, 3, 3)
+    return np.moveaxis(w, -1, 0)
 
 
 def _dk_eta(p: Probe):
@@ -737,7 +718,7 @@ def _dk_eta(p: Probe):
 
 
 def _res_dk_eta(p: Probe):
-    return _form_norm(_dk_eta(p), p.frame)
+    return p.norm(_dk_eta(p))
 
 
 def _res_bsq(p: Probe):

@@ -1,7 +1,7 @@
 """Seeded random tangent vectors at a Probe's points, for the tests alone.
 
 No identity reads a random vector: each is normed on its whole residual
-tensor in the adapted frame.  These witnesses check that norm from outside.
+tensor in the Cholesky frame.  These witnesses check that norm from outside.
 ``pool`` gives the adapted frame and random g-unit vectors, over which the
 largest value of an identity must stay below its frame norm;
 ``kernel_pool`` projects them into ker(eta); ``random_frame`` is a second

@@ -156,6 +156,16 @@ def test_expr_is_shareable_and_pure():
     assert isinstance(e, Expr)
 
 
+def test_equal_exprs_hash_alike():
+    # equality reads the variable, as the hash does: the same text in two
+    # variables is two expressions, and a set keeps both; one text written
+    # two ways in one variable is one expression, and a set keeps one
+    z, t = parse_expr("2", "z"), parse_expr("2", "t")
+    assert z != t and len({z, t}) == 2
+    a, b = parse_expr("2*z + 1", "z"), parse_expr("(2 * z) + 1", "z")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 # --- derivatives by jets ----------------------------------------------------
 
 _X = 0.7

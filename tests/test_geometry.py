@@ -295,10 +295,10 @@ class TestWeylDecomposition:
 
 
 def _op_norm(a, g):
-    """Probe.op_norm of the (1,1) tensors ``a`` under the metrics ``g``."""
+    """Probe.norm of the (1,1) tensors ``a`` under the metrics ``g``."""
     p = Probe.__new__(Probe)
     p.g, p.n = g, len(g)
-    return p.op_norm(a)
+    return p.norm(a, upper=0)
 
 
 def test_g_norms():
@@ -326,10 +326,10 @@ def _g_singular(sigma, g, seed):
 
 
 class TestOperatorNorm:
-    """Probe.op_norm, the Frobenius norm of L^T A L^{-T}, against the SVD of
-    that operand under non-identity metrics (cond g up to 80): within 6 eps
-    of the root sum of the squared singular values, so between the
-    g-operator norm and sqrt(3) times it."""
+    """Probe.norm of a (1,1) tensor A, the Frobenius norm of L^T A L^{-T},
+    against the SVD of that operand under non-identity metrics (cond g up
+    to 80): within 6 eps of the root sum of the squared singular values, so
+    between the g-operator norm and sqrt(3) times it."""
 
     N = 400
     EPS = np.finfo(float).eps

@@ -28,13 +28,10 @@ from kenmotsu3.identities import (
     _curv1,
     _curv2_residual,
     _dk_eta,
-    _form_norm,
+    _frame_norm,
     _frobenius,
     _kleaves,
     _nullity,
-    _pair_norm,
-    _pairs,
-    _riemann_triples,
     _weyl3_tensor,
     applicable_identities,
     check_identity,
@@ -424,7 +421,7 @@ def _ref_conn(p, variant):
             nab[:, 0, 1],
             nab[:, 0, 2],
         ]
-    return np.max([p.vec_norm(v) for v in rel], axis=0)
+    return np.max([p.norm(v, upper=0) for v in rel], axis=0)
 
 
 @pytest.mark.parametrize("fixture,ident", [
@@ -571,9 +568,16 @@ def _ref_pair_slots(p, ident, vecs, absolute=False):
     return g_norm(v, p.g[:, None, None])
 
 
+def _cholesky_frame(p):
+    """E = L^{-1} of g = L L^T, the frame every residual tensor is normed
+    in, in the Probe's precision."""
+    return p.factors[1].astype(p.g.dtype)
+
+
 def _frame_for(p, ident):
-    """The frame an identity is normed in: ker(eta)'s for CODAZZI_HP."""
-    return p.frame[:, 1:] if ident == "CODAZZI_HP" else p.frame
+    """The frame an identity is normed in: for CODAZZI_HP, E's first two
+    rows, which span ker(eta)."""
+    return _cholesky_frame(p)[:, :2] if ident == "CODAZZI_HP" else _cholesky_frame(p)
 
 
 def _ref_framed(ident):
@@ -582,7 +586,7 @@ def _ref_framed(ident):
 
 
 def _ref_curv2(p):
-    return _ref_frobenius(_ref_curv2_tensor(p, p.frame))
+    return _ref_frobenius(_ref_curv2_tensor(p, _cholesky_frame(p)))
 
 
 def _ref_flat_leaf(p):
@@ -655,7 +659,7 @@ def _ref_weyl3_lengths(p, vecs, absolute=False):
 
 
 def _ref_weyl3(p):
-    return _ref_frobenius(_ref_weyl3_lengths(p, p.frame))
+    return _ref_frobenius(_ref_weyl3_lengths(p, _cholesky_frame(p)))
 
 
 def _ref_slots(p, ident, vecs, absolute=False):
@@ -789,19 +793,17 @@ def _pool_for(p, ident):
 def _staged_in(p, ident, frame):
     """A frame-normed identity's staged residual normed in ``frame`` (for
     CODAZZI_HP a frame of ker(eta), two vectors)."""
-    if ident == "WEYL3":
-        return _frobenius(_riemann_triples(_weyl3_tensor(
-            p.curv.riemann, p.g, p.curv.q, p.curv.scalar, p.factors[0]), frame))
     if ident == "CURV2":
         return _frobenius(_curv2_residual(p, frame))
-    if ident == "AK_DETA":
-        return _form_norm(p.deta, frame)
-    if ident == "DK_ETA":
-        return _form_norm(_dk_eta(p), frame)
-    tensor = {"KLEAVES": _kleaves, "CURV1": _curv1, "CODAZZI_HP": _codazzi_hp,
-              "NULL_KMU": lambda p: _nullity(p, p.h),
-              "NULL_KMUP": lambda p: _nullity(p, p.hp)}[ident](p)
-    return _pair_norm(p, tensor, frame)
+    tensor, upper = {
+        "WEYL3": (lambda p: _weyl3_tensor(p.curv.riemann, p.g, p.curv.q,
+                                          p.curv.scalar), 0),
+        "AK_DETA": (lambda p: p.deta, None), "DK_ETA": (_dk_eta, None),
+        "KLEAVES": (_kleaves, 1), "CURV1": (_curv1, 1),
+        "CODAZZI_HP": (_codazzi_hp, 1),
+        "NULL_KMU": (lambda p: _nullity(p, p.h), 1),
+        "NULL_KMUP": (lambda p: _nullity(p, p.hp), 1)}[ident]
+    return _frame_norm(tensor(p), p.factors[0], frame, upper)
 
 
 FRAMED = ("WEYL3", "CURV2", *PAIR_IDENTITIES)
@@ -820,8 +822,9 @@ SWEEP_PLAN = SamplePlan(grid=3)
 
 
 class TestStagedContractions:
-    """Two-operand stages give the single-call einsums' tensors to rounding,
-    and the identities' residuals and verdicts that those gave."""
+    """Two-operand stages give the single-call einsums' tensors, and their
+    frame norms, to rounding, and the identities' residuals and verdicts
+    that those gave."""
 
     @pytest.fixture(scope="class", params=[
         "kmu_chart", "kmup_chart", "kmup_darboux",
@@ -846,11 +849,21 @@ class TestStagedContractions:
         # entry: the scale of its rounding, also where the products cancel
         self._within(staged, ref_fn(*operands), ref_fn(*map(np.abs, operands)))
 
+    def _same_norm(self, staged, ref_fn, lt, *operands):
+        # the staged frame norm against the root sum of squares of the
+        # single-call tensor with L^T on its output index: rtol 1e-12 of the
+        # same norm of the absolute products, which bounds that of the
+        # entries' rounding
+        ref, scale = (_ref_frobenius(np.einsum("nmi,n...i->n...m", f, ref_fn(*ops)))
+                      for f, ops in ((lt, operands),
+                                     (np.abs(lt), map(np.abs, operands))))
+        self._within(staged, ref, scale)
+
     def test_pool_riemann(self, probe):
         p, vecs = probe, witness.pool(probe)
-        self._same(_riemann_triples(p.curv.riemann, vecs),
-                   lambda r, v: np.moveaxis(_ref_riemann_triples(r, v), 3, 1),
-                   p.curv.riemann, vecs)
+        lt = p.factors[0]
+        self._same_norm(_frame_norm(p.curv.riemann, lt, vecs, upper=0),
+                        _ref_riemann_triples, lt, p.curv.riemann, vecs)
 
     def test_curv2_terms(self, probe):
         # the staged residual tensor, right-hand side subtracted before the
@@ -862,15 +875,17 @@ class TestStagedContractions:
 
     def test_nullity_r_xi(self, probe):
         p, vecs = probe, witness.pool(probe)
-        self._same(_pairs(p.r_xi, vecs, vecs), _ref_r_xi_pairs,
-                   p.curv.riemann, vecs, p.xi)
+        lt = p.factors[0]
+        self._same_norm(_frame_norm(p.r_xi, lt, vecs, upper=1), _ref_r_xi_pairs,
+                        lt, p.curv.riemann, vecs, p.xi)
 
     def test_pool_pairs(self, probe):
         # the operators KLEAVES, CURV1 and CODAZZI_HP contract
         p, vecs = probe, witness.pool(probe)
-        kernel = witness.kernel_pool(p, vecs)
+        kernel, lt = witness.kernel_pool(p, vecs), p.factors[0]
         for t, xs in ((p.nabla_phi, vecs), (p.r_xi, vecs), (p.nabla_hp, kernel)):
-            self._same(_pairs(t, xs, xs), _ref_pairs, t, xs, xs)
+            self._same_norm(_frame_norm(t, lt, xs, upper=1), _ref_pairs,
+                            lt, t, xs, xs)
 
     def test_ip_and_curvature_apply(self, probe):
         p = probe
@@ -929,7 +944,7 @@ class TestStagedContractions:
     @pytest.mark.parametrize("perturb", [0.0, 1e-6])
     def test_frame_norm_is_frame_independent(self, probe, perturb):
         # the same residual tensor normed in a random witness frame agrees
-        # with the adapted frame's norm to rounding: 8 eps of the absolute
+        # with the Cholesky frame's norm to rounding: 8 eps of the absolute
         # products behind either norm, and 9 times the larger Gram defect,
         # relative.  A frame scaled by 1.1, a norm at least 1.21 times as
         # large, fails that bound once the residuals are above rounding.
@@ -939,17 +954,17 @@ class TestStagedContractions:
             other_frame = (witness.kernel_frame(p) if ident == "CODAZZI_HP"
                            else witness.random_frame(p))
             frames = [_frame_for(p, ident), other_frame]
-            adapted = IDENTITIES[ident].fn(p)
+            normed = IDENTITIES[ident].fn(p)
             other = _staged_in(p, ident, other_frame)
             bound = (8.0 * eps * sum(
                 _ref_frobenius(_ref_slots(p, ident, f, absolute=True))
                 for f in frames)
                 + 9.0 * np.maximum(*(_gram_defect(p, f) for f in frames))
-                * np.maximum(adapted, other))
-            assert np.all(np.abs(other - adapted) <= bound), ident
+                * np.maximum(normed, other))
+            assert np.all(np.abs(other - normed) <= bound), ident
             if perturb:
                 scaled = _staged_in(p, ident, 1.1 * other_frame)
-                assert np.any(np.abs(scaled - adapted) > bound), ident
+                assert np.any(np.abs(scaled - normed) > bound), ident
 
 
 # kmup-darboux sweeps of the benchmark (darboux-sweep, seed 6, op 1): at
@@ -984,6 +999,28 @@ def test_traces_against_long_double_inverse_metric(mu):
                       - target, p.g)[at]
     exact = _ref_trace(ld, "TR_HP", ginv)[at]
     assert np.all(np.abs(in_frame - exact) > 0.4 * exact)
+
+
+@pytest.mark.parametrize("fixture", APPLICABLE)
+def test_cholesky_frame_spans_ker_eta_in_its_first_two_rows(request, fixture):
+    # CODAZZI_HP is normed on the first two rows of E = L^{-1}: E is lower
+    # triangular, so they are d_x and d_y orthonormalized, and eta, a
+    # multiple of dz or dt in every family, vanishes on them exactly
+    p = _plan_probe(request.getfixturevalue(fixture), PLAN)
+    e = p.factors[1]
+    assert np.all(e[:, :2, 2] == 0.0)
+    assert np.all(np.einsum("ni,nai->na", p.eta, e[:, :2]) == 0.0)
+
+
+@pytest.mark.parametrize("mu", [TRACE_SWEEP_MUS[0], "1"])
+def test_cholesky_frame_is_orthonormal_where_phi_is_not_compatible(mu):
+    # E is built from g alone: on these kmup-darboux sweep plans E g E^T - I
+    # stays within 1e-15 (measured 3.3e-16 and 2.2e-16), where the adapted
+    # frame (xi, X, phi X), built from phi, carries phi's compatibility
+    # error (measured 4.6e-7 and 6.2e-6)
+    model = build_darboux_model(DarbouxParams("kmup", mu, (-1.0, 1.0)))
+    p = _plan_probe(model, SWEEP_PLAN)
+    assert np.max(_gram_defect(p, p.factors[1])) <= 1e-15
 
 
 def _frame_tensor_bytes(n):
@@ -1022,8 +1059,8 @@ def test_weyl3_peak_memory_at_grid9(kmu_chart):
 @pytest.mark.parametrize("fixture", ["baseline", "kmu_chart", "kmup_chart",
                                      "kmu_darboux", "kmup_darboux"])
 def test_frame_normed_identities_read_no_pool(request, monkeypatch, fixture):
-    # no suite draws a random number: every identity over tangent vectors
-    # reads the adapted frame, and the traces g^-1
+    # no suite draws a random number: every residual tensor is normed in the
+    # Cholesky frame, and the traces contract g^-1
     def no_draws(*args, **kwargs):
         raise AssertionError("a random generator was made")
 
@@ -1058,11 +1095,13 @@ def hard_metrics():
             "kmup_darboux": model.g(pts)}
 
 
-def _svd_op_norm(p: Probe, m):
-    """The g-operator norm of m[..., 3, 3]: the largest singular value, by
-    SVD, of the operand op_norm takes, L^T m L^{-T} on the Probe's factors."""
-    lt, lt_inv = p.factors
-    return np.linalg.svd(lt @ m @ lt_inv, compute_uv=False)[..., 0]
+def _svd_op_norm(p: Probe, m, upper=None):
+    """The g-operator norm of the (1,1) tensors m[n, 3, 3]: the largest
+    singular value, by SVD, of the operand their norm takes, L^T m E^T on
+    the Probe's factors."""
+    assert upper == 0
+    lt, e = p.factors
+    return np.linalg.svd(lt @ m @ e.swapaxes(1, 2), compute_uv=False)[..., 0]
 
 
 def _between_op_norm_and_sqrt3(out, op):
@@ -1080,9 +1119,9 @@ def test_op_norm_between_operator_norm_and_sqrt3(hard_metrics, kind):
     g = hard_metrics[kind]
     a = np.random.default_rng(2).standard_normal(g.shape)
     p = _metric_probe(g)
-    out = p.op_norm(a)
-    lt, lt_inv = p.factors
-    sv = np.linalg.svd(lt @ a @ lt_inv, compute_uv=False)
+    out = p.norm(a, upper=0)
+    lt, e = p.factors
+    sv = np.linalg.svd(lt @ a @ e.swapaxes(1, 2), compute_uv=False)
     frob = np.sqrt(np.sum(sv ** 2, axis=1))
     assert np.all(np.abs(out - frob) <= 8.0 * np.finfo(float).eps * frob)
     assert _between_op_norm_and_sqrt3(out, sv[:, 0])
@@ -1102,7 +1141,7 @@ def test_eight_residuals_between_operator_norm_and_sqrt3(request, monkeypatch,
     here = [ident for ident in EIGHT if ident in applicable_identities(p.model)]
     assert len(here) == 6
     new = {ident: IDENTITIES[ident].fn(p) for ident in here}
-    monkeypatch.setattr(Probe, "op_norm", _svd_op_norm)
+    monkeypatch.setattr(Probe, "norm", _svd_op_norm)
     for ident in here:
         assert _between_op_norm_and_sqrt3(new[ident], IDENTITIES[ident].fn(p)), ident
 
@@ -1110,18 +1149,20 @@ def test_eight_residuals_between_operator_norm_and_sqrt3(request, monkeypatch,
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_tensor_fails_its_identity(monkeypatch, kmu_chart, bad):
-    # op_norm, like _frobenius and _pair_norm, is non-finite exactly where
-    # its tensor is, and a non-finite residual fails its identity: the
-    # report keeps the point and writes the residual as null
+    # the frame norm, of a (1,1) tensor as of a pair tensor, and _frobenius
+    # are non-finite exactly where their tensor is, and a non-finite
+    # residual fails its identity: the report keeps the point and writes
+    # the residual as null
     plan = SamplePlan(grid=3)
     p = _plan_probe(kmu_chart, plan)
     a = np.random.default_rng(10).standard_normal((p.n, 3, 3))
     a[7, 1, 2] = bad
     t = np.repeat(a[:, None], 3, axis=1)
-    for out in (p.op_norm(a), _frobenius(a), _pair_norm(p, t, p.frame)):
+    for out in (p.norm(a, upper=0), _frobenius(a), p.norm(t, upper=1)):
         assert not np.isfinite(out[7])
         assert np.isfinite(np.delete(out, 7)).all()
-    spec = dataclasses.replace(IDENTITIES["NABLA_XI"], fn=lambda q: q.op_norm(a))
+    spec = dataclasses.replace(IDENTITIES["NABLA_XI"],
+                               fn=lambda q: q.norm(a, upper=0))
     monkeypatch.setitem(IDENTITIES, "NABLA_XI", spec)
     rep = check_identity(kmu_chart, "NABLA_XI", plan)
     assert rep.verdict == "fail"
@@ -1144,7 +1185,7 @@ def test_pair_norm_against_long_double_g_norm(hard_metrics, kind):
         -3, 3, (len(g), 1, 1, 1))
     p = _metric_probe(g)
     frame = witness.random_frame(p)
-    out = _pair_norm(p, t, frame)
+    out = _frame_norm(t, p.factors[0], frame, upper=1)
     ld = [a.astype(np.longdouble) for a in (t, frame, g)]
     exact = _ref_frobenius(g_norm(_ref_pairs(ld[0], ld[1], ld[1]),
                                   ld[2][:, None, None]))

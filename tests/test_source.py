@@ -246,8 +246,8 @@ _FACTORING = {"names": ("cholesky", "inv"), "functions": ("metric_factors",)}
 
 
 def test_factoring_guard_flags_what_it_should():
-    assert _linalg_uses("def op_norm(self, m):\n    return metric_factors(g)",
-                        **_FACTORING) == [("metric_factors", "op_norm")]
+    assert _linalg_uses("def norm(self, t):\n    return metric_factors(g)",
+                        **_FACTORING) == [("metric_factors", "norm")]
     assert _linalg_uses("def f(g):\n    return np.linalg.inv(np.linalg.cholesky(g))",
                         **_FACTORING) == [("inv", "f"), ("cholesky", "f")]
     assert _linalg_uses("from numpy.linalg import cholesky", **_FACTORING)
@@ -291,3 +291,56 @@ def test_families_decide_applicability_once():
     assert not strays, strays
     init = {f.name for f in fields(AlmostContactModel) if f.init}
     assert "family" in init and not {"variant", "coords"} & init, init
+
+
+def test_one_norm_function():
+    # every residual tensor is normed through Probe.norm over its one core,
+    # identities._frame_norm: no module defines one of the six norm helpers
+    # those replaced
+    removed = {"_pairs", "_pair_norm", "_form_norm", "_riemann_triples",
+               "op_norm", "vec_norm"}
+    found = [(f.name, name) for f in sorted(SRC.glob("*.py"))
+             for name in _defined(f.read_text(), ast.FunctionDef)
+             if name in removed]
+    assert not found, found
+
+
+def _attribute_reads(source: str, attrs) -> list[tuple[str, str]]:
+    """(attribute, enclosing function) of each ``<name>.<attr>`` in
+    ``source`` for the attributes ``attrs``; a lambda's enclosing function
+    is the one it sits in."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in attrs
+                and isinstance(node.value, ast.Name)):
+            out.append((node.attr, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_attribute_guard_flags_what_it_should():
+    source = "def f(p):\n    return p.frame[:, 1:]\ng = lambda q: q.eigen.x"
+    assert _attribute_reads(source, ("frame", "eigen")) == [
+        ("frame", "f"), ("eigen", "<module>")]
+    assert not _attribute_reads("def f(p):\n    return p.frame_nabla, frame",
+                                ("frame", "eigen"))
+
+
+def test_only_identities_about_the_adapted_frame_read_it():
+    # the adapted frame (xi, X, phi X) is built from phi, so it is only as
+    # orthonormal as phi is g-compatible: every residual tensor is normed in
+    # the Cholesky frame of g, and the adapted frame is read by the
+    # identities about it alone, CONN_* (through Probe.dx and frame_nabla),
+    # FLAT_LEAF and infer_k_mu's _k_mu
+    uses = _attribute_reads((SRC / "identities.py").read_text(),
+                            ("frame", "eigen"))
+    readers = {func for _, func in uses}
+    allowed = {"frame", "dx", "frame_nabla", "_conn_residual",
+               "_res_flat_leaf", "_k_mu"}
+    assert uses and readers <= allowed, readers - allowed
