@@ -16,6 +16,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,7 +239,10 @@ def _add_plan_flags(sub):
                      help="per-identity tolerance override (repeatable)")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: each subcommand ``name`` runs
+    ``cmd_name``, looked up when it runs, so that a wrapper of it runs."""
     parser = argparse.ArgumentParser(
         prog="kenmotsu3",
         description=(
@@ -249,13 +253,11 @@ def make_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("build", help="construct a model, write model JSON")
     _add_model_flags(b)
     b.add_argument("--out", required=True, help="output JSON path")
-    b.set_defaults(fn=cmd_build)
 
     v = subs.add_parser("verify", help="run an identity suite")
     _add_model_flags(v)
     _add_plan_flags(v)
     v.add_argument("--report", default=None, help="JSON report path")
-    v.set_defaults(fn=cmd_verify)
 
     t = subs.add_parser("trajectory", help="integrate the matrix ODE, write CSV")
     t.add_argument("--family", required=True,
@@ -265,7 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
                    metavar=("T0", "T1"))
     t.add_argument("--step", type=float, default=1e-3)
     t.add_argument("--csv", required=True, help="output CSV path")
-    t.set_defaults(fn=cmd_trajectory)
 
     s = subs.add_parser("sweep", help="verify over a grid of constant mu values")
     _add_model_flags(s)
@@ -273,7 +274,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--mu-values", required=True,
                    help="comma-separated constant mu values")
     s.add_argument("--report", default=None, help="JSON report path")
-    s.set_defaults(fn=cmd_sweep)
     return parser
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ExprSyntaxError, ExprDomainError, ValueError,
             OSError) as ex:  # OSError: an output path that cannot be written
         print(f"error: {ex}", file=sys.stderr)

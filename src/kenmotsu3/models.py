@@ -271,9 +271,10 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     asserted at every node (det G = 1 is an invariant of the exact flow).
     Every field depends on t alone and carries its exact t-partials: mu
     from ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is
-    fine at t = -1), the others from the ODE slopes: F' = 2H, F'' = 2H',
-    d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k), and lam = e^{-f}
-    and k = -1 - e^{-2f} by the chain rule from f and f'.
+    fine at t = -1), lam = e^{-f} and k = -1 - e^{-2f} by the chain rule
+    from f and f', and the others, for kmu, from the ODE slopes: F' = 2H,
+    F'' = 2H', d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k); for
+    kmup from the closed form's e^{+-A} and A' (``Trajectory.exponents``).
     """
     mu_bar = params.resolved()
     t0, t1 = map(float, params.t_range)
@@ -283,28 +284,54 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
 
-    def coeffs(pts):
-        """The entries of F and of e^{2t} G, then k, mu and lam: jets along
-        t from the t-derivatives of the state and of mu, each looked up
-        once.  Each order of e^{2t} G is its own sum by ``_EXP2T_RULE``:
-        the jets' product rule on e^{2t} and G would round the t-partials
-        differently.  F's (1, 1) entry is -F's (0, 0) and e^{2t} G is
-        symmetric, so neither takes a leaf of its own; the scalars' second
-        partials, which their fields do not carry, are 0."""
-        ts = pts[:, 2]
-        state, slope, zero = traj.dense(ts), traj.slopes(ts), np.zeros(len(ts))
+    def kmu_cells(ts, mu):
+        """F's (0, 0), (0, 1), (1, 0) entries, e^{2t} G's (0, 0), (0, 1),
+        (1, 1) and f, each with its first and second t-derivative, from the
+        t-derivatives of the state, each looked up once.  Each order of
+        e^{2t} G is its own sum by ``_EXP2T_RULE``: the jets' product rule
+        on e^{2t} and G would round the t-partials differently."""
+        state, slope = traj.dense(ts), traj.slopes(ts)
         fs = [_as_matrix(state[:, 0:3]), _as_matrix(slope[:, 0:3]),
               2.0 * _as_matrix(slope[:, 3:6])]
         gs = [-M2 @ m for m in fs]
         e2t = np.exp(2.0 * ts)[:, None, None]
         egs = [e2t * sum(c * gk for c, gk in zip(rule, gs))
                for rule in _EXP2T_RULE]
-        cells = ([[m[:, i, j] for m in fs] for i, j in _CORNER[:3]]
-                 + [[m[:, i, j] for m in egs]
-                    for i, j in ((0, 0), (0, 1), (1, 1))]
-                 + [[state[:, 9], slope[:, 9], zero],
-                    [*mu_bar.jet(ts, 1), zero]])
-        p00, p01, p10, g00, g01, g11, f, mu = (Jet.along(2, *c) for c in cells)
+        return ([[m[:, i, j] for m in fs] for i, j in _CORNER[:3]]
+                + [[m[:, i, j] for m in egs] for i, j in ((0, 0), (0, 1), (1, 1))]
+                + [[state[:, 9], slope[:, 9], np.zeros(len(ts))]])
+
+    def kmup_cells(ts, mu):
+        """The same cells in closed form: F = [[0, e^A], [-e^{-A}, 0]] and
+        e^{2t} G = diag(e^{2t-A}, e^{2t+A}), with A' = -2 lam and A'' =
+        2 (mu+2) lam, each entry formed in long double and rounded once."""
+        f, ea, a1 = traj.exponents(ts)
+        mu2 = mu.astype(np.longdouble) + 2
+        a2 = 2 * mu2 * np.exp(-f)
+        e2t = np.exp(2 * ts.astype(np.longdouble))
+
+        def exp_orders(e, d1, d2):  # e = exp(u) and u', u'': e, e', e''
+            return [e, d1 * e, (d2 + d1 * d1) * e]
+
+        zero = np.zeros(len(ts))
+        cells = [[zero] * 3, exp_orders(ea, a1, a2),
+                 [-c for c in exp_orders(1 / ea, -a1, -a2)],
+                 exp_orders(e2t / ea, 2 - a1, -a2), [zero] * 3,
+                 exp_orders(e2t * ea, 2 + a1, a2), [f, mu2, zero]]
+        return [[c.astype(float) for c in cell] for cell in cells]
+
+    cells_of = kmu_cells if params.variant == "kmu" else kmup_cells
+
+    def coeffs(pts):
+        """The entries of F and of e^{2t} G, then k, mu and lam: jets along
+        t.  F's (1, 1) entry is -F's (0, 0) and e^{2t} G is symmetric, so
+        neither takes a leaf of its own; the scalars' second partials,
+        which their fields do not carry, are 0."""
+        ts = pts[:, 2]
+        mu, dmu = mu_bar.jet(ts, 1)
+        zero = np.zeros(len(ts))
+        p00, p01, p10, g00, g01, g11, f, mu = (
+            Jet.along(2, *c) for c in cells_of(ts, mu) + [[mu, dmu, zero]])
         lam = np.exp(-f.v)  # k = -1 - lam^2: dk/df = 2 lam^2, dlam/df = -lam
         k = f.chain(-1.0 - lam ** 2, 2.0 * lam ** 2, zero)
         lam = f.chain(lam, -lam, zero)

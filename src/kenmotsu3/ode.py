@@ -24,14 +24,23 @@ with Y' = a(t) Y:
   kmu :  a = [[0, 2, 0], [2*lam^2, -2, -mu], [0, mu, -2]]
   kmup:  a = [[0, 2, 0], [2*lam^2, -(mu+2), 0], [0, 0, -(mu+2)]]
 
-Integration is fixed-step sixth-order Magnus with three Gauss nodes,
-forward and backward from t=0, both directions stepped together, with mu
-evaluated once per direction.  The states are long double
-(np.longdouble), and so is every part of a step that reaches their
-rounding; the parts below it are float64: the commutator terms of each
-step's exponent (below 1e-6 of it) and the Taylor tail of its exponential
-from x^4 on (below 1e-5 after scaling).  The node slopes a(t) Y of the
-cubic-Hermite dense output and the dense output itself are float64.
+Both variants are integrated on fixed-step nodes, forward and backward
+from t=0, with mu evaluated once per direction, and their states are long
+double (np.longdouble).
+
+  kmu :  sixth-order Magnus with three Gauss nodes per step, both
+         directions stepped together.  Every part of a step that reaches
+         the states' rounding is long double; the parts below it are
+         float64: the commutator terms of each step's exponent (below 1e-6
+         of it) and the Taylor tail of its exponential from x^4 on (below
+         1e-5 after scaling).
+  kmup:  the exact solution.  With A = -2 int_0^t lam (so A' = -2 lam and
+         A'' = 2 (mu+2) lam), F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh A
+         + M3 cosh A) and B = lam M1; f and A are sums of three-node
+         Gauss-Legendre quadratures over the steps.  No Magnus step runs.
+
+The node slopes a(t) Y of the cubic-Hermite dense output and the dense
+output itself are float64.
 """
 
 from __future__ import annotations
@@ -200,8 +209,8 @@ _SQRT15 = np.sqrt(np.longdouble(15))
 _GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10])
 _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
                      np.longdouble(5) / 18])
-# nodes per batch of CSV rows, and Magnus steps per block, counted over the
-# spans stepped together: bound the long-double temporaries
+# nodes per batch of CSV rows or of kmup slopes, and Magnus steps per block,
+# counted over the spans stepped together: bound the long-double temporaries
 _BLOCK = 128
 _MAGNUS_BLOCK = 256
 # exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
@@ -266,73 +275,88 @@ def _expm(om: np.ndarray) -> np.ndarray:
     return e
 
 
-def _span_steps(variant, mu_bar: Expr, ts, out, slopes):
-    """The step data of the span over the node times ``ts`` that starts at
-    the state ``out[0]``: writes f into ``out[1:, 9]`` and a(t) Y at the
-    start into ``slopes[0]``, and returns, per step, h, mu at its end node,
-    and mu and lam^2 at its Gauss nodes ``t_n + off``.
+def _steps(variant, mu_bar: Expr, t, t_end):
+    """Quadrature data of the steps from the times ``t`` to ``t_end``
+    (long double, (m,)): mu at the ends and at the three Gauss nodes
+    ``t + off`` of each step, and f's rise over each step and from ``t`` to
+    each Gauss node.
 
-    mu comes from one call, at the nodes, the Gauss nodes and, for kmup,
-    the Gauss nodes of each [t_n, t_n + off], none of which lies past the
-    last node.  f is 2t exactly for kmu; for kmup it is Gauss-Legendre
-    quadrature of mu + 2, summed from the span's start.
+    mu comes from one call, at the ends, the Gauss nodes and, for kmup, the
+    Gauss nodes of each [t, t + off], none of which lies past a step's end.
+    f rises at the rate 2 for kmu; for kmup its rise is Gauss-Legendre
+    quadrature of mu + 2.
     """
-    n = len(ts) - 1
-    t = np.asarray(ts, np.longdouble)
-    h = np.diff(t)
-    off = h[:, None] * _GAUSS_C                    # Gauss nodes - t_n: (n, 3)
-    at = np.empty(n + 1 + 3 * n * (1 if variant == "kmu" else 4))
-    at[:n + 1] = ts
-    at[n + 1:4 * n + 1].reshape(n, 3)[:] = t[:-1, None] + off
-    if variant == "kmup":  # Gauss nodes of each [t_n, t_n + off]: (n, 3, 3)
-        quad = at[4 * n + 1:].reshape(n, 3, 3)
+    m = len(t)
+    off = (t_end - t)[:, None] * _GAUSS_C            # Gauss nodes - t: (m, 3)
+    at = np.empty(m * (4 if variant == "kmu" else 13))
+    at[:m] = t_end
+    at[m:4 * m].reshape(m, 3)[:] = t[:, None] + off
+    if variant == "kmup":  # Gauss nodes of each [t, t + off]: (m, 3, 3)
+        quad = at[4 * m:].reshape(m, 3, 3)
         for c in range(3):
-            quad[..., c] = off * _GAUSS_C[c] + t[:-1, None]
+            quad[..., c] = off * _GAUSS_C[c] + t[:, None]
     mus = mu_bar(at)
-    mu_stage = mus[n + 1:4 * n + 1].reshape(n, 3)
+    mu_stage = mus[m:4 * m].reshape(m, 3)
     if variant == "kmu":
-        out[1:, 9] = out[0, 9] + 2 * (t[1:] - t[0])
-        rate = 2
+        rise, rate = 2 * (t_end - t), 2
     else:
-        out[1:, 9] = out[0, 9] + np.cumsum(
-            h * ((mu_stage.astype(np.longdouble) + 2) @ _GAUSS_W))
-        rate = mus[4 * n + 1:].reshape(n, 3, 3) @ _GAUSS_W + 2
-    lam2 = np.exp(-2 * (out[:-1, 9, None] + off * rate))
-    slopes[0] = rhs(variant, out[0], mus[0])
+        rise = (t_end - t) * ((mu_stage.astype(np.longdouble) + 2) @ _GAUSS_W)
+        rate = mus[4 * m:].reshape(m, 3, 3) @ _GAUSS_W + 2
     # copies: the kmup quadrature values need not outlive this call
-    return h, mus[1:n + 1].copy(), mu_stage.copy(), lam2
+    return mus[:m].copy(), mu_stage.copy(), rise, off * rate
 
 
-def _magnus_block(variant, steps, out, slopes, ts) -> None:
-    """One block of steps of the spans stepped together: carry the states
-    ``out[k][0]`` into ``out[k][1:]``, and write the slopes at those nodes
-    into ``slopes[k]``.  ``steps[k]`` holds the block's step data of span k
-    (``_span_steps``) and ``ts[k]`` its nodes after the first; all spans
-    have the block's number of steps.  A function of its own, so that no
-    block's temporaries outlive it."""
+def _span_steps(mu_bar: Expr, ts, out):
+    """The kmu step data of the span over the node times ``ts`` that starts
+    at the state ``out[0]``: writes f = 2t into ``out[1:, 9]`` and returns,
+    per step, h, mu at its end node, and mu and lam^2 at its Gauss nodes."""
+    t = np.asarray(ts, np.longdouble)
+    mu_nodes, mu_stage, _, rise = _steps("kmu", mu_bar, t[:-1], t[1:])
+    out[1:, 9] = out[0, 9] + 2 * (t[1:] - t[0])
+    return np.diff(t), mu_nodes, mu_stage, np.exp(-2 * (out[:-1, 9, None] + rise))
+
+
+def _check_finite(ts, states, slopes) -> None:
+    """Raise at the first node, in steps from the start, of the spans
+    ``states[k]`` (long double) and ``slopes[k]`` (their a(t) Y, before or
+    after rounding) over the node times ``ts[k]`` whose state or slope has
+    no finite float64 value, which every reader of the states needs; spans
+    tie in their order."""
+    bad = [np.flatnonzero(~((np.abs(y) <= _FLOAT64_MAX)
+                            & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1))
+           for y, d in zip(states, slopes)]
+    first = [(b[0], k) for k, b in enumerate(bad) if len(b)]
+    if first:
+        i, k = min(first)
+        raise ConsistencyError(
+            f"ODE state non-finite in float64 at t={ts[k][i]}")
+
+
+def _magnus_block(steps, out, slopes, ts) -> None:
+    """One block of kmu steps of the spans stepped together: carry the
+    states ``out[k][0]`` into ``out[k][1:]``, and write the slopes at those
+    nodes into ``slopes[k]``.  ``steps[k]`` holds the block's step data of
+    span k (``_span_steps``) and ``ts[k]`` its nodes after the first; all
+    spans have the block's number of steps.  A function of its own, so that
+    no block's temporaries outlive it."""
     h, mu_nodes, mu_stage, lam2 = (np.stack(q, 1) for q in zip(*steps))
     flow = _expm(_magnus_exponent(                     # (steps, spans, 3, 3)
-        _generator(variant, lam2, mu_stage.astype(np.longdouble))
+        _generator("kmu", lam2, mu_stage.astype(np.longdouble))
         * h[..., None, None, None]))
     block = np.stack(out, 1)
     ys = list(block[..., :9].reshape(block.shape[:2] + (3, 3)))
     for f, y, y_next in zip(flow, ys, ys[1:]):
         np.matmul(f, y, out=y_next)
-    d = rhs(variant, block[1:], mu_nodes)
-    finite = ((np.abs(block[1:]) <= _FLOAT64_MAX)
-              & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1)
-    if not finite.all():
-        i, k = divmod(int(np.argmin(finite)), len(out))
-        raise ConsistencyError(
-            f"ODE state non-finite in float64 at t={ts[k][i]}")
+    d = rhs("kmu", block[1:], mu_nodes)
+    _check_finite(ts, block[1:].swapaxes(0, 1), d.swapaxes(0, 1))
     for k, (y, y_slopes) in enumerate(zip(out, slopes)):
         y[1:] = block[1:, k]
         y_slopes[:] = d[:, k]
 
 
-def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
-    """Carry each span's state ``out[j][0]`` over its node times ``ts[j]``
-    into ``out[j][1:]``.
+def _magnus_span(mu_bar: Expr, ts, out, slopes) -> None:
+    """Carry each kmu span's state ``out[j][0]`` over its node times
+    ``ts[j]`` into ``out[j][1:]``.
 
     Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
     & Ros, Phys. Rep. 470, 2009), in long double.  The spans are stepped
@@ -342,19 +366,44 @@ def _magnus_span(variant, mu_bar: Expr, ts, out, slopes) -> None:
     product per step while more than one span is left.  A span's states do
     not depend on the others.  ``out[j]`` is an (n_j + 1, 10) long-double
     array or view, ``slopes[j]`` a float64 one that receives a(t) Y at
-    every node.  Raises at the first node, in steps from the start, whose
-    state or slope has no finite float64 value, which every reader of the
-    states needs.
+    every node after the first (``_check_finite`` on each block).
     """
-    steps = [_span_steps(variant, mu_bar, *span) for span in zip(ts, out, slopes)]
+    steps = [_span_steps(mu_bar, *span) for span in zip(ts, out)]
     s = 0
     while live := [j for j, t in enumerate(ts) if len(t) - 1 > s]:
         e = min([s + _MAGNUS_BLOCK // len(live)] + [len(ts[j]) - 1 for j in live])
-        _magnus_block(variant, [[q[s:e] for q in steps[j]] for j in live],
+        _magnus_block([[q[s:e] for q in steps[j]] for j in live],
                       [out[j][s:e + 1] for j in live],
                       [slopes[j][s + 1:e + 1] for j in live],
                       [ts[j][s + 1:e + 1] for j in live])
         s = e
+
+
+def _closed_form_span(mu_bar: Expr, ts, out, slopes) -> None:
+    """Write the kmup solution at the node times ``ts[1:]`` of a span that
+    starts at t = 0 into ``out[1:]``, and a(t) Y there into ``slopes[1:]``.
+
+    With f = int_0^t (mu + 2), lam = e^{-f} and A = -2 int_0^t lam, the
+    flow's exact solution is F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh A
+    + M3 cosh A) and B = lam M1.  f and A are sums of three-node
+    Gauss-Legendre quadratures over the steps, lam at each Gauss node from
+    f at its step's start and one partial quadrature (``_steps``), all in
+    long double.
+    """
+    t = np.asarray(ts, np.longdouble)
+    mu_nodes, _, rise, rise_stage = _steps("kmup", mu_bar, t[:-1], t[1:])
+    out[1:, 9] = np.cumsum(rise)
+    lam_stage = np.exp(-(out[:-1, 9, None] + rise_stage))
+    a = np.cumsum(-2 * np.diff(t) * (lam_stage @ _GAUSS_W))
+    lam = np.exp(-out[1:, 9])
+    y = out[1:, :9]
+    y[:] = 0
+    y[:, 1], y[:, 2] = np.cosh(a), np.sinh(a)
+    y[:, 4], y[:, 5] = -lam * y[:, 2], -lam * y[:, 1]
+    y[:, 6] = lam
+    for s in range(1, len(t), _BLOCK):  # blocks bound rhs' temporaries
+        slopes[s:s + _BLOCK] = rhs("kmup", out[s:s + _BLOCK],
+                                   mu_nodes[s - 1:s - 1 + _BLOCK])
 
 
 @dataclass
@@ -364,7 +413,8 @@ class Trajectory:
     Nodes are uniformly spaced by ``step`` and include t=0 with the variant's
     initial conditions.  ``derivs`` holds the ODE right-hand side at every
     node: the slopes of the dense output, and through :meth:`slopes` the
-    exact t-partials of the Darboux model fields.
+    exact t-partials of the kmu Darboux model fields; the kmup ones come
+    from :meth:`exponents`.
     """
 
     variant: str
@@ -409,6 +459,23 @@ class Trajectory:
             out[off] = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
         return out
 
+    def exponents(self, ts):
+        """f, e^A and A' = -2 e^{-f} of the kmup solution
+        (``_closed_form_span``) at arbitrary times, long double: at stored
+        nodes e^A = f2 + f3 of the node state, elsewhere one partial
+        Gauss-Legendre step of f and A from the nearest node."""
+        ts = np.asarray(ts, np.longdouble)
+        _, nearest, off = self._locate(ts)
+        y = self.states[nearest]
+        f, ea = y[:, 9], y[:, 1] + y[:, 2]
+        if off.any():
+            t0, t = self.times[nearest[off]].astype(np.longdouble), ts[off]
+            _, _, rise, rise_stage = _steps("kmup", self.mu_bar, t0, t)
+            lam_stage = np.exp(-(f[off, None] + rise_stage))
+            ea[off] *= np.exp(-2 * (t - t0) * (lam_stage @ _GAUSS_W))
+            f[off] += rise
+        return f, ea, -2 * np.exp(-f)
+
     def slopes(self, ts) -> np.ndarray:
         """float64 ODE slopes a(t) Y, plus f', at arbitrary times: the
         stored node slopes at stored nodes, elsewhere ``rhs`` at
@@ -424,8 +491,8 @@ class Trajectory:
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
               step: float = 1e-3) -> Trajectory:
-    """Integrate from t=0 forward to t1 and backward to t0, both
-    directions stepped together.
+    """Integrate from t=0 forward to t1 and backward to t0: kmu by Magnus
+    steps, both directions stepped together, kmup in closed form.
 
     ``step`` must be positive and at most 1e-2; endpoints are realized as
     integer numbers of steps (rounded), at least one in all.  A node count
@@ -454,11 +521,20 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
         raise ValueError(f"step {step} needs {n_back + n_fwd + 1} nodes, "
                          f"which cannot be allocated ({ex})") from None
     states[n_back] = initial_state(variant)
-    spans = (slice(n_back, None), slice(n_back, None, -1))
-    # the span raises at the first non-finite node: no overflow warnings first
+    derivs[n_back] = rhs(variant, states[n_back],
+                         mu_bar(times[n_back:n_back + 1])[0])
+    spans = [(times[s], states[s], derivs[s])
+             for s in (slice(n_back, None), slice(n_back, None, -1))
+             if len(times[s]) > 1]
+    # a non-finite node raises: no overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
-        _magnus_span(variant, mu_bar, [times[s] for s in spans],
-                     [states[s] for s in spans], [derivs[s] for s in spans])
+        if variant == "kmu":
+            _magnus_span(mu_bar, *zip(*spans))
+        else:
+            for span in spans:
+                _closed_form_span(mu_bar, *span)
+            ts, ys, ds = ([q[1:] for q in qs] for qs in zip(*spans))
+            _check_finite(ts, ys, ds)
     return Trajectory(variant, mu_bar, step, times, states, derivs)
 
 

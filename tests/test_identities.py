@@ -968,8 +968,7 @@ class TestStagedContractions:
 
 
 # kmup-darboux sweeps of the benchmark (darboux-sweep, seed 6, op 1): at
-# t = -1, cond g is 1.1e10 and 1.1e9, and the adapted frame's Gram defect
-# 4.6e-7 and 1.0e-7
+# t = -1, cond g is 1.1e10 and 1.1e9
 TRACE_SWEEP_MUS = ("0.864012406563916", "0.7161946963734861")
 
 
@@ -978,11 +977,14 @@ TRACE_SWEEP_MUS = ("0.864012406563916", "0.7161946963734861")
 @pytest.mark.parametrize("mu", TRACE_SWEEP_MUS)
 def test_traces_against_long_double_inverse_metric(mu):
     # at t = -1 each TR_* residual is within 1e-8 relative (plus a billionth
-    # of its tolerance) of the long-double trace with a long-double g^-1
-    # (measured: 8.2e-11 and 5.8e-10 relative on TR_HP; TR_PHI and TR_H
-    # read 0 in both).  The adapted frame's trace, whose Gram defect the
-    # large entries of nabla h' multiply, reads TR_HP 25 times low at
-    # mu = 0.864 (5.5e-6 against 1.388e-4) and 1.45 times high at 0.716.
+    # of its tolerance) of the long-double trace with a long-double g^-1.
+    # The closed-form data leave TR_HP at rounding (measured: 4.1e-14 and
+    # 1.1e-13 in long double, 4.1e-14 and 1.2e-15 from it in float64,
+    # against 5.0e-14 allowed); TR_PHI and TR_H read 0 in both.
+    # Negative control: the Cholesky frame with a planted Gram defect of
+    # 1e-7 (the size of the adapted frame's while phi carried the Magnus
+    # states' compatibility error) reads TR_HP off by at least 2.1e-5, over
+    # 4e8 times that bound.
     model = build_darboux_model(DarbouxParams("kmup", mu, (-1.0, 1.0)))
     p = _plan_probe(model, SamplePlan(grid=3))
     at = p.pts[:, 2] == -1.0
@@ -994,11 +996,15 @@ def test_traces_against_long_double_inverse_metric(mu):
         staged = IDENTITIES[ident].fn(p)[at]
         assert np.all(np.abs(staged - exact)
                       <= 1e-8 * exact + 1e-9 * IDENTITIES[ident].tol()), ident
-    frame, target = p.frame, _ref_q_xi(p) + 2.0 * p.xi
+    frame = p.factors[1].copy()
+    frame[:, 1] *= np.sqrt(1 + 1e-7)
+    assert np.allclose(_gram_defect(p, frame), 1e-7, rtol=1e-6)
+    target = _ref_q_xi(p) + 2.0 * p.xi
     in_frame = g_norm(np.einsum("nkij,nak,naj->ni", p.nabla_hp, frame, frame)
                       - target, p.g)[at]
     exact = _ref_trace(ld, "TR_HP", ginv)[at]
-    assert np.all(np.abs(in_frame - exact) > 0.4 * exact)
+    assert np.all(np.abs(in_frame - exact)
+                  > 1e8 * (1e-8 * exact + 1e-9 * IDENTITIES["TR_HP"].tol()))
 
 
 @pytest.mark.parametrize("fixture", APPLICABLE)
@@ -1015,9 +1021,10 @@ def test_cholesky_frame_spans_ker_eta_in_its_first_two_rows(request, fixture):
 @pytest.mark.parametrize("mu", [TRACE_SWEEP_MUS[0], "1"])
 def test_cholesky_frame_is_orthonormal_where_phi_is_not_compatible(mu):
     # E is built from g alone: on these kmup-darboux sweep plans E g E^T - I
-    # stays within 1e-15 (measured 3.3e-16 and 2.2e-16), where the adapted
-    # frame (xi, X, phi X), built from phi, carries phi's compatibility
-    # error (measured 4.6e-7 and 6.2e-6)
+    # stays within 1e-15 (measured 2.2e-16 at both).  The adapted frame
+    # (xi, X, phi X), built from phi, carried phi's compatibility error
+    # while the kmup states came from Magnus steps (measured 4.6e-7 and
+    # 6.2e-6); with the closed form it reads 2.2e-16 and 3.3e-16
     model = build_darboux_model(DarbouxParams("kmup", mu, (-1.0, 1.0)))
     p = _plan_probe(model, SWEEP_PLAN)
     assert np.max(_gram_defect(p, p.factors[1])) <= 1e-15
@@ -1527,6 +1534,40 @@ def test_random_chart_models_pass_the_suite_to_rounding(variant, mu, f, r):
     for rep in check_suite(model, "all", plan):
         if rep.verdict != "not-applicable":
             assert rep.residual <= 1e-11 * cond, (rep.id, rep.residual, cond)
+
+
+def _worst_kmup_darboux_residual(mu):
+    """The largest residual of a grid-3 suite on kmup-darboux over [-1, 1]."""
+    model = build_darboux_model(DarbouxParams("kmup", mu, (-1.0, 1.0)))
+    return max(rep.residual for rep in check_suite(model, "all", SamplePlan(grid=3))
+               if rep.verdict != "not-applicable")
+
+
+@settings(max_examples=30, deadline=None)
+@given(ends=st.lists(st.floats(min_value=-0.2, max_value=1.0), min_size=2,
+                     max_size=2).map(sorted),
+       w=st.floats(min_value=0.5, max_value=3.0))
+def test_random_kmup_darboux_models_pass_the_suite_to_rounding(ends, w):
+    # mu = a + b sin(wt) within [-0.2, 1.0] on t in [-1, 1], where A reaches
+    # 12.7 and cond g 1e11: with the closed-form data every residual is
+    # rounding in the orthonormal frame, at most 5.7e-13 over 3,000 random
+    # models and 4.0e-13 at the range's ends (mu = 1.0, -0.2, 0.4 +- 0.6 sin)
+    a, b = (ends[0] + ends[1]) / 2, (ends[1] - ends[0]) / 2
+    assert _worst_kmup_darboux_residual(f"{a!r} + {b!r}*sin({w!r}*t)") <= 1e-12
+
+
+def test_random_kmup_darboux_check_sees_a_wrong_sign_of_a_prime(monkeypatch):
+    # the check above has teeth: A' = +2 lam in the model's jets leaves
+    # residuals of at least 30 (measured at mu = -0.2, 0, 1 and 0.3 + 0.2
+    # sin 2t)
+    exponents = ode.Trajectory.exponents
+
+    def wrong_sign(self, ts):
+        f, ea, slope = exponents(self, ts)
+        return f, ea, -slope
+
+    monkeypatch.setattr(ode.Trajectory, "exponents", wrong_sign)
+    assert _worst_kmup_darboux_residual("0.3 + 0.2*sin(2*t)") >= 1.0
 
 
 @pytest.mark.parametrize("fixture", ["kmu_chart", "kmu_darboux"])

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kenmotsu3 import ode
 from kenmotsu3.exprs import parse_expr
 from kenmotsu3.models import DarbouxParams, build_darboux_model
 from kenmotsu3.ode import (
@@ -149,7 +150,7 @@ class TestIntegrate:
         tr = integrate("kmu", mu, (0.0, 1.0), 1e-3)
         back = np.empty_like(tr.states)
         back[0] = tr.states[-1]
-        _magnus_span("kmu", mu, [tr.times[::-1]], [back], [np.empty(back.shape)])
+        _magnus_span(mu, [tr.times[::-1]], [back], [np.empty(back.shape)])
         assert np.max(np.abs(back[-1] - tr.states[0])) <= 1e-12
 
     def test_step_halving_reduces_drift_32x(self):
@@ -207,11 +208,12 @@ class TestIntegrate:
         assert tr.times.tolist() == [0.0, 0.01]
 
     def test_peak_memory(self):
-        # both directions' step data live at once, but a block's
-        # temporaries die with it and mu's sample times are written
-        # straight into one float64 array: the peak (1,077,350 bytes) stays
-        # within the 1,162,982 that stepping one direction after the other,
-        # all in long double, took
+        # the closed form's quadratures take one direction after the other,
+        # mu's sample times are written straight into one float64 array and
+        # the slopes are formed in blocks: the peak (980,010 bytes; 1,077,350
+        # with the Magnus steps of both directions at once) stays within the
+        # 1,162,982 that stepping one direction after the other, all in long
+        # double, took
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
         integrate("kmup", mu, (-1.0, 1.0), 1e-3)
         tracemalloc.start()
@@ -252,7 +254,9 @@ class TestIntegrate:
 
 def _per_step_magnus(variant, mu, t_range, step):
     """Reference Magnus: scalar mu calls, one step at a time, forward then
-    backward over the nodes of ``integrate``."""
+    backward over the nodes of ``integrate``.  ``integrate`` steps kmu this
+    way; for kmup it is the integrator's reference, which converges to the
+    closed form at sixth order."""
     def span(n, h):
         ys = [initial_state(variant).astype(np.longdouble)]
         for i in range(n):
@@ -279,10 +283,46 @@ def _per_step_magnus(variant, mu, t_range, step):
     return np.array(span(n_back, -step)[:0:-1] + span(n_fwd, step))
 
 
+def _per_step_closed_form(mu, t_range, step):
+    """Reference kmup solution: scalar mu calls, f and A = -2 int lam summed
+    one step at a time, forward then backward over the nodes of
+    ``integrate``, and F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh A + M3
+    cosh A), B = lam M1 at each node."""
+    def span(n, h):
+        ys = [initial_state("kmup").astype(np.longdouble)]
+        a = np.longdouble(0)
+        for i in range(n):
+            f, t = ys[-1][9], np.longdouble(i * h)
+            dt = np.longdouble((i + 1) * h) - t
+            off = dt * _GAUSS_C
+            mus = np.array([mu(float(t + o)) for o in off], np.longdouble)
+            quad = np.array([[mu(float(o * c + t)) for c in _GAUSS_C]
+                             for o in off])
+            lam = np.exp(-(f + off * (quad @ _GAUSS_W + 2)))
+            a += -2 * dt * (lam @ _GAUSS_W)
+            y = np.zeros(10, np.longdouble)
+            y[9] = f + dt * ((mus + 2) @ _GAUSS_W)
+            y[1], y[2], y[6] = np.cosh(a), np.sinh(a), np.exp(-y[9])
+            y[4], y[5] = -y[6] * y[2], -y[6] * y[1]
+            ys.append(y)
+        return ys
+
+    n_back = int(round(-t_range[0] / step))
+    n_fwd = int(round(t_range[1] / step))
+    return np.array(span(n_back, -step)[:0:-1] + span(n_fwd, step))
+
+
+def _per_step_reference(variant, mu, t_range, step):
+    """The states ``integrate`` gives, one step at a time."""
+    if variant == "kmu":
+        return _per_step_magnus("kmu", mu, t_range, step)
+    return _per_step_closed_form(mu, t_range, step)
+
+
 class TestArrayPath:
-    """mu on the whole span at once and batched exponentials give the states
-    of a per-step computation, and the node slopes of a per-node one, bit
-    for bit."""
+    """mu on the whole span at once, batched exponentials (kmu) and
+    cumulative sums (kmup) give the states of a per-step computation, and
+    the node slopes of a per-node one, bit for bit."""
 
     CASES = [(v, m) for v in ("kmu", "kmup")
              for m in ("0.3+0.2*sin(2*t)", "exp(t)-0.5")]
@@ -291,7 +331,7 @@ class TestArrayPath:
     def test_states_match_scalar_mu_reference(self, variant, mu):
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-0.2, 0.2), 1e-3)
-        ref = _per_step_magnus(variant, expr, (-0.2, 0.2), 1e-3)
+        ref = _per_step_reference(variant, expr, (-0.2, 0.2), 1e-3)
         assert np.array_equal(tr.states, ref)
 
     @pytest.mark.parametrize("variant,mu", CASES)
@@ -311,7 +351,7 @@ class TestArrayPath:
         # and kmup's f is still summed from t = 0 there
         expr = parse_expr("0.3+0.2*sin(2*t)", "t")
         tr = integrate(variant, expr, t_range, 1e-3)
-        ref = _per_step_magnus(variant, expr, t_range, 1e-3)
+        ref = _per_step_reference(variant, expr, t_range, 1e-3)
         assert np.array_equal(tr.states, ref)
         mus = expr(tr.times)
         expected = np.array([rhs(variant, tr.states[i], mus[i])
@@ -442,6 +482,65 @@ class TestLongDoubleStates:
         for field in (model.phi, model.xi, model.eta, model.g, model.k_nom,
                       model.lam_nom):
             assert field(pts).dtype == np.float64, field.name
+
+
+class TestKmupClosedForm:
+    """integrate("kmup", ...) solves the flow by two quadratures, f and
+    A = -2 int lam, with no Magnus step."""
+
+    WIDE = TestLongDoubleStates.WIDE
+
+    def test_runs_no_magnus_block(self, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("a Magnus block ran")
+
+        monkeypatch.setattr(ode, "_magnus_block", stepped)
+        mu = parse_expr("0.3+0.2*sin(2*t)", "t")
+        tr = integrate("kmup", mu, (-1.0, 1.0), 1e-3)
+        assert np.isfinite(tr.derivs).all()
+        with pytest.raises(AssertionError, match="Magnus block"):
+            integrate("kmu", mu, (-1.0, 1.0), 1e-3)
+
+    @WIDE
+    @pytest.mark.parametrize("mu", [-1.0, -0.2, 0.0, 0.5, 1.0])
+    def test_exponent_matches_constant_mu_form(self, mu):
+        # for constant mu, A = w (lam - 1) with w = 2/(mu+2): e^A = f2 + f3
+        # and e^{-A} = f2 - f3 within 1e-16 of e^A and of f2 (measured at
+        # most 2.4e-17 and 3.8e-18, both at mu = -0.2; A reaches 12.7 at
+        # mu = 1, where e^{-A} is 3e-6 and f2 1.7e5)
+        tr = integrate("kmup", parse_expr(repr(mu), "t"), (-1.0, 1.0), 1e-3)
+        mp2 = np.longdouble(mu) + 2
+        a = 2 / mp2 * (np.exp(-mp2 * tr.times.astype(np.longdouble)) - 1)
+        f2, f3 = tr.states[:, 1], tr.states[:, 2]
+        assert np.all(np.abs(f2 + f3 - np.exp(a)) <= 1e-16 * np.exp(a))
+        assert np.all(np.abs(f2 - f3 - np.exp(-a)) <= 1e-16 * f2)
+
+    @WIDE
+    def test_mu_minus_two(self):
+        # mu = -2: f = 0, lam = 1 and A = -2t, where the constant-mu form
+        # w (lam - 1) divides 0 by 0; the quadrature gives e^A within 1e-17
+        # of e^{-2t} (measured 1.6e-18)
+        tr = integrate("kmup", parse_expr("-2", "t"), (-1.0, 1.0), 1e-3)
+        assert not tr.states[:, 9].any()
+        e = np.exp(-2 * tr.times.astype(np.longdouble))
+        assert np.all(np.abs(tr.states[:, 1] + tr.states[:, 2] - e) <= 1e-17 * e)
+
+    @WIDE
+    def test_magnus_reference_converges_at_sixth_order(self):
+        # the sixth-order Magnus stepper converges to the closed form: on
+        # [-1, 0] at mu = 0.3 + 0.2 sin 2t its largest error, relative to
+        # each node's largest component, falls from 1.6e-9 at step 1e-2 to
+        # 2.5e-11 at 5e-3 (ratio 63.7; 2^6 = 64), far above the long-double
+        # rounding of either
+        mu = parse_expr("0.3+0.2*sin(2*t)", "t")
+        exact = integrate("kmup", mu, (-1.0, 0.0), 1e-3).states[:, :9]
+        errs = []
+        for step in (1e-2, 5e-3):
+            ref = exact[::round(step / 1e-3)]
+            ys = _per_step_magnus("kmup", mu, (-1.0, 0.0), step)[:, :9]
+            errs.append(np.max(np.abs(ys - ref)
+                               / np.max(np.abs(ref), axis=1, keepdims=True)))
+        assert errs[1] >= 1e-12 and errs[0] / errs[1] >= 48
 
 
 class TestMetricFromState:
