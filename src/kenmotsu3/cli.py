@@ -191,9 +191,11 @@ def cmd_sweep(args) -> int:
         for r in reports:
             if r.verdict == "not-applicable":
                 continue
-            slot = worst.setdefault(r.id, {"residual": -1.0, "mu": None})
-            if r.residual > slot["residual"]:
-                worst[r.id] = {"residual": r.residual, "mu": mu,
+            kept = worst.get(r.id)
+            # a NaN residual fails and is the worst (identities._merge)
+            if kept is None or (kept["residual"] is not None
+                                and not r.residual <= kept["residual"]):
+                worst[r.id] = {"residual": r.as_dict()["residual"], "mu": mu,
                                "tolerance": r.tolerance, "verdict": r.verdict}
         print(f"mu={mu:g}: {sub_overall}")
     doc = {

@@ -94,16 +94,6 @@ class SamplePlan:
     def points(self, model: AlmostContactModel) -> np.ndarray:
         box = self.resolved_box(model)
         axes = [np.linspace(lo, hi, self.grid) for lo, hi in box]
-        if model.trajectory is not None:
-            # snap the t-axis to stored nodes, so the fields read node
-            # states and slopes, not the Hermite interpolant; a time that
-            # snaps by more than half a step lies past the integrated range
-            traj = model.trajectory
-            nodes = np.round((axes[2] - traj.t_min) / traj.step).astype(int)
-            if nodes.min() < 0 or nodes.max() >= len(traj.times):
-                raise ValueError(f"sample box {box!r} leaves the integrated "
-                                 f"t-range [{traj.t_min}, {traj.t_max}]")
-            axes[2] = traj.times[nodes]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         inside = np.atleast_1d(model.domain.contains(pts))
         if not inside.all():

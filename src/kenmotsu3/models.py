@@ -35,7 +35,7 @@ import numpy as np
 
 from .exprs import Expr, Jet, parse_expr
 from .fields import ChartDomain
-from .ode import M2, _as_matrix, integrate, metric_from_state
+from .ode import M2, _as_matrix, integrate, metric_from_state, rhs
 from .structure import _FIELDS, AlmostContactModel
 
 __all__ = [
@@ -272,14 +272,16 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     Every field depends on t alone and carries its exact t-partials: mu
     from ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is
     fine at t = -1), lam = e^{-f} and k = -1 - e^{-2f} by the chain rule
-    from f and f', and the others, for kmu, from the ODE slopes: F' = 2H,
-    F'' = 2H', d_t^k g = e^{2t}((2 + d_t)^k G) with G^(k) = -M2 F^(k); for
-    kmup from the closed form's e^{+-A} and A' (``Trajectory.exponents``).
+    from f and f', and the others, for kmu, from the ODE slopes at the
+    state (``Trajectory.dense``): F' = 2H, F'' = 2H', d_t^k g = e^{2t}((2 +
+    d_t)^k G) with G^(k) = -M2 F^(k); for kmup from the closed form's
+    e^{+-A}, read off the state as e^A = f2 + f3, and A'.  The default box's
+    t-interval is the integrated range.
     """
     mu_bar = params.resolved()
     t0, t1 = map(float, params.t_range)
     traj = integrate(params.variant, mu_bar, (t0, t1), params.step)
-    metric_from_state(traj.times, traj.states)  # raises on PD failure
+    metric_from_state(traj.times, traj.states, params.variant)  # G is PD
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
@@ -287,10 +289,12 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     def kmu_cells(ts, mu):
         """F's (0, 0), (0, 1), (1, 0) entries, e^{2t} G's (0, 0), (0, 1),
         (1, 1) and f, each with its first and second t-derivative, from the
-        t-derivatives of the state, each looked up once.  Each order of
-        e^{2t} G is its own sum by ``_EXP2T_RULE``: the jets' product rule
-        on e^{2t} and G would round the t-partials differently."""
-        state, slope = traj.dense(ts), traj.slopes(ts)
+        state and its slope, the ODE right-hand side there, looked up once
+        and rounded to float64.  Each order of e^{2t} G is its own sum by
+        ``_EXP2T_RULE``: the jets' product rule on e^{2t} and G would round
+        the t-partials differently."""
+        y = traj.dense(ts)
+        state, slope = y.astype(float), rhs("kmu", y, mu).astype(float)
         fs = [_as_matrix(state[:, 0:3]), _as_matrix(slope[:, 0:3]),
               2.0 * _as_matrix(slope[:, 3:6])]
         gs = [-M2 @ m for m in fs]
@@ -305,9 +309,10 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
         """The same cells in closed form: F = [[0, e^A], [-e^{-A}, 0]] and
         e^{2t} G = diag(e^{2t-A}, e^{2t+A}), with A' = -2 lam and A'' =
         2 (mu+2) lam, each entry formed in long double and rounded once."""
-        f, ea, a1 = traj.exponents(ts)
+        y = traj.dense(ts)
+        f, ea = y[:, 9], y[:, 1] + y[:, 2]
         mu2 = mu.astype(np.longdouble) + 2
-        a2 = 2 * mu2 * np.exp(-f)
+        a1, a2 = -2 * np.exp(-f), 2 * mu2 * np.exp(-f)
         e2t = np.exp(2 * ts.astype(np.longdouble))
 
         def exp_orders(e, d1, d2):  # e = exp(u) and u', u'': e, e', e''
@@ -342,7 +347,7 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
                  "g": lambda *c: {**dict(zip(_CORNER, c[4:8])), (2, 2): 1.0},
                  **_DT},
         domain, family=f"{params.variant}-darboux",
-        default_box=(params.xy_box[0], params.xy_box[1], (t0, t1)),
+        default_box=(*params.xy_box, (traj.t_min, traj.t_max)),
         params={"mu": str(mu_bar), "t_range": [t0, t1], "step": params.step,
                 "xy_box": [list(iv) for iv in params.xy_box]},
         trajectory=traj,

@@ -39,8 +39,9 @@ double (np.longdouble).
          + M3 cosh A) and B = lam M1; f and A are sums of three-node
          Gauss-Legendre quadratures over the steps.  No Magnus step runs.
 
-The node slopes a(t) Y of the cubic-Hermite dense output and the dense
-output itself are float64.
+``Trajectory.dense`` is the one lookup of the solution: long-double
+states, the node state at a stored node and elsewhere one partial step of
+the variant's own scheme from the nearest node.
 """
 
 from __future__ import annotations
@@ -182,14 +183,19 @@ def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
     return out
 
 
-def metric_from_state(t, y) -> np.ndarray:
+def metric_from_state(t, y, variant: str = "kmu") -> np.ndarray:
     """G = -M2 F = [[f2-f3, f1], [f1, f2+f3]]; symmetric positive definite.
 
     ``t`` has shape (...) and ``y`` shape (..., 10); raises
-    :class:`ConsistencyError` at the first node whose G is not.
+    :class:`ConsistencyError` at the first node whose G is not.  kmup's G
+    is diag(e^{-A}, e^A), whose f2 - f3 cancels once e^{2A} passes the
+    rounding of f2: it is positive definite where e^A = f2 + f3 is finite
+    and positive.
     """
     g = -M2 @ _as_matrix(y[..., 0:3])
-    bad = np.ravel(~((g[..., 0, 0] > 0) & (_det_g(y) > 0)))
+    ok = ((g[..., 0, 0] > 0) & (_det_g(y) > 0) if variant == "kmu"
+          else (g[..., 1, 1] > 0) & (g[..., 1, 1] < np.inf))
+    bad = np.ravel(~ok)
     if bad.any():
         i = int(np.argmax(bad))
         raise ConsistencyError(
@@ -209,8 +215,9 @@ _SQRT15 = np.sqrt(np.longdouble(15))
 _GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10])
 _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
                      np.longdouble(5) / 18])
-# nodes per batch of CSV rows or of kmup slopes, and Magnus steps per block,
-# counted over the spans stepped together: bound the long-double temporaries
+# nodes per batch of CSV rows or of checked slopes, and Magnus steps per
+# block, counted over the spans stepped together: bound the long-double
+# temporaries
 _BLOCK = 128
 _MAGNUS_BLOCK = 256
 # exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
@@ -277,84 +284,78 @@ def _expm(om: np.ndarray) -> np.ndarray:
 
 def _steps(variant, mu_bar: Expr, t, t_end):
     """Quadrature data of the steps from the times ``t`` to ``t_end``
-    (long double, (m,)): mu at the ends and at the three Gauss nodes
-    ``t + off`` of each step, and f's rise over each step and from ``t`` to
-    each Gauss node.
+    (long double, (m,)): mu at the three Gauss nodes ``t + off`` of each
+    step, and f's rise over each step and from ``t`` to each Gauss node.
 
-    mu comes from one call, at the ends, the Gauss nodes and, for kmup, the
-    Gauss nodes of each [t, t + off], none of which lies past a step's end.
-    f rises at the rate 2 for kmu; for kmup its rise is Gauss-Legendre
+    mu comes from one call, at the Gauss nodes and, for kmup, the Gauss
+    nodes of each [t, t + off], none of which lies past a step's end.  f
+    rises at the rate 2 for kmu; for kmup its rise is Gauss-Legendre
     quadrature of mu + 2.
     """
     m = len(t)
     off = (t_end - t)[:, None] * _GAUSS_C            # Gauss nodes - t: (m, 3)
-    at = np.empty(m * (4 if variant == "kmu" else 13))
-    at[:m] = t_end
-    at[m:4 * m].reshape(m, 3)[:] = t[:, None] + off
+    at = np.empty(m * (3 if variant == "kmu" else 12))
+    at[:3 * m].reshape(m, 3)[:] = t[:, None] + off
     if variant == "kmup":  # Gauss nodes of each [t, t + off]: (m, 3, 3)
-        quad = at[4 * m:].reshape(m, 3, 3)
+        quad = at[3 * m:].reshape(m, 3, 3)
         for c in range(3):
             quad[..., c] = off * _GAUSS_C[c] + t[:, None]
     mus = mu_bar(at)
-    mu_stage = mus[m:4 * m].reshape(m, 3)
+    mu_stage = mus[:3 * m].reshape(m, 3)
     if variant == "kmu":
         rise, rate = 2 * (t_end - t), 2
     else:
         rise = (t_end - t) * ((mu_stage.astype(np.longdouble) + 2) @ _GAUSS_W)
-        rate = mus[4 * m:].reshape(m, 3, 3) @ _GAUSS_W + 2
-    # copies: the kmup quadrature values need not outlive this call
-    return mus[:m].copy(), mu_stage.copy(), rise, off * rate
+        rate = mus[3 * m:].reshape(m, 3, 3) @ _GAUSS_W + 2
+    return mu_stage, rise, off * rate
 
 
-def _span_steps(mu_bar: Expr, ts, out):
-    """The kmu step data of the span over the node times ``ts`` that starts
-    at the state ``out[0]``: writes f = 2t into ``out[1:, 9]`` and returns,
-    per step, h, mu at its end node, and mu and lam^2 at its Gauss nodes."""
-    t = np.asarray(ts, np.longdouble)
-    mu_nodes, mu_stage, _, rise = _steps("kmu", mu_bar, t[:-1], t[1:])
-    out[1:, 9] = out[0, 9] + 2 * (t[1:] - t[0])
-    return np.diff(t), mu_nodes, mu_stage, np.exp(-2 * (out[:-1, 9, None] + rise))
+def _kmu_steps(mu_bar: Expr, t, t_end, f):
+    """The kmu Magnus steps from the times ``t`` to ``t_end`` (long double,
+    (m,)) that start at f = ``f``: their lengths, and mu and lam^2 at their
+    Gauss nodes."""
+    mu_stage, _, rise = _steps("kmu", mu_bar, t, t_end)
+    return t_end - t, mu_stage, np.exp(-2 * (f[:, None] + rise))
 
 
-def _check_finite(ts, states, slopes) -> None:
-    """Raise at the first node, in steps from the start, of the spans
-    ``states[k]`` (long double) and ``slopes[k]`` (their a(t) Y, before or
-    after rounding) over the node times ``ts[k]`` whose state or slope has
-    no finite float64 value, which every reader of the states needs; spans
-    tie in their order."""
-    bad = [np.flatnonzero(~((np.abs(y) <= _FLOAT64_MAX)
-                            & (np.abs(d) <= _FLOAT64_MAX)).all(axis=-1))
-           for y, d in zip(states, slopes)]
-    first = [(b[0], k) for k, b in enumerate(bad) if len(b)]
-    if first:
-        i, k = min(first)
-        raise ConsistencyError(
-            f"ODE state non-finite in float64 at t={ts[k][i]}")
+def _magnus_flow(h, mu_stage, lam2) -> np.ndarray:
+    """exp(Omega) of each kmu Magnus step (``_kmu_steps``): (..., 3, 3)."""
+    a = _generator("kmu", lam2, mu_stage.astype(np.longdouble))
+    return _expm(_magnus_exponent(a * h[..., None, None, None]))
 
 
-def _magnus_block(steps, out, slopes, ts) -> None:
+def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
+    """Raise at the node whose state (long double) or slope a(t) Y has no
+    finite float64 value, which every reader of the states needs: the
+    bad node fewest steps from t = 0 = ``times[n0]``, the later on a tie.
+    The slopes are formed ``_BLOCK`` nodes at a time and not kept."""
+    mu = mu_bar(times)
+    finite = [(np.abs(y) <= _FLOAT64_MAX)
+              & (np.abs(rhs(variant, y, mu[s:s + _BLOCK])) <= _FLOAT64_MAX)
+              for s in range(0, len(times), _BLOCK)
+              for y in [states[s:s + _BLOCK]]]
+    bad = np.flatnonzero(~np.concatenate(finite).all(axis=-1))
+    if len(bad):
+        i = bad[np.argmin(2 * np.abs(bad - n0) + (bad < n0))]
+        raise ConsistencyError(f"ODE state non-finite in float64 at t={times[i]}")
+
+
+def _magnus_block(steps, out) -> None:
     """One block of kmu steps of the spans stepped together: carry the
-    states ``out[k][0]`` into ``out[k][1:]``, and write the slopes at those
-    nodes into ``slopes[k]``.  ``steps[k]`` holds the block's step data of
-    span k (``_span_steps``) and ``ts[k]`` its nodes after the first; all
-    spans have the block's number of steps.  A function of its own, so that
-    no block's temporaries outlive it."""
-    h, mu_nodes, mu_stage, lam2 = (np.stack(q, 1) for q in zip(*steps))
-    flow = _expm(_magnus_exponent(                     # (steps, spans, 3, 3)
-        _generator("kmu", lam2, mu_stage.astype(np.longdouble))
-        * h[..., None, None, None]))
-    block = np.stack(out, 1)
+    states ``out[k][0]`` into ``out[k][1:]``.  ``steps[k]`` holds the
+    block's step data of span k (``_kmu_steps``); all spans have the
+    block's number of steps.  A function of its own, so that no block's
+    temporaries outlive it."""
+    flow = _magnus_flow(*(np.stack(q, 1) for q in zip(*steps)))
+    block = np.stack(out, 1)                           # (steps, spans, ...)
     ys = list(block[..., :9].reshape(block.shape[:2] + (3, 3)))
     for f, y, y_next in zip(flow, ys, ys[1:]):
         np.matmul(f, y, out=y_next)
-    d = rhs("kmu", block[1:], mu_nodes)
-    _check_finite(ts, block[1:].swapaxes(0, 1), d.swapaxes(0, 1))
-    for k, (y, y_slopes) in enumerate(zip(out, slopes)):
+    for k, y in enumerate(out):
         y[1:] = block[1:, k]
-        y_slopes[:] = d[:, k]
 
 
-def _magnus_span(mu_bar: Expr, ts, out, slopes) -> None:
+def _magnus_span(mu_bar: Expr, ts, out) -> None:
     """Carry each kmu span's state ``out[j][0]`` over its node times
     ``ts[j]`` into ``out[j][1:]``.
 
@@ -365,56 +366,59 @@ def _magnus_span(mu_bar: Expr, ts, out, slopes) -> None:
     products Y_{n+1} = exp(Omega_n) Y_n run in sequence, one stacked
     product per step while more than one span is left.  A span's states do
     not depend on the others.  ``out[j]`` is an (n_j + 1, 10) long-double
-    array or view, ``slopes[j]`` a float64 one that receives a(t) Y at
-    every node after the first (``_check_finite`` on each block).
+    array or view; f = 2t is written into its last column first.
     """
-    steps = [_span_steps(mu_bar, *span) for span in zip(ts, out)]
+    steps = []
+    for t, y in zip(ts, out):
+        t = np.asarray(t, np.longdouble)
+        y[1:, 9] = y[0, 9] + 2 * (t[1:] - t[0])
+        steps.append(_kmu_steps(mu_bar, t[:-1], t[1:], y[:-1, 9]))
     s = 0
     while live := [j for j, t in enumerate(ts) if len(t) - 1 > s]:
         e = min([s + _MAGNUS_BLOCK // len(live)] + [len(ts[j]) - 1 for j in live])
         _magnus_block([[q[s:e] for q in steps[j]] for j in live],
-                      [out[j][s:e + 1] for j in live],
-                      [slopes[j][s + 1:e + 1] for j in live],
-                      [ts[j][s + 1:e + 1] for j in live])
+                      [out[j][s:e + 1] for j in live])
         s = e
 
 
-def _closed_form_span(mu_bar: Expr, ts, out, slopes) -> None:
-    """Write the kmup solution at the node times ``ts[1:]`` of a span that
-    starts at t = 0 into ``out[1:]``, and a(t) Y there into ``slopes[1:]``.
-
-    With f = int_0^t (mu + 2), lam = e^{-f} and A = -2 int_0^t lam, the
-    flow's exact solution is F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh A
-    + M3 cosh A) and B = lam M1.  f and A are sums of three-node
-    Gauss-Legendre quadratures over the steps, lam at each Gauss node from
-    f at its step's start and one partial quadrature (``_steps``), all in
-    long double.
-    """
-    t = np.asarray(ts, np.longdouble)
-    mu_nodes, _, rise, rise_stage = _steps("kmup", mu_bar, t[:-1], t[1:])
-    out[1:, 9] = np.cumsum(rise)
-    lam_stage = np.exp(-(out[:-1, 9, None] + rise_stage))
-    a = np.cumsum(-2 * np.diff(t) * (lam_stage @ _GAUSS_W))
-    lam = np.exp(-out[1:, 9])
-    y = out[1:, :9]
-    y[:] = 0
+def _closed_form_rows(y, a) -> None:
+    """Write the kmup solution F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh
+    A + M3 cosh A), B = lam M1 with A = ``a`` and lam = e^{-f}, f =
+    ``y[:, 9]``, into ``y[:, :9]``."""
+    lam = np.exp(-y[:, 9])
+    y[:, :9] = 0
     y[:, 1], y[:, 2] = np.cosh(a), np.sinh(a)
     y[:, 4], y[:, 5] = -lam * y[:, 2], -lam * y[:, 1]
     y[:, 6] = lam
-    for s in range(1, len(t), _BLOCK):  # blocks bound rhs' temporaries
-        slopes[s:s + _BLOCK] = rhs("kmup", out[s:s + _BLOCK],
-                                   mu_nodes[s - 1:s - 1 + _BLOCK])
+
+
+def _closed_form_span(mu_bar: Expr, ts, out) -> None:
+    """Write the kmup solution at the node times ``ts[1:]`` of a span that
+    starts at t = 0 into ``out[1:]``.
+
+    With f = int_0^t (mu + 2), lam = e^{-f} and A = -2 int_0^t lam, the
+    flow's exact solution is ``_closed_form_rows``.  f and A are sums of
+    three-node Gauss-Legendre quadratures over the steps, lam at each Gauss
+    node from f at its step's start and one partial quadrature
+    (``_steps``), all in long double.
+    """
+    t = np.asarray(ts, np.longdouble)
+    rise, rise_stage = _steps("kmup", mu_bar, t[:-1], t[1:])[1:]
+    out[1:, 9] = np.cumsum(rise)
+    lam_stage = np.exp(-(out[:-1, 9, None] + rise_stage))
+    a = np.cumsum(-2 * np.diff(t) * (lam_stage @ _GAUSS_W))
+    _closed_form_rows(out[1:], a)
 
 
 @dataclass
 class Trajectory:
-    """Node-sampled solution with dense cubic-Hermite evaluation.
+    """Node-sampled solution of the variant's flow and its one lookup.
 
-    Nodes are uniformly spaced by ``step`` and include t=0 with the variant's
-    initial conditions.  ``derivs`` holds the ODE right-hand side at every
-    node: the slopes of the dense output, and through :meth:`slopes` the
-    exact t-partials of the kmu Darboux model fields; the kmup ones come
-    from :meth:`exponents`.
+    Nodes are uniformly spaced by ``step`` and include t=0 with the
+    variant's initial conditions; ``states`` holds the long-double state at
+    every node.  :meth:`dense` reads the solution at any time of the
+    integrated range, off the nodes by one partial step of the variant's
+    own scheme.
     """
 
     variant: str
@@ -422,7 +426,6 @@ class Trajectory:
     step: float
     times: np.ndarray    # (m,)
     states: np.ndarray   # (m, 10), long double
-    derivs: np.ndarray   # (m, 10), float64
 
     @property
     def t_min(self) -> float:
@@ -432,60 +435,33 @@ class Trajectory:
     def t_max(self) -> float:
         return float(self.times[-1])
 
-    def _locate(self, ts):
-        """Positions in steps from the first node, the nearest node index and
-        the mask of times that are not a stored node."""
+    def dense(self, ts) -> np.ndarray:
+        """Long-double state vectors at arbitrary times: the node state at a
+        stored node, elsewhere one partial step from the nearest node, for
+        kmu one Magnus step over [t_node, t], for kmup one partial
+        Gauss-Legendre quadrature of f and A (``_closed_form_span``)."""
         ts = np.asarray(ts, float)
         if np.any(ts < self.t_min - 1e-12) or np.any(ts > self.t_max + 1e-12):
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
         pos = (ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
-        return pos, nearest, np.abs(pos - nearest) >= 1e-9
-
-    def dense(self, ts) -> np.ndarray:
-        """float64 state vectors at arbitrary times; the rounded node states
-        at stored nodes."""
-        pos, nearest, off = self._locate(ts)
-        out = self.states[nearest].astype(float)
-        if off.any():  # Darboux models look up node times only
-            idx = np.minimum(np.floor(pos[off]).astype(int), len(self.times) - 2)
-            s = (pos[off] - idx)[:, None]
-            y0, y1 = self.states[idx], self.states[idx + 1]
-            d0, d1 = self.derivs[idx] * self.step, self.derivs[idx + 1] * self.step
-            h00 = 2 * s**3 - 3 * s**2 + 1
-            h10 = s**3 - 2 * s**2 + s
-            h01 = -2 * s**3 + 3 * s**2
-            h11 = s**3 - s**2
-            out[off] = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        return out
-
-    def exponents(self, ts):
-        """f, e^A and A' = -2 e^{-f} of the kmup solution
-        (``_closed_form_span``) at arbitrary times, long double: at stored
-        nodes e^A = f2 + f3 of the node state, elsewhere one partial
-        Gauss-Legendre step of f and A from the nearest node."""
-        ts = np.asarray(ts, np.longdouble)
-        _, nearest, off = self._locate(ts)
-        y = self.states[nearest]
-        f, ea = y[:, 9], y[:, 1] + y[:, 2]
+        out = np.take(self.states, nearest, axis=0)  # a copy, also for a scalar
+        off = np.abs(pos - nearest) >= 1e-9
         if off.any():
-            t0, t = self.times[nearest[off]].astype(np.longdouble), ts[off]
-            _, _, rise, rise_stage = _steps("kmup", self.mu_bar, t0, t)
-            lam_stage = np.exp(-(f[off, None] + rise_stage))
-            ea[off] *= np.exp(-2 * (t - t0) * (lam_stage @ _GAUSS_W))
-            f[off] += rise
-        return f, ea, -2 * np.exp(-f)
-
-    def slopes(self, ts) -> np.ndarray:
-        """float64 ODE slopes a(t) Y, plus f', at arbitrary times: the
-        stored node slopes at stored nodes, elsewhere ``rhs`` at
-        :meth:`dense`."""
-        ts = np.asarray(ts, float)
-        _, nearest, off = self._locate(ts)
-        out = self.derivs[nearest]
-        if off.any():
-            t = ts[off]
-            out[off] = rhs(self.variant, self.dense(t), self.mu_bar(t))
+            t0 = self.times[nearest[off]].astype(np.longdouble)
+            t, y = ts[off].astype(np.longdouble), out[off]
+            if self.variant == "kmu":
+                flow = _magnus_flow(*_kmu_steps(self.mu_bar, t0, t, y[:, 9]))
+                y[:, :9] = (flow @ y[:, :9].reshape(-1, 3, 3)).reshape(-1, 9)
+                y[:, 9] = 2 * t
+            else:
+                rise, rise_stage = _steps("kmup", self.mu_bar, t0, t)[1:]
+                lam_stage = np.exp(-(y[:, 9, None] + rise_stage))
+                a = (np.log(y[:, 1] + y[:, 2])
+                     - 2 * (t - t0) * (lam_stage @ _GAUSS_W))
+                y[:, 9] += rise
+                _closed_form_rows(y, a)
+            out[off] = y
         return out
 
 
@@ -515,15 +491,12 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
                          f"t=0 at step {step}")
     try:  # the largest array first, before any is written
         states = np.empty((n_back + n_fwd + 1, 10), np.longdouble)
-        derivs = np.empty(states.shape)
         times = np.arange(-n_back, n_fwd + 1) * step
     except (MemoryError, ValueError) as ex:
         raise ValueError(f"step {step} needs {n_back + n_fwd + 1} nodes, "
                          f"which cannot be allocated ({ex})") from None
     states[n_back] = initial_state(variant)
-    derivs[n_back] = rhs(variant, states[n_back],
-                         mu_bar(times[n_back:n_back + 1])[0])
-    spans = [(times[s], states[s], derivs[s])
+    spans = [(times[s], states[s])
              for s in (slice(n_back, None), slice(n_back, None, -1))
              if len(times[s]) > 1]
     # a non-finite node raises: no overflow warnings first
@@ -533,9 +506,8 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
         else:
             for span in spans:
                 _closed_form_span(mu_bar, *span)
-            ts, ys, ds = ([q[1:] for q in qs] for qs in zip(*spans))
-            _check_finite(ts, ys, ds)
-    return Trajectory(variant, mu_bar, step, times, states, derivs)
+        _check_finite(variant, mu_bar, times, states, n_back)
+    return Trajectory(variant, mu_bar, step, times, states)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> float:

@@ -3,14 +3,17 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import json
 import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kenmotsu3.cli import main, make_parser
+from kenmotsu3.identities import IDENTITIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -201,6 +204,26 @@ class TestBuild:
             assert not out.exists()
 
 
+class TestDarbouxMetric:
+    def test_kmup_metric_is_checked_without_cancellation(self, tmp_path,
+                                                          capsys):
+        # at mu = 3, A reaches 59 at t = -1, where f2 - f3 = e^{-A} is lost
+        # below the rounding of f2 = cosh A; G = diag(e^{-A}, e^A) is still
+        # positive definite, so the model is built and a box clear of the
+        # blow-up passes.  The whole range fails later, on the conditioning
+        # of g, not on a false loss of positive definiteness
+        out = tmp_path / "m.json"
+        model = ["--family", "kmup-darboux", "--mu", "3"]
+        assert run(["build", *model, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["family"] == "kmup-darboux"
+        assert run(["verify", *model, "--box", "0,1:0,1:-0.2,1"]) == 0
+        capsys.readouterr()
+        assert run(["verify", *model]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: metric condition number 1.647e+51 exceeds "
+                       "1e+12\n"), err
+
+
 class TestTrajectory:
     def test_csv_export(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -245,6 +268,28 @@ class TestSweep:
         worst = doc["worstPerIdentity"]["NULL_KMU"]["residual"]
         per_run = [r["identities"][0]["residual"] for r in doc["runs"]]
         assert worst == max(per_run)
+
+    def test_nan_residual_is_the_worst(self, tmp_path, monkeypatch):
+        # a NaN residual fails its run and is the sweep's worst, as
+        # identities._merge keeps it over later finite ones: its entry
+        # carries the mu, the tolerance and the verdict, the residual null
+        spec, runs = IDENTITIES["PHI12"], [0]
+
+        def nan_at_second_mu(p):
+            runs[0] += 1
+            return spec.fn(p) * (np.nan if runs[0] == 2 else 1.0)
+
+        monkeypatch.setitem(IDENTITIES, "PHI12",
+                            dataclasses.replace(spec, fn=nan_at_second_mu))
+        report = tmp_path / "sweep.json"
+        assert run(["sweep", "--family", "kmu-darboux", "--t-range", "-0.1",
+                    "0.1", "--mu-values", "0,1,2", "--grid", "2",
+                    "--identities", "PHI12", "--report", str(report)]) == 1
+        doc = strict_json(report.read_text())
+        assert runs[0] == 3
+        assert [r["overall"] for r in doc["runs"]] == ["pass", "fail", "pass"]
+        assert doc["worstPerIdentity"] == {"PHI12": {
+            "residual": None, "mu": 1.0, "tolerance": 1e-9, "verdict": "fail"}}
 
     def test_bad_values(self, capsys):
         assert run(["sweep", "--family", "kmu-chart",

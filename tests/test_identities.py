@@ -97,24 +97,40 @@ class TestSamplePlan:
         assert pts.shape == (27, 3)
         assert np.all(pts[:, 2] < -1.0)
 
-    def test_darboux_t_axis_snaps_to_nodes(self, kmu_darboux):
-        pts = SamplePlan(grid=7, seed=0).points(kmu_darboux)
-        traj = kmu_darboux.trajectory
-        pos = (pts[:, 2] - traj.t_min) / traj.step
-        assert np.max(np.abs(pos - np.round(pos))) < 1e-9
-        # a box end less than half a step past the range snaps to its end
-        half = 0.5 * traj.step
-        box = ((0, 1), (0, 1),
-               (traj.t_min - 0.9 * half, traj.t_max + 0.9 * half))
-        pts = SamplePlan(grid=3, box=box).points(kmu_darboux)
+    def test_darboux_default_box_is_the_integrated_range(self):
+        # the requested range's ends round to whole steps: the default box
+        # is the realized range, which the plan samples as it is
+        model = build_darboux_model(DarbouxParams("kmu", "1", (-0.25, 0.25),
+                                                  3e-3))
+        traj = model.trajectory
+        assert (traj.t_min, traj.t_max) == (-0.249, 0.249)
+        assert model.default_box[2] == (traj.t_min, traj.t_max)
+        pts = SamplePlan(grid=3).points(model)
         assert set(pts[:, 2]) == {traj.t_min, 0.0, traj.t_max}
+
+    def test_darboux_suite_passes_off_the_nodes(self):
+        # the plan samples a Darboux box as it is, and one partial Magnus
+        # step serves a time between the nodes as a node serves: at kmu mu
+        # = 1 with every time 0.37 step past a node, every identity passes,
+        # BSQ at 1.5e-10 against 1e-8 (a cubic Hermite on the nodes and
+        # their slopes reads 3.8e-8 there)
+        model = build_darboux_model(DarbouxParams("kmu", "1", (-1.0, 1.0)))
+        step = model.trajectory.step
+        box = ((0, 1), (0, 1), (-0.9 + 0.37 * step, 0.9 + 0.37 * step))
+        reports = check_suite(model, "all", SamplePlan(grid=3, box=box))
+        assert np.allclose([r.max_point[2] / step % 1 for r in reports
+                            if r.max_point], 0.37)
+        assert all(r.verdict in ("pass", "not-applicable") for r in reports)
 
     def test_bad_box_rejected(self, kmu_chart, kmu_darboux):
         with pytest.raises(ValueError):
             SamplePlan(box=((0, 1), (0, 1), (-2, 0))).points(kmu_chart)
-        # a Darboux t-axis past the integrated range is not clamped onto it
-        for t_box in ((-2, 2), (-0.25, 0.3), (-0.3, 0.25)):
-            with pytest.raises(ValueError, match="integrated t-range"):
+        # a Darboux t-axis past the integrated range is not clamped onto it,
+        # even by less than half a step
+        half = 0.5 * kmu_darboux.trajectory.step
+        for t_box in ((-2, 2), (-0.25, 0.3), (-0.3, 0.25),
+                      (-0.25, 0.25 + 0.1 * half)):
+            with pytest.raises(ValueError, match="leaves the chart domain"):
                 SamplePlan(box=((0, 1), (0, 1), t_box)).points(kmu_darboux)
 
 
@@ -1221,17 +1237,17 @@ def test_suite_factors_the_metric_once(request, monkeypatch, fixture):
 # a model of each kind, its leaf jets (``Jet.along``) per suite: the
 # chart's 3 coordinates and lam, mu, f and r; 3 entries each of F and
 # e^{2t} G, f and mu; the baseline's w = c^2 e^{2t}; and its lookups per
-# suite: trajectory states (``dense``) and slopes, expression values
-# (``__call__``) and jets, all in the one pass on jets
+# suite: trajectory states (``dense``), expression values (``__call__``)
+# and jets, all in the one pass on jets
 KEPT_JETS = {
     "kmu_chart": (lambda: build_kmu_chart_model(
         KmuChartParams("z + 1", "sin(z)", "0.1*z^2")), 7,
-        {"dense": 0, "slopes": 0, "__call__": 0, "jet": 4}),
+        {"dense": 0, "__call__": 0, "jet": 4}),
     "kmu_darboux": (lambda: build_darboux_model(
         DarbouxParams("kmu", "sin(t)", (-0.25, 0.25))), 8,
-        {"dense": 1, "slopes": 1, "__call__": 0, "jet": 1}),
+        {"dense": 1, "__call__": 0, "jet": 1}),
     "baseline": (lambda: build_kenmotsu_baseline(1.0), 1,
-                 {"dense": 0, "slopes": 0, "__call__": 0, "jet": 0}),
+                 {"dense": 0, "__call__": 0, "jet": 0}),
 }
 
 
@@ -1280,7 +1296,7 @@ def test_suite_looks_up_states_and_expressions_once_per_pass(monkeypatch,
             return method(self, *args, **kwargs)
         monkeypatch.setattr(cls, name, wrapper)
 
-    for cls, names in ((ode.Trajectory, ("dense", "slopes")),
+    for cls, names in ((ode.Trajectory, ("dense",)),
                        (exprs.Expr, ("__call__", "jet"))):
         for name in names:
             counted(cls, name)
@@ -1557,16 +1573,19 @@ def test_random_kmup_darboux_models_pass_the_suite_to_rounding(ends, w):
 
 
 def test_random_kmup_darboux_check_sees_a_wrong_sign_of_a_prime(monkeypatch):
-    # the check above has teeth: A' = +2 lam in the model's jets leaves
-    # residuals of at least 30 (measured at mu = -0.2, 0, 1 and 0.3 + 0.2
-    # sin 2t)
-    exponents = ode.Trajectory.exponents
+    # the check above has teeth: A' = +2 lam in the jet of F's (0, 1)
+    # entry e^A, the second of the eight leaves of each coefficient pass,
+    # leaves residuals of at least 240 (measured at mu = -0.2, 0, 1 and
+    # 0.3 + 0.2 sin 2t).  The states cannot show it: the entries read two
+    # numbers off a state, f and e^A, and either is an integration
+    # constant at a point
+    along, leaves = exprs.Jet.along.__func__, [0]
 
-    def wrong_sign(self, ts):
-        f, ea, slope = exponents(self, ts)
-        return f, ea, -slope
+    def wrong_sign(cls, axis, e, de, dde):
+        leaves[0] += 1
+        return along(cls, axis, e, -de if leaves[0] % 8 == 2 else de, dde)
 
-    monkeypatch.setattr(ode.Trajectory, "exponents", wrong_sign)
+    monkeypatch.setattr(exprs.Jet, "along", classmethod(wrong_sign))
     assert _worst_kmup_darboux_residual("0.3 + 0.2*sin(2*t)") >= 1.0
 
 

@@ -189,7 +189,8 @@ class TestDarbouxExactPartials:
         ts = traj.times[(traj.times >= -1.0 - 1e-12) & (traj.times <= 1.0 + 1e-12)]
         h = compute_h(model, self._pts(ts))
         if traj.variant == "kmu":
-            assert np.array_equal(h[:, :2, :2], _as_matrix(traj.dense(ts)[:, 3:6]))
+            assert np.array_equal(h[:, :2, :2],
+                                  _as_matrix(traj.dense(ts)[:, 3:6].astype(float)))
         else:
             state = traj.states[np.searchsorted(traj.times, ts)]
             exact = _as_matrix(state[:, 3:6])
@@ -210,7 +211,7 @@ class TestDarbouxExactPartials:
         assert np.all(np.abs(ts / traj.step - np.round(ts / traj.step)) > 0.3)
         h = compute_h(model, self._pts(ts))[:, :2, :2]
         if traj.variant == "kmu":
-            assert np.array_equal(h, _as_matrix(traj.dense(ts)[:, 3:6]))
+            assert np.array_equal(h, _as_matrix(traj.dense(ts)[:, 3:6].astype(float)))
         else:
             fine = build_darboux_model(DarbouxParams(
                 "kmup", model.params["mu"], (-1.0, 1.0), traj.step / 2))

@@ -174,6 +174,23 @@ def test_one_evaluation_per_point_array():
     assert "_Eval" not in _defined(identities, ast.ClassDef)
 
 
+def test_one_state_lookup():
+    # the Darboux models read the ODE's solution through Trajectory.dense
+    # alone: the class keeps no slopes and defines no second lookup, and
+    # the sample plan knows nothing of trajectories (no node snapping)
+    ode = ast.parse((SRC / "ode.py").read_text())
+    traj = [node for node in ast.walk(ode)
+            if isinstance(node, ast.ClassDef) and node.name == "Trajectory"]
+    assert len(traj) == 1
+    fields = [node.target.id for node in traj[0].body
+              if isinstance(node, ast.AnnAssign)]
+    assert fields == ["variant", "mu_bar", "step", "times", "states"], fields
+    methods = _defined(ast.unparse(traj[0]), ast.FunctionDef)
+    assert "dense" in methods
+    assert not {"slopes", "exponents", "derivs"} & set(methods), methods
+    assert "trajectory" not in (SRC / "identities.py").read_text()
+
+
 def test_definition_guard_reads_nested_names():
     source = "class A:\n    def diff(self):\n        class _Jet: pass"
     assert _defined(source, ast.FunctionDef) == ["diff"]
