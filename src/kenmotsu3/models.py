@@ -35,7 +35,7 @@ import numpy as np
 
 from .exprs import Expr, Jet, parse_expr
 from .fields import ChartDomain
-from .ode import M2, _as_matrix, integrate, metric_from_state, rhs
+from .ode import M2, ConsistencyError, _as_matrix, integrate, rhs
 from .structure import _FIELDS, AlmostContactModel
 
 __all__ = [
@@ -267,8 +267,9 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     """A Darboux-like model backed by the matrix-ODE trajectory.
 
     g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
-    block is F(t); xi = d_t, eta = dt.  Positive definiteness of G is
-    asserted at every node (det G = 1 is an invariant of the exact flow).
+    block is F(t); xi = d_t, eta = dt.  G = (M2 P)(M2 P)^T is asserted
+    positive definite at every node on its frame P: the diagonal p^2 + q^2,
+    r^2 + s^2 of P P^T is finite and positive, which no cancellation hides.
     Every field depends on t alone and carries its exact t-partials: mu
     from ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is
     fine at t = -1), lam = e^{-f} and k = -1 - e^{-2f} by the chain rule
@@ -281,7 +282,11 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     mu_bar = params.resolved()
     t0, t1 = map(float, params.t_range)
     traj = integrate(params.variant, mu_bar, (t0, t1), params.step)
-    metric_from_state(traj.times, traj.states, params.variant)  # G is PD
+    diag = np.sum(traj.frames ** 2, axis=-1)
+    bad = ~np.all((diag > 0) & (diag < np.inf), axis=-1)
+    if bad.any():
+        raise ConsistencyError("leaf metric lost positive definiteness at "
+                               f"t={traj.times[np.argmax(bad)]}")
 
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)

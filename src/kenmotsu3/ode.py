@@ -24,29 +24,33 @@ with Y' = a(t) Y:
   kmu :  a = [[0, 2, 0], [2*lam^2, -2, -mu], [0, mu, -2]]
   kmup:  a = [[0, 2, 0], [2*lam^2, -(mu+2), 0], [0, 0, -(mu+2)]]
 
+The flow acts by conjugation.  With P in SL(2, R) solving P' = P W,
+P(0) = I, and W = -lam M1 - (nu/2) M2 (nu = mu for kmu, 0 for kmup):
+
+  F = P M2 P^-1,  H = -lam P M3 P^-1,  B = -+lam P M1 P^-1  (kmu -, kmup +),
+
+since [W, M1] = nu M3, [W, M2] = -2 lam M3 and [W, M3] = -2 lam M2 - nu M1
+give back the flow above.  G = -M2 F = (M2 P)(M2 P)^T is a Gram matrix.
+
 Both variants are integrated on fixed-step nodes, forward and backward
-from t=0, with mu evaluated once per direction, and their states are long
-double (np.longdouble).
+from t=0, with mu evaluated once per direction, in long double
+(np.longdouble).  A step's sixth-order Magnus exponent lives on the (M1,
+M2, M3) coefficients: the Gauss quadrature of W plus, for kmu, the
+commutator terms.  X = x1 M1 + x2 M2 + x3 M3 has X^2 = r^2 I with r^2 =
+x1^2 - x2^2 + x3^2, so exp X = cosh r I + (sinh r / r) X.
 
-  kmu :  sixth-order Magnus with three Gauss nodes per step, both
-         directions stepped together.  Every part of a step that reaches
-         the states' rounding is long double; the parts below it are
-         float64: the commutator terms of each step's exponent (below 1e-6
-         of it) and the Taylor tail of its exponential from x^4 on (below
-         1e-5 after scaling).
-  kmup:  the exact solution.  With A = -2 int_0^t lam (so A' = -2 lam and
-         A'' = 2 (mu+2) lam), F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh A
-         + M3 cosh A) and B = lam M1; f and A are sums of three-node
-         Gauss-Legendre quadratures over the steps.  No Magnus step runs.
+  kmu :  P at a node is the running product of the steps' exponentials.
+  kmup:  every exponent lies along M1, so they commute: P = diag(e^{A/2},
+         e^{-A/2}), where A/2 = -int_0^t lam is their running sum, and
+         F = M2 cosh A + M3 sinh A.
 
-``Trajectory.dense`` is the one lookup of the solution: long-double
-states, the node state at a stored node and elsewhere one partial step of
-the variant's own scheme from the nearest node.
+Each node's state is written from its P once, as sums of products.
+``Trajectory.dense`` is the one lookup of the solution: the node state at
+a stored node, elsewhere one partial Magnus step from the nearest node's P.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,19 +187,16 @@ def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
     return out
 
 
-def metric_from_state(t, y, variant: str = "kmu") -> np.ndarray:
+def metric_from_state(t, y) -> np.ndarray:
     """G = -M2 F = [[f2-f3, f1], [f1, f2+f3]]; symmetric positive definite.
 
     ``t`` has shape (...) and ``y`` shape (..., 10); raises
-    :class:`ConsistencyError` at the first node whose G is not.  kmup's G
-    is diag(e^{-A}, e^A), whose f2 - f3 cancels once e^{2A} passes the
-    rounding of f2: it is positive definite where e^A = f2 + f3 is finite
-    and positive.
+    :class:`ConsistencyError` at the first node whose G is not.  f2 - f3
+    and det G cancel once G is badly conditioned; the model builder checks
+    G = (M2 P)(M2 P)^T on the frames P instead.
     """
     g = -M2 @ _as_matrix(y[..., 0:3])
-    ok = ((g[..., 0, 0] > 0) & (_det_g(y) > 0) if variant == "kmu"
-          else (g[..., 1, 1] > 0) & (g[..., 1, 1] < np.inf))
-    bad = np.ravel(~ok)
+    bad = np.ravel(~((g[..., 0, 0] > 0) & (_det_g(y) > 0)))
     if bad.any():
         i = int(np.argmax(bad))
         raise ConsistencyError(
@@ -208,78 +209,89 @@ def metric_from_state(t, y, variant: str = "kmu") -> np.ndarray:
 # Integration
 # --------------------------------------------------------------------------
 
-# three Gauss-Legendre nodes and weights on [0, 1], and the Taylor tail's
-# coefficients, built from scalars: an array operation at import raised the
-# resident memory of runs that never integrate
+# three Gauss-Legendre nodes and weights on [0, 1], built from scalars: an
+# array operation at import raised the resident memory of runs that never
+# integrate
 _SQRT15 = np.sqrt(np.longdouble(15))
 _GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10])
 _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
                      np.longdouble(5) / 18])
-# nodes per batch of CSV rows or of checked slopes, and Magnus steps per
-# block, counted over the spans stepped together: bound the long-double
-# temporaries
+# nodes per batch of CSV rows or of checked slopes, and steps per batch of
+# a span's exponents and states: bound the long-double temporaries (a span
+# in batches of 128 steps took 25 % longer)
 _BLOCK = 128
-_MAGNUS_BLOCK = 256
-# exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
-# 2e-20.  The terms from X^4 on sum to less than ||X||^4/24 <= 1e-5, so they
-# are float64 (rounding about 1e-21); I + X + X^2/2 + X^3/6 is long double.
-_TAYLOR_TERMS = 11
-_TAYLOR_RADIUS = 0.125
-# 1/(j+r)! for r < 4: the rows p_4, p_8 of the tail X^4 (p_4 + X^4 p_8)
-_TAIL = np.array([[1 / math.factorial(j + r) for r in range(4)]
-                  for j in range(4, _TAYLOR_TERMS, 4)])
+_SPAN_BLOCK = 512
 _FLOAT64_MAX = np.finfo(float).max
 
 
-def _comm(x, y):
-    return x @ y - y @ x
+def _bracket(x, y):
+    """[X, Y] of (..., 3) coefficient vectors on (M1, M2, M3), by
+    [M1, M2] = 2 M3, [M1, M3] = 2 M2 and [M2, M3] = 2 M1."""
+    i, j = [1, 0, 0], [2, 2, 1]
+    return 2 * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
 
 
-def _magnus_exponent(a: np.ndarray) -> np.ndarray:
-    """Omega of each step from h * a at its three Gauss nodes: (..., 3, 3, 3)
-    -> (..., 3, 3), by the sixth-order commutator formula.
+def _magnus_exponent(variant, h, mu_stage, f_stage) -> np.ndarray:
+    """Omega of each step of P' = P W, from its length ``h`` (m,) and mu
+    and f at its three Gauss nodes (m, 3): (m, 3) coefficients on (M1, M2,
+    M3).
 
-    Omega - a1 is below 1e-6 of Omega on every integration measured, so a1
-    and the node differences, which cancel, are long double, and a2, a3 and
-    the correction are float64: about 1e-22 of Omega.
+    Sixth order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): the
+    Gauss quadrature of W = -lam M1 - (nu/2) M2 and, for kmu, the
+    commutator terms, whose bracket is reversed because P^-1 solves the
+    left-hand flow (P^-1)' = -W P^-1.  kmup's W lies along M1, where every
+    commutator vanishes.
     """
-    lo, a1, hi = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
-    a2 = (hi - lo).astype(float) * (float(_SQRT15) / 3)
-    a3 = (hi - 2 * a1 + lo).astype(float) * (10 / 3)
-    b1 = a1.astype(float)
-    c1 = _comm(b1, a2)
-    c2 = _comm(b1, 2 * a3 + c1) / -60
-    return a1 + (a3 / 12 + _comm(-20 * b1 - a3 + c1, a2 + c2) / 240)
+    w = np.zeros(f_stage.shape + (3,), np.longdouble)  # h W at the nodes
+    w[..., 0] = -h[:, None] * np.exp(-f_stage)
+    if variant == "kmup":
+        return _GAUSS_W @ w
+    w[..., 1] = h[:, None] * mu_stage / -2
+    lo, a1, hi = w[:, 0], w[:, 1], w[:, 2]
+    a2 = (hi - lo) * (_SQRT15 / 3)
+    a3 = (hi - 2 * a1 + lo) * (np.longdouble(10) / 3)
+    c1 = _bracket(a1, a2)
+    c2 = _bracket(a1, 2 * a3 - c1) / 60
+    return _GAUSS_W @ w + _bracket(20 * a1 + a3 + c1, a2 + c2) / 240
 
 
 def _expm(om: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (..., 3, 3) stack: Taylor series, scaled by
-    2^-s into the series' radius and squared s times, s per matrix.  The
-    series' terms from x^4 on are float64 (``_TAYLOR_TERMS``)."""
-    norm = np.abs(om.astype(float)).sum(axis=-1).max(axis=-1)
-    squarings = np.zeros(norm.shape, int)
-    big = (norm > _TAYLOR_RADIUS) & (norm < np.inf)
-    squarings[big] = np.ceil(np.log2(norm[big] / _TAYLOR_RADIUS))
-    # an exact power of two per matrix, cheaper than ldexp of each
-    # long-double entry
-    x = om * np.ldexp(1.0, -squarings)[..., None, None] if big.any() else om
-    x2 = x @ x
-    x3 = x2 @ x
-    powers = np.empty((4,) + x.shape)  # I, x, x^2, x^3 in float64
-    powers[0], powers[1], powers[2], powers[3] = np.eye(3), x, x2, x3
-    p4, p8 = np.tensordot(_TAIL, powers, 1)
-    x4 = powers[2] @ powers[2]
-    e = x3  # I + x + x^2/2 + x^3/6 + tail, smallest terms first, in place
-    e /= 6
-    e += x4 @ (p4 + x4 @ p8)
-    x2 /= 2
-    e += x2
-    e += x
-    e += np.eye(3, dtype=om.dtype)
-    for k in range(squarings.max(initial=0)):
-        more = squarings > k
-        e[more] = e[more] @ e[more]
-    return e
+    """exp X of X = x1 M1 + x2 M2 + x3 M3, from (..., 3) coefficients to
+    (..., 2, 2) matrices.
+
+    X^2 = r^2 I with r^2 = x1^2 - x2^2 + x3^2, so exp X = cosh r I +
+    (sinh r / r) X, with cos r and sin r where r^2 < 0.  Meant for one
+    step's small exponent: for a large r, e^{-r} = cosh r - sinh r cancels.
+    """
+    x1, x2, x3 = np.moveaxis(om, -1, 0)
+    r2 = x1 * x1 - x2 * x2 + x3 * x3
+    r = np.sqrt(np.abs(r2))
+    grow = r2 > 0
+    c = np.where(grow, np.cosh(r), np.cos(r))
+    s = np.ones_like(r)                                # sinh r / r
+    np.divide(np.where(grow, np.sinh(r), np.sin(r)), r, out=s, where=r > 0)
+    return np.stack([c + s * x1, s * (x2 + x3), s * (x3 - x2), c - s * x1],
+                    axis=-1).reshape(om.shape[:-1] + (2, 2))
+
+
+def _write_states(variant, frames, y) -> None:
+    """Write F = P M2 P^-1, H = -lam P M3 P^-1 and B = -+lam P M1 P^-1
+    (kmu -, kmup +) of the frames P = [[p, q], [r, s]] (m, 2, 2), with lam
+    = e^{-f} and f = ``y[:, 9]``, into ``y[:, :9]``: each component one sum
+    of products of P's entries, times lam for H and B."""
+    p, q, r, s = frames[:, 0, 0], frames[:, 0, 1], frames[:, 1, 0], frames[:, 1, 1]
+    pp, qq, rr, ss = p * p, q * q, r * r, s * s
+    lam = np.exp(-y[:, 9])
+    lam_b = -lam if variant == "kmu" else lam
+    y[:, 0] = -(p * r + q * s)
+    y[:, 1] = (pp + qq + rr + ss) / 2
+    y[:, 2] = (pp + qq - rr - ss) / 2
+    y[:, 3] = lam * (p * r - q * s)
+    y[:, 4] = -lam * (pp - qq + rr - ss) / 2
+    y[:, 5] = -lam * (pp - qq - rr + ss) / 2
+    y[:, 6] = lam_b * (p * s + q * r)
+    y[:, 7] = -lam_b * (p * q + r * s)
+    y[:, 8] = lam_b * (r * s - p * q)
 
 
 def _steps(variant, mu_bar: Expr, t, t_end):
@@ -310,20 +322,6 @@ def _steps(variant, mu_bar: Expr, t, t_end):
     return mu_stage, rise, off * rate
 
 
-def _kmu_steps(mu_bar: Expr, t, t_end, f):
-    """The kmu Magnus steps from the times ``t`` to ``t_end`` (long double,
-    (m,)) that start at f = ``f``: their lengths, and mu and lam^2 at their
-    Gauss nodes."""
-    mu_stage, _, rise = _steps("kmu", mu_bar, t, t_end)
-    return t_end - t, mu_stage, np.exp(-2 * (f[:, None] + rise))
-
-
-def _magnus_flow(h, mu_stage, lam2) -> np.ndarray:
-    """exp(Omega) of each kmu Magnus step (``_kmu_steps``): (..., 3, 3)."""
-    a = _generator("kmu", lam2, mu_stage.astype(np.longdouble))
-    return _expm(_magnus_exponent(a * h[..., None, None, None]))
-
-
 def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
     """Raise at the node whose state (long double) or slope a(t) Y has no
     finite float64 value, which every reader of the states needs: the
@@ -340,74 +338,29 @@ def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
         raise ConsistencyError(f"ODE state non-finite in float64 at t={times[i]}")
 
 
-def _magnus_block(steps, out) -> None:
-    """One block of kmu steps of the spans stepped together: carry the
-    states ``out[k][0]`` into ``out[k][1:]``.  ``steps[k]`` holds the
-    block's step data of span k (``_kmu_steps``); all spans have the
-    block's number of steps.  A function of its own, so that no block's
-    temporaries outlive it."""
-    flow = _magnus_flow(*(np.stack(q, 1) for q in zip(*steps)))
-    block = np.stack(out, 1)                           # (steps, spans, ...)
-    ys = list(block[..., :9].reshape(block.shape[:2] + (3, 3)))
-    for f, y, y_next in zip(flow, ys, ys[1:]):
-        np.matmul(f, y, out=y_next)
-    for k, y in enumerate(out):
-        y[1:] = block[1:, k]
-
-
-def _magnus_span(mu_bar: Expr, ts, out) -> None:
-    """Carry each kmu span's state ``out[j][0]`` over its node times
-    ``ts[j]`` into ``out[j][1:]``.
-
-    Sixth-order Magnus with three Gauss nodes per step (Blanes, Casas, Oteo
-    & Ros, Phys. Rep. 470, 2009), in long double.  The spans are stepped
-    together: each step's exponential exp(Omega_n) is built for all of
-    them in blocks of ``_MAGNUS_BLOCK`` steps in all, and only the 3x3
-    products Y_{n+1} = exp(Omega_n) Y_n run in sequence, one stacked
-    product per step while more than one span is left.  A span's states do
-    not depend on the others.  ``out[j]`` is an (n_j + 1, 10) long-double
-    array or view; f = 2t is written into its last column first.
-    """
-    steps = []
-    for t, y in zip(ts, out):
-        t = np.asarray(t, np.longdouble)
-        y[1:, 9] = y[0, 9] + 2 * (t[1:] - t[0])
-        steps.append(_kmu_steps(mu_bar, t[:-1], t[1:], y[:-1, 9]))
-    s = 0
-    while live := [j for j, t in enumerate(ts) if len(t) - 1 > s]:
-        e = min([s + _MAGNUS_BLOCK // len(live)] + [len(ts[j]) - 1 for j in live])
-        _magnus_block([[q[s:e] for q in steps[j]] for j in live],
-                      [out[j][s:e + 1] for j in live])
-        s = e
-
-
-def _closed_form_rows(y, a) -> None:
-    """Write the kmup solution F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh
-    A + M3 cosh A), B = lam M1 with A = ``a`` and lam = e^{-f}, f =
-    ``y[:, 9]``, into ``y[:, :9]``."""
-    lam = np.exp(-y[:, 9])
-    y[:, :9] = 0
-    y[:, 1], y[:, 2] = np.cosh(a), np.sinh(a)
-    y[:, 4], y[:, 5] = -lam * y[:, 2], -lam * y[:, 1]
-    y[:, 6] = lam
-
-
-def _closed_form_span(mu_bar: Expr, ts, out) -> None:
-    """Write the kmup solution at the node times ``ts[1:]`` of a span that
-    starts at t = 0 into ``out[1:]``.
-
-    With f = int_0^t (mu + 2), lam = e^{-f} and A = -2 int_0^t lam, the
-    flow's exact solution is ``_closed_form_rows``.  f and A are sums of
-    three-node Gauss-Legendre quadratures over the steps, lam at each Gauss
-    node from f at its step's start and one partial quadrature
-    (``_steps``), all in long double.
-    """
-    t = np.asarray(ts, np.longdouble)
-    rise, rise_stage = _steps("kmup", mu_bar, t[:-1], t[1:])[1:]
-    out[1:, 9] = np.cumsum(rise)
-    lam_stage = np.exp(-(out[:-1, 9, None] + rise_stage))
-    a = np.cumsum(-2 * np.diff(t) * (lam_stage @ _GAUSS_W))
-    _closed_form_rows(out[1:], a)
+def _span(variant, mu_bar: Expr, t, y, p) -> None:
+    """Carry the state ``y[0]`` and frame ``p[0]`` = I at t = 0 over the
+    node times ``t`` (m,) into ``y[1:]`` and ``p[1:]`` (long-double arrays
+    or views).  kmu's frame is the running product of the steps'
+    exponentials; kmup's exponents all lie along M1 and commute, so its
+    frame is diag(e^a, e^-a) of their running sum a = A/2.  mu and f come
+    for the whole span, the rest ``_SPAN_BLOCK`` steps at a time."""
+    t = np.asarray(t, np.longdouble)
+    mu_stage, rise, rise_stage = _steps(variant, mu_bar, t[:-1], t[1:])
+    y[1:, 9] = np.cumsum(rise)
+    a = np.zeros(1, np.longdouble)
+    for s in range(0, len(t) - 1, _SPAN_BLOCK):
+        b = slice(s, min(s + _SPAN_BLOCK, len(t) - 1))  # the block's steps
+        e = slice(s + 1, b.stop + 1)                  # and their end nodes
+        om = _magnus_exponent(variant, t[e] - t[b], mu_stage[b],
+                              y[b, 9, None] + rise_stage[b])
+        if variant == "kmu":
+            for p0, x, p1 in zip(p[b], _expm(om), p[e]):
+                np.matmul(p0, x, out=p1)
+        else:  # the running sum goes on from the last block's
+            a = np.cumsum(np.concatenate((a[-1:], om[:, 0])))[1:]
+            p[e, 0, 0], p[e, 1, 1] = np.exp(a), np.exp(-a)
+        _write_states(variant, p[e], y[e])
 
 
 @dataclass
@@ -415,10 +368,10 @@ class Trajectory:
     """Node-sampled solution of the variant's flow and its one lookup.
 
     Nodes are uniformly spaced by ``step`` and include t=0 with the
-    variant's initial conditions; ``states`` holds the long-double state at
-    every node.  :meth:`dense` reads the solution at any time of the
-    integrated range, off the nodes by one partial step of the variant's
-    own scheme.
+    variant's initial conditions; ``frames`` holds the long-double P of
+    P' = P W at every node and ``states`` the state written from it.
+    :meth:`dense` reads the solution at any time of the integrated range,
+    off the nodes by one partial Magnus step from the nearest node's P.
     """
 
     variant: str
@@ -426,6 +379,7 @@ class Trajectory:
     step: float
     times: np.ndarray    # (m,)
     states: np.ndarray   # (m, 10), long double
+    frames: np.ndarray   # (m, 2, 2), long double
 
     @property
     def t_min(self) -> float:
@@ -437,11 +391,10 @@ class Trajectory:
 
     def dense(self, ts) -> np.ndarray:
         """Long-double state vectors at arbitrary times: the node state at a
-        stored node, elsewhere one partial step from the nearest node, for
-        kmu one Magnus step over [t_node, t], for kmup one partial
-        Gauss-Legendre quadrature of f and A (``_closed_form_span``)."""
+        stored node, elsewhere the state of the nearest node's P times the
+        exponential of one Magnus step over [t_node, t]."""
         ts = np.asarray(ts, float)
-        if np.any(ts < self.t_min - 1e-12) or np.any(ts > self.t_max + 1e-12):
+        if not np.all((ts >= self.t_min - 1e-12) & (ts <= self.t_max + 1e-12)):
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
         pos = (ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
@@ -450,25 +403,19 @@ class Trajectory:
         if off.any():
             t0 = self.times[nearest[off]].astype(np.longdouble)
             t, y = ts[off].astype(np.longdouble), out[off]
-            if self.variant == "kmu":
-                flow = _magnus_flow(*_kmu_steps(self.mu_bar, t0, t, y[:, 9]))
-                y[:, :9] = (flow @ y[:, :9].reshape(-1, 3, 3)).reshape(-1, 9)
-                y[:, 9] = 2 * t
-            else:
-                rise, rise_stage = _steps("kmup", self.mu_bar, t0, t)[1:]
-                lam_stage = np.exp(-(y[:, 9, None] + rise_stage))
-                a = (np.log(y[:, 1] + y[:, 2])
-                     - 2 * (t - t0) * (lam_stage @ _GAUSS_W))
-                y[:, 9] += rise
-                _closed_form_rows(y, a)
+            mu_stage, rise, rise_stage = _steps(self.variant, self.mu_bar, t0, t)
+            om = _magnus_exponent(self.variant, t - t0, mu_stage,
+                                  y[:, 9, None] + rise_stage)
+            y[:, 9] += rise
+            _write_states(self.variant, self.frames[nearest[off]] @ _expm(om), y)
             out[off] = y
         return out
 
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
               step: float = 1e-3) -> Trajectory:
-    """Integrate from t=0 forward to t1 and backward to t0: kmu by Magnus
-    steps, both directions stepped together, kmup in closed form.
+    """Integrate P' = P W from t=0 forward to t1 and backward to t0, one
+    direction after the other, and write each node's state from its P.
 
     ``step`` must be positive and at most 1e-2; endpoints are realized as
     integer numbers of steps (rounded), at least one in all.  A node count
@@ -489,25 +436,22 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     if n_back + n_fwd == 0:
         raise ValueError(f"t-range [{t0}, {t1}] rounds to the single node "
                          f"t=0 at step {step}")
-    try:  # the largest array first, before any is written
+    try:  # the largest arrays first, before any is written
         states = np.empty((n_back + n_fwd + 1, 10), np.longdouble)
+        frames = np.zeros((n_back + n_fwd + 1, 2, 2), np.longdouble)
         times = np.arange(-n_back, n_fwd + 1) * step
     except (MemoryError, ValueError) as ex:
         raise ValueError(f"step {step} needs {n_back + n_fwd + 1} nodes, "
                          f"which cannot be allocated ({ex})") from None
     states[n_back] = initial_state(variant)
-    spans = [(times[s], states[s])
-             for s in (slice(n_back, None), slice(n_back, None, -1))
-             if len(times[s]) > 1]
+    frames[n_back] = np.eye(2)
     # a non-finite node raises: no overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
-        if variant == "kmu":
-            _magnus_span(mu_bar, *zip(*spans))
-        else:
-            for span in spans:
-                _closed_form_span(mu_bar, *span)
+        for s in (slice(n_back, None), slice(n_back, None, -1)):
+            if len(times[s]) > 1:
+                _span(variant, mu_bar, times[s], states[s], frames[s])
         _check_finite(variant, mu_bar, times, states, n_back)
-    return Trajectory(variant, mu_bar, step, times, states)
+    return Trajectory(variant, mu_bar, step, times, states, frames)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> float:

@@ -223,6 +223,26 @@ class TestDarbouxMetric:
         assert err == ("error: metric condition number 1.647e+51 exceeds "
                        "1e+12\n"), err
 
+    @pytest.mark.parametrize("mu", ["1", "0.5", "-1"])
+    def test_kmu_metric_is_checked_without_cancellation(self, tmp_path,
+                                                        capsys, mu):
+        # back to t = -1.8, G's entries reach 1e14 with det G = 1, and the
+        # states' f2 - f3 and det G cancel to <= 0 from t ~ -1.6 on; G =
+        # (M2 P)(M2 P)^T of the node frames is positive definite, so the
+        # model is built and a box clear of the blow-up passes
+        out = tmp_path / "m.json"
+        model = ["--family", "kmu-darboux", "--mu", mu, "--t-range", "-1.8", "1"]
+        assert run(["build", *model, "--out", str(out)]) == 0
+        assert run(["verify", *model, "--box", "0,1:0,1:-0.5,0.5",
+                    "--grid", "3"]) == 0
+
+    def test_kmu_whole_range_fails_on_conditioning(self, capsys):
+        assert run(["verify", "--family", "kmu-darboux", "--mu", "1",
+                    "--t-range", "-1.8", "1", "--grid", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: metric condition number 4.171e+16 exceeds "
+                       "1e+12\n"), err
+
 
 class TestTrajectory:
     def test_csv_export(self, tmp_path):

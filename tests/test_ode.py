@@ -7,8 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from magnus_reference import comm, expm, magnus_exponent
 
-from kenmotsu3 import ode
+from kenmotsu3 import models, ode
 from kenmotsu3.exprs import parse_expr
 from kenmotsu3.models import DarbouxParams, build_darboux_model
 from kenmotsu3.ode import (
@@ -20,11 +21,12 @@ from kenmotsu3.ode import (
     _GAUSS_W,
     _SQRT15,
     _as_matrix,
-    _comm,
+    _bracket,
     _expm,
     _generator,
     _magnus_exponent,
-    _magnus_span,
+    _steps,
+    _write_states,
     algebraic_residuals,
     check_initial_relations,
     initial_state,
@@ -144,23 +146,36 @@ class TestIntegrate:
             assert abs(np.trace(B)) <= 1e-14
 
     def test_forward_backward_consistency(self):
-        # the Gauss-node Magnus step is time-symmetric: stepping back over
-        # the same nodes undoes the forward span up to rounding
+        # the Gauss-node Magnus step is time-symmetric: stepping the last
+        # node's frame back through the exponents of the same steps taken
+        # backward undoes the forward span up to rounding (measured 1.3e-18)
         mu = parse_expr("1", "t")
         tr = integrate("kmu", mu, (0.0, 1.0), 1e-3)
-        back = np.empty_like(tr.states)
-        back[0] = tr.states[-1]
-        _magnus_span(mu, [tr.times[::-1]], [back])
-        assert np.max(np.abs(back[-1] - tr.states[0])) <= 1e-12
+        t = tr.times[::-1].astype(np.longdouble)
+        mu_stage, _, rise_stage = _steps("kmu", mu, t[:-1], t[1:])
+        om = _magnus_exponent("kmu", t[1:] - t[:-1], mu_stage,
+                              2 * t[:-1, None] + rise_stage)
+        p = tr.frames[-1]
+        for e in _expm(om):
+            p = p @ e
+        back = initial_state("kmu").astype(np.longdouble)
+        _write_states("kmu", p[None], back[None])
+        assert np.max(np.abs(back - tr.states[0])) <= 1e-15
 
-    def test_step_halving_reduces_drift_32x(self):
-        # sixth order: halving the step divides the drift by about 64
+    def test_states_converge_at_sixth_order(self):
+        # against a step-1.25e-4 run, each halving of the step divides the
+        # largest error relative to each node's largest component by about
+        # 64 (measured 2.5e-12, 3.9e-14 and 6.2e-16 at steps 1e-2, 5e-3 and
+        # 2.5e-3, ratios 63.9), far above the long-double rounding of 1e-17
         mu = parse_expr("1", "t")
-        worst = []
-        for step in (2e-3, 1e-3):
-            tr = integrate("kmu", mu, (-1.0, 1.0), step)
-            worst.append(_max_residual(tr.times[::10], tr.states[::10]))
-        assert worst[0] / worst[1] >= 32.0
+        fine = integrate("kmu", mu, (-1.0, 1.0), 1.25e-4).states[:, :9]
+        errs = []
+        for step in (1e-2, 5e-3, 2.5e-3):
+            ref = fine[::round(step / 1.25e-4)]
+            ys = integrate("kmu", mu, (-1.0, 1.0), step).states[:, :9]
+            errs.append(np.max(np.abs(ys - ref)
+                               / np.max(np.abs(ref), axis=1, keepdims=True)))
+        assert errs[0] / errs[1] >= 48 and errs[1] / errs[2] >= 48, errs
 
     def test_forward_interval_meets_1e_9(self):
         # on [0, 1] (no backward double-exponential growth) the stated
@@ -193,6 +208,14 @@ class TestIntegrate:
         assert np.isfinite(rhs("kmu", tr.states, 0.0).astype(float)).all()
         assert np.isfinite(tr.dense(tr.times).astype(float)).all()
 
+    def test_dense_rejects_nan(self):
+        # NaN lies in no range: a scalar NaN and a NaN in a batch raise
+        # instead of reading the first node
+        tr = integrate("kmu", parse_expr("0", "t"), (-0.1, 0.1), 1e-3)
+        for ts in (np.nan, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                tr.dense(ts)
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             integrate("kmu", parse_expr("0", "t"), (-1.0, 1.0), 0.5)
@@ -208,12 +231,12 @@ class TestIntegrate:
         assert tr.times.tolist() == [0.0, 0.01]
 
     def test_peak_memory(self):
-        # the closed form's quadratures take one direction after the other,
-        # mu's sample times are written straight into one float64 array and
-        # the checked slopes are formed in blocks and not kept: the peak
-        # (about 803,500 bytes; 1,077,350 with the Magnus steps of both
-        # directions at once) stays within the 1,162,982 that stepping one
-        # direction after the other, all in long double, took
+        # the quadratures take one direction after the other, mu's sample
+        # times are written straight into one float64 array, and the
+        # exponents, states and checked slopes are formed in blocks and not
+        # kept: the peak (about 931,500 bytes, 803,500 before the frames
+        # were kept) stays within the 1,162,982 that stepping the 3x3 flow
+        # one direction after the other, all in long double, took
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
         integrate("kmup", mu, (-1.0, 1.0), 1e-3)
         tracemalloc.start()
@@ -250,10 +273,10 @@ class TestIntegrate:
 
 
 def _per_step_magnus(variant, mu, t_range, step):
-    """Reference Magnus: scalar mu calls, one step at a time, forward then
-    backward over the nodes of ``integrate``.  ``integrate`` steps kmu this
-    way; for kmup it is the integrator's reference, which converges to the
-    closed form at sixth order."""
+    """The 3x3 oracle (``magnus_reference``): the states themselves stepped
+    by exp(Omega) of h a(t) at the Gauss nodes, scalar mu calls, one step at
+    a time, forward then backward over the nodes of ``integrate``.  For
+    kmup it converges to the closed form at sixth order."""
     def span(n, h):
         ys = [initial_state(variant).astype(np.longdouble)]
         for i in range(n):
@@ -270,7 +293,7 @@ def _per_step_magnus(variant, mu, t_range, step):
                 lam2 = np.exp(-2 * (y[9] + off * (quad @ _GAUSS_W + 2)))
                 y[9] += dt * ((mus + 2) @ _GAUSS_W)
             a = _generator(variant, lam2, mus)[None] * dt
-            e = _expm(_magnus_exponent(a))[0]
+            e = expm(magnus_exponent(a))[0]
             y[:9] = (e @ ys[-1][:9].reshape(3, 3)).ravel()
             ys.append(y)
         return ys
@@ -280,46 +303,52 @@ def _per_step_magnus(variant, mu, t_range, step):
     return np.array(span(n_back, -step)[:0:-1] + span(n_fwd, step))
 
 
-def _per_step_closed_form(mu, t_range, step):
-    """Reference kmup solution: scalar mu calls, f and A = -2 int lam summed
-    one step at a time, forward then backward over the nodes of
-    ``integrate``, and F = M2 cosh A + M3 sinh A, H = -lam (M2 sinh A + M3
-    cosh A), B = lam M1 at each node."""
+def _per_step_reference(variant, mu, t_range, step):
+    """The states and frames ``integrate`` gives, one step at a time,
+    forward then backward over its nodes: scalar mu calls, each step's
+    exponent from mu and f at its Gauss nodes, and the frame P the
+    running product of the steps' exponentials (kmu) or diag(e^a, e^-a) of
+    their running sum a (kmup)."""
     def span(n, h):
-        ys = [initial_state("kmup").astype(np.longdouble)]
+        ys = [initial_state(variant).astype(np.longdouble)]
+        ps = [np.eye(2, dtype=np.longdouble)]
         a = np.longdouble(0)
         for i in range(n):
-            f, t = ys[-1][9], np.longdouble(i * h)
+            t = np.longdouble(i * h)
             dt = np.longdouble((i + 1) * h) - t
             off = dt * _GAUSS_C
-            mus = np.array([mu(float(t + o)) for o in off], np.longdouble)
-            quad = np.array([[mu(float(o * c + t)) for c in _GAUSS_C]
-                             for o in off])
-            lam = np.exp(-(f + off * (quad @ _GAUSS_W + 2)))
-            a += -2 * dt * (lam @ _GAUSS_W)
+            mus = np.array([mu(float(t + o)) for o in off])
+            if variant == "kmu":
+                rise, rise_stage = 2 * dt, off * 2
+            else:
+                quad = np.array([[mu(float(o * c + t)) for c in _GAUSS_C]
+                                 for o in off])
+                rise = dt * ((mus.astype(np.longdouble) + 2) @ _GAUSS_W)
+                rise_stage = off * (quad @ _GAUSS_W + 2)
+            om = _magnus_exponent(variant, np.array([dt]), mus[None],
+                                  (ys[-1][9] + rise_stage)[None])
+            if variant == "kmu":
+                p = ps[-1] @ _expm(om)[0]
+            else:
+                a += om[0, 0]
+                p = np.diag([np.exp(a), np.exp(-a)])
             y = np.zeros(10, np.longdouble)
-            y[9] = f + dt * ((mus + 2) @ _GAUSS_W)
-            y[1], y[2], y[6] = np.cosh(a), np.sinh(a), np.exp(-y[9])
-            y[4], y[5] = -y[6] * y[2], -y[6] * y[1]
+            y[9] = ys[-1][9] + rise
+            _write_states(variant, p[None], y[None])
             ys.append(y)
-        return ys
+            ps.append(p)
+        return ys, ps
 
     n_back = int(round(-t_range[0] / step))
     n_fwd = int(round(t_range[1] / step))
-    return np.array(span(n_back, -step)[:0:-1] + span(n_fwd, step))
-
-
-def _per_step_reference(variant, mu, t_range, step):
-    """The states ``integrate`` gives, one step at a time."""
-    if variant == "kmu":
-        return _per_step_magnus("kmu", mu, t_range, step)
-    return _per_step_closed_form(mu, t_range, step)
+    back, fwd = span(n_back, -step), span(n_fwd, step)
+    return tuple(np.array(b[:0:-1] + f) for b, f in zip(back, fwd))
 
 
 class TestArrayPath:
-    """mu on the whole span at once, batched exponentials (kmu) and
-    cumulative sums (kmup) give the states of a per-step computation, and
-    the node slopes of a per-node one, bit for bit."""
+    """mu on the whole span at once, batched exponents and a cumulative sum
+    (kmup) give the states and frames of a per-step computation, and the
+    node slopes of a per-node one, bit for bit."""
 
     CASES = [(v, m) for v in ("kmu", "kmup")
              for m in ("0.3+0.2*sin(2*t)", "exp(t)-0.5")]
@@ -328,8 +357,9 @@ class TestArrayPath:
     def test_states_match_scalar_mu_reference(self, variant, mu):
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-0.2, 0.2), 1e-3)
-        ref = _per_step_reference(variant, expr, (-0.2, 0.2), 1e-3)
-        assert np.array_equal(tr.states, ref)
+        states, frames = _per_step_reference(variant, expr, (-0.2, 0.2), 1e-3)
+        assert np.array_equal(tr.states, states)
+        assert np.array_equal(tr.frames, frames)
 
     @pytest.mark.parametrize("variant,mu", CASES)
     def test_derivs_are_node_slopes(self, variant, mu):
@@ -345,12 +375,13 @@ class TestArrayPath:
     @pytest.mark.parametrize("t_range", [(-0.05, 0.2), (-0.2, 0.05),
                                          (0.0, 0.1), (-0.1, 0.0)])
     def test_uneven_ranges(self, variant, t_range):
-        # the longer direction steps on alone past the shorter one's end,
-        # and kmup's f is still summed from t = 0 there
+        # each direction is stepped on its own from t = 0, to its own end,
+        # and kmup's f and exponent are summed from t = 0 in both
         expr = parse_expr("0.3+0.2*sin(2*t)", "t")
         tr = integrate(variant, expr, t_range, 1e-3)
-        ref = _per_step_reference(variant, expr, t_range, 1e-3)
-        assert np.array_equal(tr.states, ref)
+        states, frames = _per_step_reference(variant, expr, t_range, 1e-3)
+        assert np.array_equal(tr.states, states)
+        assert np.array_equal(tr.frames, frames)
         mus = expr(tr.times)
         expected = np.array([rhs(variant, tr.states[i], mus[i])
                              for i in range(len(tr.times))])
@@ -408,7 +439,7 @@ class TestLongDoubleStates:
         ref[:, 0, 0] = ref[:, 1, 1] = np.cos(th)
         ref[:, 1, 0], ref[:, 0, 1] = np.sin(th), -np.sin(th)
         ref[:, 2, 2] = np.exp(th)
-        err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
+        err = np.max(np.abs(expm(om) - ref), axis=(1, 2))
         scale = np.max(np.abs(ref), axis=(1, 2))
         assert np.all(err <= 16 * np.finfo(np.longdouble).eps * scale)
 
@@ -429,14 +460,14 @@ class TestLongDoubleStates:
         a1 = a[:, 1]
         a2 = _SQRT15 / 3 * (a[:, 2] - a[:, 0])
         a3 = np.longdouble(10) / 3 * (a[:, 2] - 2 * a[:, 1] + a[:, 0])
-        c1 = _comm(a1, a2)
-        c2 = _comm(a1, 2 * a3 + c1) / -60
-        return a1 + a3 / 12 + _comm(-20 * a1 - a3 + c1, a2 + c2) / 240
+        c1 = comm(a1, a2)
+        c2 = comm(a1, 2 * a3 + c1) / -60
+        return a1 + a3 / 12 + comm(-20 * a1 - a3 + c1, a2 + c2) / 240
 
     @staticmethod
     def _ld_expm(om):
         """exp by the 11-term Taylor series all in long double, scaled and
-        squared as ``_expm`` does; also returns the squarings."""
+        squared as ``expm`` does; also returns the squarings."""
         norm = _norm(om)
         squarings = np.zeros(len(om), int)
         big = norm > 0.125
@@ -462,29 +493,29 @@ class TestLongDoubleStates:
         a = self._step_generators(variant, mu)
         om = self._ld_exponent(a)
         assert _norm(om).max() >= top
-        err = np.max(np.abs(_magnus_exponent(a) - om), axis=(1, 2))
+        err = np.max(np.abs(magnus_exponent(a) - om), axis=(1, 2))
         assert np.all(err <= 4 * eps * _norm(om))
         ref, squarings = self._ld_expm(om)
         assert variant == "kmu" or np.mean(squarings > 0) >= 0.15
-        err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
+        err = np.max(np.abs(expm(om) - ref), axis=(1, 2))
         assert np.all(err <= 4 * eps * _norm(ref) * 2.0 ** squarings)
 
     @WIDE
     @pytest.mark.parametrize("variant", ["kmu", "kmup"])
     @pytest.mark.parametrize("mu", ["0", "1", "sin(t)"])
     def test_dense_off_nodes_matches_half_step_nodes(self, variant, mu):
-        # one partial step of the variant's own scheme from the nearest
-        # node is as good as a node: halfway between the nodes (the
-        # farthest from them) it gives the states of a trajectory at half
-        # the step within 1e-15 of each row's largest component (measured
-        # 6.8e-16 for kmu, as at the shared nodes, and 8.7e-18 for kmup; a
-        # cubic Hermite on the nodes and their slopes errs by 3.5e-10)
+        # one partial Magnus step from the nearest node's frame is as good
+        # as a node: halfway between the nodes (the farthest from them) it
+        # gives the states of a trajectory at half the step within 1e-16 of
+        # each row's largest component (measured at most 8.2e-18, as at the
+        # shared nodes; a cubic Hermite on the nodes and their slopes errs
+        # by 3.5e-10)
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-1.0, 1.0), 1e-3)
         fine = integrate(variant, expr, (-1.0, 1.0), 5e-4)
         y, ref = tr.dense(fine.times[1::2]), fine.states[1::2]
         scale = np.max(np.abs(ref[:, :9]), axis=1, keepdims=True)
-        assert np.max(np.abs(y[:, :9] - ref[:, :9]) / scale) <= 1e-15
+        assert np.max(np.abs(y[:, :9] - ref[:, :9]) / scale) <= 1e-16
         assert np.max(np.abs(y[:, 9] - ref[:, 9])) <= 1e-17
 
     def test_dtypes(self):
@@ -499,21 +530,67 @@ class TestLongDoubleStates:
             assert field(pts).dtype == np.float64, field.name
 
 
-class TestKmupClosedForm:
-    """integrate("kmup", ...) solves the flow by two quadratures, f and
-    A = -2 int lam, with no Magnus step."""
+class TestSl2Flow:
+    """The kernels of P' = P W on the (M1, M2, M3) coefficients, and the
+    states they give against the 3x3 oracle of the nine-component flow."""
 
     WIDE = TestLongDoubleStates.WIDE
 
-    def test_runs_no_magnus_block(self, monkeypatch):
-        def stepped(*args):
-            raise AssertionError("a Magnus block ran")
+    def test_bracket_is_the_matrix_commutator(self):
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -3.0, 5.0]])
+        y = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-7.0, 1.0, 4.0]])
+        a, b = _as_matrix(x), _as_matrix(y)
+        assert np.array_equal(_as_matrix(_bracket(x, y)), a @ b - b @ a)
 
-        monkeypatch.setattr(ode, "_magnus_block", stepped)
+    @WIDE
+    def test_expm_matches_long_double_series(self):
+        # r^2 > 0, r^2 < 0, r^2 = 0 (X nilpotent), X = 0, and |r| near 1:
+        # within 16 eps_LD of the largest entry of the 30-term series
+        om = np.array([[0.1, 0.05, 0.0], [0.02, 0.3, 0.01], [0.2, 0.2, 0.0],
+                       [0.0, 0.0, 0.0], [-0.9, 0.3, 0.4]], np.longdouble)
+        x = _as_matrix(om)
+        eye = np.eye(2, dtype=np.longdouble)
+        ref = eye + x / 30
+        for k in range(29, 0, -1):
+            ref = eye + (x @ ref) / k
+        err = np.max(np.abs(_expm(om) - ref), axis=(1, 2))
+        scale = np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(err <= 16 * np.finfo(np.longdouble).eps * scale), err
+
+    @WIDE
+    @pytest.mark.parametrize("variant,mu", [
+        ("kmu", "1"), ("kmu", "0.3+0.2*sin(2*t)"), ("kmup", "0"),
+        ("kmup", "sin(t)")])
+    def test_states_match_the_3x3_oracle(self, variant, mu):
+        # the frame's states agree with sixth-order Magnus on the states
+        # themselves within 1e-15 of each row's largest component (measured
+        # at most 6.8e-16: the 3x3 scheme's own truncation error for kmu)
+        expr = parse_expr(mu, "t")
+        tr = integrate(variant, expr, (-1.0, 1.0), 1e-3)
+        ref = _per_step_magnus(variant, expr, (-1.0, 1.0), 1e-3)
+        scale = np.max(np.abs(ref[:, :9]), axis=1, keepdims=True)
+        assert np.max(np.abs(tr.states[:, :9] - ref[:, :9]) / scale) <= 1e-15
+        assert np.array_equal(tr.states[:, 9], ref[:, 9])
+
+
+class TestKmupClosedForm:
+    """kmup's step exponents all lie along M1 and commute: its frame is
+    diag(e^{A/2}, e^{-A/2}) of their running sum, two quadratures f and A =
+    -2 int lam, with no commutator term and no product of steps."""
+
+    WIDE = TestLongDoubleStates.WIDE
+
+    def test_forms_no_commutator(self, monkeypatch):
+        def bracket(*args):
+            raise AssertionError("a commutator was formed")
+
+        monkeypatch.setattr(ode, "_bracket", bracket)
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
         tr = integrate("kmup", mu, (-1.0, 1.0), 1e-3)
         assert np.isfinite(tr.states).all()
-        with pytest.raises(AssertionError, match="Magnus block"):
+        assert np.isfinite(tr.dense(tr.times[:3] + 0.3 * tr.step)).all()
+        assert not tr.frames[:, 0, 1].any() and not tr.frames[:, 1, 0].any()
+        with pytest.raises(AssertionError, match="commutator"):
             integrate("kmu", mu, (-1.0, 1.0), 1e-3)
 
     @WIDE
@@ -587,6 +664,38 @@ class TestMetricFromState:
         st = np.array([0.0, -1.0, 0.0, 0, 0, 0, 0, 0, 0, 0.0])
         with pytest.raises(ConsistencyError):
             metric_from_state(0.0, st)
+
+
+class TestMetricOnFrames:
+    """The builder checks G = (M2 P)(M2 P)^T on the node frames P."""
+
+    def test_frames_give_the_states_metric(self):
+        # the Gram matrix is -M2 F of the states, within their rounding
+        tr = integrate("kmu", parse_expr("1", "t"), (0.0, 1.0), 1e-3)
+        m = M2 @ tr.frames
+        ref = metric_from_state(tr.times, tr.states)
+        scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(m @ np.swapaxes(m, 1, 2) - ref) / scale) <= 1e-15
+
+    def test_no_false_loss_of_positive_definiteness(self):
+        # kmu mu = 1 back to t = -1.8: G's entries reach 1e14 with det G =
+        # 1, so the states' f2 - f3 and det G cancel to <= 0; the frames'
+        # Gram matrix keeps a positive diagonal and the model is built
+        params = DarbouxParams("kmu", "1", (-1.8, 1.0))
+        model = build_darboux_model(params)
+        tr = model.trajectory
+        with pytest.raises(ConsistencyError, match="positive definiteness"):
+            metric_from_state(tr.times, tr.states)
+
+    def test_pd_failure_names_first_bad_node(self, monkeypatch):
+        def bad_frames(*args):
+            tr = integrate(*args)
+            tr.frames[[5, 9], 0] = 0.0      # p = q = 0: G's (1, 1) entry
+            return tr
+
+        monkeypatch.setattr(models, "integrate", bad_frames)
+        with pytest.raises(ConsistencyError, match=r"at t=-0\.095$"):
+            build_darboux_model(DarbouxParams("kmup", "1", (-0.1, 0.1)))
 
 
 class TestCsvExport:

@@ -184,11 +184,31 @@ def test_one_state_lookup():
     assert len(traj) == 1
     fields = [node.target.id for node in traj[0].body
               if isinstance(node, ast.AnnAssign)]
-    assert fields == ["variant", "mu_bar", "step", "times", "states"], fields
+    assert fields == ["variant", "mu_bar", "step", "times", "states",
+                      "frames"], fields
     methods = _defined(ast.unparse(traj[0]), ast.FunctionDef)
     assert "dense" in methods
     assert not {"slopes", "exponents", "derivs"} & set(methods), methods
     assert "trajectory" not in (SRC / "identities.py").read_text()
+
+
+def test_one_integration_scheme():
+    # both variants solve P' = P W by one Magnus exponent on the sl(2)
+    # coefficients and its closed-form exponential: no 3x3 Taylor
+    # exponential, no kmu-only stepper and no kmup-only closed form; the
+    # builder checks G on the frames, not on the states' cancelling entries
+    tree = ast.parse((SRC / "ode.py").read_text())
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    names |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    removed = {"_magnus_block", "_magnus_span", "_closed_form_span",
+               "_closed_form_rows", "_TAIL", "_TAYLOR_TERMS", "_MAGNUS_BLOCK"}
+    assert not removed & names, removed & names
+    models = ast.parse((SRC / "models.py").read_text())
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(models) if isinstance(node, ast.Call)}
+    assert "metric_from_state" not in called
 
 
 def test_definition_guard_reads_nested_names():
