@@ -74,8 +74,11 @@ def levi_civita(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Gamma, g^{-1}) from metric values (n,3,3) and partials (n, axis, i, j).
 
     Gamma^i_{jk} = 1/2 g^{is}(d_j g_{sk} + d_k g_{sj} - d_s g_{jk}).
+    g^{-1} is (g^{-1} + g^{-T}) / 2, symmetric to the bit as
+    ``np.linalg.inv``'s is not: no contraction depends on the index it pairs.
     """
     ginv = _inverse_metric(g)
+    ginv = 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
     return 0.5 * np.einsum("nis,nsjk->nijk", ginv, _braces(dg)), ginv
 
 

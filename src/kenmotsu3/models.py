@@ -35,7 +35,7 @@ import numpy as np
 
 from .exprs import Expr, Jet, parse_expr
 from .fields import ChartDomain
-from .ode import M2, ConsistencyError, _as_matrix, integrate, rhs
+from .ode import ConsistencyError, integrate
 from .structure import _FIELDS, AlmostContactModel
 
 __all__ = [
@@ -267,16 +267,21 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     """A Darboux-like model backed by the matrix-ODE trajectory.
 
     g = dt (x) dt + e^{2t} G_ij dx^i (x) dx^j with G = -M2 F; phi's spatial
-    block is F(t); xi = d_t, eta = dt.  G = (M2 P)(M2 P)^T is asserted
-    positive definite at every node on its frame P: the diagonal p^2 + q^2,
-    r^2 + s^2 of P P^T is finite and positive, which no cancellation hides.
-    Every field depends on t alone and carries its exact t-partials: mu
-    from ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is
-    fine at t = -1), lam = e^{-f} and k = -1 - e^{-2f} by the chain rule
-    from f and f', and the others, for kmu, from the ODE slopes at the
-    state (``Trajectory.dense``): F' = 2H, F'' = 2H', d_t^k g = e^{2t}((2 +
-    d_t)^k G) with G^(k) = -M2 F^(k); for kmup from the closed form's
-    e^{+-A}, read off the state as e^A = f2 + f3, and A'.  The default box's
+    block is F(t) = M2 G; xi = d_t, eta = dt.  Both variants read the frame
+    P = [[p, q], [r, s]] of P' = P W and f off ``Trajectory.solution``, and
+    G = N N^T is a Gram matrix of N = M2 P.  G is asserted positive
+    definite at every node on its frame: the diagonal p^2 + q^2, r^2 + s^2
+    of P P^T is finite and positive, which no cancellation hides.  Every
+    field depends on t alone and carries its exact t-partials: mu from
+    ``Expr.jet`` (its first derivative alone, so mu = (t+1)^1.5 is fine at
+    t = -1), lam = e^{-f} and k = -1 - e^{-2f} by the chain rule from f and
+    f', and G's from P' = P W, as W + W^T = -2 lam M1 and W M1 + M1 W^T =
+    -2 lam I + nu M3:
+
+        G' = -2 lam Q1,   G'' = 2 f' lam Q1 + 4 lam^2 G - 2 nu lam Q3,
+
+    with Qk = N Mk N^T.  The variant selects nu (mu for kmu, 0 for kmup)
+    and f' (2 for kmu, mu + 2 for kmup) alone.  The default box's
     t-interval is the integrated range.
     """
     mu_bar = params.resolved()
@@ -291,57 +296,38 @@ def build_darboux_model(params: DarbouxParams) -> AlmostContactModel:
     domain = ChartDomain(((-np.inf, np.inf), (-np.inf, np.inf),
                           (traj.t_min, traj.t_max)), inclusive=True)
 
-    def kmu_cells(ts, mu):
-        """F's (0, 0), (0, 1), (1, 0) entries, e^{2t} G's (0, 0), (0, 1),
-        (1, 1) and f, each with its first and second t-derivative, from the
-        state and its slope, the ODE right-hand side there, looked up once
-        and rounded to float64.  Each order of e^{2t} G is its own sum by
-        ``_EXP2T_RULE``: the jets' product rule on e^{2t} and G would round
-        the t-partials differently."""
-        y = traj.dense(ts)
-        state, slope = y.astype(float), rhs("kmu", y, mu).astype(float)
-        fs = [_as_matrix(state[:, 0:3]), _as_matrix(slope[:, 0:3]),
-              2.0 * _as_matrix(slope[:, 3:6])]
-        gs = [-M2 @ m for m in fs]
-        e2t = np.exp(2.0 * ts)[:, None, None]
-        egs = [e2t * sum(c * gk for c, gk in zip(rule, gs))
-               for rule in _EXP2T_RULE]
-        return ([[m[:, i, j] for m in fs] for i, j in _CORNER[:3]]
-                + [[m[:, i, j] for m in egs] for i, j in ((0, 0), (0, 1), (1, 1))]
-                + [[state[:, 9], slope[:, 9], np.zeros(len(ts))]])
-
-    def kmup_cells(ts, mu):
-        """The same cells in closed form: F = [[0, e^A], [-e^{-A}, 0]] and
-        e^{2t} G = diag(e^{2t-A}, e^{2t+A}), with A' = -2 lam and A'' =
-        2 (mu+2) lam, each entry formed in long double and rounded once."""
-        y = traj.dense(ts)
-        f, ea = y[:, 9], y[:, 1] + y[:, 2]
-        mu2 = mu.astype(np.longdouble) + 2
-        a1, a2 = -2 * np.exp(-f), 2 * mu2 * np.exp(-f)
-        e2t = np.exp(2 * ts.astype(np.longdouble))
-
-        def exp_orders(e, d1, d2):  # e = exp(u) and u', u'': e, e', e''
-            return [e, d1 * e, (d2 + d1 * d1) * e]
-
-        zero = np.zeros(len(ts))
-        cells = [[zero] * 3, exp_orders(ea, a1, a2),
-                 [-c for c in exp_orders(1 / ea, -a1, -a2)],
-                 exp_orders(e2t / ea, 2 - a1, -a2), [zero] * 3,
-                 exp_orders(e2t * ea, 2 + a1, a2), [f, mu2, zero]]
-        return [[c.astype(float) for c in cell] for cell in cells]
-
-    cells_of = kmu_cells if params.variant == "kmu" else kmup_cells
-
     def coeffs(pts):
         """The entries of F and of e^{2t} G, then k, mu and lam: jets along
-        t.  F's (1, 1) entry is -F's (0, 0) and e^{2t} G is symmetric, so
-        neither takes a leaf of its own; the scalars' second partials,
+        t.  Each entry and its t-derivatives are formed in long double from
+        (P, f), looked up once, and rounded once; each order of e^{2t} G is
+        its own sum by ``_EXP2T_RULE`` (the jets' product rule on e^{2t}
+        and G would round the t-partials differently).  F's cells are G's
+        entries, F's (1, 1) entry is -F's (0, 0) and e^{2t} G is symmetric,
+        so neither takes a leaf of its own; the scalars' second partials,
         which their fields do not carry, are 0."""
         ts = pts[:, 2]
         mu, dmu = mu_bar.jet(ts, 1)
+        frame, f = traj.solution(ts)
+        p, q, r, s = (frame[:, i, j] for i, j in _CORNER)
+        lam, mu_ld = np.exp(-f), mu.astype(np.longdouble)
+        nu, df = (mu_ld, 2) if params.variant == "kmu" else (0, mu_ld + 2)
+        # the (0, 0), (0, 1), (1, 1) entries of G, Q1 and Q3, then of G^(k)
+        g = np.stack([r * r + s * s, -(p * r + q * s), p * p + q * q])
+        q1 = np.stack([r * r - s * s, q * s - p * r, p * p - q * q])
+        q3 = np.stack([2 * r * s, -(p * s + q * r), 2 * p * q])
+        gs = [g, -2 * lam * q1,
+              2 * df * lam * q1 + 4 * lam * lam * g - 2 * nu * lam * q3]
+        e2t = np.exp(2 * ts.astype(np.longdouble))
+        egs = [e2t * sum(c * gk for c, gk in zip(rule, gs))
+               for rule in _EXP2T_RULE]
         zero = np.zeros(len(ts))
+        # F = M2 G: F's (0, 0), (0, 1), (1, 0) are G's (0, 1), (1, 1), -(0, 0)
+        cells = ([[sign * gk[i] for gk in gs]
+                  for i, sign in ((1, 1), (2, 1), (0, -1))]
+                 + [[eg[i] for eg in egs] for i in range(3)]
+                 + [[f, df + zero, zero], [mu, dmu, zero]])
         p00, p01, p10, g00, g01, g11, f, mu = (
-            Jet.along(2, *c) for c in cells_of(ts, mu) + [[mu, dmu, zero]])
+            Jet.along(2, *(np.asarray(c, float) for c in cell)) for cell in cells)
         lam = np.exp(-f.v)  # k = -1 - lam^2: dk/df = 2 lam^2, dlam/df = -lam
         k = f.chain(-1.0 - lam ** 2, 2.0 * lam ** 2, zero)
         lam = f.chain(lam, -lam, zero)

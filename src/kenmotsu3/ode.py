@@ -45,8 +45,9 @@ x1^2 - x2^2 + x3^2, so exp X = cosh r I + (sinh r / r) X.
          F = M2 cosh A + M3 sinh A.
 
 Each node's state is written from its P once, as sums of products.
-``Trajectory.dense`` is the one lookup of the solution: the node state at
-a stored node, elsewhere one partial Magnus step from the nearest node's P.
+``Trajectory.solution`` is the one lookup of the solution, (P, f): the
+node's at a stored node, elsewhere one partial Magnus step from the
+nearest node's P; ``Trajectory.dense`` writes the states of what it reads.
 """
 
 from __future__ import annotations
@@ -276,22 +277,22 @@ def _expm(om: np.ndarray) -> np.ndarray:
 
 def _write_states(variant, frames, y) -> None:
     """Write F = P M2 P^-1, H = -lam P M3 P^-1 and B = -+lam P M1 P^-1
-    (kmu -, kmup +) of the frames P = [[p, q], [r, s]] (m, 2, 2), with lam
-    = e^{-f} and f = ``y[:, 9]``, into ``y[:, :9]``: each component one sum
-    of products of P's entries, times lam for H and B."""
-    p, q, r, s = frames[:, 0, 0], frames[:, 0, 1], frames[:, 1, 0], frames[:, 1, 1]
+    (kmu -, kmup +) of the frames P = [[p, q], [r, s]] (..., 2, 2), with
+    lam = e^{-f} and f = ``y[..., 9]``, into ``y[..., :9]``: each component
+    one sum of products of P's entries, times lam for H and B."""
+    p, q, r, s = (frames[..., i, j] for i in (0, 1) for j in (0, 1))
     pp, qq, rr, ss = p * p, q * q, r * r, s * s
-    lam = np.exp(-y[:, 9])
+    lam = np.exp(-y[..., 9])
     lam_b = -lam if variant == "kmu" else lam
-    y[:, 0] = -(p * r + q * s)
-    y[:, 1] = (pp + qq + rr + ss) / 2
-    y[:, 2] = (pp + qq - rr - ss) / 2
-    y[:, 3] = lam * (p * r - q * s)
-    y[:, 4] = -lam * (pp - qq + rr - ss) / 2
-    y[:, 5] = -lam * (pp - qq - rr + ss) / 2
-    y[:, 6] = lam_b * (p * s + q * r)
-    y[:, 7] = -lam_b * (p * q + r * s)
-    y[:, 8] = lam_b * (r * s - p * q)
+    y[..., 0] = -(p * r + q * s)
+    y[..., 1] = (pp + qq + rr + ss) / 2
+    y[..., 2] = (pp + qq - rr - ss) / 2
+    y[..., 3] = lam * (p * r - q * s)
+    y[..., 4] = -lam * (pp - qq + rr - ss) / 2
+    y[..., 5] = -lam * (pp - qq - rr + ss) / 2
+    y[..., 6] = lam_b * (p * s + q * r)
+    y[..., 7] = -lam_b * (p * q + r * s)
+    y[..., 8] = lam_b * (r * s - p * q)
 
 
 def _steps(variant, mu_bar: Expr, t, t_end):
@@ -370,8 +371,9 @@ class Trajectory:
     Nodes are uniformly spaced by ``step`` and include t=0 with the
     variant's initial conditions; ``frames`` holds the long-double P of
     P' = P W at every node and ``states`` the state written from it.
-    :meth:`dense` reads the solution at any time of the integrated range,
-    off the nodes by one partial Magnus step from the nearest node's P.
+    :meth:`solution` reads (P, f) at any time of the integrated range, off
+    the nodes by one partial Magnus step from the nearest node's P, and
+    :meth:`dense` the states written from them.
     """
 
     variant: str
@@ -389,27 +391,36 @@ class Trajectory:
     def t_max(self) -> float:
         return float(self.times[-1])
 
-    def dense(self, ts) -> np.ndarray:
-        """Long-double state vectors at arbitrary times: the node state at a
-        stored node, elsewhere the state of the nearest node's P times the
-        exponential of one Magnus step over [t_node, t]."""
+    def solution(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(P, f) at arbitrary times of the integrated range, in long
+        double, shaped ``ts.shape + (2, 2)`` and ``ts.shape``: the node's at
+        a stored node, elsewhere the nearest node's P times the exponential
+        of one Magnus step over [t_node, t], and f risen over that step."""
         ts = np.asarray(ts, float)
         if not np.all((ts >= self.t_min - 1e-12) & (ts <= self.t_max + 1e-12)):
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
-        pos = (ts - self.t_min) / self.step
+        pos = np.ravel(ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
-        out = np.take(self.states, nearest, axis=0)  # a copy, also for a scalar
+        p, f = self.frames[nearest], self.states[nearest, 9]  # copies
         off = np.abs(pos - nearest) >= 1e-9
         if off.any():
             t0 = self.times[nearest[off]].astype(np.longdouble)
-            t, y = ts[off].astype(np.longdouble), out[off]
+            t = ts.ravel()[off].astype(np.longdouble)
             mu_stage, rise, rise_stage = _steps(self.variant, self.mu_bar, t0, t)
             om = _magnus_exponent(self.variant, t - t0, mu_stage,
-                                  y[:, 9, None] + rise_stage)
-            y[:, 9] += rise
-            _write_states(self.variant, self.frames[nearest[off]] @ _expm(om), y)
-            out[off] = y
-        return out
+                                  f[off, None] + rise_stage)
+            p[off] = p[off] @ _expm(om)
+            f[off] += rise
+        return p.reshape(ts.shape + (2, 2)), f.reshape(ts.shape)
+
+    def dense(self, ts) -> np.ndarray:
+        """Long-double state vectors at arbitrary times, written from
+        :meth:`solution` (at a stored node, the node's state)."""
+        p, f = self.solution(ts)
+        y = np.empty(f.shape + (10,), np.longdouble)
+        y[..., 9] = f
+        _write_states(self.variant, p, y)
+        return y
 
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],

@@ -22,7 +22,7 @@ from kenmotsu3.models import (
     model_to_json,
     parse_box,
 )
-from kenmotsu3.ode import _as_matrix
+from kenmotsu3.ode import M3
 from kenmotsu3.structure import FAMILIES, compute_h, structure_residuals
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -166,8 +166,8 @@ DARBOUX_CASES = [(v, mu) for v in ("kmu", "kmup") for mu in ("0", "1", "sin(t)")
 
 
 class TestDarbouxExactPartials:
-    """The Darboux fields take their t-partials from the ODE slopes (kmu)
-    or the closed form (kmup)."""
+    """The Darboux fields take their t-partials from the frame P of the
+    flow P' = P W, the same way for both variants."""
 
     @pytest.fixture(scope="class", params=DARBOUX_CASES,
                     ids=lambda c: f"{c[0]}-mu{c[1]}")
@@ -178,45 +178,42 @@ class TestDarbouxExactPartials:
     def _pts(ts):
         return np.stack([np.full(len(ts), 0.3), np.full(len(ts), 0.7), ts], 1)
 
+    def _assert_h_is_the_frame_h(self, model, ts):
+        # h = (1/2) d_t phi = (1/2) F' is formed from the lookup's (P, f) in
+        # long double and rounded once: within eps |H| + eps_LD (|h2| +
+        # |h3|) of H = -lam P M3 P^-1 formed in long double from the same
+        # lookup (P^-1 the adjugate, as det P = 1), whose entries cancel
+        # (measured at most 0.50 of that), and h xi = 0, eta o h = 0 exactly
+        p, f = model.trajectory.solution(ts)
+        adj = np.stack([p[:, 1, 1], -p[:, 0, 1], -p[:, 1, 0], p[:, 0, 0]],
+                       axis=-1).reshape(-1, 2, 2)
+        exact = -np.exp(-f)[:, None, None] * (p @ M3 @ adj)
+        scale = (np.abs(exact[:, 0, 1] - exact[:, 1, 0])
+                 + np.abs(exact[:, 0, 1] + exact[:, 1, 0]))[:, None, None] / 2
+        h = compute_h(model, self._pts(ts))
+        assert np.all(np.abs(h[:, :2, :2] - exact)
+                      <= np.finfo(float).eps * np.abs(exact)
+                      + np.finfo(np.longdouble).eps * scale)
+        assert not h[:, 2, :].any() and not h[:, :, 2].any()
+        return h[:, :2, :2]
+
     def test_h_at_nodes_is_the_state_h(self, model):
-        # h = (1/2) d_t phi and d_t F = 2H: at stored nodes compute_h reads
-        # the node state's H, and h xi = 0, eta o h = 0 exactly.  kmu's is
-        # the rounded state's bit for bit.  kmup's h = -lam [[0, e^A],
-        # [e^{-A}, 0]] is formed from e^{+-A} and rounded once: within eps
-        # |H| + eps_LD (|h2| + |h3|) of H formed in long double, whose small
-        # entry h3 - h2 cancels (measured at most 0.80 of that)
         traj = model.trajectory
         ts = traj.times[(traj.times >= -1.0 - 1e-12) & (traj.times <= 1.0 + 1e-12)]
-        h = compute_h(model, self._pts(ts))
-        if traj.variant == "kmu":
-            assert np.array_equal(h[:, :2, :2],
-                                  _as_matrix(traj.dense(ts)[:, 3:6].astype(float)))
-        else:
-            state = traj.states[np.searchsorted(traj.times, ts)]
-            exact = _as_matrix(state[:, 3:6])
-            scale = np.abs(state[:, 4:6]).sum(axis=1)[:, None, None]
-            assert np.all(np.abs(h[:, :2, :2] - exact.astype(float))
-                          <= np.finfo(float).eps * np.abs(exact)
-                          + np.finfo(np.longdouble).eps * scale)
-        assert not h[:, 2, :].any() and not h[:, :, 2].any()
+        self._assert_h_is_the_frame_h(model, ts)
 
     def test_h_off_nodes_is_h_of_the_dense_state(self, model):
-        # kmu: off the nodes the slope is the ODE right-hand side at
-        # dense(t), whose F-row is 2H with no rounding.  kmup: one partial
-        # Gauss step from the nearest node gives the h that a trajectory at
-        # half the step has at its nodes, within 2 eps (measured 0.88 eps)
+        # off the nodes, too; and the lookup's one partial Magnus step from
+        # the nearest node gives the h that a trajectory at half the step
+        # has at its nodes, within 2 eps (measured 1.0 eps)
         traj = model.trajectory
-        offset = 0.37 if traj.variant == "kmu" else 0.5
-        ts = (np.arange(-999, 999, 7) + offset) * traj.step
+        ts = (np.arange(-999, 999, 7) + 0.5) * traj.step
         assert np.all(np.abs(ts / traj.step - np.round(ts / traj.step)) > 0.3)
-        h = compute_h(model, self._pts(ts))[:, :2, :2]
-        if traj.variant == "kmu":
-            assert np.array_equal(h, _as_matrix(traj.dense(ts)[:, 3:6].astype(float)))
-        else:
-            fine = build_darboux_model(DarbouxParams(
-                "kmup", model.params["mu"], (-1.0, 1.0), traj.step / 2))
-            ref = compute_h(fine, self._pts(ts))[:, :2, :2]
-            assert np.all(np.abs(h - ref) <= 2 * np.finfo(float).eps * np.abs(ref))
+        h = self._assert_h_is_the_frame_h(model, ts)
+        fine = build_darboux_model(DarbouxParams(
+            traj.variant, model.params["mu"], (-1.0, 1.0), traj.step / 2))
+        ref = compute_h(fine, self._pts(ts))[:, :2, :2]
+        assert np.all(np.abs(h - ref) <= 2 * np.finfo(float).eps * np.abs(ref))
 
     def test_exact_partials_match_fd(self, model):
         # 5-point FD at the node step errs by its 4th-order truncation:

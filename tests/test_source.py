@@ -175,9 +175,11 @@ def test_one_evaluation_per_point_array():
 
 
 def test_one_state_lookup():
-    # the Darboux models read the ODE's solution through Trajectory.dense
-    # alone: the class keeps no slopes and defines no second lookup, and
-    # the sample plan knows nothing of trajectories (no node snapping)
+    # the Darboux models read the ODE's solution through
+    # Trajectory.solution alone: the class keeps no slopes, only
+    # ``solution`` steps off the nodes, ``dense`` writes the states of its
+    # (P, f), and the sample plan knows nothing of trajectories (no node
+    # snapping)
     ode = ast.parse((SRC / "ode.py").read_text())
     traj = [node for node in ast.walk(ode)
             if isinstance(node, ast.ClassDef) and node.name == "Trajectory"]
@@ -186,10 +188,24 @@ def test_one_state_lookup():
               if isinstance(node, ast.AnnAssign)]
     assert fields == ["variant", "mu_bar", "step", "times", "states",
                       "frames"], fields
-    methods = _defined(ast.unparse(traj[0]), ast.FunctionDef)
-    assert "dense" in methods
+    methods = {node.name: {getattr(call.func, "id", getattr(call.func, "attr", None))
+                           for call in ast.walk(node) if isinstance(call, ast.Call)}
+               for node in traj[0].body if isinstance(node, ast.FunctionDef)}
     assert not {"slopes", "exponents", "derivs"} & set(methods), methods
+    stepping = {"_steps", "_magnus_exponent", "_expm"}
+    assert [m for m, calls in methods.items() if stepping & calls] == ["solution"]
+    assert {"solution", "_write_states"} <= methods["dense"], methods["dense"]
     assert "trajectory" not in (SRC / "identities.py").read_text()
+
+
+def test_models_read_no_state_layout():
+    # one Darboux cell builder reads (P, f) off the lookup for both
+    # variants: models imports neither the ODE's right-hand side nor its
+    # basis matrices, and defines no per-variant cells
+    source = (SRC / "models.py").read_text()
+    assert _imported_names(source, "ode") == {"integrate", "ConsistencyError"}
+    assert not {"kmu_cells", "kmup_cells"} & set(_defined(source, ast.FunctionDef))
+    assert "cells_of" not in source
 
 
 def test_one_integration_scheme():
