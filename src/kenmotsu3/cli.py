@@ -25,7 +25,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from .exprs import ExprDomainError, ExprSyntaxError
-from .identities import IDENTITIES, SamplePlan, check_suite
+from .identities import IDENTITIES, SamplePlan, check_suite, worst_of
 from .models import (
     DEFAULT_BOX,
     DarbouxParams,
@@ -179,7 +179,7 @@ def cmd_sweep(args) -> int:
     if not all(map(math.isfinite, mu_values)):
         raise UsageError(f"bad --mu-values: {args.mu_values!r} lists a "
                          f"non-finite value")
-    worst: dict[str, dict] = {}
+    runs_of: dict[str, list] = {}
     runs = []
     overall = "pass"
     for mu in mu_values:
@@ -189,21 +189,20 @@ def cmd_sweep(args) -> int:
         runs.append({"mu": mu, "overall": sub_overall,
                      "identities": [r.as_dict() for r in reports]})
         for r in reports:
-            if r.verdict == "not-applicable":
-                continue
-            kept = worst.get(r.id)
-            # a NaN residual fails and is the worst (identities._merge)
-            if kept is None or (kept["residual"] is not None
-                                and not r.residual <= kept["residual"]):
-                worst[r.id] = {"residual": r.as_dict()["residual"], "mu": mu,
-                               "tolerance": r.tolerance, "verdict": r.verdict}
+            if r.verdict != "not-applicable":
+                runs_of.setdefault(r.id, []).append((r.residual, mu, r))
         print(f"mu={mu:g}: {sub_overall}")
+    worst = {}
+    for ident in sorted(runs_of):
+        _, mu, r = worst_of(runs_of[ident])  # a NaN residual is the worst
+        worst[ident] = {"residual": r.as_dict()["residual"], "mu": mu,
+                        "tolerance": r.tolerance, "verdict": r.verdict}
     doc = {
         "family": args.family,
         "muValues": mu_values,
         "plan": {"grid": args.grid, "randomPairs": args.rand_pairs,
                  "seed": args.seed},
-        "worstPerIdentity": {k: worst[k] for k in sorted(worst)},
+        "worstPerIdentity": worst,
         "runs": runs,
         "overall": overall,
         "timestamp": datetime.now(timezone.utc).isoformat(),

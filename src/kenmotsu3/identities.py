@@ -17,10 +17,12 @@ tangent vectors is multilinear, so it holds for all vectors if and only if
 it holds on a basis, and for g-unit vectors Cauchy-Schwarz in the frame
 gives |T(X, Y, ...)| <= |T|_F: the norm bounds the residual at any unit
 vectors from above, and it is the same in every g-orthonormal frame.
-CODAZZI_HP quantifies over ker(eta), which E's first two rows span.  E
-needs g alone, where the adapted frame (xi, X, phi X) is orthonormal only
-as far as phi is g-compatible: only the identities about that frame,
-CONN_KMU, CONN_KMUP and FLAT_LEAF, read it.
+CODAZZI_HP quantifies over ker(eta), which E's first two rows span, and
+the adapted frame (xi, X, phi X) turns those two rows to the top
+eigenvector X of the nullity operator in ker(eta) (Probe.eigen): one
+g-orthonormal basis of ker(eta) per Probe.  E needs g alone, where phi X is
+g-unit only as far as phi is g-compatible: only the identities about the
+adapted frame, CONN_KMU, CONN_KMUP and FLAT_LEAF, and infer_k_mu read it.
 
 Tolerance profiles: STRICT 1e-10 (algebraic, no differentiation),
 FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .geometry import (
     levi_civita,
     metric_factors,
 )
-from .structure import FAMILIES, AlmostContactModel, frame_of, lie_derivative
+from .structure import FAMILIES, AlmostContactModel, lie_derivative
 
 __all__ = [
     "PROFILES",
@@ -54,6 +57,7 @@ __all__ = [
     "check_suite",
     "nullity_residual",
     "infer_k_mu",
+    "worst_of",
 ]
 
 PROFILES = {"strict": 1e-10, "fd1": 1e-6, "fd2": 5e-5}
@@ -134,6 +138,14 @@ class ResidualReport:
 # --------------------------------------------------------------------------
 # Evaluation cache
 # --------------------------------------------------------------------------
+
+class _Eigen(NamedTuple):
+    """Per-point frame (xi, X, phi X) with T X = lam X for the model's T."""
+
+    lam: np.ndarray    # (n,)
+    x: np.ndarray      # (n, 3)
+    phi_x: np.ndarray  # (n, 3)
+
 
 class Probe:
     """Lazy per-block cache of everything the identities consume.
@@ -273,7 +285,27 @@ class Probe:
 
     @cached_property
     def eigen(self):
-        return frame_of(self.g, self.xi, self.phi, self.eta, self.t_op)
+        """The top eigenpair of T on ker(eta), in the Cholesky frame.
+
+        E's first two rows e_0, e_1 are a g-orthonormal basis of ker(eta)
+        (eta is a multiple of dz or dt in every family), and T's block on
+        them, m_ab = g(e_a, T e_b), is (L^T T E^T)[:2, :2], since E g = L^T.
+        X = v_0 e_0 + v_1 e_1 for the top eigenvector v of the symmetrised
+        m.  Where lam < 1e-10 (h vanishes) lam is 0 and X = e_0.  The first
+        component of X above 1e-8 in magnitude is positive.
+        """
+        lt, e = self.factors
+        leaf = e[:, :2]
+        m = lt[:, :2] @ self.t_op @ leaf.transpose(0, 2, 1)
+        evals, evecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+        lam = evals[:, 1]
+        x = evecs[:, 0, 1, None] * leaf[:, 0] + evecs[:, 1, 1, None] * leaf[:, 1]
+        degenerate = lam < 1e-10
+        lam = np.where(degenerate, 0.0, lam)
+        x = np.where(degenerate[:, None], leaf[:, 0], x)
+        lead = x[np.arange(self.n), np.argmax(np.abs(x) > 1e-8, axis=1)]
+        x = np.where((lead < 0)[:, None], -x, x)
+        return _Eigen(lam, x, np.einsum("nij,nj->ni", self.phi, x))
 
     @cached_property
     def frame(self):
@@ -844,10 +876,11 @@ def _block_maxima(specs, p: Probe) -> list[tuple]:
     return [(float(v[i]), tuple(p.pts[i].tolist())) for v, i in maxima]
 
 
-def _merge(kept: tuple, later: tuple) -> tuple:
-    """``np.argmax``'s pick over two runs of points, ``kept`` first: the first
-    NaN wins, else the later run's maximum only if it is strictly larger."""
-    return later if not np.isnan(kept[0]) and not later[0] <= kept[0] else kept
+def worst_of(runs) -> tuple:
+    """``np.argmax``'s pick over runs of (residual, ...) in order: the first
+    NaN wins, else a later run only if its residual is strictly larger."""
+    return reduce(lambda kept, later: later if not np.isnan(kept[0])
+                  and not later[0] <= kept[0] else kept, runs)
 
 
 def _report(spec: IdentitySpec, tolerance, kept, samples) -> ResidualReport:
@@ -886,7 +919,7 @@ def check_suite(model: AlmostContactModel, identities=None,
     live = [spec for spec in specs if model.family in spec.families]
     pts = plan.points(model)
     blocks = _per_block(model, pts, lambda p: _block_maxima(live, p)) if live else []
-    kept = {spec.id: reduce(_merge, m) for spec, m in zip(live, zip(*blocks))}
+    kept = {spec.id: worst_of(m) for spec, m in zip(live, zip(*blocks))}
     return [_report(spec, (tolerances or {}).get(spec.id), kept.get(spec.id),
                     len(pts)) for spec in specs]
 

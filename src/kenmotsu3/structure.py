@@ -6,7 +6,9 @@ chart, with their exact partials, plus family metadata; its seven fields are
 field-evaluator views of that evaluation.  The tensor h is computed from its
 Lie-derivative definition h = (1/2) L_xi phi (never from the connection, so
 the connection identities stay an independent cross-check); the identities'
-Probe composes h' = h o phi and B = phi o h from the same values.
+Probe composes h' = h o phi and B = phi o h from the same values, and finds
+the eigenframe (xi, X, phi X) of the family's nullity operator in the
+Cholesky frame it norms every residual in.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import ArrayField, ChartDomain, as_points
-from .geometry import exterior_differential, g_norm
+from .geometry import exterior_differential
 
 __all__ = [
     "AlmostContactModel",
-    "Eigenframe",
     "lie_derivative",
     "compute_h",
-    "frame_of",
     "nijenhuis",
     "structure_residuals",
 ]
@@ -91,20 +91,6 @@ class AlmostContactModel:
         return h @ phi if self.variant == "hp" else h
 
 
-@dataclass(frozen=True)
-class Eigenframe:
-    """Per-point frame (xi, X, phi X) with T X = lam X for the model's T.
-
-    ``degenerate`` flags points where the top eigenvalue fell below 1e-10
-    (h vanishes there; lam is reported as 0).
-    """
-
-    lam: np.ndarray         # (n,)
-    x: np.ndarray           # (n, 3)
-    phi_x: np.ndarray       # (n, 3)
-    degenerate: np.ndarray  # (n,) bool
-
-
 def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
                    dt_vals: np.ndarray) -> np.ndarray:
     """(L_xi T)^i_j = xi^a d_a T^i_j - T^a_j d_a xi^i + T^i_s d_j xi^s.
@@ -133,53 +119,6 @@ def compute_h(model: AlmostContactModel, pts) -> np.ndarray:
     (phi, dphi, _), (xi, dxi, _) = at["phi"], at["xi"]
     h = 0.5 * lie_derivative(xi, dxi, phi, dphi)
     return h[0] if single else h
-
-
-def frame_of(g: np.ndarray, xi: np.ndarray, phi: np.ndarray, eta: np.ndarray,
-             t_op: np.ndarray) -> Eigenframe:
-    """Largest-eigenvalue unit frame of ``t_op`` from per-point values.
-
-    The eigenproblem is solved on the 2-dimensional distribution orthogonal
-    to xi (h xi = 0 exactly in every family, so projecting out xi first
-    avoids spurious mixing).  The sign of X is fixed by making its first
-    component above 1e-8 in magnitude positive.
-    """
-    # g-orthonormal basis of ker(eta): project the first two coordinate
-    # directions and Gram-Schmidt them
-    basis = []
-    for j in (0, 1):
-        v = np.zeros_like(xi)
-        v[:, j] = 1.0
-        v = v - eta[:, j, None] * xi
-        for u in basis:
-            v = v - np.einsum("ni,nij,nj->n", v, g, u)[:, None] * u
-        v = v / g_norm(v, g)[:, None]
-        basis.append(v)
-    u1, u2 = basis
-
-    t_u1 = np.einsum("nij,nj->ni", t_op, u1)
-    t_u2 = np.einsum("nij,nj->ni", t_op, u2)
-    m = np.empty((len(g), 2, 2))
-    m[:, 0, 0] = np.einsum("ni,nij,nj->n", t_u1, g, u1)
-    m[:, 1, 1] = np.einsum("ni,nij,nj->n", t_u2, g, u2)
-    m[:, 0, 1] = m[:, 1, 0] = 0.5 * (
-        np.einsum("ni,nij,nj->n", t_u1, g, u2)
-        + np.einsum("ni,nij,nj->n", t_u2, g, u1))
-    evals, evecs = np.linalg.eigh(m)
-    lam = evals[:, 1]
-    x = evecs[:, 0, 1, None] * u1 + evecs[:, 1, 1, None] * u2
-
-    degenerate = lam < 1e-10
-    lam = np.where(degenerate, 0.0, lam)
-    x = np.where(degenerate[:, None], u1, x)
-
-    # deterministic sign: first coordinate component of magnitude > 1e-8
-    significant = np.abs(x) > 1e-8
-    first = np.argmax(significant, axis=1)
-    lead = x[np.arange(len(x)), first]
-    x = np.where((lead < 0)[:, None], -x, x)
-
-    return Eigenframe(lam, x, np.einsum("nij,nj->ni", phi, x), degenerate)
 
 
 def nijenhuis(model: AlmostContactModel, pts, x, y) -> np.ndarray:

@@ -284,13 +284,18 @@ def test_no_svd_and_cond_only_in_the_metric_inverse_fallback():
     assert flat == [("cond", "_inverse_metric", "geometry.py")], flat
 
 
-def test_one_eigen_solve_in_frame_of():
+def test_one_eigen_solve_in_probe_eigen():
     # no suite norms a tensor by its eigenvalues or singular values: the one
-    # eigen-solve is the 2x2 eigh that finds the adapted frame
+    # eigen-solve is the 2x2 eigh that finds the adapted frame, in the
+    # Cholesky frame the Probe factors g into; structure builds no frame
     names = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
     flat = [(name, func, f.name) for f in sorted(SRC.glob("*.py"))
             for name, func in _linalg_uses(f.read_text(), f.name, names=names)]
-    assert flat == [("eigh", "frame_of", "structure.py")], flat
+    assert flat == [("eigh", "eigen", "identities.py")], flat
+    tree = ast.parse((SRC / "structure.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"frame_of", "Eigenframe"}, defined
 
 
 # what factors the metric: numpy's Cholesky and inverse, and the geometry

@@ -83,9 +83,11 @@ class TestHOperator:
 class TestEigenframe:
     def test_baseline_degenerate(self):
         m = build_kenmotsu_baseline(1.0)
-        ef = probe(m, np.array([[0.1, 0.2, 0.0]])).eigen
-        assert ef.degenerate[0]
+        p = probe(m, np.array([[0.1, 0.2, 0.0]]))
+        ef = p.eigen
         assert ef.lam[0] == 0.0
+        # h vanishes: X falls back to the first row of the Cholesky frame
+        assert np.array_equal(ef.x, p.factors[1][:, 0])
 
     def test_kmup_chart_eigenvector(self):
         m = build_kmu_prime_chart_model(KmupChartParams())
