@@ -14,7 +14,6 @@ from .identities import (
     check_identity,
     check_suite,
     infer_k_mu,
-    nullity_residual,
 )
 from .models import (
     DarbouxParams,
@@ -27,7 +26,7 @@ from .models import (
     model_from_json,
     model_to_json,
 )
-from .structure import AlmostContactModel, compute_h
+from .structure import AlmostContactModel
 
 __version__ = "0.1.0"
 
@@ -35,11 +34,11 @@ __all__ = [
     "Expr", "parse_expr",
     "ChartDomain",
     "SamplePlan", "IDENTITIES", "check_identity", "check_suite",
-    "nullity_residual", "infer_k_mu",
+    "infer_k_mu",
     "KmuChartParams", "KmupChartParams", "DarbouxParams",
     "build_kmu_chart_model", "build_kmu_prime_chart_model",
     "build_darboux_model", "build_kenmotsu_baseline",
     "model_to_json", "model_from_json",
-    "AlmostContactModel", "compute_h",
+    "AlmostContactModel",
     "__version__",
 ]

@@ -110,6 +110,11 @@ def _run_suite(args):
     return model, reports, "pass" if passed else "fail"
 
 
+def _plan_document(args) -> dict:
+    """The ``plan`` block of the verify and sweep reports."""
+    return {"grid": args.grid, "randomPairs": args.rand_pairs, "seed": args.seed}
+
+
 def _verification_document(model, args, reports, overall):
     return {
         "model": {
@@ -117,11 +122,7 @@ def _verification_document(model, args, reports, overall):
             "params": model.params,
             "box": [list(iv) for iv in model.default_box],
         },
-        "plan": {
-            "grid": args.grid,
-            "randomPairs": args.rand_pairs,
-            "seed": args.seed,
-        },
+        "plan": _plan_document(args),
         "identities": [r.as_dict() for r in reports],
         "overall": overall,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -200,8 +201,7 @@ def cmd_sweep(args) -> int:
     doc = {
         "family": args.family,
         "muValues": mu_values,
-        "plan": {"grid": args.grid, "randomPairs": args.rand_pairs,
-                 "seed": args.seed},
+        "plan": _plan_document(args),
         "worstPerIdentity": worst,
         "runs": runs,
         "overall": overall,

@@ -27,7 +27,6 @@ __all__ = [
     "christoffel_partials",
     "covariant_differential",
     "exterior_differential",
-    "g_norm",
     "metric_factors",
 ]
 
@@ -175,16 +174,6 @@ def exterior_differential(d: np.ndarray) -> np.ndarray:
     if d.shape[1:] == (3, 3, 3):
         return d[:, 0, 1, 2] - d[:, 1, 0, 2] + d[:, 2, 0, 1]
     raise ValueError(f"not the partials of a 1-form or 2-form: shape {d.shape[1:]}")
-
-
-# --------------------------------------------------------------------------
-# g-norms
-# --------------------------------------------------------------------------
-
-def g_norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Riemannian length of per-point component vectors, as (v g) . v."""
-    vg = (v[..., None, :] @ g)[..., 0, :]
-    return np.sqrt(np.maximum(np.einsum("...i,...i->...", vg, v), 0.0))
 
 
 def metric_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -52,10 +52,8 @@ __all__ = [
     "SamplePlan",
     "ResidualReport",
     "IDENTITIES",
-    "applicable_identities",
     "check_identity",
     "check_suite",
-    "nullity_residual",
     "infer_k_mu",
     "worst_of",
 ]
@@ -351,10 +349,6 @@ class Probe:
 
     # --- contractions and the one norm ----------------------------------------
 
-    def apply(self, op, vecs):
-        """Apply per-point operator (n,3,3) to vectors (n,P,3)."""
-        return vecs @ op.transpose(0, 2, 1)
-
     @cached_property
     def factors(self):
         """(L^T, E) of g = L L^T, factored once: E = L^{-1}, whose rows are
@@ -476,20 +470,33 @@ def _res_l_id(p: Probe):
 
 def _curv2_residual(p: Probe, vecs):
     """CURV2's left-hand side minus its right-hand side on the vectors
-    ``vecs`` (n, P, 3) in each slot: (n, a, c, b)."""
-    n, phi_vecs = p.n, p.apply(p.phi, vecs)
+    ``vecs`` (n, P, 3) in each slot: (n, a, c, b).  Summed in float64, its
+    terms of up to 3.3e3 read 1.03e-12 on kmup-darboux near mu = 1 at
+    t = -1, in long double 7.6e-13 (README, "Known numerical limits"); 32
+    points at a time, a grid-5 pass peaks at 3.6 float64 frame tensors."""
+    ops = (p.curv.riemann, p.xi, p.g, p.phi, p.h, p.bmat, p.eta,
+           p.nabla_phi2, vecs)
+    out = np.empty((p.n,) + (vecs.shape[1],) * 3)
+    for s in range(0, p.n, 32):
+        out[s:s + 32] = _curv2_terms(
+            *(np.asarray(a[s:s + 32], np.longdouble) for a in ops))
+    return out
+
+
+def _curv2_terms(riemann, xi, g, phi, h, bmat, eta, nabla_phi2, vecs):
+    n, phi_vecs = len(xi), vecs @ phi.transpose(0, 2, 1)
     # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
-    a = np.einsum("nijkl,nk->nijl", p.curv.riemann, p.xi)
-    ga = np.einsum("nsi,nijl->nlsj", p.g, a).reshape(n, 3, 9)
+    a = np.einsum("nijkl,nk->nijl", riemann, xi)
+    ga = np.einsum("nsi,nijl->nlsj", g, a).reshape(n, 3, 9)
     # g(R(xi, X_a) e_j, e_s), the first stage shared by the four terms
     ga_x, ga_phix = ((v @ ga).reshape(n, -1, 3, 3) for v in (vecs, phi_vecs))
     # the right-hand side in the same slots, s for Z and j for Y, M = I - phi h:
     # 2 (nabla_{hX_a} Phi)_{js} + 2 eta_j (g M X_a)_s - 2 eta_s (g M X_a)_j
-    d_phi2 = p.nabla_phi2.transpose(0, 1, 3, 2).reshape(n, 3, 9)
-    nabla_hx = (p.apply(p.h, vecs) @ d_phi2).reshape(ga_x.shape)
-    gmx = p.apply(p.g, vecs - p.apply(p.bmat, vecs))
-    rhs_x = 2.0 * (nabla_hx + np.einsum("nj,nas->nasj", p.eta, gmx)
-                   - np.einsum("ns,naj->nasj", p.eta, gmx))
+    d_phi2 = nabla_phi2.transpose(0, 1, 3, 2).reshape(n, 3, 9)
+    nabla_hx = (vecs @ h.transpose(0, 2, 1) @ d_phi2).reshape(ga_x.shape)
+    gmx = (vecs - vecs @ bmat.transpose(0, 2, 1)) @ g.transpose(0, 2, 1)
+    rhs_x = 2.0 * (nabla_hx + np.einsum("nj,nas->nasj", eta, gmx)
+                   - np.einsum("ns,naj->nasj", eta, gmx))
     out = _triples([(ga_x - rhs_x, vecs), (ga_phix, phi_vecs)], vecs)
     out += _triples([(ga_phix, vecs), (-ga_x, phi_vecs)], phi_vecs)
     return out
@@ -856,10 +863,6 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
 ]}
 
 
-def applicable_identities(model: AlmostContactModel) -> list[str]:
-    return [s.id for s in IDENTITIES.values() if model.family in s.families]
-
-
 # --------------------------------------------------------------------------
 # Checking API
 # --------------------------------------------------------------------------
@@ -922,13 +925,6 @@ def check_suite(model: AlmostContactModel, identities=None,
     kept = {spec.id: worst_of(m) for spec, m in zip(live, zip(*blocks))}
     return [_report(spec, (tolerances or {}).get(spec.id), kept.get(spec.id),
                     len(pts)) for spec in specs]
-
-
-def nullity_residual(model: AlmostContactModel,
-                     plan: SamplePlan | None = None) -> ResidualReport:
-    """Residual of the model's own nullity condition (variant h or hp)."""
-    name = "NULL_KMU" if model.variant == "h" else "NULL_KMUP"
-    return check_identity(model, name, plan)
 
 
 def _k_mu(p: Probe):

@@ -65,7 +65,6 @@ __all__ = [
     "rhs",
     "integrate",
     "algebraic_residuals",
-    "metric_from_state",
     "check_initial_relations",
     "initial_state",
     "trajectory_to_csv",
@@ -186,24 +185,6 @@ def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
     out = {k: np.max(np.abs(v), axis=(-2, -1)) for k, v in res.items()}
     out["detG"] = np.abs(_det_g(y) - 1.0)
     return out
-
-
-def metric_from_state(t, y) -> np.ndarray:
-    """G = -M2 F = [[f2-f3, f1], [f1, f2+f3]]; symmetric positive definite.
-
-    ``t`` has shape (...) and ``y`` shape (..., 10); raises
-    :class:`ConsistencyError` at the first node whose G is not.  f2 - f3
-    and det G cancel once G is badly conditioned; the model builder checks
-    G = (M2 P)(M2 P)^T on the frames P instead.
-    """
-    g = -M2 @ _as_matrix(y[..., 0:3])
-    bad = np.ravel(~((g[..., 0, 0] > 0) & (_det_g(y) > 0)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ConsistencyError(
-            "leaf metric lost positive definiteness at "
-            f"t={float(np.ravel(t)[i])}: {g.reshape(-1, 2, 2)[i].tolist()}")
-    return g
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Almost contact metric structures and the operators derived from them.
+"""Almost contact metric structures: the model and the Lie derivative.
 
 An :class:`AlmostContactModel` is one evaluation ``at(pts)`` of the structure
 tensors (phi, xi, eta, g) and the nominal scalars k, mu, lambda over one
 chart, with their exact partials, plus family metadata; its seven fields are
-field-evaluator views of that evaluation.  The tensor h is computed from its
-Lie-derivative definition h = (1/2) L_xi phi (never from the connection, so
-the connection identities stay an independent cross-check); the identities'
-Probe composes h' = h o phi and B = phi o h from the same values, and finds
-the eigenframe (xi, X, phi X) of the family's nullity operator in the
-Cholesky frame it norms every residual in.
+field-evaluator views of that evaluation.  ``FAMILIES`` gives each family's
+nullity operator and third coordinate.  The identities' Probe computes
+h = (1/2) L_xi phi with ``lie_derivative``, from its Lie-derivative
+definition (never from the connection, so the connection identities stay an
+independent cross-check); it composes h' = h o phi and B = phi o h from the
+same values, and finds the eigenframe (xi, X, phi X) of the family's
+nullity operator in the Cholesky frame it norms every residual in.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ArrayField, ChartDomain, as_points
-from .geometry import exterior_differential
+from .fields import ArrayField, ChartDomain
 
 __all__ = [
     "AlmostContactModel",
     "lie_derivative",
-    "compute_h",
-    "nijenhuis",
-    "structure_residuals",
 ]
 
 # each family's nullity operator, h or h' = h o phi ("hp"), and the name of
@@ -106,71 +103,3 @@ def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,
     return (np.einsum("...a,...aij->...ij", xi, dt_vals)
             - dxi_t @ t_vals + t_vals @ dxi_t)
 
-
-def compute_h(model: AlmostContactModel, pts) -> np.ndarray:
-    """h = (1/2) L_xi phi from the Lie-derivative definition.
-
-    The partials of phi and xi are the model's exact ones (the chart
-    families by jets, the Darboux families from the ODE, the baseline in
-    closed form), from one ``model.at`` pass.
-    """
-    pts, single = as_points(pts)
-    at = model.at(pts)
-    (phi, dphi, _), (xi, dxi, _) = at["phi"], at["xi"]
-    h = 0.5 * lie_derivative(xi, dxi, phi, dphi)
-    return h[0] if single else h
-
-
-def nijenhuis(model: AlmostContactModel, pts, x, y) -> np.ndarray:
-    """N(X,Y) = [phi,phi](X,Y) + 2 d(eta)(X,Y) xi for constant X, Y.
-
-    [phi,phi](X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y]
-    - phi [X, phi Y]; the first bracket vanishes for constant-coefficient
-    fields, and the partials of phi X and phi Y are those of phi applied to
-    X and Y.
-    """
-    pts, single = as_points(pts)
-    xv = np.asarray(x, float)
-    yv = np.asarray(y, float)
-    at = model.at(pts)
-    (phi, dphi, _), (xi, _, _) = at["phi"], at["xi"]  # dphi: (n, a, i, j)
-    phi_x, phi_y = phi @ xv, phi @ yv
-    d_phi_x, d_phi_y = dphi @ xv, dphi @ yv                # (n, a, i)
-    # [U, V]^i = U^a d_a V^i - V^a d_a U^i, with d_a X = d_a Y = 0
-    br_phix_phiy = (np.einsum("na,nai->ni", phi_x, d_phi_y)
-                    - np.einsum("na,nai->ni", phi_y, d_phi_x))
-    br_phix_y = -np.einsum("a,nai->ni", yv, d_phi_x)
-    br_x_phiy = np.einsum("a,nai->ni", xv, d_phi_y)
-    torsion = (br_phix_phiy - np.einsum("nij,nj->ni", phi, br_phix_y)
-               - np.einsum("nij,nj->ni", phi, br_x_phiy))
-    deta = exterior_differential(at["eta"][1])
-    deta_xy = np.einsum("i,nij,j->n", xv, deta, yv)
-    out = torsion + 2.0 * deta_xy[:, None] * xi
-    return out[0] if single else out
-
-
-def structure_residuals(model: AlmostContactModel, pts) -> dict[str, float]:
-    """Closed-form structure-axiom residuals (no differentiation).
-
-    phi^2 = -I + eta (x) xi,  eta(xi) = 1,  g(., xi) = eta,
-    g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y),  lam^2 = -1 - k.
-    """
-    pts, _ = as_points(pts)
-    at = model.at(pts)
-    phi, xi, eta, g, k, lam = (at[name][0] for name in (
-        "phi", "xi", "eta", "g", "k_nom", "lam_nom"))
-    eye = np.broadcast_to(np.eye(3), g.shape)
-    out = {
-        "phi_squared": float(np.max(np.abs(
-            phi @ phi + eye - np.einsum("ni,nj->nij", xi, eta)))),
-        "eta_of_xi": float(np.max(np.abs(
-            np.einsum("ni,ni->n", eta, xi) - 1.0))),
-        "metric_dual": float(np.max(np.abs(
-            np.einsum("nij,nj->ni", g, xi) - eta))),
-        "compatibility": float(np.max(np.abs(
-            np.einsum("nsi,nst,ntj->nij", phi, g, phi)
-            - g + np.einsum("ni,nj->nij", eta, eta)))),
-        "lam_sq_vs_k": float(np.max(np.abs(
-            lam ** 2 + 1.0 + k))),
-    }
-    return out

@@ -11,7 +11,7 @@ which the frame norm must read the same.
 
 import numpy as np
 
-from kenmotsu3.geometry import g_norm
+from structure_reference import g_norm
 
 PAIRS = 4  # random vector pairs per point in a pool
 SEED = 21

@@ -18,7 +18,6 @@ from kenmotsu3.identities import (
     check_identity,
     check_suite,
     infer_k_mu,
-    nullity_residual,
 )
 from kenmotsu3.models import (
     DarbouxParams,
@@ -37,9 +36,8 @@ from kenmotsu3.ode import (
     check_initial_relations,
     initial_state,
     integrate,
-    metric_from_state,
 )
-from kenmotsu3.structure import compute_h
+from structure_reference import NULLITY, metric_from_state
 
 PLAN = SamplePlan(grid=5, rand_pairs=4, seed=42)
 CHART_BOX = ((0.0, 1.0), (0.0, 1.0), (-3.0, -1.5))
@@ -80,7 +78,7 @@ def test_criterion_1_baseline_suite():
         worst = float(np.max(np.abs(k + 1.0)))
         if worst > 5e-6:
             failures.append(f"sectional curvature deviates {worst:.3e} > 5e-6")
-    rep = nullity_residual(model, PLAN)
+    rep = check_identity(model, NULLITY[model.variant], PLAN)
     if rep.residual > 5e-5:
         failures.append(f"nullity residual {rep.residual:.3e} > 5e-5")
     _verdict(1, failures)
@@ -94,7 +92,7 @@ def test_criterion_2_kmu_chart_suite():
         model = build_kmu_chart_model(KmuChartParams(mu=mu, f="0", r="0",
                                                      box=CHART_BOX))
         failures += _suite_failures(model, ids, label=f"mu={mu}: ")
-        rep = nullity_residual(model, PLAN)
+        rep = check_identity(model, NULLITY[model.variant], PLAN)
         if rep.residual > 5e-5:
             failures.append(f"mu={mu}: nullity {rep.residual:.3e} > 5e-5")
         pts = PLAN.points(model)
@@ -117,7 +115,7 @@ def test_criterion_3_kmup_chart_suite():
         model = build_kmu_prime_chart_model(
             KmupChartParams(mu=mu, f="0", r="0", box=CHART_BOX))
         failures += _suite_failures(model, own + shared, label=f"mu={mu}: ")
-        rep = nullity_residual(model, PLAN)
+        rep = check_identity(model, NULLITY[model.variant], PLAN)
         if rep.residual > 5e-5:
             failures.append(f"mu={mu}: nullity {rep.residual:.3e} > 5e-5")
         # bracket relations [e1,e3] = (1+lam) e1, [e2,e3] = (1-lam) e2;
@@ -153,14 +151,14 @@ def _darboux_common_failures(variant, mu, failures):
             failures.append(f"{label}{name} {rep.residual:.3e} > {tol:g}")
     ts = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     pts = np.stack([np.zeros(5), np.zeros(5), ts], axis=1)
-    h = compute_h(model, pts)
+    h = Probe(model, pts).h
     st = model.trajectory.dense(ts)
     hmat = (st[:, 3, None, None] * M1 + st[:, 4, None, None] * M2
             + st[:, 5, None, None] * M3)
     h_err = float(np.max(np.abs(h[:, :2, :2] - hmat)))
     if h_err > 1e-6:
-        failures.append(f"{label}compute_h vs H(t) {h_err:.3e} > 1e-6")
-    rep = nullity_residual(model, PLAN)
+        failures.append(f"{label}Probe h vs H(t) {h_err:.3e} > 1e-6")
+    rep = check_identity(model, NULLITY[model.variant], PLAN)
     if rep.residual > 5e-5:
         failures.append(f"{label}nullity {rep.residual:.3e} > 5e-5")
     return model

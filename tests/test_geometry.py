@@ -17,7 +17,6 @@ from kenmotsu3.geometry import (
     DegeneratePlaneError,
     covariant_differential,
     exterior_differential,
-    g_norm,
     levi_civita,
     _inverse_metric,
 )
@@ -29,7 +28,7 @@ from kenmotsu3.models import (
     build_kenmotsu_baseline,
     build_kmu_chart_model,
 )
-from kenmotsu3.structure import compute_h
+from structure_reference import g_norm
 
 FULL = ChartDomain()
 
@@ -227,8 +226,8 @@ class TestCovariantDerivative:
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
         pts = SamplePlan(grid=2, seed=3).points(model)
         at = model.at(pts)
-        h = compute_h(model, pts)
-        dh = derivatives(lambda q: compute_h(model, q), model.domain, pts)
+        h = Probe(model, pts).h
+        dh = derivatives(lambda q: Probe(model, q).h, model.domain, pts)
         phi = at["phi"][0]
         mu = at["mu_nom"][0]
         nab = nabla_along(levi_civita(*at["g"][:2])[0], h, dh, at["xi"][0])
@@ -398,11 +397,12 @@ class TestOperatorNorm:
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="np.longdouble is no wider than float64")
 def test_g_norm_rounding_on_pooled_vectors():
-    # WEYL3's shape: an (a, b, c) pool of residual vectors per point, g
-    # broadcast over the pool; metrics of kmu-darboux over [-1, 1] (cond g up
-    # to 3e5) and vectors spanning nine decades.  Against the long-double
-    # (v g) . v, the error stays within 2 eps of the absolute products behind
-    # the square, over twice the norm (measured: 1.1)
+    # the tests' reference g-length on a pooled shape, once WEYL3's: an
+    # (a, b, c) pool of residual vectors per point, g broadcast over it;
+    # metrics of kmu-darboux over [-1, 1] (cond g up to 3e5) and vectors
+    # spanning nine decades.  Against the long-double (v g) . v, the error
+    # stays within 2 eps of the absolute products behind the square, over
+    # twice the norm (measured: 1.1)
     model = build_darboux_model(DarbouxParams("kmu", "1", (-1.0, 1.0)))
     plan = SamplePlan(grid=3, rand_pairs=4, seed=3)
     g = model.g(plan.points(model))[:, None, None, None]

@@ -31,10 +31,10 @@ from kenmotsu3.ode import (
     check_initial_relations,
     initial_state,
     integrate,
-    metric_from_state,
     rhs,
     trajectory_to_csv,
 )
+from structure_reference import metric_from_state
 
 
 def _fhb(y):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kenmotsu3.fields import BoundaryError
-from kenmotsu3.geometry import g_norm
 from kenmotsu3.identities import Probe, SamplePlan, infer_k_mu
 from kenmotsu3.models import (
     DarbouxParams,
@@ -15,7 +14,7 @@ from kenmotsu3.models import (
     build_kmu_chart_model,
     build_kmu_prime_chart_model,
 )
-from kenmotsu3.structure import compute_h, nijenhuis, structure_residuals
+from structure_reference import g_norm, nijenhuis, structure_residuals
 
 ALL_MODELS = [
     build_kenmotsu_baseline(1.0),
@@ -30,10 +29,6 @@ def sample(model, grid=3, seed=13):
     return SamplePlan(grid=grid, seed=seed).points(model)
 
 
-def probe(model, pts):
-    return Probe(model, pts)
-
-
 class TestHOperator:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
     def test_h_symmetric_traceless_anticommutes(self, model):
@@ -41,7 +36,7 @@ class TestHOperator:
         g = model.g(pts)
         phi = model.phi(pts)
         xi = model.xi(pts)
-        h = compute_h(model, pts)
+        h = Probe(model, pts).h
         # g-symmetry: g(hX, Y) = g(X, hY)  <=>  (gh) symmetric
         gh = np.einsum("nis,nsj->nij", g, h)
         assert np.max(np.abs(gh - np.swapaxes(gh, 1, 2))) < 1e-8
@@ -51,39 +46,38 @@ class TestHOperator:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
     def test_h_squared_equals_h_prime_squared(self, model):
-        # exact identity for exact h; the numeric h carries the 4th-order
-        # truncation of its Lie-derivative stencils (measured: ~3e-10 on the
-        # chart families, ~1.3e-8 on the trajectory-backed ones)
+        # exact identity for exact h, and h reads exact partials: rounding
+        # is left (measured at most 2.4e-15, on kmu-darboux)
         pts = sample(model)
-        h = compute_h(model, pts)
+        h = Probe(model, pts).h
         hp = h @ model.phi(pts)
         assert np.max(np.abs(h @ h - hp @ hp)) < 1e-7
 
     def test_b_is_phi_h(self):
         m = build_kmu_chart_model(KmuChartParams())
         pts = sample(m)
-        assert np.array_equal(probe(m, pts).bmat,
-                              m.phi(pts) @ compute_h(m, pts))
+        assert np.array_equal(Probe(m, pts).bmat,
+                              m.phi(pts) @ Probe(m, pts).h)
 
     def test_baseline_h_zero(self):
         m = build_kenmotsu_baseline(1.0)
-        assert np.max(np.abs(compute_h(m, sample(m)))) < 1e-8
+        assert np.max(np.abs(Probe(m, sample(m)).h)) < 1e-8
 
     def test_darboux_h_initial_block(self):
         m = build_darboux_model(DarbouxParams("kmu", "0", (-0.5, 0.5)))
-        h = compute_h(m, np.array([0.2, 0.9, 0.0]))
+        h = Probe(m, np.array([0.2, 0.9, 0.0])).h[0]
         assert np.allclose(h[:2, :2], [[0.0, -1.0], [-1.0, 0.0]], atol=1e-6)
 
     def test_chart_h_eigenvalue_lambda(self):
         m = build_kmu_chart_model(KmuChartParams())
-        h = compute_h(m, np.array([0.0, 0.0, -2.0]))
+        h = Probe(m, np.array([0.0, 0.0, -2.0])).h[0]
         assert np.allclose(h @ np.array([1.0, 0, 0]), [1.0, 0, 0], atol=1e-6)
 
 
 class TestEigenframe:
     def test_baseline_degenerate(self):
         m = build_kenmotsu_baseline(1.0)
-        p = probe(m, np.array([[0.1, 0.2, 0.0]]))
+        p = Probe(m, np.array([[0.1, 0.2, 0.0]]))
         ef = p.eigen
         assert ef.lam[0] == 0.0
         # h vanishes: X falls back to the first row of the Cholesky frame
@@ -91,13 +85,13 @@ class TestEigenframe:
 
     def test_kmup_chart_eigenvector(self):
         m = build_kmu_prime_chart_model(KmupChartParams())
-        ef = probe(m, np.array([[0.0, 0.0, -2.0]])).eigen
+        ef = Probe(m, np.array([[0.0, 0.0, -2.0]])).eigen
         assert ef.lam[0] == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(ef.x[0], [1.0, 0.0, 0.0], atol=1e-6)
 
     def test_darboux_lambda_decays(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
-        ef = probe(m, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])).eigen
+        ef = Probe(m, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])).eigen
         assert ef.lam[0] == pytest.approx(1.0, abs=1e-6)
         assert ef.lam[1] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
@@ -105,11 +99,11 @@ class TestEigenframe:
     def test_frame_orthonormal_and_eigen(self, model):
         pts = sample(model)
         g = model.g(pts)
-        ef = probe(model, pts).eigen
+        ef = Probe(model, pts).eigen
         frame = np.stack([model.xi(pts), ef.x, ef.phi_x], axis=1)
         gram = np.einsum("nai,nij,nbj->nab", frame, g, frame)
         assert np.max(np.abs(gram - np.eye(3))) < 1e-8
-        t_op = model.nullity_operator(compute_h(model, pts), model.phi(pts))
+        t_op = model.nullity_operator(Probe(model, pts).h, model.phi(pts))
         tx = np.einsum("nij,nj->ni", t_op, ef.x)
         tpx = np.einsum("nij,nj->ni", t_op, ef.phi_x)
         assert np.max(g_norm(tx - ef.lam[:, None] * ef.x, g)) < 1e-7
@@ -120,20 +114,20 @@ class TestEigenframe:
         # T = lam (X (x) X^flat - phiX (x) (phiX)^flat)
         pts = sample(model)
         g = model.g(pts)
-        ef = probe(model, pts).eigen
+        ef = Probe(model, pts).eigen
         xf = np.einsum("nij,nj->ni", g, ef.x)
         pxf = np.einsum("nij,nj->ni", g, ef.phi_x)
         recon = ef.lam[:, None, None] * (
             np.einsum("ni,nj->nij", ef.x, xf)
             - np.einsum("ni,nj->nij", ef.phi_x, pxf))
-        t_op = model.nullity_operator(compute_h(model, pts), model.phi(pts))
+        t_op = model.nullity_operator(Probe(model, pts).h, model.phi(pts))
         assert np.max(np.abs(recon - t_op)) < 1e-7
 
     def test_sign_fix_deterministic(self):
         m = build_kmu_chart_model(KmuChartParams(mu="1"))
         pts = sample(m)
-        a = probe(m, pts).eigen
-        b = probe(m, pts).eigen
+        a = Probe(m, pts).eigen
+        b = Probe(m, pts).eigen
         assert np.array_equal(a.x, b.x)
         lead = a.x[np.arange(len(a.x)), np.argmax(np.abs(a.x) > 1e-8, axis=1)]
         assert np.all(lead > 0)
@@ -146,20 +140,20 @@ class TestFundamentalForm:
         xi = model.xi(pts)
         rng = np.random.default_rng(5)
         y = rng.standard_normal((pts.shape[0], 3))
-        comps = probe(model, pts).phi2
+        comps = Probe(model, pts).phi2
         vals = np.einsum("ni,nij,nj->n", xi, comps, y)
         assert np.max(np.abs(vals)) < 1e-12
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
     def test_antisymmetry(self, model):
         pts = sample(model)
-        comps = probe(model, pts).phi2
+        comps = Probe(model, pts).phi2
         assert np.max(np.abs(comps + np.swapaxes(comps, 1, 2))) < 1e-12
 
     def test_darboux_phi12(self):
         m = build_darboux_model(DarbouxParams("kmu", "1", (-0.5, 0.5)))
         # Phi(e1, e2) = g(e1, phi e2) = Phi_12
-        val = probe(m, np.array([[0.0, 0.0, 0.5]])).phi2[0, 0, 1]
+        val = Probe(m, np.array([[0.0, 0.0, 0.5]])).phi2[0, 0, 1]
         assert val == pytest.approx(np.exp(1.0), abs=1e-9)
 
 
@@ -202,9 +196,9 @@ class TestNijenhuis:
      [0.5, 0.5, 0.5]),
 ], ids=["kmu-chart", "kmu-darboux"])
 @pytest.mark.parametrize("reader", [
-    compute_h, structure_residuals, infer_k_mu,
+    Probe, structure_residuals, infer_k_mu,
     lambda m, pts: nijenhuis(m, pts, [1.0, 0, 0], [0, 1.0, 0]),
-], ids=["compute_h", "structure_residuals", "infer_k_mu", "nijenhuis"])
+], ids=["Probe", "structure_residuals", "infer_k_mu", "nijenhuis"])
 def test_off_domain_point_raises_boundary_error(model, point, reader):
     with pytest.raises(BoundaryError, match="outside chart domain"):
         reader(model, np.array([point]))
