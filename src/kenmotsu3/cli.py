@@ -25,7 +25,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from .exprs import ExprDomainError, ExprSyntaxError
-from .identities import IDENTITIES, SamplePlan, check_suite, worst_of
+from .identities import IDENTITIES, SamplePlan, check_suites, worst_of
 from .models import (
     DEFAULT_BOX,
     DarbouxParams,
@@ -94,20 +94,15 @@ def _parse_identities(text: str) -> list[str] | str:
     return ids
 
 
-def _run_suite(args):
-    """Build the model of ``args`` and run its identity suite.
-
-    Returns the model, the reports and the overall verdict; not-applicable
-    identities do not fail a run.
-    """
-    model = build_model(args)
+def _run_suites(args, models):
+    """Each of ``models``' reports and verdict from the suite of ``args``,
+    run as one batch; not-applicable identities do not fail a run."""
     plan = SamplePlan(grid=args.grid, rand_pairs=args.rand_pairs,
-                      seed=args.seed,
-                      box=parse_box(args.box) if args.box else None)
-    reports = check_suite(model, _parse_identities(args.identities), plan,
+                      seed=args.seed, box=parse_box(args.box) if args.box else None)
+    suites = check_suites(models, _parse_identities(args.identities), plan,
                           tolerances=_parse_tols(args.tol))
-    passed = all(r.verdict in ("pass", "not-applicable") for r in reports)
-    return model, reports, "pass" if passed else "fail"
+    return [(r, "pass" if all(x.verdict in ("pass", "not-applicable") for x in r)
+             else "fail") for r in suites]
 
 
 def _plan_document(args) -> dict:
@@ -148,7 +143,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model, reports, overall = _run_suite(args)
+    model = build_model(args)
+    [(reports, overall)] = _run_suites(args, [model])
     _print_reports(reports)
     doc = _verification_document(model, args, reports, overall)
     if args.report:
@@ -180,12 +176,10 @@ def cmd_sweep(args) -> int:
     if not all(map(math.isfinite, mu_values)):
         raise UsageError(f"bad --mu-values: {args.mu_values!r} lists a "
                          f"non-finite value")
-    runs_of: dict[str, list] = {}
-    runs = []
-    overall = "pass"
-    for mu in mu_values:
-        args.mu = repr(mu)
-        _, reports, sub_overall = _run_suite(args)
+    models = (build_model(argparse.Namespace(**{**vars(args), "mu": repr(mu)}))
+              for mu in mu_values)  # each built when the batch reaches it
+    runs_of, runs, overall = {}, [], "pass"
+    for mu, (reports, sub_overall) in zip(mu_values, _run_suites(args, models)):
         overall = overall if sub_overall == "pass" else "fail"
         runs.append({"mu": mu, "overall": sub_overall,
                      "identities": [r.as_dict() for r in reports]})

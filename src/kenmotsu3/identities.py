@@ -54,6 +54,7 @@ __all__ = [
     "IDENTITIES",
     "check_identity",
     "check_suite",
+    "check_suites",
     "infer_k_mu",
     "worst_of",
 ]
@@ -867,16 +868,43 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
 # Checking API
 # --------------------------------------------------------------------------
 
-def _per_block(model: AlmostContactModel, pts, fn) -> list:
-    """``fn`` of one Probe per block of BLOCK points, in order; each Probe
-    lives for its ``fn`` call alone."""
-    return [fn(Probe(model, pts[s:s + BLOCK])) for s in range(0, len(pts), BLOCK)]
+def _blocks(models, points):
+    """The blocks of BLOCK of the ``points(model)`` of ``models`` (one
+    family's, read once and in order) laid end to end, as :func:`_joined`
+    gives them.  No model is held past its last block's ``at``."""
+    runs, size, j = [], 0, -1
+    for model in models:  # enumerate's result tuple would hold the model
+        pts, lo, j = points(model), 0, j + 1
+        shape = model.family, model.domain, model.default_box
+        while lo < len(pts):
+            hi, off = min(len(pts), lo + BLOCK - size % BLOCK), size % BLOCK
+            runs.append(((j, off, off + hi - lo), pts[lo:hi], model.at(pts[lo:hi])))
+            size, lo = size + hi - lo, hi
+            if size % BLOCK == 0:
+                yield _joined(runs, shape)
+        del model
+    if runs:
+        yield _joined(runs, shape)
 
 
-def _block_maxima(specs, p: Probe) -> list[tuple]:
-    """(largest residual, its first point) of each identity on one block."""
-    maxima = [(v, int(np.argmax(v))) for v in (spec.fn(p) for spec in specs)]
-    return [(float(v[i]), tuple(p.pts[i].tolist())) for v, i in maxima]
+def _joined(runs, shape) -> tuple:
+    """A model of the family ``shape`` whose one ``at`` call hands over the
+    runs' ``at`` joined, their points, and their spans (j, lo, hi), model
+    j's points at ``lo:hi``, from the runs ((j, lo, hi), pts, at) it takes
+    out of ``runs``."""
+    spans, pts, ats = zip(*runs)
+    runs.clear()
+    held = [ats[0] if len(ats) == 1 else {
+        name: tuple(None if parts[0] is None else np.concatenate(parts)
+                    for parts in zip(*(a[name] for a in ats))) for name in ats[0]}]
+    return (AlmostContactModel(*shape, at=lambda _: held.pop()),
+            np.concatenate(pts), spans)
+
+
+def _per_block(models, points, fn) -> list:
+    """``fn`` of each block's Probe and spans; a Probe lives for that call."""
+    return [fn(Probe(model, pts), spans)
+            for model, pts, spans in _blocks(models, points)]
 
 
 def worst_of(runs) -> tuple:
@@ -909,22 +937,40 @@ def check_identity(model: AlmostContactModel, identity: str,
 def check_suite(model: AlmostContactModel, identities=None,
                 plan: SamplePlan | None = None,
                 tolerances: dict[str, float] | None = None) -> list[ResidualReport]:
-    """Run a list of identities (default: every one known), sharing one Probe
-    per block of BLOCK points; per-identity tolerances override the profile.
-    Each report keeps the plan's largest residual and its first point; one
-    whose identity skips the model's family is not-applicable, unevaluated."""
-    plan = plan or SamplePlan()
+    """The suite of one model: the batch of one of :func:`check_suites`."""
+    return check_suites([model], identities, plan, tolerances)[0]
+
+
+def check_suites(models, identities=None, plan: SamplePlan | None = None,
+                 tolerances: dict[str, float] | None = None) -> list[list]:
+    """Run a list of identities (default: every one known) on each of
+    ``models``, one family's, read once and in order, by one block loop;
+    tolerances override the profile.  A report keeps its model's largest
+    residual and its first point, or is not-applicable, unevaluated."""
+    plan, tolerances = plan or SamplePlan(), tolerances or {}
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
     for name in ids:
         if name not in IDENTITIES:
             raise KeyError(f"unknown identity {name!r}")
     specs = [IDENTITIES[name] for name in ids]
-    live = [spec for spec in specs if model.family in spec.families]
-    pts = plan.points(model)
-    blocks = _per_block(model, pts, lambda p: _block_maxima(live, p)) if live else []
-    kept = {spec.id: worst_of(m) for spec, m in zip(live, zip(*blocks))}
-    return [_report(spec, (tolerances or {}).get(spec.id), kept.get(spec.id),
-                    len(pts)) for spec in specs]
+    samples, kept = [], {}
+
+    def points(model):  # none where no identity applies: no field is read
+        samples.append(len(pts := plan.points(model)))
+        return pts if any(model.family in s.families for s in specs) else pts[:0]
+
+    def maxima(p, spans):  # of each applicable identity on each model's run
+        for spec in [s for s in specs if p.model.family in s.families]:
+            v = spec.fn(p)
+            for j, lo, hi in spans:
+                i = lo + int(np.argmax(v[lo:hi]))
+                kept.setdefault((j, spec.id), []).append(
+                    (float(v[i]), tuple(p.pts[i].tolist())))
+
+    _per_block(models, points, maxima)
+    return [[_report(spec, tolerances.get(spec.id), worst_of(m)
+                     if (m := kept.get((j, spec.id))) else None, n) for spec in specs]
+            for j, n in enumerate(samples)]
 
 
 def _k_mu(p: Probe):
@@ -948,8 +994,8 @@ def infer_k_mu(model: AlmostContactModel, pts):
     mu is flagged indeterminate where lam < 1e-6.
     """
     pts, single = as_points(pts)
-    k, mu, mu_ok = (np.concatenate(parts)
-                    for parts in zip(*_per_block(model, pts, _k_mu)))
+    k, mu, mu_ok = (np.concatenate(parts) for parts in zip(
+        *_per_block([model], lambda _: pts, lambda p, _: _k_mu(p))))
     if single:
         return float(k[0]), float(mu[0]), bool(mu_ok[0])
     return k, mu, mu_ok

@@ -39,7 +39,7 @@ M2, M3) coefficients: the Gauss quadrature of W plus, for kmu, the
 commutator terms.  X = x1 M1 + x2 M2 + x3 M3 has X^2 = r^2 I with r^2 =
 x1^2 - x2^2 + x3^2, so exp X = cosh r I + (sinh r / r) X.
 
-  kmu :  P at a node is the running product of the steps' exponentials.
+  kmu :  P at a node is the product of the steps' exponentials, a scan.
   kmup:  every exponent lies along M1, so they commute: P = diag(e^{A/2},
          e^{-A/2}), where A/2 = -int_0^t lam is their running sum, and
          F = M2 cosh A + M3 sinh A.
@@ -62,7 +62,6 @@ __all__ = [
     "M1", "M2", "M3",
     "ConsistencyError",
     "Trajectory",
-    "rhs",
     "integrate",
     "algebraic_residuals",
     "check_initial_relations",
@@ -94,35 +93,6 @@ def initial_state(variant: str) -> np.ndarray:
     if variant == "kmup":
         return np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0])
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _generator(variant: str, lam2, mu) -> np.ndarray:
-    """a(t) of Y' = a Y with Y = [f; h; b], at each (lam^2, mu): (..., 3, 3)."""
-    a = np.zeros(np.shape(lam2) + (3, 3), np.result_type(lam2, mu))
-    a[..., 0, 1] = 2
-    a[..., 1, 0] = 2 * lam2
-    if variant == "kmu":
-        a[..., 1, 1] = a[..., 2, 2] = -2
-        a[..., 1, 2] = -mu
-        a[..., 2, 1] = mu
-    else:
-        a[..., 1, 1] = a[..., 2, 2] = -(mu + 2)
-    return a
-
-
-def rhs(variant: str, y: np.ndarray, mu_value) -> np.ndarray:
-    """Componentwise derivative a(t) Y in the (M1, M2, M3) basis, plus f'.
-
-    ``y`` has shape (..., 10) and ``mu_value`` the shape (...); the
-    derivative has the dtype of ``y``.
-    """
-    mu = np.asarray(mu_value, y.dtype)
-    rows = y.shape[:-1]
-    out = np.empty_like(y)
-    out[..., :9] = (_generator(variant, np.exp(-2.0 * y[..., 9]), mu)
-                    @ y[..., :9].reshape(rows + (3, 3))).reshape(rows + (9,))
-    out[..., 9] = 2.0 if variant == "kmu" else mu + 2.0
-    return out
 
 
 def check_initial_relations(variant: str) -> dict[str, float]:
@@ -203,6 +173,7 @@ _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
 # in batches of 128 steps took 25 % longer)
 _BLOCK = 128
 _SPAN_BLOCK = 512
+_CHUNK = 32  # steps per chunk of kmu's frame product: divides _SPAN_BLOCK
 _FLOAT64_MAX = np.finfo(float).max
 
 
@@ -308,13 +279,22 @@ def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
     """Raise at the node whose state (long double) or slope a(t) Y has no
     finite float64 value, which every reader of the states needs: the
     bad node fewest steps from t = 0 = ``times[n0]``, the later on a tie.
-    The slopes are formed ``_BLOCK`` nodes at a time and not kept."""
+    Both variants have |a(t) Y| <= (2 lam^2 + 2 + |mu|) max|Y|, in range
+    where under half the float64 maximum; the other nodes' slopes are
+    formed, ``_BLOCK`` at a time, each row summed in a matmul's order."""
     mu = mu_bar(times)
-    finite = [(np.abs(y) <= _FLOAT64_MAX)
-              & (np.abs(rhs(variant, y, mu[s:s + _BLOCK])) <= _FLOAT64_MAX)
-              for s in range(0, len(times), _BLOCK)
-              for y in [states[s:s + _BLOCK]]]
-    bad = np.flatnonzero(~np.concatenate(finite).all(axis=-1))
+    size = np.maximum(states.max(axis=-1), -states.min(axis=-1))  # NaN stays
+    near = np.flatnonzero(~((2 * np.exp(-2 * states[:, 9]) + 2 + np.abs(mu))
+                            * size < _FLOAT64_MAX / 2))
+    finite = []
+    for s in range(0, len(near), _BLOCK):
+        y, m = states[near[s:s + _BLOCK]], mu[near[s:s + _BLOCK], None]
+        nu, rate = (m, 2) if variant == "kmu" else (0, m.astype(y.dtype) + 2)
+        f, h, b = y[:, 0:3], y[:, 3:6], y[:, 6:9]
+        finite.append(np.all([np.all(np.abs(v) <= _FLOAT64_MAX, axis=-1) for v in (
+            y, 2 * h, 2 * np.exp(-2 * y[:, 9:]) * f - rate * h - nu * b,
+            nu * h - rate * b)], axis=0))
+    bad = near[~np.concatenate(finite)] if finite else near
     if len(bad):
         i = bad[np.argmin(2 * np.abs(bad - n0) + (bad < n0))]
         raise ConsistencyError(f"ODE state non-finite in float64 at t={times[i]}")
@@ -323,10 +303,11 @@ def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
 def _span(variant, mu_bar: Expr, t, y, p) -> None:
     """Carry the state ``y[0]`` and frame ``p[0]`` = I at t = 0 over the
     node times ``t`` (m,) into ``y[1:]`` and ``p[1:]`` (long-double arrays
-    or views).  kmu's frame is the running product of the steps'
-    exponentials; kmup's exponents all lie along M1 and commute, so its
-    frame is diag(e^a, e^-a) of their running sum a = A/2.  mu and f come
-    for the whole span, the rest ``_SPAN_BLOCK`` steps at a time."""
+    or views).  kmu's frame is the product of the steps' exponentials: per
+    ``_CHUNK`` steps, the chunk's start frame times its running products,
+    formed for all chunks at once.  kmup's exponents commute (all along
+    M1): its frame is diag(e^a, e^-a) of their running sum a = A/2.  mu and
+    f come for the whole span, the rest ``_SPAN_BLOCK`` steps at a time."""
     t = np.asarray(t, np.longdouble)
     mu_stage, rise, rise_stage = _steps(variant, mu_bar, t[:-1], t[1:])
     y[1:, 9] = np.cumsum(rise)
@@ -337,8 +318,12 @@ def _span(variant, mu_bar: Expr, t, y, p) -> None:
         om = _magnus_exponent(variant, t[e] - t[b], mu_stage[b],
                               y[b, 9, None] + rise_stage[b])
         if variant == "kmu":
-            for p0, x, p1 in zip(p[b], _expm(om), p[e]):
-                np.matmul(p0, x, out=p1)
+            q = _expm(om)
+            for j in range(1, _CHUNK):
+                q[j::_CHUNK] = q[j - 1::_CHUNK][:len(q[j::_CHUNK])] @ q[j::_CHUNK]
+            for c in range(s, b.stop, _CHUNK):
+                np.matmul(p[c], q[c - s:c - s + _CHUNK],
+                          out=p[c + 1:c + 1 + _CHUNK])
         else:  # the running sum goes on from the last block's
             a = np.cumsum(np.concatenate((a[-1:], om[:, 0])))[1:]
             p[e, 0, 0], p[e, 1, 1] = np.exp(a), np.exp(-a)

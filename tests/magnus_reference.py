@@ -8,7 +8,8 @@ commutator formula of Blanes, Casas, Oteo & Ros (Phys. Rep. 470, 2009),
 and exp(Omega) from a Taylor series with scaling and squaring.  Every part
 that reaches the states' rounding is long double; the parts below it are
 float64: the commutator terms of each exponent (below 1e-6 of it) and the
-series' terms from x^4 on (below 1e-5 after scaling).
+series' terms from x^4 on (below 1e-5 after scaling).  ``rhs`` is the
+slope a(t) Y itself, the reference of the finite check's slopes.
 """
 
 import math
@@ -25,6 +26,35 @@ TAYLOR_RADIUS = 0.125
 # 1/(j+r)! for r < 4: the rows p_4, p_8 of the tail X^4 (p_4 + X^4 p_8)
 TAIL = np.array([[1 / math.factorial(j + r) for r in range(4)]
                  for j in range(4, TAYLOR_TERMS, 4)])
+
+
+def generator(variant: str, lam2, mu) -> np.ndarray:
+    """a(t) of Y' = a Y with Y = [f; h; b], at each (lam^2, mu): (..., 3, 3)."""
+    a = np.zeros(np.shape(lam2) + (3, 3), np.result_type(lam2, mu))
+    a[..., 0, 1] = 2
+    a[..., 1, 0] = 2 * lam2
+    if variant == "kmu":
+        a[..., 1, 1] = a[..., 2, 2] = -2
+        a[..., 1, 2] = -mu
+        a[..., 2, 1] = mu
+    else:
+        a[..., 1, 1] = a[..., 2, 2] = -(mu + 2)
+    return a
+
+
+def rhs(variant: str, y: np.ndarray, mu_value) -> np.ndarray:
+    """Componentwise derivative a(t) Y in the (M1, M2, M3) basis, plus f'.
+
+    ``y`` has shape (..., 10) and ``mu_value`` the shape (...); the
+    derivative has the dtype of ``y``.
+    """
+    mu = np.asarray(mu_value, y.dtype)
+    rows = y.shape[:-1]
+    out = np.empty_like(y)
+    out[..., :9] = (generator(variant, np.exp(-2.0 * y[..., 9]), mu)
+                    @ y[..., :9].reshape(rows + (3, 3))).reshape(rows + (9,))
+    out[..., 9] = 2.0 if variant == "kmu" else mu + 2.0
+    return out
 
 
 def comm(x, y):

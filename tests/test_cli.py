@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kenmotsu3.cli import main, make_parser
-from kenmotsu3.identities import IDENTITIES
+from kenmotsu3.cli import build_model, main, make_parser
+from kenmotsu3.identities import IDENTITIES, SamplePlan, check_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -293,25 +293,57 @@ class TestSweep:
 
     def test_nan_residual_is_the_worst(self, tmp_path, monkeypatch):
         # a NaN residual fails its run and is the sweep's worst, as
-        # identities._merge keeps it over later finite ones: its entry
-        # carries the mu, the tolerance and the verdict, the residual null
-        spec, runs = IDENTITIES["PHI12"], [0]
+        # identities.worst_of keeps it over later finite ones: its entry
+        # carries the mu, the tolerance and the verdict, the residual null.
+        # The sweep checks its three models in one batch, one call of the
+        # identity: the NaN goes to the points of the model whose mu is 1
+        spec, calls = IDENTITIES["PHI12"], [0]
 
-        def nan_at_second_mu(p):
-            runs[0] += 1
-            return spec.fn(p) * (np.nan if runs[0] == 2 else 1.0)
+        def nan_at_mu_one(p):
+            calls[0] += 1
+            return spec.fn(p) * np.where(p.mu == 1.0, np.nan, 1.0)
 
         monkeypatch.setitem(IDENTITIES, "PHI12",
-                            dataclasses.replace(spec, fn=nan_at_second_mu))
+                            dataclasses.replace(spec, fn=nan_at_mu_one))
         report = tmp_path / "sweep.json"
         assert run(["sweep", "--family", "kmu-darboux", "--t-range", "-0.1",
                     "0.1", "--mu-values", "0,1,2", "--grid", "2",
                     "--identities", "PHI12", "--report", str(report)]) == 1
         doc = strict_json(report.read_text())
-        assert runs[0] == 3
+        assert calls[0] == 1
         assert [r["overall"] for r in doc["runs"]] == ["pass", "fail", "pass"]
         assert doc["worstPerIdentity"] == {"PHI12": {
             "residual": None, "mu": 1.0, "tolerance": 1e-9, "verdict": "fail"}}
+
+    @pytest.mark.parametrize("family,grid", [
+        ("kmu-darboux", 3), ("kmup-darboux", 3), ("kmu-chart", 3),
+        ("kmu-darboux", 5),  # 3 x 125 points: blocks hold parts of models
+    ])
+    def test_runs_match_each_suite_alone(self, tmp_path, family, grid):
+        # the sweep checks its models in one block loop; each run's entries
+        # are those of its model's suite alone, bit for bit
+        flags = ["--family", family, "--grid", str(grid)]
+        if family.endswith("darboux"):
+            flags += ["--t-range", "-0.2", "0.2"]
+        report = tmp_path / "sweep.json"
+        assert run(["sweep", *flags, "--mu-values", "0.25,0.5,1",
+                    "--report", str(report)]) == 0
+        for entry in json.loads(report.read_text())["runs"]:
+            args = make_parser().parse_args(["verify", *flags, "--mu",
+                                             repr(entry["mu"])])
+            alone = check_suite(build_model(args), "all", SamplePlan(grid=grid))
+            assert entry["identities"] == [r.as_dict() for r in alone]
+
+    def test_reports_repeat(self, tmp_path):
+        # two runs of one sweep write the same bytes but for the timestamp
+        texts = []
+        for name in ("a.json", "b.json"):
+            assert run(["sweep", "--family", "kmup-darboux", "--t-range",
+                        "-0.2", "0.2", "--grid", "3", "--mu-values", "0.1,0.9",
+                        "--report", str(tmp_path / name)]) == 0
+            texts.append(re.sub(r'"timestamp": "[^"]*"', "",
+                                (tmp_path / name).read_text()))
+        assert texts[0] == texts[1]
 
     def test_bad_values(self, capsys):
         assert run(["sweep", "--family", "kmu-chart",

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from magnus_reference import comm, expm, magnus_exponent
+from magnus_reference import generator, comm, expm, magnus_exponent, rhs
 
 from kenmotsu3 import models, ode
 from kenmotsu3.exprs import parse_expr
@@ -17,13 +17,13 @@ from kenmotsu3.ode import (
     M2,
     M3,
     ConsistencyError,
+    _CHUNK,
     _GAUSS_C,
     _GAUSS_W,
     _SQRT15,
     _as_matrix,
     _bracket,
     _expm,
-    _generator,
     _magnus_exponent,
     _steps,
     _write_states,
@@ -31,7 +31,6 @@ from kenmotsu3.ode import (
     check_initial_relations,
     initial_state,
     integrate,
-    rhs,
     trajectory_to_csv,
 )
 from structure_reference import metric_from_state
@@ -292,7 +291,7 @@ def _per_step_magnus(variant, mu, t_range, step):
                                  for o in off])
                 lam2 = np.exp(-2 * (y[9] + off * (quad @ _GAUSS_W + 2)))
                 y[9] += dt * ((mus + 2) @ _GAUSS_W)
-            a = _generator(variant, lam2, mus)[None] * dt
+            a = generator(variant, lam2, mus)[None] * dt
             e = expm(magnus_exponent(a))[0]
             y[:9] = (e @ ys[-1][:9].reshape(3, 3)).ravel()
             ys.append(y)
@@ -306,9 +305,11 @@ def _per_step_magnus(variant, mu, t_range, step):
 def _per_step_reference(variant, mu, t_range, step):
     """The states and frames ``integrate`` gives, one step at a time,
     forward then backward over its nodes: scalar mu calls, each step's
-    exponent from mu and f at its Gauss nodes, and the frame P the
-    running product of the steps' exponentials (kmu) or diag(e^a, e^-a) of
-    their running sum a (kmup)."""
+    exponent from mu and f at its Gauss nodes, and the frame P the product
+    of the steps' exponentials (kmu) or diag(e^a, e^-a) of their running
+    sum a (kmup).  kmu's product is taken in the scan's order: the frame at
+    the start of each chunk of _CHUNK steps times the running product of
+    the chunk's exponentials."""
     def span(n, h):
         ys = [initial_state(variant).astype(np.longdouble)]
         ps = [np.eye(2, dtype=np.longdouble)]
@@ -328,7 +329,12 @@ def _per_step_reference(variant, mu, t_range, step):
             om = _magnus_exponent(variant, np.array([dt]), mus[None],
                                   (ys[-1][9] + rise_stage)[None])
             if variant == "kmu":
-                p = ps[-1] @ _expm(om)[0]
+                x = _expm(om)[0]
+                if i % _CHUNK == 0:
+                    start, run = ps[-1], x
+                else:
+                    run = run @ x
+                p = start @ run
             else:
                 a += om[0, 0]
                 p = np.diag([np.exp(a), np.exp(-a)])
@@ -343,6 +349,68 @@ def _per_step_reference(variant, mu, t_range, step):
     n_fwd = int(round(t_range[1] / step))
     back, fwd = span(n_back, -step), span(n_fwd, step)
     return tuple(np.array(b[:0:-1] + f) for b, f in zip(back, fwd))
+
+
+def _slope_check(variant, mu_bar, times, states, n0):
+    """The finite check as the slopes of every node decide it: the index of
+    the node whose state or slope a(t) Y has no finite float64 value, the
+    one fewest steps from ``n0``, the later on a tie; None if there is no
+    such node."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = rhs(variant, states, mu_bar(times))
+    finite = (np.abs(states) <= np.finfo(float).max) \
+        & (np.abs(slopes) <= np.finfo(float).max)
+    bad = np.flatnonzero(~finite.all(axis=-1))
+    return bad[np.argmin(2 * np.abs(bad - n0) + (bad < n0))] if len(bad) else None
+
+
+class TestFiniteCheck:
+    """The bound-first check names the node the slopes of every node name."""
+
+    @pytest.mark.parametrize("variant,mu,t_range,t_bad", [
+        ("kmu", "0", (-4.0, 0.1), -3.274),     # slopes leave float64 first
+        ("kmup", "0", (-4.0, 0.1), -3.274),
+        ("kmup", "-4", (-0.1, 4.0), 3.274),    # forward, f = -2t
+        ("kmup", "50", (-1.0, 1.0), -0.189),   # states and slopes at once
+        ("kmu", "0", (-3.269, 0.1), None),     # one node past the bound
+        ("kmup", "0.3+0.2*sin(2*t)", (-1.0, 1.0), None),
+    ])
+    def test_names_the_node_the_slopes_name(self, monkeypatch, variant, mu,
+                                            t_range, t_bad):
+        check, seen = ode._check_finite, []
+        monkeypatch.setattr(ode, "_check_finite", lambda *a: seen.append(a))
+        integrate(variant, parse_expr(mu, "t"), t_range, 1e-3)
+        (args,) = seen
+        i = _slope_check(*args)
+        if t_bad is None:
+            assert i is None
+            check(*args)
+            return
+        assert args[2][i] == pytest.approx(t_bad, abs=1e-12)
+        with pytest.raises(ConsistencyError, match=f"at t={args[2][i]}$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                check(*args)
+
+
+    @pytest.mark.parametrize("variant,mu,row,bad", [
+        ("kmu", 1e3, [0, 1, 0, 0, 0, -1, 1e306, 0, 0, 0], True),  # mu b alone
+        ("kmup", -2.0, [0, 1, 0, 1e308, 0, 0, 0, 0, 0, 0], True),  # 2 h alone
+        ("kmu", 0.0, [1e308, 0, 0, 0, 0, 0, 0, 0, 0, 40], False),  # lam^2 F
+    ])
+    def test_each_term_of_the_bound(self, variant, mu, row, bad):
+        # a node past the bound whose slope leaves float64 through one term
+        # of a(t) Y alone, or stays in range: the slopes decide it
+        states = np.tile(initial_state(variant).astype(np.longdouble), (5, 1))
+        states[3] = row
+        times = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+        args = (variant, parse_expr(repr(mu), "t"), times, states, 2)
+        assert _slope_check(*args) == (3 if bad else None)
+        if not bad:
+            ode._check_finite(*args)
+            return
+        with pytest.raises(ConsistencyError, match="at t=0.1$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ode._check_finite(*args)
 
 
 class TestArrayPath:
@@ -373,10 +441,12 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("variant", ["kmu", "kmup"])
     @pytest.mark.parametrize("t_range", [(-0.05, 0.2), (-0.2, 0.05),
-                                         (0.0, 0.1), (-0.1, 0.0)])
+                                         (0.0, 0.1), (-0.1, 0.0),
+                                         (-0.6, 0.55)])
     def test_uneven_ranges(self, variant, t_range):
         # each direction is stepped on its own from t = 0, to its own end,
-        # and kmup's f and exponent are summed from t = 0 in both
+        # and kmup's f and exponent are summed from t = 0 in both; the
+        # last range crosses a _SPAN_BLOCK of steps each way
         expr = parse_expr("0.3+0.2*sin(2*t)", "t")
         tr = integrate(variant, expr, t_range, 1e-3)
         states, frames = _per_step_reference(variant, expr, t_range, 1e-3)
@@ -386,6 +456,25 @@ class TestArrayPath:
         expected = np.array([rhs(variant, tr.states[i], mus[i])
                              for i in range(len(tr.times))])
         assert np.array_equal(rhs(variant, tr.dense(tr.times), mus), expected)
+
+    @pytest.mark.parametrize("mu", ["0", "1", "2", "0.3+0.2*sin(2*t)"])
+    def test_scan_frames_near_the_left_to_right_product(self, mu):
+        # the chunked scan rounds otherwise than one matmul per step: over
+        # 1,000 steps each way its frames stay within 5.11e-18 (mu = 2) of
+        # each node's largest entry
+        expr = parse_expr(mu, "t")
+        tr = integrate("kmu", expr, (-1.0, 1.0), 1e-3)
+        for s in (slice(1000, None), slice(1000, None, -1)):
+            t = tr.times[s].astype(np.longdouble)
+            mu_stage, rise, rise_stage = _steps("kmu", expr, t[:-1], t[1:])
+            f = np.concatenate([[0], np.cumsum(rise)])
+            frames = [np.eye(2, dtype=np.longdouble)]
+            for x in _expm(_magnus_exponent("kmu", t[1:] - t[:-1], mu_stage,
+                                            f[:-1, None] + rise_stage)):
+                frames.append(frames[-1] @ x)
+            frames = np.array(frames)
+            err = np.max(np.abs(tr.frames[s] - frames), axis=(1, 2))
+            assert np.all(err <= 5.2e-18 * np.max(np.abs(frames), axis=(1, 2)))
 
     def test_residuals_of_one_node_match_the_stack(self):
         tr = integrate("kmup", parse_expr("exp(t)-0.5", "t"), (-0.2, 0.2), 1e-3)
@@ -450,7 +539,7 @@ class TestLongDoubleStates:
         rate = 2 if variant == "kmu" else mu + 2
         h = np.longdouble(1e-3)
         t = np.arange(-1008, 1008).astype(np.longdouble) * h
-        a = [_generator(variant, np.exp(-2 * rate * (t[:, None] + d * h * _GAUSS_C)),
+        a = [generator(variant, np.exp(-2 * rate * (t[:, None] + d * h * _GAUSS_C)),
                         np.longdouble(mu)) * (d * h) for d in (1, -1)]
         return np.concatenate(a)
 
@@ -507,7 +596,7 @@ class TestLongDoubleStates:
         # one partial Magnus step from the nearest node's frame is as good
         # as a node: halfway between the nodes (the farthest from them) it
         # gives the states of a trajectory at half the step within 1e-16 of
-        # each row's largest component (measured at most 8.2e-18, as at the
+        # each row's largest component (measured at most 9.5e-18, as at the
         # shared nodes; a cubic Hermite on the nodes and their slopes errs
         # by 3.5e-10)
         expr = parse_expr(mu, "t")
