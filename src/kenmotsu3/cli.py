@@ -25,7 +25,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from .exprs import ExprDomainError, ExprSyntaxError
-from .identities import IDENTITIES, SamplePlan, check_suites, worst_of
+from .identities import SamplePlan, check_suites, worst_of
 from .models import (
     DEFAULT_BOX,
     DarbouxParams,
@@ -66,39 +66,35 @@ def build_model(args):
 
 
 def _parse_tols(items) -> dict[str, float]:
+    """The ``--tol ID=VALUE`` overrides; ``check_suites`` judges them."""
     out = {}
     for item in items or []:
         if "=" not in item:
             raise UsageError(f"--tol expects ID=VALUE, got {item!r}")
         name, _, value = item.partition("=")
-        if name not in IDENTITIES:
-            raise UsageError(f"unknown identity in --tol: {name!r}")
         try:
             out[name] = float(value)
         except ValueError:
             raise UsageError(f"--tol {name} expects a number, got {value!r}") from None
-        if not (math.isfinite(out[name]) and out[name] >= 0):
-            raise UsageError(f"--tol {name} must be finite and >= 0, got {value!r}")
     return out
 
 
 def _parse_identities(text: str) -> list[str] | str:
-    if text == "all":
-        return "all"
-    ids = [s.strip() for s in text.split(",") if s.strip()]
-    if not ids:
-        raise UsageError(f"--identities names no identity: {text!r}")
-    for name in ids:
-        if name not in IDENTITIES:
-            raise UsageError(f"unknown identity {name!r}")
-    return ids
+    """The ``--identities`` list; ``check_suites`` judges it."""
+    return "all" if text == "all" else [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option (argparse names the option on error)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _run_suites(args, models):
     """Each of ``models``' reports and verdict from the suite of ``args``,
     run as one batch; not-applicable identities do not fail a run."""
-    plan = SamplePlan(grid=args.grid, rand_pairs=args.rand_pairs,
-                      seed=args.seed, box=parse_box(args.box) if args.box else None)
+    plan = SamplePlan(grid=args.grid, box=parse_box(args.box) if args.box else None)
     suites = check_suites(models, _parse_identities(args.identities), plan,
                           tolerances=_parse_tols(args.tol))
     return [(r, "pass" if all(x.verdict in ("pass", "not-applicable") for x in r)
@@ -106,8 +102,10 @@ def _run_suites(args, models):
 
 
 def _plan_document(args) -> dict:
-    """The ``plan`` block of the verify and sweep reports."""
-    return {"grid": args.grid, "randomPairs": args.rand_pairs, "seed": args.seed}
+    """The ``plan`` block of the verify and sweep reports.  ``--rand-pairs``
+    and ``--seed`` select nothing, as no identity reads a random vector;
+    they are echoed here because the benchmark's workloads pass both."""
+    return {"grid": args.grid, "randomPairs": args.random_pairs, "seed": args.seed}
 
 
 def _verification_document(model, args, reports, overall):
@@ -226,8 +224,9 @@ def _add_model_flags(sub):
 
 def _add_plan_flags(sub):
     sub.add_argument("--grid", type=int, default=5)
-    sub.add_argument("--rand-pairs", type=int, default=4)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--rand-pairs", type=_count, default=4,
+                     dest="random_pairs", metavar="RAND_PAIRS")
+    sub.add_argument("--seed", type=_count, default=0)
     sub.add_argument("--identities", default="all",
                      help="comma-separated identity ids, or 'all'")
     sub.add_argument("--tol", action="append", metavar="ID=VALUE",

@@ -5,8 +5,7 @@ Everything is a single 3-dimensional chart.  A field is an
 ``(n, 3)``) to per-point values of its component shape: ``()`` for a scalar,
 ``(3,)`` for a vector field or 1-form, ``(3, 3)`` for a (1,1)-tensor or a
 metric.  A (1,1) tensor acts on column component vectors,
-``(T X)^i = T^i_j X^j``.  A field may carry its exact partials, first and
-second, beside its values.
+``(T X)^i = T^i_j X^j``.
 """
 
 from __future__ import annotations
@@ -76,20 +75,11 @@ class ChartDomain:
 
 
 class ArrayField:
-    """A pure evaluator ``(n, 3) -> (n,) + out_shape`` over a chart domain.
+    """A pure evaluator ``(n, 3) -> (n,) + out_shape``."""
 
-    ``partials``, when set, maps ``(n, 3)`` points to the exact partials
-    ``(n, 3) + out_shape`` (axis first); ``second`` to the exact second
-    partials ``(n, 3, 3) + out_shape`` (both axes first).
-    """
-
-    def __init__(self, fn, domain: ChartDomain, out_shape=(), *,
-                 partials=None, second=None, name: str = ""):
+    def __init__(self, fn, out_shape=(), *, name: str = ""):
         self.fn = fn
-        self.domain = domain
         self.out_shape = tuple(out_shape)
-        self.partials = partials
-        self.second = second
         self.name = name
 
     def __call__(self, pts) -> np.ndarray:

@@ -68,36 +68,26 @@ BLOCK = 256  # sample points per Probe: a suite's peak memory is the block's
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic sample plan: a grid of points in a box.
-
-    ``grid`` points per axis inside ``box`` (the model's default box when
-    None).  ``rand_pairs`` and ``seed`` select nothing: no identity reads a
-    random vector.  They are still validated and echoed in a report's plan,
-    as the benchmark's workloads pass both; removing them waits for the
-    benchmark's rebase (ROADMAP item 1).
-    """
+    """Deterministic sample plan: ``grid`` points per axis inside ``box``
+    (the model's default box when None)."""
 
     grid: int = 5
-    rand_pairs: int = 4
-    seed: int = 0
     box: tuple | None = None
 
     def __post_init__(self):
-        for name, least in (("grid", 1), ("rand_pairs", 0), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"sample plan {name} must be >= {least}, "
-                                 f"got {getattr(self, name)}")
+        if self.grid < 1:
+            raise ValueError(f"sample plan grid must be >= 1, got {self.grid}")
 
-    def resolved_box(self, model: AlmostContactModel):
+    def points(self, model: AlmostContactModel) -> np.ndarray:
         box = self.box if self.box is not None else model.default_box
         if len(box) != 3 or any(len(iv) != 2 or not iv[0] < iv[1] for iv in box):
             raise ValueError(f"malformed sample box {box!r}")
-        return box
-
-    def points(self, model: AlmostContactModel) -> np.ndarray:
-        box = self.resolved_box(model)
         axes = [np.linspace(lo, hi, self.grid) for lo, hi in box]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        try:
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        except (MemoryError, ValueError) as ex:  # numpy cannot allocate them
+            raise ValueError(f"sample plan grid {self.grid} needs {self.grid ** 3} "
+                             f"points, which cannot be allocated ({ex})") from None
         inside = np.atleast_1d(model.domain.contains(pts))
         if not inside.all():
             raise ValueError(
@@ -945,13 +935,26 @@ def check_suites(models, identities=None, plan: SamplePlan | None = None,
                  tolerances: dict[str, float] | None = None) -> list[list]:
     """Run a list of identities (default: every one known) on each of
     ``models``, one family's, read once and in order, by one block loop;
-    tolerances override the profile.  A report keeps its model's largest
-    residual and its first point, or is not-applicable, unevaluated."""
+    tolerances override the profile (None: the profile's).  A report keeps
+    its model's largest residual and its first point, or is not-applicable,
+    unevaluated.  A request that names no identity, an unknown one or one
+    twice, or a tolerance for an unknown identity or one that is negative
+    or not finite, raises ``ValueError`` before any model is read."""
     plan, tolerances = plan or SamplePlan(), tolerances or {}
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
+    if not ids:
+        raise ValueError("the suite names no identity")
     for name in ids:
         if name not in IDENTITIES:
-            raise KeyError(f"unknown identity {name!r}")
+            raise ValueError(f"unknown identity {name!r}")
+        if ids.count(name) > 1:
+            raise ValueError(f"identity {name!r} is named twice")
+    for name, tol in tolerances.items():
+        if name not in IDENTITIES:
+            raise ValueError(f"tolerance for unknown identity {name!r}")
+        if tol is not None and not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance of {name} must be finite and >= 0, "
+                             f"got {tol!r}")
     specs = [IDENTITIES[name] for name in ids]
     samples, kept = [], {}
 

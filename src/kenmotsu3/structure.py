@@ -3,7 +3,7 @@
 An :class:`AlmostContactModel` is one evaluation ``at(pts)`` of the structure
 tensors (phi, xi, eta, g) and the nominal scalars k, mu, lambda over one
 chart, with their exact partials, plus family metadata; its seven fields are
-field-evaluator views of that evaluation.  ``FAMILIES`` gives each family's
+value-only views of that evaluation.  ``FAMILIES`` gives each family's
 nullity operator and third coordinate.  The identities' Probe computes
 h = (1/2) L_xi phi with ``lie_derivative``, from its Lie-derivative
 definition (never from the connection, so the connection identities stay an
@@ -50,7 +50,8 @@ class AlmostContactModel:
     to the field's values, exact partials (axis first) and exact second
     partials (both axes first; None for k_nom, mu_nom and lam_nom).  A
     model's values depend on the points alone.  The seven fields phi ...
-    lam_nom are views of ``at``, each call of which runs the whole pass.
+    lam_nom are views of ``at``'s values, each call of which runs the whole
+    pass; the partials are read from ``at`` alone.
     """
 
     family: str
@@ -71,14 +72,9 @@ class AlmostContactModel:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         at = self.at  # the views hold the evaluation, not the model
-
-        def view(name, order):
-            return lambda pts: at(pts)[name][order]
-
         for name, shape in _FIELDS.items():
             setattr(self, name, ArrayField(
-                view(name, 0), self.domain, shape, partials=view(name, 1),
-                second=view(name, 2) if shape else None, name=name))
+                lambda pts, name=name: at(pts)[name][0], shape, name=name))
 
     variant = property(lambda self: FAMILIES[self.family][0])
     coords = property(lambda self: ("x", "y", FAMILIES[self.family][1]))

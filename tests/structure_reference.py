@@ -3,7 +3,8 @@
 ``structure_residuals`` (the structure axioms) and ``nijenhuis`` read one
 ``model.at`` pass; ``g_norm`` is the plain g-length the long-double norm
 checks compare against; ``metric_from_state`` checks the leaf metric of the
-ODE's states; ``NULLITY`` names each nullity operator's registry identity.
+ODE's states; ``NULLITY`` names each nullity operator's registry identity;
+``jet`` reads one field's values or exact partials off ``model.at``.
 """
 
 import numpy as np
@@ -13,6 +14,13 @@ from kenmotsu3.geometry import exterior_differential
 from kenmotsu3.ode import M2, ConsistencyError, _as_matrix, _det_g
 
 NULLITY = {"h": "NULL_KMU", "hp": "NULL_KMUP"}  # by a model's ``variant``
+
+
+def jet(model, name, order):
+    """The field ``name``'s values (``order`` 0), exact partials (1, axis
+    first) or second partials (2, both axes first) as a function of points:
+    ``model.at(pts)[name][order]``."""
+    return lambda pts: model.at(pts)[name][order]
 
 
 def nijenhuis(model, pts, x, y) -> np.ndarray:

@@ -39,7 +39,7 @@ from kenmotsu3.ode import (
 )
 from structure_reference import NULLITY, metric_from_state
 
-PLAN = SamplePlan(grid=5, rand_pairs=4, seed=42)
+PLAN = SamplePlan(grid=5)
 CHART_BOX = ((0.0, 1.0), (0.0, 1.0), (-3.0, -1.5))
 
 
@@ -199,7 +199,7 @@ def test_criterion_6_convergence_witnesses():
     failures = []
     # FD halving of riemann against the suites' exact curvature (order 4)
     model = build_kmu_chart_model(KmuChartParams(mu="1", box=CHART_BOX))
-    pts = SamplePlan(grid=3, rand_pairs=3, seed=11).points(model)
+    pts = SamplePlan(grid=3).points(model)
     exact = Probe(model, pts).curv.riemann
     coarse, fine = (np.abs(riemann(model_metric(model), model.domain, pts,
                                    h).riemann - exact).max()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kenmotsu3 import models
 from kenmotsu3.cli import build_model, main, make_parser
 from kenmotsu3.identities import IDENTITIES, SamplePlan, check_suite
 
@@ -76,8 +77,9 @@ class TestVerify:
                     "--tol", "NOPE=1"]) == 2
         assert run(["verify", "--family", "kenmotsu",
                     "--identities", "NOPE"]) == 2
-        # an empty identity list would check nothing and pass
-        for ids in (",", ""):
+        # an empty identity list would check nothing and pass, and one that
+        # names an identity twice would report it twice
+        for ids in (",", "", "NH,NH,DK_ETA"):
             assert run(["verify", "--family", "kenmotsu",
                         "--identities", ids]) == 2, ids
         # a Darboux box past the integrated t-range is not clamped onto it
@@ -96,15 +98,21 @@ class TestVerify:
                     "--identities", "NABLA_XI", "--tol", "NABLA_XI=abc"]) == 2
         err = capsys.readouterr().err
         assert "--tol NABLA_XI expects a number, got 'abc'" in err, err
-        # a bad sample plan is named by its field, not by a numpy error
-        for flag, value, field in (("--grid", "0", "grid"),
-                                   ("--rand-pairs", "-1", "rand_pairs"),
-                                   ("--seed", "-1", "seed")):
+        # a bad sample plan is named by its field or flag, not by a numpy
+        # error; a grid of 1e18 points fails at once, past its 8-MB axes
+        for flag, value, message in (
+                ("--grid", "0", "sample plan grid must be >= 1"),
+                ("--grid", "1000000", "sample plan grid 1000000 needs "
+                 "1000000000000000000 points, which cannot be allocated"),
+                ("--rand-pairs", "-1", "argument --rand-pairs: expects an "
+                 "integer >= 0, got '-1'"),
+                ("--seed", "-1", "argument --seed: expects an integer >= 0, "
+                 "got '-1'")):
             capsys.readouterr()
             assert run(["verify", "--family", "kenmotsu",
                         "--identities", "NABLA_XI", flag, value]) == 2
             err = capsys.readouterr().err
-            assert f"sample plan {field} must be >= " in err, err
+            assert message in err, err
 
     def test_derivative_domain_error_names_the_users_text(self, capsys):
         # d/dz sqrt(z+3) divides by zero at z = -3, the box's lower end: the
@@ -353,6 +361,23 @@ class TestSweep:
             assert run(["sweep", "--family", "kmu-chart", "--grid", "2",
                         "--identities", "H2", "--mu-values", values]) == 2
             assert capsys.readouterr().out == "", values
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--identities", "NH,NH"), ("--identities", ","),
+        ("--identities", "NOPE"), ("--tol", "NOPE=1"), ("--tol", "NH=nan"),
+        ("--tol", "NH=-1"), ("--tol", "NH=inf")])
+    def test_bad_request_rejected_before_any_integration(self, capsys,
+                                                         monkeypatch, flag,
+                                                         value):
+        # check_suites judges the request before it builds the first model
+        def no_integration(*args, **kwargs):
+            raise AssertionError("a mu was integrated")
+
+        monkeypatch.setattr(models, "integrate", no_integration)
+        assert run(["sweep", "--family", "kmu-darboux", "--grid", "2",
+                    "--mu-values", "0,1", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), err
 
     def test_baseline_has_no_mu_to_sweep(self, capsys):
         # the baseline takes no mu: a sweep would run one model per value

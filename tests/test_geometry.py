@@ -35,7 +35,7 @@ FULL = ChartDomain()
 
 def euclidean():
     return ArrayField(
-        lambda p: np.broadcast_to(np.eye(3), (p.shape[0], 3, 3)).copy(), FULL, (3, 3))
+        lambda p: np.broadcast_to(np.eye(3), (p.shape[0], 3, 3)).copy(), (3, 3))
 
 
 def hyperbolic():
@@ -46,7 +46,7 @@ def hyperbolic():
         g[:, 1, 1] = w
         g[:, 2, 2] = 1.0
         return g
-    return ArrayField(fn, FULL, (3, 3))
+    return ArrayField(fn, (3, 3))
 
 
 PTS = np.array([[0.3, -0.2, 0.0], [0.1, 0.5, 0.4], [-0.7, 0.2, -0.3]])
@@ -93,7 +93,7 @@ class TestChristoffel:
             g[:, 0, 0] = 1e-14
             return g
         with pytest.raises(DegenerateMetricError):
-            christoffel(ArrayField(fn, FULL, (3, 3)), PTS)
+            christoffel(ArrayField(fn, (3, 3)), PTS)
 
 
 def _rotated(diag, seed=0):
@@ -215,7 +215,7 @@ class TestCovariantDerivative:
     def test_nabla_xi_phi_vanishes_on_models(self):
         for model in (build_kenmotsu_baseline(1.0),
                       build_kmu_chart_model(KmuChartParams(mu="1"))):
-            pts = SamplePlan(grid=2, seed=3).points(model)
+            pts = SamplePlan(grid=2).points(model)
             at = model.at(pts)
             gamma = levi_civita(*at["g"][:2])[0]
             out = nabla_along(gamma, *at["phi"][:2], at["xi"][0])
@@ -224,7 +224,7 @@ class TestCovariantDerivative:
     def test_nh_relation_on_chart_model(self):
         # nabla_xi h = -2h - mu phi h on the kmu chart family
         model = build_kmu_chart_model(KmuChartParams(mu="1"))
-        pts = SamplePlan(grid=2, seed=3).points(model)
+        pts = SamplePlan(grid=2).points(model)
         at = model.at(pts)
         h = Probe(model, pts).h
         dh = derivatives(lambda q: Probe(model, q).h, model.domain, pts)
@@ -242,7 +242,7 @@ class TestCovariantDerivative:
                   build_darboux_model(DarbouxParams("kmu", "1", (-0.25, 0.25))),
                   build_darboux_model(DarbouxParams("kmup", "0", (-0.25, 0.25))))
         for model in models:
-            pts = SamplePlan(grid=2, seed=5).points(model)
+            pts = SamplePlan(grid=2).points(model)
             gv, dg = model.at(pts)["g"][:2]
             gam = levi_civita(gv, dg)[0]
             nabla_g = (dg - np.einsum("nski,nsj->nkij", gam, gv)
@@ -254,13 +254,13 @@ class TestExteriorDerivative:
     def test_closed_coordinate_form(self):
         # eta = dt (third coordinate differential) is closed
         eta = ArrayField(lambda p: np.broadcast_to(
-            np.array([0.0, 0.0, 1.0]), (p.shape[0], 3)).copy(), FULL, (3,))
+            np.array([0.0, 0.0, 1.0]), (p.shape[0], 3)).copy(), (3,))
         assert np.max(np.abs(exterior_derivative(eta, PTS))) < 1e-12
 
     def test_constant_two_form_closed(self):
         form = ArrayField(lambda p: np.broadcast_to(
             np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-            (p.shape[0], 3, 3)).copy(), FULL, (3, 3))
+            (p.shape[0], 3, 3)).copy(), (3, 3))
         assert np.max(np.abs(exterior_derivative(form, PTS))) < 1e-12
 
     def test_darboux_fundamental_form_law(self):
@@ -279,7 +279,7 @@ class TestExteriorDerivative:
 
     def test_d_squared_zero(self):
         eta = ArrayField(lambda p: np.stack(
-            [np.sin(p[:, 2]), p[:, 0] ** 2, p[:, 1]], axis=1), FULL, (3,))
+            [np.sin(p[:, 2]), p[:, 0] ** 2, p[:, 1]], axis=1), (3,))
         dd = exterior_derivative(lambda q: exterior_derivative(eta, q), PTS)
         assert np.max(np.abs(dd)) < 5e-7
 
@@ -404,7 +404,7 @@ def test_g_norm_rounding_on_pooled_vectors():
     # stays within 2 eps of the absolute products behind the square, over
     # twice the norm (measured: 1.1)
     model = build_darboux_model(DarbouxParams("kmu", "1", (-1.0, 1.0)))
-    plan = SamplePlan(grid=3, rand_pairs=4, seed=3)
+    plan = SamplePlan(grid=3)
     g = model.g(plan.points(model))[:, None, None, None]
     rng = np.random.default_rng(7)
     v = rng.standard_normal((len(g), 11, 11, 11, 3)) \

@@ -439,3 +439,23 @@ def test_package_exports_only_what_it_reads():
     sources = {f.stem: f.read_text() for f in sorted(SRC.glob("*.py"))}
     unread = {name for _, name in _unread_exports(sources)}
     assert unread == set(LIBRARY_API), unread ^ set(LIBRARY_API)
+
+
+def test_check_suites_alone_judges_a_suite_request():
+    # identities.check_suites validates identity names and tolerances: the
+    # CLI only splits its flags, so it needs no registry of its own
+    source = (SRC / "cli.py").read_text()
+    used = {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(ast.parse(source))}
+    assert "IDENTITIES" not in used | _imported_names(source, "identities")
+
+
+def test_no_field_nothing_reads():
+    # a model's partials are read from ``model.at`` alone, and a sample plan
+    # is a grid in a box: no module accesses a field view's partials, nor
+    # the random pairs that no identity drew
+    removed = {"partials", "second", "rand_pairs"}
+    found = [(f.name, node.lineno, node.attr) for f in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in removed]
+    assert not found, found

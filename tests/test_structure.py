@@ -25,8 +25,8 @@ ALL_MODELS = [
 ]
 
 
-def sample(model, grid=3, seed=13):
-    return SamplePlan(grid=grid, seed=seed).points(model)
+def sample(model, grid=3):
+    return SamplePlan(grid=grid).points(model)
 
 
 class TestHOperator:
