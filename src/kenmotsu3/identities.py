@@ -938,9 +938,13 @@ def check_suites(models, identities=None, plan: SamplePlan | None = None,
     tolerances override the profile (None: the profile's).  A report keeps
     its model's largest residual and its first point, or is not-applicable,
     unevaluated.  A request that names no identity, an unknown one or one
-    twice, or a tolerance for an unknown identity or one that is negative
-    or not finite, raises ``ValueError`` before any model is read."""
+    twice, a string other than "all", or a tolerance for an unknown identity
+    or one that is negative or not finite, raises ``ValueError`` before any
+    model is read."""
     plan, tolerances = plan or SamplePlan(), tolerances or {}
+    if isinstance(identities, str) and identities != "all":
+        raise ValueError(f"identities must be a list of ids or 'all', got the "
+                         f"string {identities!r}; check_identity checks one")
     ids = list(IDENTITIES) if identities in (None, "all") else list(identities)
     if not ids:
         raise ValueError("the suite names no identity")

@@ -80,12 +80,6 @@ class ConsistencyError(RuntimeError):
     """A structural invariant that must hold exactly has failed."""
 
 
-def _as_matrix(c: np.ndarray) -> np.ndarray:
-    """Expand (…,3) basis components into (…,2,2) matrices."""
-    return (c[..., 0, None, None] * M1 + c[..., 1, None, None] * M2
-            + c[..., 2, None, None] * M3)
-
-
 def initial_state(variant: str) -> np.ndarray:
     """State vector (f1..f3, h1..h3, b1..b3, f) at t = 0."""
     if variant == "kmu":
@@ -123,6 +117,13 @@ def _det_g(y: np.ndarray) -> np.ndarray:
     return (f2 - f3) * (f2 + f3) - f1 * f1
 
 
+def _cross(x, y):
+    """x × y of (..., 3) coefficient vectors: the (M1, M2, M3) part of X Y,
+    by M2 M3 = M1, M1 M3 = M2 and M1 M2 = M3, each reversed product negated."""
+    i, j = [1, 0, 0], [2, 2, 1]
+    return x[..., i] * y[..., j] - x[..., j] * y[..., i]
+
+
 def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
     """Max-norm of each of the ten matrix/scalar relation residuals.
 
@@ -132,28 +133,33 @@ def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
 
       kmu :  B@H = lam^2 F,   B@F = H,    F@H = B
       kmup:  B@H = -lam^2 F,  B@F = -H,   H@F = B
+
+    On the coefficients: X Y = <x, y> I + (x × y).M with <x, y> = x1 y1 -
+    x2 y2 + x3 y3, and the largest entry of s I + v.M is max(|s| + |v1|,
+    |v2| + |v3|).  A square is x1^2 + (x3 - x2)(x3 + x2), the rounding of
+    the 2x2 product's diagonal.
     """
-    F, H, B = (_as_matrix(y[..., i:i + 3]) for i in (0, 3, 6))
-    lam2 = (_lam(y) ** 2)[..., None, None]
-    eye = np.eye(2)
-    res = {
-        "F2": F @ F + eye,
-        "H2": H @ H - lam2 * eye,
-        "B2": B @ B - lam2 * eye,
-        "anti_HF": H @ F + F @ H,
-        "anti_BF": B @ F + F @ B,
-        "anti_BH": B @ H + H @ B,
-    }
-    if variant == "kmu":
-        res["prod_BH"] = B @ H - lam2 * F
-        res["prod_BF"] = B @ F - H
-        res["prod_FH"] = F @ H - B
-    else:
-        res["prod_BH"] = B @ H + lam2 * F
-        res["prod_BF"] = B @ F + H
-        res["prod_FH"] = H @ F - B
-    out = {k: np.max(np.abs(v), axis=(-2, -1)) for k, v in res.items()}
-    out["detG"] = np.abs(_det_g(y) - 1.0)
+    c = y[..., :9].reshape(y.shape[:-1] + (3, 3))     # rows f, h, b
+    lam2 = _lam(y) ** 2
+    sq = c[..., 0] * c[..., 0] + (c[..., 2] - c[..., 1]) * (c[..., 2] + c[..., 1])
+    x, z = c[..., [1, 2, 2], :], c[..., [0, 0, 1], :]  # pairs HF, BF, BH
+    dot = x[..., 0] * z[..., 0] - x[..., 1] * z[..., 1] + x[..., 2] * z[..., 2]
+    # vector parts of HF + B, BF - H and BH - lam^2 F (kmup: the targets' signs
+    # flip); HF + B is FH - B with its vector part negated, of the same norm
+    target = c[..., [2, 1, 0], :]
+    target[..., 2, :] *= lam2[..., None]
+    sign = np.array([[1], [-1], [-1]]) * (1 if variant == "kmu" else -1)
+    v = _cross(x, z) + sign * target
+    prod = np.maximum(np.abs(dot) + np.abs(v[..., 0]),
+                      np.abs(v[..., 1]) + np.abs(v[..., 2]))
+    anti = 2 * np.abs(dot)
+    out = {"F2": np.abs(sq[..., 0] + 1), "H2": np.abs(sq[..., 1] - lam2),
+           "B2": np.abs(sq[..., 2] - lam2), "anti_HF": anti[..., 0],
+           "anti_BF": anti[..., 1], "anti_BH": anti[..., 2],
+           "prod_BH": prod[..., 2], "prod_BF": prod[..., 1],
+           "prod_FH": prod[..., 0]}
+    # det G = -<f, f>, rounded as -sq[..., 0]: |det G - 1| is F2, bit for bit
+    out["detG"] = out["F2"]
     return out
 
 
@@ -178,10 +184,8 @@ _FLOAT64_MAX = np.finfo(float).max
 
 
 def _bracket(x, y):
-    """[X, Y] of (..., 3) coefficient vectors on (M1, M2, M3), by
-    [M1, M2] = 2 M3, [M1, M3] = 2 M2 and [M2, M3] = 2 M1."""
-    i, j = [1, 0, 0], [2, 2, 1]
-    return 2 * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+    """[X, Y] = 2 (x × y).M of (..., 3) coefficient vectors on (M1, M2, M3)."""
+    return 2 * _cross(x, y)
 
 
 def _magnus_exponent(variant, h, mu_stage, f_stage) -> np.ndarray:

@@ -10,13 +10,16 @@ that reaches the states' rounding is long double; the parts below it are
 float64: the commutator terms of each exponent (below 1e-6 of it) and the
 series' terms from x^4 on (below 1e-5 after scaling).  ``rhs`` is the
 slope a(t) Y itself, the reference of the finite check's slopes.
+``_as_matrix`` expands coefficients into the 2x2 matrices F, H, B, and
+``matrix_residuals`` forms the ten algebraic relations of
+``ode.algebraic_residuals`` from them by 2x2 matrix products.
 """
 
 import math
 
 import numpy as np
 
-from kenmotsu3.ode import _SQRT15
+from kenmotsu3.ode import M1, M2, M3, _SQRT15, _det_g, _lam
 
 # exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
 # 2e-20.  The terms from X^4 on sum to less than ||X||^4/24 <= 1e-5, so they
@@ -26,6 +29,39 @@ TAYLOR_RADIUS = 0.125
 # 1/(j+r)! for r < 4: the rows p_4, p_8 of the tail X^4 (p_4 + X^4 p_8)
 TAIL = np.array([[1 / math.factorial(j + r) for r in range(4)]
                  for j in range(4, TAYLOR_TERMS, 4)])
+
+
+def _as_matrix(c: np.ndarray) -> np.ndarray:
+    """Expand (…,3) basis components into (…,2,2) matrices."""
+    return (c[..., 0, None, None] * M1 + c[..., 1, None, None] * M2
+            + c[..., 2, None, None] * M3)
+
+
+def matrix_residuals(y, variant: str) -> dict[str, np.ndarray]:
+    """``ode.algebraic_residuals`` by twelve 2x2 matrix products: the
+    largest entry of each relation's residual matrix, and |det G - 1|."""
+    F, H, B = (_as_matrix(y[..., i:i + 3]) for i in (0, 3, 6))
+    lam2 = (_lam(y) ** 2)[..., None, None]
+    eye = np.eye(2)
+    res = {
+        "F2": F @ F + eye,
+        "H2": H @ H - lam2 * eye,
+        "B2": B @ B - lam2 * eye,
+        "anti_HF": H @ F + F @ H,
+        "anti_BF": B @ F + F @ B,
+        "anti_BH": B @ H + H @ B,
+    }
+    if variant == "kmu":
+        res["prod_BH"] = B @ H - lam2 * F
+        res["prod_BF"] = B @ F - H
+        res["prod_FH"] = F @ H - B
+    else:
+        res["prod_BH"] = B @ H + lam2 * F
+        res["prod_BF"] = B @ F + H
+        res["prod_FH"] = H @ F - B
+    out = {k: np.max(np.abs(v), axis=(-2, -1)) for k, v in res.items()}
+    out["detG"] = np.abs(_det_g(y) - 1.0)
+    return out
 
 
 def generator(variant: str, lam2, mu) -> np.ndarray:

@@ -11,7 +11,8 @@ import numpy as np
 
 from kenmotsu3.fields import as_points
 from kenmotsu3.geometry import exterior_differential
-from kenmotsu3.ode import M2, ConsistencyError, _as_matrix, _det_g
+from kenmotsu3.ode import M2, ConsistencyError, _det_g
+from magnus_reference import _as_matrix
 
 NULLITY = {"h": "NULL_KMU", "hp": "NULL_KMUP"}  # by a model's ``variant``
 

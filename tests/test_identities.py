@@ -159,11 +159,15 @@ class TestReports:
         (["H2"], {"NOPE": 1.0}, "tolerance for unknown identity 'NOPE'"),
         (["H2"], {"H2": -1.0}, "tolerance of H2 must be finite and >= 0"),
         (["H2"], {"H2": float("nan")}, "must be finite and >= 0, got nan"),
-        ("all", {"H2": float("inf")}, "must be finite and >= 0, got inf")])
+        ("all", {"H2": float("inf")}, "must be finite and >= 0, got inf"),
+        ("NABLA_XI", None, "must be a list of ids or 'all', got the string "
+                           "'NABLA_XI'; check_identity checks one"),
+        ("", None, "got the string ''")])
     def test_bad_request_rejected(self, baseline, identities, tolerances,
                                   message):
         # a suite that checks nothing, reports an identity twice, ignores a
-        # tolerance or writes a NaN one into its report is bad input
+        # tolerance or writes a NaN one into its report is bad input, as is
+        # a string, whose characters are not identity ids
         with pytest.raises(ValueError, match=message):
             check_suite(baseline, identities, PLAN, tolerances)
 

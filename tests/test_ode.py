@@ -7,7 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from magnus_reference import generator, comm, expm, magnus_exponent, rhs
+from magnus_reference import (
+    _as_matrix,
+    comm,
+    expm,
+    generator,
+    magnus_exponent,
+    matrix_residuals,
+    rhs,
+)
 
 from kenmotsu3 import models, ode
 from kenmotsu3.exprs import parse_expr
@@ -21,7 +29,6 @@ from kenmotsu3.ode import (
     _GAUSS_C,
     _GAUSS_W,
     _SQRT15,
-    _as_matrix,
     _bracket,
     _expm,
     _magnus_exponent,
@@ -88,6 +95,36 @@ class TestStartupConsistency:
         assert res["prod_FH"] == 2.0
         assert res["prod_BF"] == 2.0
         assert res["F2"] == 0.0  # F, H unaffected
+
+
+class TestClosedFormInvariants:
+    """``algebraic_residuals`` on the (M1, M2, M3) coefficients against the
+    2x2 matrix products of ``magnus_reference.matrix_residuals``."""
+
+    # measured at most 3.32 eps_LD max|y|^2 (kmu, mu = 3)
+    PRODUCT_BOUND = 8
+
+    @pytest.mark.parametrize("variant,mu", [
+        *[("kmu", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2", "3")],
+        *[("kmup", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2",
+                                "-0.2")]])
+    def test_matches_the_matrix_products(self, variant, mu):
+        # the squares and det G round as the products' diagonals, bit for
+        # bit; the anticommutators and products sum otherwise, within a few
+        # long-double roundings of the squared state size
+        tr = integrate(variant, parse_expr(mu, "t"), (-1.0, 1.0), 1e-3)
+        closed = algebraic_residuals(tr.states, variant)
+        ref = matrix_residuals(tr.states, variant)
+        assert list(closed) == list(ref)
+        for name in ("F2", "H2", "B2", "detG"):
+            assert np.array_equal(closed[name], ref[name]), name
+        bound = (self.PRODUCT_BOUND * np.finfo(np.longdouble).eps
+                 * np.max(np.abs(tr.states[:, :9]), axis=1) ** 2)
+        for name in list(ref)[3:9]:
+            assert np.all(np.abs(closed[name] - ref[name]) <= bound), name
+        # exact at t = 0
+        zero = int(np.flatnonzero(tr.times == 0.0)[0])
+        assert all(v[zero] == 0.0 for v in closed.values())
 
 
 class TestRhs:
@@ -482,7 +519,7 @@ class TestArrayPath:
         assert all(v.shape == tr.times.shape for v in stack.values())
         one = algebraic_residuals(tr.states[7], "kmup")
         for name, v in one.items():
-            assert v == pytest.approx(stack[name][7], abs=1e-14), name
+            assert np.array_equal(v, stack[name][7]), name
 
 
 class TestLongDoubleStates:
@@ -825,3 +862,19 @@ class TestCsvExport:
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",", newline="\r\n",
                    header=header.decode(), comments="")
         assert data == ref.getvalue()
+
+    def test_peak_memory_does_not_grow_with_the_nodes(self, tmp_path):
+        # rows are formatted ``_BLOCK`` at a time: ten times the nodes keep
+        # the traced peak under 1.5 times, where formatting every row in
+        # one pass grows it with the row count
+        peaks = []
+        for step in (1e-3, 1e-4):
+            tr = integrate("kmu", parse_expr("1", "t"), (-1.0, 1.0), step)
+            tracemalloc.start()
+            try:
+                trajectory_to_csv(tr, tmp_path / "t.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(tr.times) == 20001
+        assert peaks[1] < 1.5 * peaks[0], peaks

@@ -224,6 +224,40 @@ def test_one_integration_scheme():
     assert not removed & names, removed & names
 
 
+def _matmul_lines(source: str, function: str) -> list[int] | None:
+    """Lines of each ``@``, ``@=`` or ``matmul`` call in the function named
+    ``function`` in ``source`` (None: no such function)."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and node.name == function]
+    if not found:
+        return None
+    return sorted(node.lineno for f in found for node in ast.walk(f)
+                  if isinstance(getattr(node, "op", None), ast.MatMult)
+                  or (isinstance(node, ast.Call) and "matmul" in (
+                      getattr(node.func, "attr", None),
+                      getattr(node.func, "id", None))))
+
+
+def test_matmul_guard_flags_what_it_should():
+    source = ("def f(a, b):\n    c = a @ b\n    c @= a\n"
+              "    return np.matmul(c, b) + matmul(a, b)\n"
+              "def g(a):\n    return a * a")
+    assert _matmul_lines(source, "f") == [2, 3, 4, 4]
+    assert _matmul_lines(source, "g") == []
+    assert _matmul_lines(source, "h") is None
+
+
+def test_invariants_on_the_coefficients():
+    # the ten invariants come from the algebra of (M1, M2, M3), not from
+    # 2x2 matrix products: the matrix expansion is the tests' oracle alone
+    assert _matmul_lines((SRC / "ode.py").read_text(), "algebraic_residuals") == []
+    tests = Path(__file__).resolve().parent
+    defined = [f"{f.parent.name}/{f.name}"
+               for f in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))
+               if "_as_matrix" in _defined(f.read_text(), ast.FunctionDef)]
+    assert defined == ["tests/magnus_reference.py"], defined
+
+
 def test_definition_guard_reads_nested_names():
     source = "class A:\n    def diff(self):\n        class _Jet: pass"
     assert _defined(source, ast.FunctionDef) == ["diff"]
