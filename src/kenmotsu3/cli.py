@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from .exprs import ExprDomainError, ExprSyntaxError
@@ -44,16 +45,22 @@ class UsageError(ValueError):
     """Configuration problem reported with exit status 2."""
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+@contextmanager
+def _replacing(path: str):
+    """A text file in place of ``path``: written beside it with a new file's
+    mode (0o666 less the umask), renamed over ``path`` once written whole,
+    and removed if the writing fails."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", newline="") as fh:
+            umask = os.umask(0o22)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -135,7 +142,8 @@ def cmd_build(args) -> int:
     model = build_model(args)
     model.at(SamplePlan(grid=2).points(model))  # fails where a suite would
     doc = model_to_json(model)
-    _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
+    with _replacing(args.out) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out} ({model.family})")
     return 0
 
@@ -146,7 +154,8 @@ def cmd_verify(args) -> int:
     _print_reports(reports)
     doc = _verification_document(model, args, reports, overall)
     if args.report:
-        _atomic_write(args.report, json.dumps(doc, indent=2) + "\n")
+        with _replacing(args.report) as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
         print(f"report: {args.report}")
     print(f"overall: {overall}")
     return 0 if overall == "pass" else 1
@@ -156,7 +165,8 @@ def cmd_trajectory(args) -> int:
     variant = args.family.split("-")[0]
     mu_bar = DarbouxParams(variant, args.mu).resolved()
     traj = integrate(variant, mu_bar, args.t_range, args.step)
-    worst = trajectory_to_csv(traj, args.csv)
+    with _replacing(args.csv) as fh:
+        worst = trajectory_to_csv(traj, fh)
     print(f"wrote {args.csv}: {len(traj.times)} nodes, "
           f"max algebraic residual {worst:.6e}")
     return 0
@@ -200,7 +210,8 @@ def cmd_sweep(args) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if args.report:
-        _atomic_write(args.report, json.dumps(doc, indent=2) + "\n")
+        with _replacing(args.report) as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
         print(f"report: {args.report}")
     print(f"overall: {overall}")
     return 0 if overall == "pass" else 1

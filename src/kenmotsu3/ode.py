@@ -17,9 +17,8 @@ Initial conditions at t = 0:
          column-vector composition; asserted by check_initial_relations)
   kmup:  F = M2, H = -M3, B = M1    (B = H@F at t=0)
 
-A node's state is the vector (f1..f3, h1..h3, b1..b3, f); a trajectory
-is the (m, 10) array of its nodes.  The rows f, h, b form a 3x3 matrix Y
-with Y' = a(t) Y:
+A node's state is the vector (f1..f3, h1..h3, b1..b3, f).  The rows f,
+h, b form a 3x3 matrix Y with Y' = a(t) Y:
 
   kmu :  a = [[0, 2, 0], [2*lam^2, -2, -mu], [0, mu, -2]]
   kmup:  a = [[0, 2, 0], [2*lam^2, -(mu+2), 0], [0, 0, -(mu+2)]]
@@ -44,10 +43,10 @@ x1^2 - x2^2 + x3^2, so exp X = cosh r I + (sinh r / r) X.
          e^{-A/2}), where A/2 = -int_0^t lam is their running sum, and
          F = M2 cosh A + M3 sinh A.
 
-Each node's state is written from its P once, as sums of products.
-``Trajectory.solution`` is the one lookup of the solution, (P, f): the
-node's at a stored node, elsewhere one partial Magnus step from the
-nearest node's P; ``Trajectory.dense`` writes the states of what it reads.
+A trajectory is (P, f) at its nodes.  ``Trajectory.solution`` is their
+one lookup, off the nodes by one partial Magnus step from the nearest
+node's P; the states are written from (P, f), as sums of products, only
+where they are read: the CSV, the finite check and ``Trajectory.dense``.
 """
 
 from __future__ import annotations
@@ -90,7 +89,8 @@ def initial_state(variant: str) -> np.ndarray:
 
 
 def check_initial_relations(variant: str) -> dict[str, float]:
-    """All algebraic relations at t=0 by direct 2x2 multiplication.
+    """All algebraic relations of the state written at t=0, from P = I and
+    f = 0, which must equal :func:`initial_state`.
 
     Under the chosen composition convention every residual must be exactly
     zero in floating point (the entries are small integers); a nonzero value
@@ -99,17 +99,12 @@ def check_initial_relations(variant: str) -> dict[str, float]:
     if not np.array_equal(M1 @ M1, np.eye(2)) or not np.array_equal(M3 @ M3, np.eye(2)) \
             or not np.array_equal(M2 @ M2, -np.eye(2)):
         raise ConsistencyError("basis matrices corrupted")
-    res = {k: float(v) for k, v in
-           algebraic_residuals(initial_state(variant), variant).items()}
-    if any(v != 0.0 for v in res.values()):
-        raise ConsistencyError(
-            f"initial algebraic relations not exact for {variant}: {res}")
+    y = _write_states(variant, np.eye(2, dtype=np.longdouble), np.longdouble(0))
+    res = {k: float(v) for k, v in algebraic_residuals(y, variant).items()}
+    if any(res.values()) or not np.array_equal(y, initial_state(variant)):
+        raise ConsistencyError(f"initial state or algebraic relations not "
+                               f"exact for {variant}: {y}, {res}")
     return res
-
-
-def _lam(y: np.ndarray) -> np.ndarray:
-    """lambda = e^{-f} in the dtype of the states ``y``."""
-    return np.exp(-y[..., 9])
 
 
 def _det_g(y: np.ndarray) -> np.ndarray:
@@ -140,7 +135,7 @@ def algebraic_residuals(y, variant: str) -> dict[str, np.ndarray]:
     the 2x2 product's diagonal.
     """
     c = y[..., :9].reshape(y.shape[:-1] + (3, 3))     # rows f, h, b
-    lam2 = _lam(y) ** 2
+    lam2 = np.exp(-y[..., 9]) ** 2
     sq = c[..., 0] * c[..., 0] + (c[..., 2] - c[..., 1]) * (c[..., 2] + c[..., 1])
     x, z = c[..., [1, 2, 2], :], c[..., [0, 0, 1], :]  # pairs HF, BF, BH
     dot = x[..., 0] * z[..., 0] - x[..., 1] * z[..., 1] + x[..., 2] * z[..., 2]
@@ -175,7 +170,7 @@ _GAUSS_C = np.array([0.5 - _SQRT15 / 10, np.longdouble(0.5), 0.5 + _SQRT15 / 10]
 _GAUSS_W = np.array([np.longdouble(5) / 18, np.longdouble(8) / 18,
                      np.longdouble(5) / 18])
 # nodes per batch of CSV rows or of checked slopes, and steps per batch of
-# a span's exponents and states: bound the long-double temporaries (a span
+# a span's exponents and frames: bound the long-double temporaries (a span
 # in batches of 128 steps took 25 % longer)
 _BLOCK = 128
 _SPAN_BLOCK = 512
@@ -231,24 +226,28 @@ def _expm(om: np.ndarray) -> np.ndarray:
                     axis=-1).reshape(om.shape[:-1] + (2, 2))
 
 
-def _write_states(variant, frames, y) -> None:
-    """Write F = P M2 P^-1, H = -lam P M3 P^-1 and B = -+lam P M1 P^-1
-    (kmu -, kmup +) of the frames P = [[p, q], [r, s]] (..., 2, 2), with
-    lam = e^{-f} and f = ``y[..., 9]``, into ``y[..., :9]``: each component
-    one sum of products of P's entries, times lam for H and B."""
+def _write_states(variant, frames, f) -> np.ndarray:
+    """The long-double states (..., 10) of the frames P = [[p, q], [r, s]]
+    (..., 2, 2) and f (...): F = P M2 P^-1, H = -lam P M3 P^-1 and B =
+    -+lam P M1 P^-1 (kmu -, kmup +) with lam = e^{-f}, each component one
+    sum of products of P's entries, times lam for H and B, then f."""
     p, q, r, s = (frames[..., i, j] for i in (0, 1) for j in (0, 1))
     pp, qq, rr, ss = p * p, q * q, r * r, s * s
+    pr, qs, pq, rs = p * r, q * s, p * q, r * s
+    y = np.empty(np.shape(f) + (10,), np.longdouble)
+    y[..., 9] = f
     lam = np.exp(-y[..., 9])
     lam_b = -lam if variant == "kmu" else lam
-    y[..., 0] = -(p * r + q * s)
+    y[..., 0] = -(pr + qs)
     y[..., 1] = (pp + qq + rr + ss) / 2
     y[..., 2] = (pp + qq - rr - ss) / 2
-    y[..., 3] = lam * (p * r - q * s)
+    y[..., 3] = lam * (pr - qs)
     y[..., 4] = -lam * (pp - qq + rr - ss) / 2
     y[..., 5] = -lam * (pp - qq - rr + ss) / 2
     y[..., 6] = lam_b * (p * s + q * r)
-    y[..., 7] = -lam_b * (p * q + r * s)
-    y[..., 8] = lam_b * (r * s - p * q)
+    y[..., 7] = -lam_b * (pq + rs)
+    y[..., 8] = lam_b * (rs - pq)
+    return y
 
 
 def _steps(variant, mu_bar: Expr, t, t_end):
@@ -279,24 +278,27 @@ def _steps(variant, mu_bar: Expr, t, t_end):
     return mu_stage, rise, off * rate
 
 
-def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
+def _check_finite(variant, mu_bar: Expr, times, frames, f, n0) -> None:
     """Raise at the node whose state (long double) or slope a(t) Y has no
     finite float64 value, which every reader of the states needs: the
     bad node fewest steps from t = 0 = ``times[n0]``, the later on a tie.
-    Both variants have |a(t) Y| <= (2 lam^2 + 2 + |mu|) max|Y|, in range
-    where under half the float64 maximum; the other nodes' slopes are
-    formed, ``_BLOCK`` at a time, each row summed in a matmul's order."""
-    mu = mu_bar(times)
-    size = np.maximum(states.max(axis=-1), -states.min(axis=-1))  # NaN stays
-    near = np.flatnonzero(~((2 * np.exp(-2 * states[:, 9]) + 2 + np.abs(mu))
-                            * size < _FLOAT64_MAX / 2))
+    Each entry of F, H and B is at most max(1, lam) |P|_F^2, and |a(t) Y|
+    <= (2 lam^2 + 2 + |mu|) max|Y|: in range where that bound, |f| added,
+    is under half the float64 maximum (NaN is not).  The other nodes'
+    states and slopes are formed, ``_BLOCK`` at a time, each row summed in
+    a matmul's order."""
+    mu, lam = mu_bar(times), np.exp(-f)
+    size = np.maximum(1, lam) * np.sum(frames * frames, axis=(1, 2)) + np.abs(f)
+    near = np.flatnonzero(~((2 * lam * lam + 2 + np.abs(mu)) * size
+                            < _FLOAT64_MAX / 2))
     finite = []
     for s in range(0, len(near), _BLOCK):
-        y, m = states[near[s:s + _BLOCK]], mu[near[s:s + _BLOCK], None]
+        i = near[s:s + _BLOCK]
+        y, m = _write_states(variant, frames[i], f[i]), mu[i, None]
         nu, rate = (m, 2) if variant == "kmu" else (0, m.astype(y.dtype) + 2)
-        f, h, b = y[:, 0:3], y[:, 3:6], y[:, 6:9]
+        h, b = y[:, 3:6], y[:, 6:9]
         finite.append(np.all([np.all(np.abs(v) <= _FLOAT64_MAX, axis=-1) for v in (
-            y, 2 * h, 2 * np.exp(-2 * y[:, 9:]) * f - rate * h - nu * b,
+            y, 2 * h, 2 * np.exp(-2 * y[:, 9:]) * y[:, :3] - rate * h - nu * b,
             nu * h - rate * b)], axis=0))
     bad = near[~np.concatenate(finite)] if finite else near
     if len(bad):
@@ -304,9 +306,9 @@ def _check_finite(variant, mu_bar: Expr, times, states, n0) -> None:
         raise ConsistencyError(f"ODE state non-finite in float64 at t={times[i]}")
 
 
-def _span(variant, mu_bar: Expr, t, y, p) -> None:
-    """Carry the state ``y[0]`` and frame ``p[0]`` = I at t = 0 over the
-    node times ``t`` (m,) into ``y[1:]`` and ``p[1:]`` (long-double arrays
+def _span(variant, mu_bar: Expr, t, f, p) -> None:
+    """Carry ``f[0]`` = 0 and the frame ``p[0]`` = I at t = 0 over the
+    node times ``t`` (m,) into ``f[1:]`` and ``p[1:]`` (long-double arrays
     or views).  kmu's frame is the product of the steps' exponentials: per
     ``_CHUNK`` steps, the chunk's start frame times its running products,
     formed for all chunks at once.  kmup's exponents commute (all along
@@ -314,13 +316,13 @@ def _span(variant, mu_bar: Expr, t, y, p) -> None:
     f come for the whole span, the rest ``_SPAN_BLOCK`` steps at a time."""
     t = np.asarray(t, np.longdouble)
     mu_stage, rise, rise_stage = _steps(variant, mu_bar, t[:-1], t[1:])
-    y[1:, 9] = np.cumsum(rise)
+    f[1:] = np.cumsum(rise)
     a = np.zeros(1, np.longdouble)
     for s in range(0, len(t) - 1, _SPAN_BLOCK):
         b = slice(s, min(s + _SPAN_BLOCK, len(t) - 1))  # the block's steps
         e = slice(s + 1, b.stop + 1)                  # and their end nodes
         om = _magnus_exponent(variant, t[e] - t[b], mu_stage[b],
-                              y[b, 9, None] + rise_stage[b])
+                              f[b, None] + rise_stage[b])
         if variant == "kmu":
             q = _expm(om)
             for j in range(1, _CHUNK):
@@ -331,27 +333,26 @@ def _span(variant, mu_bar: Expr, t, y, p) -> None:
         else:  # the running sum goes on from the last block's
             a = np.cumsum(np.concatenate((a[-1:], om[:, 0])))[1:]
             p[e, 0, 0], p[e, 1, 1] = np.exp(a), np.exp(-a)
-        _write_states(variant, p[e], y[e])
 
 
 @dataclass
 class Trajectory:
     """Node-sampled solution of the variant's flow and its one lookup.
 
-    Nodes are uniformly spaced by ``step`` and include t=0 with the
-    variant's initial conditions; ``frames`` holds the long-double P of
-    P' = P W at every node and ``states`` the state written from it.
+    Nodes are uniformly spaced by ``step`` and include t=0, where P = I
+    and f = 0; ``frames`` holds the long-double P of P' = P W at every node
+    and ``f`` its long-double f, which the states are written from.
     :meth:`solution` reads (P, f) at any time of the integrated range, off
     the nodes by one partial Magnus step from the nearest node's P, and
-    :meth:`dense` the states written from them.
+    :meth:`dense` writes the states from them.
     """
 
     variant: str
     mu_bar: Expr
     step: float
     times: np.ndarray    # (m,)
-    states: np.ndarray   # (m, 10), long double
     frames: np.ndarray   # (m, 2, 2), long double
+    f: np.ndarray        # (m,), long double
 
     @property
     def t_min(self) -> float:
@@ -371,7 +372,7 @@ class Trajectory:
             raise ValueError(f"time outside [{self.t_min}, {self.t_max}]")
         pos = np.ravel(ts - self.t_min) / self.step
         nearest = np.clip(np.round(pos).astype(int), 0, len(self.times) - 1)
-        p, f = self.frames[nearest], self.states[nearest, 9]  # copies
+        p, f = self.frames[nearest], self.f[nearest]  # copies
         off = np.abs(pos - nearest) >= 1e-9
         if off.any():
             t0 = self.times[nearest[off]].astype(np.longdouble)
@@ -385,18 +386,15 @@ class Trajectory:
 
     def dense(self, ts) -> np.ndarray:
         """Long-double state vectors at arbitrary times, written from
-        :meth:`solution` (at a stored node, the node's state)."""
-        p, f = self.solution(ts)
-        y = np.empty(f.shape + (10,), np.longdouble)
-        y[..., 9] = f
-        _write_states(self.variant, p, y)
-        return y
+        :meth:`solution` (at a stored node, from the node's P and f; at
+        t = 0 from P = I, whose zero entries give -0 in some components)."""
+        return _write_states(self.variant, *self.solution(ts))
 
 
 def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
               step: float = 1e-3) -> Trajectory:
     """Integrate P' = P W from t=0 forward to t1 and backward to t0, one
-    direction after the other, and write each node's state from its P.
+    direction after the other, keeping each node's P and f.
 
     ``step`` must be positive and at most 1e-2; endpoints are realized as
     integer numbers of steps (rounded), at least one in all.  A node count
@@ -417,46 +415,46 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     if n_back + n_fwd == 0:
         raise ValueError(f"t-range [{t0}, {t1}] rounds to the single node "
                          f"t=0 at step {step}")
-    try:  # the largest arrays first, before any is written
-        states = np.empty((n_back + n_fwd + 1, 10), np.longdouble)
+    try:  # the largest array first, before any is written
         frames = np.zeros((n_back + n_fwd + 1, 2, 2), np.longdouble)
+        f = np.zeros(n_back + n_fwd + 1, np.longdouble)
         times = np.arange(-n_back, n_fwd + 1) * step
     except (MemoryError, ValueError) as ex:
         raise ValueError(f"step {step} needs {n_back + n_fwd + 1} nodes, "
                          f"which cannot be allocated ({ex})") from None
-    states[n_back] = initial_state(variant)
     frames[n_back] = np.eye(2)
     # a non-finite node raises: no overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
         for s in (slice(n_back, None), slice(n_back, None, -1)):
             if len(times[s]) > 1:
-                _span(variant, mu_bar, times[s], states[s], frames[s])
-        _check_finite(variant, mu_bar, times, states, n_back)
-    return Trajectory(variant, mu_bar, step, times, states, frames)
+                _span(variant, mu_bar, times[s], f[s], frames[s])
+        _check_finite(variant, mu_bar, times, frames, f, n_back)
+    return Trajectory(variant, mu_bar, step, times, frames, f)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> float:
-    """One row per node: t, nine components, lambda, k, maxAlgResidual, detG.
+def trajectory_to_csv(traj: Trajectory, fh) -> float:
+    """One row per node to the text stream ``fh`` (opened with newline=""):
+    t, nine components, lambda, k, maxAlgResidual, detG.
 
-    The invariants come from the long-double states; every column is
-    written as float64, ``_BLOCK`` rows at a time.  Returns the largest
-    maxAlgResidual.
+    The states are written from the frames and f, and the invariants come
+    from them in long double; every column is written as float64, ``_BLOCK``
+    rows at a time.  Returns the largest maxAlgResidual.
     """
     header = "t,f1,f2,f3,h1,h2,h3,b1,b2,b3,lambda,k,maxAlgResidual,detG"
     row_fmt = ",".join(["%.17g"] * 14) + "\r\n"
     worst = 0.0
-    with open(path, "w", newline="") as fh:
-        # CRLF row ends, as the csv module's default dialect writes them
-        fh.write(header + "\r\n")
-        for s in range(0, len(traj.times), _BLOCK):
-            t, y = traj.times[s:s + _BLOCK], traj.states[s:s + _BLOCK]
-            res = algebraic_residuals(y, traj.variant)
-            max_res = np.max(np.stack(list(res.values())), axis=0)
-            lam = _lam(y)
-            rows = np.column_stack(
-                [t, y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
-            # one %-format of the whole block: np.savetxt's bytes, row by row
-            values = tuple(rows.astype(float).ravel().tolist())
-            fh.write(row_fmt * len(rows) % values)
-            worst = max(worst, float(max_res.max()))
+    # CRLF row ends, as the csv module's default dialect writes them
+    fh.write(header + "\r\n")
+    for s in range(0, len(traj.times), _BLOCK):
+        b = slice(s, s + _BLOCK)
+        y = _write_states(traj.variant, traj.frames[b], traj.f[b])
+        res = algebraic_residuals(y, traj.variant)
+        max_res = np.max(np.stack(list(res.values())), axis=0)
+        lam = np.exp(-y[:, 9])
+        rows = np.column_stack(
+            [traj.times[b], y[:, :9], lam, -1.0 - lam * lam, max_res, _det_g(y)])
+        # one %-format of the whole block: np.savetxt's bytes, row by row
+        values = tuple(rows.astype(float).ravel().tolist())
+        fh.write(row_fmt * len(rows) % values)
+        worst = max(worst, float(max_res.max()))
     return worst

@@ -4,15 +4,18 @@ import argparse
 import ast
 import csv
 import dataclasses
+import errno
 import json
+import os
 import re
+import stat
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kenmotsu3 import models
+from kenmotsu3 import cli, models
 from kenmotsu3.cli import build_model, main, make_parser
 from kenmotsu3.identities import IDENTITIES, SamplePlan, check_suite
 
@@ -282,6 +285,39 @@ class TestTrajectory:
         assert run(["trajectory", "--family", "kenmotsu",
                     "--csv", "/tmp/x.csv"]) == 2
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the rows stream to a temporary file beside the target, renamed
+        # over it once whole: a write that fails after the first block of
+        # rows (a full disk, a file size limit) leaves the old CSV as it
+        # was, exits 2 and leaves no temporary file
+        out = tmp_path / "traj.csv"
+        argv = ["trajectory", "--family", "kmu-darboux", "--csv", str(out),
+                "--mu"]
+        assert run(argv + ["0.5"]) == 0
+        old = out.read_bytes()
+        to_csv, writes = cli.trajectory_to_csv, []
+
+        class Full:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                writes.append(len(text))
+                if len(writes) > 2:  # the header and one block
+                    raise OSError(errno.EFBIG, "File too large")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "trajectory_to_csv",
+                            lambda traj, fh: to_csv(traj, Full(fh)))
+        capsys.readouterr()
+        assert run(argv + ["1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EFBIG}] File too large\n", err
+        assert len(writes) == 3 and writes[1] > 128 * 14 * 2
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
 
 class TestSweep:
     def test_aggregates_worst_residuals(self, tmp_path):
@@ -426,6 +462,28 @@ def test_unwritable_output_exits_2(tmp_path, capsys, args, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_get_a_new_files_mode(tmp_path, umask):
+    # reports and CSVs are written through a temporary file: each gets the
+    # mode a plainly opened new file gets, 0o666 less the umask, whether it
+    # is new or replaces a file of another mode
+    new, report, csv_out = (tmp_path / n for n in ("m.json", "r.json", "t.csv"))
+    for path in (report, csv_out):
+        path.write_text("old\n")
+        path.chmod(0o640)
+    old = os.umask(umask)
+    try:
+        assert run(["build", "--family", "kenmotsu", "--out", str(new)]) == 0
+        assert run(["verify", "--family", "kenmotsu", "--grid", "2",
+                    "--identities", "H2", "--report", str(report)]) == 0
+        assert run(["trajectory", "--family", "kmu-darboux", "--t-range",
+                    "-0.01", "0.01", "--csv", str(csv_out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["m.json", "r.json", "t.csv"], 0o666 & ~umask)
 
 
 class TestStrictJson:

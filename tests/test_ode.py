@@ -97,6 +97,12 @@ class TestStartupConsistency:
         assert res["F2"] == 0.0  # F, H unaffected
 
 
+# twelve trajectories on [-1, 1] at step 1e-3
+TWELVE = [*[("kmu", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2", "3")],
+          *[("kmup", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2",
+                                  "-0.2")]]
+
+
 class TestClosedFormInvariants:
     """``algebraic_residuals`` on the (M1, M2, M3) coefficients against the
     2x2 matrix products of ``magnus_reference.matrix_residuals``."""
@@ -104,22 +110,20 @@ class TestClosedFormInvariants:
     # measured at most 3.32 eps_LD max|y|^2 (kmu, mu = 3)
     PRODUCT_BOUND = 8
 
-    @pytest.mark.parametrize("variant,mu", [
-        *[("kmu", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2", "3")],
-        *[("kmup", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2",
-                                "-0.2")]])
+    @pytest.mark.parametrize("variant,mu", TWELVE)
     def test_matches_the_matrix_products(self, variant, mu):
         # the squares and det G round as the products' diagonals, bit for
         # bit; the anticommutators and products sum otherwise, within a few
         # long-double roundings of the squared state size
         tr = integrate(variant, parse_expr(mu, "t"), (-1.0, 1.0), 1e-3)
-        closed = algebraic_residuals(tr.states, variant)
-        ref = matrix_residuals(tr.states, variant)
+        states = tr.dense(tr.times)
+        closed = algebraic_residuals(states, variant)
+        ref = matrix_residuals(states, variant)
         assert list(closed) == list(ref)
         for name in ("F2", "H2", "B2", "detG"):
             assert np.array_equal(closed[name], ref[name]), name
         bound = (self.PRODUCT_BOUND * np.finfo(np.longdouble).eps
-                 * np.max(np.abs(tr.states[:, :9]), axis=1) ** 2)
+                 * np.max(np.abs(states[:, :9]), axis=1) ** 2)
         for name in list(ref)[3:9]:
             assert np.all(np.abs(closed[name] - ref[name]) <= bound), name
         # exact at t = 0
@@ -161,21 +165,22 @@ class TestIntegrate:
 
     def test_kmup_mu_minus_two_b_constant(self):
         tr = integrate("kmup", parse_expr("-2", "t"), (-1.0, 1.0), 1e-3)
-        drift = np.max(np.abs(tr.states[:, 6:9] - np.array([1.0, 0.0, 0.0])))
+        drift = np.max(np.abs(tr.dense(tr.times)[:, 6:9]
+                              - np.array([1.0, 0.0, 0.0])))
         assert drift <= 1e-12
 
     def test_kmu_f_is_twice_t(self):
         # lam = e^{-f} in both variants; kmu's f = 2t is set exactly, so its
         # lam is e^{-2t} bit for bit
         tr = integrate("kmu", parse_expr("sin(t)", "t"), (-0.3, 0.3), 1e-3)
-        assert np.array_equal(tr.states[:, 9], 2 * tr.times)
+        assert np.array_equal(tr.f, 2 * tr.times)
         assert np.array_equal(np.exp(-tr.dense(tr.times)[:, 9].astype(float)),
                               np.exp(-2.0 * tr.times))
 
     def test_traces_vanish_structurally(self):
         # the state lives in the traceless (M1, M2, M3) span by construction
         tr = integrate("kmu", parse_expr("sin(t)", "t"), (-0.3, 0.3), 1e-3)
-        for y in tr.states[::60]:
+        for y in tr.dense(tr.times[::60]):
             F, H, B = _fhb(y)
             assert abs(np.trace(F)) <= 1e-14
             assert abs(np.trace(H)) <= 1e-14
@@ -194,9 +199,8 @@ class TestIntegrate:
         p = tr.frames[-1]
         for e in _expm(om):
             p = p @ e
-        back = initial_state("kmu").astype(np.longdouble)
-        _write_states("kmu", p[None], back[None])
-        assert np.max(np.abs(back - tr.states[0])) <= 1e-15
+        back = _write_states("kmu", p, np.longdouble(0))
+        assert np.max(np.abs(back - tr.dense(tr.times[0]))) <= 1e-15
 
     def test_states_converge_at_sixth_order(self):
         # against a step-1.25e-4 run, each halving of the step divides the
@@ -204,11 +208,13 @@ class TestIntegrate:
         # 64 (measured 2.5e-12, 3.9e-14 and 6.2e-16 at steps 1e-2, 5e-3 and
         # 2.5e-3, ratios 63.9), far above the long-double rounding of 1e-17
         mu = parse_expr("1", "t")
-        fine = integrate("kmu", mu, (-1.0, 1.0), 1.25e-4).states[:, :9]
+        fine = integrate("kmu", mu, (-1.0, 1.0), 1.25e-4)
+        fine = fine.dense(fine.times)[:, :9]
         errs = []
         for step in (1e-2, 5e-3, 2.5e-3):
             ref = fine[::round(step / 1.25e-4)]
-            ys = integrate("kmu", mu, (-1.0, 1.0), step).states[:, :9]
+            tr = integrate("kmu", mu, (-1.0, 1.0), step)
+            ys = tr.dense(tr.times)[:, :9]
             errs.append(np.max(np.abs(ys - ref)
                                / np.max(np.abs(ref), axis=1, keepdims=True)))
         assert errs[0] / errs[1] >= 48 and errs[1] / errs[2] >= 48, errs
@@ -217,7 +223,7 @@ class TestIntegrate:
         # on [0, 1] (no backward double-exponential growth) the stated
         # 1e-9 invariant bound is comfortably met at step 1e-3
         tr = integrate("kmu", parse_expr("1", "t"), (0.0, 1.0), 1e-3)
-        worst = _max_residual(tr.times[::10], tr.states[::10])
+        worst = _max_residual(tr.times[::10], tr.dense(tr.times[::10]))
         assert worst <= 1e-9
 
     def test_mu_needs_no_value_past_the_range(self):
@@ -241,7 +247,7 @@ class TestIntegrate:
         with pytest.raises(ConsistencyError, match=f"t={t_bad}$"):
             integrate("kmu", mu, (t_bad, 0.1), 1e-3)
         tr = integrate("kmu", mu, (t_bad + 1e-3, 0.1), 1e-3)
-        assert np.isfinite(rhs("kmu", tr.states, 0.0).astype(float)).all()
+        assert np.isfinite(rhs("kmu", tr.dense(tr.times), 0.0).astype(float)).all()
         assert np.isfinite(tr.dense(tr.times).astype(float)).all()
 
     def test_dense_rejects_nan(self):
@@ -268,11 +274,12 @@ class TestIntegrate:
 
     def test_peak_memory(self):
         # the quadratures take one direction after the other, mu's sample
-        # times are written straight into one float64 array, and the
-        # exponents, states and checked slopes are formed in blocks and not
-        # kept: the peak (about 931,500 bytes, 803,500 before the frames
-        # were kept) stays within the 1,162,982 that stepping the 3x3 flow
-        # one direction after the other, all in long double, took
+        # times are written straight into one float64 array, the exponents
+        # and checked slopes are formed in blocks and not kept, and only
+        # (P, f) is stored: the peak (about 643,300 bytes; 931,500 with the
+        # (m, 10) states stored beside the frames) stays within the
+        # 1,162,982 that stepping the 3x3 flow one direction after the
+        # other, all in long double, took
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
         integrate("kmup", mu, (-1.0, 1.0), 1e-3)
         tracemalloc.start()
@@ -285,7 +292,8 @@ class TestIntegrate:
 
     def test_dense_exact_at_nodes_and_smooth_between(self):
         tr = integrate("kmu", parse_expr("1", "t"), (-0.2, 0.2), 1e-3)
-        node = tr.states[[np.argmin(np.abs(tr.times - 0.1))]]
+        i = [np.argmin(np.abs(tr.times - 0.1))]
+        node = _write_states("kmu", tr.frames[i], tr.f[i])
         assert np.array_equal(tr.dense(np.array([0.1])), node)
         mid = tr.dense(np.array([0.10037]))
         lin = tr.dense(np.array([0.100]))
@@ -295,17 +303,18 @@ class TestIntegrate:
     def test_dense_node_rows_and_mixed_batches(self, variant):
         tr = integrate(variant, parse_expr("0.5+0.3*sin(2*t)", "t"),
                        (-0.2, 0.2), 1e-3)
-        states = tr.states.copy()
-        assert np.array_equal(tr.dense(tr.times), tr.states)
+        frames, f = tr.frames.copy(), tr.f.copy()
+        states = _write_states(variant, frames, f)
+        assert np.array_equal(tr.dense(tr.times), states)
         # a mixed batch gives each row what it gives alone
         ts = tr.times[[3, 150, 399]] + np.array([0.25, 0.5, 0.9]) * tr.step
         mixed = tr.dense(np.concatenate([tr.times[:2], ts, tr.times[-1:]]))
-        assert np.array_equal(mixed[:2], tr.states[:2])
-        assert np.array_equal(mixed[-1], tr.states[-1])
+        assert np.array_equal(mixed[:2], states[:2])
+        assert np.array_equal(mixed[-1], states[-1])
         alone = np.stack([tr.dense(t) for t in ts])
         assert np.array_equal(mixed[2:-1], alone)
-        # a scalar time reads a copy: the stored states stay as integrated
-        assert np.array_equal(tr.states, states)
+        # a scalar time reads a copy: the stored (P, f) stay as integrated
+        assert np.array_equal(tr.frames, frames) and np.array_equal(tr.f, f)
 
 
 def _per_step_magnus(variant, mu, t_range, step):
@@ -375,10 +384,7 @@ def _per_step_reference(variant, mu, t_range, step):
             else:
                 a += om[0, 0]
                 p = np.diag([np.exp(a), np.exp(-a)])
-            y = np.zeros(10, np.longdouble)
-            y[9] = ys[-1][9] + rise
-            _write_states(variant, p[None], y[None])
-            ys.append(y)
+            ys.append(_write_states(variant, p, ys[-1][9] + rise))
             ps.append(p)
         return ys, ps
 
@@ -388,12 +394,13 @@ def _per_step_reference(variant, mu, t_range, step):
     return tuple(np.array(b[:0:-1] + f) for b, f in zip(back, fwd))
 
 
-def _slope_check(variant, mu_bar, times, states, n0):
+def _slope_check(variant, mu_bar, times, frames, f, n0):
     """The finite check as the slopes of every node decide it: the index of
     the node whose state or slope a(t) Y has no finite float64 value, the
     one fewest steps from ``n0``, the later on a tie; None if there is no
-    such node."""
+    such node.  The states of every node are written from its P and f."""
     with np.errstate(over="ignore", invalid="ignore"):
+        states = _write_states(variant, frames, f)
         slopes = rhs(variant, states, mu_bar(times))
     finite = (np.abs(states) <= np.finfo(float).max) \
         & (np.abs(slopes) <= np.finfo(float).max)
@@ -401,8 +408,43 @@ def _slope_check(variant, mu_bar, times, states, n0):
     return bad[np.argmin(2 * np.abs(bad - n0) + (bad < n0))] if len(bad) else None
 
 
+def _entry_bound(frames, f):
+    """max(1, lam) |P|_F^2 of each node, the finite check's bound on every
+    entry of F, H and B."""
+    return np.maximum(1, np.exp(-f)) * np.sum(frames * frames, axis=(1, 2))
+
+
 class TestFiniteCheck:
     """The bound-first check names the node the slopes of every node name."""
+
+    @staticmethod
+    def _assert_bound_covers_the_states(variant, frames, f):
+        # where the bound is finite it is at least each node's largest
+        # entry (measured at most half of it), NaN states included
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.max(np.abs(_write_states(variant, frames, f)[:, :9]), axis=1)
+            bound = _entry_bound(frames, f)
+        assert np.all((bound >= size) | ~np.isfinite(bound))
+
+    @pytest.mark.parametrize("variant,mu", TWELVE)
+    def test_no_state_written_on_the_unit_range(self, monkeypatch, variant, mu):
+        # on [-1, 1] no node comes near the float64 maximum: integrate
+        # writes no state but the startup check's, at P = I
+        written, write = [], ode._write_states
+
+        def counted(v, frames, f):
+            written.append(frames.shape)
+            return write(v, frames, f)
+
+        monkeypatch.setattr(ode, "_write_states", counted)
+        expr = parse_expr(mu, "t")
+        tr = integrate(variant, expr, (-1.0, 1.0), 1e-3)
+        assert written == [(2, 2)]
+        self._assert_bound_covers_the_states(variant, tr.frames, tr.f)
+        lam = np.exp(-tr.f)
+        size = _entry_bound(tr.frames, tr.f) + np.abs(tr.f)
+        assert np.all((2 * lam * lam + 2 + np.abs(expr(tr.times))) * size
+                      < np.finfo(float).max / 2)
 
     @pytest.mark.parametrize("variant,mu,t_range,t_bad", [
         ("kmu", "0", (-4.0, 0.1), -3.274),     # slopes leave float64 first
@@ -418,6 +460,7 @@ class TestFiniteCheck:
         monkeypatch.setattr(ode, "_check_finite", lambda *a: seen.append(a))
         integrate(variant, parse_expr(mu, "t"), t_range, 1e-3)
         (args,) = seen
+        self._assert_bound_covers_the_states(variant, *args[3:5])
         i = _slope_check(*args)
         if t_bad is None:
             assert i is None
@@ -429,18 +472,30 @@ class TestFiniteCheck:
                 check(*args)
 
 
+    # a planted node: P = exp(a M3) or exp(a M1) with cosh 2a given, and f
     @pytest.mark.parametrize("variant,mu,row,bad", [
-        ("kmu", 1e3, [0, 1, 0, 0, 0, -1, 1e306, 0, 0, 0], True),  # mu b alone
-        ("kmup", -2.0, [0, 1, 0, 1e308, 0, 0, 0, 0, 0, 0], True),  # 2 h alone
-        ("kmu", 0.0, [1e308, 0, 0, 0, 0, 0, 0, 0, 0, 40], False),  # lam^2 F
+        # exp(a M3) fixes M3: H = -lam M3 stays small while F and B reach
+        # cosh 2a, so mu B alone leaves float64 (mu H and 2 F do not)
+        ("kmu", 1e3, ("M3", 1e306, 0.0), True),
+        # exp(a M1) = diag(e^a, e^-a): F reaches cosh 2a and H lam cosh 2a;
+        # at lam = 0.7, 2 H alone leaves float64, 2 lam^2 F does not
+        ("kmup", -2.0, ("M1", 1.5e308, -np.log(0.7)), True),
+        # F near the float64 maximum, but lam^2 F and H far below it
+        ("kmu", 0.0, ("M1", 1e308, 40.0), False),
     ])
     def test_each_term_of_the_bound(self, variant, mu, row, bad):
         # a node past the bound whose slope leaves float64 through one term
         # of a(t) Y alone, or stays in range: the slopes decide it
-        states = np.tile(initial_state(variant).astype(np.longdouble), (5, 1))
-        states[3] = row
+        boost, cosh_2a, f = row
+        a = np.arccosh(np.longdouble(cosh_2a)) / 2
+        ch, sh = np.cosh(a), np.sinh(a)
+        frames = np.tile(np.eye(2, dtype=np.longdouble), (5, 1, 1))
+        frames[3] = [[ch, sh], [sh, ch]] if boost == "M3" else np.diag(
+            [np.exp(a), np.exp(-a)])
+        fs = np.zeros(5, np.longdouble)
+        fs[3] = f
         times = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
-        args = (variant, parse_expr(repr(mu), "t"), times, states, 2)
+        args = (variant, parse_expr(repr(mu), "t"), times, frames, fs, 2)
         assert _slope_check(*args) == (3 if bad else None)
         if not bad:
             ode._check_finite(*args)
@@ -463,7 +518,7 @@ class TestArrayPath:
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-0.2, 0.2), 1e-3)
         states, frames = _per_step_reference(variant, expr, (-0.2, 0.2), 1e-3)
-        assert np.array_equal(tr.states, states)
+        assert np.array_equal(tr.dense(tr.times), states)
         assert np.array_equal(tr.frames, frames)
 
     @pytest.mark.parametrize("variant,mu", CASES)
@@ -472,9 +527,10 @@ class TestArrayPath:
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-0.2, 0.2), 1e-3)
         mus = expr(tr.times)
-        expected = np.array([rhs(variant, tr.states[i], mus[i])
+        states = tr.dense(tr.times)
+        expected = np.array([rhs(variant, states[i], mus[i])
                              for i in range(len(tr.times))])
-        assert np.array_equal(rhs(variant, tr.dense(tr.times), mus), expected)
+        assert np.array_equal(rhs(variant, states, mus), expected)
 
     @pytest.mark.parametrize("variant", ["kmu", "kmup"])
     @pytest.mark.parametrize("t_range", [(-0.05, 0.2), (-0.2, 0.05),
@@ -487,10 +543,10 @@ class TestArrayPath:
         expr = parse_expr("0.3+0.2*sin(2*t)", "t")
         tr = integrate(variant, expr, t_range, 1e-3)
         states, frames = _per_step_reference(variant, expr, t_range, 1e-3)
-        assert np.array_equal(tr.states, states)
+        assert np.array_equal(tr.dense(tr.times), states)
         assert np.array_equal(tr.frames, frames)
         mus = expr(tr.times)
-        expected = np.array([rhs(variant, tr.states[i], mus[i])
+        expected = np.array([rhs(variant, states[i], mus[i])
                              for i in range(len(tr.times))])
         assert np.array_equal(rhs(variant, tr.dense(tr.times), mus), expected)
 
@@ -515,9 +571,10 @@ class TestArrayPath:
 
     def test_residuals_of_one_node_match_the_stack(self):
         tr = integrate("kmup", parse_expr("exp(t)-0.5", "t"), (-0.2, 0.2), 1e-3)
-        stack = algebraic_residuals(tr.states, "kmup")
+        states = tr.dense(tr.times)
+        stack = algebraic_residuals(states, "kmup")
         assert all(v.shape == tr.times.shape for v in stack.values())
-        one = algebraic_residuals(tr.states[7], "kmup")
+        one = algebraic_residuals(states[7], "kmup")
         for name, v in one.items():
             assert np.array_equal(v, stack[name][7]), name
 
@@ -542,7 +599,7 @@ class TestLongDoubleStates:
         lam = np.exp(-2 * t) if variant == "kmu" else np.exp(-mp2 * t)
         arg = 2 / mp2 * (lam - 1)
         f = np.stack([np.zeros_like(t), np.cosh(arg), np.sinh(arg)], axis=1)
-        err = np.max(np.abs(tr.states[:, :3] - f), axis=1)
+        err = np.max(np.abs(tr.dense(tr.times)[:, :3] - f), axis=1)
         assert np.max(err / np.max(np.abs(f), axis=1)) <= 1e-12
 
     @WIDE
@@ -550,8 +607,9 @@ class TestLongDoubleStates:
     def test_kmup_b_is_lam_times_b0(self, mu):
         # B' = -(mu+2) B and lam' = -(mu+2) lam, so b = lam b(0) for any mu
         tr = integrate("kmup", parse_expr(mu, "t"), (-1.0, 1.0), 1e-3)
-        lam = np.exp(-tr.states[:, 9])
-        err = np.abs(tr.states[:, 6:9] - lam[:, None] * initial_state("kmup")[6:9])
+        lam = np.exp(-tr.f)
+        err = np.abs(tr.dense(tr.times)[:, 6:9]
+                     - lam[:, None] * initial_state("kmup")[6:9])
         assert np.max(np.max(err, axis=1) / lam) <= 1e-15
 
     @WIDE
@@ -639,7 +697,7 @@ class TestLongDoubleStates:
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-1.0, 1.0), 1e-3)
         fine = integrate(variant, expr, (-1.0, 1.0), 5e-4)
-        y, ref = tr.dense(fine.times[1::2]), fine.states[1::2]
+        y, ref = tr.dense(fine.times[1::2]), fine.dense(fine.times[1::2])
         scale = np.max(np.abs(ref[:, :9]), axis=1, keepdims=True)
         assert np.max(np.abs(y[:, :9] - ref[:, :9]) / scale) <= 1e-16
         assert np.max(np.abs(y[:, 9] - ref[:, 9])) <= 1e-17
@@ -647,7 +705,7 @@ class TestLongDoubleStates:
     def test_dtypes(self):
         model = build_darboux_model(DarbouxParams("kmu", "sin(t)", (-0.1, 0.1)))
         tr = model.trajectory
-        assert tr.states.dtype == np.longdouble
+        assert tr.frames.dtype == tr.f.dtype == np.longdouble
         assert tr.dense(tr.times).dtype == np.longdouble
         assert tr.dense(tr.times[:3] + 0.3 * tr.step).dtype == np.longdouble
         pts = np.array([[0.1, 0.2, 0.05], [0.0, 0.0, -0.0504]])
@@ -695,8 +753,9 @@ class TestSl2Flow:
         tr = integrate(variant, expr, (-1.0, 1.0), 1e-3)
         ref = _per_step_magnus(variant, expr, (-1.0, 1.0), 1e-3)
         scale = np.max(np.abs(ref[:, :9]), axis=1, keepdims=True)
-        assert np.max(np.abs(tr.states[:, :9] - ref[:, :9]) / scale) <= 1e-15
-        assert np.array_equal(tr.states[:, 9], ref[:, 9])
+        states = tr.dense(tr.times)
+        assert np.max(np.abs(states[:, :9] - ref[:, :9]) / scale) <= 1e-15
+        assert np.array_equal(tr.f, ref[:, 9])
 
 
 class TestKmupClosedForm:
@@ -713,7 +772,7 @@ class TestKmupClosedForm:
         monkeypatch.setattr(ode, "_bracket", bracket)
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
         tr = integrate("kmup", mu, (-1.0, 1.0), 1e-3)
-        assert np.isfinite(tr.states).all()
+        assert np.isfinite(tr.dense(tr.times)).all()
         assert np.isfinite(tr.dense(tr.times[:3] + 0.3 * tr.step)).all()
         assert not tr.frames[:, 0, 1].any() and not tr.frames[:, 1, 0].any()
         with pytest.raises(AssertionError, match="commutator"):
@@ -729,7 +788,8 @@ class TestKmupClosedForm:
         tr = integrate("kmup", parse_expr(repr(mu), "t"), (-1.0, 1.0), 1e-3)
         mp2 = np.longdouble(mu) + 2
         a = 2 / mp2 * (np.exp(-mp2 * tr.times.astype(np.longdouble)) - 1)
-        f2, f3 = tr.states[:, 1], tr.states[:, 2]
+        states = tr.dense(tr.times)
+        f2, f3 = states[:, 1], states[:, 2]
         assert np.all(np.abs(f2 + f3 - np.exp(a)) <= 1e-16 * np.exp(a))
         assert np.all(np.abs(f2 - f3 - np.exp(-a)) <= 1e-16 * f2)
 
@@ -739,9 +799,10 @@ class TestKmupClosedForm:
         # w (lam - 1) divides 0 by 0; the quadrature gives e^A within 1e-17
         # of e^{-2t} (measured 1.6e-18)
         tr = integrate("kmup", parse_expr("-2", "t"), (-1.0, 1.0), 1e-3)
-        assert not tr.states[:, 9].any()
+        assert not tr.f.any()
         e = np.exp(-2 * tr.times.astype(np.longdouble))
-        assert np.all(np.abs(tr.states[:, 1] + tr.states[:, 2] - e) <= 1e-17 * e)
+        states = tr.dense(tr.times)
+        assert np.all(np.abs(states[:, 1] + states[:, 2] - e) <= 1e-17 * e)
 
     @WIDE
     def test_magnus_reference_converges_at_sixth_order(self):
@@ -751,7 +812,8 @@ class TestKmupClosedForm:
         # 2.5e-11 at 5e-3 (ratio 63.7; 2^6 = 64), far above the long-double
         # rounding of either
         mu = parse_expr("0.3+0.2*sin(2*t)", "t")
-        exact = integrate("kmup", mu, (-1.0, 0.0), 1e-3).states[:, :9]
+        tr = integrate("kmup", mu, (-1.0, 0.0), 1e-3)
+        exact = tr.dense(tr.times)[:, :9]
         errs = []
         for step in (1e-2, 5e-3):
             ref = exact[::round(step / 1e-3)]
@@ -773,7 +835,7 @@ class TestMetricFromState:
 
     def test_det_one_along_trajectory(self):
         tr = integrate("kmu", parse_expr("1", "t"), (0.0, 1.0), 1e-3)
-        for t, y in zip(tr.times[::100], tr.states[::100]):
+        for t, y in zip(tr.times[::100], tr.dense(tr.times[::100])):
             g = metric_from_state(t, y)
             assert abs(np.linalg.det(g.astype(float)) - 1.0) <= 1e-9
 
@@ -799,7 +861,7 @@ class TestMetricOnFrames:
         # the Gram matrix is -M2 F of the states, within their rounding
         tr = integrate("kmu", parse_expr("1", "t"), (0.0, 1.0), 1e-3)
         m = M2 @ tr.frames
-        ref = metric_from_state(tr.times, tr.states)
+        ref = metric_from_state(tr.times, tr.dense(tr.times))
         scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
         assert np.max(np.abs(m @ np.swapaxes(m, 1, 2) - ref) / scale) <= 1e-15
 
@@ -811,7 +873,7 @@ class TestMetricOnFrames:
         model = build_darboux_model(params)
         tr = model.trajectory
         with pytest.raises(ConsistencyError, match="positive definiteness"):
-            metric_from_state(tr.times, tr.states)
+            metric_from_state(tr.times, tr.dense(tr.times))
 
     def test_pd_failure_names_first_bad_node(self, monkeypatch):
         def bad_frames(*args):
@@ -824,11 +886,16 @@ class TestMetricOnFrames:
             build_darboux_model(DarbouxParams("kmup", "1", (-0.1, 0.1)))
 
 
+def _write_csv(tr, path):
+    with open(path, "w", newline="") as fh:
+        return trajectory_to_csv(tr, fh)
+
+
 class TestCsvExport:
     def test_columns_and_rows(self, tmp_path):
         tr = integrate("kmu", parse_expr("1", "t"), (-1.0, 1.0), 1e-3)
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(tr, path)
+        _write_csv(tr, path)
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["t", "f1", "f2", "f3", "h1", "h2", "h3",
                            "b1", "b2", "b3", "lambda", "k",
@@ -841,7 +908,7 @@ class TestCsvExport:
     def test_detg_column_forward(self, tmp_path):
         tr = integrate("kmu", parse_expr("0", "t"), (0.0, 1.0), 1e-3)
         path = tmp_path / "t.csv"
-        trajectory_to_csv(tr, path)
+        _write_csv(tr, path)
         rows = list(csv.reader(open(path)))[1:]
         det = np.array([float(r[13]) for r in rows])
         assert np.max(np.abs(det - 1.0)) <= 1e-9
@@ -853,7 +920,7 @@ class TestCsvExport:
         tr = integrate("kmup", parse_expr("0.3 + 0.2*sin(2*t)", "t"),
                        (-1.0, 1.0), 1e-3)
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(tr, path)
+        _write_csv(tr, path)
         data = path.read_bytes()
         header, _ = data.split(b"\r\n", 1)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -872,7 +939,7 @@ class TestCsvExport:
             tr = integrate("kmu", parse_expr("1", "t"), (-1.0, 1.0), step)
             tracemalloc.start()
             try:
-                trajectory_to_csv(tr, tmp_path / "t.csv")
+                _write_csv(tr, tmp_path / "t.csv")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

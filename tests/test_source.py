@@ -176,18 +176,17 @@ def test_one_evaluation_per_point_array():
 
 def test_one_state_lookup():
     # the Darboux models read the ODE's solution through
-    # Trajectory.solution alone: the class keeps no slopes, only
-    # ``solution`` steps off the nodes, ``dense`` writes the states of its
-    # (P, f), and the sample plan knows nothing of trajectories (no node
-    # snapping)
+    # Trajectory.solution alone: the class keeps (P, f) and no states or
+    # slopes, only ``solution`` steps off the nodes, ``dense`` writes the
+    # states of its (P, f), and the sample plan knows nothing of
+    # trajectories (no node snapping)
     ode = ast.parse((SRC / "ode.py").read_text())
     traj = [node for node in ast.walk(ode)
             if isinstance(node, ast.ClassDef) and node.name == "Trajectory"]
     assert len(traj) == 1
     fields = [node.target.id for node in traj[0].body
               if isinstance(node, ast.AnnAssign)]
-    assert fields == ["variant", "mu_bar", "step", "times", "states",
-                      "frames"], fields
+    assert fields == ["variant", "mu_bar", "step", "times", "frames", "f"], fields
     methods = {node.name: {getattr(call.func, "id", getattr(call.func, "attr", None))
                            for call in ast.walk(node) if isinstance(call, ast.Call)}
                for node in traj[0].body if isinstance(node, ast.FunctionDef)}
@@ -196,6 +195,27 @@ def test_one_state_lookup():
     assert [m for m, calls in methods.items() if stepping & calls] == ["solution"]
     assert {"solution", "_write_states"} <= methods["dense"], methods["dense"]
     assert "trajectory" not in (SRC / "identities.py").read_text()
+
+
+def test_states_written_only_where_read():
+    # integrate keeps (P, f): the states are written from them by the one
+    # formula, only by their readers (the dense lookup, the finite check
+    # and the CSV) and by the startup check of the row at P = I; no module
+    # reads a stored ``.states``
+    writers, reads = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "_write_states"
+                    for call in ast.walk(func)):
+                writers.add(f"{path.stem}.{func.name}")
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "states"]
+    assert writers == {"ode.dense", "ode._check_finite", "ode.trajectory_to_csv",
+                       "ode.check_initial_relations"}, writers
+    assert not reads, reads
 
 
 def test_models_read_no_state_layout():
