@@ -65,6 +65,8 @@ MU_EIGEN_FLOOR = 1e-6  # below this eigenvalue mu recovery is indeterminate
 
 BLOCK = 256  # sample points per Probe: a suite's peak memory is the block's
 
+_CURV2_COND = 1e4  # cond_F(g) above which CURV2 sums in long double
+
 
 @dataclass(frozen=True)
 class SamplePlan:
@@ -388,13 +390,13 @@ def _frame_norm(t, lt, e, upper=None):
 # residual tensor in the Cholesky frame, a batched matmul per contracted
 # index: numpy runs a multi-operand einsum as one nested loop, and a
 # two-operand one over a 3-long contracted index as a 3-long inner loop.
-# CURV2 keeps phi on the vectors: its first stage takes X_a and phi X_a,
-# and the terms that share a Z slot (X_c or phi X_c) meet before the last
-# matmul.  Composing phi into its tensor instead moved the kmu-darboux
-# mu=0.858 residual 1.75e-10 from the long-double reference, where
-# TestStagedContractions allowed 9.45e-11 (this form: 3.67e-11).  Each frame
-# norm sums over every frame pair or triple: a sum over a < b alone would be
-# another norm.
+# CURV2 keeps phi on the vectors: its first stage takes X_a and phi X_a, and
+# the terms that share a Z slot (X_c or phi X_c) meet before the last matmul.
+# In float64, composing phi into its tensor instead moved the kmu-darboux
+# mu=0.858 residual at t = -1 1.75e-10 from the long-double reference, where
+# TestStagedContractions allowed 9.45e-11 (this form: 3.67e-11); cond_F(g)
+# is 3.2e5 there, and CURV2 sums in long double.  Each frame norm sums over
+# every frame pair or triple: a sum over a < b alone would be another norm.
 # --------------------------------------------------------------------------
 
 def _triples(terms, zs):
@@ -461,16 +463,22 @@ def _res_l_id(p: Probe):
 
 def _curv2_residual(p: Probe, vecs):
     """CURV2's left-hand side minus its right-hand side on the vectors
-    ``vecs`` (n, P, 3) in each slot: (n, a, c, b).  Summed in float64, its
-    terms of up to 3.3e3 read 1.03e-12 on kmup-darboux near mu = 1 at
-    t = -1, in long double 7.6e-13 (README, "Known numerical limits"); 32
-    points at a time, a grid-5 pass peaks at 3.6 float64 frame tensors."""
+    ``vecs`` (n, P, 3) in each slot: (n, a, c, b).  Summed in float64 where
+    cond_F(g) = |g|_F |g^-1|_F <= _CURV2_COND (chart points: at most 2.3e2,
+    and 6.6e-14 from long double), in long double elsewhere: on the Darboux
+    models at t = -1 (3.2e5 to 1.1e11) float64 terms of up to 3.3e3 read
+    1.03e-12 near mu = 1, long double 7.6e-13 (README).  64 or 32 points at
+    a time, a grid-5 pass peaks at 3.6 float64 frame tensors."""
     ops = (p.curv.riemann, p.xi, p.g, p.phi, p.h, p.bmat, p.eta,
            p.nabla_phi2, vecs)
+    wide = ~(np.einsum("nij,nij->n", p.g, p.g)
+             * np.einsum("nij,nij->n", p.ginv, p.ginv) <= _CURV2_COND ** 2)
     out = np.empty((p.n,) + (vecs.shape[1],) * 3)
-    for s in range(0, p.n, 32):
-        out[s:s + 32] = _curv2_terms(
-            *(np.asarray(a[s:s + 32], np.longdouble) for a in ops))
+    for dtype, size, at in ((float, 64, np.flatnonzero(~wide)),
+                            (np.longdouble, 32, np.flatnonzero(wide))):
+        for s in range(0, len(at), size):
+            part = at[s:s + size]
+            out[part] = _curv2_terms(*(np.asarray(a[part], dtype) for a in ops))
     return out
 
 

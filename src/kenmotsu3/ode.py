@@ -52,6 +52,7 @@ where they are read: the CSV, the finite check and ``Trajectory.dense``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -105,6 +106,12 @@ def check_initial_relations(variant: str) -> dict[str, float]:
         raise ConsistencyError(f"initial state or algebraic relations not "
                                f"exact for {variant}: {y}, {res}")
     return res
+
+
+@cache
+def _startup_check(variant: str) -> None:
+    """check_initial_relations once per variant: a failure caches nothing."""
+    check_initial_relations(variant)
 
 
 def _det_g(y: np.ndarray) -> np.ndarray:
@@ -399,8 +406,8 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     ``step`` must be positive and at most 1e-2; endpoints are realized as
     integer numbers of steps (rounded), at least one in all.  A node count
     whose arrays cannot be allocated is bad input too (``ValueError``).  The
-    startup consistency check runs first and aborts on any inexact initial
-    relation.
+    startup consistency check runs first, once per variant, and aborts on
+    any inexact initial relation.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -409,7 +416,7 @@ def integrate(variant: str, mu_bar: Expr, t_range: tuple[float, float],
     t0, t1 = map(float, t_range)
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= 0.0 <= t1 and t0 < t1):
         raise ValueError("t-range must be a finite interval containing 0")
-    check_initial_relations(variant)
+    _startup_check(variant)
     n_back = int(round(-t0 / step))
     n_fwd = int(round(t1 / step))
     if n_back + n_fwd == 0:

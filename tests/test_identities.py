@@ -27,6 +27,7 @@ from kenmotsu3.identities import (
     _codazzi_hp,
     _curv1,
     _curv2_residual,
+    _curv2_terms,
     _dk_eta,
     _frame_norm,
     _frobenius,
@@ -537,6 +538,12 @@ def _curv2_operands(p, vecs):
     return ga, vecs, _ref_ops(p.phi, vecs), _ref_ops(p.h, vecs)
 
 
+def _curv2_inputs(p):
+    """The Probe's operands of ``_curv2_terms``, all but the vectors."""
+    return (p.curv.riemann, p.xi, p.g, p.phi, p.h, p.bmat, p.eta,
+            p.nabla_phi2)
+
+
 def _ref_curv2_lhs(ga, vecs, phi_vecs):
     return (_ref_quad(ga, vecs, vecs, vecs)
             - _ref_quad(ga, vecs, phi_vecs, phi_vecs)
@@ -922,10 +929,12 @@ class TestStagedContractions:
     def test_curv2_terms(self, probe):
         # the staged residual tensor, right-hand side subtracted before the
         # vectors, against the single-call terms of both sides, all in long
-        # double as CURV2 sums: float64 terms differ by their own rounding
-        # (0.27 of the scale on kmu_chart, 1e-20 on a scale 0 on kmup_chart)
+        # double, CURV2's sum where g is ill-conditioned: float64 terms differ
+        # by their own rounding (0.27 of the scale on kmu_chart, 1e-20 on a
+        # scale 0 on kmup_chart)
         p, vecs = _Extended(probe), witness.pool(probe)
-        self._within(_curv2_residual(probe, vecs).swapaxes(2, 3),
+        self._within(_curv2_terms(*_curv2_inputs(p),
+                                  vecs.astype(np.longdouble)).swapaxes(2, 3),
                      _ref_curv2_tensor(p, vecs),
                      _ref_curv2_tensor(p, vecs, absolute=True))
 
@@ -1154,6 +1163,115 @@ def test_weyl3_peak_memory_at_grid9(kmu_chart):
     # pooled form was bounded at 0.15 pooled tensors, 7.4 frame tensors
     p = _plan_probe(kmu_chart, SamplePlan(grid=9))
     assert _peak(IDENTITIES["WEYL3"].fn, p) <= 1.0 * _frame_tensor_bytes(p.n)
+
+
+def test_curv2_peak_memory_at_grid9(kmu_chart):
+    # CURV2 sums 64 float64 or 32 long-double points at a time: at grid 9
+    # its peak is 0.90 frame tensors (0.89 with every point in long double),
+    # a third of it the (n, 3, 3, 3) residual tensor
+    p = _plan_probe(kmu_chart, SamplePlan(grid=9))
+    assert _peak(IDENTITIES["CURV2"].fn, p) <= 1.0 * _frame_tensor_bytes(p.n)
+
+
+# the constant mu of the pinned examples of
+# test_random_kmup_darboux_models_pass_the_suite_to_rounding
+PINNED_KMUP_MUS = ("0.9949643081859056", "0.9846491917455433",
+                   "0.9925868246288456")
+
+# benchmark chart models (chart-grid9, seed 3, ops 2 and 3; seed 2, op 1)
+# where float64 CURV2 reads 3.5e-14, 6.4e-14 and 2.5e-14 from long double
+# at grid 5 (the last 6.6e-14 at grid 9), the float64 single-call
+# reference 3.1e-14, 6.0e-14 and 2.2e-14
+BENCH_CHARTS = (
+    ("kmu", "(0.036796079373386026) + (-0.17277600033263404)*z"
+            " + (0.2516832456370675)*sin((0.5947630796657819)*z)",
+     "(-0.21295378968355894)*cos((0.8187861013855537)*z)",
+     "(-0.08381298845190739)*z^2 + (-0.7471472296486339)"),
+    ("kmup", "(-0.4841166689361882) + (0.24755436227586697)*z"
+             " + (0.24747513514670988)*sin((1.1436446061963008)*z)",
+     "(-0.21225450401592727)*cos((1.9778557127680154)*z)",
+     "(-0.02090355499713059)*z^2 + (0.639506801325848)"),
+    ("kmup", "(-0.16950039585326127) + (0.03510669594348481)*z"
+             " + (0.13738574334959436)*sin((1.4096520336291243)*z)",
+     "(0.31950729464775285)*cos((1.9927248857431121)*z)",
+     "(-0.06536289229593623)*z^2 + (-0.9785513253819262)"),
+)
+
+
+def _bench_chart(i):
+    variant, *exprs_ = BENCH_CHARTS[i]
+    if variant == "kmu":
+        return build_kmu_chart_model(KmuChartParams(*exprs_))
+    return build_kmu_prime_chart_model(KmupChartParams(*exprs_))
+
+
+class TestCurv2Precision:
+    """CURV2 sums in long double exactly where cond_F(g) = |g|_F |g^-1|_F
+    exceeds identities._CURV2_COND, and in float64 elsewhere."""
+
+    @staticmethod
+    def _long_double_metrics(monkeypatch, model, plan):
+        """(Probe of ``plan``, the metric values of the points CURV2 summed
+        in long double, in point order)."""
+        terms, seen = identities._curv2_terms, []
+
+        def recorded(*ops):
+            seen.append(ops[2])
+            return terms(*ops)
+
+        monkeypatch.setattr(identities, "_curv2_terms", recorded)
+        p = _plan_probe(model, plan)
+        IDENTITIES["CURV2"].fn(p)
+        assert sum(map(len, seen)) == p.n
+        wide = [g for g in seen if g.dtype == np.longdouble]
+        return p, np.concatenate(wide) if wide else np.empty((0, 3, 3))
+
+    @pytest.mark.parametrize("fixture,grid", [
+        ("baseline", 3), ("kmu_chart", 3), ("kmup_chart", 3), ("kmu_chart", 9)])
+    def test_chart_points_sum_in_float64(self, request, monkeypatch,
+                                         fixture, grid):
+        # cond_F reads 3.0 to 1.1e1 on the baseline and 6.1 to 1.0e2 on the
+        # chart fixtures
+        model = request.getfixturevalue(fixture)
+        _, wide = self._long_double_metrics(monkeypatch, model,
+                                            SamplePlan(grid=grid))
+        assert len(wide) == 0
+
+    @pytest.mark.parametrize("variant", ["kmu", "kmup"])
+    @pytest.mark.parametrize("mu", ["1", *PINNED_KMUP_MUS])
+    def test_darboux_points_at_t_minus_one_sum_in_long_double(
+            self, monkeypatch, variant, mu):
+        # cond_F reads 3.0 at t = 0, at most 19 at t = 1, and 3.2e5 (kmu) to
+        # 1.1e11 (kmup) at t = -1
+        model = build_darboux_model(DarbouxParams(variant, mu, (-1.0, 1.0)))
+        p, wide = self._long_double_metrics(monkeypatch, model,
+                                            SamplePlan(grid=3))
+        at_minus_one = p.pts[:, 2] == -1.0
+        assert 0 < at_minus_one.sum() < p.n
+        assert np.array_equal(wide, p.g[at_minus_one])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64")
+    @pytest.mark.parametrize("chart", ["kmu_chart", "kmup_chart",
+                                       *range(len(BENCH_CHARTS))])
+    def test_float64_at_chart_points_within_rounding(self, request, chart):
+        # TestStagedContractions' bound: against the single-call residual
+        # summed in long double, twice the float64 single call's error plus
+        # a billionth of the tolerance (5e-14).  float64 CURV2 reads 3.6e-15
+        # to 6.4e-14 from it here, 2.0e-14 on chart-grid9 seed 1 ops 0-3, and
+        # up to 6.6e-14 over 48 of its models (seeds 1-6, ops 0-7, grid 9)
+        model = (request.getfixturevalue(chart) if isinstance(chart, str)
+                 else _bench_chart(chart))
+        p = _plan_probe(model, SamplePlan(grid=5))
+        exact = _ref_curv2(_Extended(p))
+        bound = (2.0 * np.max(np.abs(_ref_curv2(p) - exact))
+                 + 1e-9 * IDENTITIES["CURV2"].tol())
+        wide = _frobenius(_curv2_terms(
+            *(a.astype(np.longdouble) for a in _curv2_inputs(p)),
+            p.factors[1].astype(np.longdouble)))
+        res = IDENTITIES["CURV2"].fn(p)
+        assert np.max(np.abs(res - exact)) <= bound
+        assert np.max(np.abs(res - wide)) <= bound
 
 
 @pytest.mark.parametrize("fixture", ["baseline", "kmu_chart", "kmup_chart",

@@ -97,6 +97,43 @@ class TestStartupConsistency:
         assert res["F2"] == 0.0  # F, H unaffected
 
 
+class TestStartupCheckOnce:
+    """integrate runs the startup check once per variant and process."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The variants check_initial_relations runs for, from a cleared
+        cache; cleared again after the test."""
+        calls, check = [], ode.check_initial_relations
+        monkeypatch.setattr(ode, "check_initial_relations",
+                            lambda variant: calls.append(variant) or check(variant))
+        ode._startup_check.cache_clear()
+        yield calls
+        ode._startup_check.cache_clear()
+
+    def test_each_variant_checked_once(self, checks):
+        for variant in ("kmu", "kmup", "kmu", "kmup", "kmu"):
+            integrate(variant, parse_expr("1", "t"), (-0.01, 0.01), 1e-3)
+        assert checks == ["kmu", "kmup"]
+
+    def test_failing_check_raises_on_every_call(self, monkeypatch, checks):
+        # a failure is not cached: once the basis is whole, the check runs
+        # again and passes
+        with monkeypatch.context() as m:
+            m.setattr(ode, "M2", ode.M1)  # M2 M2 = I, not -I
+            for _ in range(2):
+                with pytest.raises(ConsistencyError, match="basis matrices"):
+                    integrate("kmu", parse_expr("1", "t"), (-0.01, 0.01), 1e-3)
+        integrate("kmu", parse_expr("1", "t"), (-0.01, 0.01), 1e-3)
+        integrate("kmu", parse_expr("1", "t"), (-0.01, 0.01), 1e-3)
+        assert checks == ["kmu"] * 3
+
+    def test_public_check_returns_a_fresh_dict(self):
+        first = check_initial_relations("kmu")
+        first["F2"] = 1.0
+        assert check_initial_relations("kmu")["F2"] == 0.0
+
+
 # twelve trajectories on [-1, 1] at step 1e-3
 TWELVE = [*[("kmu", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2", "3")],
           *[("kmup", m) for m in ("0", "1", "sin(t)", "0.3+0.2*sin(2*t)", "-2",
@@ -429,7 +466,8 @@ class TestFiniteCheck:
     @pytest.mark.parametrize("variant,mu", TWELVE)
     def test_no_state_written_on_the_unit_range(self, monkeypatch, variant, mu):
         # on [-1, 1] no node comes near the float64 maximum: integrate
-        # writes no state but the startup check's, at P = I
+        # writes no state but the startup check's, at P = I, which runs once
+        # per variant (here first, its cache cleared)
         written, write = [], ode._write_states
 
         def counted(v, frames, f):
@@ -437,6 +475,7 @@ class TestFiniteCheck:
             return write(v, frames, f)
 
         monkeypatch.setattr(ode, "_write_states", counted)
+        ode._startup_check.cache_clear()
         expr = parse_expr(mu, "t")
         tr = integrate(variant, expr, (-1.0, 1.0), 1e-3)
         assert written == [(2, 2)]

@@ -454,6 +454,43 @@ def test_only_identities_about_the_adapted_frame_read_it():
     assert uses and readers <= allowed, readers - allowed
 
 
+def _ungated_long_double(source: str) -> list[tuple[str, str]]:
+    """(attribute, enclosing function) of each ``np.longdouble`` in
+    ``source`` but one in ``_curv2_residual`` when that function compares a
+    value with the gate's threshold ``_CURV2_COND``."""
+    gated = any(isinstance(node, ast.Compare)
+                and "_CURV2_COND" in ast.unparse(node)
+                for func in ast.walk(ast.parse(source))
+                if isinstance(func, ast.FunctionDef)
+                and func.name == "_curv2_residual"
+                for node in ast.walk(func))
+    uses = _attribute_reads(source, ("longdouble",))
+    if gated and ("longdouble", "_curv2_residual") in uses:
+        uses.remove(("longdouble", "_curv2_residual"))
+    return uses
+
+
+def test_long_double_guard_flags_what_it_should():
+    gated = "def _curv2_residual(p):\n    wide = ~(c <= _CURV2_COND ** 2)\n"
+    assert _ungated_long_double("def f(a):\n    return a.astype(np.longdouble)"
+                                ) == [("longdouble", "f")]
+    assert _ungated_long_double(  # a blanket pass: no gate
+        "def _curv2_residual(p, ops):\n"
+        "    return [np.asarray(a, np.longdouble) for a in ops]")
+    assert _ungated_long_double(gated + "    return np.longdouble, np.longdouble"
+                                ) == [("longdouble", "_curv2_residual")]
+    assert not _ungated_long_double(gated + "    return np.longdouble")
+
+
+def test_long_double_only_in_the_curv2_gate():
+    # the identities sum in long double only where CURV2's gate finds g
+    # ill-conditioned: no other residual, and no pass over every point
+    source = (SRC / "identities.py").read_text()
+    assert ("longdouble", "_curv2_residual") in _attribute_reads(
+        source, ("longdouble",))
+    assert not _ungated_long_double(source)
+
+
 # exported names that no module of the package reads, and their readers
 LIBRARY_API = {
     "check_identity": "one identity's report (acceptance criterion 4)",
