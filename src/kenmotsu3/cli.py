@@ -47,18 +47,23 @@ class UsageError(ValueError):
 
 @contextmanager
 def _replacing(path: str):
-    """A text file in place of ``path``: written beside it with a new file's
-    mode (0o666 less the umask), renamed over ``path`` once written whole,
-    and removed if the writing fails."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".tmp-")
+    """A text file in place of ``path``'s target, symlinks resolved: written
+    beside it with a new file's mode (0o666 less the umask), renamed over it
+    once whole, removed if the writing fails; or, where the target is not a
+    regular file (a FIFO, a device), written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", newline="") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             umask = os.umask(0o22)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -8,8 +8,8 @@ distinct "not-applicable" verdict, never a silent pass.  No identity reads
 a random number.
 
 Pointwise norms: the absolute value for scalars, and for every other
-residual (Probe.norm) the Frobenius norm in the Cholesky frame of
-g = L L^T, the g-orthonormal rows of E = L^{-1}: L^T on the residual's one
+residual (Probe.norm, _chunk_norms) the Frobenius norm in the Cholesky frame
+of g = L L^T, the g-orthonormal rows of E = L^{-1}: L^T on the residual's one
 contravariant index, if it has one, E on every other index, then the root
 sum of squares.  A vector's norm is its g-length, and a (1,1) tensor's
 lies between its g-operator norm and sqrt(3) times it.  Each identity over
@@ -390,22 +390,28 @@ def _frame_norm(t, lt, e, upper=None):
 # residual tensor in the Cholesky frame, a batched matmul per contracted
 # index: numpy runs a multi-operand einsum as one nested loop, and a
 # two-operand one over a 3-long contracted index as a 3-long inner loop.
-# CURV2 keeps phi on the vectors: its first stage takes X_a and phi X_a, and
-# the terms that share a Z slot (X_c or phi X_c) meet before the last matmul.
-# In float64, composing phi into its tensor instead moved the kmu-darboux
-# mu=0.858 residual at t = -1 1.75e-10 from the long-double reference, where
-# TestStagedContractions allowed 9.45e-11 (this form: 3.67e-11); cond_F(g)
-# is 3.2e5 there, and CURV2 sums in long double.  Each frame norm sums over
-# every frame pair or triple: a sum over a < b alone would be another norm.
+# WEYL3's (1,3) and CURV2's (0,3) tensors are formed and normed a chunk of
+# points at a time (_chunk_norms).  Each frame norm sums over every frame
+# pair or triple: a sum over a < b alone would be another norm.
 # --------------------------------------------------------------------------
 
-def _triples(terms, zs):
-    """Sum of t_x[n, a, s, j] Y_b^j over ``terms`` of (t_x, ys), then Z_c^s
-    of ``zs``: (n, a, c, b)."""
-    n, size = zs.shape[:2]
-    stage = sum(t_x.reshape(n, -1, 3) @ ys.transpose(0, 2, 1)
-                for t_x, ys in terms)                       # (n, a, s, b)
-    return zs[:, None] @ stage.reshape(n, size, 3, size)
+def _chunk_norms(p: Probe, tensor, ops, upper, runs=None):
+    """:func:`_frame_norm` of ``tensor(*ops)`` at each point, for each
+    (dtype, sorted points) of ``runs`` (default: all in float64) 64 float64
+    or 32 long-double points at a time, the operands cast to dtype (views
+    where the points are consecutive): a chunk sets the peak memory."""
+    lt, e = p.factors
+    out = np.empty(p.n)
+    for dtype, at in runs or [(float, np.arange(p.n))]:
+        size = 512 // np.dtype(dtype).itemsize
+        for s in range(0, len(at), size):
+            part = at[s:s + size]
+            if part[-1] - part[0] == len(part) - 1:
+                part = slice(part[0], part[-1] + 1)
+            out[part] = _frame_norm(
+                tensor(*(np.asarray(a[part], dtype) for a in ops)),
+                lt[part], e[part], upper)
+    return out
 
 
 def _res_nabla_xi(p: Probe):
@@ -461,48 +467,44 @@ def _res_l_id(p: Probe):
     return p.norm(m, upper=0)
 
 
-def _curv2_residual(p: Probe, vecs):
-    """CURV2's left-hand side minus its right-hand side on the vectors
-    ``vecs`` (n, P, 3) in each slot: (n, a, c, b).  Summed in float64 where
-    cond_F(g) = |g|_F |g^-1|_F <= _CURV2_COND (chart points: at most 2.3e2,
-    and 6.6e-14 from long double), in long double elsewhere: on the Darboux
-    models at t = -1 (3.2e5 to 1.1e11) float64 terms of up to 3.3e3 read
-    1.03e-12 near mu = 1, long double 7.6e-13 (README).  64 or 32 points at
-    a time, a grid-5 pass peaks at 3.6 float64 frame tensors."""
-    ops = (p.curv.riemann, p.xi, p.g, p.phi, p.h, p.bmat, p.eta,
-           p.nabla_phi2, vecs)
+def _curv2_residual(p: Probe):
+    """CURV2's frame norm, summed in float64 where cond_F(g) = |g|_F |g^-1|_F
+    <= _CURV2_COND (chart points: at most 2.3e2, and 6.6e-14 from long
+    double), in long double elsewhere: on the Darboux models at t = -1
+    (3.2e5 to 1.1e11) float64 terms of up to 3.3e3 read 1.03e-12 near mu = 1,
+    long double 7.6e-13 (README)."""
     wide = ~(np.einsum("nij,nij->n", p.g, p.g)
              * np.einsum("nij,nij->n", p.ginv, p.ginv) <= _CURV2_COND ** 2)
-    out = np.empty((p.n,) + (vecs.shape[1],) * 3)
-    for dtype, size, at in ((float, 64, np.flatnonzero(~wide)),
-                            (np.longdouble, 32, np.flatnonzero(wide))):
-        for s in range(0, len(at), size):
-            part = at[s:s + size]
-            out[part] = _curv2_terms(*(np.asarray(a[part], dtype) for a in ops))
-    return out
+    ops = (p.curv.riemann, p.xi, p.g, p.phi, p.h, p.bmat, p.eta, p.nabla_phi2)
+    return _chunk_norms(p, _curv2_tensor, ops, None,
+                        [(float, np.flatnonzero(~wide)),
+                         (np.longdouble, np.flatnonzero(wide))])
 
 
-def _curv2_terms(riemann, xi, g, phi, h, bmat, eta, nabla_phi2, vecs):
-    n, phi_vecs = len(xi), vecs @ phi.transpose(0, 2, 1)
-    # A[n,i,j,l] = R^i_{jkl} xi^k  (curvature with xi in the first slot)
+def _curv2_tensor(riemann, xi, g, phi, h, bmat, eta, nabla_phi2):
+    """CURV2's left-hand side minus its right-hand side, [n, x, y, z]: with
+    c(X, Y, Z) = g(R(xi, X) Y, Z) and M = I - phi h, c - c(X, phi Y, phi Z)
+    + c(phi X, Y, phi Z) + c(phi X, phi Y, Z) - 2 (nabla_{hX} Phi)(Y, Z)
+    - 2 eta(Y) g(Z, M X) + 2 eta(Z) g(Y, M X), phi put on a slot by a matmul.
+    """
+    n = len(xi)
+
+    def on_z(t):  # phi on the last slot
+        return (t.reshape(n, -1, 3) @ phi).reshape(t.shape)
+
+    # c[n, x, y, z] = g_zi R^i_ykx xi^k
     a = np.einsum("nijkl,nk->nijl", riemann, xi)
-    ga = np.einsum("nsi,nijl->nlsj", g, a).reshape(n, 3, 9)
-    # g(R(xi, X_a) e_j, e_s), the first stage shared by the four terms
-    ga_x, ga_phix = ((v @ ga).reshape(n, -1, 3, 3) for v in (vecs, phi_vecs))
-    # the right-hand side in the same slots, s for Z and j for Y, M = I - phi h:
-    # 2 (nabla_{hX_a} Phi)_{js} + 2 eta_j (g M X_a)_s - 2 eta_s (g M X_a)_j
-    d_phi2 = nabla_phi2.transpose(0, 1, 3, 2).reshape(n, 3, 9)
-    nabla_hx = (vecs @ h.transpose(0, 2, 1) @ d_phi2).reshape(ga_x.shape)
-    gmx = (vecs - vecs @ bmat.transpose(0, 2, 1)) @ g.transpose(0, 2, 1)
-    rhs_x = 2.0 * (nabla_hx + np.einsum("nj,nas->nasj", eta, gmx)
-                   - np.einsum("ns,naj->nasj", eta, gmx))
-    out = _triples([(ga_x - rhs_x, vecs), (ga_phix, phi_vecs)], vecs)
-    out += _triples([(ga_phix, vecs), (-ga_x, phi_vecs)], phi_vecs)
-    return out
-
-
-def _res_curv2(p: Probe):
-    return _frobenius(_curv2_residual(p, p.factors[1]))
+    c = np.einsum("nsi,nijl->nljs", g, a)
+    c_y = on_z(c.swapaxes(2, 3)).swapaxes(2, 3)          # c(X, phi Y, Z)
+    on_x = on_z(c) + c_y            # c(X, Y, phi Z) + c(X, phi Y, Z)
+    lhs = c - on_z(c_y) + (phi.transpose(0, 2, 1) @ on_x.reshape(n, 3, 9)
+                           ).reshape(c.shape)
+    # g(Z, M X) as [n, x, z]
+    gm = (g - g @ bmat).transpose(0, 2, 1)
+    rhs = ((h.transpose(0, 2, 1) @ nabla_phi2.reshape(n, 3, 9)).reshape(c.shape)
+           + np.einsum("ny,nxz->nxyz", eta, gm)
+           - np.einsum("nz,nxy->nxyz", eta, gm))
+    return lhs - 2.0 * rhs
 
 
 def _codazzi_hp(p: Probe):
@@ -621,12 +623,8 @@ def _nullity(p: Probe, t_op):
     return p.r_xi - rhs
 
 
-def _res_null_kmu(p: Probe):
-    return p.norm(_nullity(p, p.h), upper=1)
-
-
-def _res_null_kmup(p: Probe):
-    return p.norm(_nullity(p, p.hp), upper=1)
+def _res_nullity(p: Probe):  # NULL_KMU and NULL_KMUP: T is h or h'
+    return p.norm(_nullity(p, p.t_op), upper=1)
 
 
 def _conn_residual(p: Probe, table):
@@ -696,16 +694,10 @@ def _res_weyl3(p: Probe):
 
     W is formed and normed 64 points at a time: over a whole grid-9 Probe
     its temporaries peaked at 10.1 float64 frame tensors (n, 3, 3, 3, 3),
-    against 0.84 this way, with bit-identical residuals.
+    against 0.86 this way, with bit-identical residuals.
     """
-    lt, e = p.factors
-    out = np.empty(p.n)
-    for s in range(0, p.n, 64):
-        part = slice(s, s + 64)
-        out[part] = _frame_norm(_weyl3_tensor(*(a[part] for a in (
-            p.curv.riemann, p.g, p.curv.q, p.curv.scalar))),
-            lt[part], e[part], upper=0)
-    return out
+    return _chunk_norms(p, _weyl3_tensor,
+                        (p.curv.riemann, p.g, p.curv.q, p.curv.scalar), 0)
 
 
 def _weyl3_tensor(riem, g, q, sc):
@@ -802,7 +794,7 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
                  "g(R(xi,X)Y,Z) - g(R(xi,X)phiY,phiZ) + g(R(xi,phiX)Y,phiZ)"
                  " + g(R(xi,phiX)phiY,Z) = 2(nabla_{hX}Phi)(Y,Z)"
                  " + 2 eta(Y) g(Z, X - phi h X) - 2 eta(Z) g(Y, X - phi h X)",
-                 "fd2", _res_curv2, _ALL),
+                 "fd2", _curv2_residual, _ALL),
     IdentitySpec("CODAZZI_HP", "(nabla_X h')Y - (nabla_Y h')X = 0 on ker(eta)",
                  "fd1", _res_codazzi_hp, _ALL),
     IdentitySpec("H2", "h^2 = h'^2 = (k+1) phi^2", "fd1", _res_h2, _ALL),
@@ -834,10 +826,10 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
                  "fd2", _res_ricci_form, _ALL),
     IdentitySpec("NULL_KMU",
                  "R(X,Y)xi = k(eta(Y)X - eta(X)Y) + mu(eta(Y)hX - eta(X)hY)",
-                 "fd2", _res_null_kmu, _KMU),
+                 "fd2", _res_nullity, _KMU),
     IdentitySpec("NULL_KMUP",
                  "R(X,Y)xi = k(eta(Y)X - eta(X)Y) + mu(eta(Y)h'X - eta(X)h'Y)",
-                 "fd2", _res_null_kmup, _KMUP),
+                 "fd2", _res_nullity, _KMUP),
     IdentitySpec("CONN_KMU",
                  "nabla_X xi = X - lam phi X (and the 7 companion formulas"
                  " of the h-eigenframe connection)",

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import stat
+import threading
 import warnings
 from pathlib import Path
 
@@ -484,6 +485,47 @@ def test_outputs_get_a_new_files_mode(tmp_path, umask):
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == dict.fromkeys(["m.json", "r.json", "t.csv"], 0o666 & ~umask)
+
+
+def test_report_is_written_through_a_symlink(tmp_path):
+    # a report path that is a symlink keeps pointing at its target, and the
+    # target gets the report: the temporary file is made beside the target
+    target = tmp_path / "runs" / "target.json"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "latest.json"
+    link.symlink_to(Path("runs") / "target.json")
+    assert run(["verify", "--family", "kenmotsu", "--grid", "2",
+                "--identities", "H2", "--report", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(Path("runs/target.json"))
+    assert strict_json(target.read_text())["overall"] == "pass"
+    assert [p.name for p in target.parent.iterdir()] == ["target.json"]
+
+
+def test_csv_is_written_into_a_fifo(tmp_path):
+    # a target that is not a regular file is written in place: a FIFO stays
+    # a FIFO and its reader gets the whole CSV, where a temporary file
+    # renamed over it would leave the reader nothing.  The reader opens a
+    # hard link of the FIFO, so that it can be released if the CSV never
+    # comes.
+    argv = ["trajectory", "--family", "kmu-darboux", "--t-range", "-0.01",
+            "0.01", "--csv"]
+    plain, fifo, link = (tmp_path / n for n in ("t.csv", "pipe.csv", "link"))
+    assert run(argv + [str(plain)]) == 0
+    os.mkfifo(fifo)
+    os.link(fifo, link)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(link.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert run(argv + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    if reader.is_alive():  # no writer opened the FIFO: release the reader
+        os.close(os.open(link, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert got == [plain.read_bytes()]
 
 
 class TestStrictJson:

@@ -26,8 +26,7 @@ from kenmotsu3.identities import (
     SamplePlan,
     _codazzi_hp,
     _curv1,
-    _curv2_residual,
-    _curv2_terms,
+    _curv2_tensor,
     _dk_eta,
     _frame_norm,
     _frobenius,
@@ -539,7 +538,7 @@ def _curv2_operands(p, vecs):
 
 
 def _curv2_inputs(p):
-    """The Probe's operands of ``_curv2_terms``, all but the vectors."""
+    """The Probe's operands of ``_curv2_tensor``."""
     return (p.curv.riemann, p.xi, p.g, p.phi, p.h, p.bmat, p.eta,
             p.nabla_phi2)
 
@@ -853,9 +852,8 @@ def _pool_for(p, ident):
 def _staged_in(p, ident, frame):
     """A frame-normed identity's staged residual normed in ``frame`` (for
     CODAZZI_HP a frame of ker(eta), two vectors)."""
-    if ident == "CURV2":
-        return _frobenius(_curv2_residual(p, frame))
     tensor, upper = {
+        "CURV2": (lambda p: _curv2_tensor(*_curv2_inputs(p)), None),
         "WEYL3": (lambda p: _weyl3_tensor(p.curv.riemann, p.g, p.curv.q,
                                           p.curv.scalar), 0),
         "AK_DETA": (lambda p: p.deta, None), "DK_ETA": (_dk_eta, None),
@@ -927,16 +925,18 @@ class TestStagedContractions:
                         _ref_riemann_triples, lt, p.curv.riemann, vecs)
 
     def test_curv2_terms(self, probe):
-        # the staged residual tensor, right-hand side subtracted before the
-        # vectors, against the single-call terms of both sides, all in long
-        # double, CURV2's sum where g is ill-conditioned: float64 terms differ
-        # by their own rounding (0.27 of the scale on kmu_chart, 1e-20 on a
-        # scale 0 on kmup_chart)
-        p, vecs = _Extended(probe), witness.pool(probe)
-        self._within(_curv2_terms(*_curv2_inputs(p),
-                                  vecs.astype(np.longdouble)).swapaxes(2, 3),
-                     _ref_curv2_tensor(p, vecs),
-                     _ref_curv2_tensor(p, vecs, absolute=True))
+        # the coordinate residual tensor, phi put on its slots by matmuls,
+        # against the single-call terms of both sides on the coordinate
+        # basis, all in long double, CURV2's sum where g is ill-conditioned:
+        # float64 entries differ by their own rounding (0.38 of the scale on
+        # kmu_chart).  Contracted with the witness pool, the tensor would
+        # add the contraction's rounding, far above the bound on kmup_chart
+        # entries of scale near 0; the frame's contraction is _frame_norm's
+        p = _Extended(probe)
+        basis = np.broadcast_to(np.eye(3, dtype=np.longdouble), (p.n, 3, 3))
+        self._within(_curv2_tensor(*_curv2_inputs(p)),
+                     _ref_curv2_tensor(p, basis),
+                     _ref_curv2_tensor(p, basis, absolute=True))
 
     def test_nullity_r_xi(self, probe):
         p, vecs = probe, witness.pool(probe)
@@ -1151,14 +1151,14 @@ def _peak(fn, p):
 @pytest.mark.parametrize("ident", ["WEYL3", "CURV2"])
 def test_pooled_identity_peak_memory(kmu_chart, ident):
     # normed in the frame, a grid-5 residual peaks within 6 frame tensors
-    # (measured: WEYL3 4.79, CURV2 3.57), where the pooled residuals were
+    # (measured: WEYL3 4.81, CURV2 1.68), where the pooled residuals were
     # bounded at 1.5 pooled (n, 11, 11, 11, 3) tensors, 74 frame tensors
     p = _plan_probe(kmu_chart, SamplePlan(grid=5))
     assert _peak(IDENTITIES[ident].fn, p) <= 6.0 * _frame_tensor_bytes(p.n)
 
 
 def test_weyl3_peak_memory_at_grid9(kmu_chart):
-    # WEYL3 forms W 64 points at a time: at grid 9 its peak is 0.84 frame
+    # WEYL3 forms W 64 points at a time: at grid 9 its peak is 0.86 frame
     # tensors (10.1 with W formed over all 729 points at once), where the
     # pooled form was bounded at 0.15 pooled tensors, 7.4 frame tensors
     p = _plan_probe(kmu_chart, SamplePlan(grid=9))
@@ -1166,9 +1166,10 @@ def test_weyl3_peak_memory_at_grid9(kmu_chart):
 
 
 def test_curv2_peak_memory_at_grid9(kmu_chart):
-    # CURV2 sums 64 float64 or 32 long-double points at a time: at grid 9
-    # its peak is 0.90 frame tensors (0.89 with every point in long double),
-    # a third of it the (n, 3, 3, 3) residual tensor
+    # CURV2 forms and norms its (n, 3, 3, 3) tensor 64 float64 or 32
+    # long-double points at a time: at grid 9 its peak is 0.31 frame tensors
+    # (0.48 with every point in long double; 0.90 when it formed the whole
+    # block's tensor in the frame)
     p = _plan_probe(kmu_chart, SamplePlan(grid=9))
     assert _peak(IDENTITIES["CURV2"].fn, p) <= 1.0 * _frame_tensor_bytes(p.n)
 
@@ -1213,13 +1214,13 @@ class TestCurv2Precision:
     def _long_double_metrics(monkeypatch, model, plan):
         """(Probe of ``plan``, the metric values of the points CURV2 summed
         in long double, in point order)."""
-        terms, seen = identities._curv2_terms, []
+        tensor, seen = identities._curv2_tensor, []
 
         def recorded(*ops):
             seen.append(ops[2])
-            return terms(*ops)
+            return tensor(*ops)
 
-        monkeypatch.setattr(identities, "_curv2_terms", recorded)
+        monkeypatch.setattr(identities, "_curv2_tensor", recorded)
         p = _plan_probe(model, plan)
         IDENTITIES["CURV2"].fn(p)
         assert sum(map(len, seen)) == p.n
@@ -1266,9 +1267,8 @@ class TestCurv2Precision:
         exact = _ref_curv2(_Extended(p))
         bound = (2.0 * np.max(np.abs(_ref_curv2(p) - exact))
                  + 1e-9 * IDENTITIES["CURV2"].tol())
-        wide = _frobenius(_curv2_terms(
-            *(a.astype(np.longdouble) for a in _curv2_inputs(p)),
-            p.factors[1].astype(np.longdouble)))
+        wide = _frame_norm(_curv2_tensor(
+            *(a.astype(np.longdouble) for a in _curv2_inputs(p))), *p.factors)
         res = IDENTITIES["CURV2"].fn(p)
         assert np.max(np.abs(res - exact)) <= bound
         assert np.max(np.abs(res - wide)) <= bound

@@ -402,34 +402,60 @@ def test_families_decide_applicability_once():
 
 
 def test_one_norm_function():
-    # every residual tensor is normed through Probe.norm over its one core,
-    # identities._frame_norm: no module defines one of the six norm helpers
-    # those replaced
+    # every residual tensor is normed through Probe.norm or _chunk_norms
+    # over their one core, identities._frame_norm: no module defines one of
+    # the norm helpers those replaced, CURV2's staged contraction among them
     removed = {"_pairs", "_pair_norm", "_form_norm", "_riemann_triples",
-               "op_norm", "vec_norm"}
+               "op_norm", "vec_norm", "_triples", "_curv2_terms"}
     found = [(f.name, name) for f in sorted(SRC.glob("*.py"))
              for name in _defined(f.read_text(), ast.FunctionDef)
              if name in removed]
     assert not found, found
 
 
-def _attribute_reads(source: str, attrs) -> list[tuple[str, str]]:
-    """(attribute, enclosing function) of each ``<name>.<attr>`` in
-    ``source`` for the attributes ``attrs``; a lambda's enclosing function
-    is the one it sits in."""
+def _enclosed(source: str) -> list[tuple[ast.AST, str]]:
+    """(node, enclosing function) of each node of ``source``; a lambda's
+    enclosing function is the one it sits in, and "<module>" is none."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Attribute) and node.attr in attrs
-                and isinstance(node.value, ast.Name)):
-            out.append((node.attr, func))
+        out.append((node, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(ast.parse(source), "<module>")
     return out
+
+
+def _attribute_reads(source: str, attrs) -> list[tuple[str, str]]:
+    """(attribute, enclosing function) of each ``<name>.<attr>`` in
+    ``source`` for the attributes ``attrs``."""
+    return [(node.attr, func) for node, func in _enclosed(source)
+            if isinstance(node, ast.Attribute) and node.attr in attrs
+            and isinstance(node.value, ast.Name)]
+
+
+def _name_readers(source: str, name: str) -> set[str]:
+    """The enclosing functions of each read of the bare name ``name``."""
+    return {func for node, func in _enclosed(source)
+            if isinstance(node, ast.Name) and node.id == name
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_name_guard_flags_what_it_should():
+    source = ("def f(t):\n    return _frobenius(t)\n"
+              "def g(u):\n    _frobenius = u\n    return h(u)._frobenius\n"
+              "k = lambda t: _frobenius(t)")
+    assert _name_readers(source, "_frobenius") == {"f", "<module>"}
+
+
+def test_only_the_frame_norm_reads_the_root_sum_of_squares():
+    # _frobenius is a norm only of a tensor every slot of which a
+    # g-orthonormal frame has contracted: _frame_norm alone calls it
+    source = (SRC / "identities.py").read_text()
+    assert _name_readers(source, "_frobenius") == {"_frame_norm"}
 
 
 def test_attribute_guard_flags_what_it_should():
@@ -550,3 +576,18 @@ def test_no_field_nothing_reads():
              for node in ast.walk(ast.parse(f.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in removed]
     assert not found, found
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # the benchmark's tracer (perfbench/tracer.py, read here and run without
+    # writing bytecode) wraps each layer's module and the methods it names:
+    # a layer module or traced method that goes fails here, not only in a
+    # traced benchmark run
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    tracer = {"__name__": "tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), tracer)
+    layers = {layer: importlib.import_module(f"kenmotsu3.{layer}")
+              for layer in tracer["LAYERS"]}
+    missing = [(layer, cls, meth) for layer, cls, meth in tracer["METHODS"]
+               if meth not in vars(getattr(layers[layer], cls))]
+    assert tracer["METHODS"] and not missing, missing
