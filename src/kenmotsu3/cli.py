@@ -40,6 +40,10 @@ from .structure import FAMILIES
 # the CLI's family names: the baseline's name drops its "-baseline" suffix
 FAMILY_NAMES = {f.removesuffix("-baseline"): f for f in FAMILIES}
 
+# the model flags with no default, and the families that read each
+_FLAG_READERS = {"mu": set(FAMILIES) - {"kenmotsu-baseline"},
+                 "f": {"kmu-chart", "kmup-chart"}, "r": {"kmu-chart", "kmup-chart"}}
+
 
 class UsageError(ValueError):
     """Configuration problem reported with exit status 2."""
@@ -70,9 +74,14 @@ def _replacing(path: str):
 
 
 def build_model(args):
-    """The model of ``args``; ``model_from_params`` reads its family's flags."""
+    """The model of ``args``; ``model_from_params`` reads its family's flags
+    (one of ``_FLAG_READERS`` that the family does not read is an error)."""
+    family = FAMILY_NAMES[args.family]
+    for name, readers in _FLAG_READERS.items():
+        if getattr(args, name) is not None and family not in readers:
+            raise UsageError(f"--{name} is not read by the {args.family} family")
     box = parse_box(args.box) if args.box else DEFAULT_BOX
-    return model_from_params(FAMILY_NAMES[args.family], {
+    return model_from_params(family, {
         "c": args.c, "mu": args.mu, "f": args.f, "r": args.r, "box": box,
         "t_range": args.t_range, "step": args.step, "xy_box": box[:2]})
 
@@ -143,12 +152,15 @@ def _print_reports(reports) -> None:
                   f"  tol {r.tolerance:g} ({r.profile})")
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with _replacing(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def cmd_build(args) -> int:
     model = build_model(args)
     model.at(SamplePlan(grid=2).points(model))  # fails where a suite would
-    doc = model_to_json(model)
-    with _replacing(args.out) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    _write_json(args.out, model_to_json(model))
     print(f"wrote {args.out} ({model.family})")
     return 0
 
@@ -157,10 +169,8 @@ def cmd_verify(args) -> int:
     model = build_model(args)
     [(reports, overall)] = _run_suites(args, [model])
     _print_reports(reports)
-    doc = _verification_document(model, args, reports, overall)
     if args.report:
-        with _replacing(args.report) as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+        _write_json(args.report, _verification_document(model, args, reports, overall))
         print(f"report: {args.report}")
     print(f"overall: {overall}")
     return 0 if overall == "pass" else 1
@@ -180,6 +190,8 @@ def cmd_trajectory(args) -> int:
 def cmd_sweep(args) -> int:
     if FAMILY_NAMES[args.family] == "kenmotsu-baseline":
         raise UsageError("the kenmotsu baseline has no mu to sweep")
+    if args.mu is not None:
+        raise UsageError("--mu is not read by sweep: each mu comes from --mu-values")
     try:
         mu_values = [float(s) for s in args.mu_values.split(",") if s.strip()]
     except ValueError as ex:
@@ -215,8 +227,7 @@ def cmd_sweep(args) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if args.report:
-        with _replacing(args.report) as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+        _write_json(args.report, doc)
         print(f"report: {args.report}")
     print(f"overall: {overall}")
     return 0 if overall == "pass" else 1

@@ -30,6 +30,7 @@ FD1 1e-6 (one derivative level), FD2 5e-5 (curvature level).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple
@@ -138,6 +139,11 @@ class _Eigen(NamedTuple):
     phi_x: np.ndarray  # (n, 3)
 
 
+# a variant's law (Probe.law): T with its partials and nabla T, B, the rates
+# nu and f', and C, -phi h on (X, phi X) per unit lam (S = I + lam C there)
+_Law = namedtuple("_Law", "t dt nabla_t b nu rate c")
+
+
 class Probe:
     """Lazy per-block cache of everything the identities consume.
 
@@ -208,8 +214,15 @@ class Probe:
         return self.phi @ self.h
 
     @cached_property
-    def t_op(self):
-        return self.model.nullity_operator(self.h, self.phi)
+    def law(self):
+        """The variant's law, chosen once: T = h, B = phi h and (nu, f') =
+        (mu, 2) for h, T = B = h' and (nu, f') = (0, mu + 2) for h'; with
+        T X = lam X, -phi h is lam C on (X, phi X)."""
+        if self.model.variant == "h":
+            return _Law(self.h, self.dh, self.nabla_h, self.bmat, self.mu,
+                        np.full(self.n, 2.0), np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        return _Law(self.hp, self.dhp, self.nabla_hp, self.hp, np.zeros(self.n),
+                    self.mu + 2.0, np.array([[1.0, 0.0], [0.0, -1.0]]))
 
     @cached_property
     def dh(self):
@@ -287,7 +300,7 @@ class Probe:
         """
         lt, e = self.factors
         leaf = e[:, :2]
-        m = lt[:, :2] @ self.t_op @ leaf.transpose(0, 2, 1)
+        m = lt[:, :2] @ self.law.t @ leaf.transpose(0, 2, 1)
         evals, evecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
         lam = evals[:, 1]
         x = evecs[:, 0, 1, None] * leaf[:, 0] + evecs[:, 1, 1, None] * leaf[:, 1]
@@ -314,10 +327,9 @@ class Probe:
         eta(d_a X) = 0: d_a X has no xi part.
         """
         ef = self.eigen
-        d_t = self.dhp if self.model.variant == "hp" else self.dh
         gpx = (self.g @ ef.phi_x[..., None])[..., 0]
         alpha = -0.5 * np.einsum("naij,ni,nj->na", self.dg, ef.x, ef.x)
-        c = (np.einsum("naij,nj,ni->na", d_t, ef.x, gpx)
+        c = (np.einsum("naij,nj,ni->na", self.law.dt, ef.x, gpx)
              * (0.5 / np.maximum(ef.lam, 1e-300))[:, None])
         return (alpha[..., None] * ef.x[:, None]
                 + c[..., None] * ef.phi_x[:, None])
@@ -539,33 +551,20 @@ def _scalar_laws(p: Probe, rate):
                       np.abs(dk_xi + 2.0 * (p.k + 1.0) * rate))
 
 
-def _res_nh(p: Probe):
-    nabla_xi_h = np.einsum("nk,nkij->nij", p.xi, p.nabla_h)
-    m = nabla_xi_h + 2.0 * p.h + p.mu[:, None, None] * p.bmat
-    return np.maximum(p.norm(m, upper=0), _scalar_laws(p, 2.0))
+def _res_nh(p: Probe):  # NH and NHP: nabla_xi T = -f' T - nu phi h
+    law = p.law
+    nabla_xi_t = np.einsum("nk,nkij->nij", p.xi, law.nabla_t)
+    m = (nabla_xi_t + law.rate[:, None, None] * law.t
+         + law.nu[:, None, None] * p.bmat)
+    return np.maximum(p.norm(m, upper=0), _scalar_laws(p, law.rate))
 
 
-def _res_nhp(p: Probe):
-    nabla_xi_hp = np.einsum("nk,nkij->nij", p.xi, p.nabla_hp)
-    mp2 = p.mu + 2.0
-    m = nabla_xi_hp + mp2[:, None, None] * p.hp
-    return np.maximum(p.norm(m, upper=0), _scalar_laws(p, mp2))
-
-
-def _res_lie1(p: Probe):
-    lam2 = (p.lam_nom ** 2)[:, None, None]
-    mu = p.mu[:, None, None]
-    m1 = p.lie_h - (2.0 * lam2 * p.phi - 2.0 * p.h + mu * p.hp)
-    m2 = p.lie_hp - (-mu * p.h - 2.0 * p.hp)
-    return np.maximum(p.norm(m1, upper=0), p.norm(m2, upper=0))
-
-
-def _res_lie2(p: Probe):
-    lam2 = (p.lam_nom ** 2)[:, None, None]
-    mp2 = (p.mu + 2.0)[:, None, None]
-    m1 = p.lie_hp + mp2 * p.hp
-    m2 = p.lie_h - (2.0 * lam2 * p.phi - mp2 * p.h)
-    return np.maximum(p.norm(m1, upper=0), p.norm(m2, upper=0))
+def _res_lie(p: Probe):  # LIE1 and LIE2: L_xi h and L_xi h' at (nu, f')
+    lam2, nu, rate = (a[:, None, None]
+                      for a in (p.lam_nom ** 2, p.law.nu, p.law.rate))
+    m_h = p.lie_h - (2.0 * lam2 * p.phi - rate * p.h + nu * p.hp)
+    m_hp = p.lie_hp + (nu * p.h + rate * p.hp)
+    return np.maximum(p.norm(m_h, upper=0), p.norm(m_hp, upper=0))
 
 
 def _trace_residual(p: Probe, nabla_t, target):
@@ -598,7 +597,7 @@ def _res_grad(p: Probe):
     grad_mu = np.einsum("nij,nj->ni", p.ginv, p.dmu)
     grad_k = np.einsum("nij,nj->ni", p.ginv, p.dk)
     xi_k = np.einsum("ni,ni->n", p.xi, p.dk)
-    v = np.einsum("nij,nj->ni", p.t_op, grad_mu) - grad_k + xi_k[:, None] * p.xi
+    v = np.einsum("nij,nj->ni", p.law.t, grad_mu) - grad_k + xi_k[:, None] * p.xi
     return p.norm(v, upper=0)
 
 
@@ -607,7 +606,7 @@ def _res_ricci_form(p: Probe):
     b = 3.0 * p.k - 0.5 * p.curv.scalar
     m = (p.curv.q - a[:, None, None] * p.eye
          - b[:, None, None] * np.einsum("ni,nj->nij", p.xi, p.eta)
-         - p.mu[:, None, None] * p.t_op)
+         - p.mu[:, None, None] * p.law.t)
     return p.norm(m, upper=0)
 
 
@@ -624,41 +623,31 @@ def _nullity(p: Probe, t_op):
 
 
 def _res_nullity(p: Probe):  # NULL_KMU and NULL_KMUP: T is h or h'
-    return p.norm(_nullity(p, p.t_op), upper=1)
+    return p.norm(_nullity(p, p.law.t), upper=1)
 
 
-def _conn_residual(p: Probe, table):
+def _conn_residual(p: Probe):
     """Largest g-length over the frame pairs (a, b) of nabla_{E_a} E_b minus
-    its formula, E = (xi, X, phi X).
-
-    ``table(lam, mu, xl, pl)`` maps each pair (a, b) to the coefficients of
-    (xi, X, phi X) in its formula, with xl = X(lam) / 2 lam and
-    pl = phi X(lam) / 2 lam, from the model's partials of lam.
-    """
+    its formula in E = (xi, X, phi X), at the variant's S = I + lam C and nu:
+    nabla_{E_a} xi = S_a1 X + S_a2 phi X, g(nabla_{E_a} E_b, xi) = -S_ab,
+    nabla_xi X = -(nu/2) phi X, nabla_xi phi X = (nu/2) X; the leaf terms
+    carry xl = X(lam) / 2 lam and pl = phi X(lam) / 2 lam."""
     lam = p.eigen.lam
+    s = np.eye(2) + lam[:, None, None] * p.law.c
     il2 = 0.5 / np.maximum(lam, 1e-300)
     xl, pl = (np.einsum("na,na->n", v, p.dlam) * il2
               for v in (p.eigen.x, p.eigen.phi_x))
+    half_nu = 0.5 * p.law.nu
+    table = {(1, 0): (0, s[:, 0, 0], s[:, 0, 1]), (2, 0): (0, s[:, 1, 0], s[:, 1, 1]),
+             (2, 2): (-s[:, 1, 1], xl, 0), (1, 1): (-s[:, 0, 0], 0, pl),
+             (1, 2): (-s[:, 0, 1], -pl, 0), (2, 1): (-s[:, 1, 0], 0, -xl),
+             (0, 1): (0, 0, -half_nu), (0, 2): (0, half_nu, 0)}
     frame = p.frame.transpose(1, 0, 2)
     return np.max([
         p.norm(p.frame_nabla[:, a, b]
                - sum(np.asarray(c)[..., None] * e for c, e in zip(coef, frame)),
                upper=0)
-        for (a, b), coef in table(lam, p.mu, xl, pl).items()], axis=0)
-
-
-def _conn_kmu(lam, mu, xl, pl):
-    return {(1, 0): (0, 1, -lam), (2, 0): (0, -lam, 1),
-            (2, 2): (-1, xl, 0), (1, 1): (-1, 0, pl),
-            (1, 2): (lam, -pl, 0), (2, 1): (lam, 0, -xl),
-            (0, 1): (0, 0, -0.5 * mu), (0, 2): (0, 0.5 * mu, 0)}
-
-
-def _conn_kmup(lam, mu, xl, pl):
-    return {(1, 0): (0, 1 + lam, 0), (2, 0): (0, 0, 1 - lam),
-            (2, 2): (lam - 1, xl, 0), (1, 1): (-1 - lam, 0, pl),
-            (1, 2): (0, -pl, 0), (2, 1): (0, 0, -xl),
-            (0, 1): (0, 0, 0), (0, 2): (0, 0, 0)}
+        for (a, b), coef in table.items()], axis=0)
 
 
 def _res_flat_leaf(p: Probe):
@@ -742,7 +731,7 @@ def _res_dk_eta(p: Probe):
 
 
 def _res_bsq(p: Probe):
-    b = p.bmat if p.model.variant == "h" else p.hp
+    b = p.law.b
     m = b @ b - (p.lam_nom ** 2)[:, None, None] * p.eye
     return np.max(np.abs(m[:, :2, :2]), axis=(1, 2))
 
@@ -806,13 +795,13 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
     IdentitySpec("NHP",
                  "nabla_xi h' = -(mu+2) h';  dlam(xi) = -lam(mu+2);"
                  "  dk(xi) = -2(k+1)(mu+2)",
-                 "fd1", _res_nhp, _KMUP),
+                 "fd1", _res_nh, _KMUP),
     IdentitySpec("LIE1",
                  "L_xi h = 2 lam^2 phi - 2h + mu h';  L_xi h' = -mu h - 2h'",
-                 "fd1", _res_lie1, _KMU),
+                 "fd1", _res_lie, _KMU),
     IdentitySpec("LIE2",
                  "L_xi h' = -(mu+2) h';  L_xi h = 2 lam^2 phi - (mu+2) h",
-                 "fd1", _res_lie2, _KMUP),
+                 "fd1", _res_lie, _KMUP),
     IdentitySpec("TR_HP", "sum_i (nabla_{X_i} h') X_i = Q xi + 2 xi",
                  "fd2", _res_tr_hp, _ALL),
     IdentitySpec("TR_PHI", "sum_i (nabla_{X_i} phi) X_i = 0",
@@ -833,12 +822,12 @@ IDENTITIES: dict[str, IdentitySpec] = {s.id: s for s in [
     IdentitySpec("CONN_KMU",
                  "nabla_X xi = X - lam phi X (and the 7 companion formulas"
                  " of the h-eigenframe connection)",
-                 "fd1", lambda p: _conn_residual(p, _conn_kmu),
+                 "fd1", _conn_residual,
                  _KMU - {"kenmotsu-baseline"}),
     IdentitySpec("CONN_KMUP",
                  "nabla_X xi = (1+lam) X (and the 7 companion formulas"
                  " of the h'-eigenframe connection)",
-                 "fd1", lambda p: _conn_residual(p, _conn_kmup),
+                 "fd1", _conn_residual,
                  _KMUP),
     IdentitySpec("FLAT_LEAF", "K(X, phi X) = -(1 - lam^2)",
                  "fd2", _res_flat_leaf, _ALL),

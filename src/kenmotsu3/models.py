@@ -154,12 +154,13 @@ class KmuChartParams:
 
 @dataclass(frozen=True)
 class KmupChartParams(KmuChartParams):
-    """Inputs for the kmup chart family; requires mu(z) != -2 on the box."""
+    """Inputs for the kmup chart family; requires mu(z) != -2 on the box: mu + 2
+    keeps one sign, 1e-6 or more from 0, at 513 samples of the z-box."""
 
     def resolved(self):
         mu, f, r = super().resolved()
-        zs = np.linspace(self.box[2][0], self.box[2][1], 513)
-        if np.min(np.abs(mu(zs) + 2.0)) < 1e-6:
+        shifted = mu(np.linspace(self.box[2][0], self.box[2][1], 513)) + 2.0
+        if not (np.all(shifted >= 1e-6) or np.all(shifted <= -1e-6)):
             raise ValueError("mu(z) + 2 vanishes (or nearly) on the z-box")
         return mu, f, r
 

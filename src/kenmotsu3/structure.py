@@ -4,12 +4,13 @@ An :class:`AlmostContactModel` is one evaluation ``at(pts)`` of the structure
 tensors (phi, xi, eta, g) and the nominal scalars k, mu, lambda over one
 chart, with their exact partials, plus family metadata; its seven fields are
 value-only views of that evaluation.  ``FAMILIES`` gives each family's
-nullity operator and third coordinate.  The identities' Probe computes
-h = (1/2) L_xi phi with ``lie_derivative``, from its Lie-derivative
-definition (never from the connection, so the connection identities stay an
-independent cross-check); it composes h' = h o phi and B = phi o h from the
-same values, and finds the eigenframe (xi, X, phi X) of the family's
-nullity operator in the Cholesky frame it norms every residual in.
+nullity operator (which the model's ``variant`` names) and third coordinate.
+The identities' Probe computes h = (1/2) L_xi phi with ``lie_derivative``,
+from its Lie-derivative definition (never from the connection, so the
+connection identities stay an independent cross-check), composes h' = h o phi
+and phi o h from the same values, picks the variant's law (T, B, nu, f')
+once, and finds the eigenframe (xi, X, phi X) of T in the Cholesky frame it
+norms every residual in.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class AlmostContactModel:
 
     variant = property(lambda self: FAMILIES[self.family][0])
     coords = property(lambda self: ("x", "y", FAMILIES[self.family][1]))
-
-    def nullity_operator(self, h: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The T of this family's nullity condition from computed h, phi."""
-        return h @ phi if self.variant == "hp" else h
 
 
 def lie_derivative(xi: np.ndarray, dxi: np.ndarray, t_vals: np.ndarray,

@@ -448,6 +448,67 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, args, prefix):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+@pytest.mark.parametrize("box", [[], ["--box", "0,1:0,1:-2.5,-1.5"]],
+                         ids=["default-box", "box-with-root-on-a-sample"])
+def test_kmup_chart_mu_with_a_root_of_mu_plus_2_exits_2(tmp_path, capsys,
+                                                         command, box):
+    # mu = z: c = 2(1+z)(mu+2) vanishes at z = -2, inside both boxes; on the
+    # default box no sample of mu + 2 lands within 1e-6 of the root (the
+    # nearest is 9.8e-4 away), but mu + 2 changes sign between two samples
+    out = tmp_path / "out.json"
+    flag = "--out" if command == "build" else "--report"
+    argv = [command, "--family", "kmup-chart", "--mu", "z", *box, flag, str(out)]
+    assert run(argv + (["--grid", "3"] if command == "verify" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == "error: mu(z) + 2 vanishes (or nearly) on the z-box\n", err
+    assert not out.exists()
+
+
+def test_kmup_chart_mu_with_mu_plus_2_negative_runs():
+    # mu + 2 = -1 on the whole box: c keeps one sign and the chart is valid
+    assert run(["verify", "--family", "kmup-chart", "--mu", "-3", "--grid", "3",
+                "--identities", "NHP,LIE2"]) == 0
+
+
+# a model flag with no default that the family never reads: --f and --r
+# outside the chart families, --mu on the baseline, and --mu on a sweep,
+# whose mu values come from --mu-values
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--family", "kmu-darboux", "--mu", "1", "--f", "z",
+      "--identities", "NH"], "--f"),
+    (["verify", "--family", "kmup-darboux", "--r", "1"], "--r"),
+    (["verify", "--family", "kenmotsu", "--f", "z"], "--f"),
+    (["verify", "--family", "kenmotsu", "--mu", "1"], "--mu"),
+    (["build", "--family", "kenmotsu", "--mu", "1"], "--mu"),
+    (["build", "--family", "kmu-darboux", "--r", "z"], "--r"),
+    (["sweep", "--family", "kmu-darboux", "--mu", "1", "--mu-values", "0,1"],
+     "--mu"),
+    (["sweep", "--family", "kmup-chart", "--mu", "1", "--mu-values", "0,1"],
+     "--mu"),
+    (["sweep", "--family", "kmup-darboux", "--f", "z", "--mu-values", "0,1"],
+     "--f"),
+])
+def test_unread_model_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                             argv, flag):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a mu was integrated")
+
+    monkeypatch.setattr(models, "integrate", no_integration)
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out" if argv[0] == "build" else "--report",
+                       str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"error: {flag} is not read by"), err
+    assert not out.exists()
+
+
+def test_sweep_reads_the_chart_flags():
+    # a chart sweep reads --f and --r; each mu comes from --mu-values
+    assert run(["sweep", "--family", "kmu-chart", "--f", "z", "--r", "1",
+                "--mu-values", "0", "--grid", "2", "--identities", "H2"]) == 0
+
+
 # an output path in a missing directory: an error line and exit 2, not a
 # traceback and the exit 1 of a failed verification
 @pytest.mark.parametrize("args,flag", [

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import random_witness as witness
+import variant_reference
 from fd_reference import derivatives, model_axes, model_metric, riemann
 from kenmotsu3 import exprs, fields, identities, ode
 from kenmotsu3.fields import ArrayField
@@ -347,7 +348,8 @@ def _stack_reference(m, q):
     model's fields, ``lie_derivative``, ``metric_factors`` and ``levi_civita``."""
     g, phi = m.g(q), m.phi(q)
     h = 0.5 * lie_derivative(m.xi(q), jet(m, "xi", 1)(q), phi, jet(m, "phi", 1)(q))
-    lam, x, phi_x = _eigen_reference(g, phi, m.nullity_operator(h, phi))
+    t_op = h @ phi if m.variant == "hp" else h
+    lam, x, phi_x = _eigen_reference(g, phi, t_op)
     gamma, ginv = levi_civita(g, jet(m, "g", 1)(q))
     return {"h": h, "hp": h @ phi, "b": phi @ h, "x": x, "phi_x": phi_x,
             "lam": lam, "phi2": np.einsum("nis,nsj->nij", g, phi),
@@ -785,7 +787,7 @@ def _ref_ricci_form(p):
     b = 3.0 * p.k - 0.5 * p.curv.scalar
     m = (p.curv.q - a[:, None, None] * p.eye
          - b[:, None, None] * np.einsum("ni,nj->nij", p.xi, p.eta)
-         - p.mu[:, None, None] * p.t_op)
+         - p.mu[:, None, None] * p.law.t)
     return _ref_op_norm(m, p.g)
 
 
@@ -1892,3 +1894,33 @@ def test_registry_complete():
     for spec in IDENTITIES.values():
         assert spec.profile in (*PROFILES, "custom")
         assert spec.tol() > 0
+
+
+def test_each_variant_pair_shares_one_residual():
+    # the variant picks the law's (nu, f', B, S) in the Probe, not the
+    # residual function
+    for a, b in (("NH", "NHP"), ("LIE1", "LIE2"), ("NULL_KMU", "NULL_KMUP"),
+                 ("CONN_KMU", "CONN_KMUP")):
+        assert IDENTITIES[a].fn is IDENTITIES[b].fn, (a, b)
+
+
+@pytest.mark.parametrize("case", [
+    "baseline", "kmu_chart", "kmup_chart", "kmu_darboux", "kmup_darboux",
+    *(f"{v}_darboux_mu{mu}" for v in ("kmu", "kmup") for mu in SWEEP_MUS)])
+def test_variant_laws_match_each_variants_own_formulas(request, case):
+    # each shared residual, at its variant's law, gives the bits of that
+    # variant's own formula: the h' law adds 0 phi h, and -(1 + lam) is
+    # -1 - lam and a - (-b) is a + b in IEEE arithmetic
+    if "_mu" in case:
+        variant, mu = case.split("_darboux_mu")
+        model = build_darboux_model(DarbouxParams(variant, mu, (-1.0, 1.0)))
+        p = _plan_probe(model, SWEEP_PLAN)
+    else:
+        model = request.getfixturevalue(case)
+        p = _plan_probe(model, PLAN)
+    checked = [ident for ident in variant_reference.REFERENCE
+               if model.family in IDENTITIES[ident].families]
+    assert checked
+    for ident in checked:
+        assert np.array_equal(IDENTITIES[ident].fn(p),
+                              variant_reference.REFERENCE[ident](p)), ident

@@ -480,6 +480,34 @@ def test_only_identities_about_the_adapted_frame_read_it():
     assert uses and readers <= allowed, readers - allowed
 
 
+def _variant_reads(source: str) -> list[str]:
+    """The enclosing function of each read of an attribute ``variant``."""
+    return [func for node, func in _enclosed(source)
+            if isinstance(node, ast.Attribute) and node.attr == "variant"]
+
+
+def test_variant_guard_flags_what_it_should():
+    source = ("def f(p):\n    return p.model.variant\n"
+              "def g(m):\n    return m.variant == 'h'\n"
+              "k = lambda p: p.variant\ndef law(p):\n    return variant")
+    assert _variant_reads(source) == ["f", "g", "<module>"]
+
+
+def test_one_law_per_variant_pair():
+    # NH/NHP, LIE1/LIE2, NULL_KMU/NULL_KMUP and CONN_KMU/CONN_KMUP each
+    # evaluate one residual at the law (T, B, nu, f', C) that Probe.law
+    # picks from the family's variant: the one read of it in the
+    # identities, and the per-variant functions and the model's own choice
+    # of T are gone
+    assert _variant_reads((SRC / "identities.py").read_text()) == ["law"]
+    removed = {"nullity_operator", "_res_nhp", "_res_lie1", "_res_lie2",
+               "_conn_kmu", "_conn_kmup"}
+    found = [(f.name, name) for f in sorted(SRC.glob("*.py"))
+             for name in _defined(f.read_text(), ast.FunctionDef)
+             if name in removed]
+    assert not found, found
+
+
 def _ungated_long_double(source: str) -> list[tuple[str, str]]:
     """(attribute, enclosing function) of each ``np.longdouble`` in
     ``source`` but one in ``_curv2_residual`` when that function compares a
