@@ -155,11 +155,21 @@ class KmuChartParams:
 @dataclass(frozen=True)
 class KmupChartParams(KmuChartParams):
     """Inputs for the kmup chart family; requires mu(z) != -2 on the box: mu + 2
-    keeps one sign, 1e-6 or more from 0, at 513 samples of the z-box."""
+    keeps one sign, 1e-6 or more from 0, at 513 samples of the z-box and at
+    257 in each gap where the exact mu' changes sign (there |mu + 2| may dip
+    between samples), three times over."""
 
     def resolved(self):
         mu, f, r = super().resolved()
-        shifted = mu(np.linspace(self.box[2][0], self.box[2][1], 513)) + 2.0
+        z, shifted = np.linspace(self.box[2][0], self.box[2][1], 513), []
+        for _ in range(4):
+            value, slope = mu.jet(z, order=1)
+            shifted.append(value + 2.0)
+            i = np.flatnonzero(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0)
+            if not len(i):
+                break
+            z = (z[i, None] + np.outer(z[i + 1] - z[i], np.linspace(0, 1, 257))).ravel()
+        shifted = np.concatenate(shifted)
         if not (np.all(shifted >= 1e-6) or np.all(shifted <= -1e-6)):
             raise ValueError("mu(z) + 2 vanishes (or nearly) on the z-box")
         return mu, f, r

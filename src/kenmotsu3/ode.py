@@ -35,8 +35,11 @@ Both variants are integrated on fixed-step nodes, forward and backward
 from t=0, with mu evaluated once per direction, in long double
 (np.longdouble).  A step's sixth-order Magnus exponent lives on the (M1,
 M2, M3) coefficients: the Gauss quadrature of W plus, for kmu, the
-commutator terms.  X = x1 M1 + x2 M2 + x3 M3 has X^2 = r^2 I with r^2 =
-x1^2 - x2^2 + x3^2, so exp X = cosh r I + (sinh r / r) X.
+commutator terms.  Two parts are float64, since neither reaches a
+long-double rounding of what it feeds: the commutator terms, O(h^2) of
+the exponent, and the finite check's overflow bound, with its margin
+of 2.  X = x1 M1 + x2 M2 + x3 M3 has X^2 = r^2 I with r^2 = x1^2 -
+x2^2 + x3^2, so exp X = cosh r I + (sinh r / r) X.
 
   kmu :  P at a node is the product of the steps' exponentials, a scan.
   kmup:  every exponent lies along M1, so they commute: P = diag(e^{A/2},
@@ -198,17 +201,18 @@ def _magnus_exponent(variant, h, mu_stage, f_stage) -> np.ndarray:
     Sixth order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): the
     Gauss quadrature of W = -lam M1 - (nu/2) M2 and, for kmu, the
     commutator terms, whose bracket is reversed because P^-1 solves the
-    left-hand flow (P^-1)' = -W P^-1.  kmup's W lies along M1, where every
-    commutator vanishes.
+    left-hand flow (P^-1)' = -W P^-1 (float64, from long-double a1, a2,
+    a3).  kmup's W lies along M1: no commutator, and M1's sum alone.
     """
     w = np.zeros(f_stage.shape + (3,), np.longdouble)  # h W at the nodes
     w[..., 0] = -h[:, None] * np.exp(-f_stage)
-    if variant == "kmup":
-        return _GAUSS_W @ w
+    if variant == "kmup":  # Omega = (sum, 0, 0), written over w's first row
+        w[:, 0, 0] = w[..., 0] @ _GAUSS_W
+        return w[:, 0]
     w[..., 1] = h[:, None] * mu_stage / -2
     lo, a1, hi = w[:, 0], w[:, 1], w[:, 2]
-    a2 = (hi - lo) * (_SQRT15 / 3)
-    a3 = (hi - 2 * a1 + lo) * (np.longdouble(10) / 3)
+    a1, a2, a3 = (a.astype(float) for a in (
+        a1, (hi - lo) * (_SQRT15 / 3), (hi - 2 * a1 + lo) * (np.longdouble(10) / 3)))
     c1 = _bracket(a1, a2)
     c2 = _bracket(a1, 2 * a3 - c1) / 60
     return _GAUSS_W @ w + _bracket(20 * a1 + a3 + c1, a2 + c2) / 240
@@ -291,13 +295,16 @@ def _check_finite(variant, mu_bar: Expr, times, frames, f, n0) -> None:
     bad node fewest steps from t = 0 = ``times[n0]``, the later on a tie.
     Each entry of F, H and B is at most max(1, lam) |P|_F^2, and |a(t) Y|
     <= (2 lam^2 + 2 + |mu|) max|Y|: in range where that bound, |f| added,
-    is under half the float64 maximum (NaN is not).  The other nodes'
-    states and slopes are formed, ``_BLOCK`` at a time, each row summed in
-    a matmul's order."""
-    mu, lam = mu_bar(times), np.exp(-f)
-    size = np.maximum(1, lam) * np.sum(frames * frames, axis=(1, 2)) + np.abs(f)
-    near = np.flatnonzero(~((2 * lam * lam + 2 + np.abs(mu)) * size
-                            < _FLOAT64_MAX / 2))
+    is under half the float64 maximum (NaN is not), formed in float64.  The
+    other nodes' states and slopes are formed, ``_BLOCK`` at a time, each
+    row summed in a matmul's order."""
+    mu = mu_bar(times)
+    with np.errstate(over="ignore"):  # a P, f or lam past float64: bound inf
+        f64, p = f.astype(float), frames.astype(float)
+        lam = np.exp(-f64)
+        size = np.maximum(1, lam) * np.sum(p * p, axis=(1, 2)) + np.abs(f64)
+        near = np.flatnonzero(~((2 * lam * lam + 2 + np.abs(mu)) * size
+                                < _FLOAT64_MAX / 2))
     finite = []
     for s in range(0, len(near), _BLOCK):
         i = near[s:s + _BLOCK]

@@ -8,18 +8,20 @@ commutator formula of Blanes, Casas, Oteo & Ros (Phys. Rep. 470, 2009),
 and exp(Omega) from a Taylor series with scaling and squaring.  Every part
 that reaches the states' rounding is long double; the parts below it are
 float64: the commutator terms of each exponent (below 1e-6 of it) and the
-series' terms from x^4 on (below 1e-5 after scaling).  ``rhs`` is the
-slope a(t) Y itself, the reference of the finite check's slopes.
-``_as_matrix`` expands coefficients into the 2x2 matrices F, H, B, and
-``matrix_residuals`` forms the ten algebraic relations of
-``ode.algebraic_residuals`` from them by 2x2 matrix products.
+series' terms from x^4 on (below 1e-5 after scaling).  ``sl2_exponent``
+is kmu's step exponent of P' = P W all in long double, on 2x2 matrices:
+the oracle of ``ode._magnus_exponent``, whose commutator terms are
+float64.  ``rhs`` is the slope a(t) Y itself, the reference of the
+finite check's slopes.  ``_as_matrix`` expands coefficients into the 2x2
+matrices F, H, B, and ``matrix_residuals`` forms the ten algebraic
+relations of ``ode.algebraic_residuals`` from them by 2x2 matrix products.
 """
 
 import math
 
 import numpy as np
 
-from kenmotsu3.ode import M1, M2, M3, _SQRT15, _det_g
+from kenmotsu3.ode import _GAUSS_W, M1, M2, M3, _SQRT15, _det_g
 
 # exp(X) = sum_{k<=11} X^k/k! for ||X|| <= 1/8: the tail past k = 11 is below
 # 2e-20.  The terms from X^4 on sum to less than ||X||^4/24 <= 1e-5, so they
@@ -111,6 +113,23 @@ def magnus_exponent(a: np.ndarray) -> np.ndarray:
     c1 = comm(b1, a2)
     c2 = comm(b1, 2 * a3 + c1) / -60
     return a1 + (a3 / 12 + comm(-20 * b1 - a3 + c1, a2 + c2) / 240)
+
+
+def sl2_exponent(h, mu_stage, f_stage) -> np.ndarray:
+    """kmu's Omega of each step of P' = P W, from its length ``h`` (m,) and
+    mu and f at its three Gauss nodes (m, 3), all in long double: (m, 2, 2)
+    matrices.  The Gauss quadrature of h W = -h lam M1 - (h mu/2) M2 plus
+    the commutator terms of ``magnus_exponent``, each bracket reversed, as
+    P^-1 solves the left-hand flow (P^-1)' = -W P^-1."""
+    hw = (-(h[:, None] * np.exp(-f_stage))[..., None, None] * M1
+          - (h[:, None] * mu_stage / 2)[..., None, None] * M2)  # (m, 3, 2, 2)
+    lo, a1, hi = hw[:, 0], hw[:, 1], hw[:, 2]
+    a2 = (hi - lo) * (_SQRT15 / 3)
+    a3 = (hi - 2 * a1 + lo) * (np.longdouble(10) / 3)
+    c1 = comm(a2, a1)
+    c2 = comm(2 * a3 + c1, a1) / -60
+    quadrature = (_GAUSS_W @ hw.reshape(-1, 3, 4)).reshape(-1, 2, 2)
+    return quadrature + comm(a2 + c2, -20 * a1 - a3 + c1) / 240
 
 
 def expm(om: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ import json
 import os
 import re
 import stat
+import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 
 from kenmotsu3 import cli, models
 from kenmotsu3.cli import build_model, main, make_parser
+from kenmotsu3.exprs import parse_expr
 from kenmotsu3.identities import IDENTITIES, SamplePlan, check_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -468,6 +471,60 @@ def test_kmup_chart_mu_with_a_root_of_mu_plus_2_exits_2(tmp_path, capsys,
 def test_kmup_chart_mu_with_mu_plus_2_negative_runs():
     # mu + 2 = -1 on the whole box: c keeps one sign and the chart is valid
     assert run(["verify", "--family", "kmup-chart", "--mu", "-3", "--grid", "3",
+                "--identities", "NHP,LIE2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+@pytest.mark.parametrize("mu", ["-2 + 100*(z+2)^2", "-2 - 100*(z+2)^2"])
+def test_kmup_chart_mu_touching_minus_2_between_samples_exits_2(
+        tmp_path, capsys, command, mu):
+    # mu + 2 touches 0 at z = -2 without changing sign; the nearest of the
+    # 513 samples reads 9.6e-5, but mu' = +-200 (z + 2) changes sign between
+    # two samples, and the samples added around its root reach the dip
+    out = tmp_path / "out.json"
+    flag = "--out" if command == "build" else "--report"
+    argv = [command, "--family", "kmup-chart", "--mu", mu, flag, str(out)]
+    extra = ["--grid", "3", "--identities", "NH,TR_HP"] if command == "verify" else []
+    assert run(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err == "error: mu(z) + 2 vanishes (or nearly) on the z-box\n", err
+    assert not out.exists()
+
+
+def _benchmark_chart_mus():
+    """The kmup-chart mu of the chart-grid9 workload's ops 0-3, seeds 1-3,
+    from perfbench/workloads.py (run from its text: no bytecode written)."""
+    path = ROOT / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("benchmark_workloads")
+    sys.modules[workloads.__name__] = workloads  # dataclasses look it up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    finally:
+        del sys.modules[workloads.__name__]
+    ops = [workloads.make_op("chart-grid9", seed, i)
+           for seed in (1, 2, 3) for i in range(4)]
+    return [op.argv[op.argv.index("--mu") + 1] for op in ops
+            if op.family == "kmup-chart"]
+
+
+def _turning_points(mu: str) -> int:
+    """Sign changes of the exact mu' between the 513 samples of the default
+    z-box, where ``KmupChartParams.resolved`` adds samples."""
+    slope = parse_expr(mu, "z").jet(np.linspace(-3, -1.5, 513), 1)[1]
+    return int(np.sum(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0))
+
+
+def test_chart_mus_have_turning_points():
+    # the runs below take the added samples: sin(3z) twice, and some of the
+    # benchmark's mu (three of the six) once
+    assert _turning_points("sin(3*z)") == 2
+    assert any(_turning_points(mu) for mu in _benchmark_chart_mus())
+
+
+@pytest.mark.parametrize("mu", ["sin(3*z)", *_benchmark_chart_mus()])
+def test_kmup_chart_mu_with_turning_points_runs(mu):
+    # where mu' changes sign, mu + 2 stays far from 0: nothing is rejected
+    assert run(["verify", "--family", "kmup-chart", "--mu", mu, "--grid", "3",
                 "--identities", "NHP,LIE2"]) == 0
 
 

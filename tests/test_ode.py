@@ -15,6 +15,7 @@ from magnus_reference import (
     magnus_exponent,
     matrix_residuals,
     rhs,
+    sl2_exponent,
 )
 
 from kenmotsu3 import models, ode
@@ -543,6 +544,62 @@ class TestFiniteCheck:
             with np.errstate(over="ignore", invalid="ignore"):
                 ode._check_finite(*args)
 
+    @staticmethod
+    def _planted(variant, plants):
+        """The finite check's arguments at mu = 0 on nine nodes of t in
+        [-0.4, 0.4], n0 = 4, with P = I and f = 0 but at the planted nodes,
+        each given as {index: (e^a, f)} with P = diag(e^a, e^-a), e^a long
+        double."""
+        frames = np.tile(np.eye(2, dtype=np.longdouble), (9, 1, 1))
+        fs = np.zeros(9, np.longdouble)
+        for i, (ea, f) in plants.items():
+            frames[i] = np.diag([ea, 1 / ea])
+            fs[i] = f
+        times = np.round(np.arange(-4, 5) * 0.1, 12)
+        return (variant, parse_expr("0", "t"), times, frames, fs, 4)
+
+    @pytest.mark.parametrize("variant", ["kmu", "kmup"])
+    @pytest.mark.parametrize("ea,f", [
+        (np.longdouble("1e200"), 0.0),   # |P|_F^2 leaves float64, P does not
+        (np.longdouble("1e400"), 0.0),   # P leaves float64 when cast
+        (np.longdouble(1), -800.0),      # lam = e^800 leaves float64
+    ], ids=["square", "cast", "lam"])
+    def test_nodes_past_float64_in_the_bound(self, variant, ea, f):
+        # the float64 bound of such a node is infinite, so the node goes to
+        # the long-double check, which names it as the slopes do: the bad
+        # node nearest t = 0, with the message the check has always given
+        if not np.isfinite(ea):
+            pytest.skip("np.longdouble has no range past float64")
+        args = self._planted(variant, {1: (ea, f), 6: (ea, f)})
+        assert _slope_check(*args) == 6
+        with pytest.raises(ConsistencyError) as info:
+            ode._check_finite(*args)
+        assert str(info.value) == "ODE state non-finite in float64 at t=0.2"
+
+    @pytest.mark.parametrize("variant", ["kmu", "kmup"])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+    def test_finite_node_close_to_the_bound(self, monkeypatch, variant, side):
+        # P = diag(e^a, e^-a) at f = mu = 0 has the bound 4 (e^2a + e^-2a):
+        # e^2a = (1 -+ 1e-15) of an eighth of the float64 maximum puts it
+        # just under half the maximum (not checked further) or just over
+        # (its states and slopes, at most a quarter of the maximum, are
+        # formed and finite); either way the bad node past it is named
+        written, write = [], ode._write_states
+
+        def counted(v, frames, f):
+            written.append(len(frames))
+            return write(v, frames, f)
+
+        monkeypatch.setattr(ode, "_write_states", counted)
+        near = np.sqrt(np.longdouble(np.finfo(float).max) / 8 * (1 + side * 1e-15))
+        args = self._planted(variant, {5: (near, 0.0),
+                                       0: (np.longdouble("1e200"), 0.0)})
+        assert _slope_check(*args) == 0
+        with pytest.raises(ConsistencyError) as info:
+            ode._check_finite(*args)
+        assert str(info.value) == "ODE state non-finite in float64 at t=-0.4"
+        assert written == [1 if side < 0 else 2]
+
 
 class TestArrayPath:
     """mu on the whole span at once, batched exponents and a cumulative sum
@@ -781,6 +838,29 @@ class TestSl2Flow:
         assert np.all(err <= 16 * np.finfo(np.longdouble).eps * scale), err
 
     @WIDE
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("t0", [-1.0, -3.0])
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    def test_exponent_to_the_long_double_oracle(self, step, t0, mu):
+        # kmu's float64 commutator terms keep every step's Omega on [t0, 0]
+        # and [0, 1] within 1 eps_LD of its largest row sum from the
+        # exponent all in long double (measured at most 0.77 eps_LD, at
+        # mu = 1 forward; 0 at mu = 0, where every commutator vanishes).
+        # The bound needs h lam well inside the Magnus series' radius: at
+        # step 1e-2 and t = -5, where h lam = 220 and the series diverges,
+        # the error reads 118-561 eps_LD (mu = 1, 5)
+        expr = parse_expr(repr(mu), "t")
+        for end in (t0, 1.0):
+            n = round(abs(end) / step)
+            t = (np.arange(n + 1) * np.copysign(step, end)).astype(np.longdouble)
+            mu_stage, _, rise_stage = _steps("kmu", expr, t[:-1], t[1:])
+            h, f_stage = t[1:] - t[:-1], 2 * t[:-1, None] + rise_stage
+            ref = sl2_exponent(h, mu_stage, f_stage)
+            om = _as_matrix(_magnus_exponent("kmu", h, mu_stage, f_stage))
+            err = np.max(np.abs(om - ref), axis=(1, 2))
+            assert np.all(err <= np.finfo(np.longdouble).eps * _norm(ref))
+
+    @WIDE
     @pytest.mark.parametrize("variant,mu", [
         ("kmu", "1"), ("kmu", "0.3+0.2*sin(2*t)"), ("kmup", "0"),
         ("kmup", "sin(t)")])
@@ -795,6 +875,42 @@ class TestSl2Flow:
         states = tr.dense(tr.times)
         assert np.max(np.abs(states[:, :9] - ref[:, :9]) / scale) <= 1e-15
         assert np.array_equal(tr.f, ref[:, 9])
+
+
+class TestFloat64Parts:
+    """The integration's two float64 parts: kmu's commutator terms and the
+    finite check's bound; all else is long double."""
+
+    def test_commutators_are_float64(self, monkeypatch):
+        dtypes, bracket = set(), ode._bracket
+
+        def recorded(x, y):
+            dtypes.update((x.dtype, y.dtype))
+            return bracket(x, y)
+
+        monkeypatch.setattr(ode, "_bracket", recorded)
+        tr = integrate("kmu", parse_expr("0.3+0.2*sin(2*t)", "t"), (-1.0, 1.0), 1e-3)
+        tr.dense(tr.times[:3] + 0.3 * tr.step)  # the lookup's partial steps
+        assert dtypes == {np.dtype(float)}
+
+    @pytest.mark.parametrize("variant,mu", TWELVE)
+    def test_finite_check_takes_no_long_double_exp(self, monkeypatch, variant, mu):
+        # on [-1, 1] no node passes the float64 bound, so the check's only
+        # exp is the bound's lam, in float64
+        dtypes, exp, check = [], np.exp, ode._check_finite
+
+        def counted(x, *args, **kwargs):
+            dtypes.append(np.asarray(x).dtype)
+            return exp(x, *args, **kwargs)
+
+        def check_counting(*args):
+            with monkeypatch.context() as m:
+                m.setattr(np, "exp", counted)
+                check(*args)
+
+        monkeypatch.setattr(ode, "_check_finite", check_counting)
+        integrate(variant, parse_expr(mu, "t"), (-1.0, 1.0), 1e-3)
+        assert dtypes and np.dtype(np.longdouble) not in dtypes
 
 
 class TestKmupClosedForm:
